@@ -15,12 +15,14 @@ import numpy as np
 
 from .errors import (AuditDomainError, DomainError, FitDomainError,
                      SturmDomainError)
+from .model import _energy_density
 
 __all__ = [
     "DecayFit",
     "AuditReport",
     "ProbeResult",
     "fit_decay",
+    "far_field",
     "stable_fit_horizon",
     "monotonicity_audit",
     "residual_norm",
@@ -92,6 +94,22 @@ def fit_decay(profile, window, component: str, n_samples: int = 201) -> DecayFit
     return DecayFit(rate=-float(slope), amplitude=float(math.exp(intercept)),
                     prefactor=prefactor, window=(lo, hi), n_samples=n_samples,
                     max_log_residual=float(np.max(np.abs(resid))))
+
+
+def far_field(t, f_fit: DecayFit, higgs_fit: DecayFit, lambda_hat: float):
+    """Far-field model (f, f', rho, rho') at radius t, a float or an array.
+
+    Puts back the prefactors fit_decay divided out: the gauge field is
+    A e^{-k t} (A t e^{-k t} when lambda_hat = 0) and the Higgs gap
+    1 - rho is B e^{-k t} / t (the Coulomb gap B / t when lambda_hat = 0).
+    """
+    kf, af = f_fit.rate, f_fit.amplitude
+    kh, bh = higgs_fit.rate, higgs_fit.amplitude
+    ef = af * np.exp(-kf * t)
+    if lambda_hat == 0.0:
+        return ef * t, ef * (1.0 - kf * t), 1.0 - bh / t, bh / (t * t)
+    gap = bh * np.exp(-kh * t) / t
+    return ef, -kf * ef, 1.0 - gap, gap * (kh + 1.0 / t)
 
 
 def stable_fit_horizon(traj, fit_span: float = 2.0, floor: float = 6.0,
@@ -231,15 +249,6 @@ def residual_norm(profile, t_lo: float | None = None, t_hi: float | None = None,
     return float(max(np.max(np.abs(res_f)), np.max(np.abs(res_r))))
 
 
-def _density(ts, fs, fps, rhos, rhops, lam):
-    # Same integrand as model.energy_density, vectorized for quadrature.
-    t2 = ts * ts
-    f2m1 = fs * fs - 1.0
-    r2m1 = rhos * rhos - 1.0
-    return (fps * fps + f2m1 * f2m1 / (2.0 * t2) + fs * fs * rhos * rhos
-            + (ts * rhops) ** 2 / 2.0 + 0.25 * lam * (ts * r2m1) ** 2)
-
-
 def _simpson(y, h: float) -> float:
     if len(y) % 2 == 0:
         raise DomainError("Simpson rule needs an odd sample count")
@@ -278,23 +287,14 @@ def mass_integral(grafted, t_far: float = 400.0, core_spacing: float = 2e-3,
 
     ts, h = _odd_grid(t0, tg, core_spacing)
     cols = np.asarray(traj.resample(ts))
-    core = _simpson(_density(ts, cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3],
-                             lam), h)
+    core = _simpson(_energy_density(ts, cols[:, 0], cols[:, 1], cols[:, 2],
+                                    cols[:, 3], lam), h)
 
     ts, h = _odd_grid(tg, t_far, tail_spacing)
-    kf, af = grafted.f_fit.rate, grafted.f_fit.amplitude
-    kh, bh = grafted.higgs_fit.rate, grafted.higgs_fit.amplitude
-    ef = af * np.exp(-kf * ts)
-    if lam == 0.0:
-        fs, fps = ef * ts, ef * (1.0 - kf * ts)
-        gap = bh / ts
-        rhops = bh / (ts * ts)
-    else:
-        fs, fps = ef, -kf * ef
-        gap = bh * np.exp(-kh * ts) / ts
-        rhops = gap * (kh + 1.0 / ts)
-    tail = _simpson(_density(ts, fs, fps, 1.0 - gap, rhops, lam), h)
+    fs, fps, rhos, rhops = far_field(ts, grafted.f_fit, grafted.higgs_fit, lam)
+    tail = _simpson(_energy_density(ts, fs, fps, rhos, rhops, lam), h)
 
+    bh = grafted.higgs_fit.amplitude
     remainder = (1.0 + (bh * bh if lam == 0.0 else 0.0)) / (2.0 * t_far)
     return head + core + tail + remainder
 

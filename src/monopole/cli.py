@@ -76,6 +76,15 @@ def _controls_from(ns: argparse.Namespace) -> IntegratorControls:
                               t_max=ns.t_max, t0=ns.t0)
 
 
+def _add_run_options(p: argparse.ArgumentParser) -> None:
+    # integrator controls and the config file, shared by solve and sweep
+    p.add_argument("--rel-tol", type=float, default=1e-10)
+    p.add_argument("--abs-tol", type=float, default=1e-12)
+    p.add_argument("--t-max", type=float, default=12.0)
+    p.add_argument("--t0", type=float, default=DEFAULT_T0)
+    p.add_argument("--config", default=None, help="key = value option file")
+
+
 def _add_solve_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-hat", type=float, default=None,
                    help="dimensionless quartic coupling lambda / g0^2")
@@ -85,13 +94,9 @@ def _add_solve_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho0", type=float, default=None, help="Higgs vacuum value")
     p.add_argument("--tol-alpha", type=float, default=1e-8)
     p.add_argument("--tol-beta", type=float, default=1e-8)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
-    p.add_argument("--t-max", type=float, default=12.0)
-    p.add_argument("--t0", type=float, default=DEFAULT_T0)
     p.add_argument("--no-polish", action="store_true",
                    help="stop at the first-stage tolerances")
-    p.add_argument("--config", default=None, help="key = value option file")
+    _add_run_options(p)
 
 
 def _resolve_frame(ns: argparse.Namespace, parser: argparse.ArgumentParser):
@@ -234,11 +239,8 @@ def _cmd_sweep(ns: argparse.Namespace, parser) -> int:
 
     alphas = grid(ns.alphas, ns.alpha_min, ns.alpha_max, ns.alpha_count, "alpha")
     betas = grid(ns.betas, ns.beta_min, ns.beta_max, ns.beta_count, "beta")
-    workers = ns.workers
-    if workers is None:
-        workers = int(os.environ.get("MONOPOLE_THREADS", "1"))
     grid_out = sweep(alphas, betas, ns.lambda_hat,
-                     controls=_controls_from(ns), workers=workers)
+                     controls=_controls_from(ns), workers=ns.workers)
     lines = ["alpha,beta,outcome,t_event"]
     for a, b, tag, t_event in grid_out.rows():
         t_txt = "" if t_event is None else _fmt(t_event)
@@ -254,25 +256,6 @@ def _cmd_sweep(ns: argparse.Namespace, parser) -> int:
 
 
 def _cmd_validate(ns: argparse.Namespace, parser) -> int:
-    if ns.mutate_rhs_sign:
-        # Self-check hook: corrupt the integrator's derivative and prove the
-        # validation notices.  Restored before returning.
-        from . import integrator as _integrator
-        orig = _integrator._rhs
-
-        def _flipped(t, f, fp, rho, rhop, lam):
-            d = orig(t, f, fp, rho, rhop, lam)
-            return (d[0], -d[1], d[2], d[3])
-
-        _integrator._rhs = _flipped
-        try:
-            return _validate_checks(ns, parser)
-        finally:
-            _integrator._rhs = orig
-    return _validate_checks(ns, parser)
-
-
-def _validate_checks(ns: argparse.Namespace, parser) -> int:
     if ns.quick:
         ns.tol_alpha = max(ns.tol_alpha, 1e-6)
         ns.tol_beta = max(ns.tol_beta, 1e-6)
@@ -395,14 +378,10 @@ def build_parser() -> _Parser:
     p.add_argument("--beta-min", type=float, default=None)
     p.add_argument("--beta-max", type=float, default=None)
     p.add_argument("--beta-count", type=int, default=5)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
-    p.add_argument("--t-max", type=float, default=12.0)
-    p.add_argument("--t0", type=float, default=DEFAULT_T0)
+    _add_run_options(p)
     p.add_argument("--workers", type=int, default=None,
                    help="process count (default MONOPOLE_THREADS or 1)")
     p.add_argument("--out", default="-", help="CSV output path ('-' stdout)")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("validate",
@@ -413,8 +392,6 @@ def build_parser() -> _Parser:
     p.add_argument("--param-tol", type=float, default=1e-6)
     p.add_argument("--field-tol", type=float, default=1e-5)
     p.add_argument("--energy-tol", type=float, default=1e-3)
-    p.add_argument("--mutate-rhs-sign", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("probe", help="l = 1 angular fluctuation probe")

@@ -164,8 +164,15 @@ def energy_density(state: PhaseState, lambda_hat: float) -> float:
     """
     if lambda_hat < 0.0:
         raise DomainError(f"lambda_hat must be >= 0, got {lambda_hat}")
-    t, f, fp, rho, rhop = state.t, state.f, state.fp, state.rho, state.rhop
-    ff1 = f * f - 1.0
-    rr1 = rho * rho - 1.0
-    return (fp * fp + ff1 * ff1 / (2.0 * t * t) + f * f * rho * rho
-            + 0.5 * (t * rhop) ** 2 + 0.25 * lambda_hat * (t * rr1) ** 2)
+    return _energy_density(state.t, state.f, state.fp, state.rho, state.rhop,
+                           lambda_hat)
+
+
+def _energy_density(t, f, fp, rho, rhop, lambda_hat):
+    # Unchecked form of energy_density; takes floats or numpy arrays, so
+    # the mass quadrature evaluates it on whole sample grids.
+    t2 = t * t
+    f2m1 = f * f - 1.0
+    r2m1 = rho * rho - 1.0
+    return (fp * fp + f2m1 * f2m1 / (2.0 * t2) + f * f * rho * rho
+            + (t * rhop) ** 2 / 2.0 + 0.25 * lambda_hat * (t * r2m1) ** 2)

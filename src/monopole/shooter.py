@@ -51,6 +51,8 @@ _ALPHA_CEIL = 1e12
 _BETA_FLOOR = 1e-12
 _BETA_CEIL = 1e12
 _ESCALATIONS = (1, 2, 4)
+# Side of the gauge separatrix a decisive F_FATE outcome lies on.
+_GAUGE_SIDE = {OutcomeTag.FPRIME_ZERO: -1, OutcomeTag.F_ZERO: 1}
 
 
 def shoot(point: ShootPoint, lambda_hat: float,
@@ -66,14 +68,7 @@ def shoot(point: ShootPoint, lambda_hat: float,
     if point.alpha > 0.0 and start.fp >= 0.0:
         c = series_coefficients(point, lambda_hat)
         t_c = math.sqrt(point.alpha / (2.0 * c.a4))
-        t2 = t_c * t_c
-        state = PhaseState(
-            t=t_c,
-            f=1.0 - point.alpha * t2 + c.a4 * t2 * t2,
-            fp=0.0,
-            rho=point.beta * t_c + c.b3 * t_c * t2,
-            rhop=point.beta + 3.0 * c.b3 * t2,
-        )
+        state = replace(initial_state(point, lambda_hat, t_c), fp=0.0)
         traj = Trajectory(t0=t_c, lambda_hat=lambda_hat, controls=controls,
                           ts=[t_c], ys=[state.as_tuple()], ended="immediate",
                           alpha=point.alpha, beta=point.beta)
@@ -141,6 +136,48 @@ class AlphaResult:
     achieved_width: float = 0.0
 
 
+def _expand_bracket(side, seed: float, floor: float, ceil: float,
+                    name: str) -> tuple[float, float]:
+    """Geometric search from seed for an interval on which side changes sign.
+
+    side(x) is -1 below the separatrix, +1 above it and 0 for a probe that
+    lands on neither side, which is skipped.  Probes go up by 4x from seed
+    until one lands above, then down by 4x from seed until one lands
+    below; upper probes met on the way down tighten the bracket from
+    above.  Leaving [floor, ceil] raises BracketingError carrying every
+    probed point with its side.
+    """
+    if not (floor <= seed <= ceil):
+        raise DomainError(f"{name} seed {seed} outside [{floor}, {ceil}]")
+    probed: dict[float, int] = {}
+    lo = hi = None
+
+    def probe(x: float) -> None:
+        nonlocal lo, hi
+        probed[x] = sign = side(x)
+        if sign < 0:
+            lo = x
+        elif sign > 0:
+            hi = x
+
+    probe(seed)
+    x = seed
+    while hi is None:
+        x *= 4.0
+        if x > ceil:
+            raise BracketingError(
+                f"no upper side found up to {name} = {ceil}", probed)
+        probe(x)
+    x = seed
+    while lo is None:
+        x /= 4.0
+        if x < floor:
+            raise BracketingError(
+                f"no lower side found down to {name} = {floor}", probed)
+        probe(x)
+    return lo, hi
+
+
 def bracket_alpha(beta: float, lambda_hat: float, controls: IntegratorControls,
                   seed: float = 1.0 / 6.0) -> Bracket:
     """Expand geometrically from seed until the gauge dichotomy straddles.
@@ -152,46 +189,19 @@ def bracket_alpha(beta: float, lambda_hat: float, controls: IntegratorControls,
     """
     if not (beta > 0.0):
         raise DomainError(f"bracket_alpha needs beta > 0, got {beta}")
-    if not (_ALPHA_FLOOR <= seed <= _ALPHA_CEIL):
-        raise DomainError(f"seed {seed} outside [{_ALPHA_FLOOR}, {_ALPHA_CEIL}]")
     outcomes: dict[float, OutcomeTag] = {}
 
-    def probe(a: float) -> OutcomeTag:
+    def side(a: float) -> int:
         out, _ = _gauge_fate(ShootPoint(alpha=a, beta=beta), lambda_hat, controls)
         outcomes[a] = out.tag
-        return out.tag
+        return _GAUGE_SIDE.get(out.tag, 0)
 
-    lo = hi = None
-    lo_tag = hi_tag = None
-    tag = probe(seed)
-    if tag is OutcomeTag.FPRIME_ZERO:
-        lo, lo_tag = seed, tag
-    elif tag is OutcomeTag.F_ZERO:
-        hi, hi_tag = seed, tag
-
-    x = seed
-    while hi is None:
-        x *= 4.0
-        if x > _ALPHA_CEIL:
-            raise BracketingError(
-                f"no f-crossing side found up to alpha = {_ALPHA_CEIL}", outcomes)
-        tag = probe(x)
-        if tag is OutcomeTag.F_ZERO:
-            hi, hi_tag = x, tag
-        elif tag is OutcomeTag.FPRIME_ZERO:
-            lo, lo_tag = x, tag
-    x = seed
-    while lo is None:
-        x /= 4.0
-        if x < _ALPHA_FLOOR:
-            raise BracketingError(
-                f"no turning side found down to alpha = {_ALPHA_FLOOR}", outcomes)
-        tag = probe(x)
-        if tag is OutcomeTag.FPRIME_ZERO:
-            lo, lo_tag = x, tag
-        elif tag is OutcomeTag.F_ZERO:
-            hi, hi_tag = x, tag   # tighten from above while descending
-    return Bracket(lo=lo, hi=hi, lo_outcome=lo_tag, hi_outcome=hi_tag)
+    try:
+        lo, hi = _expand_bracket(side, seed, _ALPHA_FLOOR, _ALPHA_CEIL, "alpha")
+    except BracketingError as exc:
+        exc.outcomes = outcomes
+        raise
+    return Bracket(lo, hi, OutcomeTag.FPRIME_ZERO, OutcomeTag.F_ZERO)
 
 
 def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
@@ -245,14 +255,16 @@ def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
 
 
 def _alpha_at(beta: float, lambda_hat: float, controls: IntegratorControls,
-              seed: float, tol_alpha: float, warm_center: float | None = None,
-              warm_margin: float = 0.0) -> AlphaResult:
-    """Inner solve, reusing a verified bracket around a nearby answer."""
+              seed: float, tol_alpha: float, warm_margin: float = 0.0) -> AlphaResult:
+    """Inner solve from a nearby answer seed.
+
+    With a positive warm_margin the bracket seed -/+ warm_margin is tried
+    first; when it does not straddle, the bracket is expanded from seed.
+    """
     bracket = None
-    if warm_center is not None and warm_margin > 0.0 \
-            and warm_center - warm_margin > 0.0:
-        lo = warm_center - warm_margin
-        hi = warm_center + warm_margin
+    if warm_margin > 0.0 and seed - warm_margin > 0.0:
+        lo = seed - warm_margin
+        hi = seed + warm_margin
 
         def tag_at(a: float) -> OutcomeTag:
             out, _ = _gauge_fate(ShootPoint(alpha=a, beta=beta),
@@ -294,10 +306,8 @@ def _higgs_fate(result: AlphaResult, lambda_hat: float,
 class GraftedProfile:
     """Numerical profile up to t_graft continued by its fitted far field.
 
-    Beyond t_graft the gauge field follows amp * e^{-rate t} (times t when
-    lambda_hat = 0) and the Higgs gap follows amp * e^{-rate t} / t
-    (pure amp / t when lambda_hat = 0), with rates and amplitudes fitted
-    on [t_graft - fit_span, t_graft].
+    Beyond t_graft the fields follow analysis.far_field, with rates and
+    amplitudes fitted on [t_graft - fit_span, t_graft].
     """
 
     base: Trajectory
@@ -313,19 +323,8 @@ class GraftedProfile:
         return self.base.lambda_hat
 
     def tail_state(self, t: float) -> PhaseState:
-        lam = self.base.lambda_hat
-        kf, af = self.f_fit.rate, self.f_fit.amplitude
-        kh, bh = self.higgs_fit.rate, self.higgs_fit.amplitude
-        ef = af * math.exp(-kf * t)
-        if lam == 0.0:
-            f, fp = ef * t, ef * (1.0 - kf * t)
-            gap = bh / t
-            rho, rhop = 1.0 - gap, bh / (t * t)
-        else:
-            f, fp = ef, -kf * ef
-            gap = bh * math.exp(-kh * t) / t
-            rho, rhop = 1.0 - gap, gap * (kh + 1.0 / t)
-        return PhaseState(t=t, f=f, fp=fp, rho=rho, rhop=rhop)
+        return PhaseState(t, *analysis.far_field(t, self.f_fit, self.higgs_fit,
+                                                 self.base.lambda_hat))
 
     def state_at(self, t: float) -> PhaseState:
         if t > self.t_graft:
@@ -428,36 +427,41 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     if controls is None:
         controls = IntegratorControls()
 
-    state = {"alpha_seed": seed_alpha, "warm_center": None, "warm_margin": 0.0,
-             "beta_width": None, "candidate": None, "n_eval": 0, "log": []}
+    log: list = []
+    last: AlphaResult | None = None   # latest inner solve, the warm start
+    slack = 0.0                       # its alpha resolution
+    candidate = None
 
-    def side_of(beta: float, c: IntegratorControls, tol_a: float) -> str:
-        warm_center = state["warm_center"]
+    def inner(beta: float, c: IntegratorControls, tol_a: float,
+              beta_width: float | None) -> AlphaResult:
+        nonlocal last, slack
         margin = 0.0
-        if warm_center is not None and state["beta_width"] is not None:
+        if last is not None and beta_width is not None:
             # alpha*(beta) moves O(1) per unit beta; cover that plus the
             # slack of the previous inner solve.
-            margin = max(4.0 * state["beta_width"], 64.0 * tol_a,
-                         2.0 * state["warm_margin"])
-        ar = _alpha_at(beta, lambda_hat, c, state["alpha_seed"], tol_a,
-                       warm_center=warm_center, warm_margin=margin)
-        state["alpha_seed"] = ar.alpha_star
-        state["warm_center"] = ar.alpha_star
-        state["warm_margin"] = max(ar.achieved_width, tol_a)
+            margin = max(4.0 * beta_width, 64.0 * tol_a, 2.0 * slack)
+        seed = seed_alpha if last is None else last.alpha_star
+        last = _alpha_at(beta, lambda_hat, c, seed, tol_a, margin)
+        slack = max(last.achieved_width, tol_a)
+        return last
+
+    def side_of(beta: float, c: IntegratorControls, tol_a: float,
+                beta_width: float | None = None) -> int:
+        """-1 when alpha*(beta) stalls below the vacuum, +1 when it overshoots."""
+        nonlocal candidate
+        ar = inner(beta, c, tol_a, beta_width)
         out, traj = _higgs_fate(ar, lambda_hat, c)
-        state["n_eval"] += 1
         if out.tag in (OutcomeTag.RHO_PRIME_ZERO, OutcomeTag.RHO_ZERO):
-            side = "A"
+            side = -1
         elif out.tag is OutcomeTag.RHO_CROSS_VEV:
-            side = "B"
+            side = 1
         else:
             # No decisive event (the lambda_hat = 0 regime, or a run cut
             # short by a blowup): read the asymptote's side directly.
-            gap = _extrapolated_vev_gap(traj)
-            side = "A" if gap < 0.0 else "B"
+            side = -1 if _extrapolated_vev_gap(traj) < 0.0 else 1
             if out.tag is OutcomeTag.CONVERGED:
-                state["candidate"] = (beta, ar)
-        state["log"].append((beta, ar.alpha_star, out.tag.value, side))
+                candidate = (beta, ar)
+        log.append((beta, ar.alpha_star, out.tag.value, "A" if side < 0 else "B"))
         return side
 
     def run_bisection(lo: float, hi: float, c: IntegratorControls,
@@ -466,15 +470,15 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            state["beta_width"] = hi - lo
-            if side_of(mid, c, tol_a) == "A":
+            if side_of(mid, c, tol_a, hi - lo) < 0:
                 lo = mid
             else:
                 hi = mid
         return lo, hi
 
     # Stage one: caller tolerances.
-    lo, hi, lo_tag, hi_tag = _expand_beta(side_of, seed_beta, controls, tol_alpha)
+    lo, hi = _expand_bracket(lambda b: side_of(b, controls, tol_alpha),
+                             seed_beta, _BETA_FLOOR, _BETA_CEIL, "beta")
     lo, hi = run_bisection(lo, hi, controls, tol_alpha, tol_beta)
 
     # Stage two: profile-grade polish around the stage-one answer.
@@ -484,23 +488,19 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     if polish:
         tol_alpha_f, tol_beta_f = min(tol_alpha, 1e-11), min(tol_beta, 1e-11)
         fincontrols = pcontrols
-        beta_c = 0.5 * (lo + hi)
         w = max(hi - lo, tol_beta)
-        state["beta_width"] = 16.0 * w
-        plo, phi = _verify_beta_bracket(side_of, beta_c, w, pcontrols, tol_alpha_f)
+        plo, phi = _verify_beta_bracket(
+            lambda b: side_of(b, pcontrols, tol_alpha_f, 16.0 * w),
+            0.5 * (lo + hi), w)
         lo, hi = run_bisection(plo, phi, pcontrols, tol_alpha_f, tol_beta_f)
     else:
         tol_alpha_f, tol_beta_f = tol_alpha, tol_beta
         fincontrols = controls
-    beta_bracket = Bracket(lo, hi, lo_tag, hi_tag)
+    beta_bracket = Bracket(lo, hi, OutcomeTag.RHO_PRIME_ZERO,
+                           OutcomeTag.RHO_CROSS_VEV)
 
     beta_star = 0.5 * (lo + hi)
-    state["beta_width"] = max(hi - lo, tol_beta_f)
-    margin = max(4.0 * state["beta_width"], 64.0 * tol_alpha_f,
-                 2.0 * state["warm_margin"])
-    ar_star = _alpha_at(beta_star, lambda_hat, fincontrols, state["alpha_seed"],
-                        tol_alpha_f, warm_center=state["warm_center"],
-                        warm_margin=margin)
+    ar_star = inner(beta_star, fincontrols, tol_alpha_f, max(hi - lo, tol_beta_f))
 
     # Profile-grade rerun with a small step cap: interpolation wiggle in
     # the dense output scales like (local error)/(step/3)^2 under second
@@ -515,87 +515,49 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
         return ok, traj
 
     converged, profile_traj = profile_run(ar_star.alpha_star, beta_star)
-    if not converged and state["candidate"] is not None:
-        cand_beta, cand_ar = state["candidate"]
+    if not converged and candidate is not None:
+        cand_beta, cand_ar = candidate
         ok, cand_traj = profile_run(cand_ar.alpha_star, cand_beta)
         if ok:
             beta_star, ar_star = cand_beta, cand_ar
             profile_traj, converged = cand_traj, True
 
-    profile = audit = None
-    residual = energy = None
-    try:
-        profile = graft_tail(profile_traj)
-        audit = analysis.monotonicity_audit(profile_traj, t_hi=profile.t_graft)
-        # Sup of the FD residual sits at the left edge, dominated by the
-        # O(h^2) truncation of the 2 rho'/t term (rho''' ~ 6 b3 there), so
-        # the spacing sets the figure, not the solver.  A quarter millistep
-        # keeps it well under 1e-6 even at lambda_hat ~ 1 couplings while
-        # staying far above the dense-output noise floor.
-        residual = analysis.residual_norm(profile_traj, t_hi=profile.t_graft,
-                                          h=2.5e-4)
-        audit.residual_max = residual
-        energy = analysis.mass_integral(profile)
-    except MonopoleError:
-        # Diagnostics are only meaningful for a tube-bound profile; report
-        # the parameter estimates and let converged=False tell the story.
-        profile = None
-        audit = None
-        residual = energy = None
-        converged = False
+    # Diagnostics are only meaningful for a tube-bound profile; an
+    # unconverged solve reports its parameter estimates and no numbers.
+    profile = audit = residual = energy = None
+    if converged:
+        try:
+            profile = graft_tail(profile_traj)
+            audit = analysis.monotonicity_audit(profile_traj, t_hi=profile.t_graft)
+            # Sup of the FD residual sits at the left edge, dominated by the
+            # O(h^2) truncation of the 2 rho'/t term (rho''' ~ 6 b3 there),
+            # so the spacing sets the figure, not the solver.  A quarter
+            # millistep keeps it well under 1e-6 even at lambda_hat ~ 1
+            # couplings while staying far above the dense-output noise floor.
+            residual = analysis.residual_norm(profile_traj, t_hi=profile.t_graft,
+                                              h=2.5e-4)
+            audit.residual_max = residual
+            energy = analysis.mass_integral(profile)
+        except MonopoleError:
+            profile = audit = residual = energy = None
+            converged = False
 
     return SolveReport(
         lambda_hat=lambda_hat, alpha_star_hat=ar_star.alpha_star,
         beta_star_hat=beta_star, alpha_bracket=ar_star.bracket,
         beta_bracket=beta_bracket, converged=converged, profile=profile,
         audit=audit, residual_norm=residual, energy=energy,
-        outcome_log=state["log"], n_beta_evaluations=state["n_eval"],
+        outcome_log=log, n_beta_evaluations=len(log),
         alpha_resolved=ar_star.resolved, controls=controls, scaled=scaled)
 
 
-def _expand_beta(side_of, seed_beta: float, controls: IntegratorControls,
-                 tol_alpha: float):
-    """Geometric expansion from seed_beta until the Higgs dichotomy straddles."""
-    if not (_BETA_FLOOR <= seed_beta <= _BETA_CEIL):
-        raise DomainError(f"seed_beta {seed_beta} outside [{_BETA_FLOOR}, {_BETA_CEIL}]")
-
-    lo = hi = None
-    if side_of(seed_beta, controls, tol_alpha) == "A":
-        lo = seed_beta
-    else:
-        hi = seed_beta
-    x = seed_beta
-    while hi is None:
-        x *= 4.0
-        if x > _BETA_CEIL:
-            raise BracketingError(
-                f"no overshooting side found up to beta = {_BETA_CEIL}", None)
-        if side_of(x, controls, tol_alpha) == "B":
-            hi = x
-        else:
-            lo = x
-    x = seed_beta
-    while lo is None:
-        x /= 4.0
-        if x < _BETA_FLOOR:
-            raise BracketingError(
-                f"no stalling side found down to beta = {_BETA_FLOOR}", None)
-        if side_of(x, controls, tol_alpha) == "A":
-            lo = x
-        else:
-            hi = x
-    return lo, hi, OutcomeTag.RHO_PRIME_ZERO, OutcomeTag.RHO_CROSS_VEV
-
-
-def _verify_beta_bracket(side_of, center: float, width: float,
-                         controls: IntegratorControls, tol_alpha: float):
-    """Re-establish an (A, B) bracket around a known answer at new tolerances."""
+def _verify_beta_bracket(side, center: float, width: float):
+    """Re-establish a (-1, +1) bracket around a known answer at new tolerances."""
     w = 8.0 * width
     for _ in range(12):
         lo = max(center - w, _BETA_FLOOR)
         hi = center + w
-        if side_of(lo, controls, tol_alpha) == "A" \
-                and side_of(hi, controls, tol_alpha) == "B":
+        if side(lo) < 0 and side(hi) > 0:
             return lo, hi
         w *= 8.0
     raise BracketingError(

@@ -7,7 +7,7 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from monopole import analysis
+from monopole import analysis, integrator
 from monopole.cli import main
 from monopole.integrator import ClassifyMode, IntegratorControls, classify
 from monopole.origin_series import ShootPoint
@@ -89,6 +89,20 @@ def test_solve_failure_exit_code(capsys):
     # handoff beyond the series' validity: the solver refuses to start
     rc = main(["solve", "--lambda-hat", "0", *QUICK, "--t0", "0.02"])
     assert rc == 2
+
+
+def test_unconverged_solve_reports_no_numbers(tmp_path, capsys):
+    # lambda_hat = 20 is beyond the reach of origin-only shooting: the
+    # solve must say so without an energy, residual, audit or profile
+    rc = main(["solve", "--lambda-hat", "20", "--tol-alpha", "1e-5",
+               "--tol-beta", "1e-5", "--no-polish", "--out", str(tmp_path)])
+    assert rc == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["converged"] is False
+    assert "energy" not in report
+    assert "residual_norm" not in report
+    assert not [k for k in report if k.startswith("audit_")]
+    assert not (tmp_path / "profile.csv").exists()
 
 
 def test_solve_io_error_exit_code(tmp_path, capsys):
@@ -179,8 +193,16 @@ def test_validate_quick_passes(capsys):
     assert "PASS" in out
 
 
-def test_validate_detects_sign_mutation(capsys):
-    rc = main(["validate", "--quick", "--mutate-rhs-sign"])
+def test_validate_detects_sign_mutation(monkeypatch, capsys):
+    # corrupt the integrator's derivative and check that validate notices
+    orig = integrator._rhs
+
+    def flipped(t, f, fp, rho, rhop, lam):
+        d = orig(t, f, fp, rho, rhop, lam)
+        return (d[0], -d[1], d[2], d[3])
+
+    monkeypatch.setattr(integrator, "_rhs", flipped)
+    rc = main(["validate", "--quick"])
     out = capsys.readouterr().out
     assert rc == 3
     assert "FAIL" in out

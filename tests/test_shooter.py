@@ -7,12 +7,14 @@ from dataclasses import replace
 import pytest
 from numpy.testing import assert_allclose
 
-from monopole.errors import DomainError
-from monopole.integrator import (ClassifyMode, IntegratorControls, OutcomeTag,
-                                 classify)
+from monopole import shooter
+from monopole.errors import BracketingError, DomainError
+from monopole.integrator import (ClassifyMode, IntegratorControls, Outcome,
+                                 OutcomeTag, classify)
 from monopole.origin_series import ShootPoint
-from monopole.shooter import (Bracket, SolveReport, bisect_alpha,
-                              bracket_alpha, graft_tail, shoot, sweep)
+from monopole.shooter import (Bracket, SolveReport, _expand_bracket,
+                              bisect_alpha, bracket_alpha, graft_tail, shoot,
+                              sweep)
 from monopole.model import ModelParams, nondimensionalize, ps_exact
 
 
@@ -35,6 +37,56 @@ def test_immediate_turn_guard():
     assert traj.ended == "immediate"
     out = classify(traj, ClassifyMode.F_FATE)
     assert out.tag is OutcomeTag.FPRIME_ZERO
+
+
+def _recording(side):
+    probes = []
+
+    def wrapped(x):
+        probes.append(x)
+        return side(x)
+    return wrapped, probes
+
+
+def test_expand_bracket_skips_undecided_probes():
+    # neither side on [0.01, 1): the search steps over those probes
+    side, probes = _recording(lambda x: -1 if x < 0.01 else (1 if x >= 1.0 else 0))
+    lo, hi = _expand_bracket(side, 0.1, 1e-12, 1e12, "x")
+    assert probes == [0.1, 0.4, 1.6, 0.025, 0.00625]
+    assert (lo, hi) == (0.00625, 1.6)
+
+
+def test_expand_bracket_tightens_from_above_while_descending():
+    # the seed is undecided and the upward probe lands far above the
+    # separatrix at 0.01; an upper probe met on the way down replaces it
+    side, probes = _recording(
+        lambda x: -1 if x < 0.01 else (0 if 0.05 <= x < 0.2 else 1))
+    lo, hi = _expand_bracket(side, 0.1, 1e-12, 1e12, "x")
+    assert probes == [0.1, 0.4, 0.025, 0.00625]
+    assert (lo, hi) == (0.00625, 0.025)
+
+
+def test_expand_bracket_raises_at_ceiling_and_floor():
+    with pytest.raises(BracketingError, match="up to x = 100") as exc:
+        _expand_bracket(lambda x: -1, 1.0, 1e-2, 1e2, "x")
+    assert exc.value.outcomes == {1.0: -1, 4.0: -1, 16.0: -1, 64.0: -1}
+    with pytest.raises(BracketingError, match="down to x = 0.01") as exc:
+        _expand_bracket(lambda x: 1, 1.0, 1e-2, 1e2, "x")
+    assert exc.value.outcomes == {1.0: 1, 0.25: 1, 0.0625: 1, 0.015625: 1}
+    with pytest.raises(DomainError):
+        _expand_bracket(lambda x: 0, 1e3, 1e-2, 1e2, "x")
+
+
+def test_bracket_alpha_failure_carries_outcomes(monkeypatch):
+    # every probe blows up: no side is ever found, and the error names
+    # the outcome seen at each probed alpha
+    monkeypatch.setattr(shooter, "_gauge_fate",
+                        lambda point, lam, c: (Outcome(OutcomeTag.BLOWUP), None))
+    with pytest.raises(BracketingError) as exc:
+        bracket_alpha(0.1, 0.0, CONTROLS)
+    outcomes = exc.value.outcomes
+    assert set(outcomes.values()) == {OutcomeTag.BLOWUP}
+    assert max(outcomes) <= 1e12 < 4.0 * max(outcomes)
 
 
 def test_bracket_alpha_endpoints_disagree():
