@@ -6,40 +6,4 @@ two free origin coefficients, validates itself against the closed-form
 zero-coupling solution, and reports far-field decay rates, the mass
 integral, and profile audits.
 """
-from __future__ import annotations
-
-from .analysis import (AuditReport, DecayFit, ProbeResult, fit_decay,
-                       linearized_probe, mass_integral, monotonicity_audit,
-                       residual_norm)
-from .errors import (AuditDomainError, BracketingError, ContractionDomainError,
-                     DomainError, FitDomainError, HandoffError, IntegrityError,
-                     MonopoleError, NoEventError, SingularPointError,
-                     StiffnessError, SturmDomainError)
-from .integrator import (ClassifyMode, Event, IntegratorControls, Outcome,
-                         OutcomeTag, Trajectory, classify, integrate)
-from .model import (ModelParams, PhaseState, ScaledParams, energy_density,
-                    nondimensionalize, ps_exact, rhs)
-from .origin_series import (DEFAULT_T0, PicardHistory, SeriesCoefficients,
-                            ShootPoint, initial_state, picard_verify,
-                            series_coefficients)
-from .shooter import (AlphaResult, Bracket, GraftedProfile, OutcomeGrid,
-                      SolveReport, bisect_alpha, bisect_beta, bracket_alpha,
-                      graft_tail, shoot, sweep)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlphaResult", "AuditDomainError", "AuditReport", "Bracket",
-    "BracketingError", "ClassifyMode", "ContractionDomainError", "DecayFit",
-    "DEFAULT_T0", "DomainError", "Event", "FitDomainError", "GraftedProfile",
-    "HandoffError", "IntegratorControls", "IntegrityError", "ModelParams",
-    "MonopoleError", "NoEventError", "Outcome", "OutcomeGrid", "OutcomeTag",
-    "PhaseState", "PicardHistory", "ProbeResult", "ScaledParams",
-    "SeriesCoefficients", "ShootPoint", "SingularPointError", "SolveReport",
-    "StiffnessError", "SturmDomainError", "Trajectory", "bisect_alpha",
-    "bisect_beta", "bracket_alpha", "classify", "energy_density", "fit_decay",
-    "graft_tail", "initial_state", "integrate", "linearized_probe",
-    "mass_integral", "monotonicity_audit", "nondimensionalize", "picard_verify",
-    "ps_exact", "residual_norm", "rhs", "series_coefficients", "shoot", "sweep",
-    "__version__",
-]

@@ -30,6 +30,9 @@ __all__ = [
     "linearized_probe",
 ]
 
+# Width of the window the far-field fits of a solved profile use.
+FIT_SPAN = 2.0
+
 
 def _as_trajectory(profile):
     """Split a Trajectory or GraftedProfile into (trajectory, graft-or-None)."""
@@ -112,21 +115,21 @@ def far_field(t, f_fit: DecayFit, higgs_fit: DecayFit, lambda_hat: float):
     return ef, -kf * ef, 1.0 - gap, gap * (kh + 1.0 / t)
 
 
-def stable_fit_horizon(traj, fit_span: float = 2.0, floor: float = 6.0,
-                       step: float = 0.5, residual_cap: float = 0.05) -> float:
+def stable_fit_horizon(traj) -> float:
     """Largest radius at which both far-field fits are still clean.
 
     Near the end of a separatrix run the samples are dominated by the
     exponentially amplified deviation (e^t in the gauge channel,
     e^{sqrt(2 lambda_hat) t} in the Higgs channel), which bends the
     log-linear fits.  Back off from the end in half-unit steps until the
-    fit residuals are small and the rates have physical signs; the floor
-    is returned when nothing qualifies.
+    fits over the last FIT_SPAN have log residuals below 0.05 and rates
+    of physical sign; the floor t = 6 is returned when nothing qualifies.
     """
+    floor, step, residual_cap = 6.0, 0.5, 0.05
     t_hi = min(traj.t_end, traj.controls.t_max)
     lam = traj.lambda_hat
     while t_hi >= floor:
-        window = (t_hi - fit_span, t_hi)
+        window = (t_hi - FIT_SPAN, t_hi)
         try:
             h_fit = fit_decay(traj, window, "one_minus_rho")
             f_fit = fit_decay(traj, window, "f")
@@ -162,14 +165,14 @@ class AuditReport:
 
 
 def monotonicity_audit(profile, t_lo: float | None = None,
-                       t_hi: float | None = None,
-                       spacing: float = 5e-3) -> AuditReport:
+                       t_hi: float | None = None) -> AuditReport:
     """Check 0 < f < 1, f' < 0, 0 < rho < 1, rho' > 0 on a fine grid.
 
-    Accepts a trajectory (resampled through its dense output) or a plain
-    sample table (ts, f, fp, rho, rhop).  A trajectory that ended in an
-    out-of-tube event or a blowup is not a solution candidate and is
-    rejected with AuditDomainError rather than graded.
+    Accepts a trajectory (resampled through its dense output at spacing
+    5e-3 or finer) or a plain sample table (ts, f, fp, rho, rhop).  A
+    trajectory that ended in an out-of-tube event or a blowup is not a
+    solution candidate and is rejected with AuditDomainError rather than
+    graded.
     """
     if isinstance(profile, tuple):
         ts, fs, fps, rhos, rhops = (np.asarray(c, dtype=float) for c in profile)
@@ -185,7 +188,7 @@ def monotonicity_audit(profile, t_lo: float | None = None,
         if not (traj.ts[0] <= lo < hi <= traj.t_end):
             raise AuditDomainError(
                 f"audit window [{lo}, {hi}] outside trajectory range")
-        n = max(int(math.ceil((hi - lo) / spacing)) + 1, 2)
+        n = max(int(math.ceil((hi - lo) / 5e-3)) + 1, 2)
         ts = np.linspace(lo, hi, n)
         cols = np.asarray(traj.resample(ts))
         fs, fps, rhos, rhops = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
@@ -206,15 +209,16 @@ def monotonicity_audit(profile, t_lo: float | None = None,
         worst_margins=margins, window=window, n_samples=len(ts))
 
 
-def residual_norm(profile, t_lo: float | None = None, t_hi: float | None = None,
-                  h: float = 1e-3, lambda_hat: float | None = None) -> float:
+def residual_norm(profile, t_hi: float | None = None, h: float = 1e-3,
+                  lambda_hat: float | None = None) -> float:
     """Sup-norm of the field equations under central second differences.
 
     Only sampled values of (t, f, rho) enter; all derivatives are formed
     by O(h^2) finite differences, so the figure cross-checks the
     integrator instead of restating its own right-hand side.  Accepts a
-    trajectory (resampled uniformly at spacing h) or raw uniformly spaced
-    arrays (ts, f, rho), which require lambda_hat.
+    trajectory (resampled uniformly at spacing h from t = 0.05, or from its
+    first sample if later) or raw uniformly spaced arrays (ts, f, rho),
+    which require lambda_hat.
     """
     if isinstance(profile, tuple):
         ts, fs, rhos = (np.asarray(c, dtype=float) for c in profile)
@@ -228,7 +232,7 @@ def residual_norm(profile, t_lo: float | None = None, t_hi: float | None = None,
     else:
         traj, grafted = _as_trajectory(profile)
         lam = traj.lambda_hat if lambda_hat is None else float(lambda_hat)
-        lo = max(0.05, traj.ts[0]) if t_lo is None else float(t_lo)
+        lo = max(0.05, traj.ts[0])
         hi = (grafted.t_graft if grafted is not None else traj.t_end) \
             if t_hi is None else float(t_hi)
         if not (traj.ts[0] <= lo < hi <= traj.t_end):
@@ -263,16 +267,16 @@ def _odd_grid(lo: float, hi: float, target_h: float):
     return np.linspace(lo, hi, n_int + 1), (hi - lo) / n_int
 
 
-def mass_integral(grafted, t_far: float = 400.0, core_spacing: float = 2e-3,
-                  tail_spacing: float = 5e-2) -> float:
+def mass_integral(grafted, t_far: float = 400.0) -> float:
     """Dimensionless monopole mass: the energy density integrated outward.
 
-    Simpson quadrature on the dense numerical profile up to the graft
-    radius, then on the fitted tail model up to t_far; beyond t_far the
-    surviving Coulomb-like densities are added in closed form,
-    (1 - f^2)^2 / (2 t^2) -> 1 / (2 t^2) plus, at lambda_hat = 0 only,
-    B^2 / (2 t^2) from the power-law Higgs gradient.  The region below
-    the handoff radius contributes its series value c2 t0^3 / 3.
+    Simpson quadrature at spacing 2e-3 on the dense numerical profile up
+    to the graft radius, then at spacing 5e-2 on the fitted tail model up
+    to t_far; beyond t_far the surviving Coulomb-like densities are added
+    in closed form, (1 - f^2)^2 / (2 t^2) -> 1 / (2 t^2) plus, at
+    lambda_hat = 0 only, B^2 / (2 t^2) from the power-law Higgs gradient.
+    The region below the handoff radius contributes its series value
+    c2 t0^3 / 3.
     """
     traj = grafted.base
     lam = traj.lambda_hat
@@ -285,12 +289,12 @@ def mass_integral(grafted, t_far: float = 400.0, core_spacing: float = 2e-3,
     beta = traj.beta if traj.beta is not None else 0.0
     head = (6.0 * alpha * alpha + 1.5 * beta * beta + 0.25 * lam) * t0 ** 3 / 3.0
 
-    ts, h = _odd_grid(t0, tg, core_spacing)
+    ts, h = _odd_grid(t0, tg, 2e-3)
     cols = np.asarray(traj.resample(ts))
     core = _simpson(_energy_density(ts, cols[:, 0], cols[:, 1], cols[:, 2],
                                     cols[:, 3], lam), h)
 
-    ts, h = _odd_grid(tg, t_far, tail_spacing)
+    ts, h = _odd_grid(tg, t_far, 5e-2)
     fs, fps, rhos, rhops = far_field(ts, grafted.f_fit, grafted.higgs_fit, lam)
     tail = _simpson(_energy_density(ts, fs, fps, rhos, rhops, lam), h)
 

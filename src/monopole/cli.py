@@ -85,13 +85,17 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key = value option file")
 
 
-def _add_solve_options(p: argparse.ArgumentParser) -> None:
+def _add_frame_options(p: argparse.ArgumentParser) -> None:
+    # the coupling, dimensionless or physical; validate fixes lambda_hat = 0
     p.add_argument("--lambda-hat", type=float, default=None,
                    help="dimensionless quartic coupling lambda / g0^2")
     p.add_argument("--lam", type=float, default=None,
                    help="physical quartic coupling (with --g0 and --rho0)")
     p.add_argument("--g0", type=float, default=None, help="gauge coupling")
     p.add_argument("--rho0", type=float, default=None, help="Higgs vacuum value")
+
+
+def _add_solve_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-alpha", type=float, default=1e-8)
     p.add_argument("--tol-beta", type=float, default=1e-8)
     p.add_argument("--no-polish", action="store_true",
@@ -358,8 +362,8 @@ def build_parser() -> _Parser:
                      description="Shooting solver for the static monopole profile")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve the boundary value problem",
-                       parents=[], conflict_handler="resolve")
+    p = sub.add_parser("solve", help="solve the boundary value problem")
+    _add_frame_options(p)
     _add_solve_options(p)
     p.add_argument("--report-out", default="-", help="JSON report path ('-' stdout)")
     p.add_argument("--profile-out", default=None, help="profile CSV path")
@@ -395,6 +399,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("probe", help="l = 1 angular fluctuation probe")
+    _add_frame_options(p)
     _add_solve_options(p)
     p.add_argument("--flat", action="store_true",
                    help="probe the flat background p = 1 instead of solving")

@@ -16,9 +16,9 @@ Event taxonomy (first-order system y = (f, f', rho, rho')):
 
 f-channel events terminate the run; rho-channel events are recorded and
 integration continues so the gauge fate is still observable.  An event
-whose state lies inside the convergence tube is a sub-tolerance wiggle of
-a separatrix-hugging trajectory: it is logged but neither terminates nor
-classifies.
+whose state lies inside the convergence tube (half-width TUBE around the
+vacuum, see in_tube) is a sub-tolerance wiggle of a separatrix-hugging
+trajectory: it is logged but neither terminates nor classifies.
 """
 from __future__ import annotations
 
@@ -32,6 +32,8 @@ from .model import PhaseState, _rhs
 
 __all__ = [
     "IntegratorControls",
+    "TUBE",
+    "EVENT_TOL",
     "OutcomeTag",
     "ClassifyMode",
     "Event",
@@ -44,19 +46,24 @@ __all__ = [
 ]
 
 
+# Half-width of the convergence tube: the bound on |f|, |f'|, rho', the
+# extrapolated vev gap |rho + t rho' - 1| and the overshoot rho - 1.
+TUBE = 1e-2
+# Width to which refine_event bisects a crossing.
+EVENT_TOL = 1e-10
+# A run blows up once |f| or rho exceeds _BLOWUP_BOUND or |f'| or |rho'|
+# exceeds _BLOWUP_SLOPE.
+_BLOWUP_BOUND = 2.0
+_BLOWUP_SLOPE = 1e3
+
+
 @dataclass(frozen=True)
 class IntegratorControls:
-    """Tolerances, horizon, and tube geometry shared across the solver."""
+    """Tolerances, horizon, step cap and series handoff radius of one run."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     t_max: float = 12.0
-    event_tol: float = 1e-10
-    tube_f: float = 1e-2
-    tube_rho: float = 1e-2
-    tube_slope: float = 1e-2
-    blowup_bound: float = 2.0
-    blowup_slope: float = 1e3
     max_step: float = 0.25
     t0: float = 1e-3
 
@@ -65,12 +72,6 @@ class IntegratorControls:
             raise DomainError("tolerances must be positive")
         if self.t_max <= self.t0:
             raise DomainError(f"t_max = {self.t_max} must exceed the handoff t0 = {self.t0}")
-        if self.event_tol <= 0:
-            raise DomainError("event_tol must be positive")
-        if min(self.tube_f, self.tube_rho, self.tube_slope) <= 0:
-            raise DomainError("tube tolerances must be positive")
-        if self.blowup_bound <= 1.0 or self.blowup_slope <= 0:
-            raise DomainError("blowup bounds must exceed the field scale")
         if self.max_step <= 0:
             raise DomainError("max_step must be positive")
 
@@ -184,7 +185,6 @@ class Trajectory:
     blowup_channel: str = ""   # "f" | "rho" | "slope" | "nonfinite"
     alpha: float | None = None
     beta: float | None = None
-    outcome: Outcome | None = None
 
     @property
     def t_end(self) -> float:
@@ -231,8 +231,8 @@ class Trajectory:
         return out
 
 
-def in_tube(state: PhaseState, controls: IntegratorControls) -> bool:
-    """Convergence-tube membership test.
+def in_tube(state: PhaseState) -> bool:
+    """Convergence-tube membership test, every bound at half-width TUBE.
 
     The gauge field must be small and flat.  The Higgs field is tested
     through its extrapolated asymptote b = rho + t rho', which removes the
@@ -241,15 +241,15 @@ def in_tube(state: PhaseState, controls: IntegratorControls) -> bool:
     while b reaches the vacuum to integrator accuracy.
     """
     b = state.rho + state.t * state.rhop
-    return (abs(state.f) < controls.tube_f
-            and abs(state.fp) < controls.tube_slope
-            and 0.0 <= state.rhop < controls.tube_slope
-            and abs(b - 1.0) < controls.tube_rho
-            and 0.0 < state.rho <= 1.0 + controls.tube_rho)
+    return (abs(state.f) < TUBE
+            and abs(state.fp) < TUBE
+            and 0.0 <= state.rhop < TUBE
+            and abs(b - 1.0) < TUBE
+            and 0.0 < state.rho <= 1.0 + TUBE)
 
 
 def refine_event(interpolant, t_lo: float, t_hi: float, predicate,
-                 event_tol: float = 1e-10):
+                 event_tol: float = EVENT_TOL):
     """Bisect a bracketed sign change of predicate(interpolant(t)).
 
     Returns (t_event, interpolant(t_event)).  Raises NoEventError when the
@@ -299,9 +299,9 @@ def integrate(start: PhaseState, lambda_hat: float,
     Accepted steps land in the trajectory's sample/segment lists; each
     accepted step is scanned for sign changes of the five event functions
     and crossings are bisected on the dense interpolant to within
-    controls.event_tol.  Simultaneous gauge events inside one event
-    tolerance violate the uniqueness of the (f, f') = (0, 0) contact point
-    and raise IntegrityError.
+    EVENT_TOL.  Simultaneous gauge events inside one EVENT_TOL violate the
+    uniqueness of the (f, f') = (0, 0) contact point and raise
+    IntegrityError.
     """
     if lambda_hat < 0.0:
         raise DomainError(f"lambda_hat must be >= 0, got {lambda_hat}")
@@ -310,17 +310,20 @@ def integrate(start: PhaseState, lambda_hat: float,
 
     traj = Trajectory(t0=start.t, lambda_hat=lambda_hat, controls=controls)
     t = start.t
-    f, fp, rho, rhop = start.as_tuple()
+    # The accepted state is one tuple shared by the sample list, the next
+    # segment and the event scan; f, fp, rho, rhop are its components.
+    y_acc = start.as_tuple()
+    f, fp, rho, rhop = y_acc
     traj.ts.append(t)
-    traj.ys.append((f, fp, rho, rhop))
+    traj.ys.append(y_acc)
 
     lam = lambda_hat
     rel, atol = controls.rel_tol, controls.abs_tol
     t_max, max_step = controls.t_max, controls.max_step
-    bound, slope_bound = controls.blowup_bound, controls.blowup_slope
+    bound, slope_bound = _BLOWUP_BOUND, _BLOWUP_SLOPE
 
     k1 = _rhs(t, f, fp, rho, rhop, lam)
-    h = _select_initial_step(t, (f, fp, rho, rhop), k1, rel, atol, max_step, t_max - t)
+    h = _select_initial_step(t, y_acc, k1, rel, atol, max_step, t_max - t)
 
     while t < t_max:
         if t + h >= t_max:
@@ -377,13 +380,14 @@ def integrate(start: PhaseState, lambda_hat: float,
                 raise StiffnessError(f"step size underflow at t = {t}")
             continue
 
-        seg = DenseSegment(t, h, (f, fp, rho, rhop), (k1, k2, k3, k4, k5, k6, k7))
-        terminal = _scan_events(traj, seg, (f, fp, rho, rhop), (fn, fpn, rn, rpn))
+        y_new = (fn, fpn, rn, rpn)
+        seg = DenseSegment(t, h, y_acc, (k1, k2, k3, k4, k5, k6, k7))
+        terminal = _scan_events(traj, seg, y_acc, y_new)
         traj.segments.append(seg)
         t += h
-        f, fp, rho, rhop = fn, fpn, rn, rpn
+        f, fp, rho, rhop = y_acc = y_new
         traj.ts.append(t)
-        traj.ys.append((f, fp, rho, rhop))
+        traj.ys.append(y_acc)
         if terminal:
             traj.ended = "event"
             return traj
@@ -402,29 +406,28 @@ def integrate(start: PhaseState, lambda_hat: float,
 
 def _scan_events(traj: Trajectory, seg: DenseSegment, ya: tuple, yb: tuple) -> bool:
     """Refine sign changes over one accepted step.  True if a terminal event fired."""
-    c = traj.controls
     found = []  # (t, kind, state)
     if ya[1] < 0.0 <= yb[1]:
-        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[1], c.event_tol)
+        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[1])
         found.append((t_e, OutcomeTag.FPRIME_ZERO, s))
     if ya[0] > 0.0 >= yb[0]:
-        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[0], c.event_tol)
+        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[0])
         found.append((t_e, OutcomeTag.F_ZERO, s))
     if ya[3] > 0.0 >= yb[3]:
-        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[3], c.event_tol)
+        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[3])
         found.append((t_e, OutcomeTag.RHO_PRIME_ZERO, s))
     if ya[2] < 1.0 <= yb[2]:
-        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[2] - 1.0, c.event_tol)
+        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[2] - 1.0)
         found.append((t_e, OutcomeTag.RHO_CROSS_VEV, s))
     if ya[2] > 0.0 >= yb[2]:
-        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[2], c.event_tol)
+        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[2])
         found.append((t_e, OutcomeTag.RHO_ZERO, s))
     if not found:
         return False
 
     f_times = [t for t, kind, _ in found
                if kind in (OutcomeTag.FPRIME_ZERO, OutcomeTag.F_ZERO)]
-    if len(f_times) == 2 and abs(f_times[0] - f_times[1]) <= c.event_tol:
+    if len(f_times) == 2 and abs(f_times[0] - f_times[1]) <= EVENT_TOL:
         raise IntegrityError(
             f"simultaneous f = 0 and f' = 0 near t = {f_times[0]}: "
             "the gauge channel cannot vanish to second order")
@@ -432,7 +435,7 @@ def _scan_events(traj: Trajectory, seg: DenseSegment, ya: tuple, yb: tuple) -> b
     found.sort(key=lambda item: item[0])
     for t_e, kind, y_e in found:
         state = PhaseState(t_e, *y_e)
-        tube = in_tube(state, c)
+        tube = in_tube(state)
         ev = Event(tag=kind, t=t_e, state=state, in_tube=tube)
         if kind is OutcomeTag.FPRIME_ZERO:
             if not (0.0 < state.f < 1.0):
@@ -471,36 +474,36 @@ def classify(traj: Trajectory, mode: ClassifyMode) -> Outcome:
     for ev in events:
         if not ev.in_tube:
             return Outcome(tag=ev.tag, t_event=ev.t, state=ev.state)
-    last = _safe_last_state(traj)
-    promoted = _promote_tube_event(events, last, traj.controls, mode)
+    last = traj.last_state()
+    promoted = _promote_tube_event(events, last, mode)
     if promoted is not None:
         return Outcome(tag=promoted.tag, t_event=promoted.t, state=promoted.state,
                        detail="promoted tube event")
     if traj.ended == "blowup":
         return Outcome(tag=OutcomeTag.BLOWUP, t_event=traj.t_end,
                        state=last, detail=traj.blowup_channel)
-    if in_tube(last, traj.controls):
+    if in_tube(last):
         return Outcome(tag=OutcomeTag.CONVERGED, t_event=None, state=last)
     return Outcome(tag=OutcomeTag.HORIZON, t_event=None, state=last)
 
 
-def _promote_tube_event(events, last: PhaseState | None, c: IntegratorControls,
+def _promote_tube_event(events, last: PhaseState,
                         mode: ClassifyMode) -> Event | None:
     # An in-tube wiggle followed by a same-side tube exit is a real escape.
-    if last is None or not events:
+    if not events:
         return None
     if mode is ClassifyMode.F_FATE:
-        if last.f >= c.tube_f:
+        if last.f >= TUBE:
             want = OutcomeTag.FPRIME_ZERO
-        elif last.f <= -c.tube_f:
+        elif last.f <= -TUBE:
             want = OutcomeTag.F_ZERO
         else:
             return None
     else:
         b = last.rho + last.t * last.rhop
-        if b <= 1.0 - c.tube_rho:
+        if b <= 1.0 - TUBE:
             want = (OutcomeTag.RHO_PRIME_ZERO, OutcomeTag.RHO_ZERO)
-        elif b >= 1.0 + c.tube_rho:
+        elif b >= 1.0 + TUBE:
             want = OutcomeTag.RHO_CROSS_VEV
         else:
             return None
@@ -508,10 +511,3 @@ def _promote_tube_event(events, last: PhaseState | None, c: IntegratorControls,
         if ev.tag is want or (isinstance(want, tuple) and ev.tag in want):
             return ev
     return None
-
-
-def _safe_last_state(traj: Trajectory) -> PhaseState | None:
-    try:
-        return traj.last_state()
-    except DomainError:
-        return None

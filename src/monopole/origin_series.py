@@ -61,7 +61,6 @@ class SeriesCoefficients:
 
     a4: float
     b3: float
-    order: int = 4
 
 
 def series_coefficients(point: ShootPoint, lambda_hat: float) -> SeriesCoefficients:

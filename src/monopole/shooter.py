@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, replace
 
 from . import analysis
 from .errors import BracketingError, DomainError, IntegrityError, MonopoleError
-from .integrator import (ClassifyMode, Event, IntegratorControls, Outcome,
-                         OutcomeTag, Trajectory, classify, integrate)
+from .integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
+                         Outcome, OutcomeTag, Trajectory, classify, integrate)
 from .model import PhaseState, ScaledParams
 from .origin_series import ShootPoint, initial_state, series_coefficients
 
@@ -50,6 +50,9 @@ _ALPHA_FLOOR = 1e-12
 _ALPHA_CEIL = 1e12
 _BETA_FLOOR = 1e-12
 _BETA_CEIL = 1e12
+# Starting points of the bracket searches: the lambda_hat = 0 answer.
+_ALPHA_SEED = 1.0 / 6.0
+_BETA_SEED = 1.0 / 3.0
 _ESCALATIONS = (1, 2, 4)
 # Side of the gauge separatrix a decisive F_FATE outcome lies on.
 _GAUGE_SIDE = {OutcomeTag.FPRIME_ZERO: -1, OutcomeTag.F_ZERO: 1}
@@ -131,7 +134,6 @@ class AlphaResult:
     alpha_star: float
     bracket: Bracket
     trajectory: Trajectory          # run at alpha_star over the plain horizon
-    n_iterations: int
     resolved: str = "bisection"     # | "rho_blowup" | "tube" | "horizon"
     achieved_width: float = 0.0
 
@@ -179,7 +181,7 @@ def _expand_bracket(side, seed: float, floor: float, ceil: float,
 
 
 def bracket_alpha(beta: float, lambda_hat: float, controls: IntegratorControls,
-                  seed: float = 1.0 / 6.0) -> Bracket:
+                  seed: float = _ALPHA_SEED) -> Bracket:
     """Expand geometrically from seed until the gauge dichotomy straddles.
 
     Probes that neither turn up nor cross (Higgs-channel blowups in the
@@ -219,7 +221,6 @@ def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
     if tol_alpha <= 0.0:
         raise DomainError("tol_alpha must be positive")
     lo, hi = bracket.lo, bracket.hi
-    n = 0
     resolved = "bisection"
     alpha_star = None
     while hi - lo > tol_alpha:
@@ -227,7 +228,6 @@ def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
         if mid <= lo or mid >= hi:
             break  # float resolution
         out, _ = _gauge_fate(ShootPoint(alpha=mid, beta=beta), lambda_hat, controls)
-        n += 1
         if out.tag is OutcomeTag.FPRIME_ZERO:
             lo = mid
         elif out.tag is OutcomeTag.F_ZERO:
@@ -250,8 +250,8 @@ def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
     final = shoot(ShootPoint(alpha=alpha_star, beta=beta), lambda_hat, controls)
     return AlphaResult(alpha_star=alpha_star,
                        bracket=Bracket(lo, hi, bracket.lo_outcome, bracket.hi_outcome),
-                       trajectory=final, n_iterations=n,
-                       resolved=resolved, achieved_width=hi - lo)
+                       trajectory=final, resolved=resolved,
+                       achieved_width=hi - lo)
 
 
 def _alpha_at(beta: float, lambda_hat: float, controls: IntegratorControls,
@@ -294,7 +294,7 @@ def _higgs_fate(result: AlphaResult, lambda_hat: float,
     for mult in _ESCALATIONS[1:]:
         if out.tag is not OutcomeTag.HORIZON:
             return out, traj
-        if abs(_extrapolated_vev_gap(traj)) > 10.0 * controls.tube_rho:
+        if abs(_extrapolated_vev_gap(traj)) > 10.0 * TUBE:
             return out, traj
         c = replace(controls, t_max=controls.t_max * mult)
         traj = shoot(point, lambda_hat, c)
@@ -307,7 +307,7 @@ class GraftedProfile:
     """Numerical profile up to t_graft continued by its fitted far field.
 
     Beyond t_graft the fields follow analysis.far_field, with rates and
-    amplitudes fitted on [t_graft - fit_span, t_graft].
+    amplitudes fitted on [t_graft - analysis.FIT_SPAN, t_graft].
     """
 
     base: Trajectory
@@ -332,24 +332,20 @@ class GraftedProfile:
         return self.base.state_at(t)
 
 
-def graft_tail(traj: Trajectory, t_graft: float | None = None,
-               t_report: float | None = None, fit_span: float = 2.0) -> GraftedProfile:
+def graft_tail(traj: Trajectory) -> GraftedProfile:
     """Fit the far-field decay laws and continue the profile analytically.
 
-    t_graft defaults to the largest radius at which both log fits are
-    still clean (backing off from the end in half-unit steps); near the
-    separatrix the late samples are dominated by the amplified unstable
-    mode and carry no signal.
+    t_graft is the largest radius at which both log fits are still clean
+    (backing off from the end in half-unit steps); near the separatrix the
+    late samples are dominated by the amplified unstable mode and carry no
+    signal.  The reported profile runs 8 units past t_graft.
     """
-    if t_graft is None:
-        t_graft = analysis.stable_fit_horizon(traj, fit_span=fit_span)
-    if not (traj.t0 + fit_span < t_graft <= traj.t_end):
+    t_graft = analysis.stable_fit_horizon(traj)
+    # The horizon search returns its floor even for a run that ends earlier.
+    if not (traj.t0 + analysis.FIT_SPAN < t_graft <= traj.t_end):
         raise DomainError(f"t_graft = {t_graft} outside usable range")
-    if t_report is None:
-        t_report = t_graft + 8.0
-    if t_report < t_graft:
-        raise DomainError("t_report must not precede t_graft")
-    window = (t_graft - fit_span, t_graft)
+    t_report = t_graft + 8.0
+    window = (t_graft - analysis.FIT_SPAN, t_graft)
     f_fit = analysis.fit_decay(traj, window, "f")
     h_fit = analysis.fit_decay(traj, window, "one_minus_rho")
     g = GraftedProfile(base=traj, t_graft=t_graft, t_report=t_report,
@@ -402,7 +398,6 @@ class SolveReport:
 
 def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
                 tol_alpha: float = 1e-8, tol_beta: float = 1e-8,
-                seed_alpha: float = 1.0 / 6.0, seed_beta: float = 1.0 / 3.0,
                 polish: bool = True, scaled: ScaledParams | None = None) -> SolveReport:
     """Outer bisection in beta over the Higgs fate of alpha*(beta).
 
@@ -440,7 +435,7 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
             # alpha*(beta) moves O(1) per unit beta; cover that plus the
             # slack of the previous inner solve.
             margin = max(4.0 * beta_width, 64.0 * tol_a, 2.0 * slack)
-        seed = seed_alpha if last is None else last.alpha_star
+        seed = _ALPHA_SEED if last is None else last.alpha_star
         last = _alpha_at(beta, lambda_hat, c, seed, tol_a, margin)
         slack = max(last.achieved_width, tol_a)
         return last
@@ -478,7 +473,7 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
 
     # Stage one: caller tolerances.
     lo, hi = _expand_bracket(lambda b: side_of(b, controls, tol_alpha),
-                             seed_beta, _BETA_FLOOR, _BETA_CEIL, "beta")
+                             _BETA_SEED, _BETA_FLOOR, _BETA_CEIL, "beta")
     lo, hi = run_bisection(lo, hi, controls, tol_alpha, tol_beta)
 
     # Stage two: profile-grade polish around the stage-one answer.

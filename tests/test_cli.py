@@ -13,7 +13,9 @@ from monopole.integrator import ClassifyMode, IntegratorControls, classify
 from monopole.origin_series import ShootPoint
 from monopole.shooter import shoot
 
-# loose tolerances keep CLI round trips to a couple of seconds
+# loose stage-one tolerances; the polish stage still runs at profile
+# grade (~20 s a solve), so tests whose assertions do not depend on it
+# add --no-polish
 QUICK = ["--tol-alpha", "1e-5", "--tol-beta", "1e-5",
          "--rel-tol", "1e-8", "--abs-tol", "1e-10"]
 
@@ -63,7 +65,7 @@ def test_profile_csv_round_trip(quick_solve_dir):
 def test_solve_physical_frame(tmp_path, capsys):
     path = tmp_path / "report.json"
     rc = main(["solve", "--lam", "0", "--g0", "2", "--rho0", "3", *QUICK,
-               "--report-out", str(path)])
+               "--no-polish", "--report-out", str(path)])
     assert rc == 0
     report = json.loads(path.read_text())
     assert report["lambda_hat"] == 0.0
@@ -115,7 +117,7 @@ def test_solve_io_error_exit_code(tmp_path, capsys):
 def test_report_io_error_exit_code(tmp_path, capsys):
     blocker = tmp_path / "f.json"
     blocker.write_text("{}\n")
-    rc = main(["solve", "--lambda-hat", "0", *QUICK,
+    rc = main(["solve", "--lambda-hat", "0", *QUICK, "--no-polish",
                "--report-out", str(blocker / "sub.json")])
     assert rc == 4
 
@@ -191,6 +193,17 @@ def test_validate_quick_passes(capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("frame", [
+    ["--lambda-hat", "5"],
+    ["--lam", "1", "--g0", "1", "--rho0", "1"],
+])
+def test_validate_rejects_frame_flags(frame, capsys):
+    # validate always solves the lambda_hat = 0 closed-form case
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--quick", *frame])
+    assert exc.value.code == 1
 
 
 def test_validate_detects_sign_mutation(monkeypatch, capsys):

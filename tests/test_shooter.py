@@ -13,8 +13,8 @@ from monopole.integrator import (ClassifyMode, IntegratorControls, Outcome,
                                  OutcomeTag, classify)
 from monopole.origin_series import ShootPoint
 from monopole.shooter import (Bracket, SolveReport, _expand_bracket,
-                              bisect_alpha, bracket_alpha, graft_tail, shoot,
-                              sweep)
+                              _verify_beta_bracket, bisect_alpha,
+                              bracket_alpha, graft_tail, shoot, sweep)
 from monopole.model import ModelParams, nondimensionalize, ps_exact
 
 
@@ -87,6 +87,38 @@ def test_bracket_alpha_failure_carries_outcomes(monkeypatch):
     outcomes = exc.value.outcomes
     assert set(outcomes.values()) == {OutcomeTag.BLOWUP}
     assert max(outcomes) <= 1e12 < 4.0 * max(outcomes)
+
+
+# _verify_beta_bracket re-brackets a known answer: first at 8x the old
+# width, then 8x wider per try, twelve tries in all.  The centre 0.5 and
+# width 2**-7 keep every probe exact in binary.
+
+def test_verify_beta_bracket_first_width():
+    side, probes = _recording(lambda x: -1 if x < 0.5 else 1)
+    assert _verify_beta_bracket(side, 0.5, 2.0 ** -7) == (0.4375, 0.5625)
+    assert probes == [0.4375, 0.5625]
+
+
+def test_verify_beta_bracket_widens_by_eight():
+    # the answer moved below the first lower probe
+    side, probes = _recording(lambda x: -1 if x < 0.8 else 1)
+    assert _verify_beta_bracket(side, 1.0, 2.0 ** -7) == (0.5, 1.5)
+    assert probes == [0.9375, 0.5, 1.5]
+
+
+def test_verify_beta_bracket_clamps_at_floor():
+    # the second width reaches below zero: the lower probe sits at the floor
+    side, probes = _recording(lambda x: -1 if x < 1e-6 else 1)
+    lo, hi = _verify_beta_bracket(side, 0.5, 2.0 ** -7)
+    assert (lo, hi) == (shooter._BETA_FLOOR, 1.0)
+    assert probes == [0.4375, shooter._BETA_FLOOR, 1.0]
+
+
+def test_verify_beta_bracket_gives_up_after_twelve_widths():
+    side, probes = _recording(lambda x: -1)
+    with pytest.raises(BracketingError, match="could not re-bracket beta"):
+        _verify_beta_bracket(side, 0.5, 2.0 ** -7)
+    assert probes[1::2] == [0.5 + 2.0 ** -4 * 8.0 ** k for k in range(12)]
 
 
 def test_bracket_alpha_endpoints_disagree():
