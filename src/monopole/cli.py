@@ -19,7 +19,7 @@ from .errors import MonopoleError
 from .integrator import IntegratorControls
 from .model import ModelParams, nondimensionalize, ps_exact
 from .origin_series import DEFAULT_T0, ShootPoint, initial_state, picard_verify
-from .shooter import bisect_beta, sweep
+from .shooter import SolveReport, bisect_beta, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,12 +118,11 @@ def _resolve_frame(ns: argparse.Namespace, parser: argparse.ArgumentParser):
     parser.error("either --lambda-hat or the physical triple is required")
 
 
-def _run_solve(ns: argparse.Namespace, parser) -> tuple:
+def _run_solve(ns: argparse.Namespace, parser) -> SolveReport:
     lambda_hat, scaled = _resolve_frame(ns, parser)
-    report = bisect_beta(lambda_hat, controls=_controls_from(ns),
-                         tol_alpha=ns.tol_alpha, tol_beta=ns.tol_beta,
-                         polish=not ns.no_polish, scaled=scaled)
-    return report, lambda_hat
+    return bisect_beta(lambda_hat, controls=_controls_from(ns),
+                       tol_alpha=ns.tol_alpha, tol_beta=ns.tol_beta,
+                       polish=not ns.no_polish, scaled=scaled)
 
 
 def _report_dict(rep) -> dict:
@@ -197,7 +196,7 @@ def _cmd_solve(ns: argparse.Namespace, parser) -> int:
             return EXIT_IO
         ns.report_out = os.path.join(ns.out, "report.json")
         ns.profile_out = os.path.join(ns.out, "profile.csv")
-    report, _ = _run_solve(ns, parser)
+    report = _run_solve(ns, parser)
     d = _report_dict(report)
     csv_text = None
     if ns.profile_out and report.profile is not None:
@@ -264,9 +263,10 @@ def _cmd_validate(ns: argparse.Namespace, parser) -> int:
         ns.tol_alpha = max(ns.tol_alpha, 1e-6)
         ns.tol_beta = max(ns.tol_beta, 1e-6)
         ns.no_polish = True
-    ns.lambda_hat, ns.lam, ns.g0, ns.rho0 = 0.0, None, None, None
     try:
-        report, _ = _run_solve(ns, parser)
+        report = bisect_beta(0.0, controls=_controls_from(ns),
+                             tol_alpha=ns.tol_alpha, tol_beta=ns.tol_beta,
+                             polish=not ns.no_polish)
     except MonopoleError as exc:
         print(f"FAIL solve raised: {exc}")
         return EXIT_VALIDATE
@@ -332,7 +332,7 @@ def _cmd_probe(ns: argparse.Namespace, parser) -> int:
     if ns.flat:
         result = analysis.linearized_probe(None, u_end=ns.u_end)
     else:
-        report, _ = _run_solve(ns, parser)
+        report = _run_solve(ns, parser)
         if report.profile is None:
             print("monopole probe: solve produced no profile", file=sys.stderr)
             return EXIT_SOLVE

@@ -19,6 +19,11 @@ integration continues so the gauge fate is still observable.  An event
 whose state lies inside the convergence tube (half-width TUBE around the
 vacuum, see in_tube) is a sub-tolerance wiggle of a separatrix-hugging
 trajectory: it is logged but neither terminates nor classifies.
+
+extend continues a finished run to a later horizon.  t_max enters a run
+only where it clips a step, so a longer run repeats this one exactly up
+to its first clipped step; the run records that point and extend resumes
+there, giving the same samples, events and verdict as integrate would.
 """
 from __future__ import annotations
 
@@ -40,6 +45,7 @@ __all__ = [
     "Outcome",
     "Trajectory",
     "integrate",
+    "extend",
     "refine_event",
     "classify",
     "in_tube",
@@ -185,6 +191,11 @@ class Trajectory:
     blowup_channel: str = ""   # "f" | "rho" | "slope" | "nonfinite"
     alpha: float | None = None
     beta: float | None = None
+    # Where a run to a later horizon leaves this one (see extend): the
+    # segment, f-event and rho-event counts, the FSAL stage and the
+    # unclipped step at the first horizon clip.  None while no clip has
+    # fired; the stage is None when the horizon capped the first step.
+    _resume: tuple | None = field(default=None, repr=False)
 
     @property
     def t_end(self) -> float:
@@ -307,26 +318,68 @@ def integrate(start: PhaseState, lambda_hat: float,
         raise DomainError(f"lambda_hat must be >= 0, got {lambda_hat}")
     if start.t >= controls.t_max:
         raise DomainError(f"start.t = {start.t} must lie below t_max = {controls.t_max}")
+    y0 = start.as_tuple()
+    traj = Trajectory(t0=start.t, lambda_hat=lambda_hat, controls=controls,
+                      ts=[start.t], ys=[y0])
+    k1 = _rhs(start.t, *y0, lambda_hat)
+    span = controls.t_max - start.t
+    h = _select_initial_step(start.t, y0, k1, controls.rel_tol, controls.abs_tol,
+                             controls.max_step, span)
+    if h >= span:
+        # The horizon capped the first step: a longer run starts differently.
+        traj._resume = (0, 0, 0, None, None)
+    _advance(traj, k1, h)
+    return traj
 
-    traj = Trajectory(t0=start.t, lambda_hat=lambda_hat, controls=controls)
-    t = start.t
+
+def extend(traj: Trajectory, controls: IntegratorControls) -> Trajectory:
+    """The run integrate gives at the later horizon controls.t_max, reusing traj.
+
+    controls may differ from traj.controls only by a t_max at least as
+    large.  Before the first step that the horizon clips, t_max decides
+    nothing, so a longer run is the same step for step up to there; the
+    new run copies that prefix and continues with the saved unclipped
+    step.  A run that never reached its horizon is returned with the new
+    controls, and one whose first step was already clipped is integrated
+    afresh.  traj itself is left unchanged.
+    """
+    if (controls.t_max < traj.controls.t_max
+            or replace(traj.controls, t_max=controls.t_max) != controls):
+        raise DomainError("extend only moves the horizon of a run outward")
+    if traj._resume is None:
+        return replace(traj, controls=controls)
+    n, n_f, n_rho, k1, h = traj._resume
+    if k1 is None:
+        new = integrate(PhaseState(traj.t0, *traj.ys[0]), traj.lambda_hat, controls)
+    else:
+        new = Trajectory(t0=traj.t0, lambda_hat=traj.lambda_hat, controls=controls,
+                         ts=traj.ts[:n + 1], ys=traj.ys[:n + 1],
+                         segments=traj.segments[:n], f_events=traj.f_events[:n_f],
+                         rho_events=traj.rho_events[:n_rho])
+        _advance(new, k1, h)
+    new.alpha, new.beta = traj.alpha, traj.beta
+    return new
+
+
+def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
+    """Step on from the last sample of traj, with FSAL stage k1 and trial step h."""
+    t = traj.ts[-1]
     # The accepted state is one tuple shared by the sample list, the next
     # segment and the event scan; f, fp, rho, rhop are its components.
-    y_acc = start.as_tuple()
+    y_acc = traj.ys[-1]
     f, fp, rho, rhop = y_acc
-    traj.ts.append(t)
-    traj.ys.append(y_acc)
 
-    lam = lambda_hat
+    lam = traj.lambda_hat
+    controls = traj.controls
     rel, atol = controls.rel_tol, controls.abs_tol
     t_max, max_step = controls.t_max, controls.max_step
     bound, slope_bound = _BLOWUP_BOUND, _BLOWUP_SLOPE
 
-    k1 = _rhs(t, f, fp, rho, rhop, lam)
-    h = _select_initial_step(t, y_acc, k1, rel, atol, max_step, t_max - t)
-
     while t < t_max:
         if t + h >= t_max:
+            if traj._resume is None:
+                traj._resume = (len(traj.segments), len(traj.f_events),
+                                len(traj.rho_events), k1, h)
             h = t_max - t
             if h <= 1e-13 * max(1.0, t):
                 break  # horizon reached to float resolution
@@ -363,7 +416,7 @@ def integrate(start: PhaseState, lambda_hat: float,
                 and math.isfinite(rn) and math.isfinite(rpn)):
             traj.ended = "blowup"
             traj.blowup_channel = "nonfinite"
-            return traj
+            return
 
         k7 = _rhs(t + h, fn, fpn, rn, rpn, lam)
         err = 0.0
@@ -390,18 +443,17 @@ def integrate(start: PhaseState, lambda_hat: float,
         traj.ys.append(y_acc)
         if terminal:
             traj.ended = "event"
-            return traj
+            return
         if abs(fn) > bound or rn > bound or abs(fpn) > slope_bound or abs(rpn) > slope_bound:
             traj.ended = "blowup"
             traj.blowup_channel = ("rho" if rn > bound else
                                    "f" if abs(fn) > bound else "slope")
-            return traj
+            return
         k1 = k7  # first-same-as-last
         fac = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.2))
         h = min(h * fac, max_step)
 
     traj.ended = "t_max"
-    return traj
 
 
 def _scan_events(traj: Trajectory, seg: DenseSegment, ya: tuple, yb: tuple) -> bool:

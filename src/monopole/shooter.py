@@ -13,7 +13,7 @@ Near the double separatrix every numerical trajectory eventually peels
 off, since the gauge deviation grows like e^t and, for lambda_hat > 0,
 the Higgs deviation like e^{sqrt(2 lambda_hat) t}.  Two consequences
 shape the code: a run that is still inside the convergence tube at the
-horizon is not accepted but re-shot at a longer horizon, where the
+horizon is not accepted but continued to a longer horizon, where the
 exponential separation makes the verdict visible; and the solver
 finishes with a polish pass at profile-grade tolerance, reporting a
 profile that demonstrably entered the tube.
@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 from . import analysis
 from .errors import BracketingError, DomainError, IntegrityError, MonopoleError
 from .integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
-                         Outcome, OutcomeTag, Trajectory, classify, integrate)
+                         Outcome, OutcomeTag, Trajectory, classify, extend,
+                         integrate)
 from .model import PhaseState, ScaledParams
 from .origin_series import ShootPoint, initial_state, series_coefficients
 
@@ -53,7 +54,8 @@ _BETA_CEIL = 1e12
 # Starting points of the bracket searches: the lambda_hat = 0 answer.
 _ALPHA_SEED = 1.0 / 6.0
 _BETA_SEED = 1.0 / 3.0
-_ESCALATIONS = (1, 2, 4)
+# Multiples of t_max an undecided run is continued to, in turn.
+_ESCALATIONS = (2, 4)
 # Side of the gauge separatrix a decisive F_FATE outcome lies on.
 _GAUGE_SIDE = {OutcomeTag.FPRIME_ZERO: -1, OutcomeTag.F_ZERO: 1}
 
@@ -88,18 +90,17 @@ def _gauge_fate(point: ShootPoint, lambda_hat: float,
     """FFate with horizon escalation.
 
     Undecided runs, including runs still inside the tube at the horizon,
-    retry at 2x and 4x t_max: the e^t growth of the gauge deviation turns
-    any offset above the integration noise floor into an out-of-tube
-    event there.  The last outcome survives exhaustion.
+    are continued to 2x and then 4x t_max: the e^t growth of the gauge
+    deviation turns any offset above the integration noise floor into an
+    out-of-tube event there.  The last outcome survives exhaustion.
     """
-    traj = None
-    out = None
+    traj = shoot(point, lambda_hat, controls)
+    out = classify(traj, ClassifyMode.F_FATE)
     for mult in _ESCALATIONS:
-        c = controls if mult == 1 else replace(controls, t_max=controls.t_max * mult)
-        traj = shoot(point, lambda_hat, c)
-        out = classify(traj, ClassifyMode.F_FATE)
         if out.tag not in (OutcomeTag.HORIZON, OutcomeTag.CONVERGED):
-            return out, traj
+            break
+        traj = extend(traj, replace(controls, t_max=controls.t_max * mult))
+        out = classify(traj, ClassifyMode.F_FATE)
     return out, traj
 
 
@@ -281,23 +282,22 @@ def _alpha_at(beta: float, lambda_hat: float, controls: IntegratorControls,
     return bisect_alpha(bracket, beta, lambda_hat, controls, tol_alpha)
 
 
-def _higgs_fate(result: AlphaResult, lambda_hat: float,
+def _higgs_fate(result: AlphaResult,
                 controls: IntegratorControls) -> tuple[Outcome, Trajectory]:
     """RhoFate of the alpha-separatrix trajectory, escalating the horizon.
 
     Far from the tube the extrapolated asymptote decides immediately;
-    escalation is reserved for runs that are still genuinely ambiguous.
+    only runs that are still genuinely ambiguous are continued to 2x and
+    then 4x t_max.
     """
     traj = result.trajectory
-    point = ShootPoint(alpha=result.alpha_star, beta=traj.beta)
     out = classify(traj, ClassifyMode.RHO_FATE)
-    for mult in _ESCALATIONS[1:]:
+    for mult in _ESCALATIONS:
         if out.tag is not OutcomeTag.HORIZON:
             return out, traj
         if abs(_extrapolated_vev_gap(traj)) > 10.0 * TUBE:
             return out, traj
-        c = replace(controls, t_max=controls.t_max * mult)
-        traj = shoot(point, lambda_hat, c)
+        traj = extend(traj, replace(controls, t_max=controls.t_max * mult))
         out = classify(traj, ClassifyMode.RHO_FATE)
     return out, traj
 
@@ -445,7 +445,7 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
         """-1 when alpha*(beta) stalls below the vacuum, +1 when it overshoots."""
         nonlocal candidate
         ar = inner(beta, c, tol_a, beta_width)
-        out, traj = _higgs_fate(ar, lambda_hat, c)
+        out, traj = _higgs_fate(ar, c)
         if out.tag in (OutcomeTag.RHO_PRIME_ZERO, OutcomeTag.RHO_ZERO):
             side = -1
         elif out.tag is OutcomeTag.RHO_CROSS_VEV:

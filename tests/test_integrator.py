@@ -10,7 +10,8 @@ from scipy.integrate import solve_ivp
 
 from monopole.errors import DomainError, NoEventError
 from monopole.integrator import (ClassifyMode, IntegratorControls, OutcomeTag,
-                                 classify, in_tube, integrate, refine_event)
+                                 classify, extend, in_tube, integrate,
+                                 refine_event)
 from monopole.model import PhaseState, ps_exact
 from monopole.origin_series import ShootPoint, initial_state
 
@@ -228,3 +229,70 @@ def test_refine_event_locates_higgs_half_crossing():
     # local slope, on top of the refinement tolerance
     assert abs(t_event - reference) < 5e-9
     assert abs(state.rho - 0.5) < 1e-10
+
+
+def _assert_same_run(got, want):
+    assert got.ts == want.ts
+    assert got.ys == want.ys
+    assert got.n_steps == want.n_steps
+    assert (got.ended, got.blowup_channel) == (want.ended, want.blowup_channel)
+    assert got.controls == want.controls
+    # Event equality covers tag, t, state and in_tube
+    assert got.f_events == want.f_events
+    assert got.rho_events == want.rho_events
+
+
+def test_extend_continues_a_horizon_run_exactly():
+    start = _start(1 / 6, 1 / 3, 0.0)
+    c12, c24 = IntegratorControls(t_max=12.0), IntegratorControls(t_max=24.0)
+    short = integrate(start, 0.0, c12)
+    assert short.ended == "t_max"
+    longer = extend(short, c24)
+    _assert_same_run(longer, integrate(start, 0.0, c24))
+    # the input run is left as integrate made it
+    _assert_same_run(short, integrate(start, 0.0, c12))
+
+
+def test_extend_keeps_an_event_run_that_never_met_the_horizon():
+    start = _start(0.3, 0.87, 1.0)
+    short = integrate(start, 1.0, IntegratorControls())
+    assert short.ended == "event"
+    c24 = IntegratorControls(t_max=24.0)
+    _assert_same_run(extend(short, c24), integrate(start, 1.0, c24))
+
+
+def test_extend_drops_what_the_clipped_step_found():
+    # horizons just past the Higgs crossing and the terminal gauge turn:
+    # the clipped last step finds each event, and a longer run finds it
+    # again on its own, unclipped step
+    start = _start(0.3, 0.87, 1.0)
+    full = integrate(start, 1.0, IntegratorControls())
+    t_rho, t_f = full.rho_events[0].t, full.f_events[0].t
+    for t_max, ended in ((t_rho + 1e-6, "t_max"), (t_f + 1e-6, "event")):
+        short = integrate(start, 1.0, IntegratorControls(t_max=t_max))
+        assert short.ended == ended
+        assert short.rho_events
+        _assert_same_run(extend(short, IntegratorControls()), full)
+
+
+def test_extend_restarts_when_the_horizon_capped_the_first_step():
+    start = _start(1 / 6, 1 / 3, 0.0, t0=1e-3)
+    c_short, c_long = IntegratorControls(t_max=1.1e-3), IntegratorControls(t_max=2.2e-3)
+    short = integrate(start, 0.0, c_short)
+    _assert_same_run(extend(short, c_long), integrate(start, 0.0, c_long))
+
+
+def test_extend_twice_matches_a_fresh_run():
+    start = _start(1 / 6, 1 / 3, 0.0)
+    run = integrate(start, 0.0, IntegratorControls(t_max=12.0))
+    run = extend(extend(run, IntegratorControls(t_max=24.0)),
+                 IntegratorControls(t_max=48.0))
+    _assert_same_run(run, integrate(start, 0.0, IntegratorControls(t_max=48.0)))
+
+
+def test_extend_only_moves_the_horizon_outward():
+    run = integrate(_start(1 / 6, 1 / 3, 0.0), 0.0, IntegratorControls(t_max=5.0))
+    with pytest.raises(DomainError):
+        extend(run, IntegratorControls(t_max=4.0))
+    with pytest.raises(DomainError):
+        extend(run, IntegratorControls(t_max=10.0, rel_tol=1e-8))

@@ -157,6 +157,23 @@ def test_bisect_alpha_horizon_floor():
     assert br.lo < res.alpha_star < br.hi
 
 
+def test_gauge_fate_continues_the_run_to_a_longer_horizon():
+    # just above the separatrix the offset is still inside the tube at
+    # t_max = 12; continued to 24 it crosses, exactly as a fresh run does
+    point = ShootPoint(1 / 6 + 1e-7, 1 / 3)
+    out, traj = shooter._gauge_fate(point, 0.0, CONTROLS)
+    assert out.tag is OutcomeTag.F_ZERO
+    assert traj.controls.t_max == 24.0
+    fresh = shoot(point, 0.0, replace(CONTROLS, t_max=24.0))
+    assert (traj.alpha, traj.beta) == (fresh.alpha, fresh.beta)
+    assert (traj.ts, traj.ys) == (fresh.ts, fresh.ys)
+    assert (traj.ended, traj.blowup_channel) == (fresh.ended, fresh.blowup_channel)
+    assert traj.controls == fresh.controls
+    assert traj.f_events == fresh.f_events
+    assert traj.rho_events == fresh.rho_events
+    assert out == classify(fresh, ClassifyMode.F_FATE)
+
+
 def test_graft_tail_continuity(lam0):
     g = lam0.profile
     assert g.t_graft <= g.base.t_end
