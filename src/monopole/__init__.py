@@ -1,8 +1,9 @@
 """Topological shooting solver for the static monopole profile.
 
 Solves the coupled radial boundary value problem for the gauge and Higgs
-fields of the spherically symmetric monopole by nested bisection on the
-two free origin coefficients, validates itself against the closed-form
+fields of the spherically symmetric monopole by nested bracket searches
+(ITP steps on the signed distance, bisection fallback) on the two free
+origin coefficients, validates itself against the closed-form
 zero-coupling solution, and reports far-field decay rates, the mass
 integral, and profile audits.
 """

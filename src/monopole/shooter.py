@@ -1,13 +1,15 @@
 """Two-parameter topological shooting for the monopole boundary value problem.
 
 The boundary value problem is solved as two nested one-dimensional
-bisections on the origin data (alpha, beta):
+bracket searches on the origin data (alpha, beta), each narrowing its
+bracket by an ITP step on the signed distance, with bisection fallback:
 
   inner   at fixed beta, the gauge channel dichotomy (f' turns up versus
-          f crosses zero) brackets and bisects alpha to the separatrix
-          alpha*(beta);
+          f crosses zero) brackets and narrows alpha to the separatrix
+          alpha*(beta); the distance is -/+exp(-2 t_event);
   outer   the Higgs fate of the alpha*(beta) trajectory (stalling versus
-          overshooting the vacuum) drives a bisection in beta.
+          overshooting the vacuum) narrows beta; the distance is the
+          extrapolated vev gap when no Higgs event decided the side.
 
 Near the double separatrix every numerical trajectory eventually peels
 off, since the gauge deviation grows like e^t and, for lambda_hat > 0,
@@ -181,6 +183,35 @@ def _expand_bracket(side, seed: float, floor: float, ceil: float,
     return lo, hi
 
 
+def _itp_point(lo: float, hi: float, d_lo: float | None, d_hi: float | None,
+               w0: float, tol: float, j: int) -> float:
+    """Next probe of a (-1, +1) bracket from the distances at its ends.
+
+    d_lo < 0 <= d_hi are the signed distances measured at lo and hi.  ITP
+    (Oliveira & Takahashi, ACM TOMS 47(1), 2021) with kappa1 = 0.2/w0,
+    kappa2 = 2 and n0 = 1, where w0 is the width the search started from
+    and j the number of probes made since: the regula falsi point, shifted
+    toward the midpoint by kappa1 w^2 and kept within the distance of the
+    midpoint that still narrows the bracket to tol in ceil(log2(w0/tol)) + 1
+    probes (less a few ulps, so that rounding cannot cost an extra probe).
+    The midpoint is returned when an end has no distance, tol is within
+    a few ulps of the ends, or the point would leave (lo, hi).
+    """
+    mid = 0.5 * (lo + hi)
+    tol_safe = tol - 4.0 * math.ulp(max(abs(lo), abs(hi)))
+    if d_lo is None or d_hi is None or not d_lo < 0.0 <= d_hi or tol_safe <= 0.0:
+        return mid
+    w = hi - lo
+    x_f = (d_hi * lo - d_lo * hi) / (d_hi - d_lo)
+    sigma = 1.0 if mid >= x_f else -1.0
+    delta = 0.2 / w0 * w * w
+    x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+    n_max = math.ceil(math.log2(w0 / tol)) + 1
+    r = max(0.5 * tol_safe * 2.0 ** (n_max - j) - 0.5 * w, 0.0)
+    x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+    return x if lo < x < hi else mid
+
+
 def bracket_alpha(beta: float, lambda_hat: float, controls: IntegratorControls,
                   seed: float = _ALPHA_SEED) -> Bracket:
     """Expand geometrically from seed until the gauge dichotomy straddles.
@@ -209,10 +240,14 @@ def bracket_alpha(beta: float, lambda_hat: float, controls: IntegratorControls,
 
 def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
                  controls: IntegratorControls, tol_alpha: float = 1e-8) -> AlphaResult:
-    """Bisect the gauge dichotomy down to tol_alpha.
+    """Narrow the gauge dichotomy down to tol_alpha.
 
-    A midpoint whose run ends in a Higgs-channel blowup with the gauge
-    field still undecided is accepted as the working separatrix: for
+    Each probe is an ITP step on the signed distance -/+exp(-2 t_event)
+    (FPrimeZero below, FZero above), with bisection fallback; the answer
+    is the midpoint of the final bracket.
+
+    A probe whose run ends in a Higgs-channel blowup with the gauge field
+    still undecided is accepted as the working separatrix: for
     lambda_hat > 0 the Higgs deviation grows faster than the gauge
     deviation, so close enough to the separatrix the rho channel always
     explodes first and caps the achievable alpha resolution.  A
@@ -222,28 +257,35 @@ def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
     if tol_alpha <= 0.0:
         raise DomainError("tol_alpha must be positive")
     lo, hi = bracket.lo, bracket.hi
+    d_lo = d_hi = None
     resolved = "bisection"
     alpha_star = None
+    n = 0
     while hi - lo > tol_alpha:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        x = _itp_point(lo, hi, d_lo, d_hi, bracket.width, tol_alpha, n)
+        if x <= lo or x >= hi:
             break  # float resolution
-        out, _ = _gauge_fate(ShootPoint(alpha=mid, beta=beta), lambda_hat, controls)
-        if out.tag is OutcomeTag.FPRIME_ZERO:
-            lo = mid
-        elif out.tag is OutcomeTag.F_ZERO:
-            hi = mid
+        n += 1
+        out, _ = _gauge_fate(ShootPoint(alpha=x, beta=beta), lambda_hat, controls)
+        if out.tag in _GAUGE_SIDE:
+            # t_event ~ -1/2 ln|alpha - alpha*| + c, so this distance is
+            # about linear in alpha near the separatrix.
+            d = _GAUGE_SIDE[out.tag] * math.exp(-2.0 * out.t_event)
+            if d < 0.0:
+                lo, d_lo = x, d
+            else:
+                hi, d_hi = x, d
         elif out.tag is OutcomeTag.BLOWUP:
             if out.detail == "rho":
-                alpha_star, resolved = mid, "rho_blowup"
+                alpha_star, resolved = x, "rho_blowup"
                 break
             raise IntegrityError(
-                f"gauge-channel blowup ({out.detail}) at alpha = {mid} inside "
+                f"gauge-channel blowup ({out.detail}) at alpha = {x} inside "
                 f"bracket [{lo}, {hi}]: endpoints cannot both be valid")
         else:
             # Converged or Horizon after full escalation: the offset is
-            # below the resolvable floor, accept the midpoint.
-            alpha_star = mid
+            # below the resolvable floor, accept the probe.
+            alpha_star = x
             resolved = "tube" if out.tag is OutcomeTag.CONVERGED else "horizon"
             break
     if alpha_star is None:
@@ -399,12 +441,14 @@ class SolveReport:
 def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
                 tol_alpha: float = 1e-8, tol_beta: float = 1e-8,
                 polish: bool = True, scaled: ScaledParams | None = None) -> SolveReport:
-    """Outer bisection in beta over the Higgs fate of alpha*(beta).
+    """Outer bracket search in beta over the Higgs fate of alpha*(beta).
 
     Stalling outcomes (RhoPrimeZero, RhoZero, or an extrapolated
     asymptote below the vacuum) mean beta is too small; overshooting
-    outcomes (RhoCrossVev or an asymptote above) mean too large.
-    Tube-converged midpoints are recorded as candidates and the bisection
+    outcomes (RhoCrossVev or an asymptote above) mean too large.  Each
+    probe is an ITP step on the signed distance, the extrapolated vev
+    gap b - 1, with bisection fallback when a Higgs event decided an end.
+    Tube-converged probes are recorded as candidates and the search
     continues to tol_beta, so the answer carries a genuine two-sided
     bracket.
 
@@ -426,6 +470,7 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     last: AlphaResult | None = None   # latest inner solve, the warm start
     slack = 0.0                       # its alpha resolution
     candidate = None
+    distance: dict[float, float | None] = {}
 
     def inner(beta: float, c: IntegratorControls, tol_a: float,
               beta_width: float | None) -> AlphaResult:
@@ -442,10 +487,16 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
 
     def side_of(beta: float, c: IntegratorControls, tol_a: float,
                 beta_width: float | None = None) -> int:
-        """-1 when alpha*(beta) stalls below the vacuum, +1 when it overshoots."""
+        """-1 when alpha*(beta) stalls below the vacuum, +1 when it overshoots.
+
+        The signed distance of the latest probe at beta is left in
+        distance[beta]: the extrapolated vev gap, or None when a Higgs
+        event decided the side.
+        """
         nonlocal candidate
         ar = inner(beta, c, tol_a, beta_width)
         out, traj = _higgs_fate(ar, c)
+        distance[beta] = None
         if out.tag in (OutcomeTag.RHO_PRIME_ZERO, OutcomeTag.RHO_ZERO):
             side = -1
         elif out.tag is OutcomeTag.RHO_CROSS_VEV:
@@ -453,7 +504,8 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
         else:
             # No decisive event (the lambda_hat = 0 regime, or a run cut
             # short by a blowup): read the asymptote's side directly.
-            side = -1 if _extrapolated_vev_gap(traj) < 0.0 else 1
+            distance[beta] = gap = _extrapolated_vev_gap(traj)
+            side = -1 if gap < 0.0 else 1
             if out.tag is OutcomeTag.CONVERGED:
                 candidate = (beta, ar)
         log.append((beta, ar.alpha_star, out.tag.value, "A" if side < 0 else "B"))
@@ -461,14 +513,17 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
 
     def run_bisection(lo: float, hi: float, c: IntegratorControls,
                       tol_a: float, tol_b: float) -> tuple[float, float]:
+        w0 = hi - lo
+        n = 0
         while hi - lo > tol_b:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
+            x = _itp_point(lo, hi, distance[lo], distance[hi], w0, tol_b, n)
+            if x <= lo or x >= hi:
                 break
-            if side_of(mid, c, tol_a, hi - lo) < 0:
-                lo = mid
+            n += 1
+            if side_of(x, c, tol_a, hi - lo) < 0:
+                lo = x
             else:
-                hi = mid
+                hi = x
         return lo, hi
 
     # Stage one: caller tolerances.

@@ -61,9 +61,29 @@ def test_fit_decay_domain_errors(lam0):
         analysis.fit_decay(traj, (6.0, 10.0), "rho")  # unknown component
 
 
+def _clean_fits(traj, t):
+    """Both far-field fits over [t - FIT_SPAN, t] are clean with positive rates."""
+    window = (t - analysis.FIT_SPAN, t)
+    fits = [analysis.fit_decay(traj, window, c) for c in ("one_minus_rho", "f")]
+    return all(fit.max_log_residual < 0.05 and fit.rate > 0.0 for fit in fits)
+
+
 def test_stable_fit_horizon(lam0, lam1):
     assert analysis.stable_fit_horizon(lam0.profile.base) == 12.0
-    assert analysis.stable_fit_horizon(lam1.profile.base) == 8.5
+    # at lambda_hat = 1 the radius moves by half units with the last
+    # digits of alpha*, so check the definition: the largest half-unit
+    # grid radius below the end whose fits are both clean
+    traj = lam1.profile.base
+    t = analysis.stable_fit_horizon(traj)
+    t_hi = min(traj.t_end, traj.controls.t_max)
+    steps = (t_hi - t) / 0.5
+    assert t >= 6.0 and steps == round(steps)
+    assert _clean_fits(traj, t)
+    for k in range(round(steps)):
+        try:
+            assert not _clean_fits(traj, t_hi - 0.5 * k)
+        except FitDomainError:
+            pass
 
 
 # ---------------------------------------------------- monotonicity_audit

@@ -14,8 +14,9 @@ from monopole.origin_series import ShootPoint
 from monopole.shooter import shoot
 
 # loose stage-one tolerances; the polish stage still runs at profile
-# grade (~20 s a solve), so tests whose assertions do not depend on it
-# add --no-polish
+# grade (a polished QUICK solve at lambda_hat = 0 takes ~5.5 s on a
+# 2-vCPU machine), so tests whose assertions do not depend on it add
+# --no-polish
 QUICK = ["--tol-alpha", "1e-5", "--tol-beta", "1e-5",
          "--rel-tol", "1e-8", "--abs-tol", "1e-10"]
 

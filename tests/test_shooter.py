@@ -13,7 +13,7 @@ from monopole.integrator import (ClassifyMode, IntegratorControls, Outcome,
                                  OutcomeTag, classify)
 from monopole.origin_series import ShootPoint
 from monopole.shooter import (Bracket, SolveReport, _expand_bracket,
-                              _verify_beta_bracket, bisect_alpha,
+                              _verify_beta_bracket, bisect_alpha, bisect_beta,
                               bracket_alpha, graft_tail, shoot, sweep)
 from monopole.model import ModelParams, nondimensionalize, ps_exact
 
@@ -121,6 +121,93 @@ def test_verify_beta_bracket_gives_up_after_twelve_widths():
     assert probes[1::2] == [0.5 + 2.0 ** -4 * 8.0 ** k for k in range(12)]
 
 
+def _narrow(distance, lo, hi, tol):
+    """The loop of bisect_alpha and bisect_beta on a synthetic distance,
+    with both end distances known; returns the probe count and bracket."""
+    d_lo, d_hi = distance(lo), distance(hi)
+    w0 = hi - lo
+    n = 0
+    while hi - lo > tol:
+        x = shooter._itp_point(lo, hi, d_lo, d_hi, w0, tol, n)
+        assert lo < x < hi
+        n += 1
+        d = distance(x)
+        if d < 0.0:
+            lo, d_lo = x, d
+        else:
+            hi, d_hi = x, d
+    return n, lo, hi
+
+
+def _bisection_count(w, tol):
+    return math.ceil(math.log2(w / tol))
+
+
+@pytest.mark.parametrize("root", [0.3, 0.5, 0.7, 0.123456789, 0.999])
+def test_itp_point_narrows_a_linear_distance_fast(root):
+    n, lo, hi = _narrow(lambda x: x - root, 0.0, 1.0, 1e-11)
+    assert _bisection_count(1.0, 1e-11) == 37
+    assert n <= 15
+    assert lo - root < 0.0 <= hi - root
+    assert hi - lo <= 1e-11
+
+
+def _plateau(root):
+    # FZero probes within ~1e-11 of alpha* at lambda_hat = 1 all read
+    # t_event ~ 14.56, so above the root the distance is a constant
+    # exp(-2 * 14.56); below it is linear
+    return lambda x: x - root if x < root else math.exp(-2.0 * 14.56)
+
+
+@pytest.mark.parametrize("lo, hi, tol", [(0.0, 1.0, 1e-11), (0.38, 0.40, 1e-11),
+                                         (0.3, 0.3 + 2.0 ** -20, 2.0 ** -50),
+                                         (0.1, 5.1, 1e-8)])
+def test_itp_point_never_costs_more_than_one_extra_probe(lo, hi, tol):
+    bound = _bisection_count(hi - lo, tol) + 1
+    for k in range(1, 200):
+        root = lo + (hi - lo) * k / 200.0
+        for distance in (_plateau(root),
+                         lambda x: -1e-3 if x < root else 1.0,
+                         lambda x: (x - root) ** 3):
+            n, a, b = _narrow(distance, lo, hi, tol)
+            assert n <= bound, (root, n, bound)
+            assert distance(a) < 0.0 <= distance(b)
+            assert b - a <= tol
+
+
+def test_itp_point_falls_back_to_the_midpoint():
+    for d_lo, d_hi in ((None, 1.0), (-1.0, None), (None, None)):
+        assert shooter._itp_point(0.25, 0.75, d_lo, d_hi, 0.5, 1e-9, 1) == 0.5
+    # a tolerance below the float resolution of the ends (even subnormal)
+    assert shooter._itp_point(0.25, 0.75, -0.05, 0.45, 0.5, 1e-320, 3) == 0.5
+    # the regula falsi point of a linear distance lies inside the bracket
+    assert 0.25 < shooter._itp_point(0.25, 0.75, -0.05, 0.45, 0.5, 1e-9, 0) < 0.5
+
+
+def test_bisect_alpha_on_a_plateau_distance(monkeypatch):
+    # the real inner loop on synthetic gauge fates: FPrimeZero below the
+    # root with t_event = -1/2 ln|alpha - root|, FZero above on the plateau
+    root = 0.38983914
+    probes = []
+
+    def fate(point, lambda_hat, controls):
+        probes.append(point.alpha)
+        if point.alpha < root:
+            t = -0.5 * math.log(root - point.alpha)
+            return Outcome(OutcomeTag.FPRIME_ZERO, t_event=t), None
+        return Outcome(OutcomeTag.F_ZERO, t_event=14.56), None
+
+    monkeypatch.setattr(shooter, "_gauge_fate", fate)
+    monkeypatch.setattr(shooter, "shoot", lambda point, lam, c: point)
+    br = Bracket(0.3, 0.5, OutcomeTag.FPRIME_ZERO, OutcomeTag.F_ZERO)
+    res = bisect_alpha(br, 0.87, 1.0, CONTROLS, tol_alpha=1e-11)
+    assert len(probes) <= _bisection_count(br.width, 1e-11) + 1
+    assert res.bracket.lo < root <= res.bracket.hi
+    assert res.achieved_width <= 1e-11
+    assert res.alpha_star == 0.5 * (res.bracket.lo + res.bracket.hi)
+    assert res.resolved == "bisection"
+
+
 def test_bracket_alpha_endpoints_disagree():
     br = bracket_alpha(0.1, 0.0, CONTROLS)
     assert 0.0 < br.lo < br.hi
@@ -223,9 +310,26 @@ def test_solve_report_bps(lam0):
     assert abs(lam0.beta_star_hat - 1.0 / 3.0) < 1e-6
     assert lam0.alpha_bracket.width < 1e-10
     assert lam0.beta_bracket.width < 1e-10
+    # the ITP steps on the vev gap; midpoint bisection took 43
+    assert lam0.n_beta_evaluations <= 25
     # unscaled report: physical values equal the dimensionless ones
     assert lam0.alpha_star == lam0.alpha_star_hat
     assert lam0.beta_star == lam0.beta_star_hat
+
+
+def test_solve_verdict_at_lambda_1p5_is_honest(lam1):
+    # lambda_hat = 1.5 sits at the edge of what origin-only shooting
+    # resolves: a converged answer must pass the acceptance checks, and
+    # an unconverged one must carry no numbers
+    rep = bisect_beta(1.5)
+    if rep.converged:
+        assert rep.residual_norm < 1e-6
+        assert rep.audit.passes
+        assert lam1.energy < rep.energy < 1.787
+    else:
+        assert rep.converged is False
+        assert (rep.energy, rep.residual_norm, rep.audit, rep.profile) == \
+            (None, None, None, None)
 
 
 def test_solve_report_profile_matches_closed_form(lam0):
