@@ -188,6 +188,13 @@ def _profile_csv(states) -> str:
 
 
 def _cmd_solve(ns: argparse.Namespace, parser) -> int:
+    # checked before the solve; a config file can give any value
+    try:
+        step = float(ns.grid_step)
+    except (TypeError, ValueError):
+        step = math.nan
+    if not (math.isfinite(step) and step > 0.0):
+        parser.error(f"--grid-step must be positive and finite, got {ns.grid_step}")
     if ns.out:
         try:
             os.makedirs(ns.out, exist_ok=True)

@@ -74,10 +74,14 @@ class IntegratorControls:
     t0: float = 1e-3
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.rel_tol, self.abs_tol, self.t_max,
+                                       self.max_step, self.t0))):
+            raise DomainError(f"integrator controls must be finite, got {self}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise DomainError("tolerances must be positive")
-        if self.t_max <= self.t0:
-            raise DomainError(f"t_max = {self.t_max} must exceed the handoff t0 = {self.t0}")
+        if not (0 < self.t0 < self.t_max):
+            raise DomainError(f"need 0 < t0 < t_max, got the handoff t0 = {self.t0} "
+                              f"and t_max = {self.t_max}")
         if self.max_step <= 0:
             raise DomainError("max_step must be positive")
 

@@ -1,8 +1,10 @@
 """Two-parameter topological shooting for the monopole boundary value problem.
 
 The boundary value problem is solved as two nested one-dimensional
-bracket searches on the origin data (alpha, beta), each narrowing its
-bracket by an ITP step on the signed distance, with bisection fallback:
+bracket searches on the origin data (alpha, beta).  Each shot is a Probe
+(its side of the separatrix and, when measured, signed distance); two
+finders return a bracket's end Probes and one loop, _narrow, narrows it
+by ITP steps on the ends' distances, with bisection fallback:
 
   inner   at fixed beta, the gauge channel dichotomy (f' turns up versus
           f crosses zero) brackets and narrows alpha to the separatrix
@@ -114,12 +116,10 @@ def _extrapolated_vev_gap(traj: Trajectory) -> float:
 
 @dataclass(frozen=True)
 class Bracket:
-    """A sign-changing parameter interval with the observed endpoint outcomes."""
+    """A parameter interval whose ends lie on opposite sides of a separatrix."""
 
     lo: float
     hi: float
-    lo_outcome: OutcomeTag
-    hi_outcome: OutcomeTag
 
     @property
     def width(self) -> float:
@@ -128,6 +128,22 @@ class Bracket:
     def __post_init__(self):
         if not (self.hi > self.lo > 0.0):
             raise DomainError(f"bracket needs hi > lo > 0, got [{self.lo}, {self.hi}]")
+
+
+@dataclass(frozen=True)
+class Probe:
+    """What one probe of a bracket search measured at parameter value x.
+
+    side is -1 below the separatrix, +1 above it and 0 for a probe that
+    lands on neither side; distance is the signed distance to the
+    separatrix when the probe measured one, else None; outcome is the
+    classifier verdict that decided the side.
+    """
+
+    x: float
+    side: int
+    distance: float | None
+    outcome: Outcome | None
 
 
 @dataclass
@@ -141,46 +157,54 @@ class AlphaResult:
     achieved_width: float = 0.0
 
 
-def _expand_bracket(side, seed: float, floor: float, ceil: float,
-                    name: str) -> tuple[float, float]:
-    """Geometric search from seed for an interval on which side changes sign.
+def _expand_bracket(probe, seed: float, floor: float, ceil: float,
+                    name: str) -> tuple[Probe, Probe]:
+    """Geometric search from seed for end Probes on opposite sides.
 
-    side(x) is -1 below the separatrix, +1 above it and 0 for a probe that
-    lands on neither side, which is skipped.  Probes go up by 4x from seed
-    until one lands above, then down by 4x from seed until one lands
-    below; upper probes met on the way down tighten the bracket from
-    above.  Leaving [floor, ceil] raises BracketingError carrying every
-    probed point with its side.
+    probe(x) returns the Probe at x; side-0 probes are skipped.  Probes go
+    up by 4x from seed until one lands above, then down by 4x from seed
+    until one lands below; upper probes met on the way down tighten the
+    bracket from above.  Leaving [floor, ceil] raises BracketingError
+    carrying the outcome tag of every probed point.
     """
     if not (floor <= seed <= ceil):
         raise DomainError(f"{name} seed {seed} outside [{floor}, {ceil}]")
-    probed: dict[float, int] = {}
-    lo = hi = None
+    probed: dict[float, OutcomeTag] = {}
+    ends: dict[int, Probe] = {}
 
-    def probe(x: float) -> None:
-        nonlocal lo, hi
-        probed[x] = sign = side(x)
-        if sign < 0:
-            lo = x
-        elif sign > 0:
-            hi = x
+    def take(x: float) -> None:
+        p = probe(x)
+        probed[x] = p.outcome.tag
+        if p.side:
+            ends[p.side] = p
 
-    probe(seed)
-    x = seed
-    while hi is None:
-        x *= 4.0
-        if x > ceil:
-            raise BracketingError(
-                f"no upper side found up to {name} = {ceil}", probed)
-        probe(x)
-    x = seed
-    while lo is None:
-        x /= 4.0
-        if x < floor:
-            raise BracketingError(
-                f"no lower side found down to {name} = {floor}", probed)
-        probe(x)
-    return lo, hi
+    take(seed)
+    for side, factor, limit, way in ((1, 4.0, ceil, "upper side found up"),
+                                     (-1, 0.25, floor, "lower side found down")):
+        x = seed
+        while side not in ends:
+            x *= factor
+            if not floor <= x <= ceil:
+                raise BracketingError(f"no {way} to {name} = {limit}", probed)
+            take(x)
+    return ends[-1], ends[1]
+
+
+def _centred_bracket(probe, center: float, w: float, tries: int,
+                     floor: float) -> tuple[Probe, Probe] | None:
+    """End Probes at center -/+ w on opposite sides, or None.
+
+    Each try probes max(center - w, floor) and, only when that lands
+    below, center + w; a failed try widens w by 8x.
+    """
+    for _ in range(tries):
+        lo = probe(max(center - w, floor))
+        if lo.side < 0:
+            hi = probe(center + w)
+            if hi.side > 0:
+                return lo, hi
+        w *= 8.0
+    return None
 
 
 def _itp_point(lo: float, hi: float, d_lo: float | None, d_hi: float | None,
@@ -212,6 +236,47 @@ def _itp_point(lo: float, hi: float, d_lo: float | None, d_hi: float | None,
     return x if lo < x < hi else mid
 
 
+def _narrow(probe, lo: Probe, hi: Probe,
+            tol: float) -> tuple[Probe, Probe, Probe | None]:
+    """Narrow the (-1, +1) bracket of end Probes lo, hi down to tol.
+
+    Each step probes the ITP point of the ends' distances and the Probe
+    replaces the end on its side.  probe(x, width) is told the bracket
+    width before the step.  A side-0 Probe stops the search and is
+    returned third, None otherwise.
+    """
+    w0 = hi.x - lo.x
+    n = 0
+    while hi.x - lo.x > tol:
+        x = _itp_point(lo.x, hi.x, lo.distance, hi.distance, w0, tol, n)
+        if x <= lo.x or x >= hi.x:
+            break  # float resolution
+        n += 1
+        p = probe(x, hi.x - lo.x)
+        if p.side < 0:
+            lo = p
+        elif p.side > 0:
+            hi = p
+        else:
+            return lo, hi, p
+    return lo, hi, None
+
+
+def _gauge_probe(beta: float, lambda_hat: float, controls: IntegratorControls):
+    """Probe of alpha at fixed beta: the side of the gauge separatrix.
+
+    FPrimeZero is below, FZero above, any other fate neither.  The
+    distance is -/+exp(-2 t_event): t_event ~ -1/2 ln|alpha - alpha*| + c,
+    so it is about linear in alpha near the separatrix.
+    """
+    def probe(a: float, width: float | None = None) -> Probe:
+        out, _ = _gauge_fate(ShootPoint(alpha=a, beta=beta), lambda_hat, controls)
+        side = _GAUGE_SIDE.get(out.tag, 0)
+        return Probe(a, side, side * math.exp(-2.0 * out.t_event) if side else None,
+                     out)
+    return probe
+
+
 def bracket_alpha(beta: float, lambda_hat: float, controls: IntegratorControls,
                   seed: float = _ALPHA_SEED) -> Bracket:
     """Expand geometrically from seed until the gauge dichotomy straddles.
@@ -223,104 +288,72 @@ def bracket_alpha(beta: float, lambda_hat: float, controls: IntegratorControls,
     """
     if not (beta > 0.0):
         raise DomainError(f"bracket_alpha needs beta > 0, got {beta}")
-    outcomes: dict[float, OutcomeTag] = {}
-
-    def side(a: float) -> int:
-        out, _ = _gauge_fate(ShootPoint(alpha=a, beta=beta), lambda_hat, controls)
-        outcomes[a] = out.tag
-        return _GAUGE_SIDE.get(out.tag, 0)
-
-    try:
-        lo, hi = _expand_bracket(side, seed, _ALPHA_FLOOR, _ALPHA_CEIL, "alpha")
-    except BracketingError as exc:
-        exc.outcomes = outcomes
-        raise
-    return Bracket(lo, hi, OutcomeTag.FPRIME_ZERO, OutcomeTag.F_ZERO)
+    lo, hi = _expand_bracket(_gauge_probe(beta, lambda_hat, controls), seed,
+                             _ALPHA_FLOOR, _ALPHA_CEIL, "alpha")
+    return Bracket(lo.x, hi.x)
 
 
 def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
                  controls: IntegratorControls, tol_alpha: float = 1e-8) -> AlphaResult:
-    """Narrow the gauge dichotomy down to tol_alpha.
+    """Narrow the gauge dichotomy down to tol_alpha with _narrow.
 
-    Each probe is an ITP step on the signed distance -/+exp(-2 t_event)
-    (FPrimeZero below, FZero above), with bisection fallback; the answer
-    is the midpoint of the final bracket.
+    The ends start with no distance; each probe is an ITP step on the
+    signed distance -/+exp(-2 t_event) (FPrimeZero below, FZero above),
+    with bisection fallback; the answer is the final bracket's midpoint.
 
     A probe whose run ends in a Higgs-channel blowup with the gauge field
     still undecided is accepted as the working separatrix: for
     lambda_hat > 0 the Higgs deviation grows faster than the gauge
     deviation, so close enough to the separatrix the rho channel always
-    explodes first and caps the achievable alpha resolution.  A
+    explodes first and caps the achievable alpha resolution.  So is a
+    probe still in the tube or at the horizon after escalation.  A
     gauge-channel blowup inside a valid bracket contradicts the bracket
     endpoints and raises IntegrityError.
     """
-    if tol_alpha <= 0.0:
-        raise DomainError("tol_alpha must be positive")
-    lo, hi = bracket.lo, bracket.hi
-    d_lo = d_hi = None
-    resolved = "bisection"
-    alpha_star = None
-    n = 0
-    while hi - lo > tol_alpha:
-        x = _itp_point(lo, hi, d_lo, d_hi, bracket.width, tol_alpha, n)
-        if x <= lo or x >= hi:
-            break  # float resolution
-        n += 1
-        out, _ = _gauge_fate(ShootPoint(alpha=x, beta=beta), lambda_hat, controls)
-        if out.tag in _GAUGE_SIDE:
-            # t_event ~ -1/2 ln|alpha - alpha*| + c, so this distance is
-            # about linear in alpha near the separatrix.
-            d = _GAUGE_SIDE[out.tag] * math.exp(-2.0 * out.t_event)
-            if d < 0.0:
-                lo, d_lo = x, d
-            else:
-                hi, d_hi = x, d
-        elif out.tag is OutcomeTag.BLOWUP:
-            if out.detail == "rho":
-                alpha_star, resolved = x, "rho_blowup"
-                break
+    if not (math.isfinite(tol_alpha) and tol_alpha > 0.0):
+        raise DomainError(f"tol_alpha must be positive and finite, got {tol_alpha}")
+    lo, hi, stop = _narrow(_gauge_probe(beta, lambda_hat, controls),
+                           Probe(bracket.lo, -1, None, None),
+                           Probe(bracket.hi, 1, None, None), tol_alpha)
+    alpha_star, resolved = 0.5 * (lo.x + hi.x), "bisection"
+    if stop is not None:
+        out = stop.outcome
+        if out.tag is OutcomeTag.BLOWUP and out.detail != "rho":
             raise IntegrityError(
-                f"gauge-channel blowup ({out.detail}) at alpha = {x} inside "
-                f"bracket [{lo}, {hi}]: endpoints cannot both be valid")
-        else:
-            # Converged or Horizon after full escalation: the offset is
-            # below the resolvable floor, accept the probe.
-            alpha_star = x
-            resolved = "tube" if out.tag is OutcomeTag.CONVERGED else "horizon"
-            break
-    if alpha_star is None:
-        alpha_star = 0.5 * (lo + hi)
+                f"gauge-channel blowup ({out.detail}) at alpha = {stop.x} inside "
+                f"bracket [{lo.x}, {hi.x}]: endpoints cannot both be valid")
+        alpha_star = stop.x
+        resolved = {OutcomeTag.BLOWUP: "rho_blowup",
+                    OutcomeTag.CONVERGED: "tube"}.get(out.tag, "horizon")
     final = shoot(ShootPoint(alpha=alpha_star, beta=beta), lambda_hat, controls)
-    return AlphaResult(alpha_star=alpha_star,
-                       bracket=Bracket(lo, hi, bracket.lo_outcome, bracket.hi_outcome),
+    return AlphaResult(alpha_star=alpha_star, bracket=Bracket(lo.x, hi.x),
                        trajectory=final, resolved=resolved,
-                       achieved_width=hi - lo)
+                       achieved_width=hi.x - lo.x)
 
 
 def _alpha_at(beta: float, lambda_hat: float, controls: IntegratorControls,
-              seed: float, tol_alpha: float, warm_margin: float = 0.0) -> AlphaResult:
-    """Inner solve from a nearby answer seed.
+              tol_alpha: float, warm: tuple[float, float] | None,
+              beta_width: float | None) -> AlphaResult:
+    """Inner solve near the previous one.
 
-    With a positive warm_margin the bracket seed -/+ warm_margin is tried
-    first; when it does not straddle, the bracket is expanded from seed.
+    warm is (alpha*, slack) of the previous inner solve, or None.  Since
+    alpha*(beta) moves O(1) per unit beta, with a beta_width the pair
+    alpha* -/+ max(4 beta_width, 64 tol_alpha, 2 slack) is tried first;
+    when it does not straddle, the bracket is expanded from alpha* (from
+    the lambda_hat = 0 answer without a previous solve).
     """
-    bracket = None
-    if warm_margin > 0.0 and seed - warm_margin > 0.0:
-        lo = seed - warm_margin
-        hi = seed + warm_margin
-
-        def tag_at(a: float) -> OutcomeTag:
-            out, _ = _gauge_fate(ShootPoint(alpha=a, beta=beta),
-                                 lambda_hat, controls)
-            return out.tag
-
-        lo_tag = tag_at(lo)
-        if lo_tag is OutcomeTag.FPRIME_ZERO:
-            hi_tag = tag_at(hi)
-            if hi_tag is OutcomeTag.F_ZERO:
-                bracket = Bracket(lo, hi, lo_tag, hi_tag)
-    if bracket is None:
+    seed, ends = _ALPHA_SEED, None
+    if warm is not None:
+        seed, slack = warm
+        if beta_width is not None:
+            margin = max(4.0 * beta_width, 64.0 * tol_alpha, 2.0 * slack)
+            if seed - margin > 0.0:
+                ends = _centred_bracket(_gauge_probe(beta, lambda_hat, controls),
+                                        seed, margin, 1, 0.0)
+    if ends is None:
         bracket = bracket_alpha(beta, lambda_hat, controls, seed=seed)
+    else:
+        bracket = Bracket(ends[0].x, ends[1].x)
     return bisect_alpha(bracket, beta, lambda_hat, controls, tol_alpha)
 
 
@@ -445,7 +478,8 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
 
     Stalling outcomes (RhoPrimeZero, RhoZero, or an extrapolated
     asymptote below the vacuum) mean beta is too small; overshooting
-    outcomes (RhoCrossVev or an asymptote above) mean too large.  Each
+    outcomes (RhoCrossVev or an asymptote above) mean too large.  The
+    bracket is expanded from the lambda_hat = 0 answer, and each _narrow
     probe is an ITP step on the signed distance, the extrapolated vev
     gap b - 1, with bisection fallback when a Higgs event decided an end.
     Tube-converged probes are recorded as candidates and the search
@@ -453,50 +487,35 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     bracket.
 
     The search runs at the caller's tolerances first, then, when polish
-    is on, re-brackets the answer at profile-grade integration tolerance
-    and pushes both parameter tolerances toward the deviation-noise
-    floor.  The reported profile is re-integrated with a small step cap
-    so that downstream finite differences see interpolation noise well
-    below the residual target.
+    is on, re-brackets the answer with a widening centred pair at
+    profile-grade integration tolerance and pushes both parameter
+    tolerances toward the deviation-noise floor.  The reported profile
+    is re-integrated with a small step cap so that downstream finite
+    differences see interpolation noise well below the residual target.
     """
-    if lambda_hat < 0.0:
-        raise DomainError(f"lambda_hat must be >= 0, got {lambda_hat}")
-    if tol_alpha <= 0.0 or tol_beta <= 0.0:
-        raise DomainError("tolerances must be positive")
+    if not (math.isfinite(lambda_hat) and lambda_hat >= 0.0):
+        raise DomainError(f"lambda_hat must be finite and >= 0, got {lambda_hat}")
+    if not all(math.isfinite(t) and t > 0.0 for t in (tol_alpha, tol_beta)):
+        raise DomainError("tolerances must be positive and finite")
     if controls is None:
         controls = IntegratorControls()
 
     log: list = []
-    last: AlphaResult | None = None   # latest inner solve, the warm start
-    slack = 0.0                       # its alpha resolution
+    warm = None          # (alpha*, alpha resolution) of the latest inner solve
     candidate = None
-    distance: dict[float, float | None] = {}
 
-    def inner(beta: float, c: IntegratorControls, tol_a: float,
-              beta_width: float | None) -> AlphaResult:
-        nonlocal last, slack
-        margin = 0.0
-        if last is not None and beta_width is not None:
-            # alpha*(beta) moves O(1) per unit beta; cover that plus the
-            # slack of the previous inner solve.
-            margin = max(4.0 * beta_width, 64.0 * tol_a, 2.0 * slack)
-        seed = _ALPHA_SEED if last is None else last.alpha_star
-        last = _alpha_at(beta, lambda_hat, c, seed, tol_a, margin)
-        slack = max(last.achieved_width, tol_a)
-        return last
+    def probe(beta: float, c: IntegratorControls, tol_a: float,
+              beta_width: float | None = None) -> Probe:
+        """Side -1 when alpha*(beta) stalls below the vacuum, +1 when it overshoots.
 
-    def side_of(beta: float, c: IntegratorControls, tol_a: float,
-                beta_width: float | None = None) -> int:
-        """-1 when alpha*(beta) stalls below the vacuum, +1 when it overshoots.
-
-        The signed distance of the latest probe at beta is left in
-        distance[beta]: the extrapolated vev gap, or None when a Higgs
+        The distance is the extrapolated vev gap, or None when a Higgs
         event decided the side.
         """
-        nonlocal candidate
-        ar = inner(beta, c, tol_a, beta_width)
+        nonlocal warm, candidate
+        ar = _alpha_at(beta, lambda_hat, c, tol_a, warm, beta_width)
+        warm = (ar.alpha_star, max(ar.achieved_width, tol_a))
         out, traj = _higgs_fate(ar, c)
-        distance[beta] = None
+        gap = None
         if out.tag in (OutcomeTag.RHO_PRIME_ZERO, OutcomeTag.RHO_ZERO):
             side = -1
         elif out.tag is OutcomeTag.RHO_CROSS_VEV:
@@ -504,32 +523,18 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
         else:
             # No decisive event (the lambda_hat = 0 regime, or a run cut
             # short by a blowup): read the asymptote's side directly.
-            distance[beta] = gap = _extrapolated_vev_gap(traj)
+            gap = _extrapolated_vev_gap(traj)
             side = -1 if gap < 0.0 else 1
             if out.tag is OutcomeTag.CONVERGED:
                 candidate = (beta, ar)
         log.append((beta, ar.alpha_star, out.tag.value, "A" if side < 0 else "B"))
-        return side
-
-    def run_bisection(lo: float, hi: float, c: IntegratorControls,
-                      tol_a: float, tol_b: float) -> tuple[float, float]:
-        w0 = hi - lo
-        n = 0
-        while hi - lo > tol_b:
-            x = _itp_point(lo, hi, distance[lo], distance[hi], w0, tol_b, n)
-            if x <= lo or x >= hi:
-                break
-            n += 1
-            if side_of(x, c, tol_a, hi - lo) < 0:
-                lo = x
-            else:
-                hi = x
-        return lo, hi
+        return Probe(beta, side, gap, out)
 
     # Stage one: caller tolerances.
-    lo, hi = _expand_bracket(lambda b: side_of(b, controls, tol_alpha),
+    lo, hi = _expand_bracket(lambda b: probe(b, controls, tol_alpha),
                              _BETA_SEED, _BETA_FLOOR, _BETA_CEIL, "beta")
-    lo, hi = run_bisection(lo, hi, controls, tol_alpha, tol_beta)
+    lo, hi, _ = _narrow(lambda b, bw: probe(b, controls, tol_alpha, bw),
+                        lo, hi, tol_beta)
 
     # Stage two: profile-grade polish around the stage-one answer.
     pcontrols = replace(controls,
@@ -538,19 +543,25 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     if polish:
         tol_alpha_f, tol_beta_f = min(tol_alpha, 1e-11), min(tol_beta, 1e-11)
         fincontrols = pcontrols
-        w = max(hi - lo, tol_beta)
-        plo, phi = _verify_beta_bracket(
-            lambda b: side_of(b, pcontrols, tol_alpha_f, 16.0 * w),
-            0.5 * (lo + hi), w)
-        lo, hi = run_bisection(plo, phi, pcontrols, tol_alpha_f, tol_beta_f)
+        # Re-bracket the stage-one answer at 8x its width, 8x wider per try.
+        w = max(hi.x - lo.x, tol_beta)
+        center = 0.5 * (lo.x + hi.x)
+        ends = _centred_bracket(
+            lambda b: probe(b, pcontrols, tol_alpha_f, 16.0 * w),
+            center, 8.0 * w, 12, _BETA_FLOOR)
+        if ends is None:
+            raise BracketingError(
+                f"could not re-bracket beta near {center} at polish tolerance")
+        lo, hi, _ = _narrow(lambda b, bw: probe(b, pcontrols, tol_alpha_f, bw),
+                            *ends, tol_beta_f)
     else:
         tol_alpha_f, tol_beta_f = tol_alpha, tol_beta
         fincontrols = controls
-    beta_bracket = Bracket(lo, hi, OutcomeTag.RHO_PRIME_ZERO,
-                           OutcomeTag.RHO_CROSS_VEV)
+    beta_bracket = Bracket(lo.x, hi.x)
 
-    beta_star = 0.5 * (lo + hi)
-    ar_star = inner(beta_star, fincontrols, tol_alpha_f, max(hi - lo, tol_beta_f))
+    beta_star = 0.5 * (lo.x + hi.x)
+    ar_star = _alpha_at(beta_star, lambda_hat, fincontrols, tol_alpha_f, warm,
+                        max(hi.x - lo.x, tol_beta_f))
 
     # Profile-grade rerun with a small step cap: interpolation wiggle in
     # the dense output scales like (local error)/(step/3)^2 under second
@@ -599,19 +610,6 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
         audit=audit, residual_norm=residual, energy=energy,
         outcome_log=log, n_beta_evaluations=len(log),
         alpha_resolved=ar_star.resolved, controls=controls, scaled=scaled)
-
-
-def _verify_beta_bracket(side, center: float, width: float):
-    """Re-establish a (-1, +1) bracket around a known answer at new tolerances."""
-    w = 8.0 * width
-    for _ in range(12):
-        lo = max(center - w, _BETA_FLOOR)
-        hi = center + w
-        if side(lo) < 0 and side(hi) > 0:
-            return lo, hi
-        w *= 8.0
-    raise BracketingError(
-        f"could not re-bracket beta near {center} at polish tolerance", None)
 
 
 def sweep(alphas, betas, lambda_hat: float,

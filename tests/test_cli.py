@@ -7,7 +7,7 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from monopole import analysis, integrator
+from monopole import analysis, cli, integrator
 from monopole.cli import main
 from monopole.integrator import ClassifyMode, IntegratorControls, classify
 from monopole.origin_series import ShootPoint
@@ -75,7 +75,7 @@ def test_solve_physical_frame(tmp_path, capsys):
     assert_allclose(report["beta_star"], 6.0, atol=5e-3)
 
 
-def test_frame_errors_exit_usage(capsys):
+def test_frame_errors_exit_usage(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--lambda-hat", "0", "--lam", "0", "--g0", "1",
               "--rho0", "1", *QUICK])
@@ -86,6 +86,22 @@ def test_frame_errors_exit_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", *QUICK])  # no frame at all
     assert exc.value.code == 1
+    # a grid step that cannot sample the profile is refused before the
+    # solve, from a flag or from a config file
+    monkeypatch.setattr(cli, "bisect_beta", None)
+    profile = ["--profile-out", str(tmp_path / "p.csv")]
+    for step in ("0", "-0.01", "nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--lambda-hat", "0", *QUICK, *profile,
+                  "--grid-step", step])
+        assert exc.value.code == 1
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"grid_step = {step}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--lambda-hat", "0", *QUICK, *profile,
+                  "--config", str(cfg)])
+        assert exc.value.code == 1
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_solve_failure_exit_code(capsys):

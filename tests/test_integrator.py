@@ -27,6 +27,14 @@ def test_controls_validation():
         IntegratorControls(rel_tol=0.0)
     with pytest.raises(DomainError):
         IntegratorControls(t_max=-1.0)
+    # a NaN compares false with every bound, an infinity passes them
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("rel_tol", "abs_tol", "t_max", "max_step", "t0"):
+            with pytest.raises(DomainError):
+                IntegratorControls(**{name: bad})
+    for name in ("max_step", "t0"):
+        with pytest.raises(DomainError):
+            IntegratorControls(**{name: 0.0})
 
 
 def test_bps_trajectory_tracks_closed_form():

@@ -8,12 +8,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from monopole import shooter
-from monopole.errors import BracketingError, DomainError
+from monopole.errors import BracketingError, DomainError, IntegrityError
 from monopole.integrator import (ClassifyMode, IntegratorControls, Outcome,
                                  OutcomeTag, classify)
 from monopole.origin_series import ShootPoint
-from monopole.shooter import (Bracket, SolveReport, _expand_bracket,
-                              _verify_beta_bracket, bisect_alpha, bisect_beta,
+from monopole.shooter import (Bracket, Probe, SolveReport, _centred_bracket,
+                              _expand_bracket, bisect_alpha, bisect_beta,
                               bracket_alpha, graft_tail, shoot, sweep)
 from monopole.model import ModelParams, nondimensionalize, ps_exact
 
@@ -23,10 +23,10 @@ CONTROLS = IntegratorControls()
 
 def test_bracket_validation():
     with pytest.raises(DomainError):
-        Bracket(lo=0.2, hi=0.1, lo_outcome=None, hi_outcome=None)
+        Bracket(lo=0.2, hi=0.1)
     with pytest.raises(DomainError):
-        Bracket(lo=-0.1, hi=0.2, lo_outcome=None, hi_outcome=None)
-    b = Bracket(lo=0.1, hi=0.4, lo_outcome=None, hi_outcome=None)
+        Bracket(lo=-0.1, hi=0.2)
+    b = Bracket(lo=0.1, hi=0.4)
     assert b.width == pytest.approx(0.3)
 
 
@@ -39,13 +39,19 @@ def test_immediate_turn_guard():
     assert out.tag is OutcomeTag.FPRIME_ZERO
 
 
+# the outcome tag a synthetic probe reports for each side
+_TAG = {-1: OutcomeTag.FPRIME_ZERO, 0: OutcomeTag.HORIZON, 1: OutcomeTag.F_ZERO}
+
+
 def _recording(side):
+    """A probe function on a synthetic side(x), and the list of its points."""
     probes = []
 
-    def wrapped(x):
+    def probe(x):
         probes.append(x)
-        return side(x)
-    return wrapped, probes
+        s = side(x)
+        return Probe(x, s, None, Outcome(_TAG[s]))
+    return probe, probes
 
 
 def test_expand_bracket_skips_undecided_probes():
@@ -53,7 +59,8 @@ def test_expand_bracket_skips_undecided_probes():
     side, probes = _recording(lambda x: -1 if x < 0.01 else (1 if x >= 1.0 else 0))
     lo, hi = _expand_bracket(side, 0.1, 1e-12, 1e12, "x")
     assert probes == [0.1, 0.4, 1.6, 0.025, 0.00625]
-    assert (lo, hi) == (0.00625, 1.6)
+    assert (lo.x, hi.x) == (0.00625, 1.6)
+    assert (lo.side, hi.side) == (-1, 1)
 
 
 def test_expand_bracket_tightens_from_above_while_descending():
@@ -63,18 +70,24 @@ def test_expand_bracket_tightens_from_above_while_descending():
         lambda x: -1 if x < 0.01 else (0 if 0.05 <= x < 0.2 else 1))
     lo, hi = _expand_bracket(side, 0.1, 1e-12, 1e12, "x")
     assert probes == [0.1, 0.4, 0.025, 0.00625]
-    assert (lo, hi) == (0.00625, 0.025)
+    assert (lo.x, hi.x) == (0.00625, 0.025)
 
 
 def test_expand_bracket_raises_at_ceiling_and_floor():
+    below, _ = _recording(lambda x: -1)
     with pytest.raises(BracketingError, match="up to x = 100") as exc:
-        _expand_bracket(lambda x: -1, 1.0, 1e-2, 1e2, "x")
-    assert exc.value.outcomes == {1.0: -1, 4.0: -1, 16.0: -1, 64.0: -1}
+        _expand_bracket(below, 1.0, 1e-2, 1e2, "x")
+    lo_tag = OutcomeTag.FPRIME_ZERO
+    assert exc.value.outcomes == {1.0: lo_tag, 4.0: lo_tag, 16.0: lo_tag,
+                                  64.0: lo_tag}
+    above, _ = _recording(lambda x: 1)
     with pytest.raises(BracketingError, match="down to x = 0.01") as exc:
-        _expand_bracket(lambda x: 1, 1.0, 1e-2, 1e2, "x")
-    assert exc.value.outcomes == {1.0: 1, 0.25: 1, 0.0625: 1, 0.015625: 1}
+        _expand_bracket(above, 1.0, 1e-2, 1e2, "x")
+    hi_tag = OutcomeTag.F_ZERO
+    assert exc.value.outcomes == {1.0: hi_tag, 0.25: hi_tag, 0.0625: hi_tag,
+                                  0.015625: hi_tag}
     with pytest.raises(DomainError):
-        _expand_bracket(lambda x: 0, 1e3, 1e-2, 1e2, "x")
+        _expand_bracket(_recording(lambda x: 0)[0], 1e3, 1e-2, 1e2, "x")
 
 
 def test_bracket_alpha_failure_carries_outcomes(monkeypatch):
@@ -89,54 +102,78 @@ def test_bracket_alpha_failure_carries_outcomes(monkeypatch):
     assert max(outcomes) <= 1e12 < 4.0 * max(outcomes)
 
 
-# _verify_beta_bracket re-brackets a known answer: first at 8x the old
-# width, then 8x wider per try, twelve tries in all.  The centre 0.5 and
-# width 2**-7 keep every probe exact in binary.
+# The polish stage verifies the beta bracket with _centred_bracket: it
+# re-brackets a known answer first at 8x the old width 2**-7, then 8x
+# wider per try, twelve tries in all.  The centre 0.5 and width 2**-4
+# keep every probe exact in binary.
+
+def _rebracket(probe, center):
+    return _centred_bracket(probe, center, 8.0 * 2.0 ** -7, 12, shooter._BETA_FLOOR)
+
 
 def test_verify_beta_bracket_first_width():
     side, probes = _recording(lambda x: -1 if x < 0.5 else 1)
-    assert _verify_beta_bracket(side, 0.5, 2.0 ** -7) == (0.4375, 0.5625)
+    lo, hi = _rebracket(side, 0.5)
+    assert (lo.x, hi.x) == (0.4375, 0.5625)
+    assert (lo.side, hi.side) == (-1, 1)
     assert probes == [0.4375, 0.5625]
 
 
 def test_verify_beta_bracket_widens_by_eight():
     # the answer moved below the first lower probe
     side, probes = _recording(lambda x: -1 if x < 0.8 else 1)
-    assert _verify_beta_bracket(side, 1.0, 2.0 ** -7) == (0.5, 1.5)
+    lo, hi = _rebracket(side, 1.0)
+    assert (lo.x, hi.x) == (0.5, 1.5)
     assert probes == [0.9375, 0.5, 1.5]
 
 
 def test_verify_beta_bracket_clamps_at_floor():
     # the second width reaches below zero: the lower probe sits at the floor
     side, probes = _recording(lambda x: -1 if x < 1e-6 else 1)
-    lo, hi = _verify_beta_bracket(side, 0.5, 2.0 ** -7)
-    assert (lo, hi) == (shooter._BETA_FLOOR, 1.0)
+    lo, hi = _rebracket(side, 0.5)
+    assert (lo.x, hi.x) == (shooter._BETA_FLOOR, 1.0)
     assert probes == [0.4375, shooter._BETA_FLOOR, 1.0]
 
 
 def test_verify_beta_bracket_gives_up_after_twelve_widths():
     side, probes = _recording(lambda x: -1)
-    with pytest.raises(BracketingError, match="could not re-bracket beta"):
-        _verify_beta_bracket(side, 0.5, 2.0 ** -7)
+    assert _rebracket(side, 0.5) is None
     assert probes[1::2] == [0.5 + 2.0 ** -4 * 8.0 ** k for k in range(12)]
 
 
+def test_centred_bracket_single_try_skips_the_upper_probe():
+    # the inner search's warm pair: one try, and a lower probe on the
+    # wrong side (or on neither) ends it without probing the upper end
+    for s in (0, 1):
+        side, probes = _recording(lambda x: s)
+        assert _centred_bracket(side, 0.25, 0.125, 1, 0.0) is None
+        assert probes == [0.125]
+    side, probes = _recording(lambda x: -1 if x < 0.25 else 0)
+    assert _centred_bracket(side, 0.25, 0.125, 1, 0.0) is None
+    assert probes == [0.125, 0.375]
+
+
 def _narrow(distance, lo, hi, tol):
-    """The loop of bisect_alpha and bisect_beta on a synthetic distance,
-    with both end distances known; returns the probe count and bracket."""
-    d_lo, d_hi = distance(lo), distance(hi)
-    w0 = hi - lo
+    """shooter._narrow on a synthetic distance, with both end distances
+    known; returns the probe count and bracket."""
+    bracket = [lo, hi]
     n = 0
-    while hi - lo > tol:
-        x = shooter._itp_point(lo, hi, d_lo, d_hi, w0, tol, n)
-        assert lo < x < hi
+
+    def probe(x, width):
+        nonlocal n
+        # every probe lies inside the current bracket and is told its width
+        assert bracket[0] < x < bracket[1]
+        assert width == bracket[1] - bracket[0]
         n += 1
         d = distance(x)
-        if d < 0.0:
-            lo, d_lo = x, d
-        else:
-            hi, d_hi = x, d
-    return n, lo, hi
+        bracket[d >= 0.0] = x
+        return Probe(x, -1 if d < 0.0 else 1, d, None)
+
+    lo, hi, stop = shooter._narrow(probe, Probe(lo, -1, distance(lo), None),
+                                   Probe(hi, 1, distance(hi), None), tol)
+    assert stop is None
+    assert [lo.x, hi.x] == bracket
+    return n, lo.x, hi.x
 
 
 def _bisection_count(w, tol):
@@ -189,30 +226,89 @@ def test_bisect_alpha_on_a_plateau_distance(monkeypatch):
     # root with t_event = -1/2 ln|alpha - root|, FZero above on the plateau
     root = 0.38983914
     probes = []
+    plateau = True
 
     def fate(point, lambda_hat, controls):
         probes.append(point.alpha)
         if point.alpha < root:
             t = -0.5 * math.log(root - point.alpha)
             return Outcome(OutcomeTag.FPRIME_ZERO, t_event=t), None
-        return Outcome(OutcomeTag.F_ZERO, t_event=14.56), None
+        if plateau:
+            return Outcome(OutcomeTag.F_ZERO, t_event=14.56), None
+        t = -0.5 * math.log(point.alpha - root + 1e-300)
+        return Outcome(OutcomeTag.F_ZERO, t_event=t), None
 
     monkeypatch.setattr(shooter, "_gauge_fate", fate)
     monkeypatch.setattr(shooter, "shoot", lambda point, lam, c: point)
-    br = Bracket(0.3, 0.5, OutcomeTag.FPRIME_ZERO, OutcomeTag.F_ZERO)
+    br = Bracket(0.3, 0.5)
     res = bisect_alpha(br, 0.87, 1.0, CONTROLS, tol_alpha=1e-11)
     assert len(probes) <= _bisection_count(br.width, 1e-11) + 1
     assert res.bracket.lo < root <= res.bracket.hi
     assert res.achieved_width <= 1e-11
     assert res.alpha_star == 0.5 * (res.bracket.lo + res.bracket.hi)
     assert res.resolved == "bisection"
+    # off the plateau the distance -/+exp(-2 t_event) is linear on both
+    # sides and the ITP steps pay off (bisection: 35 probes)
+    probes.clear()
+    plateau = False
+    res = bisect_alpha(br, 0.87, 1.0, CONTROLS, tol_alpha=1e-11)
+    assert len(probes) <= 15
+    assert res.bracket.lo < root <= res.bracket.hi
+    # a NaN tolerance compares false with every width and would skip the
+    # narrowing altogether; it is refused before any probe
+    probes.clear()
+    for tol in (math.nan, math.inf, 0.0):
+        with pytest.raises(DomainError):
+            bisect_alpha(br, 0.87, 1.0, CONTROLS, tol_alpha=tol)
+    assert probes == []
+
+
+def test_bisect_alpha_stops_on_a_probe_with_no_side(monkeypatch):
+    # a Higgs-channel blowup is accepted as the working separatrix; a
+    # gauge-channel blowup contradicts the bracket ends
+    def fate_with(detail):
+        def fate(point, lambda_hat, controls):
+            if point.alpha < 0.35:
+                return Outcome(OutcomeTag.FPRIME_ZERO, t_event=5.0), None
+            if point.alpha > 0.45:
+                return Outcome(OutcomeTag.F_ZERO, t_event=5.0), None
+            return Outcome(OutcomeTag.BLOWUP, detail=detail), None
+        return fate
+
+    monkeypatch.setattr(shooter, "shoot", lambda point, lam, c: point)
+    br = Bracket(0.3, 0.5)
+    monkeypatch.setattr(shooter, "_gauge_fate", fate_with("rho"))
+    res = bisect_alpha(br, 0.87, 1.0, CONTROLS, tol_alpha=1e-9)
+    assert res.resolved == "rho_blowup"
+    assert res.alpha_star == 0.4
+    assert (res.bracket.lo, res.bracket.hi) == (0.3, 0.5)
+    assert res.achieved_width == 0.5 - 0.3
+    monkeypatch.setattr(shooter, "_gauge_fate", fate_with("f"))
+    with pytest.raises(IntegrityError, match="gauge-channel blowup"):
+        bisect_alpha(br, 0.87, 1.0, CONTROLS, tol_alpha=1e-9)
+
+
+def test_bisect_beta_rejects_non_finite_inputs():
+    # refused up front, not by the first shot's state check
+    for lam in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError, match="lambda_hat"):
+            bisect_beta(lam)
+    for tol in (math.nan, math.inf, 0.0):
+        with pytest.raises(DomainError, match="tolerances"):
+            bisect_beta(0.0, tol_alpha=tol)
+        with pytest.raises(DomainError, match="tolerances"):
+            bisect_beta(0.0, tol_beta=tol)
 
 
 def test_bracket_alpha_endpoints_disagree():
     br = bracket_alpha(0.1, 0.0, CONTROLS)
     assert 0.0 < br.lo < br.hi
-    assert br.lo_outcome is OutcomeTag.FPRIME_ZERO
-    assert br.hi_outcome is OutcomeTag.F_ZERO
+
+    def fate(alpha):
+        out, _ = shooter._gauge_fate(ShootPoint(alpha, 0.1), 0.0, CONTROLS)
+        return out.tag
+    assert fate(br.lo) is OutcomeTag.FPRIME_ZERO
+    assert fate(br.hi) is OutcomeTag.F_ZERO
 
 
 def test_bisect_alpha_resolves_separatrix():
