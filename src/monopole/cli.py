@@ -2,13 +2,13 @@
 
 Subcommands: solve, sweep, validate, probe, series.  Exit codes are
 0 success, 1 usage, 2 solver failure, 3 validation or audit failure,
-4 I/O failure.  A flat key=value config file can preload any option;
-explicit flags win over the file.
+4 I/O failure.  A flat key=value config file can preload any option,
+each value read as its flag would read it; explicit flags win over the
+file.
 """
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import math
 import os
@@ -39,20 +39,29 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _coerce(text: str):
-    low = text.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    try:
-        return ast.literal_eval(low)
-    except (ValueError, SyntaxError):
-        return low
+def _options(parser: argparse.ArgumentParser, command: str) -> dict:
+    # dest -> action of every option of the subcommand; argparse has no
+    # public index of them
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
 
 
-def _apply_config(ns: argparse.Namespace, argv: list[str]) -> None:
+def _config_value(action: argparse.Action, text: str):
+    """text read as the option's flag would read it; a switch takes true or false."""
+    if action.nargs == 0:
+        if text.lower() not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return text.lower() == "true"
+    return (action.type or str)(text)
+
+
+def _apply_config(ns: argparse.Namespace, argv: list[str],
+                  parser: argparse.ArgumentParser) -> None:
     """Overlay config-file values onto options not set on the command line."""
     if not getattr(ns, "config", None):
         return
+    options = _options(parser, ns.command)
     with open(ns.config, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -62,13 +71,17 @@ def _apply_config(ns: argparse.Namespace, argv: list[str]) -> None:
                 raise MonopoleError(
                     f"{ns.config}:{line_no}: expected key = value, got {raw!r}")
             key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if not hasattr(ns, key):
+            key, value = key.strip().replace("-", "_"), value.strip()
+            if key not in options:
                 raise MonopoleError(f"{ns.config}:{line_no}: unknown option {key!r}")
             flag = "--" + key.replace("_", "-")
             if any(arg == flag or arg.startswith(flag + "=") for arg in argv):
                 continue  # explicit flag wins
-            setattr(ns, key, _coerce(value))
+            try:
+                setattr(ns, key, _config_value(options[key], value))
+            except (TypeError, ValueError) as exc:
+                raise MonopoleError(f"{ns.config}:{line_no}: invalid value {value!r} "
+                                    f"for {key}: {exc}") from None
 
 
 def _controls_from(ns: argparse.Namespace) -> IntegratorControls:
@@ -188,12 +201,8 @@ def _profile_csv(states) -> str:
 
 
 def _cmd_solve(ns: argparse.Namespace, parser) -> int:
-    # checked before the solve; a config file can give any value
-    try:
-        step = float(ns.grid_step)
-    except (TypeError, ValueError):
-        step = math.nan
-    if not (math.isfinite(step) and step > 0.0):
+    # checked before the solve, whether the flag or a config file gave it
+    if not (math.isfinite(ns.grid_step) and ns.grid_step > 0.0):
         parser.error(f"--grid-step must be positive and finite, got {ns.grid_step}")
     if ns.out:
         try:
@@ -432,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        _apply_config(ns, argv)
+        _apply_config(ns, argv, parser)
     except OSError as exc:
         print(f"monopole: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO

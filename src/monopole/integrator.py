@@ -1,7 +1,12 @@
 """Adaptive integration of the radial system with event localization.
 
-The stepper is an embedded Dormand-Prince 5(4) pair with the standard
-quartic dense-output interpolant.  It is written out over the four phase
+The stepper is Dormand and Prince's DOP853 (Hairer, Norsett & Wanner,
+Solving ODEs I, II.10): an eighth-order step whose size is set by
+Hairer's error estimate, the fifth-order one damped where the
+third-order one is large.  Its seventh-order dense output costs three
+more right-hand side calls per step, so a step builds it only when it is
+first read: to refine an event the step's end values bracket, or for
+state_at and resample.  The stepper is written out over the four phase
 components rather than delegated to a library so that step acceptance,
 event refinement, and termination are bit-reproducible for a given
 control block, which the outer bisections rely on.
@@ -31,6 +36,7 @@ import bisect as _bisect
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from operator import mul
 
 from .errors import DomainError, IntegrityError, NoEventError, StiffnessError
 from .model import PhaseState, _rhs
@@ -122,48 +128,121 @@ class Outcome:
     detail: str = ""
 
 
-# Dormand-Prince 5(4) tableau.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
-# Dense-output coefficients: row s, column j gives the contribution of
-# stage s to the theta^{j+1} term of the quartic interpolant.
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+# DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.10): the
+# eighth-order weights _B, the fifth- and third-order error weights _E5_
+# and _E3_, and _As_j, the weight of stage j in stage s, counted from 1.
+# Stages 12 and 13 sit at t + h; stage 13 is the next step's first.
+_C2, _C3, _C4, _C5, _C6, _C7 = (
+    0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25)
+_C8, _C9, _C10, _C11 = 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571
+_A2_1 = 0.05260015195876773
+_A3_1, _A3_2 = 0.0197250569845379, 0.0591751709536137
+_A4_1, _A4_3 = 0.02958758547680685, 0.08876275643042054
+_A5_1, _A5_3, _A5_4 = 0.2413651341592667, -0.8845494793282861, 0.924834003261792
+_A6_1, _A6_4, _A6_5 = 0.037037037037037035, 0.17082860872947386, 0.12546768756682242
+_A7_1, _A7_4, _A7_5, _A7_6 = (
+    0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125)
+_A8_1, _A8_4, _A8_5, _A8_6, _A8_7 = (
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328,
+    -0.015319437748624402, 0.008273789163814023)
+_A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8 = (
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996)
+_A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = (
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+    15.279233632882423, -33.28821096898486, -0.020331201708508627)
+_A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = (
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196)
+_A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11 = (
+    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+    0.6433927460157636)
+_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+_E5_1, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12 = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294)
+_E3_1, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12 = (
+    -0.18980075407240762, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082)
+# The three extra stages of the seventh-order interpolant: their nodes,
+# their rows over stages 1-13 (and the extra stages before them), and
+# the D rows of the interpolant's four higher coefficients over all 16.
+_C_EXTRA = (0.1, 0.2, 0.7777777777777778)
+_A_EXTRA = (
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932,
+     0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
+)
+_D = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
 )
 
 
 class DenseSegment:
-    """Quartic interpolant over one accepted step [t, t + h]."""
+    """Seventh-order DOP853 interpolant over one accepted step [t, t + h].
 
-    __slots__ = ("t", "h", "y0", "_k", "_q")
+    The segment keeps the step's thirteen stages and builds the
+    interpolant on its first eval, at the cost of three more right-hand
+    side calls: only steps whose end values bracket an event, and
+    state_at or resample, ever pay for it.
+    """
 
-    def __init__(self, t: float, h: float, y0: tuple, k: tuple):
+    __slots__ = ("t", "h", "y0", "y1", "lambda_hat", "_k", "_q")
+
+    def __init__(self, t: float, h: float, y0: tuple, y1: tuple, k: tuple,
+                 lambda_hat: float):
         self.t = t
         self.h = h
         self.y0 = y0
+        self.y1 = y1
+        self.lambda_hat = lambda_hat
         self._k = k
         self._q = None
 
     def _coeffs(self):
-        # Built lazily: most segments are never interpolated.
         if self._q is None:
-            k = self._k
-            self._q = tuple(
-                tuple(sum(k[s][i] * _P[s][j] for s in range(7)) for j in range(4))
-                for i in range(4))
+            t, h, y0 = self.t, self.h, self.y0
+            cols = [list(c) for c in zip(*self._k)]
+            for c, row in zip(_C_EXTRA, _A_EXTRA):
+                k = _rhs(t + c * h,
+                         *[y0[i] + h * sum(map(mul, row, cols[i])) for i in range(4)],
+                         self.lambda_hat)
+                for col, v in zip(cols, k):
+                    col.append(v)
+            # The first three coefficients match the end values and the end
+            # slopes (stages 1 and 13); the D rows give the other four.
+            q = []
+            for ya, yb, col in zip(y0, self.y1, cols):
+                dy = yb - ya
+                q.append((dy, h * col[0] - dy, 2.0 * dy - h * (col[12] + col[0]),
+                          *[h * sum(map(mul, row, col)) for row in _D]))
+            self._q, self._k = q, None
         return self._q
 
     @property
@@ -171,12 +250,18 @@ class DenseSegment:
         return self.t + self.h
 
     def eval(self, t: float) -> tuple[float, float, float, float]:
-        q = self._coeffs()
-        th = (t - self.t) / self.h
-        y0, h = self.y0, self.h
-        return tuple(
-            y0[i] + h * th * (q[i][0] + th * (q[i][1] + th * (q[i][2] + th * q[i][3])))
-            for i in range(4))
+        a, b, c, d = self._coeffs()
+        f, fp, rho, rhop = self.y0
+        x = (t - self.t) / self.h
+        u = 1.0 - x
+        return (_horner(f, a, x, u), _horner(fp, b, x, u),
+                _horner(rho, c, x, u), _horner(rhop, d, x, u))
+
+
+def _horner(y: float, c: tuple, x: float, u: float) -> float:
+    # One component of the interpolant at theta = x, with u = 1 - x.
+    c0, c1, c2, c3, c4, c5, c6 = c
+    return y + x * (c0 + u * (c1 + x * (c2 + u * (c3 + x * (c4 + u * (c5 + x * c6))))))
 
 
 @dataclass
@@ -388,33 +473,106 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
             if h <= 1e-13 * max(1.0, t):
                 break  # horizon reached to float resolution
         k1f, k1fp, k1r, k1rp = k1
-        y = (f + h * _A21 * k1f, fp + h * _A21 * k1fp,
-             rho + h * _A21 * k1r, rhop + h * _A21 * k1rp)
-        k2 = _rhs(t + _C2 * h, y[0], y[1], y[2], y[3], lam)
-        y = (f + h * (_A31 * k1f + _A32 * k2[0]),
-             fp + h * (_A31 * k1fp + _A32 * k2[1]),
-             rho + h * (_A31 * k1r + _A32 * k2[2]),
-             rhop + h * (_A31 * k1rp + _A32 * k2[3]))
-        k3 = _rhs(t + _C3 * h, y[0], y[1], y[2], y[3], lam)
-        y = (f + h * (_A41 * k1f + _A42 * k2[0] + _A43 * k3[0]),
-             fp + h * (_A41 * k1fp + _A42 * k2[1] + _A43 * k3[1]),
-             rho + h * (_A41 * k1r + _A42 * k2[2] + _A43 * k3[2]),
-             rhop + h * (_A41 * k1rp + _A42 * k2[3] + _A43 * k3[3]))
-        k4 = _rhs(t + _C4 * h, y[0], y[1], y[2], y[3], lam)
-        y = (f + h * (_A51 * k1f + _A52 * k2[0] + _A53 * k3[0] + _A54 * k4[0]),
-             fp + h * (_A51 * k1fp + _A52 * k2[1] + _A53 * k3[1] + _A54 * k4[1]),
-             rho + h * (_A51 * k1r + _A52 * k2[2] + _A53 * k3[2] + _A54 * k4[2]),
-             rhop + h * (_A51 * k1rp + _A52 * k2[3] + _A53 * k3[3] + _A54 * k4[3]))
-        k5 = _rhs(t + _C5 * h, y[0], y[1], y[2], y[3], lam)
-        y = (f + h * (_A61 * k1f + _A62 * k2[0] + _A63 * k3[0] + _A64 * k4[0] + _A65 * k5[0]),
-             fp + h * (_A61 * k1fp + _A62 * k2[1] + _A63 * k3[1] + _A64 * k4[1] + _A65 * k5[1]),
-             rho + h * (_A61 * k1r + _A62 * k2[2] + _A63 * k3[2] + _A64 * k4[2] + _A65 * k5[2]),
-             rhop + h * (_A61 * k1rp + _A62 * k2[3] + _A63 * k3[3] + _A64 * k4[3] + _A65 * k5[3]))
-        k6 = _rhs(t + h, y[0], y[1], y[2], y[3], lam)
-        fn = f + h * (_B1 * k1f + _B3 * k3[0] + _B4 * k4[0] + _B5 * k5[0] + _B6 * k6[0])
-        fpn = fp + h * (_B1 * k1fp + _B3 * k3[1] + _B4 * k4[1] + _B5 * k5[1] + _B6 * k6[1])
-        rn = rho + h * (_B1 * k1r + _B3 * k3[2] + _B4 * k4[2] + _B5 * k5[2] + _B6 * k6[2])
-        rpn = rhop + h * (_B1 * k1rp + _B3 * k3[3] + _B4 * k4[3] + _B5 * k5[3] + _B6 * k6[3])
+        k2 = _rhs(t + _C2 * h,
+                  f + h * (_A2_1 * k1f),
+                  fp + h * (_A2_1 * k1fp),
+                  rho + h * (_A2_1 * k1r),
+                  rhop + h * (_A2_1 * k1rp), lam)
+        k2f, k2fp, k2r, k2rp = k2
+        k3 = _rhs(t + _C3 * h,
+                  f + h * (_A3_1 * k1f + _A3_2 * k2f),
+                  fp + h * (_A3_1 * k1fp + _A3_2 * k2fp),
+                  rho + h * (_A3_1 * k1r + _A3_2 * k2r),
+                  rhop + h * (_A3_1 * k1rp + _A3_2 * k2rp), lam)
+        k3f, k3fp, k3r, k3rp = k3
+        k4 = _rhs(t + _C4 * h,
+                  f + h * (_A4_1 * k1f + _A4_3 * k3f),
+                  fp + h * (_A4_1 * k1fp + _A4_3 * k3fp),
+                  rho + h * (_A4_1 * k1r + _A4_3 * k3r),
+                  rhop + h * (_A4_1 * k1rp + _A4_3 * k3rp), lam)
+        k4f, k4fp, k4r, k4rp = k4
+        k5 = _rhs(t + _C5 * h,
+                  f + h * (_A5_1 * k1f + _A5_3 * k3f + _A5_4 * k4f),
+                  fp + h * (_A5_1 * k1fp + _A5_3 * k3fp + _A5_4 * k4fp),
+                  rho + h * (_A5_1 * k1r + _A5_3 * k3r + _A5_4 * k4r),
+                  rhop + h * (_A5_1 * k1rp + _A5_3 * k3rp + _A5_4 * k4rp), lam)
+        k5f, k5fp, k5r, k5rp = k5
+        k6 = _rhs(t + _C6 * h,
+                  f + h * (_A6_1 * k1f + _A6_4 * k4f + _A6_5 * k5f),
+                  fp + h * (_A6_1 * k1fp + _A6_4 * k4fp + _A6_5 * k5fp),
+                  rho + h * (_A6_1 * k1r + _A6_4 * k4r + _A6_5 * k5r),
+                  rhop + h * (_A6_1 * k1rp + _A6_4 * k4rp + _A6_5 * k5rp), lam)
+        k6f, k6fp, k6r, k6rp = k6
+        k7 = _rhs(t + _C7 * h,
+                  f + h * (_A7_1 * k1f + _A7_4 * k4f + _A7_5 * k5f + _A7_6 * k6f),
+                  fp + h * (_A7_1 * k1fp + _A7_4 * k4fp + _A7_5 * k5fp + _A7_6 * k6fp),
+                  rho + h * (_A7_1 * k1r + _A7_4 * k4r + _A7_5 * k5r + _A7_6 * k6r),
+                  rhop + h * (_A7_1 * k1rp + _A7_4 * k4rp + _A7_5 * k5rp + _A7_6 * k6rp), lam)
+        k7f, k7fp, k7r, k7rp = k7
+        k8 = _rhs(t + _C8 * h,
+                  f + h * (_A8_1 * k1f + _A8_4 * k4f + _A8_5 * k5f + _A8_6 * k6f
+                           + _A8_7 * k7f),
+                  fp + h * (_A8_1 * k1fp + _A8_4 * k4fp + _A8_5 * k5fp + _A8_6 * k6fp
+                            + _A8_7 * k7fp),
+                  rho + h * (_A8_1 * k1r + _A8_4 * k4r + _A8_5 * k5r + _A8_6 * k6r
+                             + _A8_7 * k7r),
+                  rhop + h * (_A8_1 * k1rp + _A8_4 * k4rp + _A8_5 * k5rp + _A8_6 * k6rp
+                              + _A8_7 * k7rp), lam)
+        k8f, k8fp, k8r, k8rp = k8
+        k9 = _rhs(t + _C9 * h,
+                  f + h * (_A9_1 * k1f + _A9_4 * k4f + _A9_5 * k5f + _A9_6 * k6f
+                           + _A9_7 * k7f + _A9_8 * k8f),
+                  fp + h * (_A9_1 * k1fp + _A9_4 * k4fp + _A9_5 * k5fp + _A9_6 * k6fp
+                            + _A9_7 * k7fp + _A9_8 * k8fp),
+                  rho + h * (_A9_1 * k1r + _A9_4 * k4r + _A9_5 * k5r + _A9_6 * k6r
+                             + _A9_7 * k7r + _A9_8 * k8r),
+                  rhop + h * (_A9_1 * k1rp + _A9_4 * k4rp + _A9_5 * k5rp + _A9_6 * k6rp
+                              + _A9_7 * k7rp + _A9_8 * k8rp), lam)
+        k9f, k9fp, k9r, k9rp = k9
+        k10 = _rhs(t + _C10 * h,
+                   f + h * (_A10_1 * k1f + _A10_4 * k4f + _A10_5 * k5f + _A10_6 * k6f
+                            + _A10_7 * k7f + _A10_8 * k8f + _A10_9 * k9f),
+                   fp + h * (_A10_1 * k1fp + _A10_4 * k4fp + _A10_5 * k5fp + _A10_6 * k6fp
+                             + _A10_7 * k7fp + _A10_8 * k8fp + _A10_9 * k9fp),
+                   rho + h * (_A10_1 * k1r + _A10_4 * k4r + _A10_5 * k5r + _A10_6 * k6r
+                              + _A10_7 * k7r + _A10_8 * k8r + _A10_9 * k9r),
+                   rhop + h * (_A10_1 * k1rp + _A10_4 * k4rp + _A10_5 * k5rp + _A10_6 * k6rp
+                               + _A10_7 * k7rp + _A10_8 * k8rp + _A10_9 * k9rp), lam)
+        k10f, k10fp, k10r, k10rp = k10
+        k11 = _rhs(t + _C11 * h,
+                   f + h * (_A11_1 * k1f + _A11_4 * k4f + _A11_5 * k5f + _A11_6 * k6f
+                            + _A11_7 * k7f + _A11_8 * k8f + _A11_9 * k9f + _A11_10 * k10f),
+                   fp + h * (_A11_1 * k1fp + _A11_4 * k4fp + _A11_5 * k5fp + _A11_6 * k6fp
+                             + _A11_7 * k7fp + _A11_8 * k8fp + _A11_9 * k9fp
+                             + _A11_10 * k10fp),
+                   rho + h * (_A11_1 * k1r + _A11_4 * k4r + _A11_5 * k5r + _A11_6 * k6r
+                              + _A11_7 * k7r + _A11_8 * k8r + _A11_9 * k9r + _A11_10 * k10r),
+                   rhop + h * (_A11_1 * k1rp + _A11_4 * k4rp + _A11_5 * k5rp + _A11_6 * k6rp
+                               + _A11_7 * k7rp + _A11_8 * k8rp + _A11_9 * k9rp
+                               + _A11_10 * k10rp), lam)
+        k11f, k11fp, k11r, k11rp = k11
+        k12 = _rhs(t + h,
+                   f + h * (_A12_1 * k1f + _A12_4 * k4f + _A12_5 * k5f + _A12_6 * k6f
+                            + _A12_7 * k7f + _A12_8 * k8f + _A12_9 * k9f + _A12_10 * k10f
+                            + _A12_11 * k11f),
+                   fp + h * (_A12_1 * k1fp + _A12_4 * k4fp + _A12_5 * k5fp + _A12_6 * k6fp
+                             + _A12_7 * k7fp + _A12_8 * k8fp + _A12_9 * k9fp
+                             + _A12_10 * k10fp + _A12_11 * k11fp),
+                   rho + h * (_A12_1 * k1r + _A12_4 * k4r + _A12_5 * k5r + _A12_6 * k6r
+                              + _A12_7 * k7r + _A12_8 * k8r + _A12_9 * k9r + _A12_10 * k10r
+                              + _A12_11 * k11r),
+                   rhop + h * (_A12_1 * k1rp + _A12_4 * k4rp + _A12_5 * k5rp + _A12_6 * k6rp
+                               + _A12_7 * k7rp + _A12_8 * k8rp + _A12_9 * k9rp
+                               + _A12_10 * k10rp + _A12_11 * k11rp), lam)
+        k12f, k12fp, k12r, k12rp = k12
+        fn = f + h * (_B1 * k1f + _B6 * k6f + _B7 * k7f + _B8 * k8f + _B9 * k9f + _B10 * k10f
+                      + _B11 * k11f + _B12 * k12f)
+        fpn = fp + h * (_B1 * k1fp + _B6 * k6fp + _B7 * k7fp + _B8 * k8fp + _B9 * k9fp
+                        + _B10 * k10fp + _B11 * k11fp + _B12 * k12fp)
+        rn = rho + h * (_B1 * k1r + _B6 * k6r + _B7 * k7r + _B8 * k8r + _B9 * k9r
+                        + _B10 * k10r + _B11 * k11r + _B12 * k12r)
+        rpn = rhop + h * (_B1 * k1rp + _B6 * k6rp + _B7 * k7rp + _B8 * k8rp + _B9 * k9rp
+                          + _B10 * k10rp + _B11 * k11rp + _B12 * k12rp)
 
         if not (math.isfinite(fn) and math.isfinite(fpn)
                 and math.isfinite(rn) and math.isfinite(rpn)):
@@ -422,23 +580,30 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
             traj.blowup_channel = "nonfinite"
             return
 
-        k7 = _rhs(t + h, fn, fpn, rn, rpn, lam)
-        err = 0.0
-        for i, (yo, yn) in enumerate(((f, fn), (fp, fpn), (rho, rn), (rhop, rpn))):
-            e = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i]
-                     + _E5 * k5[i] + _E6 * k6[i] + _E7 * k7[i])
+        # Hairer's error norm: the rms of the fifth-order estimate e5 times
+        # |e5| / |(e5, e3 / 10)|, a factor near 1 unless the third-order
+        # estimate e3 is more than ten times larger.
+        e5 = e3 = 0.0
+        for i, yo, yn in ((0, f, fn), (1, fp, fpn), (2, rho, rn), (3, rhop, rpn)):
             sc = atol + rel * max(abs(yo), abs(yn))
-            err += (e / sc) ** 2
-        err = math.sqrt(err / 4.0)
+            e5 += ((_E5_1 * k1[i] + _E5_6 * k6[i] + _E5_7 * k7[i] + _E5_8 * k8[i]
+                    + _E5_9 * k9[i] + _E5_10 * k10[i] + _E5_11 * k11[i]
+                    + _E5_12 * k12[i]) / sc) ** 2
+            e3 += ((_E3_1 * k1[i] + _E3_6 * k6[i] + _E3_7 * k7[i] + _E3_8 * k8[i]
+                    + _E3_9 * k9[i] + _E3_10 * k10[i] + _E3_11 * k11[i]
+                    + _E3_12 * k12[i]) / sc) ** 2
+        err = 0.0 if e5 == 0.0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * 4.0)
 
         if err > 1.0:
-            h *= max(0.2, min(1.0, 0.9 * err ** -0.2))
+            h *= max(0.2, min(1.0, 0.9 * err ** -0.125))
             if h < 1e-13 * max(1.0, t):
                 raise StiffnessError(f"step size underflow at t = {t}")
             continue
 
         y_new = (fn, fpn, rn, rpn)
-        seg = DenseSegment(t, h, y_acc, (k1, k2, k3, k4, k5, k6, k7))
+        k13 = _rhs(t + h, fn, fpn, rn, rpn, lam)
+        seg = DenseSegment(t, h, y_acc, y_new, (k1, k2, k3, k4, k5, k6, k7, k8, k9,
+                                                k10, k11, k12, k13), lam)
         terminal = _scan_events(traj, seg, y_acc, y_new)
         traj.segments.append(seg)
         t += h
@@ -453,8 +618,8 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
             traj.blowup_channel = ("rho" if rn > bound else
                                    "f" if abs(fn) > bound else "slope")
             return
-        k1 = k7  # first-same-as-last
-        fac = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.2))
+        k1 = k13  # first-same-as-last
+        fac = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.125))
         h = min(h * fac, max_step)
 
     traj.ended = "t_max"

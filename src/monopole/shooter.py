@@ -490,8 +490,9 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     is on, re-brackets the answer with a widening centred pair at
     profile-grade integration tolerance and pushes both parameter
     tolerances toward the deviation-noise floor.  The reported profile
-    is re-integrated with a small step cap so that downstream finite
-    differences see interpolation noise well below the residual target.
+    is re-integrated at the final controls; its seventh-order dense
+    output keeps the interpolation noise that downstream finite
+    differences see well below the residual target.
     """
     if not (math.isfinite(lambda_hat) and lambda_hat >= 0.0):
         raise DomainError(f"lambda_hat must be finite and >= 0, got {lambda_hat}")
@@ -563,14 +564,8 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     ar_star = _alpha_at(beta_star, lambda_hat, fincontrols, tol_alpha_f, warm,
                         max(hi.x - lo.x, tol_beta_f))
 
-    # Profile-grade rerun with a small step cap: interpolation wiggle in
-    # the dense output scales like (local error)/(step/3)^2 under second
-    # differences, so capping the step keeps finite-difference residuals
-    # an order below the acceptance threshold.
-    fcontrols = replace(fincontrols, max_step=5e-3)
-
     def profile_run(a: float, b: float) -> tuple[bool, Trajectory]:
-        traj = shoot(ShootPoint(alpha=a, beta=b), lambda_hat, fcontrols)
+        traj = shoot(ShootPoint(alpha=a, beta=b), lambda_hat, fincontrols)
         ok = (classify(traj, ClassifyMode.F_FATE).tag is OutcomeTag.CONVERGED
               and classify(traj, ClassifyMode.RHO_FATE).tag is OutcomeTag.CONVERGED)
         return ok, traj

@@ -18,6 +18,15 @@ def lam0():
 
 
 @pytest.fixture(scope="session")
+def lam0_handoffs():
+    # lambda_hat = 0 at three more series handoff radii: one ulp at the
+    # handoff moves f(10) by up to ~1e-7 along the separatrix, so a check
+    # at one radius measures that rounding as much as the solver
+    return [bisect_beta(0.0, controls=IntegratorControls(t0=t0))
+            for t0 in (5e-4, 7e-4, 8.5e-4)]
+
+
+@pytest.fixture(scope="session")
 def lam1():
     return bisect_beta(1.0)
 

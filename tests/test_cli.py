@@ -156,10 +156,12 @@ def test_sweep_single_cell(tmp_path, capsys):
 
 
 def test_sweep_grid_flags(tmp_path, capsys):
+    # off the lambda_hat = 0 separatrix alpha = beta / 2 but at (0.05, 0.1),
+    # as in test_sweep_grid_and_order
     out = tmp_path / "grid.csv"
     rc = main(["sweep", "--lambda-hat", "0", "--alpha-min", "0.05",
                "--alpha-max", "0.3", "--alpha-count", "2",
-               "--betas", "0.1,0.6", "--out", str(out)])
+               "--betas", "0.1,0.5", "--out", str(out)])
     assert rc == 0
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 4
@@ -192,10 +194,39 @@ def test_config_file_overlay(tmp_path, capsys):
 
 def test_config_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "opts.cfg"
-    cfg.write_text("warp_factor = 9\n")
-    rc = main(["series", "--alpha", "0.1", "--beta", "0.2",
-               "--config", str(cfg)])
-    assert rc == 1
+    # func is a parser default, not an option
+    for line in ("warp_factor = 9\n", "func = 1\n"):
+        cfg.write_text(line)
+        rc = main(["series", "--alpha", "0.1", "--beta", "0.2",
+                   "--config", str(cfg)])
+        assert rc == 1
+
+
+def test_config_values_take_the_flag_type(tmp_path, monkeypatch, capsys):
+    # a config value is read as its flag's value would be; neither case
+    # reaches a shot
+    solve = ["solve", "--lambda-hat", "0", "--no-polish"]
+    cfg = tmp_path / "opts.cfg"
+    # unreadable: a usage error before the solve, as from the flag
+    with monkeypatch.context() as m:
+        m.setattr(cli, "bisect_beta", None)
+        with pytest.raises(SystemExit) as exc:
+            main([*solve, "--rel-tol", "1e-8x"])
+        assert exc.value.code == 1
+        cfg.write_text("rel_tol = 1e-8x\n")
+        assert main([*solve, "--config", str(cfg)]) == 1
+        assert "rel_tol" in capsys.readouterr().err
+        # a switch takes true or false
+        cfg.write_text("no_polish = maybe\n")
+        assert main(["solve", "--lambda-hat", "0", "--config", str(cfg)]) == 1
+        assert "no_polish" in capsys.readouterr().err
+    # a float the solver refuses: the solver's own message and exit code
+    assert main([*solve, "--tol-beta", "nan"]) == 2
+    flag_err = capsys.readouterr().err
+    assert "tolerances must be positive and finite" in flag_err
+    cfg.write_text("tol_beta = nan\n")
+    assert main([*solve, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == flag_err
 
 
 def test_config_missing_file(tmp_path, capsys):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as dop853
 
+from monopole import integrator
 from monopole.errors import DomainError, NoEventError
 from monopole.integrator import (ClassifyMode, IntegratorControls, OutcomeTag,
                                  classify, extend, in_tube, integrate,
@@ -304,3 +306,63 @@ def test_extend_only_moves_the_horizon_outward():
         extend(run, IntegratorControls(t_max=4.0))
     with pytest.raises(DomainError):
         extend(run, IntegratorControls(t_max=10.0, rel_tol=1e-8))
+
+
+def _pinned(prefix, weights):
+    # every nonzero weight has its constant, equal to the reference float,
+    # and no zero weight has one
+    for j, w in enumerate(weights):
+        name = f"{prefix}{j + 1}"
+        if w == 0.0:
+            assert not hasattr(integrator, name), name
+        else:
+            assert getattr(integrator, name) == float(w), name
+
+
+def test_dop853_coefficients_match_reference():
+    A, C = dop853.A, dop853.C
+    for s in range(1, 12):
+        _pinned(f"_A{s + 1}_", A[s, :s])
+    # stages 12 and 13 are evaluated at t + h
+    for s in range(1, 11):
+        assert getattr(integrator, f"_C{s + 1}") == float(C[s])
+    assert C[11] == C[12] == 1.0
+    assert integrator._C_EXTRA == tuple(map(float, C[13:]))
+    assert integrator._A_EXTRA == tuple(tuple(map(float, A[s, :s])) for s in (13, 14, 15))
+    _pinned("_B", dop853.B)
+    # the error weights never read stage 13
+    assert dop853.E5[12] == dop853.E3[12] == 0.0
+    _pinned("_E5_", dop853.E5[:12])
+    _pinned("_E3_", dop853.E3[:12])
+    assert integrator._D == tuple(tuple(map(float, row)) for row in dop853.D)
+
+
+def test_dense_output_between_steps_tracks_closed_form():
+    # the seventh-order interpolant at mid-step, where it is least tied
+    # to the step's end values (the quartic DP5 interpolant read 1.3e-8)
+    traj = integrate(_start(1 / 6, 1 / 3, 0.0), 0.0, IntegratorControls(t_max=5.0))
+    worst = 0.0
+    for seg in traj.segments:
+        t = seg.t + 0.5 * seg.h
+        got, exact = traj.state_at(t), ps_exact(t)
+        worst = max(worst, abs(got.f - exact.f), abs(got.rho - exact.rho))
+    assert worst < 2e-9
+
+
+def test_bps_run_step_count():
+    # the eighth-order pair crosses the default horizon in under 100
+    # steps at the default tolerances (DP5 took 353)
+    traj = integrate(_start(1 / 6, 1 / 3, 0.0), 0.0, IntegratorControls())
+    assert traj.ended == "t_max"
+    assert traj.n_steps <= 100
+
+
+def test_dense_output_is_built_only_where_read():
+    # no event function changes sign on this run, so no step builds its
+    # interpolant until state_at reads one
+    traj = integrate(_start(1 / 6, 1 / 3, 0.0), 0.0, IntegratorControls(t_max=5.0))
+    assert traj.ended == "t_max"
+    assert not traj.f_events and not traj.rho_events
+    assert all(seg._q is None for seg in traj.segments)
+    traj.state_at(2.0)
+    assert sum(seg._q is not None for seg in traj.segments) == 1
