@@ -19,13 +19,17 @@ from .errors import MonopoleError
 from .integrator import IntegratorControls
 from .model import ModelParams, nondimensionalize, ps_exact
 from .origin_series import DEFAULT_T0, ShootPoint, initial_state, picard_verify
-from .shooter import SolveReport, bisect_beta, sweep
+from .shooter import REPORT_TAIL, SolveReport, bisect_beta, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SOLVE = 2
 EXIT_VALIDATE = 3
 EXIT_IO = 4
+
+# Most rows a profile table may have, give or take one: its grid spans
+# less than t_max + REPORT_TAIL.
+_MAX_PROFILE_ROWS = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,10 +149,10 @@ def _report_dict(rep) -> dict:
         "beta_star_hat": rep.beta_star_hat,
         "alpha_star": rep.alpha_star,
         "beta_star": rep.beta_star,
-        "alpha_bracket_lo": rep.alpha_bracket.lo,
-        "alpha_bracket_hi": rep.alpha_bracket.hi,
-        "beta_bracket_lo": rep.beta_bracket.lo,
-        "beta_bracket_hi": rep.beta_bracket.hi,
+        "alpha_bracket_lo": rep.alpha_bracket.lo.x,
+        "alpha_bracket_hi": rep.alpha_bracket.hi.x,
+        "beta_bracket_lo": rep.beta_bracket.lo.x,
+        "beta_bracket_hi": rep.beta_bracket.hi.x,
         "alpha_resolved": rep.alpha_resolved,
         "converged": rep.converged,
         "n_beta_evaluations": rep.n_beta_evaluations,
@@ -204,6 +208,9 @@ def _cmd_solve(ns: argparse.Namespace, parser) -> int:
     # checked before the solve, whether the flag or a config file gave it
     if not (math.isfinite(ns.grid_step) and ns.grid_step > 0.0):
         parser.error(f"--grid-step must be positive and finite, got {ns.grid_step}")
+    if (ns.t_max + REPORT_TAIL) / ns.grid_step > _MAX_PROFILE_ROWS:
+        parser.error(f"--grid-step {ns.grid_step} could give more than "
+                     f"{_MAX_PROFILE_ROWS} profile rows at --t-max {ns.t_max}")
     if ns.out:
         try:
             os.makedirs(ns.out, exist_ok=True)
@@ -244,6 +251,9 @@ def _cmd_solve(ns: argparse.Namespace, parser) -> int:
 
 
 def _cmd_sweep(ns: argparse.Namespace, parser) -> int:
+    if ns.workers < 1:
+        parser.error(f"--workers must be >= 1, got {ns.workers}")
+
     def grid(spec, lo, hi, count, name):
         if spec:
             try:
@@ -399,8 +409,8 @@ def build_parser() -> _Parser:
     p.add_argument("--beta-max", type=float, default=None)
     p.add_argument("--beta-count", type=int, default=5)
     _add_run_options(p)
-    p.add_argument("--workers", type=int, default=None,
-                   help="process count (default MONOPOLE_THREADS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="process count, at most one per alpha row (default 1)")
     p.add_argument("--out", default="-", help="CSV output path ('-' stdout)")
     p.set_defaults(func=_cmd_sweep)
 

@@ -2,9 +2,9 @@
 
 The boundary value problem is solved as two nested one-dimensional
 bracket searches on the origin data (alpha, beta).  Each shot is a Probe
-(its side of the separatrix and, when measured, signed distance); two
-finders return a bracket's end Probes and one loop, _narrow, narrows it
-by ITP steps on the ends' distances, with bisection fallback:
+(its side of the separatrix and, when measured, signed distance), and a
+Bracket is two end Probes: two finders return one, and one loop, _narrow,
+narrows its ends by ITP steps on their distances, bisection fallback:
 
   inner   at fixed beta, the gauge channel dichotomy (f' turns up versus
           f crosses zero) brackets and narrows alpha to the separatrix
@@ -25,7 +25,6 @@ profile that demonstrably entered the tube.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -38,6 +37,7 @@ from .model import PhaseState, ScaledParams
 from .origin_series import ShootPoint, initial_state, series_coefficients
 
 __all__ = [
+    "Probe",
     "Bracket",
     "AlphaResult",
     "GraftedProfile",
@@ -62,6 +62,8 @@ _BETA_SEED = 1.0 / 3.0
 _ESCALATIONS = (2, 4)
 # Side of the gauge separatrix a decisive F_FATE outcome lies on.
 _GAUGE_SIDE = {OutcomeTag.FPRIME_ZERO: -1, OutcomeTag.F_ZERO: 1}
+# How far the reported profile runs past t_graft on its fitted far field.
+REPORT_TAIL = 8.0
 
 
 def shoot(point: ShootPoint, lambda_hat: float,
@@ -115,22 +117,6 @@ def _extrapolated_vev_gap(traj: Trajectory) -> float:
 
 
 @dataclass(frozen=True)
-class Bracket:
-    """A parameter interval whose ends lie on opposite sides of a separatrix."""
-
-    lo: float
-    hi: float
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def __post_init__(self):
-        if not (self.hi > self.lo > 0.0):
-            raise DomainError(f"bracket needs hi > lo > 0, got [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
 class Probe:
     """What one probe of a bracket search measured at parameter value x.
 
@@ -146,6 +132,24 @@ class Probe:
     outcome: Outcome | None
 
 
+@dataclass(frozen=True)
+class Bracket:
+    """End Probes on opposite sides of a separatrix: lo below it, hi above."""
+
+    lo: Probe
+    hi: Probe
+
+    @property
+    def width(self) -> float:
+        return self.hi.x - self.lo.x
+
+    def __post_init__(self):
+        lo, hi = self.lo, self.hi
+        if not (hi.x > lo.x > 0.0 and (lo.side, hi.side) == (-1, 1)):
+            raise DomainError(f"bracket needs hi > lo > 0 on sides (-1, 1), got "
+                              f"[{lo.x}, {hi.x}] on sides ({lo.side}, {hi.side})")
+
+
 @dataclass
 class AlphaResult:
     """Inner bisection verdict at one beta."""
@@ -154,7 +158,6 @@ class AlphaResult:
     bracket: Bracket
     trajectory: Trajectory          # run at alpha_star over the plain horizon
     resolved: str = "bisection"     # | "rho_blowup" | "tube" | "horizon"
-    achieved_width: float = 0.0
 
 
 def _expand_bracket(probe, seed: float, floor: float, ceil: float,
@@ -288,18 +291,17 @@ def bracket_alpha(beta: float, lambda_hat: float, controls: IntegratorControls,
     """
     if not (beta > 0.0):
         raise DomainError(f"bracket_alpha needs beta > 0, got {beta}")
-    lo, hi = _expand_bracket(_gauge_probe(beta, lambda_hat, controls), seed,
-                             _ALPHA_FLOOR, _ALPHA_CEIL, "alpha")
-    return Bracket(lo.x, hi.x)
+    return Bracket(*_expand_bracket(_gauge_probe(beta, lambda_hat, controls),
+                                    seed, _ALPHA_FLOOR, _ALPHA_CEIL, "alpha"))
 
 
 def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
                  controls: IntegratorControls, tol_alpha: float = 1e-8) -> AlphaResult:
     """Narrow the gauge dichotomy down to tol_alpha with _narrow.
 
-    The ends start with no distance; each probe is an ITP step on the
-    signed distance -/+exp(-2 t_event) (FPrimeZero below, FZero above),
-    with bisection fallback; the answer is the final bracket's midpoint.
+    The bracket's end Probes seed the loop; each probe is an ITP step on
+    the ends' signed distances -/+exp(-2 t_event) (FPrimeZero below, FZero
+    above), with bisection fallback; the answer is the final midpoint.
 
     A probe whose run ends in a Higgs-channel blowup with the gauge field
     still undecided is accepted as the working separatrix: for
@@ -313,8 +315,7 @@ def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
     if not (math.isfinite(tol_alpha) and tol_alpha > 0.0):
         raise DomainError(f"tol_alpha must be positive and finite, got {tol_alpha}")
     lo, hi, stop = _narrow(_gauge_probe(beta, lambda_hat, controls),
-                           Probe(bracket.lo, -1, None, None),
-                           Probe(bracket.hi, 1, None, None), tol_alpha)
+                           bracket.lo, bracket.hi, tol_alpha)
     alpha_star, resolved = 0.5 * (lo.x + hi.x), "bisection"
     if stop is not None:
         out = stop.outcome
@@ -326,9 +327,8 @@ def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
         resolved = {OutcomeTag.BLOWUP: "rho_blowup",
                     OutcomeTag.CONVERGED: "tube"}.get(out.tag, "horizon")
     final = shoot(ShootPoint(alpha=alpha_star, beta=beta), lambda_hat, controls)
-    return AlphaResult(alpha_star=alpha_star, bracket=Bracket(lo.x, hi.x),
-                       trajectory=final, resolved=resolved,
-                       achieved_width=hi.x - lo.x)
+    return AlphaResult(alpha_star=alpha_star, bracket=Bracket(lo, hi),
+                       trajectory=final, resolved=resolved)
 
 
 def _alpha_at(beta: float, lambda_hat: float, controls: IntegratorControls,
@@ -350,10 +350,8 @@ def _alpha_at(beta: float, lambda_hat: float, controls: IntegratorControls,
             if seed - margin > 0.0:
                 ends = _centred_bracket(_gauge_probe(beta, lambda_hat, controls),
                                         seed, margin, 1, 0.0)
-    if ends is None:
-        bracket = bracket_alpha(beta, lambda_hat, controls, seed=seed)
-    else:
-        bracket = Bracket(ends[0].x, ends[1].x)
+    bracket = (bracket_alpha(beta, lambda_hat, controls, seed=seed)
+               if ends is None else Bracket(*ends))
     return bisect_alpha(bracket, beta, lambda_hat, controls, tol_alpha)
 
 
@@ -413,13 +411,13 @@ def graft_tail(traj: Trajectory) -> GraftedProfile:
     t_graft is the largest radius at which both log fits are still clean
     (backing off from the end in half-unit steps); near the separatrix the
     late samples are dominated by the amplified unstable mode and carry no
-    signal.  The reported profile runs 8 units past t_graft.
+    signal.  The reported profile runs REPORT_TAIL past t_graft.
     """
     t_graft = analysis.stable_fit_horizon(traj)
     # The horizon search returns its floor even for a run that ends earlier.
     if not (traj.t0 + analysis.FIT_SPAN < t_graft <= traj.t_end):
         raise DomainError(f"t_graft = {t_graft} outside usable range")
-    t_report = t_graft + 8.0
+    t_report = t_graft + REPORT_TAIL
     window = (t_graft - analysis.FIT_SPAN, t_graft)
     f_fit = analysis.fit_decay(traj, window, "f")
     h_fit = analysis.fit_decay(traj, window, "one_minus_rho")
@@ -490,9 +488,9 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     is on, re-brackets the answer with a widening centred pair at
     profile-grade integration tolerance and pushes both parameter
     tolerances toward the deviation-noise floor.  The reported profile
-    is re-integrated at the final controls; its seventh-order dense
-    output keeps the interpolation noise that downstream finite
-    differences see well below the residual target.
+    is the last inner solve's run; its seventh-order dense output keeps
+    the interpolation noise that downstream finite differences see well
+    below the residual target.
     """
     if not (math.isfinite(lambda_hat) and lambda_hat >= 0.0):
         raise DomainError(f"lambda_hat must be finite and >= 0, got {lambda_hat}")
@@ -514,7 +512,7 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
         """
         nonlocal warm, candidate
         ar = _alpha_at(beta, lambda_hat, c, tol_a, warm, beta_width)
-        warm = (ar.alpha_star, max(ar.achieved_width, tol_a))
+        warm = (ar.alpha_star, max(ar.bracket.width, tol_a))
         out, traj = _higgs_fate(ar, c)
         gap = None
         if out.tag in (OutcomeTag.RHO_PRIME_ZERO, OutcomeTag.RHO_ZERO):
@@ -558,23 +556,23 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     else:
         tol_alpha_f, tol_beta_f = tol_alpha, tol_beta
         fincontrols = controls
-    beta_bracket = Bracket(lo.x, hi.x)
+    beta_bracket = Bracket(lo, hi)
 
     beta_star = 0.5 * (lo.x + hi.x)
     ar_star = _alpha_at(beta_star, lambda_hat, fincontrols, tol_alpha_f, warm,
-                        max(hi.x - lo.x, tol_beta_f))
+                        max(beta_bracket.width, tol_beta_f))
 
-    def profile_run(a: float, b: float) -> tuple[bool, Trajectory]:
-        traj = shoot(ShootPoint(alpha=a, beta=b), lambda_hat, fincontrols)
-        ok = (classify(traj, ClassifyMode.F_FATE).tag is OutcomeTag.CONVERGED
-              and classify(traj, ClassifyMode.RHO_FATE).tag is OutcomeTag.CONVERGED)
-        return ok, traj
+    def in_tube(traj: Trajectory) -> bool:
+        return (classify(traj, ClassifyMode.F_FATE).tag is OutcomeTag.CONVERGED
+                and classify(traj, ClassifyMode.RHO_FATE).tag is OutcomeTag.CONVERGED)
 
-    converged, profile_traj = profile_run(ar_star.alpha_star, beta_star)
+    profile_traj = ar_star.trajectory
+    converged = in_tube(profile_traj)
     if not converged and candidate is not None:
         cand_beta, cand_ar = candidate
-        ok, cand_traj = profile_run(cand_ar.alpha_star, cand_beta)
-        if ok:
+        cand_traj = shoot(ShootPoint(alpha=cand_ar.alpha_star, beta=cand_beta),
+                          lambda_hat, fincontrols)
+        if in_tube(cand_traj):
             beta_star, ar_star = cand_beta, cand_ar
             profile_traj, converged = cand_traj, True
 
@@ -609,22 +607,26 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
 
 def sweep(alphas, betas, lambda_hat: float,
           controls: IntegratorControls | None = None,
-          workers: int | None = None) -> "OutcomeGrid":
+          workers: int = 1) -> "OutcomeGrid":
     """Classify every (alpha, beta) pair on the grid, gauge fate first.
 
     Rows (fixed alpha) are independent; workers > 1 distributes them over
-    processes.  Output ordering is row-major by alpha then beta regardless
-    of worker count.
+    at most one process per row.  Output ordering is row-major by alpha
+    then beta regardless of worker count.
     """
     alphas = [float(a) for a in alphas]
     betas = [float(b) for b in betas]
     if not alphas or not betas:
         raise DomainError("sweep needs non-empty grids")
+    if not (math.isfinite(lambda_hat) and lambda_hat >= 0.0):
+        raise DomainError(f"lambda_hat must be finite and >= 0, got {lambda_hat}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     if controls is None:
         controls = IntegratorControls()
-    if workers is None:
-        workers = int(os.environ.get("MONOPOLE_THREADS", "1"))
     args = [(a, betas, lambda_hat, controls) for a in alphas]
+    # the pool starts all its processes at once; a row keeps one busy
+    workers = min(workers, len(alphas))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, args))

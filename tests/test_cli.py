@@ -104,6 +104,30 @@ def test_frame_errors_exit_usage(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
+def test_oversized_profile_table_exits_usage(tmp_path, monkeypatch, capsys):
+    # the table spans up to t_max + REPORT_TAIL: a grid step that could
+    # give more than 10^6 rows is refused before the solve, from a flag or
+    # from a config file, and no file is written
+    monkeypatch.setattr(cli, "bisect_beta", None)
+    out = ["--out", str(tmp_path / "run")]
+    for step in ("1e-9", "1.9e-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--lambda-hat", "0", *QUICK, *out, "--grid-step", step])
+        assert exc.value.code == 1
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"grid_step = {step}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--lambda-hat", "0", *QUICK, *out, "--config", str(cfg)])
+        assert exc.value.code == 1
+        assert "profile rows" in capsys.readouterr().err
+    # a longer horizon lowers the finest step allowed
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--lambda-hat", "0", *QUICK, *out, "--t-max", "92",
+              "--grid-step", "9e-5"])
+    assert exc.value.code == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_solve_failure_exit_code(capsys):
     # handoff beyond the series' validity: the solver refuses to start
     rc = main(["solve", "--lambda-hat", "0", *QUICK, "--t0", "0.02"])
@@ -174,6 +198,27 @@ def test_sweep_empty_grid_exit_usage(capsys):
         main(["sweep", "--lambda-hat", "0", "--alphas", "",
               "--betas", "0.1"])
     assert exc.value.code == 1
+
+
+def test_sweep_workers_exit_usage(tmp_path, monkeypatch, capsys):
+    # refused before the sweep, from a flag or from a config file
+    with monkeypatch.context() as m:
+        m.setattr(cli, "sweep", None)
+        for workers in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--lambda-hat", "0", "--alphas", "0.3",
+                      "--betas", "0.1", "--workers", workers])
+            assert exc.value.code == 1
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("workers = 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--lambda-hat", "0", "--alphas", "0.3",
+                  "--betas", "0.1", "--config", str(cfg)])
+        assert exc.value.code == 1
+    # the worker count comes from --workers alone
+    monkeypatch.setenv("MONOPOLE_THREADS", "abc")
+    assert main(["sweep", "--lambda-hat", "0", "--alphas", "0.3",
+                 "--betas", "0.1", "--out", str(tmp_path / "grid.csv")]) == 0
 
 
 def test_config_file_overlay(tmp_path, capsys):

@@ -22,12 +22,22 @@ from monopole.model import ModelParams, nondimensionalize, ps_exact
 CONTROLS = IntegratorControls()
 
 
+def _ends(lo, hi):
+    """A Bracket of end Probes at lo (side -1) and hi (side +1), no distances."""
+    return Bracket(Probe(lo, -1, None, None), Probe(hi, 1, None, None))
+
+
 def test_bracket_validation():
     with pytest.raises(DomainError):
-        Bracket(lo=0.2, hi=0.1)
+        _ends(0.2, 0.1)
     with pytest.raises(DomainError):
-        Bracket(lo=-0.1, hi=0.2)
-    b = Bracket(lo=0.1, hi=0.4)
+        _ends(-0.1, 0.2)
+    # the ends must lie below and above the separatrix
+    with pytest.raises(DomainError):
+        Bracket(Probe(0.1, 1, None, None), Probe(0.4, -1, None, None))
+    with pytest.raises(DomainError):
+        Bracket(Probe(0.1, -1, None, None), Probe(0.4, 0, None, None))
+    b = _ends(0.1, 0.4)
     assert b.width == pytest.approx(0.3)
 
 
@@ -241,12 +251,12 @@ def test_bisect_alpha_on_a_plateau_distance(monkeypatch):
 
     monkeypatch.setattr(shooter, "_gauge_fate", fate)
     monkeypatch.setattr(shooter, "shoot", lambda point, lam, c: point)
-    br = Bracket(0.3, 0.5)
+    br = _ends(0.3, 0.5)
     res = bisect_alpha(br, 0.87, 1.0, CONTROLS, tol_alpha=1e-11)
     assert len(probes) <= _bisection_count(br.width, 1e-11) + 1
-    assert res.bracket.lo < root <= res.bracket.hi
-    assert res.achieved_width <= 1e-11
-    assert res.alpha_star == 0.5 * (res.bracket.lo + res.bracket.hi)
+    assert res.bracket.lo.x < root <= res.bracket.hi.x
+    assert res.bracket.width <= 1e-11
+    assert res.alpha_star == 0.5 * (res.bracket.lo.x + res.bracket.hi.x)
     assert res.resolved == "bisection"
     # off the plateau the distance -/+exp(-2 t_event) is linear on both
     # sides and the ITP steps pay off (bisection: 35 probes)
@@ -254,7 +264,7 @@ def test_bisect_alpha_on_a_plateau_distance(monkeypatch):
     plateau = False
     res = bisect_alpha(br, 0.87, 1.0, CONTROLS, tol_alpha=1e-11)
     assert len(probes) <= 15
-    assert res.bracket.lo < root <= res.bracket.hi
+    assert res.bracket.lo.x < root <= res.bracket.hi.x
     # a NaN tolerance compares false with every width and would skip the
     # narrowing altogether; it is refused before any probe
     probes.clear()
@@ -262,6 +272,31 @@ def test_bisect_alpha_on_a_plateau_distance(monkeypatch):
         with pytest.raises(DomainError):
             bisect_alpha(br, 0.87, 1.0, CONTROLS, tol_alpha=tol)
     assert probes == []
+
+
+def test_bisect_alpha_starts_from_the_finder_distances(monkeypatch):
+    # bracket_alpha's end Probes carry their distances into bisect_alpha:
+    # on a linear distance the first inner probe is ITP's first step from
+    # the regula falsi point (the root itself), not the midpoint
+    root = 0.2
+    probes = []
+
+    def fate(point, lambda_hat, controls):
+        probes.append(point.alpha)
+        d = point.alpha - root
+        tag = OutcomeTag.FPRIME_ZERO if d < 0.0 else OutcomeTag.F_ZERO
+        return Outcome(tag, t_event=-0.5 * math.log(abs(d))), None
+
+    monkeypatch.setattr(shooter, "_gauge_fate", fate)
+    monkeypatch.setattr(shooter, "shoot", lambda point, lam, c: point)
+    br = bracket_alpha(0.4, 0.0, CONTROLS)
+    assert probes == [1.0 / 6.0, 4.0 / 6.0]  # the seed, then 4x above the root
+    bisect_alpha(br, 0.4, 0.0, CONTROLS, tol_alpha=1e-9)
+    # ITP moves the regula falsi point 0.2 w0 toward the middle on its
+    # first step
+    first = probes[2]
+    assert first == pytest.approx(root + 0.2 * br.width, abs=1e-12)
+    assert 0.5 * (1.0 / 6.0 + 4.0 / 6.0) - first > 0.1
 
 
 def test_bisect_alpha_stops_on_a_probe_with_no_side(monkeypatch):
@@ -277,13 +312,13 @@ def test_bisect_alpha_stops_on_a_probe_with_no_side(monkeypatch):
         return fate
 
     monkeypatch.setattr(shooter, "shoot", lambda point, lam, c: point)
-    br = Bracket(0.3, 0.5)
+    br = _ends(0.3, 0.5)
     monkeypatch.setattr(shooter, "_gauge_fate", fate_with("rho"))
     res = bisect_alpha(br, 0.87, 1.0, CONTROLS, tol_alpha=1e-9)
     assert res.resolved == "rho_blowup"
     assert res.alpha_star == 0.4
-    assert (res.bracket.lo, res.bracket.hi) == (0.3, 0.5)
-    assert res.achieved_width == 0.5 - 0.3
+    assert (res.bracket.lo.x, res.bracket.hi.x) == (0.3, 0.5)
+    assert res.bracket.width == 0.5 - 0.3
     monkeypatch.setattr(shooter, "_gauge_fate", fate_with("f"))
     with pytest.raises(IntegrityError, match="gauge-channel blowup"):
         bisect_alpha(br, 0.87, 1.0, CONTROLS, tol_alpha=1e-9)
@@ -303,13 +338,13 @@ def test_bisect_beta_rejects_non_finite_inputs():
 
 def test_bracket_alpha_endpoints_disagree():
     br = bracket_alpha(0.1, 0.0, CONTROLS)
-    assert 0.0 < br.lo < br.hi
+    assert 0.0 < br.lo.x < br.hi.x
 
     def fate(alpha):
         out, _ = shooter._gauge_fate(ShootPoint(alpha, 0.1), 0.0, CONTROLS)
         return out.tag
-    assert fate(br.lo) is OutcomeTag.FPRIME_ZERO
-    assert fate(br.hi) is OutcomeTag.F_ZERO
+    assert fate(br.lo.x) is OutcomeTag.FPRIME_ZERO
+    assert fate(br.hi.x) is OutcomeTag.F_ZERO
 
 
 def test_bisect_alpha_resolves_separatrix():
@@ -318,7 +353,7 @@ def test_bisect_alpha_resolves_separatrix():
     br = bracket_alpha(0.1, 0.0, CONTROLS)
     res = bisect_alpha(br, 0.1, 0.0, CONTROLS, tol_alpha=1e-9)
     assert res.resolved == "bisection"
-    assert res.achieved_width <= 1e-9
+    assert res.bracket.width <= 1e-9
     assert_allclose(res.alpha_star, 0.05, rtol=0, atol=2e-9)
     # stepping off the separatrix flips the two gauge fates; the offset
     # needs the longer horizon to grow past the tube
@@ -336,9 +371,9 @@ def test_bisect_alpha_horizon_floor():
     br = bracket_alpha(0.5, 1.0, CONTROLS)
     res = bisect_alpha(br, 0.5, 1.0, CONTROLS, tol_alpha=1e-9)
     assert res.resolved == "horizon"
-    assert res.achieved_width > 1e-9
+    assert res.bracket.width > 1e-9
     assert res.trajectory.ended == "t_max"
-    assert br.lo < res.alpha_star < br.hi
+    assert br.lo.x < res.alpha_star < br.hi.x
 
 
 def test_gauge_fate_continues_the_run_to_a_longer_horizon():
@@ -417,6 +452,24 @@ def test_solve_report_bps(lam0, lam0_handoffs):
     assert lam0.beta_star == lam0.beta_star_hat
 
 
+def test_reported_profile_is_the_last_inner_run(monkeypatch):
+    # the last inner solve has already run (alpha*, beta*) at the final
+    # controls, and that run is the reported profile: it is shot once
+    shots = []
+    orig = shooter.shoot
+
+    def counting(point, lambda_hat, controls):
+        shots.append((point.alpha, point.beta, controls))
+        return orig(point, lambda_hat, controls)
+
+    monkeypatch.setattr(shooter, "shoot", counting)
+    rep = bisect_beta(0.0, polish=False)
+    assert rep.converged
+    assert shots.count((rep.alpha_star_hat, rep.beta_star_hat, rep.controls)) == 1
+    assert (rep.profile.base.alpha, rep.profile.base.beta) == \
+        (rep.alpha_star_hat, rep.beta_star_hat)
+
+
 def test_solve_verdict_at_lambda_1p5_is_honest(lam1):
     # lambda_hat = 1.5 sits at the edge of what origin-only shooting
     # resolves: a converged answer must pass the acceptance checks, and
@@ -434,7 +487,9 @@ def test_solve_verdict_at_lambda_1p5_is_honest(lam1):
 
 def test_solve_report_profile_matches_closed_form(lam0, lam0_handoffs):
     # f(10) rides the separatrix, where one ulp at the handoff moves it by
-    # up to ~1e-7; it gets 5e-7, twice the worst reading at eight radii
+    # up to ~1e-7; it gets 5e-7.  At t0 = 5e-4, 6e-4, 7e-4, 7.5e-4, 8e-4,
+    # 8.5e-4, 9e-4 and 1e-3 it reads 2.72e-7, 1.74e-7, 2.65e-7, 2.02e-7,
+    # 2.9e-8, 5.8e-9, 3.7e-8 and 1.6e-8
     for rep in [lam0, *lam0_handoffs]:
         g = rep.profile
         for t in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
@@ -472,6 +527,46 @@ def test_sweep_grid_and_order():
     # parallel execution returns the identical grid
     grid2 = sweep(alphas, betas, 0.0, controls=CONTROLS, workers=2)
     assert [r for r in grid2.rows()] == rows
+
+
+def test_sweep_rejects_bad_inputs(monkeypatch):
+    # refused before the first shot
+    monkeypatch.setattr(shooter, "shoot", None)
+    for workers in (0, -3):
+        with pytest.raises(DomainError, match="workers"):
+            sweep([0.3], [0.1], 0.0, workers=workers)
+    for lam in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError, match="lambda_hat"):
+            sweep([0.3], [0.1], lam)
+
+
+def test_sweep_starts_at_most_one_process_per_row(monkeypatch):
+    # the pool starts all max_workers processes on its first submit, so
+    # the count is capped at the row count; this pool maps in-process
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(shooter, "ProcessPoolExecutor", Pool)
+    short = replace(CONTROLS, t_max=3.0)
+    grid = sweep([0.05, 0.3], [0.1, 0.5], 0.0, controls=short, workers=5000)
+    assert pools == [2]
+    assert list(grid.rows()) == list(sweep([0.05, 0.3], [0.1, 0.5], 0.0,
+                                           controls=short).rows())
+    # a single row runs in this process
+    sweep([0.3], [0.1], 0.0, controls=short, workers=5000)
+    assert pools == [2]
 
 
 def test_sweep_prefers_rho_fate_when_informative():
