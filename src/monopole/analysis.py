@@ -75,7 +75,7 @@ def fit_decay(profile, window, component: str, n_samples: int = 201) -> DecayFit
     if n_samples < 10:
         raise FitDomainError("need at least 10 samples for a decay fit")
     ts = np.linspace(lo, hi, n_samples)
-    cols = np.asarray(traj.resample(ts))
+    cols = traj.resample(ts)
     lam = traj.lambda_hat
     if component == "f":
         vals = cols[:, 0]
@@ -190,7 +190,7 @@ def monotonicity_audit(profile, t_lo: float | None = None,
                 f"audit window [{lo}, {hi}] outside trajectory range")
         n = max(int(math.ceil((hi - lo) / 5e-3)) + 1, 2)
         ts = np.linspace(lo, hi, n)
-        cols = np.asarray(traj.resample(ts))
+        cols = traj.resample(ts)
         fs, fps, rhos, rhops = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
         window = (lo, hi)
     margins = {
@@ -239,7 +239,7 @@ def residual_norm(profile, t_hi: float | None = None, h: float = 1e-3,
             raise DomainError(f"residual window [{lo}, {hi}] outside trajectory")
         n = int(math.floor((hi - lo) / h)) + 1
         ts = lo + h * np.arange(n)
-        cols = np.asarray(traj.resample(ts))
+        cols = traj.resample(ts)
         fs, rhos = cols[:, 0], cols[:, 2]
     if len(ts) < 5:
         raise DomainError("need at least 5 samples for second differences")
@@ -290,7 +290,7 @@ def mass_integral(grafted, t_far: float = 400.0) -> float:
     head = (6.0 * alpha * alpha + 1.5 * beta * beta + 0.25 * lam) * t0 ** 3 / 3.0
 
     ts, h = _odd_grid(t0, tg, 2e-3)
-    cols = np.asarray(traj.resample(ts))
+    cols = traj.resample(ts)
     core = _simpson(_energy_density(ts, cols[:, 0], cols[:, 1], cols[:, 2],
                                     cols[:, 3], lam), h)
 

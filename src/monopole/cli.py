@@ -14,6 +14,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import analysis
 from .errors import MonopoleError
 from .integrator import IntegratorControls
@@ -187,20 +189,22 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _profile_table(grafted, step: float) -> list:
+def _profile_table(grafted, step: float) -> tuple:
     # Snap the step so the grid lands exactly on t_report; a uniform grid
-    # lets the CSV be fed straight back into residual_norm.
+    # lets the CSV be fed straight back into residual_norm.  Returns the
+    # radii and the (n, 4) rows of (f, f', rho, rho') there.
     t_lo = grafted.base.ts[0]
     span = grafted.t_report - t_lo
     n = max(int(round(span / step)), 4)
     h = span / n
-    return [grafted.state_at(t_lo + i * h) for i in range(n + 1)]
+    ts = t_lo + np.arange(n + 1) * h
+    return ts, grafted.table(ts)
 
 
-def _profile_csv(states) -> str:
+def _profile_csv(ts, rows) -> str:
     lines = ["t,f,fp,rho,rhop"]
-    for s in states:
-        lines.append(",".join(_fmt(v) for v in (s.t, s.f, s.fp, s.rho, s.rhop)))
+    for t, row in zip(ts.tolist(), rows.tolist()):
+        lines.append(",".join(_fmt(v) for v in (t, *row)))
     return "\n".join(lines) + "\n"
 
 
@@ -223,13 +227,12 @@ def _cmd_solve(ns: argparse.Namespace, parser) -> int:
     d = _report_dict(report)
     csv_text = None
     if ns.profile_out and report.profile is not None:
-        states = _profile_table(report.profile, ns.grid_step)
-        csv_text = _profile_csv(states)
+        ts, rows = _profile_table(report.profile, ns.grid_step)
+        csv_text = _profile_csv(ts, rows)
         # Residual of the samples as written, so the CSV can be re-read and
         # checked against the report without touching the solver state.
         d["profile_residual"] = analysis.residual_norm(
-            (tuple(s.t for s in states), tuple(s.f for s in states),
-             tuple(s.rho for s in states)), lambda_hat=report.lambda_hat)
+            (ts, rows[:, 0], rows[:, 2]), lambda_hat=report.lambda_hat)
     text = json.dumps(d, sort_keys=True, indent=2) + "\n"
     try:
         _write_text(ns.report_out, text)

@@ -11,6 +11,14 @@ components rather than delegated to a library so that step acceptance,
 event refinement, and termination are bit-reproducible for a given
 control block, which the outer bisections rely on.
 
+The thirteen stages are inlined in _advance with exactly model._rhs's
+operations in its order; model._rhs stays the one reference for the
+field equations, and a test pins every stored stage to it with ==.  The
+event scan runs only on a step where one of the five sign tests fires,
+and bisects each crossing on the one interpolant component that changes
+sign.  resample evaluates an array of radii in one batch, with the
+interpolant's arithmetic applied elementwise in the same order.
+
 Event taxonomy (first-order system y = (f, f', rho, rho')):
 
   FPrimeZero   f' crosses 0 upward while 0 < f < 1   (gauge field turns back up)
@@ -37,6 +45,8 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from operator import mul
+
+import numpy as np
 
 from .errors import DomainError, IntegrityError, NoEventError, StiffnessError
 from .model import PhaseState, _rhs
@@ -207,8 +217,9 @@ _D = (
 class DenseSegment:
     """Seventh-order DOP853 interpolant over one accepted step [t, t + h].
 
-    The segment keeps the step's thirteen stages and builds the
-    interpolant on its first eval, at the cost of three more right-hand
+    The segment keeps the step's thirteen stages, as four columns of
+    thirteen derivatives (of f, f', rho and rho'), and builds the
+    interpolant on its first read, at the cost of three more right-hand
     side calls: only steps whose end values bracket an event, and
     state_at or resample, ever pay for it.
     """
@@ -228,7 +239,7 @@ class DenseSegment:
     def _coeffs(self):
         if self._q is None:
             t, h, y0 = self.t, self.h, self.y0
-            cols = [list(c) for c in zip(*self._k)]
+            cols = [list(c) for c in self._k]
             for c, row in zip(_C_EXTRA, _A_EXTRA):
                 k = _rhs(t + c * h,
                          *[y0[i] + h * sum(map(mul, row, cols[i])) for i in range(4)],
@@ -257,9 +268,19 @@ class DenseSegment:
         return (_horner(f, a, x, u), _horner(fp, b, x, u),
                 _horner(rho, c, x, u), _horner(rhop, d, x, u))
 
+    def component(self, i: int):
+        """Component i of eval as a function of t alone, for event bisection."""
+        q, y, t0, h = self._coeffs()[i], self.y0[i], self.t, self.h
 
-def _horner(y: float, c: tuple, x: float, u: float) -> float:
-    # One component of the interpolant at theta = x, with u = 1 - x.
+        def value(t: float) -> float:
+            x = (t - t0) / h
+            return _horner(y, q, x, 1.0 - x)
+        return value
+
+
+def _horner(y, c, x, u):
+    # One component of the interpolant at theta = x, with u = 1 - x; the
+    # arguments are floats, or numpy arrays with one entry per radius.
     c0, c1, c2, c3, c4, c5, c6 = c
     return y + x * (c0 + u * (c1 + x * (c2 + u * (c3 + x * (c4 + u * (c5 + x * c6))))))
 
@@ -314,20 +335,40 @@ class Trajectory:
         i = min(max(i, 0), len(self.segments) - 1)
         return PhaseState(t, *self.segments[i].eval(t))
 
-    def resample(self, ts):
-        """Dense-output samples at an increasing sequence of radii.
+    def resample(self, ts) -> np.ndarray:
+        """Dense-output samples at a sequence of radii, in one batch.
 
-        Returns a list of (f, f', rho, rho') tuples aligned with ts.
+        Returns an (n, 4) array of (f, f', rho, rho') rows aligned with
+        ts.  A radius is read off the first segment that ends at or after
+        it, so one on a step boundary comes from the step it ends.
         """
-        out = []
-        i = 0
-        last = len(self.segments) - 1
-        for t in ts:
-            if not (self.ts[0] <= t <= self.ts[-1]):
-                raise DomainError(f"resample point {t} outside trajectory range")
-            while i < last and self.segments[i].t_end < t:
-                i += 1
-            out.append(self.segments[i].eval(t))
+        ts = np.asarray(ts, dtype=float)
+        return self._dense(ts, np.searchsorted(self.ts[1:], ts))
+
+    def _state_rows(self, ts: np.ndarray) -> np.ndarray:
+        # state_at at every radius of ts, in one batch: each radius on the
+        # last segment that starts at or before it
+        seg = np.searchsorted(self.ts, ts, "right") - 1
+        return self._dense(ts, np.minimum(seg, len(self.segments) - 1))
+
+    def _dense(self, ts: np.ndarray, seg: np.ndarray) -> np.ndarray:
+        # Rows of the interpolant of segment seg[j] at ts[j]: the arithmetic
+        # of DenseSegment.eval, one numpy operation per step of it.
+        if not self.segments:
+            raise DomainError("trajectory stores no dense segments")
+        inside = (ts >= self.ts[0]) & (ts <= self.ts[-1])
+        if not inside.all():
+            raise DomainError(f"dense-output point {ts[~inside][0]} outside trajectory "
+                              f"range [{self.ts[0]}, {self.ts[-1]}]")
+        used, pos = np.unique(seg, return_inverse=True)
+        segs = [self.segments[i] for i in used]
+        q = np.array([s._coeffs() for s in segs]).reshape(len(segs), 4, 7)
+        y0 = np.array([s.y0 for s in segs]).reshape(len(segs), 4)
+        x = (ts - np.array([s.t for s in segs])[pos]) / np.array([s.h for s in segs])[pos]
+        u = 1.0 - x
+        out = np.empty((len(ts), 4))
+        for i in range(4):
+            out[:, i] = _horner(y0[pos, i], q[pos, i].T, x, u)
         return out
 
 
@@ -451,122 +492,173 @@ def extend(traj: Trajectory, controls: IntegratorControls) -> Trajectory:
 
 
 def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
-    """Step on from the last sample of traj, with FSAL stage k1 and trial step h."""
+    """Step on from the last sample of traj, with FSAL stage k1 and trial step h.
+
+    The stages are written out inline.  A stage's f and rho derivatives
+    are its own f' and rho' values, so only f'' and rho'' are computed,
+    with exactly model._rhs's operations in its order, which keeps every
+    step bit-identical to calling _rhs.
+    """
     t = traj.ts[-1]
     # The accepted state is one tuple shared by the sample list, the next
     # segment and the event scan; f, fp, rho, rhop are its components.
     y_acc = traj.ys[-1]
     f, fp, rho, rhop = y_acc
+    k1f, k1fp, k1r, k1rp = k1
 
     lam = traj.lambda_hat
     controls = traj.controls
     rel, atol = controls.rel_tol, controls.abs_tol
     t_max, max_step = controls.t_max, controls.max_step
     bound, slope_bound = _BLOWUP_BOUND, _BLOWUP_SLOPE
+    isfinite = math.isfinite
+    add_t, add_y, add_seg = traj.ts.append, traj.ys.append, traj.segments.append
 
     while t < t_max:
         if t + h >= t_max:
             if traj._resume is None:
                 traj._resume = (len(traj.segments), len(traj.f_events),
-                                len(traj.rho_events), k1, h)
+                                len(traj.rho_events), (k1f, k1fp, k1r, k1rp), h)
             h = t_max - t
             if h <= 1e-13 * max(1.0, t):
                 break  # horizon reached to float resolution
-        k1f, k1fp, k1r, k1rp = k1
-        k2 = _rhs(t + _C2 * h,
-                  f + h * (_A2_1 * k1f),
-                  fp + h * (_A2_1 * k1fp),
-                  rho + h * (_A2_1 * k1r),
-                  rhop + h * (_A2_1 * k1rp), lam)
-        k2f, k2fp, k2r, k2rp = k2
-        k3 = _rhs(t + _C3 * h,
-                  f + h * (_A3_1 * k1f + _A3_2 * k2f),
-                  fp + h * (_A3_1 * k1fp + _A3_2 * k2fp),
-                  rho + h * (_A3_1 * k1r + _A3_2 * k2r),
-                  rhop + h * (_A3_1 * k1rp + _A3_2 * k2rp), lam)
-        k3f, k3fp, k3r, k3rp = k3
-        k4 = _rhs(t + _C4 * h,
-                  f + h * (_A4_1 * k1f + _A4_3 * k3f),
-                  fp + h * (_A4_1 * k1fp + _A4_3 * k3fp),
-                  rho + h * (_A4_1 * k1r + _A4_3 * k3r),
-                  rhop + h * (_A4_1 * k1rp + _A4_3 * k3rp), lam)
-        k4f, k4fp, k4r, k4rp = k4
-        k5 = _rhs(t + _C5 * h,
-                  f + h * (_A5_1 * k1f + _A5_3 * k3f + _A5_4 * k4f),
-                  fp + h * (_A5_1 * k1fp + _A5_3 * k3fp + _A5_4 * k4fp),
-                  rho + h * (_A5_1 * k1r + _A5_3 * k3r + _A5_4 * k4r),
-                  rhop + h * (_A5_1 * k1rp + _A5_3 * k3rp + _A5_4 * k4rp), lam)
-        k5f, k5fp, k5r, k5rp = k5
-        k6 = _rhs(t + _C6 * h,
-                  f + h * (_A6_1 * k1f + _A6_4 * k4f + _A6_5 * k5f),
-                  fp + h * (_A6_1 * k1fp + _A6_4 * k4fp + _A6_5 * k5fp),
-                  rho + h * (_A6_1 * k1r + _A6_4 * k4r + _A6_5 * k5r),
-                  rhop + h * (_A6_1 * k1rp + _A6_4 * k4rp + _A6_5 * k5rp), lam)
-        k6f, k6fp, k6r, k6rp = k6
-        k7 = _rhs(t + _C7 * h,
-                  f + h * (_A7_1 * k1f + _A7_4 * k4f + _A7_5 * k5f + _A7_6 * k6f),
-                  fp + h * (_A7_1 * k1fp + _A7_4 * k4fp + _A7_5 * k5fp + _A7_6 * k6fp),
-                  rho + h * (_A7_1 * k1r + _A7_4 * k4r + _A7_5 * k5r + _A7_6 * k6r),
-                  rhop + h * (_A7_1 * k1rp + _A7_4 * k4rp + _A7_5 * k5rp + _A7_6 * k6rp), lam)
-        k7f, k7fp, k7r, k7rp = k7
-        k8 = _rhs(t + _C8 * h,
-                  f + h * (_A8_1 * k1f + _A8_4 * k4f + _A8_5 * k5f + _A8_6 * k6f
-                           + _A8_7 * k7f),
-                  fp + h * (_A8_1 * k1fp + _A8_4 * k4fp + _A8_5 * k5fp + _A8_6 * k6fp
-                            + _A8_7 * k7fp),
-                  rho + h * (_A8_1 * k1r + _A8_4 * k4r + _A8_5 * k5r + _A8_6 * k6r
-                             + _A8_7 * k7r),
-                  rhop + h * (_A8_1 * k1rp + _A8_4 * k4rp + _A8_5 * k5rp + _A8_6 * k6rp
-                              + _A8_7 * k7rp), lam)
-        k8f, k8fp, k8r, k8rp = k8
-        k9 = _rhs(t + _C9 * h,
-                  f + h * (_A9_1 * k1f + _A9_4 * k4f + _A9_5 * k5f + _A9_6 * k6f
-                           + _A9_7 * k7f + _A9_8 * k8f),
-                  fp + h * (_A9_1 * k1fp + _A9_4 * k4fp + _A9_5 * k5fp + _A9_6 * k6fp
-                            + _A9_7 * k7fp + _A9_8 * k8fp),
-                  rho + h * (_A9_1 * k1r + _A9_4 * k4r + _A9_5 * k5r + _A9_6 * k6r
-                             + _A9_7 * k7r + _A9_8 * k8r),
-                  rhop + h * (_A9_1 * k1rp + _A9_4 * k4rp + _A9_5 * k5rp + _A9_6 * k6rp
-                              + _A9_7 * k7rp + _A9_8 * k8rp), lam)
-        k9f, k9fp, k9r, k9rp = k9
-        k10 = _rhs(t + _C10 * h,
-                   f + h * (_A10_1 * k1f + _A10_4 * k4f + _A10_5 * k5f + _A10_6 * k6f
-                            + _A10_7 * k7f + _A10_8 * k8f + _A10_9 * k9f),
-                   fp + h * (_A10_1 * k1fp + _A10_4 * k4fp + _A10_5 * k5fp + _A10_6 * k6fp
-                             + _A10_7 * k7fp + _A10_8 * k8fp + _A10_9 * k9fp),
-                   rho + h * (_A10_1 * k1r + _A10_4 * k4r + _A10_5 * k5r + _A10_6 * k6r
-                              + _A10_7 * k7r + _A10_8 * k8r + _A10_9 * k9r),
-                   rhop + h * (_A10_1 * k1rp + _A10_4 * k4rp + _A10_5 * k5rp + _A10_6 * k6rp
-                               + _A10_7 * k7rp + _A10_8 * k8rp + _A10_9 * k9rp), lam)
-        k10f, k10fp, k10r, k10rp = k10
-        k11 = _rhs(t + _C11 * h,
-                   f + h * (_A11_1 * k1f + _A11_4 * k4f + _A11_5 * k5f + _A11_6 * k6f
-                            + _A11_7 * k7f + _A11_8 * k8f + _A11_9 * k9f + _A11_10 * k10f),
-                   fp + h * (_A11_1 * k1fp + _A11_4 * k4fp + _A11_5 * k5fp + _A11_6 * k6fp
-                             + _A11_7 * k7fp + _A11_8 * k8fp + _A11_9 * k9fp
-                             + _A11_10 * k10fp),
-                   rho + h * (_A11_1 * k1r + _A11_4 * k4r + _A11_5 * k5r + _A11_6 * k6r
-                              + _A11_7 * k7r + _A11_8 * k8r + _A11_9 * k9r + _A11_10 * k10r),
-                   rhop + h * (_A11_1 * k1rp + _A11_4 * k4rp + _A11_5 * k5rp + _A11_6 * k6rp
-                               + _A11_7 * k7rp + _A11_8 * k8rp + _A11_9 * k9rp
-                               + _A11_10 * k10rp), lam)
-        k11f, k11fp, k11r, k11rp = k11
-        k12 = _rhs(t + h,
-                   f + h * (_A12_1 * k1f + _A12_4 * k4f + _A12_5 * k5f + _A12_6 * k6f
-                            + _A12_7 * k7f + _A12_8 * k8f + _A12_9 * k9f + _A12_10 * k10f
-                            + _A12_11 * k11f),
-                   fp + h * (_A12_1 * k1fp + _A12_4 * k4fp + _A12_5 * k5fp + _A12_6 * k6fp
-                             + _A12_7 * k7fp + _A12_8 * k8fp + _A12_9 * k9fp
-                             + _A12_10 * k10fp + _A12_11 * k11fp),
-                   rho + h * (_A12_1 * k1r + _A12_4 * k4r + _A12_5 * k5r + _A12_6 * k6r
-                              + _A12_7 * k7r + _A12_8 * k8r + _A12_9 * k9r + _A12_10 * k10r
-                              + _A12_11 * k11r),
-                   rhop + h * (_A12_1 * k1rp + _A12_4 * k4rp + _A12_5 * k5rp + _A12_6 * k6rp
-                               + _A12_7 * k7rp + _A12_8 * k8rp + _A12_9 * k9rp
-                               + _A12_10 * k10rp + _A12_11 * k11rp), lam)
-        k12f, k12fp, k12r, k12rp = k12
-        fn = f + h * (_B1 * k1f + _B6 * k6f + _B7 * k7f + _B8 * k8f + _B9 * k9f + _B10 * k10f
-                      + _B11 * k11f + _B12 * k12f)
+        # Stage j at time s and state (g, kjf, r, kjr): kjf and kjr are
+        # the derivatives of f and rho, kjfp and kjrp those of f' and rho'.
+        s = t + _C2 * h
+        g = f + h * (_A2_1 * k1f)
+        k2f = fp + h * (_A2_1 * k1fp)
+        r = rho + h * (_A2_1 * k1r)
+        k2r = rhop + h * (_A2_1 * k1rp)
+        s2 = s * s
+        gg = g * g
+        k2fp = g * ((gg - 1.0) / s2 + r * r)
+        k2rp = -2.0 * k2r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+
+        s = t + _C3 * h
+        g = f + h * (_A3_1 * k1f + _A3_2 * k2f)
+        k3f = fp + h * (_A3_1 * k1fp + _A3_2 * k2fp)
+        r = rho + h * (_A3_1 * k1r + _A3_2 * k2r)
+        k3r = rhop + h * (_A3_1 * k1rp + _A3_2 * k2rp)
+        s2 = s * s
+        gg = g * g
+        k3fp = g * ((gg - 1.0) / s2 + r * r)
+        k3rp = -2.0 * k3r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+
+        s = t + _C4 * h
+        g = f + h * (_A4_1 * k1f + _A4_3 * k3f)
+        k4f = fp + h * (_A4_1 * k1fp + _A4_3 * k3fp)
+        r = rho + h * (_A4_1 * k1r + _A4_3 * k3r)
+        k4r = rhop + h * (_A4_1 * k1rp + _A4_3 * k3rp)
+        s2 = s * s
+        gg = g * g
+        k4fp = g * ((gg - 1.0) / s2 + r * r)
+        k4rp = -2.0 * k4r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+
+        s = t + _C5 * h
+        g = f + h * (_A5_1 * k1f + _A5_3 * k3f + _A5_4 * k4f)
+        k5f = fp + h * (_A5_1 * k1fp + _A5_3 * k3fp + _A5_4 * k4fp)
+        r = rho + h * (_A5_1 * k1r + _A5_3 * k3r + _A5_4 * k4r)
+        k5r = rhop + h * (_A5_1 * k1rp + _A5_3 * k3rp + _A5_4 * k4rp)
+        s2 = s * s
+        gg = g * g
+        k5fp = g * ((gg - 1.0) / s2 + r * r)
+        k5rp = -2.0 * k5r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+
+        s = t + _C6 * h
+        g = f + h * (_A6_1 * k1f + _A6_4 * k4f + _A6_5 * k5f)
+        k6f = fp + h * (_A6_1 * k1fp + _A6_4 * k4fp + _A6_5 * k5fp)
+        r = rho + h * (_A6_1 * k1r + _A6_4 * k4r + _A6_5 * k5r)
+        k6r = rhop + h * (_A6_1 * k1rp + _A6_4 * k4rp + _A6_5 * k5rp)
+        s2 = s * s
+        gg = g * g
+        k6fp = g * ((gg - 1.0) / s2 + r * r)
+        k6rp = -2.0 * k6r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+
+        s = t + _C7 * h
+        g = f + h * (_A7_1 * k1f + _A7_4 * k4f + _A7_5 * k5f + _A7_6 * k6f)
+        k7f = fp + h * (_A7_1 * k1fp + _A7_4 * k4fp + _A7_5 * k5fp + _A7_6 * k6fp)
+        r = rho + h * (_A7_1 * k1r + _A7_4 * k4r + _A7_5 * k5r + _A7_6 * k6r)
+        k7r = rhop + h * (_A7_1 * k1rp + _A7_4 * k4rp + _A7_5 * k5rp + _A7_6 * k6rp)
+        s2 = s * s
+        gg = g * g
+        k7fp = g * ((gg - 1.0) / s2 + r * r)
+        k7rp = -2.0 * k7r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+
+        s = t + _C8 * h
+        g = f + h * (_A8_1 * k1f + _A8_4 * k4f + _A8_5 * k5f + _A8_6 * k6f + _A8_7 * k7f)
+        k8f = fp + h * (_A8_1 * k1fp + _A8_4 * k4fp + _A8_5 * k5fp + _A8_6 * k6fp
+                        + _A8_7 * k7fp)
+        r = rho + h * (_A8_1 * k1r + _A8_4 * k4r + _A8_5 * k5r + _A8_6 * k6r + _A8_7 * k7r)
+        k8r = rhop + h * (_A8_1 * k1rp + _A8_4 * k4rp + _A8_5 * k5rp + _A8_6 * k6rp
+                          + _A8_7 * k7rp)
+        s2 = s * s
+        gg = g * g
+        k8fp = g * ((gg - 1.0) / s2 + r * r)
+        k8rp = -2.0 * k8r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+
+        s = t + _C9 * h
+        g = f + h * (_A9_1 * k1f + _A9_4 * k4f + _A9_5 * k5f + _A9_6 * k6f + _A9_7 * k7f
+                     + _A9_8 * k8f)
+        k9f = fp + h * (_A9_1 * k1fp + _A9_4 * k4fp + _A9_5 * k5fp + _A9_6 * k6fp
+                        + _A9_7 * k7fp + _A9_8 * k8fp)
+        r = rho + h * (_A9_1 * k1r + _A9_4 * k4r + _A9_5 * k5r + _A9_6 * k6r + _A9_7 * k7r
+                       + _A9_8 * k8r)
+        k9r = rhop + h * (_A9_1 * k1rp + _A9_4 * k4rp + _A9_5 * k5rp + _A9_6 * k6rp
+                          + _A9_7 * k7rp + _A9_8 * k8rp)
+        s2 = s * s
+        gg = g * g
+        k9fp = g * ((gg - 1.0) / s2 + r * r)
+        k9rp = -2.0 * k9r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+
+        s = t + _C10 * h
+        g = f + h * (_A10_1 * k1f + _A10_4 * k4f + _A10_5 * k5f + _A10_6 * k6f
+                     + _A10_7 * k7f + _A10_8 * k8f + _A10_9 * k9f)
+        k10f = fp + h * (_A10_1 * k1fp + _A10_4 * k4fp + _A10_5 * k5fp + _A10_6 * k6fp
+                         + _A10_7 * k7fp + _A10_8 * k8fp + _A10_9 * k9fp)
+        r = rho + h * (_A10_1 * k1r + _A10_4 * k4r + _A10_5 * k5r + _A10_6 * k6r
+                       + _A10_7 * k7r + _A10_8 * k8r + _A10_9 * k9r)
+        k10r = rhop + h * (_A10_1 * k1rp + _A10_4 * k4rp + _A10_5 * k5rp + _A10_6 * k6rp
+                           + _A10_7 * k7rp + _A10_8 * k8rp + _A10_9 * k9rp)
+        s2 = s * s
+        gg = g * g
+        k10fp = g * ((gg - 1.0) / s2 + r * r)
+        k10rp = -2.0 * k10r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+
+        s = t + _C11 * h
+        g = f + h * (_A11_1 * k1f + _A11_4 * k4f + _A11_5 * k5f + _A11_6 * k6f
+                     + _A11_7 * k7f + _A11_8 * k8f + _A11_9 * k9f + _A11_10 * k10f)
+        k11f = fp + h * (_A11_1 * k1fp + _A11_4 * k4fp + _A11_5 * k5fp + _A11_6 * k6fp
+                         + _A11_7 * k7fp + _A11_8 * k8fp + _A11_9 * k9fp + _A11_10 * k10fp)
+        r = rho + h * (_A11_1 * k1r + _A11_4 * k4r + _A11_5 * k5r + _A11_6 * k6r
+                       + _A11_7 * k7r + _A11_8 * k8r + _A11_9 * k9r + _A11_10 * k10r)
+        k11r = rhop + h * (_A11_1 * k1rp + _A11_4 * k4rp + _A11_5 * k5rp + _A11_6 * k6rp
+                           + _A11_7 * k7rp + _A11_8 * k8rp + _A11_9 * k9rp
+                           + _A11_10 * k10rp)
+        s2 = s * s
+        gg = g * g
+        k11fp = g * ((gg - 1.0) / s2 + r * r)
+        k11rp = -2.0 * k11r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+
+        s = t + h
+        g = f + h * (_A12_1 * k1f + _A12_4 * k4f + _A12_5 * k5f + _A12_6 * k6f
+                     + _A12_7 * k7f + _A12_8 * k8f + _A12_9 * k9f + _A12_10 * k10f
+                     + _A12_11 * k11f)
+        k12f = fp + h * (_A12_1 * k1fp + _A12_4 * k4fp + _A12_5 * k5fp + _A12_6 * k6fp
+                         + _A12_7 * k7fp + _A12_8 * k8fp + _A12_9 * k9fp + _A12_10 * k10fp
+                         + _A12_11 * k11fp)
+        r = rho + h * (_A12_1 * k1r + _A12_4 * k4r + _A12_5 * k5r + _A12_6 * k6r
+                       + _A12_7 * k7r + _A12_8 * k8r + _A12_9 * k9r + _A12_10 * k10r
+                       + _A12_11 * k11r)
+        k12r = rhop + h * (_A12_1 * k1rp + _A12_4 * k4rp + _A12_5 * k5rp + _A12_6 * k6rp
+                           + _A12_7 * k7rp + _A12_8 * k8rp + _A12_9 * k9rp + _A12_10 * k10rp
+                           + _A12_11 * k11rp)
+        s2 = s * s
+        gg = g * g
+        k12fp = g * ((gg - 1.0) / s2 + r * r)
+        k12rp = -2.0 * k12r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+
+        fn = f + h * (_B1 * k1f + _B6 * k6f + _B7 * k7f + _B8 * k8f + _B9 * k9f
+                      + _B10 * k10f + _B11 * k11f + _B12 * k12f)
         fpn = fp + h * (_B1 * k1fp + _B6 * k6fp + _B7 * k7fp + _B8 * k8fp + _B9 * k9fp
                         + _B10 * k10fp + _B11 * k11fp + _B12 * k12fp)
         rn = rho + h * (_B1 * k1r + _B6 * k6r + _B7 * k7r + _B8 * k8r + _B9 * k9r
@@ -574,24 +666,37 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
         rpn = rhop + h * (_B1 * k1rp + _B6 * k6rp + _B7 * k7rp + _B8 * k8rp + _B9 * k9rp
                           + _B10 * k10rp + _B11 * k11rp + _B12 * k12rp)
 
-        if not (math.isfinite(fn) and math.isfinite(fpn)
-                and math.isfinite(rn) and math.isfinite(rpn)):
+        if not (isfinite(fn) and isfinite(fpn) and isfinite(rn) and isfinite(rpn)):
             traj.ended = "blowup"
             traj.blowup_channel = "nonfinite"
             return
 
         # Hairer's error norm: the rms of the fifth-order estimate e5 times
         # |e5| / |(e5, e3 / 10)|, a factor near 1 unless the third-order
-        # estimate e3 is more than ten times larger.
-        e5 = e3 = 0.0
-        for i, yo, yn in ((0, f, fn), (1, fp, fpn), (2, rho, rn), (3, rhop, rpn)):
-            sc = atol + rel * max(abs(yo), abs(yn))
-            e5 += ((_E5_1 * k1[i] + _E5_6 * k6[i] + _E5_7 * k7[i] + _E5_8 * k8[i]
-                    + _E5_9 * k9[i] + _E5_10 * k10[i] + _E5_11 * k11[i]
-                    + _E5_12 * k12[i]) / sc) ** 2
-            e3 += ((_E3_1 * k1[i] + _E3_6 * k6[i] + _E3_7 * k7[i] + _E3_8 * k8[i]
-                    + _E3_9 * k9[i] + _E3_10 * k10[i] + _E3_11 * k11[i]
-                    + _E3_12 * k12[i]) / sc) ** 2
+        # estimate e3 is more than ten times larger.  a and b are the
+        # scaled fifth- and third-order estimates of each component.
+        sf = atol + rel * max(abs(f), abs(fn))
+        sfp = atol + rel * max(abs(fp), abs(fpn))
+        sr = atol + rel * max(abs(rho), abs(rn))
+        srp = atol + rel * max(abs(rhop), abs(rpn))
+        af = (_E5_1 * k1f + _E5_6 * k6f + _E5_7 * k7f + _E5_8 * k8f
+              + _E5_9 * k9f + _E5_10 * k10f + _E5_11 * k11f + _E5_12 * k12f) / sf
+        afp = (_E5_1 * k1fp + _E5_6 * k6fp + _E5_7 * k7fp + _E5_8 * k8fp
+               + _E5_9 * k9fp + _E5_10 * k10fp + _E5_11 * k11fp + _E5_12 * k12fp) / sfp
+        ar = (_E5_1 * k1r + _E5_6 * k6r + _E5_7 * k7r + _E5_8 * k8r
+              + _E5_9 * k9r + _E5_10 * k10r + _E5_11 * k11r + _E5_12 * k12r) / sr
+        arp = (_E5_1 * k1rp + _E5_6 * k6rp + _E5_7 * k7rp + _E5_8 * k8rp
+               + _E5_9 * k9rp + _E5_10 * k10rp + _E5_11 * k11rp + _E5_12 * k12rp) / srp
+        bf = (_E3_1 * k1f + _E3_6 * k6f + _E3_7 * k7f + _E3_8 * k8f
+              + _E3_9 * k9f + _E3_10 * k10f + _E3_11 * k11f + _E3_12 * k12f) / sf
+        bfp = (_E3_1 * k1fp + _E3_6 * k6fp + _E3_7 * k7fp + _E3_8 * k8fp
+               + _E3_9 * k9fp + _E3_10 * k10fp + _E3_11 * k11fp + _E3_12 * k12fp) / sfp
+        br = (_E3_1 * k1r + _E3_6 * k6r + _E3_7 * k7r + _E3_8 * k8r
+              + _E3_9 * k9r + _E3_10 * k10r + _E3_11 * k11r + _E3_12 * k12r) / sr
+        brp = (_E3_1 * k1rp + _E3_6 * k6rp + _E3_7 * k7rp + _E3_8 * k8rp
+               + _E3_9 * k9rp + _E3_10 * k10rp + _E3_11 * k11rp + _E3_12 * k12rp) / srp
+        e5 = af ** 2 + afp ** 2 + ar ** 2 + arp ** 2
+        e3 = bf ** 2 + bfp ** 2 + br ** 2 + brp ** 2
         err = 0.0 if e5 == 0.0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * 4.0)
 
         if err > 1.0:
@@ -600,16 +705,28 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
                 raise StiffnessError(f"step size underflow at t = {t}")
             continue
 
+        # stage 13, the next step's first, at the accepted state
+        s = t + h
+        s2 = s * s
+        gg = fn * fn
+        k13fp = fn * ((gg - 1.0) / s2 + rn * rn)
+        k13rp = -2.0 * rpn / s + 2.0 * gg * rn / s2 + lam * (rn * rn - 1.0) * rn
         y_new = (fn, fpn, rn, rpn)
-        k13 = _rhs(t + h, fn, fpn, rn, rpn, lam)
-        seg = DenseSegment(t, h, y_acc, y_new, (k1, k2, k3, k4, k5, k6, k7, k8, k9,
-                                                k10, k11, k12, k13), lam)
-        terminal = _scan_events(traj, seg, y_acc, y_new)
-        traj.segments.append(seg)
+        seg = DenseSegment(t, h, y_acc, y_new, (
+            (k1f, k2f, k3f, k4f, k5f, k6f, k7f, k8f, k9f, k10f, k11f, k12f, fpn),
+            (k1fp, k2fp, k3fp, k4fp, k5fp, k6fp, k7fp, k8fp, k9fp, k10fp, k11fp, k12fp, k13fp),
+            (k1r, k2r, k3r, k4r, k5r, k6r, k7r, k8r, k9r, k10r, k11r, k12r, rpn),
+            (k1rp, k2rp, k3rp, k4rp, k5rp, k6rp, k7rp, k8rp, k9rp, k10rp, k11rp, k12rp, k13rp),
+        ), lam)
+        # the five event functions of _scan_events; most steps change none
+        terminal = ((fp < 0.0 <= fpn or f > 0.0 >= fn or rhop > 0.0 >= rpn
+                     or rho < 1.0 <= rn or rho > 0.0 >= rn)
+                    and _scan_events(traj, seg, y_acc, y_new))
+        add_seg(seg)
         t += h
         f, fp, rho, rhop = y_acc = y_new
-        traj.ts.append(t)
-        traj.ys.append(y_acc)
+        add_t(t)
+        add_y(y_acc)
         if terminal:
             traj.ended = "event"
             return
@@ -618,7 +735,7 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
             traj.blowup_channel = ("rho" if rn > bound else
                                    "f" if abs(fn) > bound else "slope")
             return
-        k1 = k13  # first-same-as-last
+        k1f, k1fp, k1r, k1rp = fpn, k13fp, rpn, k13rp  # first-same-as-last
         fac = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.125))
         h = min(h * fac, max_step)
 
@@ -626,23 +743,22 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
 
 
 def _scan_events(traj: Trajectory, seg: DenseSegment, ya: tuple, yb: tuple) -> bool:
-    """Refine sign changes over one accepted step.  True if a terminal event fired."""
+    """Refine sign changes over one accepted step.  True if a terminal event fired.
+
+    Each crossing is bisected on the one interpolant component whose sign
+    changes, and the full state is read once at the refined time.
+    """
     found = []  # (t, kind, state)
-    if ya[1] < 0.0 <= yb[1]:
-        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[1])
-        found.append((t_e, OutcomeTag.FPRIME_ZERO, s))
-    if ya[0] > 0.0 >= yb[0]:
-        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[0])
-        found.append((t_e, OutcomeTag.F_ZERO, s))
-    if ya[3] > 0.0 >= yb[3]:
-        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[3])
-        found.append((t_e, OutcomeTag.RHO_PRIME_ZERO, s))
-    if ya[2] < 1.0 <= yb[2]:
-        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[2] - 1.0)
-        found.append((t_e, OutcomeTag.RHO_CROSS_VEV, s))
-    if ya[2] > 0.0 >= yb[2]:
-        t_e, s = refine_event(seg.eval, seg.t, seg.t_end, lambda y: y[2])
-        found.append((t_e, OutcomeTag.RHO_ZERO, s))
+    for kind, i, level, crossed in (
+            (OutcomeTag.FPRIME_ZERO, 1, 0.0, ya[1] < 0.0 <= yb[1]),
+            (OutcomeTag.F_ZERO, 0, 0.0, ya[0] > 0.0 >= yb[0]),
+            (OutcomeTag.RHO_PRIME_ZERO, 3, 0.0, ya[3] > 0.0 >= yb[3]),
+            (OutcomeTag.RHO_CROSS_VEV, 2, 1.0, ya[2] < 1.0 <= yb[2]),
+            (OutcomeTag.RHO_ZERO, 2, 0.0, ya[2] > 0.0 >= yb[2])):
+        if crossed:
+            t_e, _ = refine_event(seg.component(i), seg.t, seg.t_end,
+                                  lambda v: v - level)
+            found.append((t_e, kind, seg.eval(t_e)))
     if not found:
         return False
 

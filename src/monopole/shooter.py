@@ -28,6 +28,8 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import analysis
 from .errors import BracketingError, DomainError, IntegrityError, MonopoleError
 from .integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
@@ -93,21 +95,23 @@ def shoot(point: ShootPoint, lambda_hat: float,
 
 def _gauge_fate(point: ShootPoint, lambda_hat: float,
                 controls: IntegratorControls) -> tuple[Outcome, Trajectory]:
-    """FFate with horizon escalation.
+    """FFate with horizon escalation, and the run over the plain horizon.
 
     Undecided runs, including runs still inside the tube at the horizon,
     are continued to 2x and then 4x t_max: the e^t growth of the gauge
     deviation turns any offset above the integration noise floor into an
-    out-of-tube event there.  The last outcome survives exhaustion.
+    out-of-tube event there.  The last outcome survives exhaustion.  The
+    run returned is the shot at controls.t_max, which extend leaves as
+    it was.
     """
-    traj = shoot(point, lambda_hat, controls)
+    run = traj = shoot(point, lambda_hat, controls)
     out = classify(traj, ClassifyMode.F_FATE)
     for mult in _ESCALATIONS:
         if out.tag not in (OutcomeTag.HORIZON, OutcomeTag.CONVERGED):
             break
         traj = extend(traj, replace(controls, t_max=controls.t_max * mult))
         out = classify(traj, ClassifyMode.F_FATE)
-    return out, traj
+    return out, run
 
 
 def _extrapolated_vev_gap(traj: Trajectory) -> float:
@@ -123,13 +127,15 @@ class Probe:
     side is -1 below the separatrix, +1 above it and 0 for a probe that
     lands on neither side; distance is the signed distance to the
     separatrix when the probe measured one, else None; outcome is the
-    classifier verdict that decided the side.
+    classifier verdict that decided the side.  run is the trajectory of a
+    gauge probe over the plain horizon, else None.
     """
 
     x: float
     side: int
     distance: float | None
     outcome: Outcome | None
+    run: Trajectory | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -273,10 +279,10 @@ def _gauge_probe(beta: float, lambda_hat: float, controls: IntegratorControls):
     so it is about linear in alpha near the separatrix.
     """
     def probe(a: float, width: float | None = None) -> Probe:
-        out, _ = _gauge_fate(ShootPoint(alpha=a, beta=beta), lambda_hat, controls)
+        out, run = _gauge_fate(ShootPoint(alpha=a, beta=beta), lambda_hat, controls)
         side = _GAUGE_SIDE.get(out.tag, 0)
         return Probe(a, side, side * math.exp(-2.0 * out.t_event) if side else None,
-                     out)
+                     out, run)
     return probe
 
 
@@ -316,17 +322,19 @@ def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
         raise DomainError(f"tol_alpha must be positive and finite, got {tol_alpha}")
     lo, hi, stop = _narrow(_gauge_probe(beta, lambda_hat, controls),
                            bracket.lo, bracket.hi, tol_alpha)
-    alpha_star, resolved = 0.5 * (lo.x + hi.x), "bisection"
-    if stop is not None:
+    if stop is None:
+        alpha_star, resolved = 0.5 * (lo.x + hi.x), "bisection"
+        final = shoot(ShootPoint(alpha=alpha_star, beta=beta), lambda_hat, controls)
+    else:
         out = stop.outcome
         if out.tag is OutcomeTag.BLOWUP and out.detail != "rho":
             raise IntegrityError(
                 f"gauge-channel blowup ({out.detail}) at alpha = {stop.x} inside "
                 f"bracket [{lo.x}, {hi.x}]: endpoints cannot both be valid")
-        alpha_star = stop.x
+        # the stop probe has already shot alpha* over the plain horizon
+        alpha_star, final = stop.x, stop.run
         resolved = {OutcomeTag.BLOWUP: "rho_blowup",
                     OutcomeTag.CONVERGED: "tube"}.get(out.tag, "horizon")
-    final = shoot(ShootPoint(alpha=alpha_star, beta=beta), lambda_hat, controls)
     return AlphaResult(alpha_star=alpha_star, bracket=Bracket(lo, hi),
                        trajectory=final, resolved=resolved)
 
@@ -403,6 +411,19 @@ class GraftedProfile:
         if t > self.t_graft:
             return self.tail_state(t)
         return self.base.state_at(t)
+
+    def table(self, ts) -> np.ndarray:
+        """state_at at every radius of ts, in one batch.
+
+        Returns an (n, 4) array of (f, f', rho, rho') rows aligned with ts.
+        """
+        ts = np.asarray(ts, dtype=float)
+        rows = np.empty((len(ts), 4))
+        core = ts <= self.t_graft
+        rows[core] = self.base._state_rows(ts[core])
+        rows[~core] = np.column_stack(analysis.far_field(
+            ts[~core], self.f_fit, self.higgs_fit, self.base.lambda_hat))
+        return rows
 
 
 def graft_tail(traj: Trajectory) -> GraftedProfile:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from monopole.errors import DomainError, NoEventError
 from monopole.integrator import (ClassifyMode, IntegratorControls, OutcomeTag,
                                  classify, extend, in_tube, integrate,
                                  refine_event)
-from monopole.model import PhaseState, ps_exact
+from monopole.model import PhaseState, _rhs, ps_exact
 from monopole.origin_series import ShootPoint, initial_state
+from monopole.shooter import shoot
 
 import oracles
 
@@ -141,13 +143,42 @@ def test_max_step_is_honored():
     assert gaps.max() <= 0.05 + 1e-12
 
 
+def _resample_loop(traj, ts):
+    # the per-point reference: each radius on the first segment whose end
+    # is at or after it
+    out, i, last = [], 0, len(traj.segments) - 1
+    for t in ts:
+        while i < last and traj.segments[i].t_end < t:
+            i += 1
+        out.append(traj.segments[i].eval(t))
+    return out
+
+
 def test_resample_matches_state_at():
     traj = integrate(_start(1 / 6, 1 / 3, 0.0), 0.0, IntegratorControls(t_max=5.0))
-    ts = np.linspace(0.01, 4.9, 37)
-    table = np.asarray(traj.resample(ts))
+    # interior points, every step boundary (where the segment that ends
+    # there is read) and both ends of the run
+    ts = np.sort(np.concatenate([np.linspace(0.01, 4.9, 37), traj.ts]))
+    table = traj.resample(ts)
+    assert table.shape == (len(ts), 4)
+    assert table.tolist() == [list(row) for row in _resample_loop(traj, ts)]
     for i in (0, 17, 36):
         s = traj.state_at(ts[i])
         assert_allclose(table[i], (s.f, s.fp, s.rho, s.rhop), rtol=1e-13, atol=1e-15)
+    with pytest.raises(DomainError):
+        traj.resample([1.0, 5.5])
+    with pytest.raises(DomainError):
+        traj.resample([math.nan])
+
+
+def test_resample_without_segments_is_a_domain_error():
+    # an immediate shot has one sample and no dense output
+    traj = shoot(ShootPoint(1e-9, 0.3), 0.0, IntegratorControls())
+    assert traj.ended == "immediate" and not traj.segments
+    with pytest.raises(DomainError):
+        traj.resample([traj.ts[0]])
+    with pytest.raises(DomainError):
+        traj.state_at(traj.ts[0])
 
 
 def test_state_at_outside_range():
@@ -335,6 +366,27 @@ def test_dop853_coefficients_match_reference():
     _pinned("_E5_", dop853.E5[:12])
     _pinned("_E3_", dop853.E3[:12])
     assert integrator._D == tuple(tuple(map(float, row)) for row in dop853.D)
+
+
+def test_stages_match_the_reference_rhs():
+    # _advance writes the field equations out inline: every stage an
+    # accepted step stores must equal model._rhs at that stage's point,
+    # rebuilt from the tableau with the stepper's order of operations
+    # (row 12 of A is the weight row B, so stage 13 sits at the step's end)
+    lam = 1.0
+    traj = integrate(_start(0.39, 0.87, lam), lam, IntegratorControls())
+    segs = [seg for seg in traj.segments if seg._k is not None]
+    assert len(segs) >= 40
+    for seg in segs:
+        stages = list(zip(*seg._k))
+        assert len(stages) == 13
+        for j, k in enumerate(stages):
+            t = seg.t + float(dop853.C[j]) * seg.h
+            w = [float(a) for a in dop853.A[j, :j]]
+            y = [seg.y0[i] + seg.h * sum(map(mul, w, [s[i] for s in stages[:j]]))
+                 for i in range(4)]
+            assert k == _rhs(t, *y, lam), (seg.t, j)
+        assert tuple(y) == seg.y1
 
 
 def test_dense_output_between_steps_tracks_closed_form():

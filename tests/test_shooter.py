@@ -5,6 +5,7 @@ import math
 from dataclasses import replace
 from statistics import median
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -324,6 +325,33 @@ def test_bisect_alpha_stops_on_a_probe_with_no_side(monkeypatch):
         bisect_alpha(br, 0.87, 1.0, CONTROLS, tol_alpha=1e-9)
 
 
+def test_no_point_is_shot_twice_when_an_inner_solve_stops_early(monkeypatch):
+    # an inner solve that stops on a probe with no side reports that
+    # probe's run over the plain horizon instead of shooting alpha* again
+    shots, stopped = [], []
+    shoot_orig, bisect_orig = shooter.shoot, shooter.bisect_alpha
+
+    def counting(point, lambda_hat, controls):
+        shots.append((point.alpha, point.beta, controls))
+        return shoot_orig(point, lambda_hat, controls)
+
+    def recording(*args, **kwargs):
+        res = bisect_orig(*args, **kwargs)
+        if res.resolved != "bisection":
+            stopped.append(res)
+        return res
+
+    monkeypatch.setattr(shooter, "shoot", counting)
+    monkeypatch.setattr(shooter, "bisect_alpha", recording)
+    bisect_beta(1.0, polish=False)
+    assert stopped
+    assert len(shots) == len(set(shots))
+    for res in stopped:
+        run = res.trajectory
+        assert (run.alpha, run.controls) == (res.alpha_star, CONTROLS)
+        assert (run.alpha, run.beta, CONTROLS) in shots
+
+
 def test_bisect_beta_rejects_non_finite_inputs():
     # refused up front, not by the first shot's state check
     for lam in (math.nan, math.inf, -1.0):
@@ -378,11 +406,17 @@ def test_bisect_alpha_horizon_floor():
 
 def test_gauge_fate_continues_the_run_to_a_longer_horizon():
     # just above the separatrix the offset is still inside the tube at
-    # t_max = 12; continued to 24 it crosses, exactly as a fresh run does
+    # t_max = 12; continued to 24 it crosses, exactly as a fresh run does.
+    # The run returned is the one over the plain horizon, which the
+    # continuation left as it was
     point = ShootPoint(1 / 6 + 1e-7, 1 / 3)
-    out, traj = shooter._gauge_fate(point, 0.0, CONTROLS)
+    out, run = shooter._gauge_fate(point, 0.0, CONTROLS)
     assert out.tag is OutcomeTag.F_ZERO
-    assert traj.controls.t_max == 24.0
+    plain = shoot(point, 0.0, CONTROLS)
+    assert run.controls == CONTROLS
+    assert (run.ts, run.ys, run.ended) == (plain.ts, plain.ys, plain.ended)
+    assert classify(run, ClassifyMode.F_FATE).tag is OutcomeTag.CONVERGED
+    traj = shooter.extend(run, replace(CONTROLS, t_max=24.0))
     fresh = shoot(point, 0.0, replace(CONTROLS, t_max=24.0))
     assert (traj.alpha, traj.beta) == (fresh.alpha, fresh.beta)
     assert (traj.ts, traj.ys) == (fresh.ts, fresh.ys)
@@ -405,6 +439,23 @@ def test_graft_tail_continuity(lam0):
     above = g.state_at(g.t_graft + eps)
     assert_allclose(below.f, above.f, rtol=0, atol=1e-6)
     assert_allclose(below.rho, above.rho, rtol=0, atol=1e-6)
+
+
+def test_graft_table_matches_state_at(lam0):
+    # the profile table is read in one batch, row for row what state_at
+    # gives: on every step start (where state_at reads the step that
+    # starts there), at t_graft and on the fitted tail past it
+    g = lam0.profile
+    ts = np.sort(np.concatenate([np.linspace(g.base.ts[0], g.t_report, 301),
+                                 g.base.ts, [g.t_graft]]))
+    rows = g.table(ts)
+    core = ts <= g.t_graft
+    assert core.sum() > len(g.base.ts) and (~core).sum() > 100
+    want = np.array([g.state_at(t).as_tuple() for t in ts])
+    assert rows[core].tolist() == want[core].tolist()
+    # the tail's exponentials come from numpy either way; allow for a
+    # vector and a scalar exp that differ in the last place
+    assert_allclose(rows[~core], want[~core], rtol=1e-15, atol=0.0)
 
 
 def test_graft_tail_models(lam0, lam1):
