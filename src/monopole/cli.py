@@ -45,6 +45,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _coupling(text: str) -> float:
+    """The --lambda-hat value: a float that is finite and >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite float >= 0, got {text!r}")
+    return value
+
+
 def _options(parser: argparse.ArgumentParser, command: str) -> dict:
     # dest -> action of every option of the subcommand; argparse has no
     # public index of them
@@ -85,7 +96,7 @@ def _apply_config(ns: argparse.Namespace, argv: list[str],
                 continue  # explicit flag wins
             try:
                 setattr(ns, key, _config_value(options[key], value))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise MonopoleError(f"{ns.config}:{line_no}: invalid value {value!r} "
                                     f"for {key}: {exc}") from None
 
@@ -106,7 +117,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 
 def _add_frame_options(p: argparse.ArgumentParser) -> None:
     # the coupling, dimensionless or physical; validate fixes lambda_hat = 0
-    p.add_argument("--lambda-hat", type=float, default=None,
+    p.add_argument("--lambda-hat", type=_coupling, default=None,
                    help="dimensionless quartic coupling lambda / g0^2")
     p.add_argument("--lam", type=float, default=None,
                    help="physical quartic coupling (with --g0 and --rho0)")
@@ -402,7 +413,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("sweep", help="classify outcomes on a parameter grid")
-    p.add_argument("--lambda-hat", type=float, required=True)
+    p.add_argument("--lambda-hat", type=_coupling, required=True)
     p.add_argument("--alphas", default=None, help="comma-separated alpha values")
     p.add_argument("--alpha-min", type=float, default=None)
     p.add_argument("--alpha-max", type=float, default=None)
@@ -438,7 +449,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("series", help="print the series handoff state")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--lambda-hat", type=float, default=0.0)
+    p.add_argument("--lambda-hat", type=_coupling, default=0.0)
     p.add_argument("--t0", type=float, default=DEFAULT_T0)
     p.add_argument("--picard", action="store_true",
                    help="also report the origin-layer contraction ratios")

@@ -13,6 +13,14 @@ narrows its ends by ITP steps on their distances, bisection fallback:
           overshooting the vacuum) narrows beta; the distance is the
           extrapolated vev gap when no Higgs event decided the side.
 
+An outer probe's inner search starts from a pair centred on the secant
+prediction of alpha*(beta) through the last two inner answers, and it
+stops before tol_alpha once the Higgs side is settled: both end runs
+meet the same Higgs event well before their gauge events, and so does
+the midpoint run.  Only the side of an outer probe is read, so a wider
+alpha bracket costs nothing there; the final inner solve at beta* is
+narrowed to tol_alpha.
+
 Near the double separatrix every numerical trajectory eventually peels
 off, since the gauge deviation grows like e^t and, for lambda_hat > 0,
 the Higgs deviation like e^{sqrt(2 lambda_hat) t}.  Two consequences
@@ -64,6 +72,19 @@ _BETA_SEED = 1.0 / 3.0
 _ESCALATIONS = (2, 4)
 # Side of the gauge separatrix a decisive F_FATE outcome lies on.
 _GAUGE_SIDE = {OutcomeTag.FPRIME_ZERO: -1, OutcomeTag.F_ZERO: 1}
+# Side of the beta separatrix a decisive RHO_FATE outcome lies on.
+_HIGGS_SIDE = {OutcomeTag.RHO_PRIME_ZERO: -1, OutcomeTag.RHO_ZERO: -1,
+               OutcomeTag.RHO_CROSS_VEV: 1}
+# The predicted inner pair (see _Continuation): its half-width in
+# multiples of the last prediction's miss and of tol_alpha, and its tries.
+_MISS_MARGIN = 4.0
+_TOL_MARGIN = 64.0
+_PAIR_TRIES = 3
+# How much a centred pair that does not straddle widens per try.
+_WIDEN = 8.0
+# How long before its gauge event an end run's Higgs event must come for
+# an inner solve to stop early (see _settled_side).
+_SETTLE_LEAD = 0.5
 # How far the reported profile runs past t_graft on its fitted far field.
 REPORT_TAIL = 8.0
 
@@ -163,7 +184,7 @@ class AlphaResult:
     alpha_star: float
     bracket: Bracket
     trajectory: Trajectory          # run at alpha_star over the plain horizon
-    resolved: str = "bisection"     # | "rho_blowup" | "tube" | "horizon"
+    resolved: str = "bisection"     # | "settled" | "rho_blowup" | "tube" | "horizon"
 
 
 def _expand_bracket(probe, seed: float, floor: float, ceil: float,
@@ -204,7 +225,7 @@ def _centred_bracket(probe, center: float, w: float, tries: int,
     """End Probes at center -/+ w on opposite sides, or None.
 
     Each try probes max(center - w, floor) and, only when that lands
-    below, center + w; a failed try widens w by 8x.
+    below, center + w; a failed try widens w by _WIDEN.
     """
     for _ in range(tries):
         lo = probe(max(center - w, floor))
@@ -212,7 +233,7 @@ def _centred_bracket(probe, center: float, w: float, tries: int,
             hi = probe(center + w)
             if hi.side > 0:
                 return lo, hi
-        w *= 8.0
+        w *= _WIDEN
     return None
 
 
@@ -245,23 +266,24 @@ def _itp_point(lo: float, hi: float, d_lo: float | None, d_hi: float | None,
     return x if lo < x < hi else mid
 
 
-def _narrow(probe, lo: Probe, hi: Probe,
-            tol: float) -> tuple[Probe, Probe, Probe | None]:
+def _narrow(probe, lo: Probe, hi: Probe, tol: float,
+            settled=None) -> tuple[Probe, Probe, Probe | None]:
     """Narrow the (-1, +1) bracket of end Probes lo, hi down to tol.
 
     Each step probes the ITP point of the ends' distances and the Probe
-    replaces the end on its side.  probe(x, width) is told the bracket
-    width before the step.  A side-0 Probe stops the search and is
-    returned third, None otherwise.
+    replaces the end on its side.  A side-0 Probe stops the search and is
+    returned third, None otherwise.  settled(lo, hi), when given, is
+    asked before each step; a true answer ends the search early, with
+    the bracket still wider than tol.
     """
     w0 = hi.x - lo.x
     n = 0
-    while hi.x - lo.x > tol:
+    while hi.x - lo.x > tol and not (settled is not None and settled(lo, hi)):
         x = _itp_point(lo.x, hi.x, lo.distance, hi.distance, w0, tol, n)
         if x <= lo.x or x >= hi.x:
             break  # float resolution
         n += 1
-        p = probe(x, hi.x - lo.x)
+        p = probe(x)
         if p.side < 0:
             lo = p
         elif p.side > 0:
@@ -278,7 +300,7 @@ def _gauge_probe(beta: float, lambda_hat: float, controls: IntegratorControls):
     distance is -/+exp(-2 t_event): t_event ~ -1/2 ln|alpha - alpha*| + c,
     so it is about linear in alpha near the separatrix.
     """
-    def probe(a: float, width: float | None = None) -> Probe:
+    def probe(a: float) -> Probe:
         out, run = _gauge_fate(ShootPoint(alpha=a, beta=beta), lambda_hat, controls)
         side = _GAUGE_SIDE.get(out.tag, 0)
         return Probe(a, side, side * math.exp(-2.0 * out.t_event) if side else None,
@@ -320,8 +342,59 @@ def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
     """
     if not (math.isfinite(tol_alpha) and tol_alpha > 0.0):
         raise DomainError(f"tol_alpha must be positive and finite, got {tol_alpha}")
-    lo, hi, stop = _narrow(_gauge_probe(beta, lambda_hat, controls),
-                           bracket.lo, bracket.hi, tol_alpha)
+    return _bisect_alpha(bracket, beta, lambda_hat, controls, tol_alpha, settle=False)
+
+
+def _settled_side(lo: Probe, hi: Probe) -> int:
+    """The Higgs side that both end runs reach well before their gauge events.
+
+    Each end's run over the plain horizon must meet a decisive RhoFate
+    event (RhoPrimeZero or RhoZero below, RhoCrossVev above) at least
+    _SETTLE_LEAD before its own gauge event, and the two sides must
+    agree; 0 otherwise.  Up to their gauge events the runs of the alphas
+    between the ends stay between the two end runs, so the run at
+    alpha*(beta) meets a Higgs event on the same side.
+    """
+    sides = []
+    for p in (lo, hi):
+        out = classify(p.run, ClassifyMode.RHO_FATE)
+        side = _HIGGS_SIDE.get(out.tag, 0)
+        if not side or out.t_event > p.outcome.t_event - _SETTLE_LEAD:
+            return 0
+        sides.append(side)
+    return sides[0] if sides[0] == sides[1] else 0
+
+
+def _bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
+                  controls: IntegratorControls, tol_alpha: float,
+                  settle: bool) -> AlphaResult:
+    """bisect_alpha, which with settle may stop once the Higgs side is settled.
+
+    With settle, _narrow stops as soon as _settled_side(lo, hi) names a
+    side.  The midpoint is then probed: when its run meets a decisive
+    Higgs event on that side, it is the answer ("settled"); otherwise it
+    narrows the bracket like any probe and the search goes on to
+    tol_alpha.
+    """
+    probe = _gauge_probe(beta, lambda_hat, controls)
+    lo, hi, stop = _narrow(probe, bracket.lo, bracket.hi, tol_alpha,
+                           _settled_side if settle else None)
+    side = (_settled_side(lo, hi)
+            if settle and stop is None and hi.x - lo.x > tol_alpha else 0)
+    if side:
+        mid = probe(0.5 * (lo.x + hi.x))
+        out = classify(mid.run, ClassifyMode.RHO_FATE)
+        if mid.side and _HIGGS_SIDE.get(out.tag) == side:
+            return AlphaResult(alpha_star=mid.x, bracket=Bracket(lo, hi),
+                               trajectory=mid.run, resolved="settled")
+        if mid.side < 0:
+            lo = mid
+        elif mid.side > 0:
+            hi = mid
+        else:
+            stop = mid
+        if stop is None:
+            lo, hi, stop = _narrow(probe, lo, hi, tol_alpha)
     if stop is None:
         alpha_star, resolved = 0.5 * (lo.x + hi.x), "bisection"
         final = shoot(ShootPoint(alpha=alpha_star, beta=beta), lambda_hat, controls)
@@ -339,28 +412,64 @@ def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
                        trajectory=final, resolved=resolved)
 
 
-def _alpha_at(beta: float, lambda_hat: float, controls: IntegratorControls,
-              tol_alpha: float, warm: tuple[float, float] | None,
-              beta_width: float | None) -> AlphaResult:
-    """Inner solve near the previous one.
+@dataclass
+class _Continuation:
+    """alpha*(beta) along the separatrix, predicted from earlier inner solves.
 
-    warm is (alpha*, slack) of the previous inner solve, or None.  Since
-    alpha*(beta) moves O(1) per unit beta, with a beta_width the pair
-    alpha* -/+ max(4 beta_width, 64 tol_alpha, 2 slack) is tried first;
-    when it does not straddle, the bracket is expanded from alpha* (from
-    the lambda_hat = 0 answer without a previous solve).
+    answers holds the last two (beta, alpha*); miss is how far the last
+    prediction fell from its answer (None until one was made) and slack
+    the width of the last inner bracket.
     """
-    seed, ends = _ALPHA_SEED, None
-    if warm is not None:
-        seed, slack = warm
-        if beta_width is not None:
-            margin = max(4.0 * beta_width, 64.0 * tol_alpha, 2.0 * slack)
-            if seed - margin > 0.0:
+
+    answers: list = field(default_factory=list)
+    miss: float | None = None
+    slack: float = 0.0
+
+    def predict(self, beta: float) -> float:
+        """Secant through the last two answers at beta.
+
+        The last alpha* stands in with fewer than two answers, two equal
+        betas or a prediction <= 0.
+        """
+        b1, a1 = self.answers[-1]
+        if len(self.answers) > 1:
+            b0, a0 = self.answers[-2]
+            if b1 != b0:
+                guess = a1 + (a1 - a0) * (beta - b1) / (b1 - b0)
+                if guess > 0.0:
+                    return guess
+        return a1
+
+
+def _alpha_at(beta: float, lambda_hat: float, controls: IntegratorControls,
+              tol_alpha: float, track: _Continuation, settle: bool) -> AlphaResult:
+    """Inner solve at beta, bracketed around track's predicted alpha*.
+
+    The pair center -/+ max(_MISS_MARGIN miss, _TOL_MARGIN tol_alpha,
+    2 slack) is tried first, _PAIR_TRIES times, widening by _WIDEN;
+    before the first miss is known, or when no pair straddles, the
+    bracket is expanded from the prediction (from the lambda_hat = 0
+    answer before the first solve).  With settle the search may stop
+    early, once the Higgs side is settled (see _bisect_alpha).  The
+    answer goes into track.
+    """
+    center, ends = _ALPHA_SEED, None
+    if track.answers:
+        center = track.predict(beta)
+        if track.miss is not None:
+            margin = max(_MISS_MARGIN * track.miss, _TOL_MARGIN * tol_alpha,
+                         2.0 * track.slack)
+            if center - margin > 0.0:
                 ends = _centred_bracket(_gauge_probe(beta, lambda_hat, controls),
-                                        seed, margin, 1, 0.0)
-    bracket = (bracket_alpha(beta, lambda_hat, controls, seed=seed)
+                                        center, margin, _PAIR_TRIES, _ALPHA_FLOOR)
+    bracket = (bracket_alpha(beta, lambda_hat, controls, seed=center)
                if ends is None else Bracket(*ends))
-    return bisect_alpha(bracket, beta, lambda_hat, controls, tol_alpha)
+    ar = _bisect_alpha(bracket, beta, lambda_hat, controls, tol_alpha, settle)
+    if track.answers:
+        track.miss = abs(ar.alpha_star - center)
+    track.answers = [*track.answers[-1:], (beta, ar.alpha_star)]
+    track.slack = max(ar.bracket.width, tol_alpha)
+    return ar
 
 
 def _higgs_fate(result: AlphaResult,
@@ -503,7 +612,9 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     gap b - 1, with bisection fallback when a Higgs event decided an end.
     Tube-converged probes are recorded as candidates and the search
     continues to tol_beta, so the answer carries a genuine two-sided
-    bracket.
+    bracket.  Each probe's inner solve starts from the alpha* predicted
+    by the earlier ones and may stop once the Higgs side is settled
+    (see _alpha_at).
 
     The search runs at the caller's tolerances first, then, when polish
     is on, re-brackets the answer with a widening centred pair at
@@ -521,19 +632,17 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
         controls = IntegratorControls()
 
     log: list = []
-    warm = None          # (alpha*, alpha resolution) of the latest inner solve
+    track = _Continuation()
     candidate = None
 
-    def probe(beta: float, c: IntegratorControls, tol_a: float,
-              beta_width: float | None = None) -> Probe:
+    def probe(beta: float, c: IntegratorControls, tol_a: float) -> Probe:
         """Side -1 when alpha*(beta) stalls below the vacuum, +1 when it overshoots.
 
         The distance is the extrapolated vev gap, or None when a Higgs
         event decided the side.
         """
-        nonlocal warm, candidate
-        ar = _alpha_at(beta, lambda_hat, c, tol_a, warm, beta_width)
-        warm = (ar.alpha_star, max(ar.bracket.width, tol_a))
+        nonlocal candidate
+        ar = _alpha_at(beta, lambda_hat, c, tol_a, track, settle=True)
         out, traj = _higgs_fate(ar, c)
         gap = None
         if out.tag in (OutcomeTag.RHO_PRIME_ZERO, OutcomeTag.RHO_ZERO):
@@ -553,8 +662,7 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     # Stage one: caller tolerances.
     lo, hi = _expand_bracket(lambda b: probe(b, controls, tol_alpha),
                              _BETA_SEED, _BETA_FLOOR, _BETA_CEIL, "beta")
-    lo, hi, _ = _narrow(lambda b, bw: probe(b, controls, tol_alpha, bw),
-                        lo, hi, tol_beta)
+    lo, hi, _ = _narrow(lambda b: probe(b, controls, tol_alpha), lo, hi, tol_beta)
 
     # Stage two: profile-grade polish around the stage-one answer.
     pcontrols = replace(controls,
@@ -566,13 +674,12 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
         # Re-bracket the stage-one answer at 8x its width, 8x wider per try.
         w = max(hi.x - lo.x, tol_beta)
         center = 0.5 * (lo.x + hi.x)
-        ends = _centred_bracket(
-            lambda b: probe(b, pcontrols, tol_alpha_f, 16.0 * w),
-            center, 8.0 * w, 12, _BETA_FLOOR)
+        ends = _centred_bracket(lambda b: probe(b, pcontrols, tol_alpha_f),
+                                center, 8.0 * w, 12, _BETA_FLOOR)
         if ends is None:
             raise BracketingError(
                 f"could not re-bracket beta near {center} at polish tolerance")
-        lo, hi, _ = _narrow(lambda b, bw: probe(b, pcontrols, tol_alpha_f, bw),
+        lo, hi, _ = _narrow(lambda b: probe(b, pcontrols, tol_alpha_f),
                             *ends, tol_beta_f)
     else:
         tol_alpha_f, tol_beta_f = tol_alpha, tol_beta
@@ -580,8 +687,8 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     beta_bracket = Bracket(lo, hi)
 
     beta_star = 0.5 * (lo.x + hi.x)
-    ar_star = _alpha_at(beta_star, lambda_hat, fincontrols, tol_alpha_f, warm,
-                        max(beta_bracket.width, tol_beta_f))
+    ar_star = _alpha_at(beta_star, lambda_hat, fincontrols, tol_alpha_f, track,
+                        settle=False)
 
     def in_tube(traj: Trajectory) -> bool:
         return (classify(traj, ClassifyMode.F_FATE).tag is OutcomeTag.CONVERGED
@@ -591,8 +698,10 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     converged = in_tube(profile_traj)
     if not converged and candidate is not None:
         cand_beta, cand_ar = candidate
-        cand_traj = shoot(ShootPoint(alpha=cand_ar.alpha_star, beta=cand_beta),
-                          lambda_hat, fincontrols)
+        cand_traj = cand_ar.trajectory
+        if cand_traj.controls != fincontrols:
+            cand_traj = shoot(ShootPoint(alpha=cand_ar.alpha_star, beta=cand_beta),
+                              lambda_hat, fincontrols)
         if in_tube(cand_traj):
             beta_star, ar_star = cand_beta, cand_ar
             profile_traj, converged = cand_traj, True

@@ -134,6 +134,25 @@ def test_solve_failure_exit_code(capsys):
     assert rc == 2
 
 
+def test_bad_coupling_exits_usage(tmp_path, monkeypatch, capsys):
+    # a non-finite or negative --lambda-hat is a usage error (1), not a
+    # solver failure, refused before any shot; solve takes it from a
+    # config file too
+    monkeypatch.setattr(cli, "bisect_beta", None)
+    monkeypatch.setattr(cli, "sweep", None)
+    cfg = tmp_path / "opts.cfg"
+    for value in ("nan", "inf", "-1", "x"):
+        for command in (["solve"], ["sweep", "--alphas", "0.3", "--betas", "0.1"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--lambda-hat", value])
+            assert exc.value.code == 1
+            assert "--lambda-hat: must be a finite float >= 0" in \
+                capsys.readouterr().err
+        cfg.write_text(f"lambda_hat = {value}\n")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "for lambda_hat" in capsys.readouterr().err
+
+
 def test_unconverged_solve_reports_no_numbers(tmp_path, capsys):
     # lambda_hat = 20 is beyond the reach of origin-only shooting: the
     # solve must say so without an energy, residual, audit or profile

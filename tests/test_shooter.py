@@ -171,11 +171,10 @@ def _narrow(distance, lo, hi, tol):
     bracket = [lo, hi]
     n = 0
 
-    def probe(x, width):
+    def probe(x):
         nonlocal n
-        # every probe lies inside the current bracket and is told its width
+        # every probe lies inside the current bracket
         assert bracket[0] < x < bracket[1]
-        assert width == bracket[1] - bracket[0]
         n += 1
         d = distance(x)
         bracket[d >= 0.0] = x
@@ -326,10 +325,11 @@ def test_bisect_alpha_stops_on_a_probe_with_no_side(monkeypatch):
 
 
 def test_no_point_is_shot_twice_when_an_inner_solve_stops_early(monkeypatch):
-    # an inner solve that stops on a probe with no side reports that
-    # probe's run over the plain horizon instead of shooting alpha* again
+    # an inner solve that stops on a probe with no side, or once the
+    # Higgs side is settled, reports that probe's run over the plain
+    # horizon instead of shooting alpha* again
     shots, stopped = [], []
-    shoot_orig, bisect_orig = shooter.shoot, shooter.bisect_alpha
+    shoot_orig, bisect_orig = shooter.shoot, shooter._bisect_alpha
 
     def counting(point, lambda_hat, controls):
         shots.append((point.alpha, point.beta, controls))
@@ -342,14 +342,143 @@ def test_no_point_is_shot_twice_when_an_inner_solve_stops_early(monkeypatch):
         return res
 
     monkeypatch.setattr(shooter, "shoot", counting)
-    monkeypatch.setattr(shooter, "bisect_alpha", recording)
+    monkeypatch.setattr(shooter, "_bisect_alpha", recording)
     bisect_beta(1.0, polish=False)
-    assert stopped
+    assert {res.resolved for res in stopped} == {"settled", "rho_blowup"}
     assert len(shots) == len(set(shots))
     for res in stopped:
         run = res.trajectory
         assert (run.alpha, run.controls) == (res.alpha_star, CONTROLS)
         assert (run.alpha, run.beta, CONTROLS) in shots
+
+
+class _Run:
+    """Stand-in for a gauge probe's run: its alpha and its RhoFate verdict."""
+
+    def __init__(self, alpha, higgs):
+        self.alpha, self.higgs = alpha, higgs
+
+
+def test_settled_inner_solve_checks_the_midpoint(monkeypatch):
+    # end runs that meet a Higgs event at least 0.5 before their gauge
+    # events settle the side; the midpoint's run must agree, else the
+    # search goes on to tol_alpha
+    root, probes = 0.4, []
+    higgs = {}
+
+    def fate(point, lambda_hat, controls):
+        probes.append(point.alpha)
+        d = point.alpha - root
+        tag = OutcomeTag.FPRIME_ZERO if d < 0.0 else OutcomeTag.F_ZERO
+        return (Outcome(tag, t_event=2.0 - 0.5 * math.log(abs(d))),
+                _Run(point.alpha, higgs.get(point.alpha, higgs["ends"])))
+
+    def rho_fate(run, mode):
+        assert mode is ClassifyMode.RHO_FATE
+        return run.higgs
+
+    monkeypatch.setattr(shooter, "_gauge_fate", fate)
+    monkeypatch.setattr(shooter, "classify", rho_fate)
+    monkeypatch.setattr(shooter, "shoot", lambda point, lam, c: point)
+
+    def solve(ends, mid=None):
+        higgs.clear()
+        higgs["ends"] = ends
+        if mid is not None:
+            higgs[0.5] = mid
+        probe = shooter._gauge_probe(0.87, 1.0, CONTROLS)
+        br = Bracket(probe(0.25), probe(0.75))  # gauge events near t = 2.5
+        probes.clear()
+        return shooter._bisect_alpha(br, 0.87, 1.0, CONTROLS, 1e-9, settle=True)
+
+    early = Outcome(OutcomeTag.RHO_PRIME_ZERO, t_event=1.0)
+    # the midpoint agrees: it is the answer, after one probe
+    res = solve(early)
+    assert (res.resolved, res.alpha_star, probes) == ("settled", 0.5, [0.5])
+    assert (res.bracket.lo.x, res.bracket.hi.x) == (0.25, 0.75)
+    assert res.trajectory.alpha == 0.5
+    # the midpoint crosses the vev, or meets no Higgs event: it narrows the
+    # bracket like any probe and the search goes on to tol_alpha
+    for mid in (Outcome(OutcomeTag.RHO_CROSS_VEV, t_event=1.0),
+                Outcome(OutcomeTag.HORIZON)):
+        res = solve(early, mid)
+        assert res.resolved == "bisection"
+        assert probes[0] == 0.5 and len(probes) == len(set(probes))
+        assert res.bracket.width <= 1e-9
+        assert res.bracket.lo.x < root <= res.bracket.hi.x
+    # a Higgs event less than 0.5 before its run's gauge event settles
+    # nothing, nor do ends on opposite Higgs sides
+    def end(x, side, t_higgs, tag=OutcomeTag.RHO_PRIME_ZERO):
+        return Probe(x, side, None, Outcome(_TAG[side], t_event=3.0),
+                     _Run(x, Outcome(tag, t_event=t_higgs)))
+
+    assert shooter._settled_side(end(0.25, -1, 2.5), end(0.75, 1, 1.0)) == -1
+    assert shooter._settled_side(end(0.25, -1, 2.5), end(0.75, 1, 2.6)) == 0
+    assert shooter._settled_side(end(0.25, -1, 2.6), end(0.75, 1, 2.5)) == 0
+    assert shooter._settled_side(
+        end(0.25, -1, 1.0, OutcomeTag.RHO_ZERO),
+        end(0.75, 1, 1.0, OutcomeTag.RHO_CROSS_VEV)) == 0
+
+
+@pytest.mark.parametrize("lambda_hat", [0.05, 1.0])
+def test_settled_inner_solves_agree_with_their_ends(lambda_hat, monkeypatch):
+    # every inner solve that stopped early has its midpoint run on the
+    # Higgs side its ends settled; the reported alpha bracket is the final
+    # inner solve's, which never stops early
+    settled = []
+    orig = shooter._bisect_alpha
+
+    def recording(*args, **kwargs):
+        res = orig(*args, **kwargs)
+        if res.resolved == "settled":
+            settled.append(res)
+        return res
+
+    monkeypatch.setattr(shooter, "_bisect_alpha", recording)
+    rep = bisect_beta(lambda_hat)
+    assert rep.converged
+    assert settled
+    for res in settled:
+        side = shooter._settled_side(res.bracket.lo, res.bracket.hi)
+        out = classify(res.trajectory, ClassifyMode.RHO_FATE)
+        assert side != 0 and shooter._HIGGS_SIDE[out.tag] == side
+    assert rep.alpha_resolved != "settled"
+    assert rep.alpha_bracket.width <= 1e-11
+
+
+def test_lambda_1_solve_takes_few_shots_and_no_repeat(monkeypatch):
+    # the default lambda_hat = 1 solve: 469 shots before the predicted
+    # inner pairs and the early stops, 291 with them.  It ends on the
+    # candidate fallback (beta* is a probed beta, not the bracket's
+    # midpoint), whose run at the final controls is reused, not shot again
+    shots = []
+    orig = shooter.shoot
+
+    def counting(point, lambda_hat, controls):
+        shots.append((point.alpha, point.beta, controls))
+        return orig(point, lambda_hat, controls)
+
+    monkeypatch.setattr(shooter, "shoot", counting)
+    rep = bisect_beta(1.0)
+    assert rep.converged
+    assert len(shots) <= 350
+    assert len(shots) == len(set(shots))
+    lo, hi = rep.beta_bracket.lo.x, rep.beta_bracket.hi.x
+    assert rep.beta_star_hat != 0.5 * (lo + hi)
+    assert rep.beta_star_hat in (lo, hi) or rep.beta_star_hat in \
+        [b for b, *_ in rep.outcome_log]
+
+
+def test_continuation_falls_back_to_the_last_answer():
+    track = shooter._Continuation(answers=[(0.5, 0.25), (0.75, 0.375)])
+    assert track.predict(1.0) == 0.5  # the secant
+    # one answer, two equal betas, or a secant prediction <= 0: the last alpha*
+    assert shooter._Continuation(answers=[(0.75, 0.375)]).predict(1.0) == 0.375
+    track = shooter._Continuation(answers=[(0.75, 0.25), (0.75, 0.375)])
+    assert track.predict(1.0) == 0.375
+    track = shooter._Continuation(answers=[(0.5, 0.75), (0.75, 0.375)])
+    assert track.predict(1.0) == 0.375  # the secant reads 0
+    assert track.predict(1.25) == 0.375  # and here -0.375
 
 
 def test_bisect_beta_rejects_non_finite_inputs():
@@ -539,8 +668,8 @@ def test_solve_verdict_at_lambda_1p5_is_honest(lam1):
 def test_solve_report_profile_matches_closed_form(lam0, lam0_handoffs):
     # f(10) rides the separatrix, where one ulp at the handoff moves it by
     # up to ~1e-7; it gets 5e-7.  At t0 = 5e-4, 6e-4, 7e-4, 7.5e-4, 8e-4,
-    # 8.5e-4, 9e-4 and 1e-3 it reads 2.72e-7, 1.74e-7, 2.65e-7, 2.02e-7,
-    # 2.9e-8, 5.8e-9, 3.7e-8 and 1.6e-8
+    # 8.5e-4, 9e-4 and 1e-3 it reads 1.29e-7, 3.65e-7, 1.24e-7, 1.72e-7,
+    # 1.33e-7, 5.9e-8, 1.14e-7 and 4.9e-8
     for rep in [lam0, *lam0_handoffs]:
         g = rep.profile
         for t in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
