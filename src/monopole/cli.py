@@ -128,8 +128,6 @@ def _add_frame_options(p: argparse.ArgumentParser) -> None:
 def _add_solve_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-alpha", type=float, default=1e-8)
     p.add_argument("--tol-beta", type=float, default=1e-8)
-    p.add_argument("--no-polish", action="store_true",
-                   help="stop at the first-stage tolerances")
     _add_run_options(p)
 
 
@@ -151,8 +149,7 @@ def _resolve_frame(ns: argparse.Namespace, parser: argparse.ArgumentParser):
 def _run_solve(ns: argparse.Namespace, parser) -> SolveReport:
     lambda_hat, scaled = _resolve_frame(ns, parser)
     return bisect_beta(lambda_hat, controls=_controls_from(ns),
-                       tol_alpha=ns.tol_alpha, tol_beta=ns.tol_beta,
-                       polish=not ns.no_polish, scaled=scaled)
+                       tol_alpha=ns.tol_alpha, tol_beta=ns.tol_beta, scaled=scaled)
 
 
 def _report_dict(rep) -> dict:
@@ -299,73 +296,47 @@ def _cmd_sweep(ns: argparse.Namespace, parser) -> int:
 
 
 def _cmd_validate(ns: argparse.Namespace, parser) -> int:
-    if ns.quick:
-        ns.tol_alpha = max(ns.tol_alpha, 1e-6)
-        ns.tol_beta = max(ns.tol_beta, 1e-6)
-        ns.no_polish = True
     try:
         report = bisect_beta(0.0, controls=_controls_from(ns),
-                             tol_alpha=ns.tol_alpha, tol_beta=ns.tol_beta,
-                             polish=not ns.no_polish)
+                             tol_alpha=ns.tol_alpha, tol_beta=ns.tol_beta)
     except MonopoleError as exc:
         print(f"FAIL solve raised: {exc}")
         return EXIT_VALIDATE
-    loose = 100.0 if ns.quick else 1.0
-    thr_param = ns.param_tol * loose
-    thr_field = ns.field_tol * loose
-
-    checks = [
-        ("alpha_star_hat vs 1/6", abs(report.alpha_star_hat - 1.0 / 6.0), thr_param),
-        ("beta_star_hat vs 1/3", abs(report.beta_star_hat - 1.0 / 3.0), thr_param),
-    ]
-    if report.profile is not None:
-        worst_f = worst_rho = 0.0
-        for t in (0.5, 1.0, 2.0, 5.0):
-            got = report.profile.state_at(t)
-            exact = ps_exact(t)
-            worst_f = max(worst_f, abs(got.f - exact.f))
-            worst_rho = max(worst_rho, abs(got.rho - exact.rho))
-        checks.append(("max |f - exact| at probe radii", worst_f, thr_field))
-        checks.append(("max |rho - exact| at probe radii", worst_rho, thr_field))
-        rate_tol = 0.02 * (10.0 if ns.quick else 1.0)
-        checks.append(("f decay rate vs 1",
-                       abs(report.profile.f_fit.rate - 1.0), rate_tol))
-        checks.append(("Higgs gap rate vs 0 (1/t tail)",
-                       abs(report.profile.higgs_fit.rate), rate_tol))
-        # The massless Higgs channel has no restoring term, so the probe on
-        # a lambda_hat = 0 profile must report no zero; the flat-background
-        # probe pins the machinery against the tan u = u root.
-        flat = analysis.linearized_probe(None)
-        checks.append(("flat probe zero vs 4.4934",
-                       abs((flat.first_zero or math.inf) - 4.4934094579090642),
-                       1e-3))
-        profile_probe = analysis.linearized_probe(report.profile)
-        if profile_probe.first_zero is not None:
-            print("FAIL massless-channel probe reported a spurious zero")
-            failed_probe = True
-        else:
-            print("PASS massless-channel probe reports no zero")
-            failed_probe = False
-    if report.energy is not None:
-        checks.append(("energy vs 1", abs(report.energy - 1.0), ns.energy_tol))
-    if report.residual_norm is not None and not ns.quick:
-        checks.append(("residual sup-norm", report.residual_norm, 1e-6))
-
-    failed = not report.converged and not ns.quick
-    if failed:
+    if not report.converged:
         print("FAIL solve did not converge")
-    if report.profile is not None:
-        failed = failed or failed_probe
-    if report.audit is not None:
-        ok = report.audit.passes
-        failed = failed or not ok
-        print(f"{'PASS' if ok else 'FAIL'} monotonicity audit")
-    for name, value, threshold in checks:
-        ok = value < threshold
-        failed = failed or not ok
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {_fmt(value)} "
-              f"(threshold {_fmt(threshold)})")
-    return EXIT_VALIDATE if failed else EXIT_OK
+        return EXIT_VALIDATE
+
+    def within(name: str, value: float, threshold: float) -> tuple[str, bool]:
+        return f"{name}: {_fmt(value)} (threshold {_fmt(threshold)})", value < threshold
+
+    profile = report.profile
+    got = [profile.state_at(t) for t in (0.5, 1.0, 2.0, 5.0)]
+    exact = [ps_exact(s.t) for s in got]
+    # The massless Higgs channel has no restoring term, so the probe on
+    # a lambda_hat = 0 profile must report no zero; the flat-background
+    # probe pins the machinery against the tan u = u root.
+    flat_zero = analysis.linearized_probe(None).first_zero or math.inf
+    checks = [
+        ("monotonicity audit", report.audit.passes),
+        ("massless-channel probe reports no zero",
+         analysis.linearized_probe(profile).first_zero is None),
+        within("alpha_star_hat vs 1/6", abs(report.alpha_star_hat - 1.0 / 6.0),
+               ns.param_tol),
+        within("beta_star_hat vs 1/3", abs(report.beta_star_hat - 1.0 / 3.0),
+               ns.param_tol),
+        within("max |f - exact| at probe radii",
+               max(abs(s.f - e.f) for s, e in zip(got, exact)), ns.field_tol),
+        within("max |rho - exact| at probe radii",
+               max(abs(s.rho - e.rho) for s, e in zip(got, exact)), ns.field_tol),
+        within("f decay rate vs 1", abs(profile.f_fit.rate - 1.0), 0.02),
+        within("Higgs gap rate vs 0 (1/t tail)", abs(profile.higgs_fit.rate), 0.02),
+        within("flat probe zero vs 4.4934", abs(flat_zero - 4.4934094579090642), 1e-3),
+        within("energy vs 1", abs(report.energy - 1.0), ns.energy_tol),
+        within("residual sup-norm", report.residual_norm, 1e-6),
+    ]
+    for text, ok in checks:
+        print(f"{'PASS' if ok else 'FAIL'} {text}")
+    return EXIT_OK if all(ok for _, ok in checks) else EXIT_VALIDATE
 
 
 def _cmd_probe(ns: argparse.Namespace, parser) -> int:
@@ -431,8 +402,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("validate",
                        help="solve at lambda_hat = 0 and compare to closed form")
     _add_solve_options(p)
-    p.add_argument("--quick", action="store_true",
-                   help="coarse tolerances, no polish, widened thresholds")
     p.add_argument("--param-tol", type=float, default=1e-6)
     p.add_argument("--field-tol", type=float, default=1e-5)
     p.add_argument("--energy-tol", type=float, default=1e-3)

@@ -325,42 +325,35 @@ class Trajectory:
         return None
 
     def state_at(self, t: float) -> PhaseState:
-        """Dense-output state anywhere inside the sampled range."""
+        """Dense-output state anywhere inside the sampled range.
+
+        Read off the first segment that ends at or after t, as resample
+        reads it, so a radius on a step boundary comes from the step it
+        ends.
+        """
         if not self.segments:
             raise DomainError("trajectory stores no dense segments")
         if not (self.ts[0] <= t <= self.ts[-1]):
             raise DomainError(
                 f"t = {t} outside trajectory range [{self.ts[0]}, {self.ts[-1]}]")
-        i = _bisect.bisect_right(self.ts, t) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
+        i = max(_bisect.bisect_left(self.ts, t) - 1, 0)
         return PhaseState(t, *self.segments[i].eval(t))
 
     def resample(self, ts) -> np.ndarray:
         """Dense-output samples at a sequence of radii, in one batch.
 
         Returns an (n, 4) array of (f, f', rho, rho') rows aligned with
-        ts.  A radius is read off the first segment that ends at or after
-        it, so one on a step boundary comes from the step it ends.
+        ts, each what state_at gives at its radius: the arithmetic of
+        DenseSegment.eval, one numpy operation per step of it.
         """
         ts = np.asarray(ts, dtype=float)
-        return self._dense(ts, np.searchsorted(self.ts[1:], ts))
-
-    def _state_rows(self, ts: np.ndarray) -> np.ndarray:
-        # state_at at every radius of ts, in one batch: each radius on the
-        # last segment that starts at or before it
-        seg = np.searchsorted(self.ts, ts, "right") - 1
-        return self._dense(ts, np.minimum(seg, len(self.segments) - 1))
-
-    def _dense(self, ts: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        # Rows of the interpolant of segment seg[j] at ts[j]: the arithmetic
-        # of DenseSegment.eval, one numpy operation per step of it.
         if not self.segments:
             raise DomainError("trajectory stores no dense segments")
         inside = (ts >= self.ts[0]) & (ts <= self.ts[-1])
         if not inside.all():
             raise DomainError(f"dense-output point {ts[~inside][0]} outside trajectory "
                               f"range [{self.ts[0]}, {self.ts[-1]}]")
-        used, pos = np.unique(seg, return_inverse=True)
+        used, pos = np.unique(np.searchsorted(self.ts[1:], ts), return_inverse=True)
         segs = [self.segments[i] for i in used]
         q = np.array([s._coeffs() for s in segs]).reshape(len(segs), 4, 7)
         y0 = np.array([s.y0 for s in segs]).reshape(len(segs), 4)

@@ -529,7 +529,7 @@ class GraftedProfile:
         ts = np.asarray(ts, dtype=float)
         rows = np.empty((len(ts), 4))
         core = ts <= self.t_graft
-        rows[core] = self.base._state_rows(ts[core])
+        rows[core] = self.base.resample(ts[core])
         rows[~core] = np.column_stack(analysis.far_field(
             ts[~core], self.f_fit, self.higgs_fit, self.base.lambda_hat))
         return rows
@@ -601,7 +601,7 @@ class SolveReport:
 
 def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
                 tol_alpha: float = 1e-8, tol_beta: float = 1e-8,
-                polish: bool = True, scaled: ScaledParams | None = None) -> SolveReport:
+                scaled: ScaledParams | None = None) -> SolveReport:
     """Outer bracket search in beta over the Higgs fate of alpha*(beta).
 
     Stalling outcomes (RhoPrimeZero, RhoZero, or an extrapolated
@@ -616,8 +616,8 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     by the earlier ones and may stop once the Higgs side is settled
     (see _alpha_at).
 
-    The search runs at the caller's tolerances first, then, when polish
-    is on, re-brackets the answer with a widening centred pair at
+    The search runs at the caller's tolerances first, then polishes:
+    it re-brackets the answer with a widening centred pair at
     profile-grade integration tolerance and pushes both parameter
     tolerances toward the deviation-noise floor.  The reported profile
     is the last inner solve's run; its seventh-order dense output keeps
@@ -668,26 +668,20 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     pcontrols = replace(controls,
                         rel_tol=min(controls.rel_tol, 1e-12),
                         abs_tol=min(controls.abs_tol, 1e-14))
-    if polish:
-        tol_alpha_f, tol_beta_f = min(tol_alpha, 1e-11), min(tol_beta, 1e-11)
-        fincontrols = pcontrols
-        # Re-bracket the stage-one answer at 8x its width, 8x wider per try.
-        w = max(hi.x - lo.x, tol_beta)
-        center = 0.5 * (lo.x + hi.x)
-        ends = _centred_bracket(lambda b: probe(b, pcontrols, tol_alpha_f),
-                                center, 8.0 * w, 12, _BETA_FLOOR)
-        if ends is None:
-            raise BracketingError(
-                f"could not re-bracket beta near {center} at polish tolerance")
-        lo, hi, _ = _narrow(lambda b: probe(b, pcontrols, tol_alpha_f),
-                            *ends, tol_beta_f)
-    else:
-        tol_alpha_f, tol_beta_f = tol_alpha, tol_beta
-        fincontrols = controls
+    ptol_alpha, ptol_beta = min(tol_alpha, 1e-11), min(tol_beta, 1e-11)
+    # Re-bracket the stage-one answer at 8x its width, 8x wider per try.
+    w = max(hi.x - lo.x, tol_beta)
+    center = 0.5 * (lo.x + hi.x)
+    ends = _centred_bracket(lambda b: probe(b, pcontrols, ptol_alpha),
+                            center, 8.0 * w, 12, _BETA_FLOOR)
+    if ends is None:
+        raise BracketingError(
+            f"could not re-bracket beta near {center} at polish tolerance")
+    lo, hi, _ = _narrow(lambda b: probe(b, pcontrols, ptol_alpha), *ends, ptol_beta)
     beta_bracket = Bracket(lo, hi)
 
     beta_star = 0.5 * (lo.x + hi.x)
-    ar_star = _alpha_at(beta_star, lambda_hat, fincontrols, tol_alpha_f, track,
+    ar_star = _alpha_at(beta_star, lambda_hat, pcontrols, ptol_alpha, track,
                         settle=False)
 
     def in_tube(traj: Trajectory) -> bool:
@@ -699,9 +693,9 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     if not converged and candidate is not None:
         cand_beta, cand_ar = candidate
         cand_traj = cand_ar.trajectory
-        if cand_traj.controls != fincontrols:
+        if cand_traj.controls != pcontrols:
             cand_traj = shoot(ShootPoint(alpha=cand_ar.alpha_star, beta=cand_beta),
-                              lambda_hat, fincontrols)
+                              lambda_hat, pcontrols)
         if in_tube(cand_traj):
             beta_star, ar_star = cand_beta, cand_ar
             profile_traj, converged = cand_traj, True

@@ -14,9 +14,7 @@ from monopole.origin_series import ShootPoint
 from monopole.shooter import shoot
 
 # loose stage-one tolerances; the polish stage still runs at profile
-# grade (a polished QUICK solve at lambda_hat = 0 takes ~5.5 s on a
-# 2-vCPU machine), so tests whose assertions do not depend on it add
-# --no-polish
+# grade (a QUICK solve at lambda_hat = 0 takes ~0.5 s on a 2-vCPU machine)
 QUICK = ["--tol-alpha", "1e-5", "--tol-beta", "1e-5",
          "--rel-tol", "1e-8", "--abs-tol", "1e-10"]
 
@@ -66,7 +64,7 @@ def test_profile_csv_round_trip(quick_solve_dir):
 def test_solve_physical_frame(tmp_path, capsys):
     path = tmp_path / "report.json"
     rc = main(["solve", "--lam", "0", "--g0", "2", "--rho0", "3", *QUICK,
-               "--no-polish", "--report-out", str(path)])
+               "--report-out", str(path)])
     assert rc == 0
     report = json.loads(path.read_text())
     assert report["lambda_hat"] == 0.0
@@ -157,7 +155,7 @@ def test_unconverged_solve_reports_no_numbers(tmp_path, capsys):
     # lambda_hat = 20 is beyond the reach of origin-only shooting: the
     # solve must say so without an energy, residual, audit or profile
     rc = main(["solve", "--lambda-hat", "20", "--tol-alpha", "1e-5",
-               "--tol-beta", "1e-5", "--no-polish", "--out", str(tmp_path)])
+               "--tol-beta", "1e-5", "--out", str(tmp_path)])
     assert rc == 2
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["converged"] is False
@@ -177,7 +175,7 @@ def test_solve_io_error_exit_code(tmp_path, capsys):
 def test_report_io_error_exit_code(tmp_path, capsys):
     blocker = tmp_path / "f.json"
     blocker.write_text("{}\n")
-    rc = main(["solve", "--lambda-hat", "0", *QUICK, "--no-polish",
+    rc = main(["solve", "--lambda-hat", "0", *QUICK,
                "--report-out", str(blocker / "sub.json")])
     assert rc == 4
 
@@ -269,7 +267,7 @@ def test_config_unknown_key(tmp_path, capsys):
 def test_config_values_take_the_flag_type(tmp_path, monkeypatch, capsys):
     # a config value is read as its flag's value would be; neither case
     # reaches a shot
-    solve = ["solve", "--lambda-hat", "0", "--no-polish"]
+    solve = ["solve", "--lambda-hat", "0"]
     cfg = tmp_path / "opts.cfg"
     # unreadable: a usage error before the solve, as from the flag
     with monkeypatch.context() as m:
@@ -281,9 +279,9 @@ def test_config_values_take_the_flag_type(tmp_path, monkeypatch, capsys):
         assert main([*solve, "--config", str(cfg)]) == 1
         assert "rel_tol" in capsys.readouterr().err
         # a switch takes true or false
-        cfg.write_text("no_polish = maybe\n")
-        assert main(["solve", "--lambda-hat", "0", "--config", str(cfg)]) == 1
-        assert "no_polish" in capsys.readouterr().err
+        cfg.write_text("flat = maybe\n")
+        assert main(["probe", "--lambda-hat", "0", "--config", str(cfg)]) == 1
+        assert "flat" in capsys.readouterr().err
     # a float the solver refuses: the solver's own message and exit code
     assert main([*solve, "--tol-beta", "nan"]) == 2
     flag_err = capsys.readouterr().err
@@ -299,8 +297,8 @@ def test_config_missing_file(tmp_path, capsys):
     assert rc == 4
 
 
-def test_validate_quick_passes(capsys):
-    rc = main(["validate", "--quick"])
+def test_validate_passes(capsys):
+    rc = main(["validate"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "FAIL" not in out
@@ -314,7 +312,7 @@ def test_validate_quick_passes(capsys):
 def test_validate_rejects_frame_flags(frame, capsys):
     # validate always solves the lambda_hat = 0 closed-form case
     with pytest.raises(SystemExit) as exc:
-        main(["validate", "--quick", *frame])
+        main(["validate", *frame])
     assert exc.value.code == 1
 
 
@@ -327,10 +325,32 @@ def test_validate_detects_sign_mutation(monkeypatch, capsys):
         return (d[0], -d[1], d[2], d[3])
 
     monkeypatch.setattr(integrator, "_rhs", flipped)
-    rc = main(["validate", "--quick"])
+    rc = main(["validate"])
     out = capsys.readouterr().out
     assert rc == 3
     assert "FAIL" in out
+
+
+def test_removed_flags_exit_usage(monkeypatch, capsys):
+    # every solve polishes and validate has one set of thresholds
+    monkeypatch.setattr(cli, "bisect_beta", None)
+    for argv in (["solve", "--lambda-hat", "0", "--no-polish"],
+                 ["probe", "--lambda-hat", "0", "--no-polish"],
+                 ["validate", "--no-polish"], ["validate", "--quick"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_probe_solved_profile(lam1, capsys):
+    # the probe of a solved profile runs the solve that `solve` runs
+    rc = main(["probe", "--lambda-hat", "1"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    zero = analysis.linearized_probe(lam1.profile).first_zero
+    assert out.split("first_zero = ")[1].split()[0] == \
+        ("none" if zero is None else cli._fmt(zero))
 
 
 def test_probe_flat(capsys):

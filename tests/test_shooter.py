@@ -21,6 +21,8 @@ from monopole.model import ModelParams, nondimensionalize, ps_exact
 
 
 CONTROLS = IntegratorControls()
+# what bisect_beta's polish stage and final inner solve shoot with
+POLISH = replace(CONTROLS, rel_tol=1e-12, abs_tol=1e-14)
 
 
 def _ends(lo, hi):
@@ -327,7 +329,7 @@ def test_bisect_alpha_stops_on_a_probe_with_no_side(monkeypatch):
 def test_no_point_is_shot_twice_when_an_inner_solve_stops_early(monkeypatch):
     # an inner solve that stops on a probe with no side, or once the
     # Higgs side is settled, reports that probe's run over the plain
-    # horizon instead of shooting alpha* again
+    # horizon instead of shooting alpha* again, in either stage
     shots, stopped = [], []
     shoot_orig, bisect_orig = shooter.shoot, shooter._bisect_alpha
 
@@ -343,13 +345,14 @@ def test_no_point_is_shot_twice_when_an_inner_solve_stops_early(monkeypatch):
 
     monkeypatch.setattr(shooter, "shoot", counting)
     monkeypatch.setattr(shooter, "_bisect_alpha", recording)
-    bisect_beta(1.0, polish=False)
+    bisect_beta(1.0)
     assert {res.resolved for res in stopped} == {"settled", "rho_blowup"}
+    assert {res.trajectory.controls for res in stopped} == {CONTROLS, POLISH}
     assert len(shots) == len(set(shots))
     for res in stopped:
         run = res.trajectory
-        assert (run.alpha, run.controls) == (res.alpha_star, CONTROLS)
-        assert (run.alpha, run.beta, CONTROLS) in shots
+        assert run.alpha == res.alpha_star
+        assert (run.alpha, run.beta, run.controls) in shots
 
 
 class _Run:
@@ -572,8 +575,8 @@ def test_graft_tail_continuity(lam0):
 
 def test_graft_table_matches_state_at(lam0):
     # the profile table is read in one batch, row for row what state_at
-    # gives: on every step start (where state_at reads the step that
-    # starts there), at t_graft and on the fitted tail past it
+    # gives: on every step boundary (where both read the step that ends
+    # there), at t_graft and on the fitted tail past it
     g = lam0.profile
     ts = np.sort(np.concatenate([np.linspace(g.base.ts[0], g.t_report, 301),
                                  g.base.ts, [g.t_graft]]))
@@ -633,7 +636,7 @@ def test_solve_report_bps(lam0, lam0_handoffs):
 
 
 def test_reported_profile_is_the_last_inner_run(monkeypatch):
-    # the last inner solve has already run (alpha*, beta*) at the final
+    # the last inner solve has already run (alpha*, beta*) at the polish
     # controls, and that run is the reported profile: it is shot once
     shots = []
     orig = shooter.shoot
@@ -643,11 +646,11 @@ def test_reported_profile_is_the_last_inner_run(monkeypatch):
         return orig(point, lambda_hat, controls)
 
     monkeypatch.setattr(shooter, "shoot", counting)
-    rep = bisect_beta(0.0, polish=False)
+    rep = bisect_beta(0.0)
     assert rep.converged
-    assert shots.count((rep.alpha_star_hat, rep.beta_star_hat, rep.controls)) == 1
-    assert (rep.profile.base.alpha, rep.profile.base.beta) == \
-        (rep.alpha_star_hat, rep.beta_star_hat)
+    assert shots.count((rep.alpha_star_hat, rep.beta_star_hat, POLISH)) == 1
+    assert (rep.profile.base.alpha, rep.profile.base.beta,
+            rep.profile.base.controls) == (rep.alpha_star_hat, rep.beta_star_hat, POLISH)
 
 
 def test_solve_verdict_at_lambda_1p5_is_honest(lam1):
