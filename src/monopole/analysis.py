@@ -58,13 +58,13 @@ class DecayFit:
     max_log_residual: float
 
 
-def fit_decay(profile, window, component: str, n_samples: int = 201) -> DecayFit:
+def fit_decay(profile, window, component: str) -> DecayFit:
     """Fit the decay of one field component over a radial window.
 
     component "f" fits log f against t (log(f / t) when lambda_hat = 0,
     where the gauge tail carries a linear prefactor); "one_minus_rho"
     fits log((1 - rho) t), the Higgs gap with its 1/t prefactor removed.
-    Samples must be strictly positive across the window.
+    The 201 evenly spaced samples must be strictly positive.
     """
     traj, _ = _as_trajectory(profile)
     lo, hi = float(window[0]), float(window[1])
@@ -72,9 +72,7 @@ def fit_decay(profile, window, component: str, n_samples: int = 201) -> DecayFit
         raise FitDomainError(
             f"fit window [{lo}, {hi}] outside trajectory range "
             f"[{traj.ts[0]}, {traj.t_end}]")
-    if n_samples < 10:
-        raise FitDomainError("need at least 10 samples for a decay fit")
-    ts = np.linspace(lo, hi, n_samples)
+    ts = np.linspace(lo, hi, 201)
     cols = traj.resample(ts)
     lam = traj.lambda_hat
     if component == "f":
@@ -95,7 +93,7 @@ def fit_decay(profile, window, component: str, n_samples: int = 201) -> DecayFit
     slope, intercept = np.polyfit(ts, y, 1)
     resid = y - (slope * ts + intercept)
     return DecayFit(rate=-float(slope), amplitude=float(math.exp(intercept)),
-                    prefactor=prefactor, window=(lo, hi), n_samples=n_samples,
+                    prefactor=prefactor, window=(lo, hi), n_samples=len(ts),
                     max_log_residual=float(np.max(np.abs(resid))))
 
 
@@ -155,8 +153,6 @@ class AuditReport:
     rhop_positive: bool
     worst_margins: dict
     window: tuple[float, float]
-    n_samples: int
-    residual_max: float | None = None
 
     @property
     def passes(self) -> bool:
@@ -164,15 +160,14 @@ class AuditReport:
                 and self.rho_in_01 and self.rhop_positive)
 
 
-def monotonicity_audit(profile, t_lo: float | None = None,
-                       t_hi: float | None = None) -> AuditReport:
+def monotonicity_audit(profile) -> AuditReport:
     """Check 0 < f < 1, f' < 0, 0 < rho < 1, rho' > 0 on a fine grid.
 
-    Accepts a trajectory (resampled through its dense output at spacing
-    5e-3 or finer) or a plain sample table (ts, f, fp, rho, rhop).  A
-    trajectory that ended in an out-of-tube event or a blowup is not a
-    solution candidate and is rejected with AuditDomainError rather than
-    graded.
+    Accepts a plain sample table (ts, f, fp, rho, rhop) or a trajectory,
+    resampled through its dense output at spacing 5e-3 or finer from its
+    first sample to t_graft (t_end for a bare run).  A trajectory that
+    ended in an out-of-tube event or a blowup is not a solution candidate
+    and is rejected with AuditDomainError rather than graded.
     """
     if isinstance(profile, tuple):
         ts, fs, fps, rhos, rhops = (np.asarray(c, dtype=float) for c in profile)
@@ -182,10 +177,9 @@ def monotonicity_audit(profile, t_lo: float | None = None,
         if traj.ended == "blowup" or traj.terminal_f_event() is not None:
             raise AuditDomainError(
                 "trajectory ended in a failure event, not a solution candidate")
-        lo = traj.ts[0] if t_lo is None else float(t_lo)
-        hi = (grafted.t_graft if grafted is not None else traj.t_end) \
-            if t_hi is None else float(t_hi)
-        if not (traj.ts[0] <= lo < hi <= traj.t_end):
+        lo = traj.ts[0]
+        hi = grafted.t_graft if grafted is not None else traj.t_end
+        if not (lo < hi <= traj.t_end):
             raise AuditDomainError(
                 f"audit window [{lo}, {hi}] outside trajectory range")
         n = max(int(math.ceil((hi - lo) / 5e-3)) + 1, 2)
@@ -206,19 +200,19 @@ def monotonicity_audit(profile, t_lo: float | None = None,
         fp_negative=margins["minus_fp_min"] > 0.0,
         rho_in_01=margins["rho_min"] > 0.0 and margins["one_minus_rho_min"] > 0.0,
         rhop_positive=margins["rhop_min"] > 0.0,
-        worst_margins=margins, window=window, n_samples=len(ts))
+        worst_margins=margins, window=window)
 
 
-def residual_norm(profile, t_hi: float | None = None, h: float = 1e-3,
-                  lambda_hat: float | None = None) -> float:
+def residual_norm(profile, lambda_hat: float | None = None) -> float:
     """Sup-norm of the field equations under central second differences.
 
     Only sampled values of (t, f, rho) enter; all derivatives are formed
     by O(h^2) finite differences, so the figure cross-checks the
     integrator instead of restating its own right-hand side.  Accepts a
-    trajectory (resampled uniformly at spacing h from t = 0.05, or from its
-    first sample if later) or raw uniformly spaced arrays (ts, f, rho),
-    which require lambda_hat.
+    trajectory at its own lambda_hat (resampled at spacing 2.5e-4 from
+    t = 0.05, or from its first sample if later, to t_graft, or t_end for
+    a bare run) or raw uniformly spaced arrays (ts, f, rho), which
+    require lambda_hat.
     """
     if isinstance(profile, tuple):
         ts, fs, rhos = (np.asarray(c, dtype=float) for c in profile)
@@ -231,11 +225,15 @@ def residual_norm(profile, t_hi: float | None = None, h: float = 1e-3,
             raise DomainError("raw samples must be uniformly spaced")
     else:
         traj, grafted = _as_trajectory(profile)
-        lam = traj.lambda_hat if lambda_hat is None else float(lambda_hat)
+        # The sup sits at the left edge, dominated by the O(h^2) truncation
+        # of the 2 rho'/t term (rho''' ~ 6 b3 there), so the spacing sets
+        # the figure, not the solver.  A quarter millistep keeps it well
+        # under 1e-6 even at lambda_hat ~ 1 couplings while staying far
+        # above the dense-output noise floor.
+        lam, h = traj.lambda_hat, 2.5e-4
         lo = max(0.05, traj.ts[0])
-        hi = (grafted.t_graft if grafted is not None else traj.t_end) \
-            if t_hi is None else float(t_hi)
-        if not (traj.ts[0] <= lo < hi <= traj.t_end):
+        hi = grafted.t_graft if grafted is not None else traj.t_end
+        if not (lo < hi <= traj.t_end):
             raise DomainError(f"residual window [{lo}, {hi}] outside trajectory")
         n = int(math.floor((hi - lo) / h)) + 1
         ts = lo + h * np.arange(n)
@@ -267,12 +265,12 @@ def _odd_grid(lo: float, hi: float, target_h: float):
     return np.linspace(lo, hi, n_int + 1), (hi - lo) / n_int
 
 
-def mass_integral(grafted, t_far: float = 400.0) -> float:
+def mass_integral(grafted) -> float:
     """Dimensionless monopole mass: the energy density integrated outward.
 
     Simpson quadrature at spacing 2e-3 on the dense numerical profile up
     to the graft radius, then at spacing 5e-2 on the fitted tail model up
-    to t_far; beyond t_far the surviving Coulomb-like densities are added
+    to t_far = 400; beyond t_far the surviving Coulomb-like densities are added
     in closed form, (1 - f^2)^2 / (2 t^2) -> 1 / (2 t^2) plus, at
     lambda_hat = 0 only, B^2 / (2 t^2) from the power-law Higgs gradient.
     The region below the handoff radius contributes its series value
@@ -281,6 +279,7 @@ def mass_integral(grafted, t_far: float = 400.0) -> float:
     traj = grafted.base
     lam = traj.lambda_hat
     tg = grafted.t_graft
+    t_far = 400.0
     if t_far <= tg:
         raise DomainError(f"t_far = {t_far} must exceed t_graft = {tg}")
     t0 = traj.ts[0]
@@ -309,20 +308,17 @@ class ProbeResult:
 
     first_zero: float | None
     u_end: float
-    q_end: float
-    qp_end: float
     mass_term: bool
-    n_steps: int
 
 
-def linearized_probe(profile=None, u_end: float = 8.0, u0: float = 1e-3,
-                     step: float = 1e-3, qp0: float = 1.0) -> ProbeResult:
+def linearized_probe(profile=None, u_end: float = 8.0) -> ProbeResult:
     """Radial Sturm probe of the l = 1 angular fluctuation operator.
 
     Integrates Q'' = -(2/u) Q' - (1 - 2 p(u)^2 / u^2) Q outward on the
-    regular branch and reports the first node.  With the vacuum
-    background p = 1 (profile None) the node is the first positive root
-    of the spherical Bessel function j1, near u = 4.4934; any background
+    regular branch Q ~ u, in RK4 steps of at most 1e-3 from u0 = 1e-3
+    to u_end, and reports the first node.  With the vacuum background
+    p = 1 (profile None) the node is the first positive root of the
+    spherical Bessel function j1, near u = 4.4934; any background
     with p < 1 somewhere pulls the node inward, so node(profile) <=
     node(vacuum) witnesses that the monopole is no stiffer than the
     vacuum.  A solved profile enters through u = sqrt(lambda_hat) t, its
@@ -330,8 +326,9 @@ def linearized_probe(profile=None, u_end: float = 8.0, u0: float = 1e-3,
     mass term is dropped, and the regular branch has no node (first_zero
     is None).  p values outside (0, 1] raise SturmDomainError.
     """
-    if not (0.0 < u0 < u_end) or step <= 0.0:
-        raise DomainError("need 0 < u0 < u_end and a positive step")
+    u0 = 1e-3
+    if not u_end > u0:
+        raise DomainError(f"need u_end > u0 = {u0}, got {u_end}")
     mass = 1.0
     if profile is None:
         def p_of(u):
@@ -363,9 +360,9 @@ def linearized_probe(profile=None, u_end: float = 8.0, u0: float = 1e-3,
             raise SturmDomainError(f"p(u) = {p} at u = {u} is outside (0, 1]")
         return qp, -(2.0 / u) * qp - (mass - 2.0 * p * p / (u * u)) * q
 
-    n = max(int(math.ceil((u_end - u0) / step)), 1)
+    n = max(int(math.ceil((u_end - u0) / 1e-3)), 1)
     h = (u_end - u0) / n
-    u, q, qp = u0, u0 * qp0, qp0
+    u, q, qp = u0, u0, 1.0  # linear in Q: the slope does not move the node
     first_zero = None
     for _ in range(n):
         k1q, k1p = rhs(u, q, qp)
@@ -378,8 +375,7 @@ def linearized_probe(profile=None, u_end: float = 8.0, u0: float = 1e-3,
         if first_zero is None and q != 0.0 and (q > 0.0) != (q1 > 0.0):
             first_zero = _hermite_root(u, q, qp, u1, q1, qp1)
         u, q, qp = u1, q1, qp1
-    return ProbeResult(first_zero=first_zero, u_end=u, q_end=q, qp_end=qp,
-                       mass_term=mass == 1.0, n_steps=n)
+    return ProbeResult(first_zero=first_zero, u_end=u, mass_term=mass == 1.0)
 
 
 def _hermite_root(ta, ya, da, tb, yb, db) -> float:

@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: solve, sweep, validate, probe, series.  Exit codes are
-0 success, 1 usage, 2 solver failure, 3 validation or audit failure,
-4 I/O failure.  A flat key=value config file can preload any option,
-each value read as its flag would read it; explicit flags win over the
-file.
+0 success, 1 usage (a value the library refuses included), 2 solver
+failure, 3 validation or audit failure, 4 I/O failure.  A flat
+key=value config file can preload any option, each value read as its
+flag would read it; explicit flags win over the file.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis
-from .errors import MonopoleError
+from .errors import DomainError, MonopoleError
 from .integrator import IntegratorControls
 from .model import ModelParams, nondimensionalize, ps_exact
 from .origin_series import DEFAULT_T0, ShootPoint, initial_state, picard_verify
@@ -36,7 +36,11 @@ _MAX_PROFILE_ROWS = 10**6
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors, which collides with the
-    # solver-failure code; route all usage problems to 1.
+    # solver-failure code; route all usage problems to 1.  Flags must be
+    # spelled out: _apply_config finds explicit flags by their full name.
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -320,18 +324,16 @@ def _cmd_validate(ns: argparse.Namespace, parser) -> int:
         ("monotonicity audit", report.audit.passes),
         ("massless-channel probe reports no zero",
          analysis.linearized_probe(profile).first_zero is None),
-        within("alpha_star_hat vs 1/6", abs(report.alpha_star_hat - 1.0 / 6.0),
-               ns.param_tol),
-        within("beta_star_hat vs 1/3", abs(report.beta_star_hat - 1.0 / 3.0),
-               ns.param_tol),
+        within("alpha_star_hat vs 1/6", abs(report.alpha_star_hat - 1.0 / 6.0), 1e-6),
+        within("beta_star_hat vs 1/3", abs(report.beta_star_hat - 1.0 / 3.0), 1e-6),
         within("max |f - exact| at probe radii",
-               max(abs(s.f - e.f) for s, e in zip(got, exact)), ns.field_tol),
+               max(abs(s.f - e.f) for s, e in zip(got, exact)), 1e-5),
         within("max |rho - exact| at probe radii",
-               max(abs(s.rho - e.rho) for s, e in zip(got, exact)), ns.field_tol),
+               max(abs(s.rho - e.rho) for s, e in zip(got, exact)), 1e-5),
         within("f decay rate vs 1", abs(profile.f_fit.rate - 1.0), 0.02),
         within("Higgs gap rate vs 0 (1/t tail)", abs(profile.higgs_fit.rate), 0.02),
         within("flat probe zero vs 4.4934", abs(flat_zero - 4.4934094579090642), 1e-3),
-        within("energy vs 1", abs(report.energy - 1.0), ns.energy_tol),
+        within("energy vs 1", abs(report.energy - 1.0), 1e-3),
         within("residual sup-norm", report.residual_norm, 1e-6),
     ]
     for text, ok in checks:
@@ -402,9 +404,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("validate",
                        help="solve at lambda_hat = 0 and compare to closed form")
     _add_solve_options(p)
-    p.add_argument("--param-tol", type=float, default=1e-6)
-    p.add_argument("--field-tol", type=float, default=1e-5)
-    p.add_argument("--energy-tol", type=float, default=1e-3)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("probe", help="l = 1 angular fluctuation probe")
@@ -445,7 +444,8 @@ def main(argv: list[str] | None = None) -> int:
         return ns.func(ns, parser)
     except MonopoleError as exc:
         print(f"monopole {ns.command}: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
+        # a value the library refuses is a usage error, not a failed solve
+        return EXIT_USAGE if isinstance(exc, DomainError) else EXIT_SOLVE
 
 
 if __name__ == "__main__":

@@ -382,9 +382,8 @@ def in_tube(state: PhaseState) -> bool:
             and 0.0 < state.rho <= 1.0 + TUBE)
 
 
-def refine_event(interpolant, t_lo: float, t_hi: float, predicate,
-                 event_tol: float = EVENT_TOL):
-    """Bisect a bracketed sign change of predicate(interpolant(t)).
+def refine_event(interpolant, t_lo: float, t_hi: float, predicate):
+    """Bisect a bracketed sign change of predicate(interpolant(t)) to EVENT_TOL.
 
     Returns (t_event, interpolant(t_event)).  Raises NoEventError when the
     endpoints do not straddle a sign change (tangential contact).
@@ -400,7 +399,7 @@ def refine_event(interpolant, t_lo: float, t_hi: float, predicate,
     if (g_lo < 0.0) == (g_hi < 0.0):
         raise NoEventError(
             f"no sign change on [{t_lo}, {t_hi}]: endpoints {g_lo}, {g_hi}")
-    while t_hi - t_lo > event_tol:
+    while t_hi - t_lo > EVENT_TOL:
         t_mid = 0.5 * (t_lo + t_hi)
         if t_mid <= t_lo or t_mid >= t_hi:
             break  # spacing below float resolution

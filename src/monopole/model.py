@@ -46,11 +46,6 @@ class ModelParams:
         if not (math.isfinite(self.rho0) and self.rho0 > 0.0):
             raise DomainError(f"rho0 must be finite and > 0, got {self.rho0}")
 
-    @property
-    def mu(self) -> float:
-        """Higgs mass scale sqrt(lam) * rho0 (derived, never stored)."""
-        return math.sqrt(self.lam) * self.rho0
-
 
 @dataclass(frozen=True)
 class ScaledParams:

@@ -706,15 +706,8 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     if converged:
         try:
             profile = graft_tail(profile_traj)
-            audit = analysis.monotonicity_audit(profile_traj, t_hi=profile.t_graft)
-            # Sup of the FD residual sits at the left edge, dominated by the
-            # O(h^2) truncation of the 2 rho'/t term (rho''' ~ 6 b3 there),
-            # so the spacing sets the figure, not the solver.  A quarter
-            # millistep keeps it well under 1e-6 even at lambda_hat ~ 1
-            # couplings while staying far above the dense-output noise floor.
-            residual = analysis.residual_norm(profile_traj, t_hi=profile.t_graft,
-                                              h=2.5e-4)
-            audit.residual_max = residual
+            audit = analysis.monotonicity_audit(profile)
+            residual = analysis.residual_norm(profile)
             energy = analysis.mass_integral(profile)
         except MonopoleError:
             profile = audit = residual = energy = None

@@ -127,9 +127,33 @@ def test_oversized_profile_table_exits_usage(tmp_path, monkeypatch, capsys):
 
 
 def test_solve_failure_exit_code(capsys):
-    # handoff beyond the series' validity: the solver refuses to start
+    # handoff beyond the series' validity: the solver refuses to start,
+    # a usage error (1) with the library's message
     rc = main(["solve", "--lambda-hat", "0", *QUICK, "--t0", "0.02"])
-    assert rc == 2
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "monopole solve: t0 must lie in (0, 0.01], got 0.02\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--lambda-hat", "0", "--t0", "0.5"], "t0 must lie in (0, 0.01]"),
+    (["solve", "--lambda-hat", "0", "--rel-tol", "-1"],
+     "tolerances must be positive"),
+    (["solve", "--lambda-hat", "0", "--tol-alpha", "0"],
+     "tolerances must be positive and finite"),
+    (["solve", "--lambda-hat", "0", "--t-max", "1e-4"], "need 0 < t0 < t_max"),
+    (["solve", "--lam", "-1", "--g0", "1", "--rho0", "1"],
+     "lam must be finite and >= 0"),
+    (["series", "--alpha", "-1", "--beta", "0.3"], "alpha must be finite and >= 0"),
+    (["sweep", "--lambda-hat", "0", "--alphas", "0.1", "--betas", "0.1",
+      "--t0", "0.5"], "t0 must lie in (0, 0.01]"),
+    (["probe", "--flat", "--u-end", "0"], "need u_end > u0"),
+])
+def test_refused_value_exits_usage(argv, message, capsys):
+    # a value the library refuses is a usage error, not a solver failure
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"monopole {argv[0]}: {message}")
 
 
 def test_bad_coupling_exits_usage(tmp_path, monkeypatch, capsys):
@@ -282,13 +306,25 @@ def test_config_values_take_the_flag_type(tmp_path, monkeypatch, capsys):
         cfg.write_text("flat = maybe\n")
         assert main(["probe", "--lambda-hat", "0", "--config", str(cfg)]) == 1
         assert "flat" in capsys.readouterr().err
-    # a float the solver refuses: the solver's own message and exit code
-    assert main([*solve, "--tol-beta", "nan"]) == 2
+    # a float the solver refuses: the solver's own message, a usage error
+    assert main([*solve, "--tol-beta", "nan"]) == 1
     flag_err = capsys.readouterr().err
     assert "tolerances must be positive and finite" in flag_err
     cfg.write_text("tol_beta = nan\n")
-    assert main([*solve, "--config", str(cfg)]) == 2
+    assert main([*solve, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == flag_err
+
+
+def test_abbreviated_flag_exits_usage(tmp_path, monkeypatch, capsys):
+    # the config overlay finds explicit flags by their full name, so an
+    # abbreviation would silently lose to the file; it is refused instead
+    monkeypatch.setattr(cli, "bisect_beta", None)
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("tol-alpha = 1e-6\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--lambda-hat", "0", "--config", str(cfg), "--tol-a", "1e-9"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --tol-a" in capsys.readouterr().err
 
 
 def test_config_missing_file(tmp_path, capsys):
@@ -336,7 +372,9 @@ def test_removed_flags_exit_usage(monkeypatch, capsys):
     monkeypatch.setattr(cli, "bisect_beta", None)
     for argv in (["solve", "--lambda-hat", "0", "--no-polish"],
                  ["probe", "--lambda-hat", "0", "--no-polish"],
-                 ["validate", "--no-polish"], ["validate", "--quick"]):
+                 ["validate", "--no-polish"], ["validate", "--quick"],
+                 ["validate", "--param-tol", "1"], ["validate", "--field-tol", "1"],
+                 ["validate", "--energy-tol", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1

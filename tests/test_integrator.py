@@ -193,7 +193,7 @@ def test_refine_event_synthetic_root():
     def interp(t):
         return PhaseState(t=t, f=math.cos(t), fp=-math.sin(t), rho=0.5, rhop=0.0)
 
-    t_event, state = refine_event(interp, 1.0, 2.0, lambda s: s.f, event_tol=1e-12)
+    t_event, state = refine_event(interp, 1.0, 2.0, lambda s: s.f)
     assert abs(t_event - math.pi / 2) < 1e-10
     assert abs(state.f) < 1e-10
     with pytest.raises(NoEventError):
@@ -263,8 +263,7 @@ def test_refine_event_locates_higgs_half_crossing():
             lo = mid
     reference = 0.5 * (lo + hi)
     traj = integrate(_start(1 / 6, 1 / 3, 0.0), 0.0, IntegratorControls())
-    t_event, state = refine_event(traj.state_at, 1.5, 2.0,
-                                  lambda s: s.rho - 0.5, event_tol=1e-12)
+    t_event, state = refine_event(traj.state_at, 1.5, 2.0, lambda s: s.rho - 0.5)
     # budget: the trajectory's own ~4e-10 field error over the ~0.31
     # local slope, on top of the refinement tolerance
     assert abs(t_event - reference) < 5e-9
