@@ -54,7 +54,6 @@ class DecayFit:
     amplitude: float
     prefactor: str
     window: tuple[float, float]
-    n_samples: int
     max_log_residual: float
 
 
@@ -93,7 +92,7 @@ def fit_decay(profile, window, component: str) -> DecayFit:
     slope, intercept = np.polyfit(ts, y, 1)
     resid = y - (slope * ts + intercept)
     return DecayFit(rate=-float(slope), amplitude=float(math.exp(intercept)),
-                    prefactor=prefactor, window=(lo, hi), n_samples=len(ts),
+                    prefactor=prefactor, window=(lo, hi),
                     max_log_residual=float(np.max(np.abs(resid))))
 
 

@@ -303,6 +303,8 @@ def _cmd_validate(ns: argparse.Namespace, parser) -> int:
     try:
         report = bisect_beta(0.0, controls=_controls_from(ns),
                              tol_alpha=ns.tol_alpha, tol_beta=ns.tol_beta)
+    except DomainError:
+        raise  # a value the library refuses: main reports it as usage
     except MonopoleError as exc:
         print(f"FAIL solve raised: {exc}")
         return EXIT_VALIDATE

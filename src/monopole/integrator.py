@@ -31,12 +31,24 @@ f-channel events terminate the run; rho-channel events are recorded and
 integration continues so the gauge fate is still observable.  An event
 whose state lies inside the convergence tube (half-width TUBE around the
 vacuum, see in_tube) is a sub-tolerance wiggle of a separatrix-hugging
-trajectory: it is logged but neither terminates nor classifies.
+trajectory: it is logged and does not terminate; classify reads it only
+when the run later leaves the tube on its side, or blows up in rho with
+f still in the tube.
+
+integrate_series starts a run on the origin series instead: from t0 to
+the series' reach the run is read off the series, on pieces that end on
+the multiples of _PIECE, so their ends do not depend on t0.  Each piece
+end gets the five sign tests and the blowup bounds of a step, and a
+crossing is bisected on the series itself.  DOP853 takes over at the
+reach, past the 1/t^2 layer at the origin, where it would otherwise hold
+every step near h ~ 0.1 t and leave its largest error.  state_at and
+resample read the span off the series; n_steps counts DOP853 steps only.
 
 extend continues a finished run to a later horizon.  t_max enters a run
 only where it clips a step, so a longer run repeats this one exactly up
 to its first clipped step; the run records that point and extend resumes
-there, giving the same samples, events and verdict as integrate would.
+there, giving the same samples, events and verdict as integrate (or
+integrate_series) would.
 """
 from __future__ import annotations
 
@@ -50,6 +62,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrityError, NoEventError, StiffnessError
 from .model import PhaseState, _rhs
+from .origin_series import OriginSeries
 
 __all__ = [
     "IntegratorControls",
@@ -61,6 +74,7 @@ __all__ = [
     "Outcome",
     "Trajectory",
     "integrate",
+    "integrate_series",
     "extend",
     "refine_event",
     "classify",
@@ -77,6 +91,8 @@ EVENT_TOL = 1e-10
 # exceeds _BLOWUP_SLOPE.
 _BLOWUP_BOUND = 2.0
 _BLOWUP_SLOPE = 1e3
+# Width of the grid whose multiples end the pieces of a series span.
+_PIECE = 0.05
 
 
 @dataclass(frozen=True)
@@ -287,7 +303,12 @@ def _horner(y, c, x, u):
 
 @dataclass
 class Trajectory:
-    """Sampled solution, dense interpolants, and the event log of one run."""
+    """Sampled solution, dense interpolants, and the event log of one run.
+
+    A run started on the origin series keeps it: its first _span samples
+    after ts[0] are the ends of the series pieces, and segments[j] is the
+    DOP853 step from ts[_span + j] to the next sample.
+    """
 
     t0: float
     lambda_hat: float
@@ -301,10 +322,13 @@ class Trajectory:
     blowup_channel: str = ""   # "f" | "rho" | "slope" | "nonfinite"
     alpha: float | None = None
     beta: float | None = None
+    series: OriginSeries | None = field(default=None, repr=False)
+    _span: int = field(default=0, repr=False)
     # Where a run to a later horizon leaves this one (see extend): the
     # segment, f-event and rho-event counts, the FSAL stage and the
     # unclipped step at the first horizon clip.  None while no clip has
-    # fired; the stage is None when the horizon capped the first step.
+    # fired; the stage is None when the horizon capped the first step or
+    # ended the run inside its series span.
     _resume: tuple | None = field(default=None, repr=False)
 
     @property
@@ -327,41 +351,53 @@ class Trajectory:
     def state_at(self, t: float) -> PhaseState:
         """Dense-output state anywhere inside the sampled range.
 
-        Read off the first segment that ends at or after t, as resample
-        reads it, so a radius on a step boundary comes from the step it
-        ends.
+        Read off the series up to the end of the series span, past it off
+        the first segment that ends at or after t, as resample reads it, so
+        a radius on a step boundary comes from the step it ends.
         """
-        if not self.segments:
+        if self.series is None and not self.segments:
             raise DomainError("trajectory stores no dense segments")
         if not (self.ts[0] <= t <= self.ts[-1]):
             raise DomainError(
                 f"t = {t} outside trajectory range [{self.ts[0]}, {self.ts[-1]}]")
-        i = max(_bisect.bisect_left(self.ts, t) - 1, 0)
+        k = self._span
+        if self.series is not None and t <= self.ts[k]:
+            return PhaseState(t, *self.series.state(t))
+        i = max(_bisect.bisect_left(self.ts, t) - 1 - k, 0)
         return PhaseState(t, *self.segments[i].eval(t))
 
     def resample(self, ts) -> np.ndarray:
         """Dense-output samples at a sequence of radii, in one batch.
 
         Returns an (n, 4) array of (f, f', rho, rho') rows aligned with
-        ts, each what state_at gives at its radius: the arithmetic of
-        DenseSegment.eval, one numpy operation per step of it.
+        ts, each what state_at gives at its radius: OriginSeries.table on
+        the series span, and past it the arithmetic of DenseSegment.eval,
+        one numpy operation per step of it.
         """
         ts = np.asarray(ts, dtype=float)
-        if not self.segments:
+        if self.series is None and not self.segments:
             raise DomainError("trajectory stores no dense segments")
         inside = (ts >= self.ts[0]) & (ts <= self.ts[-1])
         if not inside.all():
             raise DomainError(f"dense-output point {ts[~inside][0]} outside trajectory "
                               f"range [{self.ts[0]}, {self.ts[-1]}]")
-        used, pos = np.unique(np.searchsorted(self.ts[1:], ts), return_inverse=True)
+        out = np.empty((len(ts), 4))
+        k = self._span
+        dense = np.ones(len(ts), dtype=bool)
+        if self.series is not None:
+            dense = ts > self.ts[k]
+            out[~dense] = self.series.table(ts[~dense])
+            if not dense.any():
+                return out
+            ts = ts[dense]
+        used, pos = np.unique(np.searchsorted(self.ts[k + 1:], ts), return_inverse=True)
         segs = [self.segments[i] for i in used]
         q = np.array([s._coeffs() for s in segs]).reshape(len(segs), 4, 7)
         y0 = np.array([s.y0 for s in segs]).reshape(len(segs), 4)
         x = (ts - np.array([s.t for s in segs])[pos]) / np.array([s.h for s in segs])[pos]
         u = 1.0 - x
-        out = np.empty((len(ts), 4))
         for i in range(4):
-            out[:, i] = _horner(y0[pos, i], q[pos, i].T, x, u)
+            out[dense, i] = _horner(y0[pos, i], q[pos, i].T, x, u)
         return out
 
 
@@ -454,6 +490,65 @@ def integrate(start: PhaseState, lambda_hat: float,
     return traj
 
 
+def integrate_series(series: OriginSeries, controls: IntegratorControls) -> Trajectory:
+    """The run from controls.t0 that reads the origin series up to its reach.
+
+    Samples start at t0 and follow the series span, on pieces that end on
+    the multiples of _PIECE below min(reach, t_max) and at that radius.
+    Each piece end gets a step's five sign tests, with any crossing
+    bisected on the series, and its blowup bounds.  Past the span DOP853
+    steps on as integrate does.  The reach must lie beyond t0.
+    """
+    t0, t_max = controls.t0, controls.t_max
+    t_end = min(series.reach, t_max)
+    if not t_end > t0:
+        raise DomainError(f"series reach {series.reach} must lie beyond t0 = {t0}")
+    ends = [s for s in (j * _PIECE for j in range(1, math.ceil(t_end / _PIECE) + 1))
+            if t0 < s < t_end]
+    ends.append(t_end)
+    rows = [tuple(row) for row in series.table([t0, *ends]).tolist()]
+    traj = Trajectory(t0=t0, lambda_hat=series.lambda_hat, controls=controls,
+                      ts=[t0], ys=[rows[0]], series=series)
+    t, y = t0, rows[0]
+    for t_next, y_next in zip(ends, rows[1:]):
+        terminal = (_sign_change(y, y_next)
+                    and _scan_events(traj, _SeriesPiece(series, t, t_next), y, y_next))
+        traj.ts.append(t_next)
+        traj.ys.append(y_next)
+        traj._span += 1
+        t, y = t_next, y_next
+        if terminal:
+            traj.ended = "event"
+            return traj
+        channel = _blowup_channel(y)
+        if channel:
+            traj.ended, traj.blowup_channel = "blowup", channel
+            return traj
+    span = t_max - t
+    if span <= 0.0:
+        # The horizon ended the run inside the span: a longer run reads on.
+        traj.ended = "t_max"
+        traj._resume = (0, 0, 0, None, None)
+        return traj
+    k1 = _rhs(t, *y, series.lambda_hat)
+    h = _select_initial_step(t, y, k1, controls.rel_tol, controls.abs_tol,
+                             controls.max_step, span)
+    if h >= span:
+        traj._resume = (0, 0, 0, None, None)
+    _advance(traj, k1, h)
+    return traj
+
+
+class _SeriesPiece:
+    """One piece [t, t_end] of a series span, read as _scan_events reads a step."""
+
+    __slots__ = ("t", "t_end", "component", "eval")
+
+    def __init__(self, series: OriginSeries, t: float, t_end: float):
+        self.t, self.t_end = t, t_end
+        self.component, self.eval = series.component, series.state
+
+
 def extend(traj: Trajectory, controls: IntegratorControls) -> Trajectory:
     """The run integrate gives at the later horizon controls.t_max, reusing traj.
 
@@ -462,8 +557,9 @@ def extend(traj: Trajectory, controls: IntegratorControls) -> Trajectory:
     nothing, so a longer run is the same step for step up to there; the
     new run copies that prefix and continues with the saved unclipped
     step.  A run that never reached its horizon is returned with the new
-    controls, and one whose first step was already clipped is integrated
-    afresh.  traj itself is left unchanged.
+    controls, and one whose first step was already clipped, or that the
+    horizon ended inside its series span, is run afresh, on its series
+    when it has one.  traj itself is left unchanged.
     """
     if (controls.t_max < traj.controls.t_max
             or replace(traj.controls, t_max=controls.t_max) != controls):
@@ -472,15 +568,35 @@ def extend(traj: Trajectory, controls: IntegratorControls) -> Trajectory:
         return replace(traj, controls=controls)
     n, n_f, n_rho, k1, h = traj._resume
     if k1 is None:
-        new = integrate(PhaseState(traj.t0, *traj.ys[0]), traj.lambda_hat, controls)
+        new = (integrate(PhaseState(traj.t0, *traj.ys[0]), traj.lambda_hat, controls)
+               if traj.series is None else integrate_series(traj.series, controls))
     else:
+        m = traj._span + n
         new = Trajectory(t0=traj.t0, lambda_hat=traj.lambda_hat, controls=controls,
-                         ts=traj.ts[:n + 1], ys=traj.ys[:n + 1],
+                         ts=traj.ts[:m + 1], ys=traj.ys[:m + 1],
                          segments=traj.segments[:n], f_events=traj.f_events[:n_f],
-                         rho_events=traj.rho_events[:n_rho])
+                         rho_events=traj.rho_events[:n_rho], series=traj.series,
+                         _span=traj._span)
         _advance(new, k1, h)
     new.alpha, new.beta = traj.alpha, traj.beta
     return new
+
+
+def _sign_change(ya: tuple, yb: tuple) -> bool:
+    """Whether one of the five event functions of _scan_events changes sign."""
+    f, fp, rho, rhop = ya
+    fn, fpn, rn, rpn = yb
+    return (fp < 0.0 <= fpn or f > 0.0 >= fn or rhop > 0.0 >= rpn
+            or rho < 1.0 <= rn or rho > 0.0 >= rn)
+
+
+def _blowup_channel(y: tuple) -> str:
+    """The blowup channel of state y, or "" while every bound holds."""
+    f, fp, rho, rhop = y
+    if abs(f) > _BLOWUP_BOUND or rho > _BLOWUP_BOUND or abs(fp) > _BLOWUP_SLOPE \
+            or abs(rhop) > _BLOWUP_SLOPE:
+        return "rho" if rho > _BLOWUP_BOUND else "f" if abs(f) > _BLOWUP_BOUND else "slope"
+    return ""
 
 
 def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
@@ -502,7 +618,6 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
     controls = traj.controls
     rel, atol = controls.rel_tol, controls.abs_tol
     t_max, max_step = controls.t_max, controls.max_step
-    bound, slope_bound = _BLOWUP_BOUND, _BLOWUP_SLOPE
     isfinite = math.isfinite
     add_t, add_y, add_seg = traj.ts.append, traj.ys.append, traj.segments.append
 
@@ -710,10 +825,8 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
             (k1r, k2r, k3r, k4r, k5r, k6r, k7r, k8r, k9r, k10r, k11r, k12r, rpn),
             (k1rp, k2rp, k3rp, k4rp, k5rp, k6rp, k7rp, k8rp, k9rp, k10rp, k11rp, k12rp, k13rp),
         ), lam)
-        # the five event functions of _scan_events; most steps change none
-        terminal = ((fp < 0.0 <= fpn or f > 0.0 >= fn or rhop > 0.0 >= rpn
-                     or rho < 1.0 <= rn or rho > 0.0 >= rn)
-                    and _scan_events(traj, seg, y_acc, y_new))
+        # most steps change no event function's sign
+        terminal = _sign_change(y_acc, y_new) and _scan_events(traj, seg, y_acc, y_new)
         add_seg(seg)
         t += h
         f, fp, rho, rhop = y_acc = y_new
@@ -722,10 +835,9 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
         if terminal:
             traj.ended = "event"
             return
-        if abs(fn) > bound or rn > bound or abs(fpn) > slope_bound or abs(rpn) > slope_bound:
-            traj.ended = "blowup"
-            traj.blowup_channel = ("rho" if rn > bound else
-                                   "f" if abs(fn) > bound else "slope")
+        channel = _blowup_channel(y_acc)
+        if channel:
+            traj.ended, traj.blowup_channel = "blowup", channel
             return
         k1f, k1fp, k1r, k1rp = fpn, k13fp, rpn, k13rp  # first-same-as-last
         fac = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.125))
@@ -734,10 +846,11 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
     traj.ended = "t_max"
 
 
-def _scan_events(traj: Trajectory, seg: DenseSegment, ya: tuple, yb: tuple) -> bool:
-    """Refine sign changes over one accepted step.  True if a terminal event fired.
+def _scan_events(traj: Trajectory, seg, ya: tuple, yb: tuple) -> bool:
+    """Refine sign changes over one accepted step or series piece.
 
-    Each crossing is bisected on the one interpolant component whose sign
+    True if a terminal event fired.  Each crossing is bisected on the one
+    component of seg (a DenseSegment or a _SeriesPiece) whose sign
     changes, and the full state is read once at the refined time.
     """
     found = []  # (t, kind, state)
@@ -795,7 +908,11 @@ def classify(traj: Trajectory, mode: ClassifyMode) -> Outcome:
     RhoFate reads the Higgs channel the same way.  An in-tube event is
     ignored unless the trajectory later leaves the tube on the same side
     the event pointed to, in which case it was the first visible sign of
-    a genuine escape and is promoted to the verdict.
+    a genuine escape and is promoted to the verdict.  So is the last
+    in-tube gauge event of a run whose rho blows up while f is still in
+    the tube: the growing rho^2 f term of f'' then pushes f further in
+    the direction of its own sign, so the side that event pointed to
+    holds.
     """
     if not traj.ended:
         raise DomainError("classify needs a finished trajectory")
@@ -809,6 +926,11 @@ def classify(traj: Trajectory, mode: ClassifyMode) -> Outcome:
         return Outcome(tag=promoted.tag, t_event=promoted.t, state=promoted.state,
                        detail="promoted tube event")
     if traj.ended == "blowup":
+        if (mode is ClassifyMode.F_FATE and events and traj.blowup_channel == "rho"
+                and abs(last.f) < TUBE):
+            ev = events[-1]
+            return Outcome(tag=ev.tag, t_event=ev.t, state=ev.state,
+                           detail="tube event before rho blowup")
         return Outcome(tag=OutcomeTag.BLOWUP, t_event=traj.t_end,
                        state=last, detail=traj.blowup_channel)
     if in_tube(last):

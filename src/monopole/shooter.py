@@ -42,9 +42,10 @@ from . import analysis
 from .errors import BracketingError, DomainError, IntegrityError, MonopoleError
 from .integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
                          Outcome, OutcomeTag, Trajectory, classify, extend,
-                         integrate)
+                         integrate, integrate_series)
 from .model import PhaseState, ScaledParams
-from .origin_series import ShootPoint, initial_state, series_coefficients
+from .origin_series import (ShootPoint, expand_series, initial_state,
+                            series_coefficients)
 
 __all__ = [
     "Probe",
@@ -91,12 +92,19 @@ REPORT_TAIL = 8.0
 
 def shoot(point: ShootPoint, lambda_hat: float,
           controls: IntegratorControls) -> Trajectory:
-    """Series handoff at controls.t0 followed by adaptive integration.
+    """The run of (alpha, beta): the origin series to its reach, then DOP853.
 
-    When alpha is so small that the truncated series already has f'
-    non-negative at t0, the turning point sits below the handoff radius;
-    the crossing is then read off the series directly instead of starting
-    the integrator on the wrong side of the event.
+    The run's samples start at controls.t0.  Up to the reach of the
+    series of expand_series the run is read off it, and the adaptive
+    integrator starts there (integrator.integrate_series), so the run
+    past the series does not depend on t0.  When the reach does not lie
+    beyond t0, which happens only for huge alpha or beta, the integrator
+    starts at t0 from the series truncated after a4 and b3.
+
+    When alpha is so small that that truncation already has f'
+    non-negative at t0, the turning point sits below t0; the crossing is
+    then read off the truncation directly instead of starting the run on
+    the wrong side of the event.
     """
     start = initial_state(point, lambda_hat, controls.t0)
     if point.alpha > 0.0 and start.fp >= 0.0:
@@ -108,7 +116,11 @@ def shoot(point: ShootPoint, lambda_hat: float,
                           alpha=point.alpha, beta=point.beta)
         traj.f_events.append(Event(tag=OutcomeTag.FPRIME_ZERO, t=t_c, state=state))
         return traj
-    traj = integrate(start, lambda_hat, controls)
+    series = expand_series(point, lambda_hat)
+    if series.reach > controls.t0:
+        traj = integrate_series(series, controls)
+    else:
+        traj = integrate(start, lambda_hat, controls)
     traj.alpha = point.alpha
     traj.beta = point.beta
     return traj
@@ -335,8 +347,11 @@ def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
     still undecided is accepted as the working separatrix: for
     lambda_hat > 0 the Higgs deviation grows faster than the gauge
     deviation, so close enough to the separatrix the rho channel always
-    explodes first and caps the achievable alpha resolution.  So is a
-    probe still in the tube or at the horizon after escalation.  A
+    explodes first and caps the achievable alpha resolution.  A run whose
+    f already turned up or crossed zero inside the tube before the rho
+    blowup is not undecided: classify reads its side from that event, and
+    it narrows the bracket like any other probe.  A probe still in the
+    tube or at the horizon after escalation is accepted too.  A
     gauge-channel blowup inside a valid bracket contradicts the bracket
     endpoints and raises IntegrityError.
     """

@@ -10,6 +10,7 @@ and the package is a genuine cross-check rather than a restatement.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 
 def deriv(t, y, lam):
@@ -94,6 +95,23 @@ def ps_rho(t):
 
 def ps_rhop(t):
     return 1.0 / (t * t) - 1.0 / math.sinh(t) ** 2
+
+
+def ps_decimal(t):
+    """(f, f', rho, rho') of the lambda_hat = 0 closed form, in 50-digit decimal.
+
+    The direct formulas cancel near t = 0 in double precision; at 50
+    digits the cancellation still leaves every component exact to the
+    double it is rounded to.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        u = Decimal(t)
+        e = u.exp()
+        sh = (e - 1 / e) / 2
+        coth = (e + 1 / e) / 2 / sh
+        return tuple(float(v) for v in (u / sh, (1 - u * coth) / sh, coth - 1 / u,
+                                        1 / (u * u) - 1 / (sh * sh)))
 
 
 def tan_root():

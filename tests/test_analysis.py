@@ -31,7 +31,6 @@ def test_fit_decay_gauge_rate_massless(lam0):
     assert fit.prefactor == "t"
     assert abs(fit.rate - 1.0) < 0.02
     assert fit.window == (6.0, 10.0)
-    assert fit.n_samples == 201
 
 
 def test_fit_decay_higgs_rate_massive(lam1):

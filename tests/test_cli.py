@@ -148,6 +148,8 @@ def test_solve_failure_exit_code(capsys):
     (["sweep", "--lambda-hat", "0", "--alphas", "0.1", "--betas", "0.1",
       "--t0", "0.5"], "t0 must lie in (0, 0.01]"),
     (["probe", "--flat", "--u-end", "0"], "need u_end > u0"),
+    (["validate", "--t0", "0.5"], "t0 must lie in (0, 0.01]"),
+    (["validate", "--tol-alpha", "0"], "tolerances must be positive and finite"),
 ])
 def test_refused_value_exits_usage(argv, message, capsys):
     # a value the library refuses is a usage error, not a solver failure

@@ -12,11 +12,12 @@ from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from monopole import integrator
 from monopole.errors import DomainError, NoEventError
-from monopole.integrator import (ClassifyMode, IntegratorControls, OutcomeTag,
-                                 classify, extend, in_tube, integrate,
+from monopole.integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
+                                 OutcomeTag, Trajectory, classify, extend,
+                                 in_tube, integrate, integrate_series,
                                  refine_event)
 from monopole.model import PhaseState, _rhs, ps_exact
-from monopole.origin_series import ShootPoint, initial_state
+from monopole.origin_series import ShootPoint, expand_series, initial_state
 from monopole.shooter import shoot
 
 import oracles
@@ -416,3 +417,94 @@ def test_dense_output_is_built_only_where_read():
     assert all(seg._q is None for seg in traj.segments)
     traj.state_at(2.0)
     assert sum(seg._q is not None for seg in traj.segments) == 1
+
+
+def test_series_span_is_read_off_the_series():
+    # the run starts at t0 and reads the series on pieces that end on the
+    # multiples of 0.05 and at the reach, where DOP853 takes over; every
+    # read of the run, in one batch or one radius at a time, agrees
+    c = IntegratorControls()
+    traj = shoot(ShootPoint(1 / 6, 1 / 3), 0.0, c)
+    series = traj.series
+    k = traj._span
+    assert traj.ts[0] == c.t0
+    assert traj.ts[1:k] == [j * 0.05 for j in range(1, k)]
+    assert traj.ts[k] == series.reach > 1.3
+    assert traj.ys[:k + 1] == [tuple(row) for row in series.table(traj.ts[:k + 1])]
+    # n_steps counts DOP853 steps only, the first one from the reach
+    assert traj.n_steps == len(traj.segments) == len(traj.ts) - 1 - k
+    assert traj.segments[0].t == series.reach
+    ts = np.sort(np.concatenate([np.linspace(c.t0, 5.0, 41), traj.ts[:k + 40]]))
+    table = traj.resample(ts)
+    assert table.tolist() == [list(traj.state_at(t).as_tuple()) for t in ts]
+    head = ts <= series.reach
+    assert table[head].tolist() == series.table(ts[head]).tolist()
+
+
+def test_event_inside_the_series_span_against_rk4_oracle():
+    # small alpha, large beta: f' turns near t = 0.16, inside the span,
+    # and the crossing is bisected on the series itself
+    traj = shoot(ShootPoint(0.0115, 1.5), 0.0, IntegratorControls())
+    assert traj.ended == "event" and traj.n_steps == 0
+    out = classify(traj, ClassifyMode.F_FATE)
+    assert out.tag is OutcomeTag.FPRIME_ZERO
+    assert out.t_event <= traj.ts[traj._span] < traj.series.reach
+    ref = oracles.rk4_shoot(0.0115, 1.5, 0.0, t_end=0.5)
+    assert ref["f_event"][0] == "FPrimeZero"
+    assert abs(out.t_event - ref["f_event"][1]) < 1e-6
+
+
+def test_extend_keeps_the_series_span():
+    # a horizon inside the span, and one just past the reach that caps
+    # the first DOP853 step: both runs are started afresh on the series
+    series = expand_series(ShootPoint(1 / 6, 1 / 3), 0.0)
+    full = integrate_series(series, IntegratorControls())
+    for t_max in (0.5, series.reach + 1e-4):
+        short = integrate_series(series, IntegratorControls(t_max=t_max))
+        assert short.ended == "t_max" and short._resume[3] is None
+        _assert_same_run(extend(short, IntegratorControls()), full)
+    # a horizon past the first steps resumes DOP853 where it was clipped
+    short = integrate_series(series, IntegratorControls(t_max=3.0))
+    assert short._resume[3] is not None
+    _assert_same_run(extend(short, IntegratorControls()), full)
+
+
+def test_integrate_series_needs_a_reach_beyond_t0():
+    with pytest.raises(DomainError):
+        integrate_series(expand_series(ShootPoint(1e12, 1.0), 0.0), IntegratorControls())
+
+
+def test_rho_blowup_after_a_tube_gauge_event_keeps_its_side():
+    # a run whose f turns up inside the tube and whose rho then blows up
+    # with f still in the tube lies below the gauge separatrix: the
+    # rho^2 f term keeps pushing f up.  The Higgs fate is the blowup
+    state = PhaseState(t=15.0, f=1e-3, fp=0.0, rho=1.0, rhop=1e-3)
+    last = (5e-3, 2e-2, 2.5, 30.0)
+    traj = Trajectory(t0=1e-3, lambda_hat=1.0, controls=IntegratorControls(),
+                      ts=[1e-3, 15.0, 23.0], ys=[(1.0, 0.0, 0.0, 0.8), state.as_tuple(), last],
+                      f_events=[Event(OutcomeTag.FPRIME_ZERO, 15.0, state, in_tube=True)],
+                      ended="blowup", blowup_channel="rho")
+    out = classify(traj, ClassifyMode.F_FATE)
+    assert (out.tag, out.t_event, out.state) == (OutcomeTag.FPRIME_ZERO, 15.0, state)
+    assert classify(traj, ClassifyMode.RHO_FATE).tag is OutcomeTag.BLOWUP
+    # with f out of the tube, or no gauge event, the blowup stands
+    for ys, events in (([*traj.ys[:2], (-2 * TUBE, *last[1:])], traj.f_events),
+                       (traj.ys, [])):
+        other = Trajectory(t0=1e-3, lambda_hat=1.0, controls=traj.controls, ts=traj.ts,
+                           ys=ys, f_events=events, ended="blowup", blowup_channel="rho")
+        assert classify(other, ClassifyMode.F_FATE).tag is OutcomeTag.BLOWUP
+    # a polish-stage probe next to the lambda_hat = 1 separatrix: continued
+    # to 2 t_max, its f turns up in the tube at t ~ 15 and rho blows up at
+    # t ~ 23, while alpha + 2e-12 crosses f = 0 at t ~ 14.7
+    polish = IntegratorControls(rel_tol=1e-12, abs_tol=1e-14)
+    alpha, beta = 0.3898391408156725, 0.8727038705525099
+    run = extend(shoot(ShootPoint(alpha, beta), 1.0, polish),
+                 IntegratorControls(rel_tol=1e-12, abs_tol=1e-14, t_max=24.0))
+    assert (run.ended, run.blowup_channel) == ("blowup", "rho")
+    assert [(ev.tag, ev.in_tube) for ev in run.f_events] == [(OutcomeTag.FPRIME_ZERO, True)]
+    out = classify(run, ClassifyMode.F_FATE)
+    assert (out.tag, out.t_event) == (OutcomeTag.FPRIME_ZERO, run.f_events[0].t)
+    above = shoot(ShootPoint(alpha + 2e-12, beta), 1.0, polish)
+    above = extend(above, IntegratorControls(rel_tol=1e-12, abs_tol=1e-14, t_max=24.0))
+    out_above = classify(above, ClassifyMode.F_FATE)
+    assert out_above.tag is OutcomeTag.F_ZERO and out_above.t_event < out.t_event

@@ -2,18 +2,21 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from monopole import origin_series
 from monopole.errors import ContractionDomainError, DomainError, HandoffError
 from monopole.integrator import IntegratorControls, integrate
-from monopole.model import ps_exact
+from monopole.model import PhaseState, ps_exact
 from monopole.origin_series import (DEFAULT_T0, T0_MAX, ShootPoint,
-                                    initial_state, picard_verify,
-                                    series_coefficients)
+                                    expand_series, initial_state,
+                                    picard_verify, series_coefficients)
 
 import oracles
 
@@ -178,3 +181,74 @@ def test_degenerate_beta_line_preserves_zero_higgs():
     assert s.rho == 0.0 and s.rhop == 0.0
     traj = integrate(s, 1.0, IntegratorControls())
     assert all(y[2] == 0.0 and y[3] == 0.0 for y in traj.ys)
+
+
+def test_recurrence_exact_rationals_at_the_bps_point():
+    # the Taylor coefficients of t/sinh t and coth t - 1/t in t^2
+    a, b = origin_series._recurrence(Fraction(1, 6), Fraction(1, 3), 0, 5)
+    assert a == [1, Fraction(-1, 6), Fraction(7, 360), Fraction(-31, 15120),
+                 Fraction(127, 604800), Fraction(-73, 3421440)]
+    assert b == [Fraction(1, 3), Fraction(-1, 45), Fraction(2, 945),
+                 Fraction(-1, 4725), Fraction(2, 93555), Fraction(-1382, 638512875)]
+
+
+def test_series_matches_closed_form_to_its_reach():
+    # at lambda_hat = 0 the series of (1/6, 1/3) is t/sinh t, whose poles
+    # at t = +/- i pi bound the reach; out to it every component is exact
+    # to rounding
+    series = expand_series(ShootPoint(1 / 6, 1 / 3), 0.0)
+    assert 1.3 < series.reach < math.pi
+    ts = np.linspace(DEFAULT_T0, series.reach, 200)
+    got = series.table(ts)
+    want = np.array([oracles.ps_decimal(t) for t in ts])
+    assert np.abs(got - want).max() < 1e-15
+    # ps_exact's direct formulas cancel near the origin, so only f is
+    # held to the same bound there
+    assert max(abs(series.state(t)[0] - ps_exact(t).f) for t in ts) < 1e-15
+
+
+def test_series_reads_agree_bit_for_bit():
+    # state, table and component apply the same operations in the same
+    # order, so the span of a run reads the same however it is read
+    series = expand_series(ShootPoint(0.39, 0.87), 1.0)
+    ts = np.linspace(DEFAULT_T0, series.reach, 23)
+    table = series.table(ts)
+    assert table.tolist() == [list(series.state(t)) for t in ts]
+    for i in range(4):
+        value = series.component(i)
+        assert [value(t) for t in ts] == table[:, i].tolist()
+
+
+def test_series_matches_dop853_from_half_its_reach():
+    # DOP853 at rel_tol 1e-14, started from the series at half its reach,
+    # lands on the series at every step end out to the reach (or to the
+    # gauge event that ends the run first), on seeded draws that include
+    # alpha = 0 and beta = 0
+    rng = random.Random(15)
+    draws = [(0.0, 0.0, 0.0), (0.0, 2.0, 5.0), (1.5, 0.0, 50.0), (3.0, 6.0, 100.0),
+             *[(rng.uniform(0, 3), rng.uniform(0, 6), rng.uniform(0, 100))
+               for _ in range(40)]]
+    worst = 0.0
+    for alpha, beta, lam in draws:
+        series = expand_series(ShootPoint(alpha, beta), lam)
+        t = 0.5 * series.reach
+        traj = integrate(PhaseState(t, *series.state(t)), lam, IntegratorControls(
+            rel_tol=1e-14, abs_tol=1e-16, t_max=series.reach, t0=0.5 * t))
+        got, want = np.array(traj.ys), series.table(traj.ts)
+        worst = max(worst, (np.abs(got - want) / np.maximum(1.0, np.abs(want))).max())
+    assert worst < 1e-14
+
+
+def test_reach_is_finite():
+    # the vacuum has no growth at all: its reach is the cap
+    assert expand_series(ShootPoint(0.0, 0.0), 1.0).reach == origin_series._REACH_MAX
+    # f = F(sqrt(alpha) t) at beta = 0: the reach shrinks like 1/sqrt(alpha)
+    r1 = expand_series(ShootPoint(1.0, 0.0), 0.0).reach
+    r4 = expand_series(ShootPoint(4.0, 0.0), 0.0).reach
+    assert r4 == pytest.approx(0.5 * r1, rel=1e-12)
+    # huge alpha puts it below the handoff radius, and coefficients that
+    # overflow give no reach at all
+    assert expand_series(ShootPoint(1e12, 1.0), 0.0).reach < DEFAULT_T0
+    assert expand_series(ShootPoint(1.0, 1e200), 0.0).reach == 0.0
+    with pytest.raises(DomainError):
+        expand_series(ShootPoint(0.1, 0.1), -1.0)

@@ -449,11 +449,8 @@ def test_settled_inner_solves_agree_with_their_ends(lambda_hat, monkeypatch):
     assert rep.alpha_bracket.width <= 1e-11
 
 
-def test_lambda_1_solve_takes_few_shots_and_no_repeat(monkeypatch):
-    # the default lambda_hat = 1 solve: 469 shots before the predicted
-    # inner pairs and the early stops, 291 with them.  It ends on the
-    # candidate fallback (beta* is a probed beta, not the bracket's
-    # midpoint), whose run at the final controls is reused, not shot again
+def _counting_shots(monkeypatch):
+    """Record (alpha, beta, controls) of every shot bisect_beta makes."""
     shots = []
     orig = shooter.shoot
 
@@ -462,9 +459,34 @@ def test_lambda_1_solve_takes_few_shots_and_no_repeat(monkeypatch):
         return orig(point, lambda_hat, controls)
 
     monkeypatch.setattr(shooter, "shoot", counting)
+    return shots
+
+
+def test_lambda_1_solve_takes_few_shots_and_no_repeat(monkeypatch):
+    # the default lambda_hat = 1 solve: 469 shots before the predicted
+    # inner pairs and the early stops, 291 with them, 286 once the runs
+    # leave the origin on the series; no point is shot twice
+    shots = _counting_shots(monkeypatch)
     rep = bisect_beta(1.0)
     assert rep.converged
     assert len(shots) <= 350
+    assert len(shots) == len(set(shots))
+
+
+def test_lambda_1p2_solve_converges_on_the_candidate_fallback(monkeypatch):
+    # a rho blowup after an in-tube gauge event keeps its gauge side, so
+    # the inner solves no longer stop on such a probe and the solve at
+    # lambda_hat = 1.2 converges with the acceptance checks passing.  It
+    # ends on the candidate fallback (beta* is a probed beta, not the
+    # bracket's midpoint), whose run at the final controls is reused, not
+    # shot again
+    shots = _counting_shots(monkeypatch)
+    rep = bisect_beta(1.2)
+    assert rep.converged
+    assert rep.audit.passes
+    assert rep.residual_norm < 1e-6
+    assert rep.alpha_bracket.width <= 1e-11
+    assert 1.2918 < rep.energy < 1.787
     assert len(shots) == len(set(shots))
     lo, hi = rep.beta_bracket.lo.x, rep.beta_bracket.hi.x
     assert rep.beta_star_hat != 0.5 * (lo + hi)
@@ -669,10 +691,10 @@ def test_solve_verdict_at_lambda_1p5_is_honest(lam1):
 
 
 def test_solve_report_profile_matches_closed_form(lam0, lam0_handoffs):
-    # f(10) rides the separatrix, where one ulp at the handoff moves it by
-    # up to ~1e-7; it gets 5e-7.  At t0 = 5e-4, 6e-4, 7e-4, 7.5e-4, 8e-4,
-    # 8.5e-4, 9e-4 and 1e-3 it reads 1.29e-7, 3.65e-7, 1.24e-7, 1.72e-7,
-    # 1.33e-7, 5.9e-8, 1.14e-7 and 4.9e-8
+    # f(10) rides the separatrix, where the error of the run grows like
+    # e^t; it gets 5e-7.  The run leaves the origin on the series, so at
+    # t0 = 5e-4, 6e-4, 7e-4, 7.5e-4, 8e-4, 8.5e-4, 9e-4 and 1e-3 alike it
+    # reads 5.7e-10
     for rep in [lam0, *lam0_handoffs]:
         g = rep.profile
         for t in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
@@ -680,6 +702,13 @@ def test_solve_report_profile_matches_closed_form(lam0, lam0_handoffs):
             got = g.state_at(t)
             assert_allclose(got.f, exact.f, atol=5e-8 if t <= 5.0 else 5e-7)
             assert_allclose(got.rho, exact.rho, atol=5e-8)
+
+
+def test_handoff_radius_does_not_move_the_bps_answer(lam0, lam0_handoffs):
+    # past the series' reach no run depends on t0, so neither do the answers
+    for rep in lam0_handoffs:
+        assert abs(rep.alpha_star_hat - lam0.alpha_star_hat) < 1e-13
+        assert abs(rep.beta_star_hat - lam0.beta_star_hat) < 1e-13
 
 
 def test_scaled_frame_mapping(lam0):
