@@ -10,8 +10,10 @@ narrows its ends by ITP steps on their distances, bisection fallback:
           f crosses zero) brackets and narrows alpha to the separatrix
           alpha*(beta); the distance is -/+exp(-2 t_event);
   outer   the Higgs fate of the alpha*(beta) trajectory (stalling versus
-          overshooting the vacuum) narrows beta; the distance is the
-          extrapolated vev gap when no Higgs event decided the side.
+          overshooting the vacuum) narrows beta; the distance is the vev
+          gap b - 1 that the linear Higgs tail reaches at the horizon,
+          read at the end of the run or, when a Higgs event decided the
+          side, shortly before that event.
 
 An outer probe's inner search starts from a pair centred on the secant
 prediction of alpha*(beta) through the last two inner answers, and it
@@ -153,6 +155,37 @@ def _extrapolated_vev_gap(traj: Trajectory) -> float:
     return state.rho + state.t * state.rhop - 1.0
 
 
+def _higgs_distance(state: PhaseState, lambda_hat: float, t_max: float) -> float:
+    """The vev gap that the linear Higgs tail through state reaches at t_max.
+
+    With k = sqrt(2 lambda_hat), the linearized tail u = t (1 - rho) is
+    B e^{-kt} + C e^{kt}, and the extrapolated vev gap b - 1 = rho +
+    t rho' - 1 is -u'.  Returns that gap at t_max over cosh(k t_max),
+    which reads the same at every radius of the tail: -2kC, the
+    growing-mode amplitude, offset by the decaying mode as the gap at
+    t_max sees it (2kB e^{-2k t_max}), over 1 + e^{-2k t_max}.  At
+    state.t = t_max it is the gap there over cosh(kt), and at
+    lambda_hat = 0 the vev gap b - 1, bit for bit.
+    """
+    k = math.sqrt(2.0 * lambda_hat)
+    t = state.t
+    gap = state.rho + t * state.rhop - 1.0
+    ku = k * t * (state.rho - 1.0)
+    return (((gap + ku) * math.exp(-k * t) + (gap - ku) * math.exp(k * (t - 2.0 * t_max)))
+            / (1.0 + math.exp(-2.0 * k * t_max)))
+
+
+def _event_distance(run: Trajectory, out: Outcome, lambda_hat: float,
+                    t_max: float) -> float:
+    """_higgs_distance on run _SETTLE_LEAD before its Higgs event out.
+
+    The radius is clipped into the run and to t_max: an event that the
+    continued run met past the horizon is read at the horizon.
+    """
+    t = min(max(out.t_event - _SETTLE_LEAD, run.ts[0]), run.t_end, t_max)
+    return _higgs_distance(run.state_at(t), lambda_hat, t_max)
+
+
 @dataclass(frozen=True)
 class Probe:
     """What one probe of a bracket search measured at parameter value x.
@@ -200,35 +233,41 @@ class AlphaResult:
 
 
 def _expand_bracket(probe, seed: float, floor: float, ceil: float,
-                    name: str) -> tuple[Probe, Probe]:
+                    name: str, sized: bool = False) -> tuple[Probe, Probe]:
     """Geometric search from seed for end Probes on opposite sides.
 
     probe(x) returns the Probe at x; side-0 probes are skipped.  Probes go
     up by 4x from seed until one lands above, then down by 4x from seed
     until one lands below; upper probes met on the way down tighten the
-    bracket from above.  Leaving [floor, ceil] raises BracketingError
-    carrying the outcome tag of every probed point.
+    bracket from above.  With sized, the seed Probe's distance d is on
+    the scale of x, and the first step toward the other side goes to
+    seed - 4 d instead when that is the shorter step.  Leaving
+    [floor, ceil] raises BracketingError carrying the outcome tag of
+    every probed point.
     """
     if not (floor <= seed <= ceil):
         raise DomainError(f"{name} seed {seed} outside [{floor}, {ceil}]")
     probed: dict[float, OutcomeTag] = {}
     ends: dict[int, Probe] = {}
 
-    def take(x: float) -> None:
+    def take(x: float) -> Probe:
         p = probe(x)
         probed[x] = p.outcome.tag
         if p.side:
             ends[p.side] = p
+        return p
 
-    take(seed)
+    d = take(seed).distance
     for side, factor, limit, way in ((1, 4.0, ceil, "upper side found up"),
                                      (-1, 0.25, floor, "lower side found down")):
-        x = seed
+        x = seed * factor
+        if sized and d is not None and min(seed, x) < seed - 4.0 * d < max(seed, x):
+            x = seed - 4.0 * d
         while side not in ends:
-            x *= factor
             if not floor <= x <= ceil:
                 raise BracketingError(f"no {way} to {name} = {limit}", probed)
             take(x)
+            x *= factor
     return ends[-1], ends[1]
 
 
@@ -507,6 +546,37 @@ def _higgs_fate(result: AlphaResult,
     return out, traj
 
 
+def _outer_side(ar: AlphaResult, out: Outcome, traj: Trajectory,
+                lambda_hat: float) -> tuple[int, float | None]:
+    """Side and signed distance of the outer probe whose inner solve is ar.
+
+    out is the Higgs fate of traj, the run of ar's answer.  A decisive
+    Higgs event gives the side, and the distance is _higgs_distance at
+    the plain horizon, read _SETTLE_LEAD before that event.  A settled
+    inner solve's alpha is the midpoint of a bracket wider than
+    tol_alpha, so there the distance is read on both end runs instead
+    and interpolated linearly to the regula falsi alpha of their gauge
+    distances.  With no decisive event (the lambda_hat = 0 regime, or a
+    run cut short by a blowup) the side is the sign of the extrapolated
+    vev gap at the end of the run, and the distance _higgs_distance
+    there.  A distance is kept only when its sign agrees with the side,
+    else None.
+    """
+    side = _HIGGS_SIDE.get(out.tag, 0)
+    t_max = ar.trajectory.controls.t_max
+    if not side:
+        side = -1 if _extrapolated_vev_gap(traj) < 0.0 else 1
+        d = _higgs_distance(traj.last_state(), lambda_hat, traj.t_end)
+    elif ar.resolved == "settled":
+        lo, hi = ar.bracket.lo, ar.bracket.hi
+        h_lo, h_hi = (_event_distance(p.run, classify(p.run, ClassifyMode.RHO_FATE),
+                                      lambda_hat, t_max) for p in (lo, hi))
+        d = (hi.distance * h_lo - lo.distance * h_hi) / (hi.distance - lo.distance)
+    else:
+        d = _event_distance(traj, out, lambda_hat, t_max)
+    return side, (d if (d < 0.0) == (side < 0) else None)
+
+
 @dataclass
 class GraftedProfile:
     """Numerical profile up to t_graft continued by its fitted far field.
@@ -621,10 +691,14 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
 
     Stalling outcomes (RhoPrimeZero, RhoZero, or an extrapolated
     asymptote below the vacuum) mean beta is too small; overshooting
-    outcomes (RhoCrossVev or an asymptote above) mean too large.  The
-    bracket is expanded from the lambda_hat = 0 answer, and each _narrow
-    probe is an ITP step on the signed distance, the extrapolated vev
-    gap b - 1, with bisection fallback when a Higgs event decided an end.
+    outcomes (RhoCrossVev or an asymptote above) mean too large.  Every
+    probe reads its signed distance off runs it already holds (see
+    _outer_side): the vev gap that the linear Higgs tail reaches at the
+    horizon, on one scale whether or not a Higgs event decided the side.
+    The bracket is expanded from the lambda_hat = 0 answer, with a first
+    step of four times the seed's distance, and each _narrow probe is an
+    ITP step on the distances, with bisection fallback where an end has
+    none (a distance whose sign disagrees with its side is dropped).
     Tube-converged probes are recorded as candidates and the search
     continues to tol_beta, so the answer carries a genuine two-sided
     bracket.  Each probe's inner solve starts from the alpha* predicted
@@ -659,24 +733,15 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
         nonlocal candidate
         ar = _alpha_at(beta, lambda_hat, c, tol_a, track, settle=True)
         out, traj = _higgs_fate(ar, c)
-        gap = None
-        if out.tag in (OutcomeTag.RHO_PRIME_ZERO, OutcomeTag.RHO_ZERO):
-            side = -1
-        elif out.tag is OutcomeTag.RHO_CROSS_VEV:
-            side = 1
-        else:
-            # No decisive event (the lambda_hat = 0 regime, or a run cut
-            # short by a blowup): read the asymptote's side directly.
-            gap = _extrapolated_vev_gap(traj)
-            side = -1 if gap < 0.0 else 1
-            if out.tag is OutcomeTag.CONVERGED:
-                candidate = (beta, ar)
+        side, distance = _outer_side(ar, out, traj, lambda_hat)
+        if out.tag is OutcomeTag.CONVERGED:
+            candidate = (beta, ar)
         log.append((beta, ar.alpha_star, out.tag.value, "A" if side < 0 else "B"))
-        return Probe(beta, side, gap, out)
+        return Probe(beta, side, distance, out)
 
     # Stage one: caller tolerances.
     lo, hi = _expand_bracket(lambda b: probe(b, controls, tol_alpha),
-                             _BETA_SEED, _BETA_FLOOR, _BETA_CEIL, "beta")
+                             _BETA_SEED, _BETA_FLOOR, _BETA_CEIL, "beta", sized=True)
     lo, hi, _ = _narrow(lambda b: probe(b, controls, tol_alpha), lo, hi, tol_beta)
 
     # Stage two: profile-grade polish around the stage-one answer.

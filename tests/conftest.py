@@ -32,5 +32,10 @@ def lam1():
 
 
 @pytest.fixture(scope="session")
+def lam1p5():
+    return bisect_beta(1.5)
+
+
+@pytest.fixture(scope="session")
 def lam1_fine_handoff():
     return bisect_beta(1.0, controls=IntegratorControls(t0=5e-4))

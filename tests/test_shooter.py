@@ -17,7 +17,7 @@ from monopole.origin_series import ShootPoint
 from monopole.shooter import (Bracket, Probe, SolveReport, _centred_bracket,
                               _expand_bracket, bisect_alpha, bisect_beta,
                               bracket_alpha, graft_tail, shoot, sweep)
-from monopole.model import ModelParams, nondimensionalize, ps_exact
+from monopole.model import ModelParams, PhaseState, nondimensionalize, ps_exact
 
 
 CONTROLS = IntegratorControls()
@@ -465,11 +465,14 @@ def _counting_shots(monkeypatch):
 def test_lambda_1_solve_takes_few_shots_and_no_repeat(monkeypatch):
     # the default lambda_hat = 1 solve: 469 shots before the predicted
     # inner pairs and the early stops, 291 with them, 286 once the runs
-    # leave the origin on the series; no point is shot twice
+    # leave the origin on the series, and 187 in 27 beta evaluations (45
+    # before) once every outer probe carries a distance; no point is shot
+    # twice
     shots = _counting_shots(monkeypatch)
     rep = bisect_beta(1.0)
     assert rep.converged
-    assert len(shots) <= 350
+    assert len(shots) <= 200
+    assert rep.n_beta_evaluations <= 28
     assert len(shots) == len(set(shots))
 
 
@@ -492,6 +495,137 @@ def test_lambda_1p2_solve_converges_on_the_candidate_fallback(monkeypatch):
     assert rep.beta_star_hat != 0.5 * (lo + hi)
     assert rep.beta_star_hat in (lo, hi) or rep.beta_star_hat in \
         [b for b, *_ in rep.outcome_log]
+
+
+def _tail_state(t, k, b, c):
+    """The state at t of the linear Higgs tail t (1 - rho) = b e^{-kt} + c e^{kt}."""
+    u = b * math.exp(-k * t) + c * math.exp(k * t)
+    up = k * (c * math.exp(k * t) - b * math.exp(-k * t))
+    return PhaseState(t, 0.0, 0.0, 1.0 - u / t, (u - t * up) / (t * t))
+
+
+def test_higgs_distance_reads_the_horizon_gap_at_every_radius():
+    # on the linear tail the distance is the vev gap b - 1 that the tail
+    # reaches at t_max, over cosh(k t_max): -2kC offset by the decaying
+    # mode as the gap at t_max sees it, whatever radius it is read at
+    k, t_max, b = math.sqrt(2.0), 12.0, 0.8
+    e = math.exp(-2.0 * k * t_max)
+    for c in (-3e-9, 2e-7, b * e):
+        want = 2.0 * k * (b * e - c) / (1.0 + e)
+        for t in (3.0, 5.0, 8.0, 12.0):
+            got = shooter._higgs_distance(_tail_state(t, k, b, c), 1.0, t_max)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-18)
+    # at the horizon itself it is the gap there over cosh(k t_max); at
+    # lambda_hat = 0 it is the vev gap b - 1, bit for bit, at any radius
+    state = _tail_state(t_max, k, b, 2e-7)
+    gap = state.rho + state.t * state.rhop - 1.0
+    assert shooter._higgs_distance(state, 1.0, t_max) == pytest.approx(
+        gap / math.cosh(k * t_max), rel=1e-12)
+    for state in (PhaseState(0.7, 0.1, -0.2, 0.3, 0.45),
+                  PhaseState(11.0, 1e-6, -1e-6, 0.91, 0.0081)):
+        assert shooter._higgs_distance(state, 0.0, 12.0) == \
+            state.rho + state.t * state.rhop - 1.0
+
+
+def _outer_probe(beta, lambda_hat, track, controls=CONTROLS, tol_alpha=1e-8):
+    """The outer probe of bisect_beta at beta: its inner solve, fate and distance."""
+    ar = shooter._alpha_at(beta, lambda_hat, controls, tol_alpha, track, settle=True)
+    out, traj = shooter._higgs_fate(ar, controls)
+    return ar, out, traj, shooter._outer_side(ar, out, traj, lambda_hat)
+
+
+def test_outer_probe_with_no_event_reads_the_vev_gap_at_lambda_0():
+    # at lambda_hat = 0 the distance of a probe no Higgs event decided is
+    # the extrapolated vev gap itself, and its sign is the side
+    track = shooter._Continuation()
+    for beta in (1.0 / 3.0 - 1e-6, 1.0 / 3.0, 1.0 / 3.0 + 1e-6):
+        _, out, traj, (side, d) = _outer_probe(beta, 0.0, track)
+        assert out.tag not in shooter._HIGGS_SIDE
+        assert d == shooter._extrapolated_vev_gap(traj)
+        assert side == (-1 if d < 0.0 else 1)
+
+
+def test_event_distances_share_one_slope_across_beta_star(lam1):
+    # at lambda_hat = 1 a Higgs event decides the outer probes near beta*;
+    # each carries a distance of its side's sign, and distance over
+    # offset stays within a factor 3 of its median from 1e-2 to 1e-8 on
+    # both sides, so regula falsi steps apply all the way in
+    track = shooter._Continuation()
+    ratios = []
+    for n in range(2, 9):
+        for sign in (-1, 1):
+            offset = sign * 10.0 ** -n
+            _, out, _, (side, d) = _outer_probe(lam1.beta_star_hat + offset, 1.0, track)
+            if out.tag in shooter._HIGGS_SIDE:
+                assert side == sign and d is not None
+                ratios.append(d / offset)
+    assert len(ratios) >= 12
+    mid = median(ratios)
+    assert all(mid / 3.0 < r < 3.0 * mid for r in ratios), ratios
+
+
+def test_settled_inner_solve_distance_matches_the_narrowed_run(lam1):
+    # a settled inner solve stops with alpha the midpoint of a bracket
+    # wider than tol_alpha; the distance read on its end runs, at the
+    # regula falsi alpha of their gauge distances, agrees with that of
+    # the alpha*(beta) run narrowed to 1e-12.  The midpoint run's own
+    # reading would not do: its alpha error swamps the beta signal
+    misses = []
+    for offset in (-1e-3, 1e-3, -1e-5, 1e-5, -1e-6, 1e-6):
+        beta = lam1.beta_star_hat + offset
+        ar, mid_out, mid_run, (side, d) = _outer_probe(beta, 1.0, shooter._Continuation())
+        assert ar.resolved == "settled" and ar.bracket.width > 1e-8
+        ref = bisect_alpha(ar.bracket, beta, 1.0, CONTROLS, tol_alpha=1e-12)
+        out, traj = shooter._higgs_fate(ref, CONTROLS)
+        ref_side, ref_d = shooter._outer_side(ref, out, traj, 1.0)
+        assert side == ref_side and ref_d is not None
+        assert d == pytest.approx(ref_d, rel=0.1)
+        mid_d = shooter._event_distance(mid_run, mid_out, 1.0, CONTROLS.t_max)
+        misses.append(abs(mid_d / ref_d - 1.0))
+    assert max(misses) > 1.0
+
+
+def test_beta_expansion_steps_from_the_seed_distance():
+    # sized: the seed's distance d, on the scale of x, puts the first step
+    # at seed - 4 d when that is shorter than the 4x step, and the search
+    # goes on by 4x from there; unsized, the first step is 4x as before
+    def linear(root, slope):
+        probes = []
+
+        def probe(x):
+            probes.append(x)
+            d = slope * (x - root)
+            side = -1 if d < 0.0 else 1
+            return Probe(x, side, d, Outcome(_TAG[side]))
+        return probe, probes
+
+    cases = [(0.5 + 2.0 ** -20, 1.0, [0.5, 0.5 + 2.0 ** -18]),
+             (0.5 - 2.0 ** -20, 1.0, [0.5, 0.5 - 2.0 ** -18]),
+             (0.5 + 2.0 ** -10, 0.125, [0.5, 0.5 + 2.0 ** -11, 2.0 + 2.0 ** -9]),
+             (3.0, 1.0, [0.5, 2.0, 8.0])]
+    for root, slope, want in cases:
+        probe, probes = linear(root, slope)
+        lo, hi = _expand_bracket(probe, 0.5, 1e-12, 1e12, "x", sized=True)
+        assert probes == want
+        assert lo.x < root <= hi.x
+    probe, probes = linear(0.5 + 2.0 ** -20, 1.0)
+    _expand_bracket(probe, 0.5, 1e-12, 1e12, "x")
+    assert probes == [0.5, 2.0]
+
+
+def test_answers_stay_within_1e9_of_the_bisected_outer_search(lam0, lam1, lam1p5):
+    # (alpha*, beta*) before the event-decided outer probes had distances,
+    # when most outer steps were midpoints: the distances move the search
+    # path, and the answers only within the tolerances
+    pinned = {0.0: (lam0, 0.16666666724548324, 0.3333333344915934),
+              0.42489062049196824: (bisect_beta(0.42489062049196824),
+                                    0.33080451148558143, 0.7047437821097062),
+              1.0: (lam1, 0.38983914081944127, 0.8727038705571588),
+              1.5: (lam1p5, 0.42319955894009975, 0.9791295769723922)}
+    for rep, alpha, beta in pinned.values():
+        assert rep.converged
+        assert abs(rep.alpha_star_hat - alpha) < 1e-9
+        assert abs(rep.beta_star_hat - beta) < 1e-9
 
 
 def test_continuation_falls_back_to_the_last_answer():
@@ -632,7 +766,9 @@ def test_graft_tail_models(lam0, lam1):
     assert_allclose(s1.f, expect_f1, rtol=1e-12)
     gap1 = 1.0 - s1.rho
     expect_gap1 = g1.higgs_fit.amplitude * math.exp(-g1.higgs_fit.rate * t1) / t1
-    assert_allclose(gap1, expect_gap1, rtol=1e-9)
+    # the gap is ~4e-8 here, and 1 - rho carries the rounding of rho next
+    # to 1: up to half an ulp of rho, ~1.4e-9 of the gap, more than rtol
+    assert_allclose(gap1, expect_gap1, rtol=1e-9, atol=math.ulp(s1.rho))
     # the gap decays at the fitted rate, not the Coulomb power law
     gap1b = 1.0 - g1.tail_state(t1 + 1.0).rho
     ratio = gap1b / gap1
@@ -647,11 +783,11 @@ def test_solve_report_bps(lam0, lam0_handoffs):
     assert abs(lam0.beta_star_hat - 1.0 / 3.0) < 1e-6
     assert lam0.alpha_bracket.width < 1e-10
     assert lam0.beta_bracket.width < 1e-10
-    # the ITP steps on the vev gap; midpoint bisection took 43.  The
-    # seed beta = 1/3 reads on either side of the numerical beta* by
-    # rounding at the handoff, and below it the bracket expansion pays
-    # ~5 midpoint steps more, so the bound holds the median over radii
-    assert median(r.n_beta_evaluations for r in [lam0, *lam0_handoffs]) <= 25
+    # ITP steps on the vev gap take 10 beta evaluations at every handoff
+    # radius (midpoint bisection took 43): the seed beta = 1/3 reads just
+    # below the numerical beta*, and the expansion's first step, four
+    # times the seed's distance, lands just above it (17 with a 4x step)
+    assert median(r.n_beta_evaluations for r in [lam0, *lam0_handoffs]) <= 13
     # unscaled report: physical values equal the dimensionless ones
     assert lam0.alpha_star == lam0.alpha_star_hat
     assert lam0.beta_star == lam0.beta_star_hat
@@ -675,11 +811,11 @@ def test_reported_profile_is_the_last_inner_run(monkeypatch):
             rep.profile.base.controls) == (rep.alpha_star_hat, rep.beta_star_hat, POLISH)
 
 
-def test_solve_verdict_at_lambda_1p5_is_honest(lam1):
+def test_solve_verdict_at_lambda_1p5_is_honest(lam1, lam1p5):
     # lambda_hat = 1.5 sits at the edge of what origin-only shooting
     # resolves: a converged answer must pass the acceptance checks, and
     # an unconverged one must carry no numbers
-    rep = bisect_beta(1.5)
+    rep = lam1p5
     if rep.converged:
         assert rep.residual_norm < 1e-6
         assert rep.audit.passes
