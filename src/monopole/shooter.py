@@ -13,7 +13,8 @@ narrows its ends by ITP steps on their distances, bisection fallback:
           overshooting the vacuum) narrows beta; the distance is the vev
           gap b - 1 that the linear Higgs tail reaches at the horizon,
           read at the end of the run or, when a Higgs event decided the
-          side, shortly before that event.
+          side and the horizon tells the Higgs tail's two modes apart
+          (_modes_split), shortly before that event.
 
 An outer probe's inner search starts from a pair centred on the secant
 prediction of alpha*(beta) through the last two inner answers, and it
@@ -88,6 +89,10 @@ _WIDEN = 8.0
 # How long before its gauge event an end run's Higgs event must come for
 # an inner solve to stop early (see _settled_side).
 _SETTLE_LEAD = 0.5
+# Largest share e^{-2k t_max} of the growing Higgs mode that the decaying
+# one may keep at the horizon for the horizon to tell them apart (see
+# _modes_split); at t_max = 12 this needs lambda_hat > 0.0184.
+_MODE_SPLIT = 0.01
 # How far the reported profile runs past t_graft on its fitted far field.
 REPORT_TAIL = 8.0
 
@@ -175,6 +180,21 @@ def _higgs_distance(state: PhaseState, lambda_hat: float, t_max: float) -> float
             / (1.0 + math.exp(-2.0 * k * t_max)))
 
 
+def _modes_split(lambda_hat: float, t_max: float) -> bool:
+    """Whether the outer distances may steer the beta search past the seed.
+
+    True at lambda_hat = 0, where the tail u = B + C t has b - 1 = -C
+    with no decaying part, and where the horizon tells the two modes of
+    the massive tail apart, e^{-2k t_max} < _MODE_SPLIT.  Below that
+    Higgs mass the Higgs side is not monotone in beta: steps sized by
+    the distances can jump from one of its sign changes to another, so
+    event-decided probes carry no distance and the expansion keeps its
+    4x steps, as the midpoint search did.
+    """
+    return lambda_hat == 0.0 or \
+        math.exp(-2.0 * math.sqrt(2.0 * lambda_hat) * t_max) < _MODE_SPLIT
+
+
 def _event_distance(run: Trajectory, out: Outcome, lambda_hat: float,
                     t_max: float) -> float:
     """_higgs_distance on run _SETTLE_LEAD before its Higgs event out.
@@ -241,7 +261,9 @@ def _expand_bracket(probe, seed: float, floor: float, ceil: float,
     until one lands below; upper probes met on the way down tighten the
     bracket from above.  With sized, the seed Probe's distance d is on
     the scale of x, and the first step toward the other side goes to
-    seed - 4 d instead when that is the shorter step.  Leaving
+    seed - 4 d instead when that is the shorter step.  Only beta's
+    distance, a vev gap, is on that scale; alpha's, -/+exp(-2 t_event),
+    is not, so bracket_alpha keeps the plain 4x steps.  Leaving
     [floor, ceil] raises BracketingError carrying the outcome tag of
     every probed point.
     """
@@ -556,18 +578,22 @@ def _outer_side(ar: AlphaResult, out: Outcome, traj: Trajectory,
     inner solve's alpha is the midpoint of a bracket wider than
     tol_alpha, so there the distance is read on both end runs instead
     and interpolated linearly to the regula falsi alpha of their gauge
-    distances.  With no decisive event (the lambda_hat = 0 regime, or a
-    run cut short by a blowup) the side is the sign of the extrapolated
-    vev gap at the end of the run, and the distance _higgs_distance
-    there.  A distance is kept only when its sign agrees with the side,
-    else None.
+    distances.  An event distance is kept only where _modes_split and
+    when its sign agrees with the side, else None.  With no decisive
+    event (the lambda_hat = 0 regime, or a run cut short by a blowup) the
+    side is the sign of the extrapolated vev gap at the end of the run,
+    and the distance that gap over cosh(k t_end), _higgs_distance there:
+    the gap itself at lambda_hat = 0.
     """
     side = _HIGGS_SIDE.get(out.tag, 0)
     t_max = ar.trajectory.controls.t_max
     if not side:
-        side = -1 if _extrapolated_vev_gap(traj) < 0.0 else 1
-        d = _higgs_distance(traj.last_state(), lambda_hat, traj.t_end)
-    elif ar.resolved == "settled":
+        gap = _extrapolated_vev_gap(traj)
+        e = math.exp(-math.sqrt(2.0 * lambda_hat) * traj.t_end)
+        return (-1 if gap < 0.0 else 1), 2.0 * gap * e / (1.0 + e * e)
+    if not _modes_split(lambda_hat, t_max):
+        return side, None
+    if ar.resolved == "settled":
         lo, hi = ar.bracket.lo, ar.bracket.hi
         h_lo, h_hi = (_event_distance(p.run, classify(p.run, ClassifyMode.RHO_FATE),
                                       lambda_hat, t_max) for p in (lo, hi))
@@ -699,9 +725,12 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     step of four times the seed's distance, and each _narrow probe is an
     ITP step on the distances, with bisection fallback where an end has
     none (a distance whose sign disagrees with its side is dropped).
-    Tube-converged probes are recorded as candidates and the search
-    continues to tol_beta, so the answer carries a genuine two-sided
-    bracket.  Each probe's inner solve starts from the alpha* predicted
+    Where the horizon cannot tell the Higgs tail's two modes apart
+    (not _modes_split: 0 < lambda_hat < 0.0184 at t_max = 12) only
+    probes with no Higgs event carry a distance and the expansion keeps
+    its 4x steps.  Tube-converged probes are recorded as candidates and
+    the search continues to tol_beta, so the answer carries a genuine
+    two-sided bracket.  Each probe's inner solve starts from the alpha* predicted
     by the earlier ones and may stop once the Higgs side is settled
     (see _alpha_at).
 
@@ -727,8 +756,7 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     def probe(beta: float, c: IntegratorControls, tol_a: float) -> Probe:
         """Side -1 when alpha*(beta) stalls below the vacuum, +1 when it overshoots.
 
-        The distance is the extrapolated vev gap, or None when a Higgs
-        event decided the side.
+        The side and the distance are _outer_side's.
         """
         nonlocal candidate
         ar = _alpha_at(beta, lambda_hat, c, tol_a, track, settle=True)
@@ -741,7 +769,8 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
 
     # Stage one: caller tolerances.
     lo, hi = _expand_bracket(lambda b: probe(b, controls, tol_alpha),
-                             _BETA_SEED, _BETA_FLOOR, _BETA_CEIL, "beta", sized=True)
+                             _BETA_SEED, _BETA_FLOOR, _BETA_CEIL, "beta",
+                             sized=_modes_split(lambda_hat, controls.t_max))
     lo, hi, _ = _narrow(lambda b: probe(b, controls, tol_alpha), lo, hi, tol_beta)
 
     # Stage two: profile-grade polish around the stage-one answer.

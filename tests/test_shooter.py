@@ -628,6 +628,27 @@ def test_answers_stay_within_1e9_of_the_bisected_outer_search(lam0, lam1, lam1p5
         assert abs(rep.beta_star_hat - beta) < 1e-9
 
 
+def test_small_lambda_solves_keep_the_bisected_outer_search():
+    # below lambda_hat ~ 0.018 the Higgs side is not monotone in beta, so
+    # event-decided probes carry no distance and the expansion keeps its
+    # 4x steps there, and the searches land on the sign change the
+    # midpoint search found: verdicts and energies from before the event
+    # distances.  With them, 0.0136 moved to E = 1.0707 on the candidate
+    # fallback and 0.0148 did not converge; with the sized first step
+    # from the seed's distance, 0.0064 did not converge
+    assert shooter._modes_split(0.0, CONTROLS.t_max)
+    assert not shooter._modes_split(0.0136, CONTROLS.t_max)
+    assert shooter._modes_split(0.05, CONTROLS.t_max)
+    track = shooter._Continuation()
+    _, out, _, (side, d) = _outer_probe(shooter._BETA_SEED, 0.0136, track)
+    assert out.tag in shooter._HIGGS_SIDE and side == -1 and d is None
+    for lam, energy in ((0.0064, 1.1134039083873024), (0.0136, 1.0843187968385173),
+                        (0.0148, 1.0833059420932185)):
+        rep = bisect_beta(lam)
+        assert rep.converged
+        assert abs(rep.energy - energy) < 1e-7
+
+
 def test_continuation_falls_back_to_the_last_answer():
     track = shooter._Continuation(answers=[(0.5, 0.25), (0.75, 0.375)])
     assert track.predict(1.0) == 0.5  # the secant
@@ -764,11 +785,12 @@ def test_graft_tail_models(lam0, lam1):
     s1 = g1.tail_state(t1)
     expect_f1 = g1.f_fit.amplitude * math.exp(-g1.f_fit.rate * t1)
     assert_allclose(s1.f, expect_f1, rtol=1e-12)
+    # rho is 1 minus the exponential gap B e^{-kt} / t, to the last bit:
+    # the gap is ~4e-8 here, so 1 - rho would carry the rounding of rho
+    # next to 1, up to ~1.4e-9 of the gap
+    expect_gap1 = g1.higgs_fit.amplitude * np.exp(-g1.higgs_fit.rate * t1) / t1
+    assert s1.rho == 1.0 - expect_gap1
     gap1 = 1.0 - s1.rho
-    expect_gap1 = g1.higgs_fit.amplitude * math.exp(-g1.higgs_fit.rate * t1) / t1
-    # the gap is ~4e-8 here, and 1 - rho carries the rounding of rho next
-    # to 1: up to half an ulp of rho, ~1.4e-9 of the gap, more than rtol
-    assert_allclose(gap1, expect_gap1, rtol=1e-9, atol=math.ulp(s1.rho))
     # the gap decays at the fitted rate, not the Coulomb power law
     gap1b = 1.0 - g1.tail_state(t1 + 1.0).rho
     ratio = gap1b / gap1
