@@ -315,7 +315,8 @@ def linearized_probe(profile=None, u_end: float = 8.0) -> ProbeResult:
 
     Integrates Q'' = -(2/u) Q' - (1 - 2 p(u)^2 / u^2) Q outward on the
     regular branch Q ~ u, in RK4 steps of at most 1e-3 from u0 = 1e-3
-    to u_end, and reports the first node.  With the vacuum background
+    to u_end (refused if that takes more than 10^6 steps, an infinite
+    u_end included), and reports the first node.  With the vacuum background
     p = 1 (profile None) the node is the first positive root of the
     spherical Bessel function j1, near u = 4.4934; any background
     with p < 1 somewhere pulls the node inward, so node(profile) <=
@@ -328,6 +329,8 @@ def linearized_probe(profile=None, u_end: float = 8.0) -> ProbeResult:
     u0 = 1e-3
     if not u_end > u0:
         raise DomainError(f"need u_end > u0 = {u0}, got {u_end}")
+    if not (u_end - u0) / 1e-3 <= 10**6:
+        raise DomainError(f"u_end = {u_end} needs more than 10^6 steps of 1e-3")
     mass = 1.0
     if profile is None:
         def p_of(u):

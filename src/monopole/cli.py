@@ -4,7 +4,8 @@ Subcommands: solve, sweep, validate, probe, series.  Exit codes are
 0 success, 1 usage (a value the library refuses included), 2 solver
 failure, 3 validation or audit failure, 4 I/O failure.  A flat
 key=value config file can preload any option, each value read as its
-flag would read it; explicit flags win over the file.
+flag would read it; explicit flags win over the file.  The tolerances
+are the library's: no command takes one.
 """
 from __future__ import annotations
 
@@ -106,14 +107,11 @@ def _apply_config(ns: argparse.Namespace, argv: list[str],
 
 
 def _controls_from(ns: argparse.Namespace) -> IntegratorControls:
-    return IntegratorControls(rel_tol=ns.rel_tol, abs_tol=ns.abs_tol,
-                              t_max=ns.t_max, t0=ns.t0)
+    return IntegratorControls(t_max=ns.t_max, t0=ns.t0)
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
-    # integrator controls and the config file, shared by solve and sweep
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
+    # horizon, handoff radius and config file, shared by every command that shoots
     p.add_argument("--t-max", type=float, default=12.0)
     p.add_argument("--t0", type=float, default=DEFAULT_T0)
     p.add_argument("--config", default=None, help="key = value option file")
@@ -127,12 +125,6 @@ def _add_frame_options(p: argparse.ArgumentParser) -> None:
                    help="physical quartic coupling (with --g0 and --rho0)")
     p.add_argument("--g0", type=float, default=None, help="gauge coupling")
     p.add_argument("--rho0", type=float, default=None, help="Higgs vacuum value")
-
-
-def _add_solve_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-alpha", type=float, default=1e-8)
-    p.add_argument("--tol-beta", type=float, default=1e-8)
-    _add_run_options(p)
 
 
 def _resolve_frame(ns: argparse.Namespace, parser: argparse.ArgumentParser):
@@ -152,8 +144,7 @@ def _resolve_frame(ns: argparse.Namespace, parser: argparse.ArgumentParser):
 
 def _run_solve(ns: argparse.Namespace, parser) -> SolveReport:
     lambda_hat, scaled = _resolve_frame(ns, parser)
-    return bisect_beta(lambda_hat, controls=_controls_from(ns),
-                       tol_alpha=ns.tol_alpha, tol_beta=ns.tol_beta, scaled=scaled)
+    return bisect_beta(lambda_hat, controls=_controls_from(ns), scaled=scaled)
 
 
 def _report_dict(rep) -> dict:
@@ -301,8 +292,7 @@ def _cmd_sweep(ns: argparse.Namespace, parser) -> int:
 
 def _cmd_validate(ns: argparse.Namespace, parser) -> int:
     try:
-        report = bisect_beta(0.0, controls=_controls_from(ns),
-                             tol_alpha=ns.tol_alpha, tol_beta=ns.tol_beta)
+        report = bisect_beta(0.0, controls=_controls_from(ns))
     except DomainError:
         raise  # a value the library refuses: main reports it as usage
     except MonopoleError as exc:
@@ -360,11 +350,13 @@ def _cmd_probe(ns: argparse.Namespace, parser) -> int:
 def _cmd_series(ns: argparse.Namespace, parser) -> int:
     point = ShootPoint(alpha=ns.alpha, beta=ns.beta)
     state = initial_state(point, ns.lambda_hat, ns.t0)
+    # run before anything is printed, so a refused value prints no result
+    hist = (picard_verify(point, ns.lambda_hat, n_iters=ns.picard_iters)
+            if ns.picard else None)
     print("t,f,fp,rho,rhop")
     print(",".join(_fmt(v) for v in (state.t, state.f, state.fp,
                                      state.rho, state.rhop)))
-    if ns.picard:
-        hist = picard_verify(point, ns.lambda_hat, n_iters=ns.picard_iters)
+    if hist is not None:
         ratios = ", ".join(_fmt(r) for r in hist.ratios)
         print(f"picard s_max = {_fmt(hist.s_max)}  ratios = [{ratios}]")
         print(f"picard f({_fmt(hist.t_end)}) = {_fmt(hist.f_end)}  "
@@ -379,7 +371,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve the boundary value problem")
     _add_frame_options(p)
-    _add_solve_options(p)
+    _add_run_options(p)
     p.add_argument("--report-out", default="-", help="JSON report path ('-' stdout)")
     p.add_argument("--profile-out", default=None, help="profile CSV path")
     p.add_argument("--out", default=None,
@@ -405,12 +397,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate",
                        help="solve at lambda_hat = 0 and compare to closed form")
-    _add_solve_options(p)
+    _add_run_options(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("probe", help="l = 1 angular fluctuation probe")
     _add_frame_options(p)
-    _add_solve_options(p)
+    _add_run_options(p)
     p.add_argument("--flat", action="store_true",
                    help="probe the flat background p = 1 instead of solving")
     p.add_argument("--u-end", type=float, default=8.0)

@@ -710,8 +710,12 @@ class SolveReport:
         return self.scaled.beta_to_physical(self.beta_star_hat)
 
 
+# Bracket widths, alpha and beta alike, of bisect_beta's stage one and polish.
+_STAGE_ONE_TOL = 1e-8
+_POLISH_TOL = 1e-11
+
+
 def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
-                tol_alpha: float = 1e-8, tol_beta: float = 1e-8,
                 scaled: ScaledParams | None = None) -> SolveReport:
     """Outer bracket search in beta over the Higgs fate of alpha*(beta).
 
@@ -729,23 +733,21 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     (not _modes_split: 0 < lambda_hat < 0.0184 at t_max = 12) only
     probes with no Higgs event carry a distance and the expansion keeps
     its 4x steps.  Tube-converged probes are recorded as candidates and
-    the search continues to tol_beta, so the answer carries a genuine
-    two-sided bracket.  Each probe's inner solve starts from the alpha* predicted
-    by the earlier ones and may stop once the Higgs side is settled
-    (see _alpha_at).
+    the search continues to its bracket width, so the answer carries a
+    genuine two-sided bracket.  Each probe's inner solve starts from the
+    alpha* predicted by the earlier ones and may stop once the Higgs side
+    is settled (see _alpha_at).
 
-    The search runs at the caller's tolerances first, then polishes:
-    it re-brackets the answer with a widening centred pair at
-    profile-grade integration tolerance and pushes both parameter
-    tolerances toward the deviation-noise floor.  The reported profile
-    is the last inner solve's run; its seventh-order dense output keeps
-    the interpolation noise that downstream finite differences see well
-    below the residual target.
+    Stage one narrows both parameters to _STAGE_ONE_TOL at the controls'
+    tolerances, then the solve polishes: it re-brackets the answer with a
+    widening centred pair at profile-grade tolerance (rel_tol <= 1e-12,
+    abs_tol <= 1e-14) and narrows both parameters to _POLISH_TOL, near the
+    deviation-noise floor.  The reported profile is the last inner solve's
+    run; its seventh-order dense output keeps the interpolation noise that
+    downstream finite differences see well below the residual target.
     """
     if not (math.isfinite(lambda_hat) and lambda_hat >= 0.0):
         raise DomainError(f"lambda_hat must be finite and >= 0, got {lambda_hat}")
-    if not all(math.isfinite(t) and t > 0.0 for t in (tol_alpha, tol_beta)):
-        raise DomainError("tolerances must be positive and finite")
     if controls is None:
         controls = IntegratorControls()
 
@@ -767,30 +769,30 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
         log.append((beta, ar.alpha_star, out.tag.value, "A" if side < 0 else "B"))
         return Probe(beta, side, distance, out)
 
-    # Stage one: caller tolerances.
-    lo, hi = _expand_bracket(lambda b: probe(b, controls, tol_alpha),
+    # Stage one: the controls' integration tolerances.
+    lo, hi = _expand_bracket(lambda b: probe(b, controls, _STAGE_ONE_TOL),
                              _BETA_SEED, _BETA_FLOOR, _BETA_CEIL, "beta",
                              sized=_modes_split(lambda_hat, controls.t_max))
-    lo, hi, _ = _narrow(lambda b: probe(b, controls, tol_alpha), lo, hi, tol_beta)
+    lo, hi, _ = _narrow(lambda b: probe(b, controls, _STAGE_ONE_TOL),
+                        lo, hi, _STAGE_ONE_TOL)
 
     # Stage two: profile-grade polish around the stage-one answer.
     pcontrols = replace(controls,
                         rel_tol=min(controls.rel_tol, 1e-12),
                         abs_tol=min(controls.abs_tol, 1e-14))
-    ptol_alpha, ptol_beta = min(tol_alpha, 1e-11), min(tol_beta, 1e-11)
     # Re-bracket the stage-one answer at 8x its width, 8x wider per try.
-    w = max(hi.x - lo.x, tol_beta)
+    w = max(hi.x - lo.x, _STAGE_ONE_TOL)
     center = 0.5 * (lo.x + hi.x)
-    ends = _centred_bracket(lambda b: probe(b, pcontrols, ptol_alpha),
+    ends = _centred_bracket(lambda b: probe(b, pcontrols, _POLISH_TOL),
                             center, 8.0 * w, 12, _BETA_FLOOR)
     if ends is None:
         raise BracketingError(
             f"could not re-bracket beta near {center} at polish tolerance")
-    lo, hi, _ = _narrow(lambda b: probe(b, pcontrols, ptol_alpha), *ends, ptol_beta)
+    lo, hi, _ = _narrow(lambda b: probe(b, pcontrols, _POLISH_TOL), *ends, _POLISH_TOL)
     beta_bracket = Bracket(lo, hi)
 
     beta_star = 0.5 * (lo.x + hi.x)
-    ar_star = _alpha_at(beta_star, lambda_hat, pcontrols, ptol_alpha, track,
+    ar_star = _alpha_at(beta_star, lambda_hat, pcontrols, _POLISH_TOL, track,
                         settle=False)
 
     def in_tube(traj: Trajectory) -> bool:

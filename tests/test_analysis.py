@@ -230,3 +230,12 @@ def test_probe_domain_errors():
         analysis.linearized_probe(lambda u: 0.0)
     with pytest.raises(DomainError):
         analysis.linearized_probe(None, u_end=1e-3)
+
+    # more than 10^6 steps of 1e-3, an infinite u_end included, is refused
+    # before the first step
+    def unreached(u):
+        raise AssertionError(f"stepped at u = {u}")
+
+    for u_end in (math.inf, 2e3):
+        with pytest.raises(DomainError, match=r"more than 10\^6 steps"):
+            analysis.linearized_probe(unreached, u_end=u_end)

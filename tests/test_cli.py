@@ -13,22 +13,16 @@ from monopole.integrator import ClassifyMode, IntegratorControls, classify
 from monopole.origin_series import ShootPoint
 from monopole.shooter import shoot
 
-# loose stage-one tolerances; the polish stage still runs at profile
-# grade (a QUICK solve at lambda_hat = 0 takes ~0.5 s on a 2-vCPU machine)
-QUICK = ["--tol-alpha", "1e-5", "--tol-beta", "1e-5",
-         "--rel-tol", "1e-8", "--abs-tol", "1e-10"]
-
-
 @pytest.fixture(scope="module")
-def quick_solve_dir(tmp_path_factory):
+def solve_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("solve_a")
-    rc = main(["solve", "--lambda-hat", "0", *QUICK, "--out", str(out)])
+    rc = main(["solve", "--lambda-hat", "0", "--out", str(out)])
     assert rc == 0
     return out
 
 
-def test_solve_report_contents(quick_solve_dir, capsys):
-    report = json.loads((quick_solve_dir / "report.json").read_text())
+def test_solve_report_contents(solve_dir, capsys):
+    report = json.loads((solve_dir / "report.json").read_text())
     for key in ("lambda_hat", "alpha_star_hat", "beta_star_hat", "alpha_star",
                 "beta_star", "alpha_bracket_lo", "beta_bracket_hi", "converged",
                 "residual_norm", "energy", "t_graft", "t_report", "f_rate",
@@ -40,21 +34,21 @@ def test_solve_report_contents(quick_solve_dir, capsys):
     assert abs(report["beta_star_hat"] - 1.0 / 3.0) < 1e-3
     # dimensionless run: both frames coincide
     assert report["alpha_star"] == report["alpha_star_hat"]
-    header = (quick_solve_dir / "profile.csv").read_text().splitlines()[0]
+    header = (solve_dir / "profile.csv").read_text().splitlines()[0]
     assert header == "t,f,fp,rho,rhop"
 
 
-def test_solve_artifacts_reproducible(quick_solve_dir, tmp_path):
-    rc = main(["solve", "--lambda-hat", "0", *QUICK, "--out", str(tmp_path)])
+def test_solve_artifacts_reproducible(solve_dir, tmp_path):
+    rc = main(["solve", "--lambda-hat", "0", "--out", str(tmp_path)])
     assert rc == 0
     for name in ("report.json", "profile.csv"):
         assert (tmp_path / name).read_bytes() == \
-            (quick_solve_dir / name).read_bytes(), name
+            (solve_dir / name).read_bytes(), name
 
 
-def test_profile_csv_round_trip(quick_solve_dir):
-    report = json.loads((quick_solve_dir / "report.json").read_text())
-    lines = (quick_solve_dir / "profile.csv").read_text().splitlines()
+def test_profile_csv_round_trip(solve_dir):
+    report = json.loads((solve_dir / "report.json").read_text())
+    lines = (solve_dir / "profile.csv").read_text().splitlines()
     cols = list(zip(*(tuple(float(v) for v in ln.split(",")) for ln in lines[1:])))
     ts, fs, rhos = cols[0], cols[1], cols[3]
     r = analysis.residual_norm((ts, fs, rhos), lambda_hat=report["lambda_hat"])
@@ -63,7 +57,7 @@ def test_profile_csv_round_trip(quick_solve_dir):
 
 def test_solve_physical_frame(tmp_path, capsys):
     path = tmp_path / "report.json"
-    rc = main(["solve", "--lam", "0", "--g0", "2", "--rho0", "3", *QUICK,
+    rc = main(["solve", "--lam", "0", "--g0", "2", "--rho0", "3",
                "--report-out", str(path)])
     assert rc == 0
     report = json.loads(path.read_text())
@@ -76,13 +70,13 @@ def test_solve_physical_frame(tmp_path, capsys):
 def test_frame_errors_exit_usage(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--lambda-hat", "0", "--lam", "0", "--g0", "1",
-              "--rho0", "1", *QUICK])
+              "--rho0", "1"])
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
-        main(["solve", "--lam", "0", "--g0", "2", *QUICK])  # rho0 missing
+        main(["solve", "--lam", "0", "--g0", "2"])  # rho0 missing
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
-        main(["solve", *QUICK])  # no frame at all
+        main(["solve"])  # no frame at all
     assert exc.value.code == 1
     # a grid step that cannot sample the profile is refused before the
     # solve, from a flag or from a config file
@@ -90,13 +84,13 @@ def test_frame_errors_exit_usage(tmp_path, monkeypatch, capsys):
     profile = ["--profile-out", str(tmp_path / "p.csv")]
     for step in ("0", "-0.01", "nan", "inf"):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--lambda-hat", "0", *QUICK, *profile,
+            main(["solve", "--lambda-hat", "0", *profile,
                   "--grid-step", step])
         assert exc.value.code == 1
         cfg = tmp_path / "opts.cfg"
         cfg.write_text(f"grid_step = {step}\n")
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--lambda-hat", "0", *QUICK, *profile,
+            main(["solve", "--lambda-hat", "0", *profile,
                   "--config", str(cfg)])
         assert exc.value.code == 1
     assert not (tmp_path / "p.csv").exists()
@@ -110,17 +104,17 @@ def test_oversized_profile_table_exits_usage(tmp_path, monkeypatch, capsys):
     out = ["--out", str(tmp_path / "run")]
     for step in ("1e-9", "1.9e-5"):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--lambda-hat", "0", *QUICK, *out, "--grid-step", step])
+            main(["solve", "--lambda-hat", "0", *out, "--grid-step", step])
         assert exc.value.code == 1
         cfg = tmp_path / "opts.cfg"
         cfg.write_text(f"grid_step = {step}\n")
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--lambda-hat", "0", *QUICK, *out, "--config", str(cfg)])
+            main(["solve", "--lambda-hat", "0", *out, "--config", str(cfg)])
         assert exc.value.code == 1
         assert "profile rows" in capsys.readouterr().err
     # a longer horizon lowers the finest step allowed
     with pytest.raises(SystemExit) as exc:
-        main(["solve", "--lambda-hat", "0", *QUICK, *out, "--t-max", "92",
+        main(["solve", "--lambda-hat", "0", *out, "--t-max", "92",
               "--grid-step", "9e-5"])
     assert exc.value.code == 1
     assert not (tmp_path / "run").exists()
@@ -129,7 +123,7 @@ def test_oversized_profile_table_exits_usage(tmp_path, monkeypatch, capsys):
 def test_solve_failure_exit_code(capsys):
     # handoff beyond the series' validity: the solver refuses to start,
     # a usage error (1) with the library's message
-    rc = main(["solve", "--lambda-hat", "0", *QUICK, "--t0", "0.02"])
+    rc = main(["solve", "--lambda-hat", "0", "--t0", "0.02"])
     assert rc == 1
     assert capsys.readouterr().err == \
         "monopole solve: t0 must lie in (0, 0.01], got 0.02\n"
@@ -138,9 +132,9 @@ def test_solve_failure_exit_code(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--lambda-hat", "0", "--t0", "0.5"], "t0 must lie in (0, 0.01]"),
     (["solve", "--lambda-hat", "0", "--rel-tol", "-1"],
-     "tolerances must be positive"),
+     "unrecognized arguments: --rel-tol -1"),
     (["solve", "--lambda-hat", "0", "--tol-alpha", "0"],
-     "tolerances must be positive and finite"),
+     "unrecognized arguments: --tol-alpha 0"),
     (["solve", "--lambda-hat", "0", "--t-max", "1e-4"], "need 0 < t0 < t_max"),
     (["solve", "--lam", "-1", "--g0", "1", "--rho0", "1"],
      "lam must be finite and >= 0"),
@@ -149,13 +143,20 @@ def test_solve_failure_exit_code(capsys):
       "--t0", "0.5"], "t0 must lie in (0, 0.01]"),
     (["probe", "--flat", "--u-end", "0"], "need u_end > u0"),
     (["validate", "--t0", "0.5"], "t0 must lie in (0, 0.01]"),
-    (["validate", "--tol-alpha", "0"], "tolerances must be positive and finite"),
+    (["validate", "--tol-alpha", "0"], "unrecognized arguments: --tol-alpha 0"),
+    (["probe", "--flat", "--u-end", "inf"], "u_end = inf needs more than 10^6 steps"),
+    (["probe", "--flat", "--u-end", "2e3"],
+     "u_end = 2000.0 needs more than 10^6 steps"),
 ])
 def test_refused_value_exits_usage(argv, message, capsys):
-    # a value the library refuses is a usage error, not a solver failure
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"monopole {argv[0]}: {message}")
+    # a value the library refuses is a usage error, not a solver failure;
+    # so is a flag no command has, which the parser refuses
+    try:
+        rc, prefix = main(argv), f"monopole {argv[0]}: "
+    except SystemExit as exc:
+        rc, prefix = exc.code, "monopole: error: "
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(prefix + message)
 
 
 def test_bad_coupling_exits_usage(tmp_path, monkeypatch, capsys):
@@ -180,8 +181,7 @@ def test_bad_coupling_exits_usage(tmp_path, monkeypatch, capsys):
 def test_unconverged_solve_reports_no_numbers(tmp_path, capsys):
     # lambda_hat = 20 is beyond the reach of origin-only shooting: the
     # solve must say so without an energy, residual, audit or profile
-    rc = main(["solve", "--lambda-hat", "20", "--tol-alpha", "1e-5",
-               "--tol-beta", "1e-5", "--out", str(tmp_path)])
+    rc = main(["solve", "--lambda-hat", "20", "--out", str(tmp_path)])
     assert rc == 2
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["converged"] is False
@@ -201,7 +201,7 @@ def test_solve_io_error_exit_code(tmp_path, capsys):
 def test_report_io_error_exit_code(tmp_path, capsys):
     blocker = tmp_path / "f.json"
     blocker.write_text("{}\n")
-    rc = main(["solve", "--lambda-hat", "0", *QUICK,
+    rc = main(["solve", "--lambda-hat", "0",
                "--report-out", str(blocker / "sub.json")])
     assert rc == 4
 
@@ -299,20 +299,20 @@ def test_config_values_take_the_flag_type(tmp_path, monkeypatch, capsys):
     with monkeypatch.context() as m:
         m.setattr(cli, "bisect_beta", None)
         with pytest.raises(SystemExit) as exc:
-            main([*solve, "--rel-tol", "1e-8x"])
+            main([*solve, "--grid-step", "1e-2x"])
         assert exc.value.code == 1
-        cfg.write_text("rel_tol = 1e-8x\n")
+        cfg.write_text("grid_step = 1e-2x\n")
         assert main([*solve, "--config", str(cfg)]) == 1
-        assert "rel_tol" in capsys.readouterr().err
+        assert "grid_step" in capsys.readouterr().err
         # a switch takes true or false
         cfg.write_text("flat = maybe\n")
         assert main(["probe", "--lambda-hat", "0", "--config", str(cfg)]) == 1
         assert "flat" in capsys.readouterr().err
     # a float the solver refuses: the solver's own message, a usage error
-    assert main([*solve, "--tol-beta", "nan"]) == 1
+    assert main([*solve, "--t-max", "nan"]) == 1
     flag_err = capsys.readouterr().err
-    assert "tolerances must be positive and finite" in flag_err
-    cfg.write_text("tol_beta = nan\n")
+    assert "integrator controls must be finite" in flag_err
+    cfg.write_text("t_max = nan\n")
     assert main([*solve, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == flag_err
 
@@ -322,11 +322,11 @@ def test_abbreviated_flag_exits_usage(tmp_path, monkeypatch, capsys):
     # abbreviation would silently lose to the file; it is refused instead
     monkeypatch.setattr(cli, "bisect_beta", None)
     cfg = tmp_path / "opts.cfg"
-    cfg.write_text("tol-alpha = 1e-6\n")
+    cfg.write_text("t-max = 20\n")
     with pytest.raises(SystemExit) as exc:
-        main(["solve", "--lambda-hat", "0", "--config", str(cfg), "--tol-a", "1e-9"])
+        main(["solve", "--lambda-hat", "0", "--config", str(cfg), "--t-m", "30"])
     assert exc.value.code == 1
-    assert "unrecognized arguments: --tol-a" in capsys.readouterr().err
+    assert "unrecognized arguments: --t-m" in capsys.readouterr().err
 
 
 def test_config_missing_file(tmp_path, capsys):
@@ -383,6 +383,29 @@ def test_removed_flags_exit_usage(monkeypatch, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_tolerances_are_not_options(solve_dir, tmp_path, monkeypatch, capsys):
+    # every solve runs at the library's tolerances: no command takes one,
+    # as a flag or as a config key, and the report records the defaults
+    report = json.loads((solve_dir / "report.json").read_text())
+    assert (report["rel_tol"], report["abs_tol"]) == (1e-10, 1e-12)
+    monkeypatch.setattr(cli, "bisect_beta", None)
+    monkeypatch.setattr(cli, "sweep", None)
+    cfg = tmp_path / "opts.cfg"
+    for command in (["solve", "--lambda-hat", "0"], ["validate"],
+                    ["probe", "--lambda-hat", "0"],
+                    ["sweep", "--lambda-hat", "0", "--alphas", "0.3", "--betas", "0.1"],
+                    ["series", "--alpha", "0.1", "--beta", "0.2"]):
+        for flag in ("tol-alpha", "tol-beta", "rel-tol", "abs-tol"):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, f"--{flag}", "1e-9"])
+            assert exc.value.code == 1
+            assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+            key = flag.replace("-", "_")
+            cfg.write_text(f"{key} = 1e-9\n")
+            assert main([*command, "--config", str(cfg)]) == 1
+            assert f"unknown option {key!r}" in capsys.readouterr().err
+
+
 def test_probe_solved_profile(lam1, capsys):
     # the probe of a solved profile runs the solve that `solve` runs
     rc = main(["probe", "--lambda-hat", "1"])
@@ -409,6 +432,17 @@ def test_series_degenerate_point(capsys):
     t, f, fp, rho, rhop = (float(v) for v in lines[1].split(","))
     assert (f, fp, rho, rhop) == (1.0, 0.0, 0.0, 0.0)
     assert t == 0.001
+
+
+def test_series_refused_picard_prints_nothing(capsys):
+    # the Picard check runs before anything is printed, so a value it
+    # refuses leaves stdout empty
+    rc = main(["series", "--alpha", "0.2", "--beta", "0.3", "--picard",
+               "--picard-iters", "1"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("monopole series: n_iters must be at least 2")
 
 
 def test_series_picard_report(capsys):
