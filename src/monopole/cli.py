@@ -333,8 +333,18 @@ def _cmd_validate(ns: argparse.Namespace, parser) -> int:
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_VALIDATE
 
 
+# The probe options a flat probe reads; it solves nothing, so every other
+# one (the frame and run options) would be ignored.
+_FLAT_READS = ("help", "flat", "u_end", "config")
+
+
 def _cmd_probe(ns: argparse.Namespace, parser) -> int:
     if ns.flat:
+        # set by a flag or a config key, an option --flat would ignore is refused
+        for dest, action in _options(parser, "probe").items():
+            if dest not in _FLAT_READS and getattr(ns, dest) != action.default:
+                parser.error(f"--flat solves nothing, so it takes no "
+                             f"{action.option_strings[0]}")
         result = analysis.linearized_probe(None, u_end=ns.u_end)
     else:
         report = _run_solve(ns, parser)

@@ -48,7 +48,10 @@ extend continues a finished run to a later horizon.  t_max enters a run
 only where it clips a step, so a longer run repeats this one exactly up
 to its first clipped step; the run records that point and extend resumes
 there, giving the same samples, events and verdict as integrate (or
-integrate_series) would.
+integrate_series) would.  Asked to, extend also ends the continued run
+at its first gauge event, in the tube or not, and classify reads that
+event as the run's verdict; an event the prefix already holds cuts the
+run back to the step that found it.
 """
 from __future__ import annotations
 
@@ -330,6 +333,8 @@ class Trajectory:
     # fired; the stage is None when the horizon capped the first step or
     # ended the run inside its series span.
     _resume: tuple | None = field(default=None, repr=False)
+    # Whether every f event ends the run, in the tube or not (see extend).
+    _to_gauge_event: bool = field(default=False, repr=False)
 
     @property
     def t_end(self) -> float:
@@ -549,7 +554,8 @@ class _SeriesPiece:
         self.component, self.eval = series.component, series.state
 
 
-def extend(traj: Trajectory, controls: IntegratorControls) -> Trajectory:
+def extend(traj: Trajectory, controls: IntegratorControls,
+           to_gauge_event: bool = False) -> Trajectory:
     """The run integrate gives at the later horizon controls.t_max, reusing traj.
 
     controls may differ from traj.controls only by a t_max at least as
@@ -560,26 +566,57 @@ def extend(traj: Trajectory, controls: IntegratorControls) -> Trajectory:
     controls, and one whose first step was already clipped, or that the
     horizon ended inside its series span, is run afresh, on its series
     when it has one.  traj itself is left unchanged.
+
+    With to_gauge_event the new run also ends at its first f event, in
+    the tube or not: the continuation stops on the step that finds one,
+    and a run whose prefix already holds one is cut back to the step (or
+    series piece) that found it.  Up to that event it is the run above.
     """
     if (controls.t_max < traj.controls.t_max
             or replace(traj.controls, t_max=controls.t_max) != controls):
         raise DomainError("extend only moves the horizon of a run outward")
+    if to_gauge_event:
+        # the f events found before the first horizon clip, which a longer
+        # run finds too; the clipped step's own are found again
+        head = traj.f_events if traj._resume is None else traj.f_events[:traj._resume[1]]
+        if head and head[0].in_tube:
+            return _cut_at(traj, head[0], controls)
     if traj._resume is None:
         return replace(traj, controls=controls)
     n, n_f, n_rho, k1, h = traj._resume
     if k1 is None:
         new = (integrate(PhaseState(traj.t0, *traj.ys[0]), traj.lambda_hat, controls)
                if traj.series is None else integrate_series(traj.series, controls))
+        if to_gauge_event and new.f_events and new.f_events[0].in_tube:
+            new = _cut_at(new, new.f_events[0], controls)
     else:
         m = traj._span + n
         new = Trajectory(t0=traj.t0, lambda_hat=traj.lambda_hat, controls=controls,
                          ts=traj.ts[:m + 1], ys=traj.ys[:m + 1],
                          segments=traj.segments[:n], f_events=traj.f_events[:n_f],
                          rho_events=traj.rho_events[:n_rho], series=traj.series,
-                         _span=traj._span)
+                         _span=traj._span, _to_gauge_event=to_gauge_event)
         _advance(new, k1, h)
     new.alpha, new.beta = traj.alpha, traj.beta
     return new
+
+
+def _cut_at(traj: Trajectory, ev: Event, controls: IntegratorControls) -> Trajectory:
+    """traj up to the end of the step or series piece that found its f event ev.
+
+    The run ends there on ev, as a run that every f event ends would: it
+    keeps the Higgs events met before ev and none after.
+    """
+    # ev.t lies in (ts[m - 1], ts[m]]: the crossing tests are strict at a
+    # step's start
+    m = _bisect.bisect_left(traj.ts, ev.t)
+    return Trajectory(t0=traj.t0, lambda_hat=traj.lambda_hat, controls=controls,
+                      ts=traj.ts[:m + 1], ys=traj.ys[:m + 1],
+                      segments=traj.segments[:max(m - traj._span, 0)], f_events=[ev],
+                      rho_events=[e for e in traj.rho_events if e.t < ev.t],
+                      ended="event", alpha=traj.alpha, beta=traj.beta,
+                      series=traj.series, _span=min(traj._span, m),
+                      _to_gauge_event=True)
 
 
 def _sign_change(ya: tuple, yb: tuple) -> bool:
@@ -883,13 +920,13 @@ def _scan_events(traj: Trajectory, seg, ya: tuple, yb: tuple) -> bool:
             if not (0.0 < state.f < 1.0):
                 continue  # guard: only a turn inside the physical window counts
             traj.f_events.append(ev)
-            if not tube:
+            if not tube or traj._to_gauge_event:
                 return True
         elif kind is OutcomeTag.F_ZERO:
             if not (state.fp < 0.0):
                 continue
             traj.f_events.append(ev)
-            if not tube:
+            if not tube or traj._to_gauge_event:
                 return True
         elif kind is OutcomeTag.RHO_PRIME_ZERO:
             if not (0.0 < state.rho < 1.0):
@@ -912,7 +949,8 @@ def classify(traj: Trajectory, mode: ClassifyMode) -> Outcome:
     in-tube gauge event of a run whose rho blows up while f is still in
     the tube: the growing rho^2 f term of f'' then pushes f further in
     the direction of its own sign, so the side that event pointed to
-    holds.
+    holds.  For the same reason FFate reads a run that extend ended on
+    an in-tube gauge event (to_gauge_event) from its first f event.
     """
     if not traj.ended:
         raise DomainError("classify needs a finished trajectory")
@@ -920,6 +958,11 @@ def classify(traj: Trajectory, mode: ClassifyMode) -> Outcome:
     for ev in events:
         if not ev.in_tube:
             return Outcome(tag=ev.tag, t_event=ev.t, state=ev.state)
+    if mode is ClassifyMode.F_FATE and traj.ended == "event":
+        # only a run continued to its first gauge event ends on one in the tube
+        ev = events[0]
+        return Outcome(tag=ev.tag, t_event=ev.t, state=ev.state,
+                       detail="first gauge event")
     last = traj.last_state()
     promoted = _promote_tube_event(events, last, mode)
     if promoted is not None:

@@ -28,10 +28,12 @@ Near the double separatrix every numerical trajectory eventually peels
 off, since the gauge deviation grows like e^t and, for lambda_hat > 0,
 the Higgs deviation like e^{sqrt(2 lambda_hat) t}.  Two consequences
 shape the code: a run that is still inside the convergence tube at the
-horizon is not accepted but continued to a longer horizon, where the
-exponential separation makes the verdict visible; and the solver
-finishes with a polish pass at profile-grade tolerance, reporting a
-profile that demonstrably entered the tube.
+horizon is not accepted but continued past it, where the exponential
+separation makes the verdict visible (a gauge probe once, to 4x t_max,
+and only up to its first gauge event, which decides it; the Higgs fate
+to 2x and then 4x t_max); and the solver finishes with a polish pass at
+profile-grade tolerance, reporting a profile that demonstrably entered
+the tube.
 """
 from __future__ import annotations
 
@@ -72,7 +74,8 @@ _BETA_CEIL = 1e12
 # Starting points of the bracket searches: the lambda_hat = 0 answer.
 _ALPHA_SEED = 1.0 / 6.0
 _BETA_SEED = 1.0 / 3.0
-# Multiples of t_max an undecided run is continued to, in turn.
+# Multiples of t_max an undecided Higgs fate is continued to, in turn; an
+# undecided gauge probe is continued once, to the last.
 _ESCALATIONS = (2, 4)
 # Side of the gauge separatrix a decisive F_FATE outcome lies on.
 _GAUGE_SIDE = {OutcomeTag.FPRIME_ZERO: -1, OutcomeTag.F_ZERO: 1}
@@ -135,22 +138,25 @@ def shoot(point: ShootPoint, lambda_hat: float,
 
 def _gauge_fate(point: ShootPoint, lambda_hat: float,
                 controls: IntegratorControls) -> tuple[Outcome, Trajectory]:
-    """FFate with horizon escalation, and the run over the plain horizon.
+    """FFate, continuing an undecided run, and the run over the plain horizon.
 
-    Undecided runs, including runs still inside the tube at the horizon,
-    are continued to 2x and then 4x t_max: the e^t growth of the gauge
-    deviation turns any offset above the integration noise floor into an
-    out-of-tube event there.  The last outcome survives exhaustion.  The
-    run returned is the shot at controls.t_max, which extend leaves as
-    it was.
+    An undecided run, including one still inside the tube at the
+    horizon, is continued once, to the last of _ESCALATIONS times t_max,
+    and ends at its first gauge event, in the tube or not: the e^t growth
+    of the gauge deviation brings any offset above the integration noise
+    floor to one there.  That event is the verdict.  Near the separatrix
+    f'' = f ((f^2 - 1)/t^2 + rho^2) has the sign of f once rho^2 >
+    (1 - f^2)/t^2, so past its first gauge event f runs away on that
+    event's side, and no later event or tube exit can choose the other.
+    A continuation that meets no gauge event is classified at the longer
+    horizon.  The run returned is the shot at controls.t_max, which
+    extend leaves as it was.
     """
-    run = traj = shoot(point, lambda_hat, controls)
-    out = classify(traj, ClassifyMode.F_FATE)
-    for mult in _ESCALATIONS:
-        if out.tag not in (OutcomeTag.HORIZON, OutcomeTag.CONVERGED):
-            break
-        traj = extend(traj, replace(controls, t_max=controls.t_max * mult))
-        out = classify(traj, ClassifyMode.F_FATE)
+    run = shoot(point, lambda_hat, controls)
+    out = classify(run, ClassifyMode.F_FATE)
+    if out.tag in (OutcomeTag.HORIZON, OutcomeTag.CONVERGED):
+        far = replace(controls, t_max=controls.t_max * _ESCALATIONS[-1])
+        out = classify(extend(run, far, to_gauge_event=True), ClassifyMode.F_FATE)
     return out, run
 
 
@@ -411,10 +417,11 @@ def bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
     explodes first and caps the achievable alpha resolution.  A run whose
     f already turned up or crossed zero inside the tube before the rho
     blowup is not undecided: classify reads its side from that event, and
-    it narrows the bracket like any other probe.  A probe still in the
-    tube or at the horizon after escalation is accepted too.  A
-    gauge-channel blowup inside a valid bracket contradicts the bracket
-    endpoints and raises IntegrityError.
+    it narrows the bracket like any other probe.  A probe whose run,
+    continued to 4x t_max, meets no gauge event and ends in the tube or
+    at that horizon is accepted too.  A gauge-channel blowup inside a
+    valid bracket contradicts the bracket endpoints and raises
+    IntegrityError.
     """
     if not (math.isfinite(tol_alpha) and tol_alpha > 0.0):
         raise DomainError(f"tol_alpha must be positive and finite, got {tol_alpha}")

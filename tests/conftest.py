@@ -27,6 +27,12 @@ def lam0_handoffs():
 
 
 @pytest.fixture(scope="session")
+def lam0p42():
+    # one of the benchmark's coupled_solve draws
+    return bisect_beta(0.42489062049196824)
+
+
+@pytest.fixture(scope="session")
 def lam1():
     return bisect_beta(1.0)
 

@@ -424,6 +424,25 @@ def test_probe_flat(capsys):
     assert abs(value - 4.4934) < 1e-3
 
 
+def test_probe_flat_refuses_the_options_it_would_ignore(tmp_path, capsys):
+    # a flat probe solves nothing: a frame or run option, from a flag or
+    # a config key, is a usage error naming the option, as --t0 0.5 is
+    # for every command that uses it
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("t_max = 20\n")
+    for extra, flag in ((["--t0", "0.5", "--lambda-hat", "7"], "--lambda-hat"),
+                        (["--t0", "0.5"], "--t0"),
+                        (["--lam", "1", "--g0", "1", "--rho0", "1"], "--lam"),
+                        (["--config", str(cfg)], "--t-max")):
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", "--flat", *extra])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith(
+            f"monopole: error: --flat solves nothing, so it takes no {flag}")
+    cfg.write_text("u_end = 9\n")
+    assert main(["probe", "--flat", "--config", str(cfg)]) == 0
+
+
 def test_series_degenerate_point(capsys):
     rc = main(["series", "--alpha", "0", "--beta", "0"])
     assert rc == 0

@@ -330,6 +330,38 @@ def test_extend_twice_matches_a_fresh_run():
     _assert_same_run(run, integrate(start, 0.0, IntegratorControls(t_max=48.0)))
 
 
+def test_extend_to_the_first_gauge_event_cuts_a_restarted_run():
+    # just above the lambda_hat = 0 separatrix f crosses zero inside the
+    # tube at t ~ 10.9.  A horizon inside the series span restarts the
+    # longer run; continued to its first gauge event, it is the plain
+    # longer run cut back to the step that found that crossing, and
+    # classify reads the crossing as its verdict, as the plain run's tube
+    # exit promotes it
+    series = expand_series(ShootPoint(1 / 6 + 1e-7, 1 / 3), 0.0)
+    short = integrate_series(series, IntegratorControls(t_max=0.5))
+    assert short._resume[3] is None
+    far = IntegratorControls(t_max=48.0)
+    full = extend(short, far)
+    cont = extend(short, far, to_gauge_event=True)
+    ev = full.f_events[0]
+    assert ev.tag is OutcomeTag.F_ZERO and ev.in_tube
+    assert (cont.ended, cont.f_events, cont.controls) == ("event", [ev], far)
+    n = len(cont.ts)
+    assert (cont.ts, cont.ys) == (full.ts[:n], full.ys[:n])
+    assert cont.ts[-2] < ev.t <= cont.ts[-1]
+    assert cont.rho_events == [e for e in full.rho_events if e.t < ev.t]
+    out = classify(cont, ClassifyMode.F_FATE)
+    assert (out.tag, out.t_event, out.detail) == (ev.tag, ev.t, "first gauge event")
+    promoted = classify(full, ClassifyMode.F_FATE)
+    assert (promoted.tag, promoted.t_event) == (ev.tag, ev.t)
+    # without the stop the run is the plain one; a run that an
+    # out-of-tube event ended is kept as it is
+    _assert_same_run(full, integrate_series(series, far))
+    start = _start(0.3, 0.87, 1.0)
+    ended = integrate(start, 1.0, IntegratorControls())
+    _assert_same_run(extend(ended, far, to_gauge_event=True), integrate(start, 1.0, far))
+
+
 def test_extend_only_moves_the_horizon_outward():
     run = integrate(_start(1 / 6, 1 / 3, 0.0), 0.0, IntegratorControls(t_max=5.0))
     with pytest.raises(DomainError):

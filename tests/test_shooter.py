@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from monopole import shooter
+from monopole import integrator, shooter
 from monopole.errors import BracketingError, DomainError, IntegrityError
 from monopole.integrator import (ClassifyMode, IntegratorControls, Outcome,
                                  OutcomeTag, classify)
@@ -497,6 +497,50 @@ def test_lambda_1p2_solve_converges_on_the_candidate_fallback(monkeypatch):
         [b for b, *_ in rep.outcome_log]
 
 
+def test_answers_are_those_of_the_two_step_gauge_continuation(lam0, lam0p42, lam1):
+    # (alpha*, beta*, beta evaluations) exactly, and E to rounding, as
+    # they were when an undecided gauge probe was continued to 2x and then
+    # 4x t_max: stopping the continuation at its first gauge event moves
+    # no verdict
+    pinned = ((lam0, 0.16666666724578094, 0.33333333449092345, 10, 0.9999999857189406),
+              (lam0p42, 0.33080451148725437, 0.7047437821127589, 17, 1.22589345595418),
+              (lam1, 0.38983914081640864, 0.8727038705533017, 27, 1.2918207889885547))
+    for rep, alpha, beta, n_beta, energy in pinned:
+        assert rep.converged
+        assert (rep.alpha_star_hat, rep.beta_star_hat, rep.n_beta_evaluations) == \
+            (alpha, beta, n_beta)
+        assert abs(rep.energy - energy) <= 1e-12
+
+
+def _counting_steps(monkeypatch):
+    """Count the DOP853 steps of every run, continued runs included."""
+    steps = [0]
+    orig = integrator._advance
+
+    def counting(traj, k1, h):
+        n = traj.n_steps
+        orig(traj, k1, h)
+        steps[0] += traj.n_steps - n
+
+    monkeypatch.setattr(integrator, "_advance", counting)
+    return steps
+
+
+@pytest.mark.parametrize("lambda_hat, max_steps, max_shots", [(0.0, 5200, 84),
+                                                               (1.0, 7700, 187)])
+def test_solve_stays_within_its_step_budget(lambda_hat, max_steps, max_shots,
+                                            monkeypatch):
+    # an undecided gauge probe's continuation ends at its first gauge
+    # event: a lambda_hat = 0 solve took 8,232 DOP853 steps when it ran
+    # on to 2x and 4x t_max, and takes 4,757; lambda_hat = 1 took 8,336
+    # and takes 7,458.  The shots are those of before
+    steps = _counting_steps(monkeypatch)
+    shots = _counting_shots(monkeypatch)
+    assert bisect_beta(lambda_hat).converged
+    assert steps[0] <= max_steps
+    assert len(shots) <= max_shots
+
+
 def _tail_state(t, k, b, c):
     """The state at t of the linear Higgs tail t (1 - rho) = b e^{-kt} + c e^{kt}."""
     u = b * math.exp(-k * t) + c * math.exp(k * t)
@@ -613,13 +657,13 @@ def test_beta_expansion_steps_from_the_seed_distance():
     assert probes == [0.5, 2.0]
 
 
-def test_answers_stay_within_1e9_of_the_bisected_outer_search(lam0, lam1, lam1p5):
+def test_answers_stay_within_1e9_of_the_bisected_outer_search(lam0, lam0p42, lam1,
+                                                               lam1p5):
     # (alpha*, beta*) before the event-decided outer probes had distances,
     # when most outer steps were midpoints: the distances move the search
     # path, and the answers only within the tolerances
     pinned = {0.0: (lam0, 0.16666666724548324, 0.3333333344915934),
-              0.42489062049196824: (bisect_beta(0.42489062049196824),
-                                    0.33080451148558143, 0.7047437821097062),
+              0.42489062049196824: (lam0p42, 0.33080451148558143, 0.7047437821097062),
               1.0: (lam1, 0.38983914081944127, 0.8727038705571588),
               1.5: (lam1p5, 0.42319955894009975, 0.9791295769723922)}
     for rep, alpha, beta in pinned.values():
@@ -708,27 +752,56 @@ def test_bisect_alpha_horizon_floor():
     assert br.lo.x < res.alpha_star < br.hi.x
 
 
+# (lambda_hat, beta, alpha*(beta)) at the default controls, alpha* to ~1e-14
+_SEPARATRIX = ((0.0, 1 / 3, 0.16666666666663754),
+               (0.2, 0.60216019, 0.29030189667471973),
+               (1.0, 0.8727038705533017, 0.38983914081681426))
+
+
 def test_gauge_fate_continues_the_run_to_a_longer_horizon():
-    # just above the separatrix the offset is still inside the tube at
-    # t_max = 12; continued to 24 it crosses, exactly as a fresh run does.
-    # The run returned is the one over the plain horizon, which the
-    # continuation left as it was
-    point = ShootPoint(1 / 6 + 1e-7, 1 / 3)
-    out, run = shooter._gauge_fate(point, 0.0, CONTROLS)
-    assert out.tag is OutcomeTag.F_ZERO
-    plain = shoot(point, 0.0, CONTROLS)
-    assert run.controls == CONTROLS
-    assert (run.ts, run.ys, run.ended) == (plain.ts, plain.ys, plain.ended)
-    assert classify(run, ClassifyMode.F_FATE).tag is OutcomeTag.CONVERGED
-    traj = shooter.extend(run, replace(CONTROLS, t_max=24.0))
-    fresh = shoot(point, 0.0, replace(CONTROLS, t_max=24.0))
-    assert (traj.alpha, traj.beta) == (fresh.alpha, fresh.beta)
-    assert (traj.ts, traj.ys) == (fresh.ts, fresh.ys)
-    assert (traj.ended, traj.blowup_channel) == (fresh.ended, fresh.blowup_channel)
-    assert traj.controls == fresh.controls
-    assert traj.f_events == fresh.f_events
-    assert traj.rho_events == fresh.rho_events
-    assert out == classify(fresh, ClassifyMode.F_FATE)
+    # next to the separatrix a run may still be undecided at t_max = 12.
+    # It is continued once, to 48, and ends at its first gauge event, in
+    # the tube or not, which decides the probe as continuing the run to 24
+    # and then to 48 and classifying it did.  A plain run that already
+    # holds an in-tube gauge event is cut back to it instead.  The run
+    # returned is the one over the plain horizon, which the continuation
+    # left as it was
+    undecided = {OutcomeTag.HORIZON, OutcomeTag.CONVERGED}
+    far = replace(CONTROLS, t_max=48.0)
+    continued, cut = 0, 0
+    for lambda_hat, beta, alpha_star in _SEPARATRIX:
+        for offset in (1e-7, -1e-7, 1e-9, -1e-9, 1e-11, -1e-11):
+            point = ShootPoint(alpha_star + offset, beta)
+            out, run = shooter._gauge_fate(point, lambda_hat, CONTROLS)
+            assert out.tag is (OutcomeTag.F_ZERO if offset > 0 else OutcomeTag.FPRIME_ZERO)
+            plain = shoot(point, lambda_hat, CONTROLS)
+            assert run.controls == CONTROLS
+            assert (run.ts, run.ys, run.ended) == (plain.ts, plain.ys, plain.ended)
+            assert run.f_events == plain.f_events
+            # the reference: continued to 2x and then 4x t_max while undecided
+            ref, want = run, classify(run, ClassifyMode.F_FATE)
+            for mult in (2, 4):
+                if want.tag not in undecided:
+                    break
+                ref = shooter.extend(ref, replace(CONTROLS, t_max=CONTROLS.t_max * mult))
+                want = classify(ref, ClassifyMode.F_FATE)
+            assert (out.tag, out.t_event, out.state) == (want.tag, want.t_event, want.state)
+            if ref is run:
+                continue  # decided at the plain horizon
+            cont = shooter.extend(run, far, to_gauge_event=True)
+            assert out == classify(cont, ClassifyMode.F_FATE)
+            assert cont.ended == "event" and len(cont.f_events) == 1
+            ev = cont.f_events[0]
+            assert cont.ts[-2] < ev.t <= cont.ts[-1]
+            # up to that event it is the run continued without stopping
+            full = shooter.extend(run, far)
+            n = len(cont.ts)
+            assert (cont.ts, cont.ys) == (full.ts[:n], full.ys[:n])
+            assert ev == full.f_events[0]
+            assert cont.rho_events == [e for e in full.rho_events if e.t < ev.t]
+            continued += 1
+            cut += ev.t <= run.ts[-2]  # found before the plain run's clipped step
+    assert continued >= 15 and 0 < cut < continued
 
 
 def test_graft_tail_continuity(lam0):
