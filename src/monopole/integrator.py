@@ -3,20 +3,23 @@
 The stepper is Dormand and Prince's DOP853 (Hairer, Norsett & Wanner,
 Solving ODEs I, II.10): an eighth-order step whose size is set by
 Hairer's error estimate, the fifth-order one damped where the
-third-order one is large.  Its seventh-order dense output costs three
-more right-hand side calls per step, so a step builds it only when it is
-first read: to refine an event the step's end values bracket, or for
-state_at and resample.  The stepper is written out over the four phase
-components rather than delegated to a library so that step acceptance,
-event refinement, and termination are bit-reproducible for a given
-control block, which the outer bisections rely on.
+third-order one is large.  Its seventh-order dense output
+(dense_output.DenseSegment) costs three more right-hand side calls per
+step, so a step builds it only when it is first read: to refine an event
+the step's end values bracket, or for state_at and resample.  The
+stepper is written out over the four phase components rather than
+delegated to a library so that step acceptance, event refinement, and
+termination are bit-reproducible for a given control block, which the
+outer bisections rely on.
 
 The thirteen stages are inlined in _advance with exactly model._rhs's
 operations in its order; model._rhs stays the one reference for the
 field equations, and a test pins every stored stage to it with ==.  The
-event scan runs only on a step where one of the five sign tests fires,
-and bisects each crossing on the one interpolant component that changes
-sign.  resample evaluates an array of radii in one batch, with the
+interpolant's coefficients are written out over the tableau's nonzero
+weights in the same way.  The event scan runs only on a step where one
+of the five sign tests fires, and refine_event bisects each crossing on
+the one interpolant component that changes sign, against the event's
+level.  resample evaluates an array of radii in one batch, with the
 interpolant's arithmetic applied elementwise in the same order.
 
 Event taxonomy (first-order system y = (f, f', rho, rho')):
@@ -59,10 +62,10 @@ import bisect as _bisect
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from operator import mul
 
 import numpy as np
 
+from .dense_output import DenseSegment, _horner
 from .errors import DomainError, IntegrityError, NoEventError, StiffnessError
 from .model import PhaseState, _rhs
 from .origin_series import OriginSeries
@@ -198,112 +201,6 @@ _E5_1, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12 = (
 _E3_1, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12 = (
     -0.18980075407240762, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
     -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082)
-# The three extra stages of the seventh-order interpolant: their nodes,
-# their rows over stages 1-13 (and the extra stages before them), and
-# the D rows of the interpolant's four higher coefficients over all 16.
-_C_EXTRA = (0.1, 0.2, 0.7777777777777778)
-_A_EXTRA = (
-    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
-     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
-     0.00820105229563469, 0.007567897660545699, -0.008298),
-    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
-     0.053541988307438566, -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932,
-     0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325),
-    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
-     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
-     2.9475147891527724, -9.15095847217987),
-)
-_D = (
-    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
-     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
-     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
-     -4.436036387594894),
-    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
-     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
-     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
-     35.81684148639408),
-    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
-     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
-     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
-     11.99229113618279),
-    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
-     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
-     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
-     -149.72683625798564),
-)
-
-
-class DenseSegment:
-    """Seventh-order DOP853 interpolant over one accepted step [t, t + h].
-
-    The segment keeps the step's thirteen stages, as four columns of
-    thirteen derivatives (of f, f', rho and rho'), and builds the
-    interpolant on its first read, at the cost of three more right-hand
-    side calls: only steps whose end values bracket an event, and
-    state_at or resample, ever pay for it.
-    """
-
-    __slots__ = ("t", "h", "y0", "y1", "lambda_hat", "_k", "_q")
-
-    def __init__(self, t: float, h: float, y0: tuple, y1: tuple, k: tuple,
-                 lambda_hat: float):
-        self.t = t
-        self.h = h
-        self.y0 = y0
-        self.y1 = y1
-        self.lambda_hat = lambda_hat
-        self._k = k
-        self._q = None
-
-    def _coeffs(self):
-        if self._q is None:
-            t, h, y0 = self.t, self.h, self.y0
-            cols = [list(c) for c in self._k]
-            for c, row in zip(_C_EXTRA, _A_EXTRA):
-                k = _rhs(t + c * h,
-                         *[y0[i] + h * sum(map(mul, row, cols[i])) for i in range(4)],
-                         self.lambda_hat)
-                for col, v in zip(cols, k):
-                    col.append(v)
-            # The first three coefficients match the end values and the end
-            # slopes (stages 1 and 13); the D rows give the other four.
-            q = []
-            for ya, yb, col in zip(y0, self.y1, cols):
-                dy = yb - ya
-                q.append((dy, h * col[0] - dy, 2.0 * dy - h * (col[12] + col[0]),
-                          *[h * sum(map(mul, row, col)) for row in _D]))
-            self._q, self._k = q, None
-        return self._q
-
-    @property
-    def t_end(self) -> float:
-        return self.t + self.h
-
-    def eval(self, t: float) -> tuple[float, float, float, float]:
-        a, b, c, d = self._coeffs()
-        f, fp, rho, rhop = self.y0
-        x = (t - self.t) / self.h
-        u = 1.0 - x
-        return (_horner(f, a, x, u), _horner(fp, b, x, u),
-                _horner(rho, c, x, u), _horner(rhop, d, x, u))
-
-    def component(self, i: int):
-        """Component i of eval as a function of t alone, for event bisection."""
-        q, y, t0, h = self._coeffs()[i], self.y0[i], self.t, self.h
-
-        def value(t: float) -> float:
-            x = (t - t0) / h
-            return _horner(y, q, x, 1.0 - x)
-        return value
-
-
-def _horner(y, c, x, u):
-    # One component of the interpolant at theta = x, with u = 1 - x; the
-    # arguments are floats, or numpy arrays with one entry per radius.
-    c0, c1, c2, c3, c4, c5, c6 = c
-    return y + x * (c0 + u * (c1 + x * (c2 + u * (c3 + x * (c4 + u * (c5 + x * c6))))))
-
-
 @dataclass
 class Trajectory:
     """Sampled solution, dense interpolants, and the event log of one run.
@@ -423,36 +320,36 @@ def in_tube(state: PhaseState) -> bool:
             and 0.0 < state.rho <= 1.0 + TUBE)
 
 
-def refine_event(interpolant, t_lo: float, t_hi: float, predicate):
-    """Bisect a bracketed sign change of predicate(interpolant(t)) to EVENT_TOL.
+def refine_event(value, t_lo: float, t_hi: float, level: float = 0.0) -> float:
+    """Bisect a bracketed crossing of level by value(t) to EVENT_TOL.
 
-    Returns (t_event, interpolant(t_event)).  Raises NoEventError when the
-    endpoints do not straddle a sign change (tangential contact).
+    Returns t_event.  Raises NoEventError when value - level does not
+    change sign between the endpoints (tangential contact).
     """
     if not (t_hi > t_lo):
         raise DomainError("refine_event needs t_hi > t_lo")
-    g_lo = predicate(interpolant(t_lo))
-    g_hi = predicate(interpolant(t_hi))
+    g_lo = value(t_lo) - level
+    g_hi = value(t_hi) - level
     if g_lo == 0.0:
-        return t_lo, interpolant(t_lo)
+        return t_lo
     if g_hi == 0.0:
-        return t_hi, interpolant(t_hi)
-    if (g_lo < 0.0) == (g_hi < 0.0):
+        return t_hi
+    below = g_lo < 0.0
+    if below == (g_hi < 0.0):
         raise NoEventError(
             f"no sign change on [{t_lo}, {t_hi}]: endpoints {g_lo}, {g_hi}")
     while t_hi - t_lo > EVENT_TOL:
         t_mid = 0.5 * (t_lo + t_hi)
         if t_mid <= t_lo or t_mid >= t_hi:
             break  # spacing below float resolution
-        g_mid = predicate(interpolant(t_mid))
+        g_mid = value(t_mid) - level
         if g_mid == 0.0:
-            return t_mid, interpolant(t_mid)
-        if (g_lo < 0.0) != (g_mid < 0.0):
+            return t_mid
+        if below != (g_mid < 0.0):
             t_hi = t_mid
         else:
-            t_lo, g_lo = t_mid, g_mid
-    t_ev = 0.5 * (t_lo + t_hi)
-    return t_ev, interpolant(t_ev)
+            t_lo = t_mid
+    return 0.5 * (t_lo + t_hi)
 
 
 def _select_initial_step(t0, y0, k1, rel_tol, abs_tol, max_step, span):
@@ -898,8 +795,7 @@ def _scan_events(traj: Trajectory, seg, ya: tuple, yb: tuple) -> bool:
             (OutcomeTag.RHO_CROSS_VEV, 2, 1.0, ya[2] < 1.0 <= yb[2]),
             (OutcomeTag.RHO_ZERO, 2, 0.0, ya[2] > 0.0 >= yb[2])):
         if crossed:
-            t_e, _ = refine_event(seg.component(i), seg.t, seg.t_end,
-                                  lambda v: v - level)
+            t_e = refine_event(seg.component(i), seg.t, seg.t_end, level)
             found.append((t_e, kind, seg.eval(t_e)))
     if not found:
         return False

@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -49,8 +51,7 @@ from .integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
                          Outcome, OutcomeTag, Trajectory, classify, extend,
                          integrate, integrate_series)
 from .model import PhaseState, ScaledParams
-from .origin_series import (ShootPoint, expand_series, initial_state,
-                            series_coefficients)
+from .origin_series import OriginSeries, ShootPoint, expand_batch, expand_series
 
 __all__ = [
     "Probe",
@@ -98,41 +99,52 @@ _SETTLE_LEAD = 0.5
 _MODE_SPLIT = 0.01
 # How far the reported profile runs past t_graft on its fitted far field.
 REPORT_TAIL = 8.0
+# Fewest points a sweep expands lane-wise at once (expand_batch): fewer
+# lanes cost more per point than the scalar recurrence.
+_SWEEP_BATCH = 128
 
 
-def shoot(point: ShootPoint, lambda_hat: float,
+def shoot(point: ShootPoint | OriginSeries, lambda_hat: float,
           controls: IntegratorControls) -> Trajectory:
     """The run of (alpha, beta): the origin series to its reach, then DOP853.
 
-    The run's samples start at controls.t0.  Up to the reach of the
-    series of expand_series the run is read off it, and the adaptive
-    integrator starts there (integrator.integrate_series), so the run
-    past the series does not depend on t0.  When the reach does not lie
-    beyond t0, which happens only for huge alpha or beta, the integrator
-    starts at t0 from the series truncated after a4 and b3.
+    point is the ShootPoint, or the series that expand_series or
+    expand_batch gave for it at lambda_hat, which carries alpha and beta;
+    a series of another lambda_hat is a domain error.  The run's samples
+    start at controls.t0.  Up to the reach of the series the run is read
+    off it, and the adaptive integrator starts there
+    (integrator.integrate_series), so the run past the series does not
+    depend on t0.  When the reach does not lie beyond t0, which happens
+    only for huge alpha or beta, the integrator starts at t0 from the
+    series truncated after a4 and b3, read off the same series.
 
     When alpha is so small that that truncation already has f'
     non-negative at t0, the turning point sits below t0; the crossing is
     then read off the truncation directly instead of starting the run on
     the wrong side of the event.
     """
-    start = initial_state(point, lambda_hat, controls.t0)
-    if point.alpha > 0.0 and start.fp >= 0.0:
-        c = series_coefficients(point, lambda_hat)
-        t_c = math.sqrt(point.alpha / (2.0 * c.a4))
-        state = replace(initial_state(point, lambda_hat, t_c), fp=0.0)
+    if not isinstance(point, OriginSeries):
+        series = expand_series(point, lambda_hat)
+    elif point.lambda_hat != lambda_hat:
+        raise DomainError(f"the series of lambda_hat = {point.lambda_hat} cannot "
+                          f"start a run at lambda_hat = {lambda_hat}")
+    else:
+        series = point
+    alpha, beta = series.alpha, series.beta
+    start = series.initial_state(controls.t0)
+    if alpha > 0.0 and start.fp >= 0.0:
+        t_c = math.sqrt(alpha / (2.0 * series.coefficients().a4))
+        state = replace(series.initial_state(t_c), fp=0.0)
         traj = Trajectory(t0=t_c, lambda_hat=lambda_hat, controls=controls,
                           ts=[t_c], ys=[state.as_tuple()], ended="immediate",
-                          alpha=point.alpha, beta=point.beta)
+                          alpha=alpha, beta=beta)
         traj.f_events.append(Event(tag=OutcomeTag.FPRIME_ZERO, t=t_c, state=state))
         return traj
-    series = expand_series(point, lambda_hat)
     if series.reach > controls.t0:
         traj = integrate_series(series, controls)
     else:
         traj = integrate(start, lambda_hat, controls)
-    traj.alpha = point.alpha
-    traj.beta = point.beta
+    traj.alpha, traj.beta = alpha, beta
     return traj
 
 
@@ -845,9 +857,12 @@ def sweep(alphas, betas, lambda_hat: float,
           workers: int = 1) -> "OutcomeGrid":
     """Classify every (alpha, beta) pair on the grid, gauge fate first.
 
-    Rows (fixed alpha) are independent; workers > 1 distributes them over
-    at most one process per row.  Output ordering is row-major by alpha
-    then beta regardless of worker count.
+    Every alpha and beta is checked before anything runs.  The origin
+    series are expanded lane-wise (expand_batch) in batches of whole rows
+    (fixed alpha) holding at least _SWEEP_BATCH points, or the whole grid,
+    and each point is shot from its series.  workers > 1 distributes each
+    batch's rows over at most one process per row.  Output ordering is
+    row-major by alpha then beta regardless of worker count.
     """
     alphas = [float(a) for a in alphas]
     betas = [float(b) for b in betas]
@@ -857,16 +872,30 @@ def sweep(alphas, betas, lambda_hat: float,
         raise DomainError(f"lambda_hat must be finite and >= 0, got {lambda_hat}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    # refused as a ShootPoint refuses it, before any expansion or shot
+    for a in alphas:
+        ShootPoint(alpha=a, beta=0.0)
+    for b in betas:
+        ShootPoint(alpha=0.0, beta=b)
     if controls is None:
         controls = IntegratorControls()
-    args = [(a, betas, lambda_hat, controls) for a in alphas]
+    n_rows = -(-_SWEEP_BATCH // len(betas))  # whole rows per batch
     # the pool starts all its processes at once; a row keeps one busy
     workers = min(workers, len(alphas))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, args))
-    else:
-        rows = [_sweep_row(arg) for arg in args]
+    rows = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for lo in range(0, len(alphas), n_rows):
+            block = alphas[lo:lo + n_rows]
+            series = expand_batch([a for a in block for _ in betas], betas * len(block),
+                                  lambda_hat)
+            if pool is None:
+                # each point's series is built as its shot comes up
+                rows += [_sweep_row((islice(series, len(betas)), lambda_hat, controls))
+                         for _ in block]
+            else:
+                rows += pool.map(_sweep_row, [
+                    (list(islice(series, len(betas))), lambda_hat, controls)
+                    for _ in block])
     tags = [[cell[0] for cell in row] for row in rows]
     t_events = [[cell[1] for cell in row] for row in rows]
     return OutcomeGrid(alphas=alphas, betas=betas, tags=tags, t_events=t_events,
@@ -874,10 +903,10 @@ def sweep(alphas, betas, lambda_hat: float,
 
 
 def _sweep_row(arg):
-    alpha, betas, lambda_hat, controls = arg
+    row_series, lambda_hat, controls = arg
     row = []
-    for beta in betas:
-        traj = shoot(ShootPoint(alpha=alpha, beta=beta), lambda_hat, controls)
+    for series in row_series:
+        traj = shoot(series, lambda_hat, controls)
         out = classify(traj, ClassifyMode.F_FATE)
         if out.tag in (OutcomeTag.CONVERGED, OutcomeTag.HORIZON):
             rho_out = classify(traj, ClassifyMode.RHO_FATE)

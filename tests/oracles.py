@@ -6,6 +6,10 @@ fixed-step RK4 with linear-interpolation event location, closed-form
 lambda_hat = 0 references straight from math.sinh, and a bisection root of
 tan u = u.  None of it imports solver internals, so agreement between these
 and the package is a genuine cross-check rather than a restatement.
+
+The exception is the last section: the plain forms that the integrator's
+written-out arithmetic replaced, kept as the references that it must
+match bit for bit.  They read the interpolant's tableau and model._rhs.
 """
 from __future__ import annotations
 
@@ -129,3 +133,63 @@ def tan_root():
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# -- plain forms of the integrator's written-out arithmetic -------------------
+
+def _row_sum(row, col):
+    # left to right from the integer 0, as sum() adds floats before
+    # Python 3.12, zero weights included
+    acc = 0
+    for w, k in zip(row, col):
+        acc = acc + w * k
+    return acc
+
+
+def interpolant_coeffs(seg):
+    """The seven interpolant coefficients per component of an unbuilt DenseSegment.
+
+    The three extra stages and the D rows are sums over whole tableau
+    rows.  seg must still hold its stages (seg._k), so this is read
+    before seg._coeffs() builds them.
+    """
+    from monopole.dense_output import _A_EXTRA, _C_EXTRA, _D
+    from monopole.model import _rhs
+    t, h, y0 = seg.t, seg.h, seg.y0
+    cols = [list(c) for c in seg._k]
+    for c, row in zip(_C_EXTRA, _A_EXTRA):
+        k = _rhs(t + c * h, *[y0[i] + h * _row_sum(row, cols[i]) for i in range(4)],
+                 seg.lambda_hat)
+        for col, v in zip(cols, k):
+            col.append(v)
+    q = []
+    for ya, yb, col in zip(y0, seg.y1, cols):
+        dy = yb - ya
+        q.append((dy, h * col[0] - dy, 2.0 * dy - h * (col[12] + col[0]),
+                  *[h * _row_sum(row, col) for row in _D]))
+    return q
+
+
+def bisect_predicate(interpolant, t_lo, t_hi, predicate, tol):
+    """Bisect a sign change of predicate(interpolant(t)) to tol; (t, interpolant(t))."""
+    g_lo = predicate(interpolant(t_lo))
+    g_hi = predicate(interpolant(t_hi))
+    if g_lo == 0.0:
+        return t_lo, interpolant(t_lo)
+    if g_hi == 0.0:
+        return t_hi, interpolant(t_hi)
+    if (g_lo < 0.0) == (g_hi < 0.0):
+        raise ValueError(f"no sign change on [{t_lo}, {t_hi}]")
+    while t_hi - t_lo > tol:
+        t_mid = 0.5 * (t_lo + t_hi)
+        if t_mid <= t_lo or t_mid >= t_hi:
+            break
+        g_mid = predicate(interpolant(t_mid))
+        if g_mid == 0.0:
+            return t_mid, interpolant(t_mid)
+        if (g_lo < 0.0) != (g_mid < 0.0):
+            t_hi = t_mid
+        else:
+            t_lo, g_lo = t_mid, g_mid
+    t_ev = 0.5 * (t_lo + t_hi)
+    return t_ev, interpolant(t_ev)

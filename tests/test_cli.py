@@ -7,7 +7,7 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from monopole import analysis, cli, integrator
+from monopole import analysis, cli, dense_output, integrator
 from monopole.cli import main
 from monopole.integrator import ClassifyMode, IntegratorControls, classify
 from monopole.origin_series import ShootPoint
@@ -355,14 +355,16 @@ def test_validate_rejects_frame_flags(frame, capsys):
 
 
 def test_validate_detects_sign_mutation(monkeypatch, capsys):
-    # corrupt the integrator's derivative and check that validate notices
+    # corrupt the integrator's derivative and check that validate notices;
+    # a run evaluates it in the integrator and in the interpolant's stages
     orig = integrator._rhs
 
     def flipped(t, f, fp, rho, rhop, lam):
         d = orig(t, f, fp, rho, rhop, lam)
         return (d[0], -d[1], d[2], d[3])
 
-    monkeypatch.setattr(integrator, "_rhs", flipped)
+    for module in (integrator, dense_output):
+        monkeypatch.setattr(module, "_rhs", flipped)
     rc = main(["validate"])
     out = capsys.readouterr().out
     assert rc == 3

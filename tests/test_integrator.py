@@ -1,7 +1,9 @@
 """Adaptive integrator, event location, and trajectory classification."""
 from __future__ import annotations
 
+import bisect
 import math
+import random
 from operator import mul
 
 import numpy as np
@@ -10,7 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop853
 
-from monopole import integrator
+from monopole import dense_output, integrator
 from monopole.errors import DomainError, NoEventError
 from monopole.integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
                                  OutcomeTag, Trajectory, classify, extend,
@@ -190,15 +192,16 @@ def test_state_at_outside_range():
 
 
 def test_refine_event_synthetic_root():
-    # Interpolant with f = cos t: the predicate f has a root at pi/2.
+    # Interpolant with f = cos t: its f component has a root at pi/2.
     def interp(t):
         return PhaseState(t=t, f=math.cos(t), fp=-math.sin(t), rho=0.5, rhop=0.0)
 
-    t_event, state = refine_event(interp, 1.0, 2.0, lambda s: s.f)
+    t_event = refine_event(lambda t: interp(t).f, 1.0, 2.0)
+    state = interp(t_event)
     assert abs(t_event - math.pi / 2) < 1e-10
     assert abs(state.f) < 1e-10
     with pytest.raises(NoEventError):
-        refine_event(interp, 0.2, 1.0, lambda s: s.f)
+        refine_event(lambda t: interp(t).f, 0.2, 1.0)
 
 
 def test_in_tube_uses_extrapolated_asymptote():
@@ -264,7 +267,8 @@ def test_refine_event_locates_higgs_half_crossing():
             lo = mid
     reference = 0.5 * (lo + hi)
     traj = integrate(_start(1 / 6, 1 / 3, 0.0), 0.0, IntegratorControls())
-    t_event, state = refine_event(traj.state_at, 1.5, 2.0, lambda s: s.rho - 0.5)
+    t_event = refine_event(lambda t: traj.state_at(t).rho, 1.5, 2.0, 0.5)
+    state = traj.state_at(t_event)
     # budget: the trajectory's own ~4e-10 field error over the ~0.31
     # local slope, on top of the refinement tolerance
     assert abs(t_event - reference) < 5e-9
@@ -389,14 +393,14 @@ def test_dop853_coefficients_match_reference():
     for s in range(1, 11):
         assert getattr(integrator, f"_C{s + 1}") == float(C[s])
     assert C[11] == C[12] == 1.0
-    assert integrator._C_EXTRA == tuple(map(float, C[13:]))
-    assert integrator._A_EXTRA == tuple(tuple(map(float, A[s, :s])) for s in (13, 14, 15))
+    assert dense_output._C_EXTRA == tuple(map(float, C[13:]))
+    assert dense_output._A_EXTRA == tuple(tuple(map(float, A[s, :s])) for s in (13, 14, 15))
     _pinned("_B", dop853.B)
     # the error weights never read stage 13
     assert dop853.E5[12] == dop853.E3[12] == 0.0
     _pinned("_E5_", dop853.E5[:12])
     _pinned("_E3_", dop853.E3[:12])
-    assert integrator._D == tuple(tuple(map(float, row)) for row in dop853.D)
+    assert dense_output._D == tuple(tuple(map(float, row)) for row in dop853.D)
 
 
 def test_stages_match_the_reference_rhs():
@@ -449,6 +453,63 @@ def test_dense_output_is_built_only_where_read():
     assert all(seg._q is None for seg in traj.segments)
     traj.state_at(2.0)
     assert sum(seg._q is not None for seg in traj.segments) == 1
+
+
+def test_interpolant_coefficients_equal_the_row_sums(monkeypatch):
+    # the extra stages and the D rows are written out over their nonzero
+    # weights; on every segment of these runs, built by an event scan or
+    # read afterwards, they equal the sums over whole tableau rows
+    build = dense_output.DenseSegment._coeffs
+    checked = []
+
+    def checked_build(seg):
+        if seg._q is None:
+            want = oracles.interpolant_coeffs(seg)
+            checked.append(build(seg) == want)
+        return build(seg)
+    monkeypatch.setattr(dense_output.DenseSegment, "_coeffs", checked_build)
+    for lam in (0.0, 1.0, 2.0):
+        for alpha, beta in ((1 / 6, 1 / 3), (0.3, 0.1), (0.05, 0.6), (0.39, 0.87),
+                            (0.42, 0.98), (1.2, 1.7)):
+            traj = shoot(ShootPoint(alpha, beta), lam, IntegratorControls())
+            for seg in traj.segments:
+                seg._coeffs()
+    assert len(checked) > 150 and all(checked)
+
+
+# (component, level) of the event function each tag bisects
+_CROSSING = {OutcomeTag.FPRIME_ZERO: (1, 0.0), OutcomeTag.F_ZERO: (0, 0.0),
+             OutcomeTag.RHO_PRIME_ZERO: (3, 0.0), OutcomeTag.RHO_CROSS_VEV: (2, 1.0),
+             OutcomeTag.RHO_ZERO: (2, 0.0)}
+
+
+def test_events_are_those_of_the_predicate_bisection():
+    # refine_event bisects one component against a level; every event of
+    # these runs is found again, at the same t, by bisecting the predicate
+    # value - level of the interpolated state, on the step or series piece
+    # that found it
+    rng = random.Random("sweep:0")  # the benchmark's seed-0 sweep grid
+    grid = (sorted(rng.uniform(0.02, 1.5) for _ in range(10)),
+            sorted(rng.uniform(0.05, 2.0) for _ in range(10)), rng.uniform(0.0, 2.0))
+    runs = [(np.linspace(0.02, 1.5, 6), np.linspace(0.05, 2.0, 6), lam)
+            for lam in (0.0, 0.2, 1.0)] + [grid]
+    n_series = n_steps = 0
+    for alphas, betas, lam in runs:
+        for alpha in alphas:
+            for beta in betas:
+                traj = shoot(ShootPoint(float(alpha), float(beta)), lam, IntegratorControls())
+                for ev in traj.f_events + traj.rho_events:
+                    i, level = _CROSSING[ev.tag]
+                    m = bisect.bisect_left(traj.ts, ev.t)
+                    if m <= traj._span:
+                        value, n_series = traj.series.component(i), n_series + 1
+                    else:
+                        seg, n_steps = traj.segments[m - 1 - traj._span], n_steps + 1
+                        value = seg.component(i)
+                    t, _ = oracles.bisect_predicate(value, traj.ts[m - 1], traj.ts[m],
+                                                    lambda v: v - level, integrator.EVENT_TOL)
+                    assert t == ev.t, (alpha, beta, lam, ev)
+    assert n_series > 20 and n_steps > 200
 
 
 def test_series_span_is_read_off_the_series():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -217,6 +218,46 @@ def test_series_reads_agree_bit_for_bit():
     for i in range(4):
         value = series.component(i)
         assert [value(t) for t in ts] == table[:, i].tolist()
+
+
+def _packed(series):
+    # every float of a series, with its sign of zero and NaN payload
+    return struct.pack(f"{series._matrix.size + 2}d", *series._matrix.ravel().tolist(),
+                       series.reach, series.lambda_hat), (series.alpha, series.beta)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_batch_expansion_is_expand_series_lane_by_lane():
+    # the lane-wise recurrence gives every lane the scalar coefficients and
+    # reach, also where a lane overflows, with no numpy warning
+    rng = random.Random(19)
+    alphas = [rng.uniform(0.0, 3.0) for _ in range(150)]
+    betas = [rng.uniform(0.0, 6.0) for _ in range(150)]
+    for alpha in (0.0, 1e-12, 7.0, 1e6, 1e100, 1e200):
+        for beta in (0.0, 1e-300, 1e-12, 0.5, 1e4, 1e200):
+            alphas.append(alpha)
+            betas.append(beta)
+    for lam in (0.0, 0.7, 100.0):
+        batch = list(origin_series.expand_batch(alphas, betas, lam))
+        assert len(batch) == len(alphas)
+        for series, alpha, beta in zip(batch, alphas, betas):
+            assert _packed(series) == _packed(expand_series(ShootPoint(alpha, beta), lam))
+    with pytest.raises(DomainError):
+        next(origin_series.expand_batch([0.1], [0.1], math.nan))
+
+
+def test_series_start_is_initial_state():
+    # shoot reads the two-term start off the order-24 series: a4 and b3
+    # are the recurrence's, so the state is initial_state's
+    for alpha, beta, lam in ((1 / 6, 1 / 3, 0.0), (0.39, 0.87, 1.0), (1e-4, 100.0, 0.0),
+                             (2.5, 0.0, 50.0)):
+        point = ShootPoint(alpha, beta)
+        series = expand_series(point, lam)
+        assert series.coefficients() == series_coefficients(point, lam)
+        for t0 in (5e-4, DEFAULT_T0, T0_MAX):
+            assert series.initial_state(t0) == initial_state(point, lam, t0)
+        with pytest.raises(HandoffError):
+            series.initial_state(1.5 * T0_MAX)
 
 
 def test_series_matches_dop853_from_half_its_reach():

@@ -13,7 +13,7 @@ from monopole import integrator, shooter
 from monopole.errors import BracketingError, DomainError, IntegrityError
 from monopole.integrator import (ClassifyMode, IntegratorControls, Outcome,
                                  OutcomeTag, classify)
-from monopole.origin_series import ShootPoint
+from monopole.origin_series import ShootPoint, expand_series
 from monopole.shooter import (Bracket, Probe, SolveReport, _centred_bracket,
                               _expand_bracket, bisect_alpha, bisect_beta,
                               bracket_alpha, graft_tail, shoot, sweep)
@@ -968,14 +968,57 @@ def test_sweep_grid_and_order():
 
 
 def test_sweep_rejects_bad_inputs(monkeypatch):
-    # refused before the first shot
+    # refused before any expansion, shot or worker process
     monkeypatch.setattr(shooter, "shoot", None)
+    monkeypatch.setattr(shooter, "expand_batch", None)
+    monkeypatch.setattr(shooter, "ProcessPoolExecutor", None)
     for workers in (0, -3):
         with pytest.raises(DomainError, match="workers"):
             sweep([0.3], [0.1], 0.0, workers=workers)
     for lam in (math.nan, math.inf, -1.0):
         with pytest.raises(DomainError, match="lambda_hat"):
             sweep([0.3], [0.1], lam)
+    # a bad value anywhere on the grid, even in its last row or column
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        for workers in (1, 2):
+            with pytest.raises(DomainError, match="alpha must be finite and >= 0"):
+                sweep([0.3, bad], [0.1, 0.2], 0.0, workers=workers)
+            with pytest.raises(DomainError, match="beta must be finite and >= 0"):
+                sweep([0.3, 0.4], [0.1, bad], 0.0, workers=workers)
+
+
+def _cell(point, lambda_hat, controls):
+    # a sweep cell, classified as sweep does, from a run of the point itself
+    traj = shoot(point, lambda_hat, controls)
+    out = classify(traj, ClassifyMode.F_FATE)
+    if out.tag in (OutcomeTag.CONVERGED, OutcomeTag.HORIZON):
+        rho_out = classify(traj, ClassifyMode.RHO_FATE)
+        if rho_out.tag is not OutcomeTag.HORIZON:
+            out = rho_out
+    return out.tag.value, out.t_event
+
+
+def test_sweep_batches_give_the_runs_of_the_points(monkeypatch):
+    # with batches of 2 rows (4 points over 3 betas), a 3-row grid is
+    # expanded in two batches, lane-wise; every cell is the one shooting
+    # its ShootPoint gives, for one worker or a pool of rows
+    monkeypatch.setattr(shooter, "_SWEEP_BATCH", 4)
+    alphas, betas, lam = [0.05, 0.3, 1.2], [0.1, 0.5, 1.7], 0.7
+    want = [(a, b, *_cell(ShootPoint(a, b), lam, CONTROLS)) for a in alphas for b in betas]
+    assert list(sweep(alphas, betas, lam, workers=1).rows()) == want
+    assert list(sweep(alphas, betas, lam, workers=2).rows()) == want
+
+
+def test_shoot_takes_the_series_of_its_point():
+    point = ShootPoint(0.39, 0.87)
+    series = expand_series(point, 1.0)
+    traj = shoot(series, 1.0, CONTROLS)
+    same = shoot(point, 1.0, CONTROLS)
+    assert (traj.alpha, traj.beta) == (0.39, 0.87)
+    assert (traj.ts, traj.ys, traj.f_events, traj.rho_events) == (
+        same.ts, same.ys, same.f_events, same.rho_events)
+    with pytest.raises(DomainError, match="lambda_hat"):
+        shoot(series, 0.5, CONTROLS)
 
 
 def test_sweep_starts_at_most_one_process_per_row(monkeypatch):
