@@ -6,11 +6,19 @@ it is first read, at the cost of three more right-hand side calls.  The
 three extra stages and the four D rows of the interpolant's higher
 coefficients are written out over their rows' nonzero weights, in the
 rows' order, as integrator._advance writes out a step's stages; a test
-pins them to the sums over whole rows with ==.
+pins them to the sums over whole rows with ==.  The stages call
+model._rhs through the module, as the integrator does, so the field
+equations have one entry point to patch.
+
+This is a module of its own, not part of integrator, only for memory:
+an interpreter that compiles the package from source (as under
+PYTHONDONTWRITEBYTECODE=1) peaks at the compile of its largest module,
+and integrator with these written-out sums in it would be that module,
+~0.5 MB above this split at import.
 """
 from __future__ import annotations
 
-from .model import _rhs
+from . import model
 
 
 # The three extra stages of the seventh-order interpolant: their nodes,
@@ -93,16 +101,16 @@ class DenseSegment:
         # match the end values and the end slopes (stages 1 and 13).
         if self._q is None:
             t, h, y0, k, lam = self.t, self.h, self.y0, self._k, self.lambda_hat
-            k14 = _rhs(t + _C14 * h, *[
+            k14 = model._rhs(t + _C14 * h, *[
                 y + h * (_A14_1 * k1 + _A14_7 * k7 + _A14_8 * k8 + _A14_9 * k9
                          + _A14_10 * k10 + _A14_11 * k11 + _A14_12 * k12 + _A14_13 * k13)
                 for y, (k1, _, _, _, _, _, k7, k8, k9, k10, k11, k12, k13) in zip(y0, k)], lam)
-            k15 = _rhs(t + _C15 * h, *[
+            k15 = model._rhs(t + _C15 * h, *[
                 y + h * (_A15_1 * k1 + _A15_6 * k6 + _A15_7 * k7 + _A15_8 * k8
                          + _A15_11 * k11 + _A15_12 * k12 + _A15_13 * k13 + _A15_14 * k14)
                 for y, (k1, _, _, _, _, k6, k7, k8, _, _, k11, k12, k13), k14
                 in zip(y0, k, k14)], lam)
-            k16 = _rhs(t + _C16 * h, *[
+            k16 = model._rhs(t + _C16 * h, *[
                 y + h * (_A16_1 * k1 + _A16_6 * k6 + _A16_7 * k7 + _A16_8 * k8
                          + _A16_9 * k9 + _A16_13 * k13 + _A16_14 * k14 + _A16_15 * k15)
                 for y, (k1, _, _, _, _, k6, k7, k8, k9, _, _, _, k13), k14, k15

@@ -65,9 +65,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import model
 from .dense_output import DenseSegment, _horner
 from .errors import DomainError, IntegrityError, NoEventError, StiffnessError
-from .model import PhaseState, _rhs
+from .model import PhaseState
 from .origin_series import OriginSeries
 
 __all__ = [
@@ -381,7 +382,7 @@ def integrate(start: PhaseState, lambda_hat: float,
     y0 = start.as_tuple()
     traj = Trajectory(t0=start.t, lambda_hat=lambda_hat, controls=controls,
                       ts=[start.t], ys=[y0])
-    k1 = _rhs(start.t, *y0, lambda_hat)
+    k1 = model._rhs(start.t, *y0, lambda_hat)
     span = controls.t_max - start.t
     h = _select_initial_step(start.t, y0, k1, controls.rel_tol, controls.abs_tol,
                              controls.max_step, span)
@@ -432,7 +433,7 @@ def integrate_series(series: OriginSeries, controls: IntegratorControls) -> Traj
         traj.ended = "t_max"
         traj._resume = (0, 0, 0, None, None)
         return traj
-    k1 = _rhs(t, *y, series.lambda_hat)
+    k1 = model._rhs(t, *y, series.lambda_hat)
     h = _select_initial_step(t, y, k1, controls.rel_tol, controls.abs_tol,
                              controls.max_step, span)
     if h >= span:

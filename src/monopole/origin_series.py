@@ -33,7 +33,8 @@ the reach does not lie beyond t0.
 A sweep expands its points' series lane-wise (expand_batch): the same
 recurrence runs once on numpy arrays of alpha and beta, and gives every
 lane the scalar coefficients to the bit, at a fraction of the cost per
-point once a batch holds ~100 points.
+point once a batch holds ~100 points.  The bits agree because the
+recurrence adds its products left to right (_dot), as numpy adds lanes.
 
 picard_verify reruns the same local solution as a fixed-point iteration in
 the logarithmic variable s = log t, on the autonomous integral form of the
@@ -46,7 +47,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -64,6 +66,7 @@ __all__ = [
     "series_coefficients",
     "expand_series",
     "expand_batch",
+    "SeriesBatch",
     "initial_state",
     "picard_verify",
 ]
@@ -103,29 +106,36 @@ class SeriesCoefficients:
     b3: float
 
 
+def _dot(x, y):
+    return reduce(add, map(mul, x, y), 0)
+
+
 def _recurrence(alpha, beta, lambda_hat, order: int) -> tuple[list, list]:
     """Coefficients a_0..a_order of f and b_0..b_order of rho/t, in x = t^2.
 
     With P = A^2 and Q = B^2 the two right-hand sides are A R - A and
     B S - lambda_hat x B for R = P + x^2 Q and S = 2 P + lambda_hat x^2 Q,
     so each new index takes four running convolutions: P, Q, A R and B S.
-    The arithmetic stays within the caller's number type.
+    The arithmetic stays within the caller's number type.  Each
+    convolution adds its products left to right from 0 (_dot), which
+    rounds alike for floats and for numpy lanes on every Python; sum()
+    compensates float sums from Python 3.12 on, but not array sums.
     """
     a, b = [1, -alpha], [beta]
     p, q = [1, -2 * alpha], [beta * beta]
     r, s = p[:], [2, -4 * alpha]
     for n in range(1, order + 1):
         if n >= 2:
-            p_n = sum(map(mul, a[1:n], a[n - 1:0:-1]))
-            a_n = (p_n + q[n - 2] + sum(map(mul, a[1:n], r[n - 1:0:-1]))) \
+            p_n = _dot(a[1:n], a[n - 1:0:-1])
+            a_n = (p_n + q[n - 2] + _dot(a[1:n], r[n - 1:0:-1])) \
                 / (2 * n * (2 * n - 1) - 2)
             a.append(a_n)
             p.append(p_n + 2 * a_n)
             r.append(p[n] + q[n - 2])
             s.append(2 * p[n] + lambda_hat * q[n - 2])
-        b.append((sum(map(mul, b, s[n:0:-1])) - lambda_hat * b[n - 1])
+        b.append((_dot(b, s[n:0:-1]) - lambda_hat * b[n - 1])
                  / ((2 * n + 1) * (2 * n + 2) - 2))
-        q.append(sum(map(mul, b, b[::-1])))
+        q.append(_dot(b, b[::-1]))
     return a[:order + 1], b
 
 
@@ -266,28 +276,54 @@ def expand_series(point: ShootPoint, lambda_hat: float) -> OriginSeries:
                         _reach(a[-_REACH_TAIL:], b[-_REACH_TAIL:], b[0], finite))
 
 
-def expand_batch(alphas: list, betas: list, lambda_hat: float):
-    """Yield expand_series of each point (alphas[j], betas[j]) in turn, to the bit.
+def expand_batch(alphas: list, betas: list, lambda_hat: float) -> "SeriesBatch":
+    """expand_series of each point (alphas[j], betas[j]), to the bit, as a SeriesBatch.
 
     The recurrence runs once, on numpy arrays of alpha and beta, and numpy
-    rounds each lane's +, -, * and / as Python rounds a float's.  Each
-    series is built only when it is reached.  The values must be those a
-    ShootPoint accepts.
+    rounds each lane's +, -, * and / as Python rounds a float's.  The
+    values must be those a ShootPoint accepts.
     """
     _check_lambda(lambda_hat)
-    lam = float(lambda_hat)
     with np.errstate(all="ignore"):  # a lane that overflows gets reach 0
         a, b = _recurrence(np.array(alphas, dtype=float), np.array(betas, dtype=float),
-                           lam, SERIES_ORDER)
+                           float(lambda_hat), SERIES_ORDER)
     a[0] = np.ones(len(alphas))
     a, b = np.array(a), np.array(b)
-    finite = (np.isfinite(a).all(axis=0) & np.isfinite(b).all(axis=0)).tolist()
-    b0 = b[0].tolist()
-    a_tails, b_tails = a[-_REACH_TAIL:].T.tolist(), b[-_REACH_TAIL:].T.tolist()
-    rows = _horner_rows(a, b)
-    for j, (alpha, beta) in enumerate(zip(alphas, betas)):
-        yield OriginSeries(lam, alpha, beta, rows[j],
-                           _reach(a_tails[j], b_tails[j], b0[j], finite[j]))
+    finite = np.isfinite(a).all(axis=0) & np.isfinite(b).all(axis=0)
+    reaches = [_reach(a_tail, b_tail, b0, ok) for a_tail, b_tail, b0, ok in zip(
+        a[-_REACH_TAIL:].T.tolist(), b[-_REACH_TAIL:].T.tolist(), b[0].tolist(),
+        finite.tolist())]
+    return SeriesBatch(float(lambda_hat), list(alphas), list(betas), _horner_rows(a, b),
+                       reaches)
+
+
+class SeriesBatch:
+    """The origin series of many points, from one lane-wise expansion.
+
+    Item j is the OriginSeries of (alphas[j], betas[j]), built when it is
+    read; a slice is the SeriesBatch of those lanes, and pickles with
+    only their coefficients.
+    """
+
+    __slots__ = ("lambda_hat", "alphas", "betas", "reaches", "_rows")
+
+    def __init__(self, lambda_hat: float, alphas: list, betas: list, rows: np.ndarray,
+                 reaches: list):
+        self.lambda_hat = lambda_hat
+        self.alphas, self.betas = alphas, betas
+        self.reaches = reaches
+        self._rows = rows  # (lanes, SERIES_ORDER + 1, 4), as _horner_rows gives
+
+    def __len__(self) -> int:
+        return len(self.alphas)
+
+    def __getitem__(self, j):
+        cls = SeriesBatch if isinstance(j, slice) else OriginSeries
+        return cls(self.lambda_hat, self.alphas[j], self.betas[j], self._rows[j],
+                   self.reaches[j])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 def initial_state(point: ShootPoint, lambda_hat: float, t0: float = DEFAULT_T0) -> PhaseState:

@@ -41,7 +41,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
@@ -860,9 +859,10 @@ def sweep(alphas, betas, lambda_hat: float,
     Every alpha and beta is checked before anything runs.  The origin
     series are expanded lane-wise (expand_batch) in batches of whole rows
     (fixed alpha) holding at least _SWEEP_BATCH points, or the whole grid,
-    and each point is shot from its series.  workers > 1 distributes each
-    batch's rows over at most one process per row.  Output ordering is
-    row-major by alpha then beta regardless of worker count.
+    and each point is shot from its series, built just before its shot.
+    workers > 1 distributes each batch's rows over at most one process
+    per row; a batch holds at least one row per process.  Output ordering
+    is row-major by alpha then beta regardless of worker count.
     """
     alphas = [float(a) for a in alphas]
     betas = [float(b) for b in betas]
@@ -879,23 +879,20 @@ def sweep(alphas, betas, lambda_hat: float,
         ShootPoint(alpha=0.0, beta=b)
     if controls is None:
         controls = IntegratorControls()
-    n_rows = -(-_SWEEP_BATCH // len(betas))  # whole rows per batch
-    # the pool starts all its processes at once; a row keeps one busy
+    # the pool starts all its processes at once, so at most one per row;
+    # a batch is whole rows, at least one per process, so that every
+    # process has a row in each batch
     workers = min(workers, len(alphas))
+    n_rows, n = max(-(-_SWEEP_BATCH // len(betas)), workers), len(betas)
     rows = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
         for lo in range(0, len(alphas), n_rows):
             block = alphas[lo:lo + n_rows]
-            series = expand_batch([a for a in block for _ in betas], betas * len(block),
-                                  lambda_hat)
-            if pool is None:
-                # each point's series is built as its shot comes up
-                rows += [_sweep_row((islice(series, len(betas)), lambda_hat, controls))
-                         for _ in block]
-            else:
-                rows += pool.map(_sweep_row, [
-                    (list(islice(series, len(betas))), lambda_hat, controls)
-                    for _ in block])
+            batch = expand_batch([a for a in block for _ in betas], betas * len(block),
+                                 lambda_hat)
+            rows += run(_sweep_row, [(batch[j:j + n], lambda_hat, controls)
+                                     for j in range(0, len(batch), n)])
     tags = [[cell[0] for cell in row] for row in rows]
     t_events = [[cell[1] for cell in row] for row in rows]
     return OutcomeGrid(alphas=alphas, betas=betas, tags=tags, t_events=t_events,

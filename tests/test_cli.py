@@ -7,7 +7,7 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from monopole import analysis, cli, dense_output, integrator
+from monopole import analysis, cli, model
 from monopole.cli import main
 from monopole.integrator import ClassifyMode, IntegratorControls, classify
 from monopole.origin_series import ShootPoint
@@ -355,16 +355,16 @@ def test_validate_rejects_frame_flags(frame, capsys):
 
 
 def test_validate_detects_sign_mutation(monkeypatch, capsys):
-    # corrupt the integrator's derivative and check that validate notices;
-    # a run evaluates it in the integrator and in the interpolant's stages
-    orig = integrator._rhs
+    # corrupt the field equations' right-hand side, which a run evaluates
+    # at its start and in the interpolant's stages, and check that
+    # validate notices
+    orig = model._rhs
 
     def flipped(t, f, fp, rho, rhop, lam):
         d = orig(t, f, fp, rho, rhop, lam)
         return (d[0], -d[1], d[2], d[3])
 
-    for module in (integrator, dense_output):
-        monkeypatch.setattr(module, "_rhs", flipped)
+    monkeypatch.setattr(model, "_rhs", flipped)
     rc = main(["validate"])
     out = capsys.readouterr().out
     assert rc == 3

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import struct
 from fractions import Fraction
@@ -238,12 +239,16 @@ def test_batch_expansion_is_expand_series_lane_by_lane():
             alphas.append(alpha)
             betas.append(beta)
     for lam in (0.0, 0.7, 100.0):
-        batch = list(origin_series.expand_batch(alphas, betas, lam))
+        batch = origin_series.expand_batch(alphas, betas, lam)
         assert len(batch) == len(alphas)
-        for series, alpha, beta in zip(batch, alphas, betas):
-            assert _packed(series) == _packed(expand_series(ShootPoint(alpha, beta), lam))
+        packed = [_packed(series) for series in batch]
+        for p, alpha, beta in zip(packed, alphas, betas):
+            assert p == _packed(expand_series(ShootPoint(alpha, beta), lam))
+        # a slice, also as a worker process unpickles it, holds those lanes
+        part = pickle.loads(pickle.dumps(batch[140:170]))
+        assert [_packed(series) for series in part] == packed[140:170]
     with pytest.raises(DomainError):
-        next(origin_series.expand_batch([0.1], [0.1], math.nan))
+        origin_series.expand_batch([0.1], [0.1], math.nan)
 
 
 def test_series_start_is_initial_state():

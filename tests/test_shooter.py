@@ -1021,25 +1021,33 @@ def test_shoot_takes_the_series_of_its_point():
         shoot(series, 0.5, CONTROLS)
 
 
+class _InProcessPool:
+    """A ProcessPoolExecutor stand-in that maps in this process and records
+    its max_workers and the number of tasks of each map call."""
+
+    def __init__(self, pools, tasks):
+        self.pools, self.tasks = pools, tasks
+
+    def __call__(self, max_workers):
+        self.pools.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        self.tasks.append(len(args))
+        return map(fn, args)
+
+
 def test_sweep_starts_at_most_one_process_per_row(monkeypatch):
     # the pool starts all max_workers processes on its first submit, so
-    # the count is capped at the row count; this pool maps in-process
+    # the count is capped at the row count
     pools = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-    monkeypatch.setattr(shooter, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(shooter, "ProcessPoolExecutor", _InProcessPool(pools, []))
     short = replace(CONTROLS, t_max=3.0)
     grid = sweep([0.05, 0.3], [0.1, 0.5], 0.0, controls=short, workers=5000)
     assert pools == [2]
@@ -1048,6 +1056,20 @@ def test_sweep_starts_at_most_one_process_per_row(monkeypatch):
     # a single row runs in this process
     sweep([0.3], [0.1], 0.0, controls=short, workers=5000)
     assert pools == [2]
+
+
+def test_sweep_batches_give_every_process_a_row(monkeypatch):
+    # rows as wide as a batch (5 betas, batches of 4 points) would make
+    # one-row batches, one busy process at a time; a batch holds at least
+    # one row per process instead, so a pool of 3 maps 3, 3 and 1 rows
+    tasks = []
+    monkeypatch.setattr(shooter, "ProcessPoolExecutor", _InProcessPool([], tasks))
+    monkeypatch.setattr(shooter, "_SWEEP_BATCH", 4)
+    short = replace(CONTROLS, t_max=3.0)
+    alphas, betas = [0.05, 0.2, 0.3, 0.6, 0.9, 1.2, 1.5], [0.1, 0.3, 0.5, 0.8, 1.0]
+    grid = sweep(alphas, betas, 0.0, controls=short, workers=3)
+    assert tasks == [3, 3, 1]
+    assert list(grid.rows()) == list(sweep(alphas, betas, 0.0, controls=short).rows())
 
 
 def test_sweep_prefers_rho_fate_when_informative():
