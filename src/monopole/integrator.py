@@ -40,7 +40,11 @@ f still in the tube.
 
 integrate_series starts a run on the origin series instead: from t0 to
 the series' reach the run is read off the series, on pieces that end on
-the multiples of _PIECE, so their ends do not depend on t0.  Each piece
+the multiples of origin_series._PIECE, so their ends do not depend on
+t0.  OriginSeries.span gives the piece ends and the states there: a lone
+series evaluates them in one OriginSeries.table call, and a series from
+a sweep batch reads them from the table that one lane-wise pass gave the
+whole batch (SeriesBatch.read_spans), with the same bits.  Each piece
 end gets the five sign tests and the blowup bounds of a step, and a
 crossing is bisected on the series itself.  DOP853 takes over at the
 reach, past the 1/t^2 layer at the origin, where it would otherwise hold
@@ -98,8 +102,6 @@ EVENT_TOL = 1e-10
 # exceeds _BLOWUP_SLOPE.
 _BLOWUP_BOUND = 2.0
 _BLOWUP_SLOPE = 1e3
-# Width of the grid whose multiples end the pieces of a series span.
-_PIECE = 0.05
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,8 @@ class Trajectory:
 
     A run started on the origin series keeps it: its first _span samples
     after ts[0] are the ends of the series pieces, and segments[j] is the
-    DOP853 step from ts[_span + j] to the next sample.
+    DOP853 step from ts[_span + j] to the next sample.  A shot whose start
+    at t0 is not finite holds no sample (see shooter.shoot).
     """
 
     t0: float
@@ -397,19 +400,16 @@ def integrate_series(series: OriginSeries, controls: IntegratorControls) -> Traj
     """The run from controls.t0 that reads the origin series up to its reach.
 
     Samples start at t0 and follow the series span, on pieces that end on
-    the multiples of _PIECE below min(reach, t_max) and at that radius.
-    Each piece end gets a step's five sign tests, with any crossing
-    bisected on the series, and its blowup bounds.  Past the span DOP853
-    steps on as integrate does.  The reach must lie beyond t0.
+    the multiples of origin_series._PIECE below min(reach, t_max) and at
+    that radius (OriginSeries.span).  Each piece end gets a step's five
+    sign tests, with any crossing bisected on the series, and its blowup
+    bounds.  Past the span DOP853 steps on as integrate does.  The reach
+    must lie beyond t0.
     """
     t0, t_max = controls.t0, controls.t_max
-    t_end = min(series.reach, t_max)
-    if not t_end > t0:
+    if not min(series.reach, t_max) > t0:
         raise DomainError(f"series reach {series.reach} must lie beyond t0 = {t0}")
-    ends = [s for s in (j * _PIECE for j in range(1, math.ceil(t_end / _PIECE) + 1))
-            if t0 < s < t_end]
-    ends.append(t_end)
-    rows = [tuple(row) for row in series.table([t0, *ends]).tolist()]
+    ends, rows = series.span(t0, t_max)
     traj = Trajectory(t0=t0, lambda_hat=series.lambda_hat, controls=controls,
                       ts=[t0], ys=[rows[0]], series=series)
     t, y = t0, rows[0]
@@ -847,10 +847,15 @@ def classify(traj: Trajectory, mode: ClassifyMode) -> Outcome:
     the tube: the growing rho^2 f term of f'' then pushes f further in
     the direction of its own sign, so the side that event pointed to
     holds.  For the same reason FFate reads a run that extend ended on
-    an in-tube gauge event (to_gauge_event) from its first f event.
+    an in-tube gauge event (to_gauge_event) from its first f event.  A
+    run with no sample, whose start was not finite, is Blowup at t0 in
+    either mode.
     """
     if not traj.ended:
         raise DomainError("classify needs a finished trajectory")
+    if not traj.ts:
+        # a shot whose start at t0 is not finite (see shooter.shoot)
+        return Outcome(tag=OutcomeTag.BLOWUP, t_event=traj.t0, detail=traj.blowup_channel)
     events = traj.f_events if mode is ClassifyMode.F_FATE else traj.rho_events
     for ev in events:
         if not ev.in_tube:

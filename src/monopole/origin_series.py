@@ -36,6 +36,14 @@ lane the scalar coefficients to the bit, at a fraction of the cost per
 point once a batch holds ~100 points.  The bits agree because the
 recurrence adds its products left to right (_dot), as numpy adds lanes.
 
+A run reads its series span at the piece ends OriginSeries.span gives:
+t0, the multiples of _PIECE below min(reach, t_max), then that radius.
+A lone series evaluates them with table; a sweep batch evaluates every
+lane's in one lane-wise Horner pass (SeriesBatch.read_spans), and each
+item of the batch carries its rows for that t0 and t_max only.  Both
+run the one Horner loop (_horner), so a lane's rows are the lone
+series' to the bit.
+
 picard_verify reruns the same local solution as a fixed-point iteration in
 the logarithmic variable s = log t, on the autonomous integral form of the
 equations, and reports the sup-norm contraction history.  That gives an
@@ -82,6 +90,8 @@ SERIES_ORDER = 24
 _REACH_EPS = 1e-17
 _REACH_TAIL = 4
 _REACH_MAX = 2.0
+# Width of the grid whose multiples end the pieces of a run's series span.
+_PIECE = 0.05
 
 
 @dataclass(frozen=True)
@@ -166,9 +176,10 @@ class OriginSeries:
     event bisection.  alpha and beta are the shot's origin data.
     """
 
-    __slots__ = ("lambda_hat", "alpha", "beta", "reach", "_rows", "_matrix")
+    __slots__ = ("lambda_hat", "alpha", "beta", "reach", "_rows", "_matrix", "_span")
 
-    def __init__(self, lambda_hat: float, alpha, beta, matrix: np.ndarray, reach: float):
+    def __init__(self, lambda_hat: float, alpha, beta, matrix: np.ndarray, reach: float,
+                 span: tuple | None = None):
         self.lambda_hat = lambda_hat
         self.alpha, self.beta = alpha, beta
         self.reach = reach
@@ -176,6 +187,9 @@ class OriginSeries:
         # and component
         self._matrix = matrix
         self._rows = matrix.tolist()
+        # (t0, t_max, radii, multiples, table) of this lane of a SeriesBatch
+        # read by read_spans: see span
+        self._span = span
 
     def state(self, t: float) -> tuple[float, float, float, float]:
         """(f, f', rho, rho') at radius t."""
@@ -190,15 +204,25 @@ class OriginSeries:
 
     def table(self, ts) -> np.ndarray:
         """state at every radius of ts, as an (n, 4) array, in one batch."""
-        ts = np.asarray(ts, dtype=float)
-        x = np.repeat((ts * ts)[:, None], 4, axis=1)
-        p = np.zeros((len(ts), 4))
-        for row in self._matrix:
-            np.multiply(p, x, out=p)
-            np.add(p, row, out=p)
-        p[:, 1] *= ts
-        p[:, 2] *= ts
-        return p
+        return _horner(self._matrix[None], np.asarray(ts, dtype=float)[None])[0]
+
+    def span(self, t0: float, t_max: float) -> tuple[list, list]:
+        """The piece ends of a run's series span from t0, and its states there.
+
+        The ends are the multiples of _PIECE in (t0, min(reach, t_max)),
+        then that radius; the states, as tuples, are those at t0 and at
+        each end.  They are table's rows, read from the batch's table when
+        this series came from a SeriesBatch read for the same t0 and
+        t_max, and computed here otherwise.
+        """
+        if self._span is not None and self._span[:2] == (t0, t_max):
+            _, _, ts, n, table = self._span
+            return ts[1:n + 2].tolist(), list(map(tuple, table[:n + 2].tolist()))
+        t_end = min(self.reach, t_max)
+        ends = [s for s in (j * _PIECE for j in range(1, math.ceil(t_end / _PIECE) + 1))
+                if t0 < s < t_end]
+        ends.append(t_end)
+        return ends, list(map(tuple, self.table([t0, *ends]).tolist()))
 
     def component(self, i: int):
         """Component i of state as a function of t alone."""
@@ -217,10 +241,14 @@ class OriginSeries:
         """a4 and b3, as series_coefficients gives them for float alpha and beta."""
         return SeriesCoefficients(a4=self._rows[-3][0], b3=self._rows[-2][2])
 
-    def initial_state(self, t0: float) -> PhaseState:
-        """initial_state of (alpha, beta), with a4 and b3 read off this series."""
+    def truncation(self, t0: float) -> tuple[float, float, float, float]:
+        """The state of initial_state, which need not be finite, as a tuple."""
         c = self.coefficients()
         return _truncation(self.alpha, self.beta, c.a4, c.b3, t0)
+
+    def initial_state(self, t0: float) -> PhaseState:
+        """initial_state of (alpha, beta), with a4 and b3 read off this series."""
+        return PhaseState(t0, *self.truncation(t0))
 
 
 def _horner_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -234,6 +262,25 @@ def _horner_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         rows[:, 0], rows[:, 2], rows[:, 3] = a, b, (2.0 * k + 1.0) * b
         rows[:-1, 1] = 2.0 * (k[:-1] + 1.0) * a[1:]
     return np.ascontiguousarray(rows[::-1].transpose(2, 0, 1))
+
+
+def _horner(matrix: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """(lanes, m, 4) states at the (lanes, m) radii ts, from (lanes, N + 1, 4) Horner rows.
+
+    Every lane, radius and component takes the same operations in the same
+    order as OriginSeries.state, so a lane's rows are that series' bits.
+    The components run outermost, so each operation's inner loop runs
+    along a lane's radii.
+    """
+    x = ts * ts
+    rows = matrix.transpose(1, 2, 0)[..., None]  # (N + 1, 4, lanes, 1)
+    p = np.zeros((4, *ts.shape))
+    for row in rows:
+        np.multiply(p, x, out=p)
+        np.add(p, row, out=p)
+    p[1] *= ts
+    p[2] *= ts
+    return np.ascontiguousarray(p.transpose(1, 2, 0))
 
 
 def _check_lambda(lambda_hat) -> None:
@@ -302,28 +349,55 @@ class SeriesBatch:
 
     Item j is the OriginSeries of (alphas[j], betas[j]), built when it is
     read; a slice is the SeriesBatch of those lanes, and pickles with
-    only their coefficients.
+    only their coefficients and span tables.
     """
 
-    __slots__ = ("lambda_hat", "alphas", "betas", "reaches", "_rows")
+    __slots__ = ("lambda_hat", "alphas", "betas", "reaches", "_rows", "_span")
 
     def __init__(self, lambda_hat: float, alphas: list, betas: list, rows: np.ndarray,
-                 reaches: list):
+                 reaches: list, span: tuple | None = None):
         self.lambda_hat = lambda_hat
         self.alphas, self.betas = alphas, betas
         self.reaches = reaches
         self._rows = rows  # (lanes, SERIES_ORDER + 1, 4), as _horner_rows gives
+        # (t0, t_max, radii, multiples, table) of read_spans, lane-major
+        self._span = span
 
     def __len__(self) -> int:
         return len(self.alphas)
 
     def __getitem__(self, j):
         cls = SeriesBatch if isinstance(j, slice) else OriginSeries
+        span = None if self._span is None else (
+            *self._span[:2], *(v[j] for v in self._span[2:]))
         return cls(self.lambda_hat, self.alphas[j], self.betas[j], self._rows[j],
-                   self.reaches[j])
+                   self.reaches[j], span)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
+
+    def read_spans(self, t0: float, t_max: float) -> "SeriesBatch":
+        """This batch, with every lane's series span of a run from t0 to t_max.
+
+        One lane-wise Horner pass evaluates each lane at t0, at the
+        multiples of _PIECE below min(reach, t_max) and at that radius,
+        padded with that radius to the longest lane.  An item then gives
+        OriginSeries.span its rows for this t0 and t_max only.  A lane
+        whose span is empty (reach 0 where its coefficients overflow) is
+        evaluated too, and never read.
+        """
+        t_ends = np.minimum(self.reaches, t_max)
+        grid = np.arange(1, math.ceil(t_ends.max() / _PIECE) + 1) * _PIECE
+        grid = grid[grid > t0]
+        multiples = np.searchsorted(grid, t_ends)  # those below each lane's end
+        n = multiples.max()
+        ts = np.empty((len(t_ends), n + 2))
+        ts[:, 0] = t0
+        np.minimum(np.append(grid[:n], np.inf), t_ends[:, None], out=ts[:, 1:])
+        with np.errstate(all="ignore"):  # the lanes with an empty span
+            table = _horner(self._rows, ts)
+        return SeriesBatch(self.lambda_hat, self.alphas, self.betas, self._rows,
+                           self.reaches, (t0, t_max, ts, multiples.tolist(), table))
 
 
 def initial_state(point: ShootPoint, lambda_hat: float, t0: float = DEFAULT_T0) -> PhaseState:
@@ -333,20 +407,17 @@ def initial_state(point: ShootPoint, lambda_hat: float, t0: float = DEFAULT_T0) 
     longer far below integrator tolerance.
     """
     c = series_coefficients(point, lambda_hat)
-    return _truncation(point.alpha, point.beta, c.a4, c.b3, t0)
+    return PhaseState(t0, *_truncation(point.alpha, point.beta, c.a4, c.b3, t0))
 
 
-def _truncation(a, b, a4, b3, t0: float) -> PhaseState:
+def _truncation(a, b, a4, b3, t0: float) -> tuple:
     if not (0.0 < t0 <= T0_MAX):
         raise HandoffError(f"t0 must lie in (0, {T0_MAX}], got {t0}")
     t2 = t0 * t0
-    return PhaseState(
-        t=t0,
-        f=1.0 - a * t2 + a4 * t2 * t2,
-        fp=-2.0 * a * t0 + 4.0 * a4 * t0 * t2,
-        rho=b * t0 + b3 * t0 * t2,
-        rhop=b + 3.0 * b3 * t2,
-    )
+    return (1.0 - a * t2 + a4 * t2 * t2,
+            -2.0 * a * t0 + 4.0 * a4 * t0 * t2,
+            b * t0 + b3 * t0 * t2,
+            b + 3.0 * b3 * t2)
 
 
 @dataclass

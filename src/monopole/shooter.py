@@ -120,7 +120,11 @@ def shoot(point: ShootPoint | OriginSeries, lambda_hat: float,
     When alpha is so small that that truncation already has f'
     non-negative at t0, the turning point sits below t0; the crossing is
     then read off the truncation directly instead of starting the run on
-    the wrong side of the event.
+    the wrong side of the event.  When the truncation is not finite at
+    t0 (alpha^2 or beta^2 overflows in a4 or b3, for alpha or beta of
+    ~1e154 and more), the run ends there as a blowup of channel
+    "nonfinite", as a step to a non-finite state ends one, and holds no
+    sample: classify reads it as Blowup at t0.
     """
     if not isinstance(point, OriginSeries):
         series = expand_series(point, lambda_hat)
@@ -130,7 +134,11 @@ def shoot(point: ShootPoint | OriginSeries, lambda_hat: float,
     else:
         series = point
     alpha, beta = series.alpha, series.beta
-    start = series.initial_state(controls.t0)
+    y0 = series.truncation(controls.t0)
+    if not all(map(math.isfinite, y0)):
+        return Trajectory(t0=controls.t0, lambda_hat=lambda_hat, controls=controls,
+                          ended="blowup", blowup_channel="nonfinite", alpha=alpha, beta=beta)
+    start = PhaseState(controls.t0, *y0)
     if alpha > 0.0 and start.fp >= 0.0:
         t_c = math.sqrt(alpha / (2.0 * series.coefficients().a4))
         state = replace(series.initial_state(t_c), fp=0.0)
@@ -859,6 +867,7 @@ def sweep(alphas, betas, lambda_hat: float,
     Every alpha and beta is checked before anything runs.  The origin
     series are expanded lane-wise (expand_batch) in batches of whole rows
     (fixed alpha) holding at least _SWEEP_BATCH points, or the whole grid,
+    together with the states of their runs' series spans (read_spans),
     and each point is shot from its series, built just before its shot.
     workers > 1 distributes each batch's rows over at most one process
     per row; a batch holds at least one row per process.  Output ordering
@@ -890,7 +899,7 @@ def sweep(alphas, betas, lambda_hat: float,
         for lo in range(0, len(alphas), n_rows):
             block = alphas[lo:lo + n_rows]
             batch = expand_batch([a for a in block for _ in betas], betas * len(block),
-                                 lambda_hat)
+                                 lambda_hat).read_spans(controls.t0, controls.t_max)
             rows += run(_sweep_row, [(batch[j:j + n], lambda_hat, controls)
                                      for j in range(0, len(batch), n)])
     tags = [[cell[0] for cell in row] for row in rows]

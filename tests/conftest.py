@@ -1,6 +1,7 @@
 """Shared fixtures: the expensive solves run once per session."""
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -45,3 +46,16 @@ def lam1p5():
 @pytest.fixture(scope="session")
 def lam1_fine_handoff():
     return bisect_beta(1.0, controls=IntegratorControls(t0=5e-4))
+
+
+@pytest.fixture(scope="session")
+def batch_lanes():
+    # (alphas, betas) of a series batch: random lanes, extreme ones (huge
+    # alpha moves the reach across every handoff radius) and two that
+    # overflow, whose reach is 0
+    rng = random.Random(20)
+    lanes = [(rng.uniform(0.0, 3.0), rng.uniform(0.0, 6.0)) for _ in range(12)]
+    lanes += [(alpha, beta) for alpha in (0.0, 1e-12, 7.0, 3e5, 1e6)
+              for beta in (0.0, 1e-300, 0.5, 1e4)]
+    lanes += [(1e200, 0.5), (0.5, 1e200)]
+    return [a for a, _ in lanes], [b for _, b in lanes]

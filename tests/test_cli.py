@@ -236,6 +236,18 @@ def test_sweep_grid_flags(tmp_path, capsys):
     assert tags == ["Horizon", "FPrimeZero", "FZero", "FZero"]
 
 
+def test_sweep_reports_a_beta_too_large_to_start(tmp_path, capsys):
+    # beta^2 overflows at 1e160: that point is a Blowup at t0 and the rest
+    # of the grid is reported
+    out = tmp_path / "grid.csv"
+    rc = main(["sweep", "--lambda-hat", "0.5", "--alphas", "0.1",
+               "--betas", "0.2,1e160", "--out", str(out)])
+    assert rc == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert rows[0][2] == "FZero"
+    assert rows[1] == ["0.10000000000000001", "1e+160", "Blowup", "0.001"]
+
+
 def test_sweep_empty_grid_exit_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--lambda-hat", "0", "--alphas", "",

@@ -251,6 +251,39 @@ def test_batch_expansion_is_expand_series_lane_by_lane():
         origin_series.expand_batch([0.1], [0.1], math.nan)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_batch_spans_are_the_lone_series_spans(monkeypatch, batch_lanes):
+    # one lane-wise Horner pass gives every lane the piece ends and rows
+    # that table computes for its lone series, on horizons inside most
+    # spans and past every one
+    alphas, betas = batch_lanes
+    for lam in (0.0, 0.7, 100.0):
+        batch = origin_series.expand_batch(alphas, betas, lam)
+        lones = [expand_series(ShootPoint(a, b), lam) for a, b in zip(alphas, betas)]
+        for t0 in (5e-4, DEFAULT_T0, T0_MAX):
+            for t_max in (0.5, 12.0):
+                want = [lone.span(t0, t_max) if min(lone.reach, t_max) > t0 else None
+                        for lone in lones]
+                with monkeypatch.context() as m:
+                    # the batch's items read their rows, not table
+                    m.setattr(origin_series.OriginSeries, "table", None)
+                    got = [series.span(t0, t_max) if min(series.reach, t_max) > t0
+                           else None for series in batch.read_spans(t0, t_max)]
+                assert got == want, (lam, t0, t_max)
+                assert sum(w is None for w in want) < 15
+    # the rows are table's at t0 and the ends: the multiples of 0.05, then the reach
+    lone = expand_series(ShootPoint(1 / 6, 1 / 3), 0.0)
+    ends, rows = lone.span(DEFAULT_T0, 12.0)
+    assert ends == [j * 0.05 for j in range(1, len(ends))] + [lone.reach]
+    assert len(ends) > 20
+    assert rows == [tuple(r) for r in lone.table([DEFAULT_T0, *ends]).tolist()]
+    # a slice, also as a worker process unpickles it, keeps its lanes' rows
+    read = origin_series.expand_batch(alphas, betas, 0.7).read_spans(DEFAULT_T0, 0.5)
+    part = pickle.loads(pickle.dumps(read[10:30]))
+    assert [s.span(DEFAULT_T0, 0.5) for s in part] == [
+        s.span(DEFAULT_T0, 0.5) for s in read][10:30]
+
+
 def test_series_start_is_initial_state():
     # shoot reads the two-term start off the order-24 series: a4 and b3
     # are the recurrence's, so the state is initial_state's

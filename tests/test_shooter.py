@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose
 from monopole import integrator, shooter
 from monopole.errors import BracketingError, DomainError, IntegrityError
 from monopole.integrator import (ClassifyMode, IntegratorControls, Outcome,
-                                 OutcomeTag, classify)
-from monopole.origin_series import ShootPoint, expand_series
+                                 OutcomeTag, classify, extend)
+from monopole.origin_series import ShootPoint, expand_batch, expand_series
 from monopole.shooter import (Bracket, Probe, SolveReport, _centred_bracket,
                               _expand_bracket, bisect_alpha, bisect_beta,
                               bracket_alpha, graft_tail, shoot, sweep)
@@ -1019,6 +1019,60 @@ def test_shoot_takes_the_series_of_its_point():
         same.ts, same.ys, same.f_events, same.rho_events)
     with pytest.raises(DomainError, match="lambda_hat"):
         shoot(series, 0.5, CONTROLS)
+
+
+def _run(traj):
+    # everything a run records but its series object
+    return (traj.ts, traj.ys, traj._span, traj.n_steps, traj.f_events,
+            traj.rho_events, traj.ended, traj.blowup_channel, traj._resume,
+            traj.alpha, traj.beta)
+
+
+def test_batch_runs_are_the_lone_series_runs(batch_lanes):
+    # a batch item carries the span rows of the batch's lane-wise pass; its
+    # run is the one its lone series gives, sample, event and resume point
+    alphas, betas = batch_lanes
+    for lam in (0.0, 0.7, 100.0):
+        batch = expand_batch(alphas, betas, lam)
+        for t0, t_max in ((5e-4, 0.5), (1e-3, 0.5), (1e-2, 0.5), (1e-3, 12.0)):
+            c = IntegratorControls(t0=t0, t_max=t_max)
+            for item, a, b in zip(batch.read_spans(t0, t_max), alphas, betas):
+                assert _run(shoot(item, lam, c)) == _run(shoot(ShootPoint(a, b), lam, c)), (
+                    a, b, lam, t0, t_max)
+
+
+def test_batch_rows_serve_only_their_run(batch_lanes):
+    # the rows a batch read for (t0, t_max) do not start a run of other
+    # controls: extending an item's run to 4 t_max, or shooting an item at
+    # another t0 or t_max, gives the lone series' run
+    alphas, betas = batch_lanes
+    c = IntegratorControls(t_max=0.5)
+    for lam in (0.0, 0.7):
+        read = expand_batch(alphas, betas, lam).read_spans(c.t0, c.t_max)
+        for item, a, b in zip(read, alphas, betas):
+            lone = expand_series(ShootPoint(a, b), lam)
+            far = replace(c, t_max=4 * c.t_max)
+            assert _run(extend(shoot(item, lam, c), far)) == _run(
+                extend(shoot(lone, lam, c), far)) == _run(shoot(lone, lam, far))
+            for other in (replace(c, t0=5e-4), replace(c, t_max=0.3), far):
+                assert _run(shoot(item, lam, other)) == _run(shoot(lone, lam, other))
+
+
+def test_a_start_that_is_not_finite_blows_up_at_t0():
+    # beta^2 (or alpha^2) overflows in the two-term truncation: the shot ends
+    # as a non-finite blowup at t0, with no sample, and the sweep goes on
+    for point in (ShootPoint(0.1, 1e155), ShootPoint(0.1, 1e160), ShootPoint(1e200, 0.1)):
+        traj = shoot(point, 0.5, CONTROLS)
+        assert (traj.ended, traj.blowup_channel, traj.ts, traj.ys) == (
+            "blowup", "nonfinite", [], [])
+        for mode in ClassifyMode:
+            assert classify(traj, mode) == Outcome(OutcomeTag.BLOWUP, CONTROLS.t0,
+                                                   detail="nonfinite")
+    # below the overflow, at 1e150, the truncation is finite and starts a run
+    assert shoot(ShootPoint(0.1, 1e150), 0.5, CONTROLS).ts
+    grid = sweep([0.1], [0.2, 1e160], 0.5)
+    assert list(grid.rows()) == [(0.1, 0.2, *_cell(ShootPoint(0.1, 0.2), 0.5, CONTROLS)),
+                                 (0.1, 1e160, "Blowup", CONTROLS.t0)]
 
 
 class _InProcessPool:
