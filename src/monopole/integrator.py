@@ -42,23 +42,23 @@ integrate_series starts a run on the origin series instead: from t0 to
 the series' reach the run is read off the series, on pieces that end on
 the multiples of origin_series._PIECE, so their ends do not depend on
 t0.  OriginSeries.span gives the piece ends and the states there: a lone
-series evaluates them in one OriginSeries.table call, and a series from
-a sweep batch reads them from the table that one lane-wise pass gave the
-whole batch (SeriesBatch.read_spans), with the same bits.  Each piece
-end gets the five sign tests and the blowup bounds of a step, and a
-crossing is bisected on the series itself.  DOP853 takes over at the
-reach, past the 1/t^2 layer at the origin, where it would otherwise hold
-every step near h ~ 0.1 t and leave its largest error.  state_at and
-resample read the span off the series; n_steps counts DOP853 steps only.
+series evaluates them in one OriginSeries.table call, and a series that
+origin_series.expand_batch gave a sweep reads them from the table of one
+lane-wise pass, with the same bits.  Each piece end gets the five sign
+tests and the blowup bounds of a step, and a crossing is bisected on the
+series itself.  DOP853 takes over at the reach, past the 1/t^2 layer at
+the origin, where it would otherwise hold every step near h ~ 0.1 t and
+leave its largest error.  state_at and resample read the span off the
+series; n_steps counts DOP853 steps only.
 
 extend continues a finished run to a later horizon.  t_max enters a run
 only where it clips a step, so a longer run repeats this one exactly up
-to its first clipped step; the run records that point and extend resumes
-there, giving the same samples, events and verdict as integrate (or
-integrate_series) would.  Asked to, extend also ends the continued run
-at its first gauge event, in the tube or not, and classify reads that
-event as the run's verdict; an event the prefix already holds cuts the
-run back to the step that found it.
+to its first clipped step, the first one included; the run records that
+point and extend resumes there, giving the same samples, events and
+verdict as integrate (or integrate_series) would.  Asked to, extend also
+ends the continued run at its first gauge event, in the tube or not, and
+classify reads that event as the run's verdict; an event the prefix
+already holds cuts the run back to the step that found it.
 """
 from __future__ import annotations
 
@@ -231,8 +231,8 @@ class Trajectory:
     # Where a run to a later horizon leaves this one (see extend): the
     # segment, f-event and rho-event counts, the FSAL stage and the
     # unclipped step at the first horizon clip.  None while no clip has
-    # fired; the stage is None when the horizon capped the first step or
-    # ended the run inside its series span.
+    # fired; the stage is None when the horizon ended the run inside its
+    # series span.
     _resume: tuple | None = field(default=None, repr=False)
     # Whether every f event ends the run, in the tube or not (see extend).
     _to_gauge_event: bool = field(default=False, repr=False)
@@ -356,15 +356,15 @@ def refine_event(value, t_lo: float, t_hi: float, level: float = 0.0) -> float:
     return 0.5 * (t_lo + t_hi)
 
 
-def _select_initial_step(t0, y0, k1, rel_tol, abs_tol, max_step, span):
+def _select_initial_step(y0, k1, controls: IntegratorControls) -> float:
     # Hairer-style heuristic: try an Euler step sized from y and y',
-    # then correct with a second derivative estimate.
-    scale = [abs_tol + rel_tol * abs(v) for v in y0]
+    # then correct with a second derivative estimate.  The horizon does
+    # not enter: _advance clips the step.
+    scale = [controls.abs_tol + controls.rel_tol * abs(v) for v in y0]
     d0 = math.sqrt(sum((y0[i] / scale[i]) ** 2 for i in range(4)) / 4)
     d1 = math.sqrt(sum((k1[i] / scale[i]) ** 2 for i in range(4)) / 4)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    return max(min(h0, max_step), 1e-12)
+    return max(min(h0, controls.max_step), 1e-12)
 
 
 def integrate(start: PhaseState, lambda_hat: float,
@@ -386,13 +386,7 @@ def integrate(start: PhaseState, lambda_hat: float,
     traj = Trajectory(t0=start.t, lambda_hat=lambda_hat, controls=controls,
                       ts=[start.t], ys=[y0])
     k1 = model._rhs(start.t, *y0, lambda_hat)
-    span = controls.t_max - start.t
-    h = _select_initial_step(start.t, y0, k1, controls.rel_tol, controls.abs_tol,
-                             controls.max_step, span)
-    if h >= span:
-        # The horizon capped the first step: a longer run starts differently.
-        traj._resume = (0, 0, 0, None, None)
-    _advance(traj, k1, h)
+    _advance(traj, k1, _select_initial_step(y0, k1, controls))
     return traj
 
 
@@ -427,18 +421,13 @@ def integrate_series(series: OriginSeries, controls: IntegratorControls) -> Traj
         if channel:
             traj.ended, traj.blowup_channel = "blowup", channel
             return traj
-    span = t_max - t
-    if span <= 0.0:
+    if t >= t_max:
         # The horizon ended the run inside the span: a longer run reads on.
         traj.ended = "t_max"
         traj._resume = (0, 0, 0, None, None)
         return traj
     k1 = model._rhs(t, *y, series.lambda_hat)
-    h = _select_initial_step(t, y, k1, controls.rel_tol, controls.abs_tol,
-                             controls.max_step, span)
-    if h >= span:
-        traj._resume = (0, 0, 0, None, None)
-    _advance(traj, k1, h)
+    _advance(traj, k1, _select_initial_step(y, k1, controls))
     return traj
 
 
@@ -461,9 +450,8 @@ def extend(traj: Trajectory, controls: IntegratorControls,
     nothing, so a longer run is the same step for step up to there; the
     new run copies that prefix and continues with the saved unclipped
     step.  A run that never reached its horizon is returned with the new
-    controls, and one whose first step was already clipped, or that the
-    horizon ended inside its series span, is run afresh, on its series
-    when it has one.  traj itself is left unchanged.
+    controls, and one that the horizon ended inside its series span is
+    run afresh on its series.  traj itself is left unchanged.
 
     With to_gauge_event the new run also ends at its first f event, in
     the tube or not: the continuation stops on the step that finds one,
@@ -483,8 +471,7 @@ def extend(traj: Trajectory, controls: IntegratorControls,
         return replace(traj, controls=controls)
     n, n_f, n_rho, k1, h = traj._resume
     if k1 is None:
-        new = (integrate(PhaseState(traj.t0, *traj.ys[0]), traj.lambda_hat, controls)
-               if traj.series is None else integrate_series(traj.series, controls))
+        new = integrate_series(traj.series, controls)
         if to_gauge_event and new.f_events and new.f_events[0].in_tube:
             new = _cut_at(new, new.f_events[0], controls)
     else:

@@ -38,11 +38,11 @@ recurrence adds its products left to right (_dot), as numpy adds lanes.
 
 A run reads its series span at the piece ends OriginSeries.span gives:
 t0, the multiples of _PIECE below min(reach, t_max), then that radius.
-A lone series evaluates them with table; a sweep batch evaluates every
-lane's in one lane-wise Horner pass (SeriesBatch.read_spans), and each
-item of the batch carries its rows for that t0 and t_max only.  Both
-run the one Horner loop (_horner), so a lane's rows are the lone
-series' to the bit.
+A lone series evaluates them with table; expand_batch evaluates every
+lane's in one lane-wise Horner pass, for the t0 and t_max of the sweep,
+and each series it gives carries its rows for those only.  Both run the
+one Horner loop (_horner), so a lane's rows are the lone series' to the
+bit.
 
 picard_verify reruns the same local solution as a fixed-point iteration in
 the logarithmic variable s = log t, on the autonomous integral form of the
@@ -74,7 +74,6 @@ __all__ = [
     "series_coefficients",
     "expand_series",
     "expand_batch",
-    "SeriesBatch",
     "initial_state",
     "picard_verify",
 ]
@@ -187,8 +186,8 @@ class OriginSeries:
         # and component
         self._matrix = matrix
         self._rows = matrix.tolist()
-        # (t0, t_max, radii, multiples, table) of this lane of a SeriesBatch
-        # read by read_spans: see span
+        # (t0, t_max, radii, multiples, table) of this lane of expand_batch's
+        # span pass: see span
         self._span = span
 
     def state(self, t: float) -> tuple[float, float, float, float]:
@@ -212,8 +211,8 @@ class OriginSeries:
         The ends are the multiples of _PIECE in (t0, min(reach, t_max)),
         then that radius; the states, as tuples, are those at t0 and at
         each end.  They are table's rows, read from the batch's table when
-        this series came from a SeriesBatch read for the same t0 and
-        t_max, and computed here otherwise.
+        expand_batch gave this series for the same t0 and t_max, and
+        computed here otherwise.
         """
         if self._span is not None and self._span[:2] == (t0, t_max):
             _, _, ts, n, table = self._span
@@ -323,12 +322,18 @@ def expand_series(point: ShootPoint, lambda_hat: float) -> OriginSeries:
                         _reach(a[-_REACH_TAIL:], b[-_REACH_TAIL:], b[0], finite))
 
 
-def expand_batch(alphas: list, betas: list, lambda_hat: float) -> "SeriesBatch":
-    """expand_series of each point (alphas[j], betas[j]), to the bit, as a SeriesBatch.
+def expand_batch(alphas: list, betas: list, lambda_hat: float, t0: float,
+                 t_max: float) -> list[OriginSeries]:
+    """expand_series of each point (alphas[j], betas[j]), to the bit, with its span rows.
 
     The recurrence runs once, on numpy arrays of alpha and beta, and numpy
-    rounds each lane's +, -, * and / as Python rounds a float's.  The
-    values must be those a ShootPoint accepts.
+    rounds each lane's +, -, * and / as Python rounds a float's.  One
+    lane-wise Horner pass then evaluates each lane at t0, at the multiples
+    of _PIECE below min(reach, t_max) and at that radius, padded with that
+    radius to the longest lane; each series gives OriginSeries.span those
+    rows for this t0 and t_max only.  A lane whose span is empty (reach 0
+    where its coefficients overflow) is evaluated too, and never read.
+    The values must be those a ShootPoint accepts.
     """
     _check_lambda(lambda_hat)
     with np.errstate(all="ignore"):  # a lane that overflows gets reach 0
@@ -340,64 +345,20 @@ def expand_batch(alphas: list, betas: list, lambda_hat: float) -> "SeriesBatch":
     reaches = [_reach(a_tail, b_tail, b0, ok) for a_tail, b_tail, b0, ok in zip(
         a[-_REACH_TAIL:].T.tolist(), b[-_REACH_TAIL:].T.tolist(), b[0].tolist(),
         finite.tolist())]
-    return SeriesBatch(float(lambda_hat), list(alphas), list(betas), _horner_rows(a, b),
-                       reaches)
-
-
-class SeriesBatch:
-    """The origin series of many points, from one lane-wise expansion.
-
-    Item j is the OriginSeries of (alphas[j], betas[j]), built when it is
-    read; a slice is the SeriesBatch of those lanes, and pickles with
-    only their coefficients and span tables.
-    """
-
-    __slots__ = ("lambda_hat", "alphas", "betas", "reaches", "_rows", "_span")
-
-    def __init__(self, lambda_hat: float, alphas: list, betas: list, rows: np.ndarray,
-                 reaches: list, span: tuple | None = None):
-        self.lambda_hat = lambda_hat
-        self.alphas, self.betas = alphas, betas
-        self.reaches = reaches
-        self._rows = rows  # (lanes, SERIES_ORDER + 1, 4), as _horner_rows gives
-        # (t0, t_max, radii, multiples, table) of read_spans, lane-major
-        self._span = span
-
-    def __len__(self) -> int:
-        return len(self.alphas)
-
-    def __getitem__(self, j):
-        cls = SeriesBatch if isinstance(j, slice) else OriginSeries
-        span = None if self._span is None else (
-            *self._span[:2], *(v[j] for v in self._span[2:]))
-        return cls(self.lambda_hat, self.alphas[j], self.betas[j], self._rows[j],
-                   self.reaches[j], span)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def read_spans(self, t0: float, t_max: float) -> "SeriesBatch":
-        """This batch, with every lane's series span of a run from t0 to t_max.
-
-        One lane-wise Horner pass evaluates each lane at t0, at the
-        multiples of _PIECE below min(reach, t_max) and at that radius,
-        padded with that radius to the longest lane.  An item then gives
-        OriginSeries.span its rows for this t0 and t_max only.  A lane
-        whose span is empty (reach 0 where its coefficients overflow) is
-        evaluated too, and never read.
-        """
-        t_ends = np.minimum(self.reaches, t_max)
-        grid = np.arange(1, math.ceil(t_ends.max() / _PIECE) + 1) * _PIECE
-        grid = grid[grid > t0]
-        multiples = np.searchsorted(grid, t_ends)  # those below each lane's end
-        n = multiples.max()
-        ts = np.empty((len(t_ends), n + 2))
-        ts[:, 0] = t0
-        np.minimum(np.append(grid[:n], np.inf), t_ends[:, None], out=ts[:, 1:])
-        with np.errstate(all="ignore"):  # the lanes with an empty span
-            table = _horner(self._rows, ts)
-        return SeriesBatch(self.lambda_hat, self.alphas, self.betas, self._rows,
-                           self.reaches, (t0, t_max, ts, multiples.tolist(), table))
+    rows = _horner_rows(a, b)
+    t_ends = np.minimum(reaches, t_max)
+    grid = np.arange(1, math.ceil(t_ends.max() / _PIECE) + 1) * _PIECE
+    grid = grid[grid > t0]
+    multiples = np.searchsorted(grid, t_ends)  # those below each lane's end
+    n = multiples.max()
+    ts = np.empty((len(t_ends), n + 2))
+    ts[:, 0] = t0
+    np.minimum(np.append(grid[:n], np.inf), t_ends[:, None], out=ts[:, 1:])
+    with np.errstate(all="ignore"):  # the lanes with an empty span
+        table = _horner(rows, ts)
+    return [OriginSeries(float(lambda_hat), alpha, beta, lane, reach, (t0, t_max, *span))
+            for alpha, beta, lane, reach, *span in zip(
+                alphas, betas, rows, reaches, ts, multiples.tolist(), table)]
 
 
 def initial_state(point: ShootPoint, lambda_hat: float, t0: float = DEFAULT_T0) -> PhaseState:
@@ -482,6 +443,9 @@ def picard_verify(point: ShootPoint, lambda_hat: float, s_max: float | None = No
     """
     if n_iters < 2:
         raise DomainError("n_iters must be at least 2")
+    # the ratios read 0 by about iteration 10, and 1000 iterations take ~0.6 s
+    if n_iters > 1000:
+        raise DomainError(f"n_iters must be at most 1000, got {n_iters}")
     if ds <= 0 or ds > 0.01:
         raise DomainError(f"grid spacing must lie in (0, 0.01], got {ds}")
     consts = _contraction_constants(point.alpha, point.beta, lambda_hat)

@@ -29,11 +29,10 @@ off, since the gauge deviation grows like e^t and, for lambda_hat > 0,
 the Higgs deviation like e^{sqrt(2 lambda_hat) t}.  Two consequences
 shape the code: a run that is still inside the convergence tube at the
 horizon is not accepted but continued past it, where the exponential
-separation makes the verdict visible (a gauge probe once, to 4x t_max,
-and only up to its first gauge event, which decides it; the Higgs fate
-to 2x and then 4x t_max); and the solver finishes with a polish pass at
-profile-grade tolerance, reporting a profile that demonstrably entered
-the tube.
+separation makes the verdict visible (once, to 4x t_max; a gauge probe
+only up to its first gauge event, which decides it); and the solver
+finishes with a polish pass at profile-grade tolerance, reporting a
+profile that demonstrably entered the tube.
 """
 from __future__ import annotations
 
@@ -50,7 +49,8 @@ from .integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
                          Outcome, OutcomeTag, Trajectory, classify, extend,
                          integrate, integrate_series)
 from .model import PhaseState, ScaledParams
-from .origin_series import OriginSeries, ShootPoint, expand_batch, expand_series
+from .origin_series import (OriginSeries, ShootPoint, expand_batch, expand_series,
+                            initial_state)
 
 __all__ = [
     "Probe",
@@ -74,9 +74,8 @@ _BETA_CEIL = 1e12
 # Starting points of the bracket searches: the lambda_hat = 0 answer.
 _ALPHA_SEED = 1.0 / 6.0
 _BETA_SEED = 1.0 / 3.0
-# Multiples of t_max an undecided Higgs fate is continued to, in turn; an
-# undecided gauge probe is continued once, to the last.
-_ESCALATIONS = (2, 4)
+# Multiple of t_max an undecided run is continued to, once, in either fate.
+_ESCALATION = 4
 # Side of the gauge separatrix a decisive F_FATE outcome lies on.
 _GAUGE_SIDE = {OutcomeTag.FPRIME_ZERO: -1, OutcomeTag.F_ZERO: 1}
 # Side of the beta separatrix a decisive RHO_FATE outcome lies on.
@@ -160,10 +159,10 @@ def _gauge_fate(point: ShootPoint, lambda_hat: float,
     """FFate, continuing an undecided run, and the run over the plain horizon.
 
     An undecided run, including one still inside the tube at the
-    horizon, is continued once, to the last of _ESCALATIONS times t_max,
-    and ends at its first gauge event, in the tube or not: the e^t growth
-    of the gauge deviation brings any offset above the integration noise
-    floor to one there.  That event is the verdict.  Near the separatrix
+    horizon, is continued once, to _ESCALATION times t_max, and ends at
+    its first gauge event, in the tube or not: the e^t growth of the
+    gauge deviation brings any offset above the integration noise floor
+    to one there.  That event is the verdict.  Near the separatrix
     f'' = f ((f^2 - 1)/t^2 + rho^2) has the sign of f once rho^2 >
     (1 - f^2)/t^2, so past its first gauge event f runs away on that
     event's side, and no later event or tube exit can choose the other.
@@ -174,7 +173,7 @@ def _gauge_fate(point: ShootPoint, lambda_hat: float,
     run = shoot(point, lambda_hat, controls)
     out = classify(run, ClassifyMode.F_FATE)
     if out.tag in (OutcomeTag.HORIZON, OutcomeTag.CONVERGED):
-        far = replace(controls, t_max=controls.t_max * _ESCALATIONS[-1])
+        far = replace(controls, t_max=controls.t_max * _ESCALATION)
         out = classify(extend(run, far, to_gauge_event=True), ClassifyMode.F_FATE)
     return out, run
 
@@ -576,20 +575,16 @@ def _alpha_at(beta: float, lambda_hat: float, controls: IntegratorControls,
 
 def _higgs_fate(result: AlphaResult,
                 controls: IntegratorControls) -> tuple[Outcome, Trajectory]:
-    """RhoFate of the alpha-separatrix trajectory, escalating the horizon.
+    """RhoFate of the alpha-separatrix trajectory, continuing an undecided run.
 
     Far from the tube the extrapolated asymptote decides immediately;
-    only runs that are still genuinely ambiguous are continued to 2x and
-    then 4x t_max.
+    only a run that is still genuinely ambiguous at the horizon is
+    continued, once, to _ESCALATION times t_max.
     """
     traj = result.trajectory
     out = classify(traj, ClassifyMode.RHO_FATE)
-    for mult in _ESCALATIONS:
-        if out.tag is not OutcomeTag.HORIZON:
-            return out, traj
-        if abs(_extrapolated_vev_gap(traj)) > 10.0 * TUBE:
-            return out, traj
-        traj = extend(traj, replace(controls, t_max=controls.t_max * mult))
+    if out.tag is OutcomeTag.HORIZON and abs(_extrapolated_vev_gap(traj)) <= 10.0 * TUBE:
+        traj = extend(traj, replace(controls, t_max=controls.t_max * _ESCALATION))
         out = classify(traj, ClassifyMode.RHO_FATE)
     return out, traj
 
@@ -864,11 +859,11 @@ def sweep(alphas, betas, lambda_hat: float,
           workers: int = 1) -> "OutcomeGrid":
     """Classify every (alpha, beta) pair on the grid, gauge fate first.
 
-    Every alpha and beta is checked before anything runs.  The origin
-    series are expanded lane-wise (expand_batch) in batches of whole rows
-    (fixed alpha) holding at least _SWEEP_BATCH points, or the whole grid,
-    together with the states of their runs' series spans (read_spans),
-    and each point is shot from its series, built just before its shot.
+    Every alpha and beta, and the handoff radius, is checked before
+    anything runs.  The origin series are expanded lane-wise
+    (expand_batch) in batches of whole rows (fixed alpha) holding at least
+    _SWEEP_BATCH points, or the whole grid, together with the states of
+    their runs' series spans, and each point is shot from its series.
     workers > 1 distributes each batch's rows over at most one process
     per row; a batch holds at least one row per process.  Output ordering
     is row-major by alpha then beta regardless of worker count.
@@ -881,13 +876,15 @@ def sweep(alphas, betas, lambda_hat: float,
         raise DomainError(f"lambda_hat must be finite and >= 0, got {lambda_hat}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    # refused as a ShootPoint refuses it, before any expansion or shot
+    if controls is None:
+        controls = IntegratorControls()
+    # refused as a ShootPoint refuses it, and t0 as initial_state does,
+    # before any expansion or shot
     for a in alphas:
         ShootPoint(alpha=a, beta=0.0)
     for b in betas:
         ShootPoint(alpha=0.0, beta=b)
-    if controls is None:
-        controls = IntegratorControls()
+    initial_state(ShootPoint(alpha=0.0, beta=0.0), lambda_hat, controls.t0)
     # the pool starts all its processes at once, so at most one per row;
     # a batch is whole rows, at least one per process, so that every
     # process has a row in each batch
@@ -899,7 +896,7 @@ def sweep(alphas, betas, lambda_hat: float,
         for lo in range(0, len(alphas), n_rows):
             block = alphas[lo:lo + n_rows]
             batch = expand_batch([a for a in block for _ in betas], betas * len(block),
-                                 lambda_hat).read_spans(controls.t0, controls.t_max)
+                                 lambda_hat, controls.t0, controls.t_max)
             rows += run(_sweep_row, [(batch[j:j + n], lambda_hat, controls)
                                      for j in range(0, len(batch), n)])
     tags = [[cell[0] for cell in row] for row in rows]

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from numpy.testing import assert_allclose
 
 from monopole import analysis, cli, model
 from monopole.cli import main
+from monopole.errors import BracketingError, FitDomainError
 from monopole.integrator import ClassifyMode, IntegratorControls, classify
 from monopole.origin_series import ShootPoint
 from monopole.shooter import shoot
@@ -147,6 +149,8 @@ def test_solve_failure_exit_code(capsys):
     (["probe", "--flat", "--u-end", "inf"], "u_end = inf needs more than 10^6 steps"),
     (["probe", "--flat", "--u-end", "2e3"],
      "u_end = 2000.0 needs more than 10^6 steps"),
+    (["series", "--alpha", "0.1", "--beta", "0.1", "--picard", "--picard-iters",
+      "100000000"], "n_iters must be at most 1000, got 100000000"),
 ])
 def test_refused_value_exits_usage(argv, message, capsys):
     # a value the library refuses is a usage error, not a solver failure;
@@ -189,6 +193,50 @@ def test_unconverged_solve_reports_no_numbers(tmp_path, capsys):
     assert "residual_norm" not in report
     assert not [k for k in report if k.startswith("audit_")]
     assert not (tmp_path / "profile.csv").exists()
+
+
+def _raise_fit_error(*args, **kwargs):
+    raise FitDomainError("no clean fit window")
+
+
+def test_solve_audit_failure_exits_validate(tmp_path, monkeypatch, capsys):
+    # a converged solve whose profile fails the monotonicity audit exits 3
+    # and says so; its report records the failed audit
+    audit = analysis.monotonicity_audit
+    monkeypatch.setattr(analysis, "monotonicity_audit",
+                        lambda profile: replace(audit(profile), fp_negative=False))
+    rc = main(["solve", "--lambda-hat", "0", "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == \
+        "monopole solve: converged but the monotonicity audit failed\n"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (report["converged"], report["audit_passes"]) == (True, False)
+
+
+def test_validate_fails_when_the_solve_fails(monkeypatch, capsys):
+    # a solve that raises, or that converges but whose diagnostics raise
+    # and so reports no numbers, is one FAIL line and exit 3
+    monkeypatch.setattr(analysis, "mass_integral", _raise_fit_error)
+    assert main(["validate"]) == 3
+    assert capsys.readouterr().out == "FAIL solve did not converge\n"
+
+    def raising(*args, **kwargs):
+        raise BracketingError("no upper side found up to beta = 1e12", {})
+
+    monkeypatch.setattr(cli, "bisect_beta", raising)
+    assert main(["validate"]) == 3
+    assert capsys.readouterr().out == \
+        "FAIL solve raised: no upper side found up to beta = 1e12\n"
+
+
+def test_probe_without_a_profile_exits_solve(monkeypatch, capsys):
+    # a solve whose diagnostics raise has no profile to probe: exit 2,
+    # with no first zero
+    monkeypatch.setattr(analysis, "mass_integral", _raise_fit_error)
+    assert main(["probe", "--lambda-hat", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "monopole probe: solve produced no profile\n"
 
 
 def test_solve_io_error_exit_code(tmp_path, capsys):

@@ -319,10 +319,14 @@ def test_extend_drops_what_the_clipped_step_found():
         _assert_same_run(extend(short, IntegratorControls()), full)
 
 
-def test_extend_restarts_when_the_horizon_capped_the_first_step():
+def test_extend_resumes_when_the_horizon_clipped_the_first_step():
+    # the run records the clip of its first step too, with the unclipped
+    # step a longer run takes
     start = _start(1 / 6, 1 / 3, 0.0, t0=1e-3)
     c_short, c_long = IntegratorControls(t_max=1.1e-3), IntegratorControls(t_max=2.2e-3)
     short = integrate(start, 0.0, c_short)
+    assert short.n_steps == 1 and short._resume[:3] == (0, 0, 0)
+    assert short._resume[3] is not None
     _assert_same_run(extend(short, c_long), integrate(start, 0.0, c_long))
 
 
@@ -548,13 +552,13 @@ def test_event_inside_the_series_span_against_rk4_oracle():
 
 
 def test_extend_keeps_the_series_span():
-    # a horizon inside the span, and one just past the reach that caps
-    # the first DOP853 step: both runs are started afresh on the series
+    # a horizon inside the span starts the run afresh on the series; one
+    # just past the reach clips the first DOP853 step, where it resumes
     series = expand_series(ShootPoint(1 / 6, 1 / 3), 0.0)
     full = integrate_series(series, IntegratorControls())
-    for t_max in (0.5, series.reach + 1e-4):
+    for t_max, resumed in ((0.5, False), (series.reach + 1e-4, True)):
         short = integrate_series(series, IntegratorControls(t_max=t_max))
-        assert short.ended == "t_max" and short._resume[3] is None
+        assert short.ended == "t_max" and (short._resume[3] is not None) == resumed
         _assert_same_run(extend(short, IntegratorControls()), full)
     # a horizon past the first steps resumes DOP853 where it was clipped
     short = integrate_series(series, IntegratorControls(t_max=3.0))

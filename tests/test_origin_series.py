@@ -117,6 +117,10 @@ def test_picard_domain_errors():
         picard_verify(pt, 0.0, s_max=hist.s_threshold + 0.5)
     with pytest.raises(DomainError):
         picard_verify(pt, 0.0, n_iters=1)
+    # refused up front, not run for hours
+    for n_iters in (1001, 100_000_000):
+        with pytest.raises(DomainError, match="n_iters must be at most 1000"):
+            picard_verify(pt, 0.0, n_iters=n_iters)
     with pytest.raises(DomainError):
         picard_verify(pt, 0.0, ds=0.05)
 
@@ -239,7 +243,7 @@ def test_batch_expansion_is_expand_series_lane_by_lane():
             alphas.append(alpha)
             betas.append(beta)
     for lam in (0.0, 0.7, 100.0):
-        batch = origin_series.expand_batch(alphas, betas, lam)
+        batch = origin_series.expand_batch(alphas, betas, lam, DEFAULT_T0, 12.0)
         assert len(batch) == len(alphas)
         packed = [_packed(series) for series in batch]
         for p, alpha, beta in zip(packed, alphas, betas):
@@ -248,7 +252,7 @@ def test_batch_expansion_is_expand_series_lane_by_lane():
         part = pickle.loads(pickle.dumps(batch[140:170]))
         assert [_packed(series) for series in part] == packed[140:170]
     with pytest.raises(DomainError):
-        origin_series.expand_batch([0.1], [0.1], math.nan)
+        origin_series.expand_batch([0.1], [0.1], math.nan, DEFAULT_T0, 12.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -258,17 +262,17 @@ def test_batch_spans_are_the_lone_series_spans(monkeypatch, batch_lanes):
     # spans and past every one
     alphas, betas = batch_lanes
     for lam in (0.0, 0.7, 100.0):
-        batch = origin_series.expand_batch(alphas, betas, lam)
         lones = [expand_series(ShootPoint(a, b), lam) for a, b in zip(alphas, betas)]
         for t0 in (5e-4, DEFAULT_T0, T0_MAX):
             for t_max in (0.5, 12.0):
                 want = [lone.span(t0, t_max) if min(lone.reach, t_max) > t0 else None
                         for lone in lones]
                 with monkeypatch.context() as m:
-                    # the batch's items read their rows, not table
+                    # the batch's series read their rows, not table
                     m.setattr(origin_series.OriginSeries, "table", None)
                     got = [series.span(t0, t_max) if min(series.reach, t_max) > t0
-                           else None for series in batch.read_spans(t0, t_max)]
+                           else None for series in origin_series.expand_batch(
+                               alphas, betas, lam, t0, t_max)]
                 assert got == want, (lam, t0, t_max)
                 assert sum(w is None for w in want) < 15
     # the rows are table's at t0 and the ends: the multiples of 0.05, then the reach
@@ -278,7 +282,7 @@ def test_batch_spans_are_the_lone_series_spans(monkeypatch, batch_lanes):
     assert len(ends) > 20
     assert rows == [tuple(r) for r in lone.table([DEFAULT_T0, *ends]).tolist()]
     # a slice, also as a worker process unpickles it, keeps its lanes' rows
-    read = origin_series.expand_batch(alphas, betas, 0.7).read_spans(DEFAULT_T0, 0.5)
+    read = origin_series.expand_batch(alphas, betas, 0.7, DEFAULT_T0, 0.5)
     part = pickle.loads(pickle.dumps(read[10:30]))
     assert [s.span(DEFAULT_T0, 0.5) for s in part] == [
         s.span(DEFAULT_T0, 0.5) for s in read][10:30]

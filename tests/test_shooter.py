@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from monopole import integrator, shooter
-from monopole.errors import BracketingError, DomainError, IntegrityError
-from monopole.integrator import (ClassifyMode, IntegratorControls, Outcome,
+from monopole import analysis, integrator, shooter
+from monopole.errors import (BracketingError, DomainError, FitDomainError, HandoffError,
+                             IntegrityError)
+from monopole.integrator import (TUBE, ClassifyMode, IntegratorControls, Outcome,
                                  OutcomeTag, classify, extend)
-from monopole.origin_series import ShootPoint, expand_batch, expand_series
-from monopole.shooter import (Bracket, Probe, SolveReport, _centred_bracket,
+from monopole.origin_series import T0_MAX, ShootPoint, expand_batch, expand_series
+from monopole.shooter import (AlphaResult, Bracket, Probe, SolveReport, _centred_bracket,
                               _expand_bracket, bisect_alpha, bisect_beta,
                               bracket_alpha, graft_tail, shoot, sweep)
 from monopole.model import ModelParams, PhaseState, nondimensionalize, ps_exact
@@ -916,6 +917,48 @@ def test_solve_verdict_at_lambda_1p5_is_honest(lam1, lam1p5):
             (None, None, None, None)
 
 
+def test_solve_whose_diagnostics_raise_reports_no_numbers(lam0, monkeypatch):
+    # a converged profile whose last diagnostic raises is no answer: the
+    # solve reports its parameter estimates, unconverged, and drops the
+    # numbers the earlier diagnostics gave
+    def raising(*args, **kwargs):
+        raise FitDomainError("no clean fit window")
+
+    monkeypatch.setattr(analysis, "mass_integral", raising)
+    rep = bisect_beta(0.0)
+    assert rep.converged is False
+    assert (rep.profile, rep.audit, rep.residual_norm, rep.energy) == (None,) * 4
+    assert (rep.alpha_star_hat, rep.beta_star_hat, rep.outcome_log) == (
+        lam0.alpha_star_hat, lam0.beta_star_hat, lam0.outcome_log)
+
+
+def test_higgs_fate_continues_once_as_twice():
+    # the two probes of the lambda_hat = 1 solve, of stage one and of the
+    # polish, whose Higgs fate is still undecided near the vacuum at the
+    # horizon: continued once, to 4 t_max, each gives the verdict and the
+    # samples of continuing it to 2 t_max and then, if still undecided,
+    # to 4 t_max.  The polish probe is decided at 2 t_max already
+    stops = []
+    for alpha, beta, c in ((0.38983914075559, 0.8727038704852863, CONTROLS),
+                           (0.38983914081046134, 0.8727038705428092, POLISH)):
+        run = shoot(ShootPoint(alpha, beta), 1.0, c)
+        assert classify(run, ClassifyMode.RHO_FATE).tag is OutcomeTag.HORIZON
+        assert abs(shooter._extrapolated_vev_gap(run)) <= 10.0 * TUBE
+        twice = run
+        for mult in (2, 4):
+            twice = extend(twice, replace(c, t_max=mult * c.t_max))
+            want = classify(twice, ClassifyMode.RHO_FATE)
+            if (want.tag is not OutcomeTag.HORIZON
+                    or abs(shooter._extrapolated_vev_gap(twice)) > 10.0 * TUBE):
+                break
+        stops.append((twice.controls.t_max, want.tag))
+        # _higgs_fate reads only the inner solve's run
+        out, traj = shooter._higgs_fate(AlphaResult(alpha, None, run), c)
+        assert traj.controls == replace(c, t_max=4 * c.t_max)
+        assert (out, traj.ts, traj.ys) == (want, twice.ts, twice.ys)
+    assert stops == [(48.0, OutcomeTag.HORIZON), (24.0, OutcomeTag.RHO_PRIME_ZERO)]
+
+
 def test_solve_report_profile_matches_closed_form(lam0, lam0_handoffs):
     # f(10) rides the separatrix, where the error of the run grows like
     # e^t; it gets 5e-7.  The run leaves the origin on the series, so at
@@ -985,6 +1028,11 @@ def test_sweep_rejects_bad_inputs(monkeypatch):
                 sweep([0.3, bad], [0.1, 0.2], 0.0, workers=workers)
             with pytest.raises(DomainError, match="beta must be finite and >= 0"):
                 sweep([0.3, 0.4], [0.1, bad], 0.0, workers=workers)
+    # a handoff radius past the series' validity, as initial_state refuses it
+    for workers in (1, 2):
+        with pytest.raises(HandoffError, match=r"t0 must lie in \(0, 0.01\], got 0.02"):
+            sweep([0.3], [0.1], 0.0, controls=IntegratorControls(t0=2 * T0_MAX),
+                  workers=workers)
 
 
 def _cell(point, lambda_hat, controls):
@@ -1033,10 +1081,9 @@ def test_batch_runs_are_the_lone_series_runs(batch_lanes):
     # run is the one its lone series gives, sample, event and resume point
     alphas, betas = batch_lanes
     for lam in (0.0, 0.7, 100.0):
-        batch = expand_batch(alphas, betas, lam)
         for t0, t_max in ((5e-4, 0.5), (1e-3, 0.5), (1e-2, 0.5), (1e-3, 12.0)):
             c = IntegratorControls(t0=t0, t_max=t_max)
-            for item, a, b in zip(batch.read_spans(t0, t_max), alphas, betas):
+            for item, a, b in zip(expand_batch(alphas, betas, lam, t0, t_max), alphas, betas):
                 assert _run(shoot(item, lam, c)) == _run(shoot(ShootPoint(a, b), lam, c)), (
                     a, b, lam, t0, t_max)
 
@@ -1048,7 +1095,7 @@ def test_batch_rows_serve_only_their_run(batch_lanes):
     alphas, betas = batch_lanes
     c = IntegratorControls(t_max=0.5)
     for lam in (0.0, 0.7):
-        read = expand_batch(alphas, betas, lam).read_spans(c.t0, c.t_max)
+        read = expand_batch(alphas, betas, lam, c.t0, c.t_max)
         for item, a, b in zip(read, alphas, betas):
             lone = expand_series(ShootPoint(a, b), lam)
             far = replace(c, t_max=4 * c.t_max)
