@@ -1,10 +1,12 @@
-"""Diagnostics for solved monopole profiles.
+"""Solved monopole profiles and their diagnostics.
 
-Far-field decay fits, independent finite-difference residuals of the
-field equations, range/monotonicity audits, the mass integral, and the
-l = 1 angular fluctuation probe.  Everything here consumes finished
-trajectories (or plain sample arrays); nothing feeds back into the
-shooting loop.
+A solved run is trusted up to its graft radius, where its far-field
+decay fits are still clean; graft_tail continues it past there on the
+fitted far-field model, as a GraftedProfile.  The diagnostics read that
+profile (or plain sample arrays): independent finite-difference
+residuals of the field equations, range/monotonicity audits, the mass
+integral, and the l = 1 angular fluctuation probe.  Nothing here feeds
+back into the shooting loop.
 """
 from __future__ import annotations
 
@@ -15,15 +17,18 @@ import numpy as np
 
 from .errors import (AuditDomainError, DomainError, FitDomainError,
                      SturmDomainError)
-from .model import _energy_density
+from .integrator import Trajectory
+from .model import PhaseState, _energy_density
 
 __all__ = [
     "DecayFit",
+    "GraftedProfile",
     "AuditReport",
     "ProbeResult",
     "fit_decay",
     "far_field",
     "stable_fit_horizon",
+    "graft_tail",
     "monotonicity_audit",
     "residual_norm",
     "mass_integral",
@@ -32,14 +37,8 @@ __all__ = [
 
 # Width of the window the far-field fits of a solved profile use.
 FIT_SPAN = 2.0
-
-
-def _as_trajectory(profile):
-    """Split a Trajectory or GraftedProfile into (trajectory, graft-or-None)."""
-    base = getattr(profile, "base", None)
-    if base is not None:
-        return base, profile
-    return profile, None
+# How far the reported profile runs past t_graft on its fitted far field.
+REPORT_TAIL = 8.0
 
 
 @dataclass(frozen=True)
@@ -57,15 +56,14 @@ class DecayFit:
     max_log_residual: float
 
 
-def fit_decay(profile, window, component: str) -> DecayFit:
-    """Fit the decay of one field component over a radial window.
+def fit_decay(traj: Trajectory, window, component: str) -> DecayFit:
+    """Fit the decay of one field component of a run over a radial window.
 
     component "f" fits log f against t (log(f / t) when lambda_hat = 0,
     where the gauge tail carries a linear prefactor); "one_minus_rho"
     fits log((1 - rho) t), the Higgs gap with its 1/t prefactor removed.
     The 201 evenly spaced samples must be strictly positive.
     """
-    traj, _ = _as_trajectory(profile)
     lo, hi = float(window[0]), float(window[1])
     if not (traj.ts[0] <= lo < hi <= traj.t_end):
         raise FitDomainError(
@@ -112,7 +110,7 @@ def far_field(t, f_fit: DecayFit, higgs_fit: DecayFit, lambda_hat: float):
     return ef, -kf * ef, 1.0 - gap, gap * (kh + 1.0 / t)
 
 
-def stable_fit_horizon(traj) -> float:
+def stable_fit_horizon(traj: Trajectory) -> float:
     """Largest radius at which both far-field fits are still clean.
 
     Near the end of a separatrix run the samples are dominated by the
@@ -142,6 +140,69 @@ def stable_fit_horizon(traj) -> float:
     return floor
 
 
+@dataclass(frozen=True)
+class GraftedProfile:
+    """Numerical profile up to t_graft continued by its fitted far field.
+
+    Beyond t_graft the fields follow far_field, with rates and amplitudes
+    fitted on [t_graft - FIT_SPAN, t_graft]; mismatch_f and mismatch_rho
+    are how far that model lies from the run at t_graft.
+    """
+
+    base: Trajectory
+    t_graft: float
+    t_report: float
+    f_fit: DecayFit
+    higgs_fit: DecayFit
+    mismatch_f: float
+    mismatch_rho: float
+
+    def tail_state(self, t: float) -> PhaseState:
+        return PhaseState(t, *far_field(t, self.f_fit, self.higgs_fit,
+                                        self.base.lambda_hat))
+
+    def state_at(self, t: float) -> PhaseState:
+        if t > self.t_graft:
+            return self.tail_state(t)
+        return self.base.state_at(t)
+
+    def table(self, ts) -> np.ndarray:
+        """state_at at every radius of ts, in one batch.
+
+        Returns an (n, 4) array of (f, f', rho, rho') rows aligned with ts.
+        """
+        ts = np.asarray(ts, dtype=float)
+        rows = np.empty((len(ts), 4))
+        core = ts <= self.t_graft
+        rows[core] = self.base.resample(ts[core])
+        rows[~core] = np.column_stack(far_field(
+            ts[~core], self.f_fit, self.higgs_fit, self.base.lambda_hat))
+        return rows
+
+
+def graft_tail(traj: Trajectory) -> GraftedProfile:
+    """Fit the far-field decay laws and continue the profile analytically.
+
+    t_graft is the largest radius at which both log fits are still clean
+    (stable_fit_horizon); near the separatrix the late samples are
+    dominated by the amplified unstable mode and carry no signal.  The
+    reported profile runs REPORT_TAIL past t_graft.
+    """
+    t_graft = stable_fit_horizon(traj)
+    # The horizon search returns its floor even for a run that ends earlier.
+    if not (traj.t0 + FIT_SPAN < t_graft <= traj.t_end):
+        raise DomainError(f"t_graft = {t_graft} outside usable range")
+    window = (t_graft - FIT_SPAN, t_graft)
+    f_fit = fit_decay(traj, window, "f")
+    h_fit = fit_decay(traj, window, "one_minus_rho")
+    at = traj.state_at(t_graft)
+    model = PhaseState(t_graft, *far_field(t_graft, f_fit, h_fit, traj.lambda_hat))
+    return GraftedProfile(base=traj, t_graft=t_graft, t_report=t_graft + REPORT_TAIL,
+                          f_fit=f_fit, higgs_fit=h_fit,
+                          mismatch_f=abs(model.f - at.f),
+                          mismatch_rho=abs(model.rho - at.rho))
+
+
 @dataclass
 class AuditReport:
     """Range and monotonicity verdicts with their worst-case margins."""
@@ -162,9 +223,9 @@ class AuditReport:
 def monotonicity_audit(profile) -> AuditReport:
     """Check 0 < f < 1, f' < 0, 0 < rho < 1, rho' > 0 on a fine grid.
 
-    Accepts a plain sample table (ts, f, fp, rho, rhop) or a trajectory,
-    resampled through its dense output at spacing 5e-3 or finer from its
-    first sample to t_graft (t_end for a bare run).  A trajectory that
+    Accepts a plain sample table (ts, f, fp, rho, rhop) or a
+    GraftedProfile, whose run is resampled through its dense output at
+    spacing 5e-3 or finer from its first sample to t_graft.  A run that
     ended in an out-of-tube event or a blowup is not a solution candidate
     and is rejected with AuditDomainError rather than graded.
     """
@@ -172,12 +233,11 @@ def monotonicity_audit(profile) -> AuditReport:
         ts, fs, fps, rhos, rhops = (np.asarray(c, dtype=float) for c in profile)
         window = (float(ts[0]), float(ts[-1]))
     else:
-        traj, grafted = _as_trajectory(profile)
+        traj, hi = profile.base, profile.t_graft
         if traj.ended == "blowup" or traj.terminal_f_event() is not None:
             raise AuditDomainError(
                 "trajectory ended in a failure event, not a solution candidate")
         lo = traj.ts[0]
-        hi = grafted.t_graft if grafted is not None else traj.t_end
         if not (lo < hi <= traj.t_end):
             raise AuditDomainError(
                 f"audit window [{lo}, {hi}] outside trajectory range")
@@ -208,10 +268,9 @@ def residual_norm(profile, lambda_hat: float | None = None) -> float:
     Only sampled values of (t, f, rho) enter; all derivatives are formed
     by O(h^2) finite differences, so the figure cross-checks the
     integrator instead of restating its own right-hand side.  Accepts a
-    trajectory at its own lambda_hat (resampled at spacing 2.5e-4 from
-    t = 0.05, or from its first sample if later, to t_graft, or t_end for
-    a bare run) or raw uniformly spaced arrays (ts, f, rho), which
-    require lambda_hat.
+    GraftedProfile at its run's lambda_hat (resampled at spacing 2.5e-4
+    from t = 0.05, or from its first sample if later, to t_graft) or raw
+    uniformly spaced arrays (ts, f, rho), which require lambda_hat.
     """
     if isinstance(profile, tuple):
         ts, fs, rhos = (np.asarray(c, dtype=float) for c in profile)
@@ -223,7 +282,7 @@ def residual_norm(profile, lambda_hat: float | None = None) -> float:
         if h <= 0.0 or np.max(np.abs(dt - h)) > 1e-9 * h:
             raise DomainError("raw samples must be uniformly spaced")
     else:
-        traj, grafted = _as_trajectory(profile)
+        traj, hi = profile.base, profile.t_graft
         # The sup sits at the left edge, dominated by the O(h^2) truncation
         # of the 2 rho'/t term (rho''' ~ 6 b3 there), so the spacing sets
         # the figure, not the solver.  A quarter millistep keeps it well
@@ -231,7 +290,6 @@ def residual_norm(profile, lambda_hat: float | None = None) -> float:
         # above the dense-output noise floor.
         lam, h = traj.lambda_hat, 2.5e-4
         lo = max(0.05, traj.ts[0])
-        hi = grafted.t_graft if grafted is not None else traj.t_end
         if not (lo < hi <= traj.t_end):
             raise DomainError(f"residual window [{lo}, {hi}] outside trajectory")
         n = int(math.floor((hi - lo) / h)) + 1
@@ -264,7 +322,7 @@ def _odd_grid(lo: float, hi: float, target_h: float):
     return np.linspace(lo, hi, n_int + 1), (hi - lo) / n_int
 
 
-def mass_integral(grafted) -> float:
+def mass_integral(grafted: GraftedProfile) -> float:
     """Dimensionless monopole mass: the energy density integrated outward.
 
     Simpson quadrature at spacing 2e-3 on the dense numerical profile up
@@ -321,7 +379,7 @@ def linearized_probe(profile=None, u_end: float = 8.0) -> ProbeResult:
     spherical Bessel function j1, near u = 4.4934; any background
     with p < 1 somewhere pulls the node inward, so node(profile) <=
     node(vacuum) witnesses that the monopole is no stiffer than the
-    vacuum.  A solved profile enters through u = sqrt(lambda_hat) t, its
+    vacuum.  A GraftedProfile enters through u = sqrt(lambda_hat) t, its
     natural mass units; at lambda_hat = 0 there is no mass scale, the
     mass term is dropped, and the regular branch has no node (first_zero
     is None).  p values outside (0, 1] raise SturmDomainError.
@@ -338,23 +396,19 @@ def linearized_probe(profile=None, u_end: float = 8.0) -> ProbeResult:
     elif callable(profile):
         p_of = profile
     else:
-        traj, grafted = _as_trajectory(profile)
+        traj = profile.base
         lam = traj.lambda_hat
         alpha = traj.alpha if traj.alpha is not None else 0.0
         scale = 1.0 if lam == 0.0 else 1.0 / math.sqrt(lam)
         if lam == 0.0:
             mass = 0.0
-        src = grafted if grafted is not None else traj
         t_lo = traj.ts[0]
-        t_cap = None if grafted is not None else traj.t_end
 
         def p_of(u):
             t = u * scale
             if t < t_lo:
                 return 1.0 - alpha * t * t  # series head below the handoff
-            if t_cap is not None and t > t_cap:
-                t = t_cap  # past the samples the tail is exponentially small
-            return src.state_at(t).f
+            return profile.state_at(t).f
 
     def rhs(u, q, qp):
         p = p_of(u)

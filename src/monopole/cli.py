@@ -20,9 +20,9 @@ import numpy as np
 from . import analysis
 from .errors import DomainError, MonopoleError
 from .integrator import IntegratorControls
-from .model import ModelParams, nondimensionalize, ps_exact
+from .model import ModelParams, check_lambda_hat, nondimensionalize, ps_exact
 from .origin_series import DEFAULT_T0, ShootPoint, initial_state, picard_verify
-from .shooter import REPORT_TAIL, SolveReport, bisect_beta, sweep
+from .shooter import SolveReport, bisect_beta, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,14 +51,12 @@ def _fmt(x: float) -> str:
 
 
 def _coupling(text: str) -> float:
-    """The --lambda-hat value: a float that is finite and >= 0."""
+    """The --lambda-hat value: a float that model.check_lambda_hat accepts."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite float >= 0, got {text!r}")
-    return value
+        return check_lambda_hat(float(text))
+    except ValueError:  # DomainError is one too
+        raise argparse.ArgumentTypeError(
+            f"must be a finite float >= 0, got {text!r}") from None
 
 
 def _options(parser: argparse.ArgumentParser, command: str) -> dict:
@@ -213,9 +211,12 @@ def _profile_csv(ts, rows) -> str:
 
 def _cmd_solve(ns: argparse.Namespace, parser) -> int:
     # checked before the solve, whether the flag or a config file gave it
+    if ns.out and (ns.report_out != "-" or ns.profile_out is not None):
+        parser.error("--out names both output files, so it takes no "
+                     "--report-out or --profile-out")
     if not (math.isfinite(ns.grid_step) and ns.grid_step > 0.0):
         parser.error(f"--grid-step must be positive and finite, got {ns.grid_step}")
-    if (ns.t_max + REPORT_TAIL) / ns.grid_step > _MAX_PROFILE_ROWS:
+    if (ns.t_max + analysis.REPORT_TAIL) / ns.grid_step > _MAX_PROFILE_ROWS:
         parser.error(f"--grid-step {ns.grid_step} could give more than "
                      f"{_MAX_PROFILE_ROWS} profile rows at --t-max {ns.t_max}")
     if ns.out:

@@ -378,8 +378,7 @@ def integrate(start: PhaseState, lambda_hat: float,
     uniqueness of the (f, f') = (0, 0) contact point and raise
     IntegrityError.
     """
-    if lambda_hat < 0.0:
-        raise DomainError(f"lambda_hat must be >= 0, got {lambda_hat}")
+    model.check_lambda_hat(lambda_hat)
     if start.t >= controls.t_max:
         raise DomainError(f"start.t = {start.t} must lie below t_max = {controls.t_max}")
     y0 = start.as_tuple()

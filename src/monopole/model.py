@@ -23,11 +23,19 @@ __all__ = [
     "ModelParams",
     "ScaledParams",
     "PhaseState",
+    "check_lambda_hat",
     "nondimensionalize",
     "rhs",
     "ps_exact",
     "energy_density",
 ]
+
+
+def check_lambda_hat(lambda_hat):
+    """The coupling as given, a Fraction too, if finite and >= 0, else DomainError."""
+    if not (math.isfinite(lambda_hat) and lambda_hat >= 0):
+        raise DomainError(f"lambda_hat must be finite and >= 0, got {lambda_hat}")
+    return lambda_hat
 
 
 @dataclass(frozen=True)
@@ -56,8 +64,7 @@ class ScaledParams:
     rho_scale: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lambda_hat) and self.lambda_hat >= 0.0):
-            raise DomainError(f"lambda_hat must be finite and >= 0, got {self.lambda_hat}")
+        check_lambda_hat(self.lambda_hat)
         if not (self.r_scale > 0.0 and self.rho_scale > 0.0):
             raise DomainError("scales must be positive")
 
@@ -118,8 +125,7 @@ def rhs(t: float, state: PhaseState, lambda_hat: float) -> tuple[float, float, f
     """
     if t <= 0.0:
         raise SingularPointError(f"rhs is singular at t = {t}")
-    if lambda_hat < 0.0:
-        raise DomainError(f"lambda_hat must be >= 0, got {lambda_hat}")
+    check_lambda_hat(lambda_hat)
     return _rhs(t, state.f, state.fp, state.rho, state.rhop, lambda_hat)
 
 
@@ -157,8 +163,7 @@ def energy_density(state: PhaseState, lambda_hat: float) -> float:
     Integrating this over t in (0, inf) gives the mass in units of
     4 pi rho0 / g0; the lambda_hat = 0 profile integrates to exactly 1.
     """
-    if lambda_hat < 0.0:
-        raise DomainError(f"lambda_hat must be >= 0, got {lambda_hat}")
+    check_lambda_hat(lambda_hat)
     return _energy_density(state.t, state.f, state.fp, state.rho, state.rhop,
                            lambda_hat)
 

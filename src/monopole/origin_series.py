@@ -48,8 +48,8 @@ picard_verify reruns the same local solution as a fixed-point iteration in
 the logarithmic variable s = log t, on the autonomous integral form of the
 equations, and reports the sup-norm contraction history.  That gives an
 independent certificate that the series agrees with the actual local
-solution, together with the contraction constants that guarantee
-convergence on s <= -S.
+solution, together with the contraction threshold -S below which the
+Lipschitz bounds guarantee convergence.
 """
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ from operator import add, mul
 import numpy as np
 
 from .errors import ContractionDomainError, DomainError, HandoffError
-from .model import PhaseState
+from .model import PhaseState, check_lambda_hat
 
 __all__ = [
     "ShootPoint",
@@ -159,9 +159,7 @@ def series_coefficients(point: ShootPoint, lambda_hat: float) -> SeriesCoefficie
     The arithmetic stays within the caller's number type, so exact
     rationals pass through unharmed.
     """
-    if lambda_hat < 0:
-        raise DomainError(f"lambda_hat must be >= 0, got {lambda_hat}")
-    a, b = _recurrence(point.alpha, point.beta, lambda_hat, 2)
+    a, b = _recurrence(point.alpha, point.beta, check_lambda_hat(lambda_hat), 2)
     return SeriesCoefficients(a4=a[2], b3=b[1])
 
 
@@ -282,11 +280,6 @@ def _horner(matrix: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(p.transpose(1, 2, 0))
 
 
-def _check_lambda(lambda_hat) -> None:
-    if not (math.isfinite(lambda_hat) and lambda_hat >= 0):
-        raise DomainError(f"lambda_hat must be finite and >= 0, got {lambda_hat}")
-
-
 def _reach(a_tail: list, b_tail: list, b0: float, finite: bool) -> float:
     """The reach of a series, from the last _REACH_TAIL coefficients of f and rho / t.
 
@@ -313,7 +306,7 @@ def _reach(a_tail: list, b_tail: list, b0: float, finite: bool) -> float:
 
 def expand_series(point: ShootPoint, lambda_hat: float) -> OriginSeries:
     """The origin series of (alpha, beta) to SERIES_ORDER, with its reach (see _reach)."""
-    _check_lambda(lambda_hat)
+    check_lambda_hat(lambda_hat)
     a, b = _recurrence(float(point.alpha), float(point.beta), float(lambda_hat),
                        SERIES_ORDER)
     finite = all(map(math.isfinite, a)) and all(map(math.isfinite, b))
@@ -335,7 +328,7 @@ def expand_batch(alphas: list, betas: list, lambda_hat: float, t0: float,
     where its coefficients overflow) is evaluated too, and never read.
     The values must be those a ShootPoint accepts.
     """
-    _check_lambda(lambda_hat)
+    check_lambda_hat(lambda_hat)
     with np.errstate(all="ignore"):  # a lane that overflows gets reach 0
         a, b = _recurrence(np.array(alphas, dtype=float), np.array(betas, dtype=float),
                            float(lambda_hat), SERIES_ORDER)
@@ -387,7 +380,6 @@ class PicardHistory:
 
     s_max: float
     s_threshold: float
-    constants: dict = field(default_factory=dict)
     diffs: list = field(default_factory=list)   # (sup |dphi|, sup |dpsi|) per iteration
     f_end: float = 0.0
     rho_end: float = 0.0
@@ -403,7 +395,7 @@ class PicardHistory:
         return out
 
 
-def _contraction_constants(alpha: float, beta: float, lambda_hat: float) -> dict:
+def _contraction_threshold(alpha: float, beta: float, lambda_hat: float) -> float:
     # Dimensionless frame (g0 = rho0 = 1).  K bounds the iterates, the M's
     # bound the Lipschitz constants of the four nonlinear blocks, and the
     # threshold -S is where the largest of them falls below contraction.
@@ -413,15 +405,7 @@ def _contraction_constants(alpha: float, beta: float, lambda_hat: float) -> dict
     m2 = (6.0 * K + 2.0 * K * K + 2.0 * K * K) / 3.0
     m3 = (8.0 + 3.0 * lam) * K * K + lam
     m4 = 4.0 * K + 6.0 * K * K
-    m_lip = max(m1, m2, m3, m4)
-    m_sup = max(4.0 * K ** 3 + lam * (K * K + 1.0) * K, 3.0 * K ** 3)
-    return {
-        "K": K,
-        "M1": m1, "M2": m2, "M3": m3, "M4": m4,
-        "M_lipschitz": m_lip,
-        "M_sup": m_sup,
-        "s_threshold": -0.5 * math.log(m_lip),
-    }
+    return -0.5 * math.log(max(m1, m2, m3, m4))
 
 
 def picard_verify(point: ShootPoint, lambda_hat: float, s_max: float | None = None,
@@ -448,8 +432,7 @@ def picard_verify(point: ShootPoint, lambda_hat: float, s_max: float | None = No
         raise DomainError(f"n_iters must be at most 1000, got {n_iters}")
     if ds <= 0 or ds > 0.01:
         raise DomainError(f"grid spacing must lie in (0, 0.01], got {ds}")
-    consts = _contraction_constants(point.alpha, point.beta, lambda_hat)
-    s_thr = consts["s_threshold"]
+    s_thr = _contraction_threshold(point.alpha, point.beta, check_lambda_hat(lambda_hat))
     if s_max is None:
         s_max = s_thr
     elif s_max > s_thr + 1e-12:
@@ -473,7 +456,7 @@ def picard_verify(point: ShootPoint, lambda_hat: float, s_max: float | None = No
     a, b, lam = point.alpha, point.beta, lambda_hat
     phi = np.full(n, -a)
     psi = np.full(n, b)
-    hist = PicardHistory(s_max=float(s_max), s_threshold=s_thr, constants=consts)
+    hist = PicardHistory(s_max=float(s_max), s_threshold=s_thr)
     for _ in range(n_iters):
         g_phi = 3.0 * phi * phi + e2 * phi ** 3 + psi * psi + e2 * psi * psi * phi
         g_psi = 2.0 * (2.0 * phi + e2 * phi * phi) * psi + lam * (e2 * psi * psi - 1.0) * psi

@@ -32,7 +32,8 @@ horizon is not accepted but continued past it, where the exponential
 separation makes the verdict visible (once, to 4x t_max; a gauge probe
 only up to its first gauge event, which decides it); and the solver
 finishes with a polish pass at profile-grade tolerance, reporting a
-profile that demonstrably entered the tube.
+profile that demonstrably entered the tube; analysis.graft_tail continues
+that run past its graft radius and the diagnostics read it there.
 """
 from __future__ import annotations
 
@@ -41,14 +42,12 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import analysis
 from .errors import BracketingError, DomainError, IntegrityError, MonopoleError
 from .integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
                          Outcome, OutcomeTag, Trajectory, classify, extend,
                          integrate, integrate_series)
-from .model import PhaseState, ScaledParams
+from .model import PhaseState, ScaledParams, check_lambda_hat
 from .origin_series import (OriginSeries, ShootPoint, expand_batch, expand_series,
                             initial_state)
 
@@ -56,14 +55,12 @@ __all__ = [
     "Probe",
     "Bracket",
     "AlphaResult",
-    "GraftedProfile",
     "SolveReport",
     "OutcomeGrid",
     "shoot",
     "bracket_alpha",
     "bisect_alpha",
     "bisect_beta",
-    "graft_tail",
     "sweep",
 ]
 
@@ -95,8 +92,6 @@ _SETTLE_LEAD = 0.5
 # one may keep at the horizon for the horizon to tell them apart (see
 # _modes_split); at t_max = 12 this needs lambda_hat > 0.0184.
 _MODE_SPLIT = 0.01
-# How far the reported profile runs past t_graft on its fitted far field.
-REPORT_TAIL = 8.0
 # Fewest points a sweep expands lane-wise at once (expand_batch): fewer
 # lanes cost more per point than the scalar recurrence.
 _SWEEP_BATCH = 128
@@ -625,75 +620,6 @@ def _outer_side(ar: AlphaResult, out: Outcome, traj: Trajectory,
 
 
 @dataclass
-class GraftedProfile:
-    """Numerical profile up to t_graft continued by its fitted far field.
-
-    Beyond t_graft the fields follow analysis.far_field, with rates and
-    amplitudes fitted on [t_graft - analysis.FIT_SPAN, t_graft].
-    """
-
-    base: Trajectory
-    t_graft: float
-    t_report: float
-    f_fit: "analysis.DecayFit"
-    higgs_fit: "analysis.DecayFit"
-    mismatch_f: float
-    mismatch_rho: float
-
-    @property
-    def lambda_hat(self) -> float:
-        return self.base.lambda_hat
-
-    def tail_state(self, t: float) -> PhaseState:
-        return PhaseState(t, *analysis.far_field(t, self.f_fit, self.higgs_fit,
-                                                 self.base.lambda_hat))
-
-    def state_at(self, t: float) -> PhaseState:
-        if t > self.t_graft:
-            return self.tail_state(t)
-        return self.base.state_at(t)
-
-    def table(self, ts) -> np.ndarray:
-        """state_at at every radius of ts, in one batch.
-
-        Returns an (n, 4) array of (f, f', rho, rho') rows aligned with ts.
-        """
-        ts = np.asarray(ts, dtype=float)
-        rows = np.empty((len(ts), 4))
-        core = ts <= self.t_graft
-        rows[core] = self.base.resample(ts[core])
-        rows[~core] = np.column_stack(analysis.far_field(
-            ts[~core], self.f_fit, self.higgs_fit, self.base.lambda_hat))
-        return rows
-
-
-def graft_tail(traj: Trajectory) -> GraftedProfile:
-    """Fit the far-field decay laws and continue the profile analytically.
-
-    t_graft is the largest radius at which both log fits are still clean
-    (backing off from the end in half-unit steps); near the separatrix the
-    late samples are dominated by the amplified unstable mode and carry no
-    signal.  The reported profile runs REPORT_TAIL past t_graft.
-    """
-    t_graft = analysis.stable_fit_horizon(traj)
-    # The horizon search returns its floor even for a run that ends earlier.
-    if not (traj.t0 + analysis.FIT_SPAN < t_graft <= traj.t_end):
-        raise DomainError(f"t_graft = {t_graft} outside usable range")
-    t_report = t_graft + REPORT_TAIL
-    window = (t_graft - analysis.FIT_SPAN, t_graft)
-    f_fit = analysis.fit_decay(traj, window, "f")
-    h_fit = analysis.fit_decay(traj, window, "one_minus_rho")
-    g = GraftedProfile(base=traj, t_graft=t_graft, t_report=t_report,
-                       f_fit=f_fit, higgs_fit=h_fit,
-                       mismatch_f=0.0, mismatch_rho=0.0)
-    at = traj.state_at(t_graft)
-    model = g.tail_state(t_graft)
-    g.mismatch_f = abs(model.f - at.f)
-    g.mismatch_rho = abs(model.rho - at.rho)
-    return g
-
-
-@dataclass
 class SolveReport:
     """Everything the outer bisection learned, in the dimensionless frame.
 
@@ -708,7 +634,7 @@ class SolveReport:
     alpha_bracket: Bracket
     beta_bracket: Bracket
     converged: bool
-    profile: GraftedProfile | None
+    profile: "analysis.GraftedProfile | None"
     audit: "analysis.AuditReport | None"
     residual_norm: float | None
     energy: float | None
@@ -767,8 +693,7 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     run; its seventh-order dense output keeps the interpolation noise that
     downstream finite differences see well below the residual target.
     """
-    if not (math.isfinite(lambda_hat) and lambda_hat >= 0.0):
-        raise DomainError(f"lambda_hat must be finite and >= 0, got {lambda_hat}")
+    check_lambda_hat(lambda_hat)
     if controls is None:
         controls = IntegratorControls()
 
@@ -837,7 +762,7 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
     profile = audit = residual = energy = None
     if converged:
         try:
-            profile = graft_tail(profile_traj)
+            profile = analysis.graft_tail(profile_traj)
             audit = analysis.monotonicity_audit(profile)
             residual = analysis.residual_norm(profile)
             energy = analysis.mass_integral(profile)
@@ -872,8 +797,7 @@ def sweep(alphas, betas, lambda_hat: float,
     betas = [float(b) for b in betas]
     if not alphas or not betas:
         raise DomainError("sweep needs non-empty grids")
-    if not (math.isfinite(lambda_hat) and lambda_hat >= 0.0):
-        raise DomainError(f"lambda_hat must be finite and >= 0, got {lambda_hat}")
+    check_lambda_hat(lambda_hat)
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     if controls is None:

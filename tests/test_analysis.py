@@ -1,4 +1,4 @@
-"""Far-field fits, audits, residuals, mass, and the fluctuation probe."""
+"""Far-field fits, the grafted profile, audits, residuals, mass, and the fluctuation probe."""
 from __future__ import annotations
 
 import dataclasses
@@ -15,6 +15,8 @@ from monopole.errors import (AuditDomainError, DomainError, FitDomainError,
                              SturmDomainError)
 from monopole.integrator import IntegratorControls, integrate
 from monopole.model import PhaseState, energy_density, ps_exact
+from monopole.origin_series import ShootPoint
+from monopole.shooter import shoot
 
 
 def _vacuum_trajectory(lambda_hat=1.0):
@@ -35,10 +37,10 @@ def test_fit_decay_gauge_rate_massless(lam0):
 
 def test_fit_decay_higgs_rate_massive(lam1):
     tg = lam1.profile.t_graft
-    fit = analysis.fit_decay(lam1.profile, (tg - 2.0, tg), "one_minus_rho")
+    fit = analysis.fit_decay(lam1.profile.base, (tg - 2.0, tg), "one_minus_rho")
     assert fit.prefactor == "1/t"
     assert abs(fit.rate - math.sqrt(2.0)) < 0.07
-    ffit = analysis.fit_decay(lam1.profile, (tg - 2.0, tg), "f")
+    ffit = analysis.fit_decay(lam1.profile.base, (tg - 2.0, tg), "f")
     assert ffit.prefactor == "1"
     assert abs(ffit.rate - 1.0) < 0.05
 
@@ -84,6 +86,81 @@ def test_stable_fit_horizon(lam0, lam1):
             pass
 
 
+# ------------------------------------------------------------ graft_tail
+
+def test_graft_tail_continuity(lam0):
+    g = lam0.profile
+    assert g.t_graft <= g.base.t_end
+    assert g.t_report > g.t_graft
+    # the fitted far field must meet the numerical profile smoothly
+    assert abs(g.mismatch_f) < 1e-6
+    assert abs(g.mismatch_rho) < 1e-6
+    with pytest.raises(dataclasses.FrozenInstanceError):  # built once, whole
+        g.mismatch_f = 0.0
+    eps = 1e-9
+    below = g.state_at(g.t_graft - eps)
+    above = g.state_at(g.t_graft + eps)
+    assert_allclose(below.f, above.f, rtol=0, atol=1e-6)
+    assert_allclose(below.rho, above.rho, rtol=0, atol=1e-6)
+
+
+def test_graft_table_matches_state_at(lam0):
+    # the profile table is read in one batch, row for row what state_at
+    # gives: on every step boundary (where both read the step that ends
+    # there), at t_graft and on the fitted tail past it
+    g = lam0.profile
+    ts = np.sort(np.concatenate([np.linspace(g.base.ts[0], g.t_report, 301),
+                                 g.base.ts, [g.t_graft]]))
+    rows = g.table(ts)
+    core = ts <= g.t_graft
+    assert core.sum() > len(g.base.ts) and (~core).sum() > 100
+    want = np.array([g.state_at(t).as_tuple() for t in ts])
+    assert rows[core].tolist() == want[core].tolist()
+    # the tail's exponentials come from numpy either way; allow for a
+    # vector and a scalar exp that differ in the last place
+    assert_allclose(rows[~core], want[~core], rtol=1e-15, atol=0.0)
+
+
+def test_graft_tail_models(lam0, lam1):
+    # lambda_hat = 0: f ~ A t e^{-t} and a 1/t Coulomb gap in the Higgs
+    g0 = lam0.profile
+    t = g0.t_graft + 1.0
+    s = g0.tail_state(t)
+    expect_f = g0.f_fit.amplitude * t * math.exp(-g0.f_fit.rate * t)
+    assert_allclose(s.f, expect_f, rtol=1e-12)
+    gap = 1.0 - s.rho
+    assert_allclose(gap, g0.higgs_fit.amplitude / t, rtol=1e-6)
+    # doubling the radius halves the Coulomb gap
+    gap2 = 1.0 - g0.tail_state(2.0 * t).rho
+    assert_allclose(gap2 / gap, 0.5, rtol=1e-6)
+    # lambda_hat = 1: plain exponential f and an exponential Higgs gap
+    g1 = lam1.profile
+    t1 = g1.t_graft + 1.0
+    s1 = g1.tail_state(t1)
+    expect_f1 = g1.f_fit.amplitude * math.exp(-g1.f_fit.rate * t1)
+    assert_allclose(s1.f, expect_f1, rtol=1e-12)
+    # rho is 1 minus the exponential gap B e^{-kt} / t, to the last bit:
+    # the gap is ~4e-8 here, so 1 - rho would carry the rounding of rho
+    # next to 1, up to ~1.4e-9 of the gap
+    expect_gap1 = g1.higgs_fit.amplitude * np.exp(-g1.higgs_fit.rate * t1) / t1
+    assert s1.rho == 1.0 - expect_gap1
+    gap1 = 1.0 - s1.rho
+    # the gap decays at the fitted rate, not the Coulomb power law
+    gap1b = 1.0 - g1.tail_state(t1 + 1.0).rho
+    ratio = gap1b / gap1
+    expect_ratio = math.exp(-g1.higgs_fit.rate) * t1 / (t1 + 1.0)
+    assert_allclose(ratio, expect_ratio, rtol=1e-6)
+
+
+def test_graft_tail_refuses_a_run_too_short_to_fit():
+    # the fit horizon search returns its floor t = 6 for a run that ends
+    # at t = 5, which leaves no window to fit
+    run = shoot(ShootPoint(1.0 / 6.0, 1.0 / 3.0), 0.0, IntegratorControls(t_max=5.0))
+    assert run.t_end == 5.0
+    with pytest.raises(DomainError, match="t_graft = 6.0 outside usable range"):
+        analysis.graft_tail(run)
+
+
 # ---------------------------------------------------- monotonicity_audit
 
 def test_audit_margins_match_closed_form(lam0):
@@ -124,7 +201,7 @@ def test_audit_rejects_failed_runs(lam0):
                      1.0, IntegratorControls())
     assert boom.ended == "blowup"
     with pytest.raises(AuditDomainError):
-        analysis.monotonicity_audit(boom)
+        analysis.monotonicity_audit(dataclasses.replace(lam0.profile, base=boom))
     with pytest.raises(AuditDomainError):  # graft radius beyond the samples
         analysis.monotonicity_audit(dataclasses.replace(lam0.profile, t_graft=99.0))
 
@@ -221,6 +298,26 @@ def test_probe_on_solved_profiles(lam0, lam1):
     res0 = analysis.linearized_probe(lam0.profile)
     assert not res0.mass_term
     assert res0.first_zero is None
+
+
+def test_probe_reads_the_series_head_below_the_handoff(lam1p5, monkeypatch):
+    # above lambda_hat = 1 the probe's first radius t = u0 / sqrt(lambda_hat)
+    # lies below the run's first sample t0; there p is the series head
+    # 1 - alpha t^2, which meets the run at t0, and the profile is never
+    # read below t0
+    g = lam1p5.profile
+    t0 = g.base.ts[0]
+    assert 1e-3 / math.sqrt(1.5) < t0
+    assert_allclose(1.0 - g.base.alpha * t0 * t0, g.state_at(t0).f, rtol=0, atol=1e-11)
+    seen = []
+    state_at = analysis.GraftedProfile.state_at
+    monkeypatch.setattr(analysis.GraftedProfile, "state_at",
+                        lambda self, t: seen.append(t) or state_at(self, t))
+    res = analysis.linearized_probe(g)
+    assert min(seen) >= t0
+    assert res.mass_term
+    assert res.first_zero is not None
+    assert res.first_zero <= 4.4934094579090642 + 1e-3
 
 
 def test_probe_domain_errors():

@@ -254,6 +254,42 @@ def test_report_io_error_exit_code(tmp_path, capsys):
     assert rc == 4
 
 
+def test_solve_out_refuses_explicit_paths(tmp_path, monkeypatch, capsys):
+    # --out names both output files, so an explicit path, from a flag or a
+    # config key, is refused before the solve and nothing is written
+    monkeypatch.setattr(cli, "bisect_beta", None)
+    run, cfg = tmp_path / "run", tmp_path / "opts.cfg"
+    paths = {"report_out": str(tmp_path / "r.json"),
+             "profile_out": str(tmp_path / "p.csv")}
+    for key, path in paths.items():
+        flag = "--" + key.replace("_", "-")
+        cfg.write_text(f"{key} = {path}\n")
+        for argv in ([flag, path, "--out", str(run)],
+                     ["--out", str(run), "--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", "--lambda-hat", "0", *argv])
+            assert exc.value.code == 1
+            assert capsys.readouterr().err.startswith(
+                "monopole: error: --out names both output files, so it takes no "
+                "--report-out or --profile-out")
+    cfg.write_text(f"out = {run}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--lambda-hat", "0", "--report-out", paths["report_out"],
+              "--config", str(cfg)])
+    assert exc.value.code == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_solve_report_to_stdout(capsys):
+    # with no output option the JSON report goes to stdout, ahead of the
+    # summary line
+    assert main(["solve", "--lambda-hat", "0"]) == 0
+    out = capsys.readouterr().out
+    report, end = json.JSONDecoder().raw_decode(out)
+    assert report["converged"] is True and "profile_residual" not in report
+    assert out[end:].strip().startswith("alpha_star_hat = ")
+
+
 def test_sweep_single_cell(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     rc = main(["sweep", "--lambda-hat", "0", "--alphas", "0.3",
@@ -303,6 +339,31 @@ def test_sweep_empty_grid_exit_usage(capsys):
     assert exc.value.code == 1
 
 
+def test_sweep_grid_spec_errors_exit_usage(tmp_path, monkeypatch, capsys):
+    # a value list that is not all floats, a count below 2 or max <= min
+    # is refused before the sweep
+    monkeypatch.setattr(cli, "sweep", None)
+    betas = ["--betas", "0.1"]
+    for spec, message in ((["--alphas", "0.1,x"], "--alphas must be a comma-separated"),
+                          (["--alpha-min", "0.1", "--alpha-max", "0.3",
+                            "--alpha-count", "1"], "--alpha-count must be >= 2"),
+                          (["--alpha-min", "0.3", "--alpha-max", "0.3"],
+                           "--alpha-count must be >= 2 with max > min")):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--lambda-hat", "0", *spec, *betas])
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
+
+def test_sweep_io_error_exit_code(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    rc = main(["sweep", "--lambda-hat", "0", "--alphas", "0.3", "--betas", "0.1",
+               "--out", str(blocker / "grid.csv")])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("monopole sweep: cannot write output")
+
+
 def test_sweep_workers_exit_usage(tmp_path, monkeypatch, capsys):
     # refused before the sweep, from a flag or from a config file
     with monkeypatch.context() as m:
@@ -348,6 +409,23 @@ def test_config_unknown_key(tmp_path, capsys):
         rc = main(["series", "--alpha", "0.1", "--beta", "0.2",
                    "--config", str(cfg)])
         assert rc == 1
+
+
+def test_config_line_without_value_exits_usage(tmp_path, capsys):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("t0 = 0.005\nt_max\n")
+    rc = main(["series", "--alpha", "0.1", "--beta", "0.2", "--config", str(cfg)])
+    assert rc == 1
+    assert "opts.cfg:2: expected key = value" in capsys.readouterr().err
+
+
+def test_config_switch_true_sets_the_flag(tmp_path, capsys):
+    # flat = true reads as --flat: the flat probe, with no solve
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("flat = true\n")
+    assert main(["probe", "--config", str(cfg)]) == 0
+    value = float(capsys.readouterr().out.split("first_zero = ")[1].split()[0])
+    assert abs(value - 4.4934) < 1e-3
 
 
 def test_config_values_take_the_flag_type(tmp_path, monkeypatch, capsys):

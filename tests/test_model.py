@@ -2,14 +2,19 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from monopole.errors import DomainError, SingularPointError
-from monopole.model import (ModelParams, PhaseState, ScaledParams,
+from monopole.integrator import IntegratorControls, integrate
+from monopole.model import (ModelParams, PhaseState, ScaledParams, check_lambda_hat,
                             energy_density, nondimensionalize, ps_exact, rhs)
+from monopole.origin_series import (DEFAULT_T0, ShootPoint, expand_batch,
+                                    expand_series, picard_verify, series_coefficients)
+from monopole.shooter import bisect_beta, sweep
 
 import oracles
 
@@ -40,6 +45,40 @@ def test_scaled_params_validation():
         ScaledParams(lambda_hat=-0.5, r_scale=1.0, rho_scale=1.0)
     with pytest.raises(DomainError):
         ScaledParams(lambda_hat=0.0, r_scale=0.0, rho_scale=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_every_coupling_entry_point_refuses_a_bad_value(bad):
+    # one check, one message, wherever lambda_hat enters
+    state = PhaseState(t=1.0, f=0.5, fp=0.0, rho=0.5, rhop=0.0)
+    point = ShootPoint(0.1, 0.1)
+    calls = {
+        "rhs": lambda: rhs(1.0, state, bad),
+        "energy_density": lambda: energy_density(state, bad),
+        "series_coefficients": lambda: series_coefficients(point, bad),
+        "integrate": lambda: integrate(state, bad, IntegratorControls()),
+        "expand_series": lambda: expand_series(point, bad),
+        "expand_batch": lambda: expand_batch([0.1], [0.1], bad, DEFAULT_T0, 12.0),
+        "picard_verify": lambda: picard_verify(point, bad),
+        "bisect_beta": lambda: bisect_beta(bad),
+        "sweep": lambda: sweep([0.1], [0.1], bad),
+        "ScaledParams": lambda: ScaledParams(lambda_hat=bad, r_scale=1.0, rho_scale=1.0),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DomainError, match=f"^lambda_hat must be finite and >= 0, "
+                                              f"got {bad}$"):
+            call()
+            pytest.fail(f"{name} took lambda_hat = {bad}")
+
+
+def test_check_lambda_hat_passes_the_coupling_through():
+    # an exact coupling stays exact, so series_coefficients can stay exact
+    third = Fraction(1, 3)
+    assert check_lambda_hat(third) is third
+    assert check_lambda_hat(0) == 0
+    c = series_coefficients(ShootPoint(Fraction(1, 6), Fraction(1, 3)), third)
+    assert c.b3 == -Fraction(1, 3) * (4 * Fraction(1, 6) + third) / 10
+    assert type(c.b3) is Fraction
 
 
 def test_phase_state_validation():

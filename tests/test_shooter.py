@@ -1,11 +1,10 @@
-"""Nested bisections, tail grafting, and the parameter sweep."""
+"""Nested bisections and the parameter sweep."""
 from __future__ import annotations
 
 import math
 from dataclasses import replace
 from statistics import median
 
-import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -17,7 +16,7 @@ from monopole.integrator import (TUBE, ClassifyMode, IntegratorControls, Outcome
 from monopole.origin_series import T0_MAX, ShootPoint, expand_batch, expand_series
 from monopole.shooter import (AlphaResult, Bracket, Probe, SolveReport, _centred_bracket,
                               _expand_bracket, bisect_alpha, bisect_beta,
-                              bracket_alpha, graft_tail, shoot, sweep)
+                              bracket_alpha, shoot, sweep)
 from monopole.model import ModelParams, PhaseState, nondimensionalize, ps_exact
 
 
@@ -713,6 +712,17 @@ def test_bisect_beta_rejects_non_finite_inputs():
             bisect_beta(lam)
 
 
+def test_sweep_and_bracket_alpha_refuse_degenerate_inputs(monkeypatch):
+    # refused before any shot: an empty grid, and a beta that is not > 0
+    monkeypatch.setattr(shooter, "shoot", None)
+    for alphas, betas in (([], [0.1]), ([0.3], [])):
+        with pytest.raises(DomainError, match="sweep needs non-empty grids"):
+            sweep(alphas, betas, 0.0)
+    for beta in (0.0, -0.1, math.nan):
+        with pytest.raises(DomainError, match="bracket_alpha needs beta > 0"):
+            bracket_alpha(beta, 0.0, CONTROLS)
+
+
 def test_bracket_alpha_endpoints_disagree():
     br = bracket_alpha(0.1, 0.0, CONTROLS)
     assert 0.0 < br.lo.x < br.hi.x
@@ -803,68 +813,6 @@ def test_gauge_fate_continues_the_run_to_a_longer_horizon():
             continued += 1
             cut += ev.t <= run.ts[-2]  # found before the plain run's clipped step
     assert continued >= 15 and 0 < cut < continued
-
-
-def test_graft_tail_continuity(lam0):
-    g = lam0.profile
-    assert g.t_graft <= g.base.t_end
-    assert g.t_report > g.t_graft
-    # the fitted far field must meet the numerical profile smoothly
-    assert abs(g.mismatch_f) < 1e-6
-    assert abs(g.mismatch_rho) < 1e-6
-    eps = 1e-9
-    below = g.state_at(g.t_graft - eps)
-    above = g.state_at(g.t_graft + eps)
-    assert_allclose(below.f, above.f, rtol=0, atol=1e-6)
-    assert_allclose(below.rho, above.rho, rtol=0, atol=1e-6)
-
-
-def test_graft_table_matches_state_at(lam0):
-    # the profile table is read in one batch, row for row what state_at
-    # gives: on every step boundary (where both read the step that ends
-    # there), at t_graft and on the fitted tail past it
-    g = lam0.profile
-    ts = np.sort(np.concatenate([np.linspace(g.base.ts[0], g.t_report, 301),
-                                 g.base.ts, [g.t_graft]]))
-    rows = g.table(ts)
-    core = ts <= g.t_graft
-    assert core.sum() > len(g.base.ts) and (~core).sum() > 100
-    want = np.array([g.state_at(t).as_tuple() for t in ts])
-    assert rows[core].tolist() == want[core].tolist()
-    # the tail's exponentials come from numpy either way; allow for a
-    # vector and a scalar exp that differ in the last place
-    assert_allclose(rows[~core], want[~core], rtol=1e-15, atol=0.0)
-
-
-def test_graft_tail_models(lam0, lam1):
-    # lambda_hat = 0: f ~ A t e^{-t} and a 1/t Coulomb gap in the Higgs
-    g0 = lam0.profile
-    t = g0.t_graft + 1.0
-    s = g0.tail_state(t)
-    expect_f = g0.f_fit.amplitude * t * math.exp(-g0.f_fit.rate * t)
-    assert_allclose(s.f, expect_f, rtol=1e-12)
-    gap = 1.0 - s.rho
-    assert_allclose(gap, g0.higgs_fit.amplitude / t, rtol=1e-6)
-    # doubling the radius halves the Coulomb gap
-    gap2 = 1.0 - g0.tail_state(2.0 * t).rho
-    assert_allclose(gap2 / gap, 0.5, rtol=1e-6)
-    # lambda_hat = 1: plain exponential f and an exponential Higgs gap
-    g1 = lam1.profile
-    t1 = g1.t_graft + 1.0
-    s1 = g1.tail_state(t1)
-    expect_f1 = g1.f_fit.amplitude * math.exp(-g1.f_fit.rate * t1)
-    assert_allclose(s1.f, expect_f1, rtol=1e-12)
-    # rho is 1 minus the exponential gap B e^{-kt} / t, to the last bit:
-    # the gap is ~4e-8 here, so 1 - rho would carry the rounding of rho
-    # next to 1, up to ~1.4e-9 of the gap
-    expect_gap1 = g1.higgs_fit.amplitude * np.exp(-g1.higgs_fit.rate * t1) / t1
-    assert s1.rho == 1.0 - expect_gap1
-    gap1 = 1.0 - s1.rho
-    # the gap decays at the fitted rate, not the Coulomb power law
-    gap1b = 1.0 - g1.tail_state(t1 + 1.0).rho
-    ratio = gap1b / gap1
-    expect_ratio = math.exp(-g1.higgs_fit.rate) * t1 / (t1 + 1.0)
-    assert_allclose(ratio, expect_ratio, rtol=1e-6)
 
 
 def test_solve_report_bps(lam0, lam0_handoffs):
