@@ -110,15 +110,18 @@ def far_field(t, f_fit: DecayFit, higgs_fit: DecayFit, lambda_hat: float):
     return ef, -kf * ef, 1.0 - gap, gap * (kh + 1.0 / t)
 
 
-def stable_fit_horizon(traj: Trajectory) -> float:
-    """Largest radius at which both far-field fits are still clean.
+def stable_fit_horizon(traj: Trajectory) -> tuple[float, DecayFit, DecayFit]:
+    """Largest radius at which both far-field fits are still clean, and the fits.
 
     Near the end of a separatrix run the samples are dominated by the
     exponentially amplified deviation (e^t in the gauge channel,
     e^{sqrt(2 lambda_hat) t} in the Higgs channel), which bends the
     log-linear fits.  Back off from the end in half-unit steps until the
     fits over the last FIT_SPAN have log residuals below 0.05 and rates
-    of physical sign; the floor t = 6 is returned when nothing qualifies.
+    of physical sign.  Returns that radius with the gauge and Higgs fits
+    over the FIT_SPAN below it.  When nothing qualifies, the floor t = 6
+    is returned with its fits; a run too short to reach the floor raises
+    DomainError, and fit_decay's FitDomainError passes through.
     """
     floor, step, residual_cap = 6.0, 0.5, 0.05
     t_hi = min(traj.t_end, traj.controls.t_max)
@@ -135,9 +138,12 @@ def stable_fit_horizon(traj: Trajectory) -> float:
             lam == 0.0 or h_fit.rate > 0.0)
         f_ok = f_fit.max_log_residual < residual_cap and f_fit.rate > 0.0
         if h_ok and f_ok:
-            return t_hi
+            return t_hi, f_fit, h_fit
         t_hi -= step
-    return floor
+    if not (traj.t0 + FIT_SPAN < floor <= traj.t_end):
+        raise DomainError(f"t_graft = {floor} outside usable range")
+    window = (floor - FIT_SPAN, floor)
+    return floor, fit_decay(traj, window, "f"), fit_decay(traj, window, "one_minus_rho")
 
 
 @dataclass(frozen=True)
@@ -188,13 +194,7 @@ def graft_tail(traj: Trajectory) -> GraftedProfile:
     dominated by the amplified unstable mode and carry no signal.  The
     reported profile runs REPORT_TAIL past t_graft.
     """
-    t_graft = stable_fit_horizon(traj)
-    # The horizon search returns its floor even for a run that ends earlier.
-    if not (traj.t0 + FIT_SPAN < t_graft <= traj.t_end):
-        raise DomainError(f"t_graft = {t_graft} outside usable range")
-    window = (t_graft - FIT_SPAN, t_graft)
-    f_fit = fit_decay(traj, window, "f")
-    h_fit = fit_decay(traj, window, "one_minus_rho")
+    t_graft, f_fit, h_fit = stable_fit_horizon(traj)
     at = traj.state_at(t_graft)
     model = PhaseState(t_graft, *far_field(t_graft, f_fit, h_fit, traj.lambda_hat))
     return GraftedProfile(base=traj, t_graft=t_graft, t_report=t_graft + REPORT_TAIL,

@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis
 from .errors import DomainError, MonopoleError
 from .integrator import IntegratorControls
-from .model import ModelParams, check_lambda_hat, nondimensionalize, ps_exact
+from .model import ModelParams, ScaledParams, check_lambda_hat, nondimensionalize, ps_exact
 from .origin_series import DEFAULT_T0, ShootPoint, initial_state, picard_verify
 from .shooter import SolveReport, bisect_beta, sweep
 
@@ -140,18 +140,23 @@ def _resolve_frame(ns: argparse.Namespace, parser: argparse.ArgumentParser):
     parser.error("either --lambda-hat or the physical triple is required")
 
 
-def _run_solve(ns: argparse.Namespace, parser) -> SolveReport:
+def _run_solve(ns: argparse.Namespace, parser) -> tuple[SolveReport, ScaledParams | None]:
+    """The solve of the frame's lambda_hat, and the physical frame when one was posed."""
     lambda_hat, scaled = _resolve_frame(ns, parser)
-    return bisect_beta(lambda_hat, controls=_controls_from(ns), scaled=scaled)
+    return bisect_beta(lambda_hat, controls=_controls_from(ns)), scaled
 
 
-def _report_dict(rep) -> dict:
+def _report_dict(rep: SolveReport, scaled: ScaledParams | None) -> dict:
+    # alpha_star and beta_star are in the physical frame when one was
+    # posed, else the dimensionless values
     d = {
         "lambda_hat": rep.lambda_hat,
         "alpha_star_hat": rep.alpha_star_hat,
         "beta_star_hat": rep.beta_star_hat,
-        "alpha_star": rep.alpha_star,
-        "beta_star": rep.beta_star,
+        "alpha_star": (rep.alpha_star_hat if scaled is None
+                       else scaled.alpha_to_physical(rep.alpha_star_hat)),
+        "beta_star": (rep.beta_star_hat if scaled is None
+                      else scaled.beta_to_physical(rep.beta_star_hat)),
         "alpha_bracket_lo": rep.alpha_bracket.lo.x,
         "alpha_bracket_hi": rep.alpha_bracket.hi.x,
         "beta_bracket_lo": rep.beta_bracket.lo.x,
@@ -227,8 +232,8 @@ def _cmd_solve(ns: argparse.Namespace, parser) -> int:
             return EXIT_IO
         ns.report_out = os.path.join(ns.out, "report.json")
         ns.profile_out = os.path.join(ns.out, "profile.csv")
-    report = _run_solve(ns, parser)
-    d = _report_dict(report)
+    report, scaled = _run_solve(ns, parser)
+    d = _report_dict(report, scaled)
     csv_text = None
     if ns.profile_out and report.profile is not None:
         ts, rows = _profile_table(report.profile, ns.grid_step)
@@ -245,9 +250,11 @@ def _cmd_solve(ns: argparse.Namespace, parser) -> int:
     except OSError as exc:
         print(f"monopole solve: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
+    # a report on stdout is the whole of stdout, so that it parses as JSON
     print(f"alpha_star_hat = {_fmt(report.alpha_star_hat)}  "
           f"beta_star_hat = {_fmt(report.beta_star_hat)}  "
-          f"converged = {report.converged}")
+          f"converged = {report.converged}",
+          file=sys.stderr if ns.report_out == "-" else sys.stdout)
     if not report.converged:
         return EXIT_SOLVE
     if report.audit is not None and not report.audit.passes:
@@ -348,7 +355,7 @@ def _cmd_probe(ns: argparse.Namespace, parser) -> int:
                              f"{action.option_strings[0]}")
         result = analysis.linearized_probe(None, u_end=ns.u_end)
     else:
-        report = _run_solve(ns, parser)
+        report, _ = _run_solve(ns, parser)
         if report.profile is None:
             print("monopole probe: solve produced no profile", file=sys.stderr)
             return EXIT_SOLVE

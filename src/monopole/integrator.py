@@ -38,18 +38,18 @@ trajectory: it is logged and does not terminate; classify reads it only
 when the run later leaves the tube on its side, or blows up in rho with
 f still in the tube.
 
-integrate_series starts a run on the origin series instead: from t0 to
-the series' reach the run is read off the series, on pieces that end on
-the multiples of origin_series._PIECE, so their ends do not depend on
-t0.  OriginSeries.span gives the piece ends and the states there: a lone
-series evaluates them in one OriginSeries.table call, and a series that
-origin_series.expand_batch gave a sweep reads them from the table of one
-lane-wise pass, with the same bits.  Each piece end gets the five sign
-tests and the blowup bounds of a step, and a crossing is bisected on the
-series itself.  DOP853 takes over at the reach, past the 1/t^2 layer at
-the origin, where it would otherwise hold every step near h ~ 0.1 t and
-leave its largest error.  state_at and resample read the span off the
-series; n_steps counts DOP853 steps only.
+integrate_series starts every shot, on the origin series: from
+min(t0, reach) to the series' reach the run is read off the series, on
+pieces that end on the multiples of origin_series._PIECE, so their ends
+do not depend on t0.  OriginSeries.span gives the piece ends and the
+states there: a lone series evaluates them in one OriginSeries.table
+call, and a series that origin_series.expand_batch gave a sweep reads
+them from the table of one lane-wise pass, with the same bits.  Each
+piece end gets the five sign tests and the blowup bounds of a step, and
+a crossing is bisected on the series itself.  DOP853 takes over at the
+reach, past the 1/t^2 layer at the origin, where it would otherwise hold
+every step near h ~ 0.1 t and leave its largest error.  state_at and
+resample read the span off the series; n_steps counts DOP853 steps only.
 
 extend continues a finished run to a later horizon.  t_max enters a run
 only where it clips a step, so a longer run repeats this one exactly up
@@ -210,8 +210,8 @@ class Trajectory:
 
     A run started on the origin series keeps it: its first _span samples
     after ts[0] are the ends of the series pieces, and segments[j] is the
-    DOP853 step from ts[_span + j] to the next sample.  A shot whose start
-    at t0 is not finite holds no sample (see shooter.shoot).
+    DOP853 step from ts[_span + j] to the next sample.  A run whose series
+    overflows holds no sample (see integrate_series).
     """
 
     t0: float
@@ -390,22 +390,42 @@ def integrate(start: PhaseState, lambda_hat: float,
 
 
 def integrate_series(series: OriginSeries, controls: IntegratorControls) -> Trajectory:
-    """The run from controls.t0 that reads the origin series up to its reach.
+    """The run of the series' (alpha, beta): the series up to its reach, then DOP853.
 
-    Samples start at t0 and follow the series span, on pieces that end on
-    the multiples of origin_series._PIECE below min(reach, t_max) and at
-    that radius (OriginSeries.span).  Each piece end gets a step's five
-    sign tests, with any crossing bisected on the series, and its blowup
-    bounds.  Past the span DOP853 steps on as integrate does.  The reach
-    must lie beyond t0.
+    Samples start at t_s = min(controls.t0, reach), so a series that does
+    not reach t0 starts the run at its reach, and follow the series span,
+    on pieces that end on the multiples of origin_series._PIECE below
+    min(reach, t_max) and at that radius (OriginSeries.span).  Each piece
+    end gets a step's five sign tests, with any crossing bisected on the
+    series, and its blowup bounds.  Past the span DOP853 steps on as
+    integrate does.
+
+    When f' is already non-negative at t_s (alpha > 0 tiny next to beta^2
+    t_s^2), f turned below t_s: the run holds only that turn, at the
+    radius sqrt(alpha / (2 a4)) where the two-term truncation turns, with
+    the series state there and f' = 0, and ends "immediate".  A series
+    whose reach is 0 (a coefficient overflowed, for alpha of ~1e14 or beta
+    of ~1e13 and more) has no finite state: the run ends at t0 as a
+    blowup of channel "nonfinite", as a step to a non-finite state ends
+    one, and holds no sample; classify reads it as Blowup at t0.
     """
     t0, t_max = controls.t0, controls.t_max
-    if not min(series.reach, t_max) > t0:
-        raise DomainError(f"series reach {series.reach} must lie beyond t0 = {t0}")
-    ends, rows = series.span(t0, t_max)
-    traj = Trajectory(t0=t0, lambda_hat=series.lambda_hat, controls=controls,
-                      ts=[t0], ys=[rows[0]], series=series)
-    t, y = t0, rows[0]
+    lam, alpha, beta = series.lambda_hat, series.alpha, series.beta
+    if series.reach == 0.0:
+        return Trajectory(t0=t0, lambda_hat=lam, controls=controls, ended="blowup",
+                          blowup_channel="nonfinite", alpha=alpha, beta=beta)
+    t = min(t0, series.reach)
+    ends, rows = series.span(t, t_max)
+    y = rows[0]
+    if alpha > 0.0 and y[1] >= 0.0:
+        t_c = math.sqrt(alpha / (2.0 * series.coefficients().a4))
+        f, _, rho, rhop = series.state(t_c)
+        state = PhaseState(t_c, f, 0.0, rho, rhop)
+        return Trajectory(t0=t_c, lambda_hat=lam, controls=controls, ts=[t_c],
+                          ys=[state.as_tuple()], ended="immediate", alpha=alpha, beta=beta,
+                          f_events=[Event(tag=OutcomeTag.FPRIME_ZERO, t=t_c, state=state)])
+    traj = Trajectory(t0=t, lambda_hat=lam, controls=controls, ts=[t], ys=[y],
+                      alpha=alpha, beta=beta, series=series)
     for t_next, y_next in zip(ends, rows[1:]):
         terminal = (_sign_change(y, y_next)
                     and _scan_events(traj, _SeriesPiece(series, t, t_next), y, y_next))
@@ -425,7 +445,7 @@ def integrate_series(series: OriginSeries, controls: IntegratorControls) -> Traj
         traj.ended = "t_max"
         traj._resume = (0, 0, 0, None, None)
         return traj
-    k1 = model._rhs(t, *y, series.lambda_hat)
+    k1 = model._rhs(t, *y, lam)
     _advance(traj, k1, _select_initial_step(y, k1, controls))
     return traj
 
@@ -834,13 +854,13 @@ def classify(traj: Trajectory, mode: ClassifyMode) -> Outcome:
     the direction of its own sign, so the side that event pointed to
     holds.  For the same reason FFate reads a run that extend ended on
     an in-tube gauge event (to_gauge_event) from its first f event.  A
-    run with no sample, whose start was not finite, is Blowup at t0 in
+    run with no sample, whose series overflows, is Blowup at t0 in
     either mode.
     """
     if not traj.ended:
         raise DomainError("classify needs a finished trajectory")
     if not traj.ts:
-        # a shot whose start at t0 is not finite (see shooter.shoot)
+        # a run whose series overflows (see integrate_series)
         return Outcome(tag=OutcomeTag.BLOWUP, t_event=traj.t0, detail=traj.blowup_channel)
     events = traj.f_events if mode is ClassifyMode.F_FATE else traj.rho_events
     for ev in events:

@@ -23,12 +23,13 @@ off the series up to there and starts the adaptive integrator at the
 reach (integrator.integrate_series), so the integrator never steps
 through the 1/t^2 layer at the origin and the answer does not depend on
 the handoff radius t0, which is now only where the run's samples begin.
+A run starts at min(t0, reach): past its reach no truncation of the
+series holds, so a series that does not reach t0 hands over at its reach.
+check_t0 holds the handoff radius to (0, T0_MAX].
 
-initial_state evaluates the two-term truncation at t0.  A shot reads it
-off the order-24 series it runs on (OriginSeries.initial_state, with the
-same a4 and b3), so one recurrence serves both: the truncation decides
-the immediate turn of shooter.shoot, and starts the run as before when
-the reach does not lie beyond t0.
+initial_state evaluates the two-term truncation at t0, the paper's
+exact handoff: series_coefficients gives its a4 and b3.  The series
+command prints it and the tests check it; no run starts from it.
 
 A sweep expands its points' series lane-wise (expand_batch): the same
 recurrence runs once on numpy arrays of alpha and beta, and gives every
@@ -37,12 +38,12 @@ point once a batch holds ~100 points.  The bits agree because the
 recurrence adds its products left to right (_dot), as numpy adds lanes.
 
 A run reads its series span at the piece ends OriginSeries.span gives:
-t0, the multiples of _PIECE below min(reach, t_max), then that radius.
-A lone series evaluates them with table; expand_batch evaluates every
-lane's in one lane-wise Horner pass, for the t0 and t_max of the sweep,
-and each series it gives carries its rows for those only.  Both run the
-one Horner loop (_horner), so a lane's rows are the lone series' to the
-bit.
+its start, the multiples of _PIECE below min(reach, t_max), then that
+radius.  A lone series evaluates them with table; expand_batch
+evaluates every lane's in one lane-wise Horner pass, for the t0 and
+t_max of the sweep, and each series it gives carries its rows for those
+only.  Both run the one Horner loop (_horner), so a lane's rows are the
+lone series' to the bit.
 
 picard_verify reruns the same local solution as a fixed-point iteration in
 the logarithmic variable s = log t, on the autonomous integral form of the
@@ -74,6 +75,7 @@ __all__ = [
     "series_coefficients",
     "expand_series",
     "expand_batch",
+    "check_t0",
     "initial_state",
     "picard_verify",
 ]
@@ -207,18 +209,20 @@ class OriginSeries:
         """The piece ends of a run's series span from t0, and its states there.
 
         The ends are the multiples of _PIECE in (t0, min(reach, t_max)),
-        then that radius; the states, as tuples, are those at t0 and at
-        each end.  They are table's rows, read from the batch's table when
-        expand_batch gave this series for the same t0 and t_max, and
-        computed here otherwise.
+        then that radius when it lies beyond t0, so a span with no room
+        has no end; the states, as tuples, are those at t0 and at each
+        end.  They are table's rows, read from the batch's table when
+        expand_batch gave this series for the same t0 and t_max and the
+        reach lies beyond t0, and computed here otherwise.
         """
-        if self._span is not None and self._span[:2] == (t0, t_max):
+        if self._span is not None and self._span[:2] == (t0, t_max) and self.reach > t0:
             _, _, ts, n, table = self._span
             return ts[1:n + 2].tolist(), list(map(tuple, table[:n + 2].tolist()))
         t_end = min(self.reach, t_max)
         ends = [s for s in (j * _PIECE for j in range(1, math.ceil(t_end / _PIECE) + 1))
                 if t0 < s < t_end]
-        ends.append(t_end)
+        if t_end > t0:
+            ends.append(t_end)
         return ends, list(map(tuple, self.table([t0, *ends]).tolist()))
 
     def component(self, i: int):
@@ -237,15 +241,6 @@ class OriginSeries:
     def coefficients(self) -> SeriesCoefficients:
         """a4 and b3, as series_coefficients gives them for float alpha and beta."""
         return SeriesCoefficients(a4=self._rows[-3][0], b3=self._rows[-2][2])
-
-    def truncation(self, t0: float) -> tuple[float, float, float, float]:
-        """The state of initial_state, which need not be finite, as a tuple."""
-        c = self.coefficients()
-        return _truncation(self.alpha, self.beta, c.a4, c.b3, t0)
-
-    def initial_state(self, t0: float) -> PhaseState:
-        """initial_state of (alpha, beta), with a4 and b3 read off this series."""
-        return PhaseState(t0, *self.truncation(t0))
 
 
 def _horner_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -324,8 +319,9 @@ def expand_batch(alphas: list, betas: list, lambda_hat: float, t0: float,
     lane-wise Horner pass then evaluates each lane at t0, at the multiples
     of _PIECE below min(reach, t_max) and at that radius, padded with that
     radius to the longest lane; each series gives OriginSeries.span those
-    rows for this t0 and t_max only.  A lane whose span is empty (reach 0
-    where its coefficients overflow) is evaluated too, and never read.
+    rows for this t0 and t_max only.  A lane whose reach does not lie
+    beyond t0 (reach 0 where its coefficients overflow) is evaluated too,
+    and never read.
     The values must be those a ShootPoint accepts.
     """
     check_lambda_hat(lambda_hat)
@@ -354,24 +350,29 @@ def expand_batch(alphas: list, betas: list, lambda_hat: float, t0: float,
                 alphas, betas, rows, reaches, ts, multiples.tolist(), table)]
 
 
+def check_t0(t0: float) -> None:
+    """Refuse a handoff radius t0 outside (0, T0_MAX] with HandoffError.
+
+    Beyond T0_MAX the orders that the two-term truncation of
+    initial_state neglects are no longer far below integrator tolerance;
+    a shot, whose samples begin at t0, keeps the same bound.
+    """
+    if not (0.0 < t0 <= T0_MAX):
+        raise HandoffError(f"t0 must lie in (0, {T0_MAX}], got {t0}")
+
+
 def initial_state(point: ShootPoint, lambda_hat: float, t0: float = DEFAULT_T0) -> PhaseState:
     """Evaluate the origin series truncated after a4 and b3 at the radius t0.
 
-    t0 must lie in (0, T0_MAX]; beyond that the neglected orders are no
-    longer far below integrator tolerance.
+    t0 must pass check_t0.
     """
     c = series_coefficients(point, lambda_hat)
-    return PhaseState(t0, *_truncation(point.alpha, point.beta, c.a4, c.b3, t0))
-
-
-def _truncation(a, b, a4, b3, t0: float) -> tuple:
-    if not (0.0 < t0 <= T0_MAX):
-        raise HandoffError(f"t0 must lie in (0, {T0_MAX}], got {t0}")
-    t2 = t0 * t0
-    return (1.0 - a * t2 + a4 * t2 * t2,
-            -2.0 * a * t0 + 4.0 * a4 * t0 * t2,
-            b * t0 + b3 * t0 * t2,
-            b + 3.0 * b3 * t2)
+    check_t0(t0)
+    a, b, t2 = point.alpha, point.beta, t0 * t0
+    return PhaseState(t0, 1.0 - a * t2 + c.a4 * t2 * t2,
+                      -2.0 * a * t0 + 4.0 * c.a4 * t0 * t2,
+                      b * t0 + c.b3 * t0 * t2,
+                      b + 3.0 * c.b3 * t2)
 
 
 @dataclass

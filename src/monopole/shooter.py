@@ -44,12 +44,11 @@ from dataclasses import dataclass, field, replace
 
 from . import analysis
 from .errors import BracketingError, DomainError, IntegrityError, MonopoleError
-from .integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
-                         Outcome, OutcomeTag, Trajectory, classify, extend,
-                         integrate, integrate_series)
-from .model import PhaseState, ScaledParams, check_lambda_hat
-from .origin_series import (OriginSeries, ShootPoint, expand_batch, expand_series,
-                            initial_state)
+from .integrator import (TUBE, ClassifyMode, IntegratorControls, Outcome, OutcomeTag,
+                         Trajectory, classify, extend, integrate_series)
+from .model import PhaseState, check_lambda_hat
+from .origin_series import (OriginSeries, ShootPoint, check_t0, expand_batch,
+                            expand_series)
 
 __all__ = [
     "Probe",
@@ -103,22 +102,13 @@ def shoot(point: ShootPoint | OriginSeries, lambda_hat: float,
 
     point is the ShootPoint, or the series that expand_series or
     expand_batch gave for it at lambda_hat, which carries alpha and beta;
-    a series of another lambda_hat is a domain error.  The run's samples
-    start at controls.t0.  Up to the reach of the series the run is read
-    off it, and the adaptive integrator starts there
-    (integrator.integrate_series), so the run past the series does not
-    depend on t0.  When the reach does not lie beyond t0, which happens
-    only for huge alpha or beta, the integrator starts at t0 from the
-    series truncated after a4 and b3, read off the same series.
-
-    When alpha is so small that that truncation already has f'
-    non-negative at t0, the turning point sits below t0; the crossing is
-    then read off the truncation directly instead of starting the run on
-    the wrong side of the event.  When the truncation is not finite at
-    t0 (alpha^2 or beta^2 overflows in a4 or b3, for alpha or beta of
-    ~1e154 and more), the run ends there as a blowup of channel
-    "nonfinite", as a step to a non-finite state ends one, and holds no
-    sample: classify reads it as Blowup at t0.
+    a series of another lambda_hat is a domain error, and so is a handoff
+    radius controls.t0 that check_t0 refuses.  integrator.integrate_series
+    runs it: it starts on the series at min(t0, reach) and hands over to
+    the adaptive integrator at the reach, so no run depends on t0 past
+    where its samples begin.  It also reads an immediate turn of f below
+    that start, and ends a series whose coefficients overflow as a
+    non-finite blowup at t0.
     """
     if not isinstance(point, OriginSeries):
         series = expand_series(point, lambda_hat)
@@ -127,26 +117,8 @@ def shoot(point: ShootPoint | OriginSeries, lambda_hat: float,
                           f"start a run at lambda_hat = {lambda_hat}")
     else:
         series = point
-    alpha, beta = series.alpha, series.beta
-    y0 = series.truncation(controls.t0)
-    if not all(map(math.isfinite, y0)):
-        return Trajectory(t0=controls.t0, lambda_hat=lambda_hat, controls=controls,
-                          ended="blowup", blowup_channel="nonfinite", alpha=alpha, beta=beta)
-    start = PhaseState(controls.t0, *y0)
-    if alpha > 0.0 and start.fp >= 0.0:
-        t_c = math.sqrt(alpha / (2.0 * series.coefficients().a4))
-        state = replace(series.initial_state(t_c), fp=0.0)
-        traj = Trajectory(t0=t_c, lambda_hat=lambda_hat, controls=controls,
-                          ts=[t_c], ys=[state.as_tuple()], ended="immediate",
-                          alpha=alpha, beta=beta)
-        traj.f_events.append(Event(tag=OutcomeTag.FPRIME_ZERO, t=t_c, state=state))
-        return traj
-    if series.reach > controls.t0:
-        traj = integrate_series(series, controls)
-    else:
-        traj = integrate(start, lambda_hat, controls)
-    traj.alpha, traj.beta = alpha, beta
-    return traj
+    check_t0(controls.t0)
+    return integrate_series(series, controls)
 
 
 def _gauge_fate(point: ShootPoint, lambda_hat: float,
@@ -621,12 +593,7 @@ def _outer_side(ar: AlphaResult, out: Outcome, traj: Trajectory,
 
 @dataclass
 class SolveReport:
-    """Everything the outer bisection learned, in the dimensionless frame.
-
-    When the solve was posed with physical couplings, alpha_star and
-    beta_star additionally carry the physical-frame values; the _hat
-    fields are always dimensionless.
-    """
+    """Everything the outer bisection learned, in the dimensionless frame."""
 
     lambda_hat: float
     alpha_star_hat: float
@@ -642,19 +609,6 @@ class SolveReport:
     n_beta_evaluations: int = 0
     alpha_resolved: str = "bisection"
     controls: IntegratorControls | None = None
-    scaled: ScaledParams | None = None
-
-    @property
-    def alpha_star(self) -> float:
-        if self.scaled is None:
-            return self.alpha_star_hat
-        return self.scaled.alpha_to_physical(self.alpha_star_hat)
-
-    @property
-    def beta_star(self) -> float:
-        if self.scaled is None:
-            return self.beta_star_hat
-        return self.scaled.beta_to_physical(self.beta_star_hat)
 
 
 # Bracket widths, alpha and beta alike, of bisect_beta's stage one and polish.
@@ -662,8 +616,7 @@ _STAGE_ONE_TOL = 1e-8
 _POLISH_TOL = 1e-11
 
 
-def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
-                scaled: ScaledParams | None = None) -> SolveReport:
+def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None) -> SolveReport:
     """Outer bracket search in beta over the Higgs fate of alpha*(beta).
 
     Stalling outcomes (RhoPrimeZero, RhoZero, or an extrapolated
@@ -776,7 +729,7 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None,
         beta_bracket=beta_bracket, converged=converged, profile=profile,
         audit=audit, residual_norm=residual, energy=energy,
         outcome_log=log, n_beta_evaluations=len(log),
-        alpha_resolved=ar_star.resolved, controls=controls, scaled=scaled)
+        alpha_resolved=ar_star.resolved, controls=controls)
 
 
 def sweep(alphas, betas, lambda_hat: float,
@@ -802,13 +755,13 @@ def sweep(alphas, betas, lambda_hat: float,
         raise DomainError(f"workers must be >= 1, got {workers}")
     if controls is None:
         controls = IntegratorControls()
-    # refused as a ShootPoint refuses it, and t0 as initial_state does,
-    # before any expansion or shot
+    # refused as a ShootPoint and shoot refuse them, before any expansion
+    # or shot
     for a in alphas:
         ShootPoint(alpha=a, beta=0.0)
     for b in betas:
         ShootPoint(alpha=0.0, beta=b)
-    initial_state(ShootPoint(alpha=0.0, beta=0.0), lambda_hat, controls.t0)
+    check_t0(controls.t0)
     # the pool starts all its processes at once, so at most one per row;
     # a batch is whole rows, at least one per process, so that every
     # process has a row in each batch

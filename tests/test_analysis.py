@@ -69,12 +69,16 @@ def _clean_fits(traj, t):
 
 
 def test_stable_fit_horizon(lam0, lam1):
-    assert analysis.stable_fit_horizon(lam0.profile.base) == 12.0
+    assert analysis.stable_fit_horizon(lam0.profile.base)[0] == 12.0
     # at lambda_hat = 1 the radius moves by half units with the last
     # digits of alpha*, so check the definition: the largest half-unit
     # grid radius below the end whose fits are both clean
     traj = lam1.profile.base
-    t = analysis.stable_fit_horizon(traj)
+    t, f_fit, h_fit = analysis.stable_fit_horizon(traj)
+    # the fits it returns are the ones over the window below that radius
+    window = (t - analysis.FIT_SPAN, t)
+    assert (f_fit, h_fit) == (analysis.fit_decay(traj, window, "f"),
+                              analysis.fit_decay(traj, window, "one_minus_rho"))
     t_hi = min(traj.t_end, traj.controls.t_max)
     steps = (t_hi - t) / 0.5
     assert t >= 6.0 and steps == round(steps)
@@ -153,8 +157,8 @@ def test_graft_tail_models(lam0, lam1):
 
 
 def test_graft_tail_refuses_a_run_too_short_to_fit():
-    # the fit horizon search returns its floor t = 6 for a run that ends
-    # at t = 5, which leaves no window to fit
+    # the fit horizon search finds no window in a run that ends at t = 5,
+    # below its floor t = 6, and refuses it
     run = shoot(ShootPoint(1.0 / 6.0, 1.0 / 3.0), 0.0, IntegratorControls(t_max=5.0))
     assert run.t_end == 5.0
     with pytest.raises(DomainError, match="t_graft = 6.0 outside usable range"):

@@ -69,6 +69,28 @@ def test_solve_physical_frame(tmp_path, capsys):
     assert_allclose(report["beta_star"], 6.0, atol=5e-3)
 
 
+def test_scaled_frame_mapping(tmp_path, monkeypatch, capsys, lam0):
+    # the solve runs at the frame's lambda_hat, and the report maps its
+    # answer to the physical frame exactly: alpha by (g0 rho0)^2 = 36,
+    # beta by g0 rho0^2 = 18; posed dimensionless, the frames coincide
+    solved = []
+
+    def solve(lambda_hat, controls=None):
+        solved.append(lambda_hat)
+        return lam0
+    monkeypatch.setattr(cli, "bisect_beta", solve)
+    for argv, scale in ((["--lam", "0", "--g0", "2", "--rho0", "3"], (36.0, 18.0)),
+                        (["--lambda-hat", "0"], (1.0, 1.0))):
+        path = tmp_path / "report.json"
+        assert main(["solve", *argv, "--report-out", str(path)]) == 0
+        report = json.loads(path.read_text())
+        assert_allclose(report["alpha_star"], scale[0] * lam0.alpha_star_hat, rtol=1e-15)
+        assert_allclose(report["beta_star"], scale[1] * lam0.beta_star_hat, rtol=1e-15)
+        # with the report in a file, the summary line is stdout's
+        assert capsys.readouterr().out.startswith("alpha_star_hat = ")
+    assert solved == [0.0, 0.0]
+
+
 def test_frame_errors_exit_usage(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--lambda-hat", "0", "--lam", "0", "--g0", "1",
@@ -281,13 +303,13 @@ def test_solve_out_refuses_explicit_paths(tmp_path, monkeypatch, capsys):
 
 
 def test_solve_report_to_stdout(capsys):
-    # with no output option the JSON report goes to stdout, ahead of the
-    # summary line
+    # with no output option the JSON report is the whole of stdout, and
+    # the summary line goes to stderr
     assert main(["solve", "--lambda-hat", "0"]) == 0
-    out = capsys.readouterr().out
-    report, end = json.JSONDecoder().raw_decode(out)
+    out, err = capsys.readouterr()
+    report = json.loads(out)
     assert report["converged"] is True and "profile_residual" not in report
-    assert out[end:].strip().startswith("alpha_star_hat = ")
+    assert err.startswith("alpha_star_hat = ")
 
 
 def test_sweep_single_cell(tmp_path, capsys):

@@ -566,9 +566,17 @@ def test_extend_keeps_the_series_span():
     _assert_same_run(extend(short, IntegratorControls()), full)
 
 
-def test_integrate_series_needs_a_reach_beyond_t0():
-    with pytest.raises(DomainError):
-        integrate_series(expand_series(ShootPoint(1e12, 1.0), 0.0), IntegratorControls())
+def test_integrate_series_hands_over_at_a_reach_below_t0():
+    # no truncation of the series holds past its reach: a series that does
+    # not reach t0 starts the run at its reach, with no series piece, and
+    # DOP853 steps on from there
+    series = expand_series(ShootPoint(1e12, 1.0), 0.0)
+    controls = IntegratorControls()
+    assert 0.0 < series.reach < controls.t0
+    traj = integrate_series(series, controls)
+    assert (traj.t0, traj.ts[0], traj._span) == (series.reach, series.reach, 0)
+    assert traj.ys[0] == series.state(series.reach)
+    assert traj.n_steps == len(traj.ts) - 1 > 0
 
 
 def test_rho_blowup_after_a_tube_gauge_event_keeps_its_side():

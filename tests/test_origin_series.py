@@ -285,21 +285,18 @@ def test_batch_spans_are_the_lone_series_spans(monkeypatch, batch_lanes):
     read = origin_series.expand_batch(alphas, betas, 0.7, DEFAULT_T0, 0.5)
     part = pickle.loads(pickle.dumps(read[10:30]))
     assert [s.span(DEFAULT_T0, 0.5) for s in part] == [
-        s.span(DEFAULT_T0, 0.5) for s in read][10:30]
+        s.span(DEFAULT_T0, 0.5) for s in read[10:30]]
 
 
-def test_series_start_is_initial_state():
-    # shoot reads the two-term start off the order-24 series: a4 and b3
-    # are the recurrence's, so the state is initial_state's
+def test_series_carries_the_two_term_coefficients():
+    # the order-24 series a shot runs on carries the a4 and b3 of
+    # initial_state's two-term truncation, to the bit: one recurrence
+    # gives both
     for alpha, beta, lam in ((1 / 6, 1 / 3, 0.0), (0.39, 0.87, 1.0), (1e-4, 100.0, 0.0),
                              (2.5, 0.0, 50.0)):
         point = ShootPoint(alpha, beta)
         series = expand_series(point, lam)
         assert series.coefficients() == series_coefficients(point, lam)
-        for t0 in (5e-4, DEFAULT_T0, T0_MAX):
-            assert series.initial_state(t0) == initial_state(point, lam, t0)
-        with pytest.raises(HandoffError):
-            series.initial_state(1.5 * T0_MAX)
 
 
 def test_series_matches_dop853_from_half_its_reach():

@@ -8,16 +8,16 @@ from statistics import median
 import pytest
 from numpy.testing import assert_allclose
 
-from monopole import analysis, integrator, shooter
+from monopole import analysis, integrator, origin_series, shooter
 from monopole.errors import (BracketingError, DomainError, FitDomainError, HandoffError,
                              IntegrityError)
 from monopole.integrator import (TUBE, ClassifyMode, IntegratorControls, Outcome,
                                  OutcomeTag, classify, extend)
 from monopole.origin_series import T0_MAX, ShootPoint, expand_batch, expand_series
-from monopole.shooter import (AlphaResult, Bracket, Probe, SolveReport, _centred_bracket,
+from monopole.shooter import (AlphaResult, Bracket, Probe, _centred_bracket,
                               _expand_bracket, bisect_alpha, bisect_beta,
                               bracket_alpha, shoot, sweep)
-from monopole.model import ModelParams, PhaseState, nondimensionalize, ps_exact
+from monopole.model import PhaseState, ps_exact
 
 
 CONTROLS = IntegratorControls()
@@ -827,9 +827,6 @@ def test_solve_report_bps(lam0, lam0_handoffs):
     # below the numerical beta*, and the expansion's first step, four
     # times the seed's distance, lands just above it (17 with a 4x step)
     assert median(r.n_beta_evaluations for r in [lam0, *lam0_handoffs]) <= 13
-    # unscaled report: physical values equal the dimensionless ones
-    assert lam0.alpha_star == lam0.alpha_star_hat
-    assert lam0.beta_star == lam0.beta_star_hat
 
 
 def test_reported_profile_is_the_last_inner_run(monkeypatch):
@@ -928,19 +925,6 @@ def test_handoff_radius_does_not_move_the_bps_answer(lam0, lam0_handoffs):
         assert abs(rep.beta_star_hat - lam0.beta_star_hat) < 1e-13
 
 
-def test_scaled_frame_mapping(lam0):
-    scaled = nondimensionalize(ModelParams(lam=0.0, g0=2.0, rho0=3.0))
-    rep = SolveReport(
-        lambda_hat=0.0, alpha_star_hat=lam0.alpha_star_hat,
-        beta_star_hat=lam0.beta_star_hat, alpha_bracket=lam0.alpha_bracket,
-        beta_bracket=lam0.beta_bracket, converged=True, profile=None,
-        audit=None, residual_norm=None, energy=None, outcome_log=[],
-        n_beta_evaluations=0, alpha_resolved="bisection", controls=None,
-        scaled=scaled)
-    assert_allclose(rep.alpha_star, 36.0 * lam0.alpha_star_hat, rtol=1e-15)
-    assert_allclose(rep.beta_star, 18.0 * lam0.beta_star_hat, rtol=1e-15)
-
-
 def test_sweep_grid_and_order():
     # every point but (0.05, 0.1) stays off the lambda_hat = 0 separatrix
     # alpha = beta / 2, where the verdict is the sign of rounding noise;
@@ -976,7 +960,7 @@ def test_sweep_rejects_bad_inputs(monkeypatch):
                 sweep([0.3, bad], [0.1, 0.2], 0.0, workers=workers)
             with pytest.raises(DomainError, match="beta must be finite and >= 0"):
                 sweep([0.3, 0.4], [0.1, bad], 0.0, workers=workers)
-    # a handoff radius past the series' validity, as initial_state refuses it
+    # a handoff radius past the series' validity, as check_t0 refuses it
     for workers in (1, 2):
         with pytest.raises(HandoffError, match=r"t0 must lie in \(0, 0.01\], got 0.02"):
             sweep([0.3], [0.1], 0.0, controls=IntegratorControls(t0=2 * T0_MAX),
@@ -1054,20 +1038,96 @@ def test_batch_rows_serve_only_their_run(batch_lanes):
 
 
 def test_a_start_that_is_not_finite_blows_up_at_t0():
-    # beta^2 (or alpha^2) overflows in the two-term truncation: the shot ends
+    # a coefficient of the origin series overflows (reach 0): the shot ends
     # as a non-finite blowup at t0, with no sample, and the sweep goes on
-    for point in (ShootPoint(0.1, 1e155), ShootPoint(0.1, 1e160), ShootPoint(1e200, 0.1)):
+    for point in (ShootPoint(0.1, 1e13), ShootPoint(0.1, 1e155), ShootPoint(0.1, 1e160),
+                  ShootPoint(1e200, 0.1)):
         traj = shoot(point, 0.5, CONTROLS)
         assert (traj.ended, traj.blowup_channel, traj.ts, traj.ys) == (
             "blowup", "nonfinite", [], [])
         for mode in ClassifyMode:
             assert classify(traj, mode) == Outcome(OutcomeTag.BLOWUP, CONTROLS.t0,
                                                    detail="nonfinite")
-    # below the overflow, at 1e150, the truncation is finite and starts a run
-    assert shoot(ShootPoint(0.1, 1e150), 0.5, CONTROLS).ts
+    # below the overflow, at 1e12, the series is finite and starts a run
+    assert shoot(ShootPoint(0.1, 1e12), 0.5, CONTROLS).ts
     grid = sweep([0.1], [0.2, 1e160], 0.5)
     assert list(grid.rows()) == [(0.1, 0.2, *_cell(ShootPoint(0.1, 0.2), 0.5, CONTROLS)),
                                  (0.1, 1e160, "Blowup", CONTROLS.t0)]
+
+
+def test_a_huge_alpha_starts_at_the_reach_and_never_turns_up():
+    # at alpha = 3e6 the series reaches only ~4.3e-4, below t0, where its
+    # two-term truncation would already turn f' up.  The run starts on the
+    # series at its reach instead, and f' passes the slope bound there: a
+    # Blowup, not an FPrimeZero, in shoot and in sweep alike
+    point = ShootPoint(3e6, 1.0 / 3.0)
+    series = expand_series(point, 0.0)
+    assert series.reach < CONTROLS.t0
+    traj = shoot(point, 0.0, CONTROLS)
+    assert traj.ts[0] == series.reach
+    tag, t_event = _cell(point, 0.0, CONTROLS)
+    assert tag == "Blowup" and t_event < CONTROLS.t0
+    assert list(sweep([3e6], [1.0 / 3.0], 0.0).rows()) == [(3e6, 1.0 / 3.0, tag, t_event)]
+
+
+def test_shoot_and_sweep_check_t0_through_check_t0(monkeypatch):
+    # one check holds t0 to the series' validity for a shot and a sweep
+    checked = []
+
+    def check_t0(t0):
+        checked.append(t0)
+        origin_series.check_t0(t0)
+    monkeypatch.setattr(shooter, "check_t0", check_t0)
+    bad = IntegratorControls(t0=2 * T0_MAX)
+    message = r"t0 must lie in \(0, 0.01\], got 0.02"
+    with pytest.raises(HandoffError, match=message):
+        shoot(ShootPoint(0.3, 0.1), 0.0, bad)
+    with pytest.raises(HandoffError, match=message):
+        sweep([0.3], [0.1], 0.0, controls=bad)
+    assert checked == [2 * T0_MAX] * 2
+
+
+def test_polish_that_cannot_rebracket_raises(monkeypatch):
+    # no widening pair straddles the stage-one answer at polish tolerance;
+    # the inner solves fall back to bracket_alpha
+    monkeypatch.setattr(shooter, "_centred_bracket", lambda *args: None)
+    with pytest.raises(BracketingError, match="could not re-bracket beta near .* at "
+                                              "polish tolerance"):
+        bisect_beta(0.0)
+
+
+def test_a_stage_one_candidate_is_shot_again_at_polish_tolerance(monkeypatch):
+    # when the final inner run leaves the tube and no polish probe converged,
+    # the last tube-converged stage-one probe is shot again at the polish
+    # controls, and that run, in the tube, is the answer
+    orig_alpha_at, orig_higgs_fate, orig_shoot = (shooter._alpha_at, shooter._higgs_fate,
+                                                  shooter.shoot)
+    shots = []
+
+    def alpha_at(beta, lambda_hat, c, tol_alpha, track, settle):
+        ar = orig_alpha_at(beta, lambda_hat, c, tol_alpha, track, settle)
+        if not settle:  # the final inner solve: its run leaves the tube
+            ar.trajectory = orig_shoot(ShootPoint(2.0 * ar.alpha_star, beta), lambda_hat, c)
+        return ar
+
+    def higgs_fate(result, c):
+        out, traj = orig_higgs_fate(result, c)
+        if c == POLISH and out.tag is OutcomeTag.CONVERGED:
+            out = replace(out, tag=OutcomeTag.HORIZON)  # _outer_side reads both alike
+        return out, traj
+
+    def shoot_(point, lambda_hat, controls):
+        shots.append((point, controls))
+        return orig_shoot(point, lambda_hat, controls)
+    monkeypatch.setattr(shooter, "_alpha_at", alpha_at)
+    monkeypatch.setattr(shooter, "_higgs_fate", higgs_fate)
+    monkeypatch.setattr(shooter, "shoot", shoot_)
+    rep = bisect_beta(0.0)
+    beta, alpha = [(b, a) for b, a, tag, _ in rep.outcome_log if tag == "Converged"][-1]
+    assert shots[-1] == (ShootPoint(alpha, beta), POLISH)
+    assert rep.converged
+    assert (rep.alpha_star_hat, rep.beta_star_hat) == (alpha, beta)
+    assert rep.profile.base.controls == POLISH
 
 
 class _InProcessPool:
