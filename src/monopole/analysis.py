@@ -140,7 +140,7 @@ def stable_fit_horizon(traj: Trajectory) -> tuple[float, DecayFit, DecayFit]:
         if h_ok and f_ok:
             return t_hi, f_fit, h_fit
         t_hi -= step
-    if not (traj.t0 + FIT_SPAN < floor <= traj.t_end):
+    if not (traj.ts[0] + FIT_SPAN < floor <= traj.t_end):
         raise DomainError(f"t_graft = {floor} outside usable range")
     window = (floor - FIT_SPAN, floor)
     return floor, fit_decay(traj, window, "f"), fit_decay(traj, window, "one_minus_rho")
@@ -234,7 +234,7 @@ def monotonicity_audit(profile) -> AuditReport:
         window = (float(ts[0]), float(ts[-1]))
     else:
         traj, hi = profile.base, profile.t_graft
-        if traj.ended == "blowup" or traj.terminal_f_event() is not None:
+        if traj.ended == "blowup" or any(not ev.in_tube for ev in traj.f_events):
             raise AuditDomainError(
                 "trajectory ended in a failure event, not a solution candidate")
         lo = traj.ts[0]

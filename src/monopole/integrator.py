@@ -22,13 +22,15 @@ the one interpolant component that changes sign, against the event's
 level.  resample evaluates an array of radii in one batch, with the
 interpolant's arithmetic applied elementwise in the same order.
 
-Event taxonomy (first-order system y = (f, f', rho, rho')):
+Event taxonomy (y = (f, f', rho, rho')), held once in _EVENTS: each event's
+crossing, the window its state must lie in to count, and the side of the
+separatrix it puts a run on (-1 below, +1 above; see Outcome.side):
 
-  FPrimeZero   f' crosses 0 upward while 0 < f < 1   (gauge field turns back up)
-  FZero        f crosses 0 with f' < 0               (gauge field overshoots)
-  RhoPrimeZero rho' crosses 0 downward, 0 < rho < 1  (Higgs field stalls)
-  RhoCrossVev  rho crosses 1 upward with rho' > 0    (Higgs field overshoots)
-  RhoZero      rho crosses 0 downward                (Higgs field collapses)
+  FPrimeZero   f' rises to 0    0 < f < 1    -1  (gauge field turns back up)
+  FZero        f falls to 0     f' < 0       +1  (gauge field overshoots)
+  RhoPrimeZero rho' falls to 0  0 < rho < 1  -1  (Higgs field stalls)
+  RhoCrossVev  rho rises to 1   none         +1  (Higgs field overshoots)
+  RhoZero      rho falls to 0   none         -1  (Higgs field collapses)
 
 f-channel events terminate the run; rho-channel events are recorded and
 integration continues so the gauge fate is still observable.  An event
@@ -66,6 +68,7 @@ import bisect as _bisect
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,6 +165,36 @@ class Outcome:
     state: PhaseState | None = None
     detail: str = ""
 
+    @property
+    def side(self) -> int:
+        """Its event's side (see _EVENTS); 0 for Converged, Horizon and Blowup."""
+        return _EVENTS[self.tag].side if self.tag in _EVENTS else 0
+
+
+class _EventRow(NamedTuple):
+    """Component i of y (i < 2: the gauge channel) crosses level, rising or
+    falling; the crossing counts where lo < field < hi, window = (field, lo, hi)."""
+
+    i: int
+    level: float
+    rising: bool
+    window: tuple | None
+    side: int
+
+    def crosses(self, ya: tuple, yb: tuple) -> bool:
+        a, b, level = ya[self.i], yb[self.i], self.level
+        return a < level <= b if self.rising else a > level >= b
+
+
+# The event table (see the module docstring), in _scan_events' order.
+_EVENTS = {
+    OutcomeTag.FPRIME_ZERO: _EventRow(1, 0.0, True, ("f", 0.0, 1.0), -1),
+    OutcomeTag.F_ZERO: _EventRow(0, 0.0, False, ("fp", -math.inf, 0.0), 1),
+    OutcomeTag.RHO_PRIME_ZERO: _EventRow(3, 0.0, False, ("rho", 0.0, 1.0), -1),
+    OutcomeTag.RHO_CROSS_VEV: _EventRow(2, 1.0, True, None, 1),
+    OutcomeTag.RHO_ZERO: _EventRow(2, 0.0, False, None, -1),
+}
+
 
 # DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.10): the
 # eighth-order weights _B, the fifth- and third-order error weights _E5_
@@ -214,7 +247,6 @@ class Trajectory:
     overflows holds no sample (see integrate_series).
     """
 
-    t0: float
     lambda_hat: float
     controls: IntegratorControls
     ts: list[float] = field(default_factory=list)
@@ -247,12 +279,6 @@ class Trajectory:
 
     def last_state(self) -> PhaseState:
         return PhaseState(self.ts[-1], *self.ys[-1])
-
-    def terminal_f_event(self) -> Event | None:
-        for ev in self.f_events:
-            if not ev.in_tube:
-                return ev
-        return None
 
     def state_at(self, t: float) -> PhaseState:
         """Dense-output state anywhere inside the sampled range.
@@ -316,7 +342,7 @@ def in_tube(state: PhaseState) -> bool:
     |rho - 1| stays at 1/t there no matter how converged the trajectory is,
     while b reaches the vacuum to integrator accuracy.
     """
-    b = state.rho + state.t * state.rhop
+    b = state.asymptote
     return (abs(state.f) < TUBE
             and abs(state.fp) < TUBE
             and 0.0 <= state.rhop < TUBE
@@ -371,21 +397,21 @@ def integrate(start: PhaseState, lambda_hat: float,
               controls: IntegratorControls) -> Trajectory:
     """Advance from start until a terminal event, blowup, or controls.t_max.
 
-    Accepted steps land in the trajectory's sample/segment lists; each
-    accepted step is scanned for sign changes of the five event functions
-    and crossings are bisected on the dense interpolant to within
-    EVENT_TOL.  Simultaneous gauge events inside one EVENT_TOL violate the
-    uniqueness of the (f, f') = (0, 0) contact point and raise
-    IntegrityError.
+    A start that breaks a blowup bound is the run's one sample.  Accepted
+    steps land in the trajectory's sample/segment lists; each accepted
+    step is scanned for sign changes of the five event functions and
+    crossings are bisected on the dense interpolant to within EVENT_TOL.
+    Simultaneous gauge events inside one EVENT_TOL violate the uniqueness
+    of the (f, f') = (0, 0) contact point and raise IntegrityError.
     """
     model.check_lambda_hat(lambda_hat)
     if start.t >= controls.t_max:
         raise DomainError(f"start.t = {start.t} must lie below t_max = {controls.t_max}")
     y0 = start.as_tuple()
-    traj = Trajectory(t0=start.t, lambda_hat=lambda_hat, controls=controls,
-                      ts=[start.t], ys=[y0])
-    k1 = model._rhs(start.t, *y0, lambda_hat)
-    _advance(traj, k1, _select_initial_step(y0, k1, controls))
+    traj = Trajectory(lambda_hat=lambda_hat, controls=controls, ts=[start.t], ys=[y0])
+    if not _ends_in_blowup(traj, y0):
+        k1 = model._rhs(start.t, *y0, lambda_hat)
+        _advance(traj, k1, _select_initial_step(y0, k1, controls))
     return traj
 
 
@@ -397,8 +423,8 @@ def integrate_series(series: OriginSeries, controls: IntegratorControls) -> Traj
     on pieces that end on the multiples of origin_series._PIECE below
     min(reach, t_max) and at that radius (OriginSeries.span).  Each piece
     end gets a step's five sign tests, with any crossing bisected on the
-    series, and its blowup bounds.  Past the span DOP853 steps on as
-    integrate does.
+    series, and every sample, the first too, the blowup bounds.  Past the
+    span DOP853 steps on as integrate does.
 
     When f' is already non-negative at t_s (alpha > 0 tiny next to beta^2
     t_s^2), f turned below t_s: the run holds only that turn, at the
@@ -412,7 +438,7 @@ def integrate_series(series: OriginSeries, controls: IntegratorControls) -> Traj
     t0, t_max = controls.t0, controls.t_max
     lam, alpha, beta = series.lambda_hat, series.alpha, series.beta
     if series.reach == 0.0:
-        return Trajectory(t0=t0, lambda_hat=lam, controls=controls, ended="blowup",
+        return Trajectory(lambda_hat=lam, controls=controls, ended="blowup",
                           blowup_channel="nonfinite", alpha=alpha, beta=beta)
     t = min(t0, series.reach)
     ends, rows = series.span(t, t_max)
@@ -421,11 +447,13 @@ def integrate_series(series: OriginSeries, controls: IntegratorControls) -> Traj
         t_c = math.sqrt(alpha / (2.0 * series.coefficients().a4))
         f, _, rho, rhop = series.state(t_c)
         state = PhaseState(t_c, f, 0.0, rho, rhop)
-        return Trajectory(t0=t_c, lambda_hat=lam, controls=controls, ts=[t_c],
+        return Trajectory(lambda_hat=lam, controls=controls, ts=[t_c],
                           ys=[state.as_tuple()], ended="immediate", alpha=alpha, beta=beta,
                           f_events=[Event(tag=OutcomeTag.FPRIME_ZERO, t=t_c, state=state)])
-    traj = Trajectory(t0=t, lambda_hat=lam, controls=controls, ts=[t], ys=[y],
+    traj = Trajectory(lambda_hat=lam, controls=controls, ts=[t], ys=[y],
                       alpha=alpha, beta=beta, series=series)
+    if _ends_in_blowup(traj, y):
+        return traj
     for t_next, y_next in zip(ends, rows[1:]):
         terminal = (_sign_change(y, y_next)
                     and _scan_events(traj, _SeriesPiece(series, t, t_next), y, y_next))
@@ -436,9 +464,7 @@ def integrate_series(series: OriginSeries, controls: IntegratorControls) -> Traj
         if terminal:
             traj.ended = "event"
             return traj
-        channel = _blowup_channel(y)
-        if channel:
-            traj.ended, traj.blowup_channel = "blowup", channel
+        if _ends_in_blowup(traj, y):
             return traj
     if t >= t_max:
         # The horizon ended the run inside the span: a longer run reads on.
@@ -495,11 +521,10 @@ def extend(traj: Trajectory, controls: IntegratorControls,
             new = _cut_at(new, new.f_events[0], controls)
     else:
         m = traj._span + n
-        new = Trajectory(t0=traj.t0, lambda_hat=traj.lambda_hat, controls=controls,
-                         ts=traj.ts[:m + 1], ys=traj.ys[:m + 1],
-                         segments=traj.segments[:n], f_events=traj.f_events[:n_f],
-                         rho_events=traj.rho_events[:n_rho], series=traj.series,
-                         _span=traj._span, _to_gauge_event=to_gauge_event)
+        new = Trajectory(lambda_hat=traj.lambda_hat, controls=controls, ts=traj.ts[:m + 1],
+                         ys=traj.ys[:m + 1], segments=traj.segments[:n],
+                         f_events=traj.f_events[:n_f], rho_events=traj.rho_events[:n_rho],
+                         series=traj.series, _span=traj._span, _to_gauge_event=to_gauge_event)
         _advance(new, k1, h)
     new.alpha, new.beta = traj.alpha, traj.beta
     return new
@@ -514,30 +539,30 @@ def _cut_at(traj: Trajectory, ev: Event, controls: IntegratorControls) -> Trajec
     # ev.t lies in (ts[m - 1], ts[m]]: the crossing tests are strict at a
     # step's start
     m = _bisect.bisect_left(traj.ts, ev.t)
-    return Trajectory(t0=traj.t0, lambda_hat=traj.lambda_hat, controls=controls,
-                      ts=traj.ts[:m + 1], ys=traj.ys[:m + 1],
-                      segments=traj.segments[:max(m - traj._span, 0)], f_events=[ev],
-                      rho_events=[e for e in traj.rho_events if e.t < ev.t],
-                      ended="event", alpha=traj.alpha, beta=traj.beta,
-                      series=traj.series, _span=min(traj._span, m),
-                      _to_gauge_event=True)
+    return Trajectory(lambda_hat=traj.lambda_hat, controls=controls, ts=traj.ts[:m + 1],
+                      ys=traj.ys[:m + 1], segments=traj.segments[:max(m - traj._span, 0)],
+                      f_events=[ev], rho_events=[e for e in traj.rho_events if e.t < ev.t],
+                      ended="event", alpha=traj.alpha, beta=traj.beta, series=traj.series,
+                      _span=min(traj._span, m), _to_gauge_event=True)
 
 
 def _sign_change(ya: tuple, yb: tuple) -> bool:
-    """Whether one of the five event functions of _scan_events changes sign."""
+    """Whether a row of _EVENTS crosses; written out, since every step asks."""
     f, fp, rho, rhop = ya
     fn, fpn, rn, rpn = yb
     return (fp < 0.0 <= fpn or f > 0.0 >= fn or rhop > 0.0 >= rpn
             or rho < 1.0 <= rn or rho > 0.0 >= rn)
 
 
-def _blowup_channel(y: tuple) -> str:
-    """The blowup channel of state y, or "" while every bound holds."""
+def _ends_in_blowup(traj: Trajectory, y: tuple) -> bool:
+    """Whether sample y of traj breaks a blowup bound, which then ends traj there."""
     f, fp, rho, rhop = y
     if abs(f) > _BLOWUP_BOUND or rho > _BLOWUP_BOUND or abs(fp) > _BLOWUP_SLOPE \
             or abs(rhop) > _BLOWUP_SLOPE:
-        return "rho" if rho > _BLOWUP_BOUND else "f" if abs(f) > _BLOWUP_BOUND else "slope"
-    return ""
+        traj.ended, traj.blowup_channel = "blowup", (
+            "rho" if rho > _BLOWUP_BOUND else "f" if abs(f) > _BLOWUP_BOUND else "slope")
+        return True
+    return False
 
 
 def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
@@ -776,9 +801,7 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
         if terminal:
             traj.ended = "event"
             return
-        channel = _blowup_channel(y_acc)
-        if channel:
-            traj.ended, traj.blowup_channel = "blowup", channel
+        if _ends_in_blowup(traj, y_acc):
             return
         k1f, k1fp, k1r, k1rp = fpn, k13fp, rpn, k13rp  # first-same-as-last
         fac = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.125))
@@ -794,49 +817,33 @@ def _scan_events(traj: Trajectory, seg, ya: tuple, yb: tuple) -> bool:
     component of seg (a DenseSegment or a _SeriesPiece) whose sign
     changes, and the full state is read once at the refined time.
     """
-    found = []  # (t, kind, state)
-    for kind, i, level, crossed in (
-            (OutcomeTag.FPRIME_ZERO, 1, 0.0, ya[1] < 0.0 <= yb[1]),
-            (OutcomeTag.F_ZERO, 0, 0.0, ya[0] > 0.0 >= yb[0]),
-            (OutcomeTag.RHO_PRIME_ZERO, 3, 0.0, ya[3] > 0.0 >= yb[3]),
-            (OutcomeTag.RHO_CROSS_VEV, 2, 1.0, ya[2] < 1.0 <= yb[2]),
-            (OutcomeTag.RHO_ZERO, 2, 0.0, ya[2] > 0.0 >= yb[2])):
-        if crossed:
-            t_e = refine_event(seg.component(i), seg.t, seg.t_end, level)
-            found.append((t_e, kind, seg.eval(t_e)))
+    found = []  # (t, tag, row, state)
+    for tag, row in _EVENTS.items():
+        if row.crosses(ya, yb):
+            t_e = refine_event(seg.component(row.i), seg.t, seg.t_end, row.level)
+            found.append((t_e, tag, row, seg.eval(t_e)))
     if not found:
         return False
 
-    f_times = [t for t, kind, _ in found
-               if kind in (OutcomeTag.FPRIME_ZERO, OutcomeTag.F_ZERO)]
+    f_times = [t for t, _, row, _ in found if row.i < 2]
     if len(f_times) == 2 and abs(f_times[0] - f_times[1]) <= EVENT_TOL:
         raise IntegrityError(
             f"simultaneous f = 0 and f' = 0 near t = {f_times[0]}: "
             "the gauge channel cannot vanish to second order")
 
     found.sort(key=lambda item: item[0])
-    for t_e, kind, y_e in found:
+    for t_e, tag, row, y_e in found:
         state = PhaseState(t_e, *y_e)
         tube = in_tube(state)
-        ev = Event(tag=kind, t=t_e, state=state, in_tube=tube)
-        if kind is OutcomeTag.FPRIME_ZERO:
-            if not (0.0 < state.f < 1.0):
-                continue  # guard: only a turn inside the physical window counts
-            traj.f_events.append(ev)
-            if not tube or traj._to_gauge_event:
-                return True
-        elif kind is OutcomeTag.F_ZERO:
-            if not (state.fp < 0.0):
-                continue
-            traj.f_events.append(ev)
-            if not tube or traj._to_gauge_event:
-                return True
-        elif kind is OutcomeTag.RHO_PRIME_ZERO:
-            if not (0.0 < state.rho < 1.0):
-                continue
-            traj.rho_events.append(ev)
-        else:
-            traj.rho_events.append(ev)
+        if row.window is not None:
+            name, lo, hi = row.window
+            if not lo < getattr(state, name) < hi:
+                continue  # only a crossing inside its physical window counts
+        gauge = row.i < 2
+        (traj.f_events if gauge else traj.rho_events).append(
+            Event(tag=tag, t=t_e, state=state, in_tube=tube))
+        if gauge and (not tube or traj._to_gauge_event):
+            return True
     return False
 
 
@@ -861,7 +868,8 @@ def classify(traj: Trajectory, mode: ClassifyMode) -> Outcome:
         raise DomainError("classify needs a finished trajectory")
     if not traj.ts:
         # a run whose series overflows (see integrate_series)
-        return Outcome(tag=OutcomeTag.BLOWUP, t_event=traj.t0, detail=traj.blowup_channel)
+        return Outcome(tag=OutcomeTag.BLOWUP, t_event=traj.controls.t0,
+                       detail=traj.blowup_channel)
     events = traj.f_events if mode is ClassifyMode.F_FATE else traj.rho_events
     for ev in events:
         if not ev.in_tube:
@@ -889,27 +897,11 @@ def classify(traj: Trajectory, mode: ClassifyMode) -> Outcome:
     return Outcome(tag=OutcomeTag.HORIZON, t_event=None, state=last)
 
 
-def _promote_tube_event(events, last: PhaseState,
-                        mode: ClassifyMode) -> Event | None:
-    # An in-tube wiggle followed by a same-side tube exit is a real escape.
-    if not events:
-        return None
+def _promote_tube_event(events, last: PhaseState, mode: ClassifyMode) -> Event | None:
+    # An in-tube wiggle followed by a tube exit on its side is a real escape.
     if mode is ClassifyMode.F_FATE:
-        if last.f >= TUBE:
-            want = OutcomeTag.FPRIME_ZERO
-        elif last.f <= -TUBE:
-            want = OutcomeTag.F_ZERO
-        else:
-            return None
+        side = -1 if last.f >= TUBE else 1 if last.f <= -TUBE else 0
     else:
-        b = last.rho + last.t * last.rhop
-        if b <= 1.0 - TUBE:
-            want = (OutcomeTag.RHO_PRIME_ZERO, OutcomeTag.RHO_ZERO)
-        elif b >= 1.0 + TUBE:
-            want = OutcomeTag.RHO_CROSS_VEV
-        else:
-            return None
-    for ev in events:
-        if ev.tag is want or (isinstance(want, tuple) and ev.tag in want):
-            return ev
-    return None
+        b = last.asymptote
+        side = -1 if b <= 1.0 - TUBE else 1 if b >= 1.0 + TUBE else 0
+    return next((ev for ev in events if _EVENTS[ev.tag].side == side), None)

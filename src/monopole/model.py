@@ -98,6 +98,11 @@ class PhaseState:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.f, self.fp, self.rho, self.rhop)
 
+    @property
+    def asymptote(self) -> float:
+        """The extrapolated Higgs asymptote b = rho + t rho' (see integrator.in_tube)."""
+        return self.rho + self.t * self.rhop
+
 
 def nondimensionalize(params: ModelParams) -> ScaledParams:
     """Rescale (lam, g0, rho0) to the one-parameter dimensionless frame."""

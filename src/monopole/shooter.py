@@ -72,11 +72,6 @@ _ALPHA_SEED = 1.0 / 6.0
 _BETA_SEED = 1.0 / 3.0
 # Multiple of t_max an undecided run is continued to, once, in either fate.
 _ESCALATION = 4
-# Side of the gauge separatrix a decisive F_FATE outcome lies on.
-_GAUGE_SIDE = {OutcomeTag.FPRIME_ZERO: -1, OutcomeTag.F_ZERO: 1}
-# Side of the beta separatrix a decisive RHO_FATE outcome lies on.
-_HIGGS_SIDE = {OutcomeTag.RHO_PRIME_ZERO: -1, OutcomeTag.RHO_ZERO: -1,
-               OutcomeTag.RHO_CROSS_VEV: 1}
 # The predicted inner pair (see _Continuation): its half-width in
 # multiples of the last prediction's miss and of tol_alpha, and its tries.
 _MISS_MARGIN = 4.0
@@ -145,12 +140,6 @@ def _gauge_fate(point: ShootPoint, lambda_hat: float,
     return out, run
 
 
-def _extrapolated_vev_gap(traj: Trajectory) -> float:
-    """b - 1 where b = rho + t rho' is the extrapolated Higgs asymptote."""
-    state = traj.last_state()
-    return state.rho + state.t * state.rhop - 1.0
-
-
 def _higgs_distance(state: PhaseState, lambda_hat: float, t_max: float) -> float:
     """The vev gap that the linear Higgs tail through state reaches at t_max.
 
@@ -165,7 +154,7 @@ def _higgs_distance(state: PhaseState, lambda_hat: float, t_max: float) -> float
     """
     k = math.sqrt(2.0 * lambda_hat)
     t = state.t
-    gap = state.rho + t * state.rhop - 1.0
+    gap = state.asymptote - 1.0
     ku = k * t * (state.rho - 1.0)
     return (((gap + ku) * math.exp(-k * t) + (gap - ku) * math.exp(k * (t - 2.0 * t_max)))
             / (1.0 + math.exp(-2.0 * k * t_max)))
@@ -366,7 +355,7 @@ def _gauge_probe(beta: float, lambda_hat: float, controls: IntegratorControls):
     """
     def probe(a: float) -> Probe:
         out, run = _gauge_fate(ShootPoint(alpha=a, beta=beta), lambda_hat, controls)
-        side = _GAUGE_SIDE.get(out.tag, 0)
+        side = out.side
         return Probe(a, side, side * math.exp(-2.0 * out.t_event) if side else None,
                      out, run)
     return probe
@@ -426,10 +415,9 @@ def _settled_side(lo: Probe, hi: Probe) -> int:
     sides = []
     for p in (lo, hi):
         out = classify(p.run, ClassifyMode.RHO_FATE)
-        side = _HIGGS_SIDE.get(out.tag, 0)
-        if not side or out.t_event > p.outcome.t_event - _SETTLE_LEAD:
+        if not out.side or out.t_event > p.outcome.t_event - _SETTLE_LEAD:
             return 0
-        sides.append(side)
+        sides.append(out.side)
     return sides[0] if sides[0] == sides[1] else 0
 
 
@@ -452,7 +440,7 @@ def _bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
     if side:
         mid = probe(0.5 * (lo.x + hi.x))
         out = classify(mid.run, ClassifyMode.RHO_FATE)
-        if mid.side and _HIGGS_SIDE.get(out.tag) == side:
+        if mid.side and out.side == side:
             return AlphaResult(alpha_star=mid.x, bracket=Bracket(lo, hi),
                                trajectory=mid.run, resolved="settled")
         if mid.side < 0:
@@ -550,7 +538,8 @@ def _higgs_fate(result: AlphaResult,
     """
     traj = result.trajectory
     out = classify(traj, ClassifyMode.RHO_FATE)
-    if out.tag is OutcomeTag.HORIZON and abs(_extrapolated_vev_gap(traj)) <= 10.0 * TUBE:
+    gap = traj.last_state().asymptote - 1.0
+    if out.tag is OutcomeTag.HORIZON and abs(gap) <= 10.0 * TUBE:
         traj = extend(traj, replace(controls, t_max=controls.t_max * _ESCALATION))
         out = classify(traj, ClassifyMode.RHO_FATE)
     return out, traj
@@ -573,14 +562,13 @@ def _outer_side(ar: AlphaResult, out: Outcome, traj: Trajectory,
     and the distance that gap over cosh(k t_end), _higgs_distance there:
     the gap itself at lambda_hat = 0.
     """
-    side = _HIGGS_SIDE.get(out.tag, 0)
     t_max = ar.trajectory.controls.t_max
-    if not side:
-        gap = _extrapolated_vev_gap(traj)
+    if not out.side:
+        gap = traj.last_state().asymptote - 1.0
         e = math.exp(-math.sqrt(2.0 * lambda_hat) * traj.t_end)
         return (-1 if gap < 0.0 else 1), 2.0 * gap * e / (1.0 + e * e)
     if not _modes_split(lambda_hat, t_max):
-        return side, None
+        return out.side, None
     if ar.resolved == "settled":
         lo, hi = ar.bracket.lo, ar.bracket.hi
         h_lo, h_hi = (_event_distance(p.run, classify(p.run, ClassifyMode.RHO_FATE),
@@ -588,7 +576,7 @@ def _outer_side(ar: AlphaResult, out: Outcome, traj: Trajectory,
         d = (hi.distance * h_lo - lo.distance * h_hi) / (hi.distance - lo.distance)
     else:
         d = _event_distance(traj, out, lambda_hat, t_max)
-    return side, (d if (d < 0.0) == (side < 0) else None)
+    return out.side, (d if (d < 0.0) == (out.side < 0) else None)
 
 
 @dataclass
@@ -606,9 +594,12 @@ class SolveReport:
     residual_norm: float | None
     energy: float | None
     outcome_log: list = field(default_factory=list)
-    n_beta_evaluations: int = 0
     alpha_resolved: str = "bisection"
     controls: IntegratorControls | None = None
+
+    @property
+    def n_beta_evaluations(self) -> int:
+        return len(self.outcome_log)
 
 
 # Bracket widths, alpha and beta alike, of bisect_beta's stage one and polish.
@@ -728,8 +719,7 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None) -
         beta_star_hat=beta_star, alpha_bracket=ar_star.bracket,
         beta_bracket=beta_bracket, converged=converged, profile=profile,
         audit=audit, residual_norm=residual, energy=energy,
-        outcome_log=log, n_beta_evaluations=len(log),
-        alpha_resolved=ar_star.resolved, controls=controls)
+        outcome_log=log, alpha_resolved=ar_star.resolved, controls=controls)
 
 
 def sweep(alphas, betas, lambda_hat: float,

@@ -8,6 +8,7 @@ from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop853
@@ -569,14 +570,98 @@ def test_extend_keeps_the_series_span():
 def test_integrate_series_hands_over_at_a_reach_below_t0():
     # no truncation of the series holds past its reach: a series that does
     # not reach t0 starts the run at its reach, with no series piece, and
-    # DOP853 steps on from there
-    series = expand_series(ShootPoint(1e12, 1.0), 0.0)
+    # DOP853 steps on from there (|f'| ~ 855 < 1e3 at that reach)
+    series = expand_series(ShootPoint(6e5, 0.3), 0.0)
     controls = IntegratorControls()
     assert 0.0 < series.reach < controls.t0
     traj = integrate_series(series, controls)
-    assert (traj.t0, traj.ts[0], traj._span) == (series.reach, series.reach, 0)
+    assert (traj.ts[0], traj._span) == (series.reach, 0)
     assert traj.ys[0] == series.state(series.reach)
     assert traj.n_steps == len(traj.ts) - 1 > 0
+
+
+def test_a_start_past_a_blowup_bound_is_a_one_sample_blowup():
+    # a run whose first sample already breaks a bound ends there, as the
+    # step to that sample would have ended it, and not one step later
+    for alpha, beta in ((1e12, 1.0), (1e6, 0.3)):
+        series = expand_series(ShootPoint(alpha, beta), 0.0)
+        traj = integrate_series(series, IntegratorControls())
+        assert abs(series.state(series.reach)[1]) > 1e3
+        assert (traj.ts, traj.n_steps) == ([series.reach], 0)
+        assert (traj.ended, traj.blowup_channel) == ("blowup", "slope")
+        out = classify(traj, ClassifyMode.F_FATE)
+        assert (out.tag, out.t_event) == (OutcomeTag.BLOWUP, series.reach)
+    # integrate's start gets the same rule
+    for start, channel in ((PhaseState(1.0, 0.5, -2e3, 0.5, 0.0), "slope"),
+                           (PhaseState(1.0, 0.5, 0.0, 2.5, 0.0), "rho")):
+        traj = integrate(start, 0.0, IntegratorControls())
+        assert (traj.ts, traj.ended, traj.blowup_channel) == ([1.0], "blowup", channel)
+
+
+def _refinements(monkeypatch):
+    """The (t_event, level) of every crossing refine_event bisects from now on."""
+    calls = []
+
+    def recording(value, t_lo, t_hi, level=0.0):
+        t = refine_event(value, t_lo, t_hi, level)
+        calls.append((t, level))
+        return t
+    monkeypatch.setattr(integrator, "refine_event", recording)
+    return calls
+
+
+def test_a_crossing_outside_its_window_is_refined_and_dropped(monkeypatch):
+    # f' rises through 0 with f > 1, and rho' falls through 0 with rho < 0:
+    # each crossing is bisected, and its state, outside the event's window,
+    # is no event
+    calls = _refinements(monkeypatch)
+    traj = integrate(PhaseState(1.0, 1.2, -0.1, 0.1, 0.0), 0.0, IntegratorControls())
+    (t_e, _), = calls
+    assert traj.state_at(t_e).f > 1.0 and abs(traj.state_at(t_e).fp) < 1e-9
+    assert (traj.f_events, traj.rho_events, traj.blowup_channel) == ([], [], "f")
+    calls.clear()
+    traj = integrate(PhaseState(1.0, 0.5, 0.0, -0.5, 0.2), 0.0, IntegratorControls())
+    t_e = calls[0][0]
+    assert traj.state_at(t_e).rho < 0.0 and abs(traj.state_at(t_e).rhop) < 1e-9
+    assert traj.rho_events == [] and [ev.t for ev in traj.f_events] == [calls[1][0]]
+
+
+def test_fzero_window_on_a_synthetic_step(monkeypatch):
+    # f falls through 0 on a step whose f' reads >= 0 there: the crossing
+    # is refined and dropped.  No run reaches this window: f = 0 is an
+    # invariant line of the f equation, so a solution crosses it with
+    # f' < 0 or not at all
+    class Step:
+        t, t_end = 1.0, 2.0
+
+        def __init__(self, fp):
+            self.fp = fp
+
+        def eval(self, t):
+            return (1.5 - t, self.fp, 0.5, 0.0)
+
+        def component(self, i):
+            return lambda t: self.eval(t)[i]
+    calls = _refinements(monkeypatch)
+    for fp, found in ((0.0, False), (-0.1, True)):
+        traj = Trajectory(lambda_hat=0.0, controls=IntegratorControls())
+        step = Step(fp)
+        assert integrator._scan_events(traj, step, step.eval(1.0), step.eval(2.0)) is found
+        assert [ev.tag for ev in traj.f_events] == [OutcomeTag.F_ZERO] * found
+    assert calls == [(1.5, 0.0)] * 2
+
+
+_LEVELS = (0.0, -0.0, 1.0, 5e-324, -5e-324, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52)
+_COMPONENT = st.sampled_from(_LEVELS) | st.floats(-3.0, 3.0)
+_STATE = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT, _COMPONENT)
+
+
+@given(_STATE, _STATE)
+def test_sign_change_is_the_event_tables_crossing_column(ya, yb):
+    # the sign test that gates every step's event scan fires exactly when
+    # one row of the table crosses, also on a state that sits on a level
+    rows = integrator._EVENTS.values()
+    assert integrator._sign_change(ya, yb) == any(row.crosses(ya, yb) for row in rows)
 
 
 def test_rho_blowup_after_a_tube_gauge_event_keeps_its_side():
@@ -585,7 +670,7 @@ def test_rho_blowup_after_a_tube_gauge_event_keeps_its_side():
     # rho^2 f term keeps pushing f up.  The Higgs fate is the blowup
     state = PhaseState(t=15.0, f=1e-3, fp=0.0, rho=1.0, rhop=1e-3)
     last = (5e-3, 2e-2, 2.5, 30.0)
-    traj = Trajectory(t0=1e-3, lambda_hat=1.0, controls=IntegratorControls(),
+    traj = Trajectory(lambda_hat=1.0, controls=IntegratorControls(),
                       ts=[1e-3, 15.0, 23.0], ys=[(1.0, 0.0, 0.0, 0.8), state.as_tuple(), last],
                       f_events=[Event(OutcomeTag.FPRIME_ZERO, 15.0, state, in_tube=True)],
                       ended="blowup", blowup_channel="rho")
@@ -595,7 +680,7 @@ def test_rho_blowup_after_a_tube_gauge_event_keeps_its_side():
     # with f out of the tube, or no gauge event, the blowup stands
     for ys, events in (([*traj.ys[:2], (-2 * TUBE, *last[1:])], traj.f_events),
                        (traj.ys, [])):
-        other = Trajectory(t0=1e-3, lambda_hat=1.0, controls=traj.controls, ts=traj.ts,
+        other = Trajectory(lambda_hat=1.0, controls=traj.controls, ts=traj.ts,
                            ys=ys, f_events=events, ended="blowup", blowup_channel="rho")
         assert classify(other, ClassifyMode.F_FATE).tag is OutcomeTag.BLOWUP
     # a polish-stage probe next to the lambda_hat = 1 separatrix: continued

@@ -444,7 +444,7 @@ def test_settled_inner_solves_agree_with_their_ends(lambda_hat, monkeypatch):
     for res in settled:
         side = shooter._settled_side(res.bracket.lo, res.bracket.hi)
         out = classify(res.trajectory, ClassifyMode.RHO_FATE)
-        assert side != 0 and shooter._HIGGS_SIDE[out.tag] == side
+        assert side != 0 and out.side == side
     assert rep.alpha_resolved != "settled"
     assert rep.alpha_bracket.width <= 1e-11
 
@@ -584,8 +584,8 @@ def test_outer_probe_with_no_event_reads_the_vev_gap_at_lambda_0():
     track = shooter._Continuation()
     for beta in (1.0 / 3.0 - 1e-6, 1.0 / 3.0, 1.0 / 3.0 + 1e-6):
         _, out, traj, (side, d) = _outer_probe(beta, 0.0, track)
-        assert out.tag not in shooter._HIGGS_SIDE
-        assert d == shooter._extrapolated_vev_gap(traj)
+        assert out.side == 0
+        assert d == traj.last_state().asymptote - 1.0
         assert side == (-1 if d < 0.0 else 1)
 
 
@@ -600,7 +600,7 @@ def test_event_distances_share_one_slope_across_beta_star(lam1):
         for sign in (-1, 1):
             offset = sign * 10.0 ** -n
             _, out, _, (side, d) = _outer_probe(lam1.beta_star_hat + offset, 1.0, track)
-            if out.tag in shooter._HIGGS_SIDE:
+            if out.side:
                 assert side == sign and d is not None
                 ratios.append(d / offset)
     assert len(ratios) >= 12
@@ -685,7 +685,7 @@ def test_small_lambda_solves_keep_the_bisected_outer_search():
     assert shooter._modes_split(0.05, CONTROLS.t_max)
     track = shooter._Continuation()
     _, out, _, (side, d) = _outer_probe(shooter._BETA_SEED, 0.0136, track)
-    assert out.tag in shooter._HIGGS_SIDE and side == -1 and d is None
+    assert out.side != 0 and side == -1 and d is None
     for lam, energy in ((0.0064, 1.1134039083873024), (0.0136, 1.0843187968385173),
                         (0.0148, 1.0833059420932185)):
         rep = bisect_beta(lam)
@@ -888,13 +888,13 @@ def test_higgs_fate_continues_once_as_twice():
                            (0.38983914081046134, 0.8727038705428092, POLISH)):
         run = shoot(ShootPoint(alpha, beta), 1.0, c)
         assert classify(run, ClassifyMode.RHO_FATE).tag is OutcomeTag.HORIZON
-        assert abs(shooter._extrapolated_vev_gap(run)) <= 10.0 * TUBE
+        assert abs(run.last_state().asymptote - 1.0) <= 10.0 * TUBE
         twice = run
         for mult in (2, 4):
             twice = extend(twice, replace(c, t_max=mult * c.t_max))
             want = classify(twice, ClassifyMode.RHO_FATE)
             if (want.tag is not OutcomeTag.HORIZON
-                    or abs(shooter._extrapolated_vev_gap(twice)) > 10.0 * TUBE):
+                    or abs(twice.last_state().asymptote - 1.0) > 10.0 * TUBE):
                 break
         stops.append((twice.controls.t_max, want.tag))
         # _higgs_fate reads only the inner solve's run
