@@ -53,14 +53,14 @@ reach, past the 1/t^2 layer at the origin, where it would otherwise hold
 every step near h ~ 0.1 t and leave its largest error.  state_at and
 resample read the span off the series; n_steps counts DOP853 steps only.
 
-extend continues a finished run to a later horizon.  t_max enters a run
-only where it clips a step, so a longer run repeats this one exactly up
-to its first clipped step, the first one included; the run records that
-point and extend resumes there, giving the same samples, events and
-verdict as integrate (or integrate_series) would.  Asked to, extend also
-ends the continued run at its first gauge event, in the tube or not, and
-classify reads that event as the run's verdict; an event the prefix
-already holds cuts the run back to the step that found it.
+extend continues a gauge probe still undecided at its horizon to a
+later one, up to its first gauge event, in the tube or not, which
+classify reads as the verdict; no Higgs fate is continued.  t_max enters
+a run only where it clips a step, so a longer run repeats this one
+exactly up to its first clipped step, the first one included; the run
+records that point and extend resumes there, giving integrate's samples
+and events up to that gauge event.  An event the prefix already holds
+cuts the run back to the step that found it.
 """
 from __future__ import annotations
 
@@ -266,7 +266,7 @@ class Trajectory:
     # fired; the stage is None when the horizon ended the run inside its
     # series span.
     _resume: tuple | None = field(default=None, repr=False)
-    # Whether every f event ends the run, in the tube or not (see extend).
+    # Whether every f event ends the run, in the tube or not (extend's runs).
     _to_gauge_event: bool = field(default=False, repr=False)
 
     @property
@@ -486,45 +486,43 @@ class _SeriesPiece:
         self.component, self.eval = series.component, series.state
 
 
-def extend(traj: Trajectory, controls: IntegratorControls,
-           to_gauge_event: bool = False) -> Trajectory:
-    """The run integrate gives at the later horizon controls.t_max, reusing traj.
+def extend(traj: Trajectory, controls: IntegratorControls) -> Trajectory:
+    """traj continued to the later horizon controls.t_max, to its first gauge event.
 
     controls may differ from traj.controls only by a t_max at least as
     large.  Before the first step that the horizon clips, t_max decides
     nothing, so a longer run is the same step for step up to there; the
     new run copies that prefix and continues with the saved unclipped
-    step.  A run that never reached its horizon is returned with the new
-    controls, and one that the horizon ended inside its series span is
-    run afresh on its series.  traj itself is left unchanged.
-
-    With to_gauge_event the new run also ends at its first f event, in
-    the tube or not: the continuation stops on the step that finds one,
-    and a run whose prefix already holds one is cut back to the step (or
-    series piece) that found it.  Up to that event it is the run above.
+    step.  It ends at its first f event, in the tube or not: the
+    continuation stops on the step that finds one, and a run whose
+    prefix already holds one is cut back to the step (or series piece)
+    that found it.  Up to that event it is the run integrate gives at
+    the later horizon.  A run that never reached its horizon is returned
+    with the new controls, and one that the horizon ended inside its
+    series span is run afresh on its series.  traj itself is left
+    unchanged.
     """
     if (controls.t_max < traj.controls.t_max
             or replace(traj.controls, t_max=controls.t_max) != controls):
         raise DomainError("extend only moves the horizon of a run outward")
-    if to_gauge_event:
-        # the f events found before the first horizon clip, which a longer
-        # run finds too; the clipped step's own are found again
-        head = traj.f_events if traj._resume is None else traj.f_events[:traj._resume[1]]
-        if head and head[0].in_tube:
-            return _cut_at(traj, head[0], controls)
+    # the f events found before the first horizon clip, which a longer run
+    # finds too; the clipped step's own are found again
+    head = traj.f_events if traj._resume is None else traj.f_events[:traj._resume[1]]
+    if head and head[0].in_tube:
+        return _cut_at(traj, head[0], controls)
     if traj._resume is None:
         return replace(traj, controls=controls)
     n, n_f, n_rho, k1, h = traj._resume
     if k1 is None:
         new = integrate_series(traj.series, controls)
-        if to_gauge_event and new.f_events and new.f_events[0].in_tube:
+        if new.f_events and new.f_events[0].in_tube:
             new = _cut_at(new, new.f_events[0], controls)
     else:
         m = traj._span + n
         new = Trajectory(lambda_hat=traj.lambda_hat, controls=controls, ts=traj.ts[:m + 1],
                          ys=traj.ys[:m + 1], segments=traj.segments[:n],
                          f_events=traj.f_events[:n_f], rho_events=traj.rho_events[:n_rho],
-                         series=traj.series, _span=traj._span, _to_gauge_event=to_gauge_event)
+                         series=traj.series, _span=traj._span, _to_gauge_event=True)
         _advance(new, k1, h)
     new.alpha, new.beta = traj.alpha, traj.beta
     return new
@@ -813,17 +811,16 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
 def _scan_events(traj: Trajectory, seg, ya: tuple, yb: tuple) -> bool:
     """Refine sign changes over one accepted step or series piece.
 
-    True if a terminal event fired.  Each crossing is bisected on the one
-    component of seg (a DenseSegment or a _SeriesPiece) whose sign
-    changes, and the full state is read once at the refined time.
+    Called only where _sign_change fired, so at least one row of _EVENTS
+    crosses.  True if a terminal event fired.  Each crossing is bisected
+    on the one component of seg (a DenseSegment or a _SeriesPiece) whose
+    sign changes, and the full state is read once at the refined time.
     """
     found = []  # (t, tag, row, state)
     for tag, row in _EVENTS.items():
         if row.crosses(ya, yb):
             t_e = refine_event(seg.component(row.i), seg.t, seg.t_end, row.level)
             found.append((t_e, tag, row, seg.eval(t_e)))
-    if not found:
-        return False
 
     f_times = [t for t, _, row, _ in found if row.i < 2]
     if len(f_times) == 2 and abs(f_times[0] - f_times[1]) <= EVENT_TOL:
@@ -860,9 +857,9 @@ def classify(traj: Trajectory, mode: ClassifyMode) -> Outcome:
     the tube: the growing rho^2 f term of f'' then pushes f further in
     the direction of its own sign, so the side that event pointed to
     holds.  For the same reason FFate reads a run that extend ended on
-    an in-tube gauge event (to_gauge_event) from its first f event.  A
-    run with no sample, whose series overflows, is Blowup at t0 in
-    either mode.
+    an in-tube gauge event from its first f event; no Higgs fate is
+    continued, so RhoFate reads a run at its plain horizon.  A run with
+    no sample, whose series overflows, is Blowup at t0 in either mode.
     """
     if not traj.ended:
         raise DomainError("classify needs a finished trajectory")

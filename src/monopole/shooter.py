@@ -27,13 +27,13 @@ narrowed to tol_alpha.
 Near the double separatrix every numerical trajectory eventually peels
 off, since the gauge deviation grows like e^t and, for lambda_hat > 0,
 the Higgs deviation like e^{sqrt(2 lambda_hat) t}.  Two consequences
-shape the code: a run that is still inside the convergence tube at the
-horizon is not accepted but continued past it, where the exponential
-separation makes the verdict visible (once, to 4x t_max; a gauge probe
-only up to its first gauge event, which decides it); and the solver
-finishes with a polish pass at profile-grade tolerance, reporting a
-profile that demonstrably entered the tube; analysis.graft_tail continues
-that run past its graft radius and the diagnostics read it there.
+shape the code: a gauge probe still undecided at the horizon is
+continued once, to 4x t_max, up to its first gauge event, which the
+exponential separation makes the verdict (a Higgs fate is read at the
+plain horizon, off the vev gap when no Higgs event decided it); and the
+solver finishes with a polish pass at profile-grade tolerance, reporting
+a profile that demonstrably entered the tube; analysis.graft_tail
+continues that run past its graft radius and the diagnostics read it there.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 from . import analysis
 from .errors import BracketingError, DomainError, IntegrityError, MonopoleError
-from .integrator import (TUBE, ClassifyMode, IntegratorControls, Outcome, OutcomeTag,
+from .integrator import (ClassifyMode, IntegratorControls, Outcome, OutcomeTag,
                          Trajectory, classify, extend, integrate_series)
 from .model import PhaseState, check_lambda_hat
 from .origin_series import (OriginSeries, ShootPoint, check_t0, expand_batch,
@@ -70,7 +70,7 @@ _BETA_CEIL = 1e12
 # Starting points of the bracket searches: the lambda_hat = 0 answer.
 _ALPHA_SEED = 1.0 / 6.0
 _BETA_SEED = 1.0 / 3.0
-# Multiple of t_max an undecided run is continued to, once, in either fate.
+# Multiple of t_max an undecided gauge probe is continued to (_gauge_fate).
 _ESCALATION = 4
 # The predicted inner pair (see _Continuation): its half-width in
 # multiples of the last prediction's miss and of tol_alpha, and its tries.
@@ -136,7 +136,7 @@ def _gauge_fate(point: ShootPoint, lambda_hat: float,
     out = classify(run, ClassifyMode.F_FATE)
     if out.tag in (OutcomeTag.HORIZON, OutcomeTag.CONVERGED):
         far = replace(controls, t_max=controls.t_max * _ESCALATION)
-        out = classify(extend(run, far, to_gauge_event=True), ClassifyMode.F_FATE)
+        out = classify(extend(run, far), ClassifyMode.F_FATE)
     return out, run
 
 
@@ -175,15 +175,13 @@ def _modes_split(lambda_hat: float, t_max: float) -> bool:
         math.exp(-2.0 * math.sqrt(2.0 * lambda_hat) * t_max) < _MODE_SPLIT
 
 
-def _event_distance(run: Trajectory, out: Outcome, lambda_hat: float,
-                    t_max: float) -> float:
-    """_higgs_distance on run _SETTLE_LEAD before its Higgs event out.
+def _event_distance(run: Trajectory, out: Outcome, lambda_hat: float) -> float:
+    """_higgs_distance to run's horizon, _SETTLE_LEAD before its Higgs event out.
 
-    The radius is clipped into the run and to t_max: an event that the
-    continued run met past the horizon is read at the horizon.
+    The radius is clipped into the run, which ends by its horizon.
     """
-    t = min(max(out.t_event - _SETTLE_LEAD, run.ts[0]), run.t_end, t_max)
-    return _higgs_distance(run.state_at(t), lambda_hat, t_max)
+    t = min(max(out.t_event - _SETTLE_LEAD, run.ts[0]), run.t_end)
+    return _higgs_distance(run.state_at(t), lambda_hat, run.controls.t_max)
 
 
 @dataclass(frozen=True)
@@ -528,54 +526,38 @@ def _alpha_at(beta: float, lambda_hat: float, controls: IntegratorControls,
     return ar
 
 
-def _higgs_fate(result: AlphaResult,
-                controls: IntegratorControls) -> tuple[Outcome, Trajectory]:
-    """RhoFate of the alpha-separatrix trajectory, continuing an undecided run.
-
-    Far from the tube the extrapolated asymptote decides immediately;
-    only a run that is still genuinely ambiguous at the horizon is
-    continued, once, to _ESCALATION times t_max.
-    """
-    traj = result.trajectory
-    out = classify(traj, ClassifyMode.RHO_FATE)
-    gap = traj.last_state().asymptote - 1.0
-    if out.tag is OutcomeTag.HORIZON and abs(gap) <= 10.0 * TUBE:
-        traj = extend(traj, replace(controls, t_max=controls.t_max * _ESCALATION))
-        out = classify(traj, ClassifyMode.RHO_FATE)
-    return out, traj
-
-
-def _outer_side(ar: AlphaResult, out: Outcome, traj: Trajectory,
+def _outer_side(ar: AlphaResult, out: Outcome,
                 lambda_hat: float) -> tuple[int, float | None]:
     """Side and signed distance of the outer probe whose inner solve is ar.
 
-    out is the Higgs fate of traj, the run of ar's answer.  A decisive
-    Higgs event gives the side, and the distance is _higgs_distance at
-    the plain horizon, read _SETTLE_LEAD before that event.  A settled
-    inner solve's alpha is the midpoint of a bracket wider than
-    tol_alpha, so there the distance is read on both end runs instead
-    and interpolated linearly to the regula falsi alpha of their gauge
-    distances.  An event distance is kept only where _modes_split and
-    when its sign agrees with the side, else None.  With no decisive
-    event (the lambda_hat = 0 regime, or a run cut short by a blowup) the
+    out is the Higgs fate of ar.trajectory, the run of ar's answer over
+    the plain horizon.  A decisive Higgs event gives the side, and the
+    distance is _higgs_distance at the plain horizon, read _SETTLE_LEAD
+    before that event.  A settled inner solve's alpha is the midpoint of
+    a bracket wider than tol_alpha, so there the distance is read on both
+    end runs instead and interpolated linearly to the regula falsi alpha
+    of their gauge distances.  An event distance is kept only where
+    _modes_split and when its sign agrees with the side, else None.
+    With no decisive event (the lambda_hat = 0 regime, a run in the tube
+    or still undecided at the horizon, or one cut short by a blowup) the
     side is the sign of the extrapolated vev gap at the end of the run,
     and the distance that gap over cosh(k t_end), _higgs_distance there:
     the gap itself at lambda_hat = 0.
     """
-    t_max = ar.trajectory.controls.t_max
+    traj = ar.trajectory
     if not out.side:
         gap = traj.last_state().asymptote - 1.0
         e = math.exp(-math.sqrt(2.0 * lambda_hat) * traj.t_end)
         return (-1 if gap < 0.0 else 1), 2.0 * gap * e / (1.0 + e * e)
-    if not _modes_split(lambda_hat, t_max):
+    if not _modes_split(lambda_hat, traj.controls.t_max):
         return out.side, None
     if ar.resolved == "settled":
         lo, hi = ar.bracket.lo, ar.bracket.hi
         h_lo, h_hi = (_event_distance(p.run, classify(p.run, ClassifyMode.RHO_FATE),
-                                      lambda_hat, t_max) for p in (lo, hi))
+                                      lambda_hat) for p in (lo, hi))
         d = (hi.distance * h_lo - lo.distance * h_hi) / (hi.distance - lo.distance)
     else:
-        d = _event_distance(traj, out, lambda_hat, t_max)
+        d = _event_distance(traj, out, lambda_hat)
     return out.side, (d if (d < 0.0) == (out.side < 0) else None)
 
 
@@ -652,8 +634,8 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None) -
         """
         nonlocal candidate
         ar = _alpha_at(beta, lambda_hat, c, tol_a, track, settle=True)
-        out, traj = _higgs_fate(ar, c)
-        side, distance = _outer_side(ar, out, traj, lambda_hat)
+        out = classify(ar.trajectory, ClassifyMode.RHO_FATE)
+        side, distance = _outer_side(ar, out, lambda_hat)
         if out.tag is OutcomeTag.CONVERGED:
             candidate = (beta, ar)
         log.append((beta, ar.alpha_star, out.tag.value, "A" if side < 0 else "B"))

@@ -174,6 +174,16 @@ def test_resample_matches_state_at():
         traj.resample([math.nan])
 
 
+def test_resample_on_the_series_span_alone_matches_state_at():
+    # radii that all lie on the series span are read off the series only
+    traj = integrate_series(expand_series(ShootPoint(1 / 6, 1 / 3), 0.0),
+                            IntegratorControls())
+    k = traj._span
+    assert k > 0 and traj.segments
+    ts = np.linspace(traj.ts[0], traj.ts[k], 9)
+    assert traj.resample(ts).tolist() == [list(traj.state_at(t).as_tuple()) for t in ts]
+
+
 def test_resample_without_segments_is_a_domain_error():
     # an immediate shot has one sample and no dense output
     traj = shoot(ShootPoint(1e-9, 0.3), 0.0, IntegratorControls())
@@ -203,6 +213,15 @@ def test_refine_event_synthetic_root():
     assert abs(state.f) < 1e-10
     with pytest.raises(NoEventError):
         refine_event(lambda t: interp(t).f, 0.2, 1.0)
+
+
+def test_refine_event_needs_an_interval_and_keeps_an_endpoint_on_the_level():
+    for t_lo, t_hi in ((2.0, 2.0), (2.0, 1.0)):
+        with pytest.raises(DomainError):
+            refine_event(math.cos, t_lo, t_hi)
+    # an endpoint exactly on the level is the crossing itself
+    assert refine_event(lambda t: t, 1.0, 2.0, level=1.0) == 1.0
+    assert refine_event(lambda t: t, 1.0, 2.0, level=2.0) == 2.0
 
 
 def test_in_tube_uses_extrapolated_asymptote():
@@ -287,13 +306,30 @@ def _assert_same_run(got, want):
     assert got.rho_events == want.rho_events
 
 
+def _to_first_gauge_event(run):
+    """run up to the end of the step that finds its first f event, ended there.
+
+    A run with no f event is itself.  The event lies in (ts[m - 1], ts[m]]
+    of the step that finds it; the run keeps the Higgs events before it.
+    """
+    if not run.f_events:
+        return run
+    ev = run.f_events[0]
+    m = next(i for i, t in enumerate(run.ts) if t >= ev.t)
+    return Trajectory(lambda_hat=run.lambda_hat, controls=run.controls,
+                      ts=run.ts[:m + 1], ys=run.ys[:m + 1],
+                      segments=run.segments[:max(m - run._span, 0)], f_events=[ev],
+                      rho_events=[e for e in run.rho_events if e.t < ev.t], ended="event")
+
+
 def test_extend_continues_a_horizon_run_exactly():
+    # up to its first gauge event, the continued run is the fresh one
     start = _start(1 / 6, 1 / 3, 0.0)
     c12, c24 = IntegratorControls(t_max=12.0), IntegratorControls(t_max=24.0)
     short = integrate(start, 0.0, c12)
     assert short.ended == "t_max"
     longer = extend(short, c24)
-    _assert_same_run(longer, integrate(start, 0.0, c24))
+    _assert_same_run(longer, _to_first_gauge_event(integrate(start, 0.0, c24)))
     # the input run is left as integrate made it
     _assert_same_run(short, integrate(start, 0.0, c12))
 
@@ -336,7 +372,8 @@ def test_extend_twice_matches_a_fresh_run():
     run = integrate(start, 0.0, IntegratorControls(t_max=12.0))
     run = extend(extend(run, IntegratorControls(t_max=24.0)),
                  IntegratorControls(t_max=48.0))
-    _assert_same_run(run, integrate(start, 0.0, IntegratorControls(t_max=48.0)))
+    _assert_same_run(run, _to_first_gauge_event(
+        integrate(start, 0.0, IntegratorControls(t_max=48.0))))
 
 
 def test_extend_to_the_first_gauge_event_cuts_a_restarted_run():
@@ -350,8 +387,8 @@ def test_extend_to_the_first_gauge_event_cuts_a_restarted_run():
     short = integrate_series(series, IntegratorControls(t_max=0.5))
     assert short._resume[3] is None
     far = IntegratorControls(t_max=48.0)
-    full = extend(short, far)
-    cont = extend(short, far, to_gauge_event=True)
+    full = integrate_series(series, far)
+    cont = extend(short, far)
     ev = full.f_events[0]
     assert ev.tag is OutcomeTag.F_ZERO and ev.in_tube
     assert (cont.ended, cont.f_events, cont.controls) == ("event", [ev], far)
@@ -363,12 +400,10 @@ def test_extend_to_the_first_gauge_event_cuts_a_restarted_run():
     assert (out.tag, out.t_event, out.detail) == (ev.tag, ev.t, "first gauge event")
     promoted = classify(full, ClassifyMode.F_FATE)
     assert (promoted.tag, promoted.t_event) == (ev.tag, ev.t)
-    # without the stop the run is the plain one; a run that an
-    # out-of-tube event ended is kept as it is
-    _assert_same_run(full, integrate_series(series, far))
+    # a run that an out-of-tube event ended is kept as it is
     start = _start(0.3, 0.87, 1.0)
     ended = integrate(start, 1.0, IntegratorControls())
-    _assert_same_run(extend(ended, far, to_gauge_event=True), integrate(start, 1.0, far))
+    _assert_same_run(extend(ended, far), integrate(start, 1.0, far))
 
 
 def test_extend_only_moves_the_horizon_outward():
@@ -598,6 +633,29 @@ def test_a_start_past_a_blowup_bound_is_a_one_sample_blowup():
         assert (traj.ts, traj.ended, traj.blowup_channel) == ([1.0], "blowup", channel)
 
 
+def test_a_step_to_a_non_finite_state_is_a_one_sample_blowup():
+    # at lambda_hat = 1e308 the first step's Higgs stages overflow: the
+    # run ends where it started, and classify reads a Blowup there
+    traj = integrate(PhaseState(1.0, 0.5, 0.0, 1.5, 0.0), 1e308, IntegratorControls())
+    assert (traj.ts, traj.n_steps) == ([1.0], 0)
+    assert (traj.ended, traj.blowup_channel) == ("blowup", "nonfinite")
+    for mode in ClassifyMode:
+        out = classify(traj, mode)
+        assert (out.tag, out.t_event, out.detail) == (OutcomeTag.BLOWUP, 1.0, "nonfinite")
+
+
+def test_integrate_and_classify_refuse_what_they_cannot_read():
+    # a start at or past the horizon, and a run that has not finished
+    for t in (12.0, 13.0):
+        with pytest.raises(DomainError, match="below t_max"):
+            integrate(PhaseState(t, 0.5, 0.0, 0.5, 0.0), 0.0, IntegratorControls())
+    unfinished = Trajectory(lambda_hat=0.0, controls=IntegratorControls(), ts=[1.0],
+                            ys=[(0.5, 0.0, 0.5, 0.0)])
+    for mode in ClassifyMode:
+        with pytest.raises(DomainError, match="finished"):
+            classify(unfinished, mode)
+
+
 def _refinements(monkeypatch):
     """The (t_event, level) of every crossing refine_event bisects from now on."""
     calls = []
@@ -683,18 +741,16 @@ def test_rho_blowup_after_a_tube_gauge_event_keeps_its_side():
         other = Trajectory(lambda_hat=1.0, controls=traj.controls, ts=traj.ts,
                            ys=ys, f_events=events, ended="blowup", blowup_channel="rho")
         assert classify(other, ClassifyMode.F_FATE).tag is OutcomeTag.BLOWUP
-    # a polish-stage probe next to the lambda_hat = 1 separatrix: continued
-    # to 2 t_max, its f turns up in the tube at t ~ 15 and rho blows up at
+    # a polish-stage probe next to the lambda_hat = 1 separatrix: run to
+    # 2 t_max, its f turns up in the tube at t ~ 15 and rho blows up at
     # t ~ 23, while alpha + 2e-12 crosses f = 0 at t ~ 14.7
-    polish = IntegratorControls(rel_tol=1e-12, abs_tol=1e-14)
+    far = IntegratorControls(rel_tol=1e-12, abs_tol=1e-14, t_max=24.0)
     alpha, beta = 0.3898391408156725, 0.8727038705525099
-    run = extend(shoot(ShootPoint(alpha, beta), 1.0, polish),
-                 IntegratorControls(rel_tol=1e-12, abs_tol=1e-14, t_max=24.0))
+    run = shoot(ShootPoint(alpha, beta), 1.0, far)
     assert (run.ended, run.blowup_channel) == ("blowup", "rho")
     assert [(ev.tag, ev.in_tube) for ev in run.f_events] == [(OutcomeTag.FPRIME_ZERO, True)]
     out = classify(run, ClassifyMode.F_FATE)
     assert (out.tag, out.t_event) == (OutcomeTag.FPRIME_ZERO, run.f_events[0].t)
-    above = shoot(ShootPoint(alpha + 2e-12, beta), 1.0, polish)
-    above = extend(above, IntegratorControls(rel_tol=1e-12, abs_tol=1e-14, t_max=24.0))
+    above = shoot(ShootPoint(alpha + 2e-12, beta), 1.0, far)
     out_above = classify(above, ClassifyMode.F_FATE)
     assert out_above.tag is OutcomeTag.F_ZERO and out_above.t_event < out.t_event

@@ -11,12 +11,11 @@ from numpy.testing import assert_allclose
 from monopole import analysis, integrator, origin_series, shooter
 from monopole.errors import (BracketingError, DomainError, FitDomainError, HandoffError,
                              IntegrityError)
-from monopole.integrator import (TUBE, ClassifyMode, IntegratorControls, Outcome,
-                                 OutcomeTag, classify, extend)
+from monopole.integrator import (ClassifyMode, IntegratorControls, Outcome, OutcomeTag,
+                                 classify, extend)
 from monopole.origin_series import T0_MAX, ShootPoint, expand_batch, expand_series
-from monopole.shooter import (AlphaResult, Bracket, Probe, _centred_bracket,
-                              _expand_bracket, bisect_alpha, bisect_beta,
-                              bracket_alpha, shoot, sweep)
+from monopole.shooter import (Bracket, Probe, _centred_bracket, _expand_bracket,
+                              bisect_alpha, bisect_beta, bracket_alpha, shoot, sweep)
 from monopole.model import PhaseState, ps_exact
 
 
@@ -187,6 +186,15 @@ def _narrow(distance, lo, hi, tol):
     assert stop is None
     assert [lo.x, hi.x] == bracket
     return n, lo.x, hi.x
+
+
+def test_narrow_stops_on_a_bracket_one_ulp_wide():
+    # no float lies strictly between the ends, so no probe is made
+    lo, hi = Probe(1.0, -1, -1.0, None), Probe(math.nextafter(1.0, 2.0), 1, 1.0, None)
+
+    def probe(x):
+        raise AssertionError(f"probed {x}")
+    assert shooter._narrow(probe, lo, hi, 0.0) == (lo, hi, None)
 
 
 def _bisection_count(w, tol):
@@ -498,13 +506,15 @@ def test_lambda_1p2_solve_converges_on_the_candidate_fallback(monkeypatch):
 
 
 def test_answers_are_those_of_the_two_step_gauge_continuation(lam0, lam0p42, lam1):
-    # (alpha*, beta*, beta evaluations) exactly, and E to rounding, as
-    # they were when an undecided gauge probe was continued to 2x and then
-    # 4x t_max: stopping the continuation at its first gauge event moves
-    # no verdict
+    # (alpha*, beta*, beta evaluations) exactly, and E to rounding.  At
+    # lambda_hat = 0 they are as they were when an undecided gauge probe
+    # was continued to 2x and then 4x t_max: stopping the continuation at
+    # its first gauge event moves no verdict.  At 0.42489 and 1 the Higgs
+    # fate is read at the plain horizon, as it was not when a run near the
+    # vacuum there was continued to 4x t_max; E moves by 2.5e-13 and 1.8e-15
     pinned = ((lam0, 0.16666666724578094, 0.33333333449092345, 10, 0.9999999857189406),
-              (lam0p42, 0.33080451148725437, 0.7047437821127589, 17, 1.22589345595418),
-              (lam1, 0.38983914081640864, 0.8727038705533017, 27, 1.2918207889885547))
+              (lam0p42, 0.3308045114873259, 0.7047437821121345, 19, 1.22589345595418),
+              (lam1, 0.3898391408164041, 0.8727038705532942, 27, 1.2918207889885547))
     for rep, alpha, beta, n_beta, energy in pinned:
         assert rep.converged
         assert (rep.alpha_star_hat, rep.beta_star_hat, rep.n_beta_evaluations) == \
@@ -574,8 +584,8 @@ def test_higgs_distance_reads_the_horizon_gap_at_every_radius():
 def _outer_probe(beta, lambda_hat, track, controls=CONTROLS, tol_alpha=1e-8):
     """The outer probe of bisect_beta at beta: its inner solve, fate and distance."""
     ar = shooter._alpha_at(beta, lambda_hat, controls, tol_alpha, track, settle=True)
-    out, traj = shooter._higgs_fate(ar, controls)
-    return ar, out, traj, shooter._outer_side(ar, out, traj, lambda_hat)
+    out = classify(ar.trajectory, ClassifyMode.RHO_FATE)
+    return ar, out, ar.trajectory, shooter._outer_side(ar, out, lambda_hat)
 
 
 def test_outer_probe_with_no_event_reads_the_vev_gap_at_lambda_0():
@@ -620,11 +630,11 @@ def test_settled_inner_solve_distance_matches_the_narrowed_run(lam1):
         ar, mid_out, mid_run, (side, d) = _outer_probe(beta, 1.0, shooter._Continuation())
         assert ar.resolved == "settled" and ar.bracket.width > 1e-8
         ref = bisect_alpha(ar.bracket, beta, 1.0, CONTROLS, tol_alpha=1e-12)
-        out, traj = shooter._higgs_fate(ref, CONTROLS)
-        ref_side, ref_d = shooter._outer_side(ref, out, traj, 1.0)
+        out = classify(ref.trajectory, ClassifyMode.RHO_FATE)
+        ref_side, ref_d = shooter._outer_side(ref, out, 1.0)
         assert side == ref_side and ref_d is not None
         assert d == pytest.approx(ref_d, rel=0.1)
-        mid_d = shooter._event_distance(mid_run, mid_out, 1.0, CONTROLS.t_max)
+        mid_d = shooter._event_distance(mid_run, mid_out, 1.0)
         misses.append(abs(mid_d / ref_d - 1.0))
     assert max(misses) > 1.0
 
@@ -789,23 +799,24 @@ def test_gauge_fate_continues_the_run_to_a_longer_horizon():
             assert run.controls == CONTROLS
             assert (run.ts, run.ys, run.ended) == (plain.ts, plain.ys, plain.ended)
             assert run.f_events == plain.f_events
-            # the reference: continued to 2x and then 4x t_max while undecided
-            ref, want = run, classify(run, ClassifyMode.F_FATE)
+            # the reference: run afresh to 2x and then 4x t_max while undecided
+            want = classify(run, ClassifyMode.F_FATE)
+            decided = want.tag not in undecided
             for mult in (2, 4):
                 if want.tag not in undecided:
                     break
-                ref = shooter.extend(ref, replace(CONTROLS, t_max=CONTROLS.t_max * mult))
+                ref = shoot(point, lambda_hat, replace(CONTROLS, t_max=CONTROLS.t_max * mult))
                 want = classify(ref, ClassifyMode.F_FATE)
             assert (out.tag, out.t_event, out.state) == (want.tag, want.t_event, want.state)
-            if ref is run:
+            if decided:
                 continue  # decided at the plain horizon
-            cont = shooter.extend(run, far, to_gauge_event=True)
+            cont = shooter.extend(run, far)
             assert out == classify(cont, ClassifyMode.F_FATE)
             assert cont.ended == "event" and len(cont.f_events) == 1
             ev = cont.f_events[0]
             assert cont.ts[-2] < ev.t <= cont.ts[-1]
-            # up to that event it is the run continued without stopping
-            full = shooter.extend(run, far)
+            # up to that event it is the run to 4x t_max without the stop
+            full = shoot(point, lambda_hat, far)
             n = len(cont.ts)
             assert (cont.ts, cont.ys) == (full.ts[:n], full.ys[:n])
             assert ev == full.f_events[0]
@@ -875,33 +886,6 @@ def test_solve_whose_diagnostics_raise_reports_no_numbers(lam0, monkeypatch):
     assert (rep.profile, rep.audit, rep.residual_norm, rep.energy) == (None,) * 4
     assert (rep.alpha_star_hat, rep.beta_star_hat, rep.outcome_log) == (
         lam0.alpha_star_hat, lam0.beta_star_hat, lam0.outcome_log)
-
-
-def test_higgs_fate_continues_once_as_twice():
-    # the two probes of the lambda_hat = 1 solve, of stage one and of the
-    # polish, whose Higgs fate is still undecided near the vacuum at the
-    # horizon: continued once, to 4 t_max, each gives the verdict and the
-    # samples of continuing it to 2 t_max and then, if still undecided,
-    # to 4 t_max.  The polish probe is decided at 2 t_max already
-    stops = []
-    for alpha, beta, c in ((0.38983914075559, 0.8727038704852863, CONTROLS),
-                           (0.38983914081046134, 0.8727038705428092, POLISH)):
-        run = shoot(ShootPoint(alpha, beta), 1.0, c)
-        assert classify(run, ClassifyMode.RHO_FATE).tag is OutcomeTag.HORIZON
-        assert abs(run.last_state().asymptote - 1.0) <= 10.0 * TUBE
-        twice = run
-        for mult in (2, 4):
-            twice = extend(twice, replace(c, t_max=mult * c.t_max))
-            want = classify(twice, ClassifyMode.RHO_FATE)
-            if (want.tag is not OutcomeTag.HORIZON
-                    or abs(twice.last_state().asymptote - 1.0) > 10.0 * TUBE):
-                break
-        stops.append((twice.controls.t_max, want.tag))
-        # _higgs_fate reads only the inner solve's run
-        out, traj = shooter._higgs_fate(AlphaResult(alpha, None, run), c)
-        assert traj.controls == replace(c, t_max=4 * c.t_max)
-        assert (out, traj.ts, traj.ys) == (want, twice.ts, twice.ys)
-    assert stops == [(48.0, OutcomeTag.HORIZON), (24.0, OutcomeTag.RHO_PRIME_ZERO)]
 
 
 def test_solve_report_profile_matches_closed_form(lam0, lam0_handoffs):
@@ -1100,27 +1084,30 @@ def test_a_stage_one_candidate_is_shot_again_at_polish_tolerance(monkeypatch):
     # when the final inner run leaves the tube and no polish probe converged,
     # the last tube-converged stage-one probe is shot again at the polish
     # controls, and that run, in the tube, is the answer
-    orig_alpha_at, orig_higgs_fate, orig_shoot = (shooter._alpha_at, shooter._higgs_fate,
-                                                  shooter.shoot)
-    shots = []
+    orig_alpha_at, orig_classify, orig_shoot = (shooter._alpha_at, shooter.classify,
+                                                shooter.shoot)
+    shots, final = [], []
 
     def alpha_at(beta, lambda_hat, c, tol_alpha, track, settle):
-        ar = orig_alpha_at(beta, lambda_hat, c, tol_alpha, track, settle)
         if not settle:  # the final inner solve: its run leaves the tube
+            final.append(beta)
+        ar = orig_alpha_at(beta, lambda_hat, c, tol_alpha, track, settle)
+        if not settle:
             ar.trajectory = orig_shoot(ShootPoint(2.0 * ar.alpha_star, beta), lambda_hat, c)
         return ar
 
-    def higgs_fate(result, c):
-        out, traj = orig_higgs_fate(result, c)
-        if c == POLISH and out.tag is OutcomeTag.CONVERGED:
-            out = replace(out, tag=OutcomeTag.HORIZON)  # _outer_side reads both alike
-        return out, traj
+    def classify_(traj, mode):
+        out = orig_classify(traj, mode)
+        if (not final and mode is ClassifyMode.RHO_FATE and traj.controls == POLISH
+                and out.tag is OutcomeTag.CONVERGED):
+            out = replace(out, tag=OutcomeTag.HORIZON)  # both are side 0
+        return out
 
     def shoot_(point, lambda_hat, controls):
         shots.append((point, controls))
         return orig_shoot(point, lambda_hat, controls)
     monkeypatch.setattr(shooter, "_alpha_at", alpha_at)
-    monkeypatch.setattr(shooter, "_higgs_fate", higgs_fate)
+    monkeypatch.setattr(shooter, "classify", classify_)
     monkeypatch.setattr(shooter, "shoot", shoot_)
     rep = bisect_beta(0.0)
     beta, alpha = [(b, a) for b, a, tag, _ in rep.outcome_log if tag == "Converged"][-1]
