@@ -387,8 +387,10 @@ def _select_initial_step(y0, k1, controls: IntegratorControls) -> float:
     # then correct with a second derivative estimate.  The horizon does
     # not enter: _advance clips the step.
     scale = [controls.abs_tol + controls.rel_tol * abs(v) for v in y0]
-    d0 = math.sqrt(sum((y0[i] / scale[i]) ** 2 for i in range(4)) / 4)
-    d1 = math.sqrt(sum((k1[i] / scale[i]) ** 2 for i in range(4)) / 4)
+    # v * v, not v ** 2: a square past the float range is inf, not an
+    # OverflowError, and a state that large ends the run as a blowup
+    d0 = math.sqrt(sum(v * v for v in (y / s for y, s in zip(y0, scale))) / 4)
+    d1 = math.sqrt(sum(v * v for v in (k / s for k, s in zip(k1, scale))) / 4)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     return max(min(h0, controls.max_step), 1e-12)
 

@@ -31,8 +31,8 @@ shape the code: a gauge probe still undecided at the horizon is
 continued once, to 4x t_max, up to its first gauge event, which the
 exponential separation makes the verdict (a Higgs fate is read at the
 plain horizon, off the vev gap when no Higgs event decided it); and the
-solver finishes with a polish pass at profile-grade tolerance, reporting
-a profile that demonstrably entered the tube; analysis.graft_tail
+solver runs its one search at profile-grade tolerance, reporting a
+profile that demonstrably entered the tube; analysis.graft_tail
 continues that run past its graft radius and the diagnostics read it there.
 """
 from __future__ import annotations
@@ -271,15 +271,15 @@ def _expand_bracket(probe, seed: float, floor: float, ceil: float,
     return ends[-1], ends[1]
 
 
-def _centred_bracket(probe, center: float, w: float, tries: int,
-                     floor: float) -> tuple[Probe, Probe] | None:
-    """End Probes at center -/+ w on opposite sides, or None.
+def _centred_bracket(probe, center: float, w: float) -> tuple[Probe, Probe] | None:
+    """End alpha Probes at center -/+ w on opposite sides, or None.
 
-    Each try probes max(center - w, floor) and, only when that lands
-    below, center + w; a failed try widens w by _WIDEN.
+    Each of _PAIR_TRIES tries probes max(center - w, _ALPHA_FLOOR) and,
+    only when that lands below, center + w; a failed try widens w by
+    _WIDEN.
     """
-    for _ in range(tries):
-        lo = probe(max(center - w, floor))
+    for _ in range(_PAIR_TRIES):
+        lo = probe(max(center - w, _ALPHA_FLOOR))
         if lo.side < 0:
             hi = probe(center + w)
             if hi.side > 0:
@@ -515,7 +515,7 @@ def _alpha_at(beta: float, lambda_hat: float, controls: IntegratorControls,
                          2.0 * track.slack)
             if center - margin > 0.0:
                 ends = _centred_bracket(_gauge_probe(beta, lambda_hat, controls),
-                                        center, margin, _PAIR_TRIES, _ALPHA_FLOOR)
+                                        center, margin)
     bracket = (bracket_alpha(beta, lambda_hat, controls, seed=center)
                if ends is None else Bracket(*ends))
     ar = _bisect_alpha(bracket, beta, lambda_hat, controls, tol_alpha, settle)
@@ -584,8 +584,7 @@ class SolveReport:
         return len(self.outcome_log)
 
 
-# Bracket widths, alpha and beta alike, of bisect_beta's stage one and polish.
-_STAGE_ONE_TOL = 1e-8
+# Bracket width, alpha and beta alike, that bisect_beta narrows to.
 _POLISH_TOL = 1e-11
 
 
@@ -611,29 +610,31 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None) -
     alpha* predicted by the earlier ones and may stop once the Higgs side
     is settled (see _alpha_at).
 
-    Stage one narrows both parameters to _STAGE_ONE_TOL at the controls'
-    tolerances, then the solve polishes: it re-brackets the answer with a
-    widening centred pair at profile-grade tolerance (rel_tol <= 1e-12,
-    abs_tol <= 1e-14) and narrows both parameters to _POLISH_TOL, near the
-    deviation-noise floor.  The reported profile is the last inner solve's
+    One search narrows both parameters to _POLISH_TOL, near the
+    deviation-noise floor, and every run of it is at profile-grade
+    tolerance (rel_tol <= 1e-12, abs_tol <= 1e-14); the report keeps the
+    caller's controls.  The reported profile is the last inner solve's
     run; its seventh-order dense output keeps the interpolation noise that
     downstream finite differences see well below the residual target.
     """
     check_lambda_hat(lambda_hat)
     if controls is None:
         controls = IntegratorControls()
+    pcontrols = replace(controls,
+                        rel_tol=min(controls.rel_tol, 1e-12),
+                        abs_tol=min(controls.abs_tol, 1e-14))
 
     log: list = []
     track = _Continuation()
     candidate = None
 
-    def probe(beta: float, c: IntegratorControls, tol_a: float) -> Probe:
+    def probe(beta: float) -> Probe:
         """Side -1 when alpha*(beta) stalls below the vacuum, +1 when it overshoots.
 
         The side and the distance are _outer_side's.
         """
         nonlocal candidate
-        ar = _alpha_at(beta, lambda_hat, c, tol_a, track, settle=True)
+        ar = _alpha_at(beta, lambda_hat, pcontrols, _POLISH_TOL, track, settle=True)
         out = classify(ar.trajectory, ClassifyMode.RHO_FATE)
         side, distance = _outer_side(ar, out, lambda_hat)
         if out.tag is OutcomeTag.CONVERGED:
@@ -641,26 +642,9 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None) -
         log.append((beta, ar.alpha_star, out.tag.value, "A" if side < 0 else "B"))
         return Probe(beta, side, distance, out)
 
-    # Stage one: the controls' integration tolerances.
-    lo, hi = _expand_bracket(lambda b: probe(b, controls, _STAGE_ONE_TOL),
-                             _BETA_SEED, _BETA_FLOOR, _BETA_CEIL, "beta",
+    lo, hi = _expand_bracket(probe, _BETA_SEED, _BETA_FLOOR, _BETA_CEIL, "beta",
                              sized=_modes_split(lambda_hat, controls.t_max))
-    lo, hi, _ = _narrow(lambda b: probe(b, controls, _STAGE_ONE_TOL),
-                        lo, hi, _STAGE_ONE_TOL)
-
-    # Stage two: profile-grade polish around the stage-one answer.
-    pcontrols = replace(controls,
-                        rel_tol=min(controls.rel_tol, 1e-12),
-                        abs_tol=min(controls.abs_tol, 1e-14))
-    # Re-bracket the stage-one answer at 8x its width, 8x wider per try.
-    w = max(hi.x - lo.x, _STAGE_ONE_TOL)
-    center = 0.5 * (lo.x + hi.x)
-    ends = _centred_bracket(lambda b: probe(b, pcontrols, _POLISH_TOL),
-                            center, 8.0 * w, 12, _BETA_FLOOR)
-    if ends is None:
-        raise BracketingError(
-            f"could not re-bracket beta near {center} at polish tolerance")
-    lo, hi, _ = _narrow(lambda b: probe(b, pcontrols, _POLISH_TOL), *ends, _POLISH_TOL)
+    lo, hi, _ = _narrow(probe, lo, hi, _POLISH_TOL)
     beta_bracket = Bracket(lo, hi)
 
     beta_star = 0.5 * (lo.x + hi.x)
@@ -671,24 +655,17 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None) -
         return (classify(traj, ClassifyMode.F_FATE).tag is OutcomeTag.CONVERGED
                 and classify(traj, ClassifyMode.RHO_FATE).tag is OutcomeTag.CONVERGED)
 
-    profile_traj = ar_star.trajectory
-    converged = in_tube(profile_traj)
-    if not converged and candidate is not None:
-        cand_beta, cand_ar = candidate
-        cand_traj = cand_ar.trajectory
-        if cand_traj.controls != pcontrols:
-            cand_traj = shoot(ShootPoint(alpha=cand_ar.alpha_star, beta=cand_beta),
-                              lambda_hat, pcontrols)
-        if in_tube(cand_traj):
-            beta_star, ar_star = cand_beta, cand_ar
-            profile_traj, converged = cand_traj, True
+    converged = in_tube(ar_star.trajectory)
+    if not converged and candidate is not None and in_tube(candidate[1].trajectory):
+        beta_star, ar_star = candidate
+        converged = True
 
     # Diagnostics are only meaningful for a tube-bound profile; an
     # unconverged solve reports its parameter estimates and no numbers.
     profile = audit = residual = energy = None
     if converged:
         try:
-            profile = analysis.graft_tail(profile_traj)
+            profile = analysis.graft_tail(ar_star.trajectory)
             audit = analysis.monotonicity_audit(profile)
             residual = analysis.residual_norm(profile)
             energy = analysis.mass_integral(profile)

@@ -644,6 +644,19 @@ def test_a_step_to_a_non_finite_state_is_a_one_sample_blowup():
         assert (out.tag, out.t_event, out.detail) == (OutcomeTag.BLOWUP, 1.0, "nonfinite")
 
 
+def test_an_initial_step_estimate_past_the_float_range_is_a_one_sample_blowup():
+    # y'/scale squared overflows at t = 1e-75 (the 1/t^2 terms) and at
+    # lambda_hat = 1e143 (the Higgs potential): the estimate saturates
+    # instead of raising, and the first step ends the run where it started
+    for start, lam in ((PhaseState(1e-75, 0.5, 0.0, 0.5, 0.0), 0.0),
+                       (PhaseState(1.0, 0.5, 0.0, 0.5, 0.0), 1e143)):
+        traj = integrate(start, lam, IntegratorControls())
+        assert (traj.ts, traj.n_steps) == ([start.t], 0)
+        assert (traj.ended, traj.blowup_channel) == ("blowup", "nonfinite")
+        for mode in ClassifyMode:
+            assert classify(traj, mode).tag is OutcomeTag.BLOWUP
+
+
 def test_integrate_and_classify_refuse_what_they_cannot_read():
     # a start at or past the horizon, and a run that has not finished
     for t in (12.0, 13.0):
@@ -741,7 +754,7 @@ def test_rho_blowup_after_a_tube_gauge_event_keeps_its_side():
         other = Trajectory(lambda_hat=1.0, controls=traj.controls, ts=traj.ts,
                            ys=ys, f_events=events, ended="blowup", blowup_channel="rho")
         assert classify(other, ClassifyMode.F_FATE).tag is OutcomeTag.BLOWUP
-    # a polish-stage probe next to the lambda_hat = 1 separatrix: run to
+    # a profile-grade probe next to the lambda_hat = 1 separatrix: run to
     # 2 t_max, its f turns up in the tube at t ~ 15 and rho blows up at
     # t ~ 23, while alpha + 2e-12 crosses f = 0 at t ~ 14.7
     far = IntegratorControls(rel_tol=1e-12, abs_tol=1e-14, t_max=24.0)

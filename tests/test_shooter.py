@@ -20,7 +20,7 @@ from monopole.model import PhaseState, ps_exact
 
 
 CONTROLS = IntegratorControls()
-# what bisect_beta's polish stage and final inner solve shoot with
+# the profile-grade controls every run of a bisect_beta solve is shot with
 POLISH = replace(CONTROLS, rel_tol=1e-12, abs_tol=1e-14)
 
 
@@ -115,18 +115,14 @@ def test_bracket_alpha_failure_carries_outcomes(monkeypatch):
     assert max(outcomes) <= 1e12 < 4.0 * max(outcomes)
 
 
-# The polish stage verifies the beta bracket with _centred_bracket: it
-# re-brackets a known answer first at 8x the old width 2**-7, then 8x
-# wider per try, twelve tries in all.  The centre 0.5 and width 2**-4
-# keep every probe exact in binary.
-
-def _rebracket(probe, center):
-    return _centred_bracket(probe, center, 8.0 * 2.0 ** -7, 12, shooter._BETA_FLOOR)
-
+# The inner search's predicted pair, _centred_bracket: it probes the
+# prediction -/+ its margin first, then 8x wider per try, three tries in
+# all, with the lower probe clamped at the alpha floor.  The centre 0.5
+# and widths 2**-7 and 2**-4 keep every probe exact in binary.
 
 def test_verify_beta_bracket_first_width():
     side, probes = _recording(lambda x: -1 if x < 0.5 else 1)
-    lo, hi = _rebracket(side, 0.5)
+    lo, hi = _centred_bracket(side, 0.5, 2.0 ** -4)
     assert (lo.x, hi.x) == (0.4375, 0.5625)
     assert (lo.side, hi.side) == (-1, 1)
     assert probes == [0.4375, 0.5625]
@@ -135,7 +131,7 @@ def test_verify_beta_bracket_first_width():
 def test_verify_beta_bracket_widens_by_eight():
     # the answer moved below the first lower probe
     side, probes = _recording(lambda x: -1 if x < 0.8 else 1)
-    lo, hi = _rebracket(side, 1.0)
+    lo, hi = _centred_bracket(side, 1.0, 2.0 ** -4)
     assert (lo.x, hi.x) == (0.5, 1.5)
     assert probes == [0.9375, 0.5, 1.5]
 
@@ -143,27 +139,27 @@ def test_verify_beta_bracket_widens_by_eight():
 def test_verify_beta_bracket_clamps_at_floor():
     # the second width reaches below zero: the lower probe sits at the floor
     side, probes = _recording(lambda x: -1 if x < 1e-6 else 1)
-    lo, hi = _rebracket(side, 0.5)
-    assert (lo.x, hi.x) == (shooter._BETA_FLOOR, 1.0)
-    assert probes == [0.4375, shooter._BETA_FLOOR, 1.0]
+    lo, hi = _centred_bracket(side, 0.5, 2.0 ** -4)
+    assert (lo.x, hi.x) == (shooter._ALPHA_FLOOR, 1.0)
+    assert probes == [0.4375, shooter._ALPHA_FLOOR, 1.0]
 
 
-def test_verify_beta_bracket_gives_up_after_twelve_widths():
+def test_centred_bracket_gives_up_after_three_widths():
     side, probes = _recording(lambda x: -1)
-    assert _rebracket(side, 0.5) is None
-    assert probes[1::2] == [0.5 + 2.0 ** -4 * 8.0 ** k for k in range(12)]
+    assert _centred_bracket(side, 0.5, 2.0 ** -7) is None
+    assert probes[1::2] == [0.5 + 2.0 ** -7 * 8.0 ** k for k in range(3)]
 
 
 def test_centred_bracket_single_try_skips_the_upper_probe():
-    # the inner search's warm pair: one try, and a lower probe on the
-    # wrong side (or on neither) ends it without probing the upper end
+    # a try whose lower probe lands on the wrong side (or on neither)
+    # widens without probing the upper end
     for s in (0, 1):
         side, probes = _recording(lambda x: s)
-        assert _centred_bracket(side, 0.25, 0.125, 1, 0.0) is None
-        assert probes == [0.125]
+        assert _centred_bracket(side, 0.5, 2.0 ** -7) is None
+        assert probes == [0.4921875, 0.4375, shooter._ALPHA_FLOOR]
     side, probes = _recording(lambda x: -1 if x < 0.25 else 0)
-    assert _centred_bracket(side, 0.25, 0.125, 1, 0.0) is None
-    assert probes == [0.125, 0.375]
+    assert _centred_bracket(side, 0.5, 2.0 ** -4) is None
+    assert probes == [0.4375, shooter._ALPHA_FLOOR, 1.0, shooter._ALPHA_FLOOR, 4.5]
 
 
 def _narrow(distance, lo, hi, tol):
@@ -337,7 +333,8 @@ def test_bisect_alpha_stops_on_a_probe_with_no_side(monkeypatch):
 def test_no_point_is_shot_twice_when_an_inner_solve_stops_early(monkeypatch):
     # an inner solve that stops on a probe with no side, or once the
     # Higgs side is settled, reports that probe's run over the plain
-    # horizon instead of shooting alpha* again, in either stage
+    # horizon instead of shooting alpha* again; every shot of the solve
+    # is at the profile-grade controls
     shots, stopped = [], []
     shoot_orig, bisect_orig = shooter.shoot, shooter._bisect_alpha
 
@@ -355,7 +352,8 @@ def test_no_point_is_shot_twice_when_an_inner_solve_stops_early(monkeypatch):
     monkeypatch.setattr(shooter, "_bisect_alpha", recording)
     bisect_beta(1.0)
     assert {res.resolved for res in stopped} == {"settled", "rho_blowup"}
-    assert {res.trajectory.controls for res in stopped} == {CONTROLS, POLISH}
+    assert {res.trajectory.controls for res in stopped} == {POLISH}
+    assert {controls for *_, controls in shots} == {POLISH}
     assert len(shots) == len(set(shots))
     for res in stopped:
         run = res.trajectory
@@ -473,14 +471,15 @@ def _counting_shots(monkeypatch):
 def test_lambda_1_solve_takes_few_shots_and_no_repeat(monkeypatch):
     # the default lambda_hat = 1 solve: 469 shots before the predicted
     # inner pairs and the early stops, 291 with them, 286 once the runs
-    # leave the origin on the series, and 187 in 27 beta evaluations (45
-    # before) once every outer probe carries a distance; no point is shot
-    # twice
+    # leave the origin on the series, 187 in 27 beta evaluations (45
+    # before) once every outer probe carries a distance, and 127 in 21
+    # once one search at profile-grade tolerance replaced stage one and
+    # the polish; no point is shot twice
     shots = _counting_shots(monkeypatch)
     rep = bisect_beta(1.0)
     assert rep.converged
-    assert len(shots) <= 200
-    assert rep.n_beta_evaluations <= 28
+    assert len(shots) <= 127
+    assert rep.n_beta_evaluations <= 21
     assert len(shots) == len(set(shots))
 
 
@@ -506,15 +505,15 @@ def test_lambda_1p2_solve_converges_on_the_candidate_fallback(monkeypatch):
 
 
 def test_answers_are_those_of_the_two_step_gauge_continuation(lam0, lam0p42, lam1):
-    # (alpha*, beta*, beta evaluations) exactly, and E to rounding.  At
-    # lambda_hat = 0 they are as they were when an undecided gauge probe
-    # was continued to 2x and then 4x t_max: stopping the continuation at
-    # its first gauge event moves no verdict.  At 0.42489 and 1 the Higgs
-    # fate is read at the plain horizon, as it was not when a run near the
-    # vacuum there was continued to 4x t_max; E moves by 2.5e-13 and 1.8e-15
-    pinned = ((lam0, 0.16666666724578094, 0.33333333449092345, 10, 0.9999999857189406),
-              (lam0p42, 0.3308045114873259, 0.7047437821121345, 19, 1.22589345595418),
-              (lam1, 0.3898391408164041, 0.8727038705532942, 27, 1.2918207889885547))
+    # (alpha*, beta*, beta evaluations) exactly, and E to rounding: the
+    # answers of the one beta search at profile-grade tolerance.  The
+    # two-stage search (to 1e-8 at the controls' tolerances, then a polish
+    # re-bracketed at profile grade) took 10, 19 and 27 evaluations; its
+    # answers lie within 3.1e-12 in alpha*, 4.3e-12 in beta* and 2.9e-11
+    # in E of these
+    pinned = ((lam0, 0.16666666724539445, 0.33333333449025415, 7, 0.9999999857185123),
+              (lam0p42, 0.3308045114874192, 0.7047437821131101, 13, 1.225893455954182),
+              (lam1, 0.38983914081943255, 0.8727038705575701, 21, 1.2918207890179676))
     for rep, alpha, beta, n_beta, energy in pinned:
         assert rep.converged
         assert (rep.alpha_star_hat, rep.beta_star_hat, rep.n_beta_evaluations) == \
@@ -536,14 +535,16 @@ def _counting_steps(monkeypatch):
     return steps
 
 
-@pytest.mark.parametrize("lambda_hat, max_steps, max_shots", [(0.0, 5200, 84),
-                                                               (1.0, 7700, 187)])
+@pytest.mark.parametrize("lambda_hat, max_steps, max_shots", [(0.0, 5200, 79),
+                                                               (1.0, 5800, 127)])
 def test_solve_stays_within_its_step_budget(lambda_hat, max_steps, max_shots,
                                             monkeypatch):
     # an undecided gauge probe's continuation ends at its first gauge
     # event: a lambda_hat = 0 solve took 8,232 DOP853 steps when it ran
-    # on to 2x and 4x t_max, and takes 4,757; lambda_hat = 1 took 8,336
-    # and takes 7,458.  The shots are those of before
+    # on to 2x and 4x t_max, and 4,757 then; lambda_hat = 1 took 8,336
+    # and then 7,435.  One search at profile-grade tolerance in place of
+    # stage one and the polish takes 4,959 steps in 79 shots (84 before)
+    # and 5,779 in 127 (187 before)
     steps = _counting_steps(monkeypatch)
     shots = _counting_shots(monkeypatch)
     assert bisect_beta(lambda_hat).converged
@@ -833,16 +834,18 @@ def test_solve_report_bps(lam0, lam0_handoffs):
     assert abs(lam0.beta_star_hat - 1.0 / 3.0) < 1e-6
     assert lam0.alpha_bracket.width < 1e-10
     assert lam0.beta_bracket.width < 1e-10
-    # ITP steps on the vev gap take 10 beta evaluations at every handoff
-    # radius (midpoint bisection took 43): the seed beta = 1/3 reads just
+    # ITP steps on the vev gap take 7 beta evaluations at every handoff
+    # radius (10 when stage one and a polish each searched, midpoint
+    # bisection 43 before that): the seed beta = 1/3 reads just
     # below the numerical beta*, and the expansion's first step, four
     # times the seed's distance, lands just above it (17 with a 4x step)
     assert median(r.n_beta_evaluations for r in [lam0, *lam0_handoffs]) <= 13
 
 
 def test_reported_profile_is_the_last_inner_run(monkeypatch):
-    # the last inner solve has already run (alpha*, beta*) at the polish
-    # controls, and that run is the reported profile: it is shot once
+    # the last inner solve has already run (alpha*, beta*) at the
+    # profile-grade controls, and that run is the reported profile: it is
+    # shot once
     shots = []
     orig = shooter.shoot
 
@@ -1069,52 +1072,6 @@ def test_shoot_and_sweep_check_t0_through_check_t0(monkeypatch):
     with pytest.raises(HandoffError, match=message):
         sweep([0.3], [0.1], 0.0, controls=bad)
     assert checked == [2 * T0_MAX] * 2
-
-
-def test_polish_that_cannot_rebracket_raises(monkeypatch):
-    # no widening pair straddles the stage-one answer at polish tolerance;
-    # the inner solves fall back to bracket_alpha
-    monkeypatch.setattr(shooter, "_centred_bracket", lambda *args: None)
-    with pytest.raises(BracketingError, match="could not re-bracket beta near .* at "
-                                              "polish tolerance"):
-        bisect_beta(0.0)
-
-
-def test_a_stage_one_candidate_is_shot_again_at_polish_tolerance(monkeypatch):
-    # when the final inner run leaves the tube and no polish probe converged,
-    # the last tube-converged stage-one probe is shot again at the polish
-    # controls, and that run, in the tube, is the answer
-    orig_alpha_at, orig_classify, orig_shoot = (shooter._alpha_at, shooter.classify,
-                                                shooter.shoot)
-    shots, final = [], []
-
-    def alpha_at(beta, lambda_hat, c, tol_alpha, track, settle):
-        if not settle:  # the final inner solve: its run leaves the tube
-            final.append(beta)
-        ar = orig_alpha_at(beta, lambda_hat, c, tol_alpha, track, settle)
-        if not settle:
-            ar.trajectory = orig_shoot(ShootPoint(2.0 * ar.alpha_star, beta), lambda_hat, c)
-        return ar
-
-    def classify_(traj, mode):
-        out = orig_classify(traj, mode)
-        if (not final and mode is ClassifyMode.RHO_FATE and traj.controls == POLISH
-                and out.tag is OutcomeTag.CONVERGED):
-            out = replace(out, tag=OutcomeTag.HORIZON)  # both are side 0
-        return out
-
-    def shoot_(point, lambda_hat, controls):
-        shots.append((point, controls))
-        return orig_shoot(point, lambda_hat, controls)
-    monkeypatch.setattr(shooter, "_alpha_at", alpha_at)
-    monkeypatch.setattr(shooter, "classify", classify_)
-    monkeypatch.setattr(shooter, "shoot", shoot_)
-    rep = bisect_beta(0.0)
-    beta, alpha = [(b, a) for b, a, tag, _ in rep.outcome_log if tag == "Converged"][-1]
-    assert shots[-1] == (ShootPoint(alpha, beta), POLISH)
-    assert rep.converged
-    assert (rep.alpha_star_hat, rep.beta_star_hat) == (alpha, beta)
-    assert rep.profile.base.controls == POLISH
 
 
 class _InProcessPool:
