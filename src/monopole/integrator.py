@@ -53,14 +53,13 @@ reach, past the 1/t^2 layer at the origin, where it would otherwise hold
 every step near h ~ 0.1 t and leave its largest error.  state_at and
 resample read the span off the series; n_steps counts DOP853 steps only.
 
-extend continues a gauge probe still undecided at its horizon to a
-later one, up to its first gauge event, in the tube or not, which
-classify reads as the verdict; no Higgs fate is continued.  t_max enters
-a run only where it clips a step, so a longer run repeats this one
-exactly up to its first clipped step, the first one included; the run
-records that point and extend resumes there, giving integrate's samples
-and events up to that gauge event.  An event the prefix already holds
-cuts the run back to the step that found it.
+continued_fate reads the gauge verdict of a probe still undecided at
+its horizon at a later one: its first gauge event, in the tube or not;
+no Higgs fate is continued.  t_max enters a run only where it clips a
+step, so a longer run repeats this one exactly up to its first clipped
+step, the first one included; the run records that point, and the
+continuation starts there from one sample and stops at its first gauge
+event.  An event found before that point is the verdict as it stands.
 """
 from __future__ import annotations
 
@@ -89,7 +88,7 @@ __all__ = [
     "Trajectory",
     "integrate",
     "integrate_series",
-    "extend",
+    "continued_fate",
     "refine_event",
     "classify",
     "in_tube",
@@ -260,13 +259,12 @@ class Trajectory:
     beta: float | None = None
     series: OriginSeries | None = field(default=None, repr=False)
     _span: int = field(default=0, repr=False)
-    # Where a run to a later horizon leaves this one (see extend): the
-    # segment, f-event and rho-event counts, the FSAL stage and the
-    # unclipped step at the first horizon clip.  None while no clip has
-    # fired; the stage is None when the horizon ended the run inside its
-    # series span.
+    # Where a run to a later horizon leaves this one (see continued_fate):
+    # the segment and f-event counts, the FSAL stage and the unclipped
+    # step at the first horizon clip.  None while no clip has fired; the
+    # stage is None when the horizon ended the run inside its series span.
     _resume: tuple | None = field(default=None, repr=False)
-    # Whether every f event ends the run, in the tube or not (extend's runs).
+    # Whether every f event ends the run, in the tube or not (continued_fate's).
     _to_gauge_event: bool = field(default=False, repr=False)
 
     @property
@@ -471,7 +469,7 @@ def integrate_series(series: OriginSeries, controls: IntegratorControls) -> Traj
     if t >= t_max:
         # The horizon ended the run inside the span: a longer run reads on.
         traj.ended = "t_max"
-        traj._resume = (0, 0, 0, None, None)
+        traj._resume = (0, 0, None, None)
         return traj
     k1 = model._rhs(t, *y, lam)
     _advance(traj, k1, _select_initial_step(y, k1, controls))
@@ -488,62 +486,41 @@ class _SeriesPiece:
         self.component, self.eval = series.component, series.state
 
 
-def extend(traj: Trajectory, controls: IntegratorControls) -> Trajectory:
-    """traj continued to the later horizon controls.t_max, to its first gauge event.
+def continued_fate(traj: Trajectory, t_max: float) -> Outcome:
+    """FFate of traj continued to the later horizon t_max, read at its first gauge event.
 
-    controls may differ from traj.controls only by a t_max at least as
-    large.  Before the first step that the horizon clips, t_max decides
-    nothing, so a longer run is the same step for step up to there; the
-    new run copies that prefix and continues with the saved unclipped
-    step.  It ends at its first f event, in the tube or not: the
-    continuation stops on the step that finds one, and a run whose
-    prefix already holds one is cut back to the step (or series piece)
-    that found it.  Up to that event it is the run integrate gives at
-    the later horizon.  A run that never reached its horizon is returned
-    with the new controls, and one that the horizon ended inside its
-    series span is run afresh on its series.  traj itself is left
-    unchanged.
+    traj must be a run its horizon ended.  Before the first step that the
+    horizon clips, t_max decides nothing, so a longer run is the same step
+    for step up to there: an f event traj found before that clip is the
+    verdict.  Otherwise the run continues from the clipped step's start,
+    with the saved FSAL stage and unclipped step, into a run of one
+    sample that ends at its first f event, in the tube or not; one that
+    the horizon ended inside its series span is run afresh on its series.
+    The verdict is that run's first f event, with detail "first gauge
+    event" when it lies in the tube, or else its plain FFate.  Each is the
+    verdict of the run integrate gives at t_max, read at its first gauge
+    event.  traj itself is left unchanged.
     """
-    if (controls.t_max < traj.controls.t_max
-            or replace(traj.controls, t_max=controls.t_max) != controls):
-        raise DomainError("extend only moves the horizon of a run outward")
-    # the f events found before the first horizon clip, which a longer run
-    # finds too; the clipped step's own are found again
-    head = traj.f_events if traj._resume is None else traj.f_events[:traj._resume[1]]
-    if head and head[0].in_tube:
-        return _cut_at(traj, head[0], controls)
-    if traj._resume is None:
-        return replace(traj, controls=controls)
-    n, n_f, n_rho, k1, h = traj._resume
-    if k1 is None:
-        new = integrate_series(traj.series, controls)
-        if new.f_events and new.f_events[0].in_tube:
-            new = _cut_at(new, new.f_events[0], controls)
+    if traj.ended != "t_max" or t_max < traj.controls.t_max:
+        raise DomainError("continued_fate continues a run its horizon ended to a later "
+                          f"horizon: got a run ended by {traj.ended!r} and t_max = {t_max} "
+                          f"after {traj.controls.t_max}")
+    n, n_f, k1, h = traj._resume
+    controls = replace(traj.controls, t_max=t_max)
+    if n_f:
+        run = traj
+    elif k1 is None:
+        run = integrate_series(traj.series, controls)
     else:
         m = traj._span + n
-        new = Trajectory(lambda_hat=traj.lambda_hat, controls=controls, ts=traj.ts[:m + 1],
-                         ys=traj.ys[:m + 1], segments=traj.segments[:n],
-                         f_events=traj.f_events[:n_f], rho_events=traj.rho_events[:n_rho],
-                         series=traj.series, _span=traj._span, _to_gauge_event=True)
-        _advance(new, k1, h)
-    new.alpha, new.beta = traj.alpha, traj.beta
-    return new
-
-
-def _cut_at(traj: Trajectory, ev: Event, controls: IntegratorControls) -> Trajectory:
-    """traj up to the end of the step or series piece that found its f event ev.
-
-    The run ends there on ev, as a run that every f event ends would: it
-    keeps the Higgs events met before ev and none after.
-    """
-    # ev.t lies in (ts[m - 1], ts[m]]: the crossing tests are strict at a
-    # step's start
-    m = _bisect.bisect_left(traj.ts, ev.t)
-    return Trajectory(lambda_hat=traj.lambda_hat, controls=controls, ts=traj.ts[:m + 1],
-                      ys=traj.ys[:m + 1], segments=traj.segments[:max(m - traj._span, 0)],
-                      f_events=[ev], rho_events=[e for e in traj.rho_events if e.t < ev.t],
-                      ended="event", alpha=traj.alpha, beta=traj.beta, series=traj.series,
-                      _span=min(traj._span, m), _to_gauge_event=True)
+        run = Trajectory(lambda_hat=traj.lambda_hat, controls=controls, ts=[traj.ts[m]],
+                         ys=[traj.ys[m]], _to_gauge_event=True)
+        _advance(run, k1, h)
+    if not run.f_events:
+        return classify(run, ClassifyMode.F_FATE)
+    ev = run.f_events[0]
+    return Outcome(tag=ev.tag, t_event=ev.t, state=ev.state,
+                   detail="first gauge event" if ev.in_tube else "")
 
 
 def _sign_change(ya: tuple, yb: tuple) -> bool:
@@ -591,7 +568,7 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
         if t + h >= t_max:
             if traj._resume is None:
                 traj._resume = (len(traj.segments), len(traj.f_events),
-                                len(traj.rho_events), (k1f, k1fp, k1r, k1rp), h)
+                                (k1f, k1fp, k1r, k1rp), h)
             h = t_max - t
             if h <= 1e-13 * max(1.0, t):
                 break  # horizon reached to float resolution
@@ -858,10 +835,8 @@ def classify(traj: Trajectory, mode: ClassifyMode) -> Outcome:
     in-tube gauge event of a run whose rho blows up while f is still in
     the tube: the growing rho^2 f term of f'' then pushes f further in
     the direction of its own sign, so the side that event pointed to
-    holds.  For the same reason FFate reads a run that extend ended on
-    an in-tube gauge event from its first f event; no Higgs fate is
-    continued, so RhoFate reads a run at its plain horizon.  A run with
-    no sample, whose series overflows, is Blowup at t0 in either mode.
+    holds.  A run with no sample, whose series overflows, is Blowup at
+    t0 in either mode.
     """
     if not traj.ended:
         raise DomainError("classify needs a finished trajectory")
@@ -873,11 +848,6 @@ def classify(traj: Trajectory, mode: ClassifyMode) -> Outcome:
     for ev in events:
         if not ev.in_tube:
             return Outcome(tag=ev.tag, t_event=ev.t, state=ev.state)
-    if mode is ClassifyMode.F_FATE and traj.ended == "event":
-        # only a run continued to its first gauge event ends on one in the tube
-        ev = events[0]
-        return Outcome(tag=ev.tag, t_event=ev.t, state=ev.state,
-                       detail="first gauge event")
     last = traj.last_state()
     promoted = _promote_tube_event(events, last, mode)
     if promoted is not None:

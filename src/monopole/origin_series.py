@@ -25,7 +25,7 @@ through the 1/t^2 layer at the origin and the answer does not depend on
 the handoff radius t0, which is now only where the run's samples begin.
 A run starts at min(t0, reach): past its reach no truncation of the
 series holds, so a series that does not reach t0 hands over at its reach.
-check_t0 holds the handoff radius to (0, T0_MAX].
+check_t0 holds the handoff radius to [T0_MIN, T0_MAX].
 
 initial_state evaluates the two-term truncation at t0, the paper's
 exact handoff: series_coefficients gives its a4 and b3.  The series
@@ -70,6 +70,7 @@ __all__ = [
     "OriginSeries",
     "PicardHistory",
     "DEFAULT_T0",
+    "T0_MIN",
     "T0_MAX",
     "SERIES_ORDER",
     "series_coefficients",
@@ -81,6 +82,7 @@ __all__ = [
 ]
 
 DEFAULT_T0 = 1e-3
+T0_MIN = 1e-6
 T0_MAX = 1e-2
 # Order in x = t^2 to which expand_series sums the origin expansion.
 SERIES_ORDER = 24
@@ -351,14 +353,18 @@ def expand_batch(alphas: list, betas: list, lambda_hat: float, t0: float,
 
 
 def check_t0(t0: float) -> None:
-    """Refuse a handoff radius t0 outside (0, T0_MAX] with HandoffError.
+    """Refuse a handoff radius t0 outside [T0_MIN, T0_MAX] with HandoffError.
 
     Beyond T0_MAX the orders that the two-term truncation of
     initial_state neglects are no longer far below integrator tolerance;
-    a shot, whose samples begin at t0, keeps the same bound.
+    a shot, whose samples begin at t0, keeps the same bound.  Below
+    T0_MIN the profile's first sample loses 1 - f = alpha t0^2 to
+    rounding: at t0 = 1e-8 f rounds to 1, which fails the monotonicity
+    audit of a converged solve, and at 1e-300 the energy density there
+    is 0 / 0.  At alpha >= 1/6, T0_MIN keeps 1 - f at 1.7e-13 or more.
     """
-    if not (0.0 < t0 <= T0_MAX):
-        raise HandoffError(f"t0 must lie in (0, {T0_MAX}], got {t0}")
+    if not (T0_MIN <= t0 <= T0_MAX):
+        raise HandoffError(f"t0 must lie in [{T0_MIN}, {T0_MAX}], got {t0}")
 
 
 def initial_state(point: ShootPoint, lambda_hat: float, t0: float = DEFAULT_T0) -> PhaseState:

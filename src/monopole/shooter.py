@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 from . import analysis
 from .errors import BracketingError, DomainError, IntegrityError, MonopoleError
 from .integrator import (ClassifyMode, IntegratorControls, Outcome, OutcomeTag,
-                         Trajectory, classify, extend, integrate_series)
+                         Trajectory, classify, continued_fate, integrate_series)
 from .model import PhaseState, check_lambda_hat
 from .origin_series import (OriginSeries, ShootPoint, check_t0, expand_batch,
                             expand_series)
@@ -129,14 +129,13 @@ def _gauge_fate(point: ShootPoint, lambda_hat: float,
     (1 - f^2)/t^2, so past its first gauge event f runs away on that
     event's side, and no later event or tube exit can choose the other.
     A continuation that meets no gauge event is classified at the longer
-    horizon.  The run returned is the shot at controls.t_max, which
-    extend leaves as it was.
+    horizon (integrator.continued_fate).  The run returned is the shot at
+    controls.t_max, which the continuation leaves as it was.
     """
     run = shoot(point, lambda_hat, controls)
     out = classify(run, ClassifyMode.F_FATE)
     if out.tag in (OutcomeTag.HORIZON, OutcomeTag.CONVERGED):
-        far = replace(controls, t_max=controls.t_max * _ESCALATION)
-        out = classify(extend(run, far), ClassifyMode.F_FATE)
+        out = continued_fate(run, controls.t_max * _ESCALATION)
     return out, run
 
 

@@ -7,9 +7,11 @@ lambda_hat = 0 references straight from math.sinh, and a bisection root of
 tan u = u.  None of it imports solver internals, so agreement between these
 and the package is a genuine cross-check rather than a restatement.
 
-The exception is the last section: the plain forms that the integrator's
-written-out arithmetic replaced, kept as the references that it must
-match bit for bit.  They read the interpolant's tableau and model._rhs.
+The exceptions are the last sections: the plain forms that the
+integrator's written-out arithmetic replaced, kept as the references that
+it must match bit for bit, which read the interpolant's tableau and
+model._rhs; and the gauge verdict a fresh run gives at its first gauge
+event, the reference for a continued probe, which reads classify.
 """
 from __future__ import annotations
 
@@ -193,3 +195,18 @@ def bisect_predicate(interpolant, t_lo, t_hi, predicate, tol):
             t_lo, g_lo = t_mid, g_mid
     t_ev = 0.5 * (t_lo + t_hi)
     return t_ev, interpolant(t_ev)
+
+
+def first_gauge_verdict(run):
+    """The FFate of a fresh run read at its first gauge event, in the tube or not.
+
+    That event's Outcome, with detail "first gauge event" in the tube, or
+    else classify's FFate of the whole run: what integrator.continued_fate
+    gives for a shorter run continued to this run's horizon.
+    """
+    from monopole.integrator import ClassifyMode, Outcome, classify
+    if not run.f_events:
+        return classify(run, ClassifyMode.F_FATE)
+    ev = run.f_events[0]
+    return Outcome(tag=ev.tag, t_event=ev.t, state=ev.state,
+                   detail="first gauge event" if ev.in_tube else "")

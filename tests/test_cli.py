@@ -150,11 +150,11 @@ def test_solve_failure_exit_code(capsys):
     rc = main(["solve", "--lambda-hat", "0", "--t0", "0.02"])
     assert rc == 1
     assert capsys.readouterr().err == \
-        "monopole solve: t0 must lie in (0, 0.01], got 0.02\n"
+        "monopole solve: t0 must lie in [1e-06, 0.01], got 0.02\n"
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["solve", "--lambda-hat", "0", "--t0", "0.5"], "t0 must lie in (0, 0.01]"),
+    (["solve", "--lambda-hat", "0", "--t0", "0.5"], "t0 must lie in [1e-06, 0.01]"),
     (["solve", "--lambda-hat", "0", "--rel-tol", "-1"],
      "unrecognized arguments: --rel-tol -1"),
     (["solve", "--lambda-hat", "0", "--tol-alpha", "0"],
@@ -164,15 +164,19 @@ def test_solve_failure_exit_code(capsys):
      "lam must be finite and >= 0"),
     (["series", "--alpha", "-1", "--beta", "0.3"], "alpha must be finite and >= 0"),
     (["sweep", "--lambda-hat", "0", "--alphas", "0.1", "--betas", "0.1",
-      "--t0", "0.5"], "t0 must lie in (0, 0.01]"),
+      "--t0", "0.5"], "t0 must lie in [1e-06, 0.01]"),
     (["probe", "--flat", "--u-end", "0"], "need u_end > u0"),
-    (["validate", "--t0", "0.5"], "t0 must lie in (0, 0.01]"),
+    (["validate", "--t0", "0.5"], "t0 must lie in [1e-06, 0.01]"),
     (["validate", "--tol-alpha", "0"], "unrecognized arguments: --tol-alpha 0"),
     (["probe", "--flat", "--u-end", "inf"], "u_end = inf needs more than 10^6 steps"),
     (["probe", "--flat", "--u-end", "2e3"],
      "u_end = 2000.0 needs more than 10^6 steps"),
     (["series", "--alpha", "0.1", "--beta", "0.1", "--picard", "--picard-iters",
       "100000000"], "n_iters must be at most 1000, got 100000000"),
+    # below T0_MIN the first sample's 1 - f rounds away, which once failed
+    # the audit of a converged solve
+    (["solve", "--lambda-hat", "0", "--t0", "1e-8"],
+     "t0 must lie in [1e-06, 0.01], got 1e-08"),
 ])
 def test_refused_value_exits_usage(argv, message, capsys):
     # a value the library refuses is a usage error, not a solver failure;

@@ -14,11 +14,11 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from monopole import dense_output, integrator
-from monopole.errors import DomainError, NoEventError
+from monopole.errors import DomainError, NoEventError, StiffnessError
 from monopole.integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
-                                 OutcomeTag, Trajectory, classify, extend,
-                                 in_tube, integrate, integrate_series,
-                                 refine_event)
+                                 Outcome, OutcomeTag, Trajectory, classify,
+                                 continued_fate, in_tube, integrate,
+                                 integrate_series, refine_event)
 from monopole.model import PhaseState, _rhs, ps_exact
 from monopole.origin_series import ShootPoint, expand_series, initial_state
 from monopole.shooter import shoot
@@ -306,112 +306,90 @@ def _assert_same_run(got, want):
     assert got.rho_events == want.rho_events
 
 
-def _to_first_gauge_event(run):
-    """run up to the end of the step that finds its first f event, ended there.
-
-    A run with no f event is itself.  The event lies in (ts[m - 1], ts[m]]
-    of the step that finds it; the run keeps the Higgs events before it.
-    """
-    if not run.f_events:
-        return run
-    ev = run.f_events[0]
-    m = next(i for i, t in enumerate(run.ts) if t >= ev.t)
-    return Trajectory(lambda_hat=run.lambda_hat, controls=run.controls,
-                      ts=run.ts[:m + 1], ys=run.ys[:m + 1],
-                      segments=run.segments[:max(m - run._span, 0)], f_events=[ev],
-                      rho_events=[e for e in run.rho_events if e.t < ev.t], ended="event")
-
-
 def test_extend_continues_a_horizon_run_exactly():
-    # up to its first gauge event, the continued run is the fresh one
+    # continued to a later horizon, a run gives the verdict of the fresh
+    # run there, read at its first gauge event
     start = _start(1 / 6, 1 / 3, 0.0)
-    c12, c24 = IntegratorControls(t_max=12.0), IntegratorControls(t_max=24.0)
+    c12 = IntegratorControls(t_max=12.0)
     short = integrate(start, 0.0, c12)
     assert short.ended == "t_max"
-    longer = extend(short, c24)
-    _assert_same_run(longer, _to_first_gauge_event(integrate(start, 0.0, c24)))
+    for t_max in (24.0, 48.0):
+        assert continued_fate(short, t_max) == oracles.first_gauge_verdict(
+            integrate(start, 0.0, IntegratorControls(t_max=t_max)))
     # the input run is left as integrate made it
     _assert_same_run(short, integrate(start, 0.0, c12))
 
 
-def test_extend_keeps_an_event_run_that_never_met_the_horizon():
+def test_extend_refuses_a_run_that_never_met_the_horizon():
+    # only a run its horizon ended is undecided there: one that a gauge
+    # event or a blowup ended is refused
     start = _start(0.3, 0.87, 1.0)
-    short = integrate(start, 1.0, IntegratorControls())
-    assert short.ended == "event"
-    c24 = IntegratorControls(t_max=24.0)
-    _assert_same_run(extend(short, c24), integrate(start, 1.0, c24))
+    ended = integrate(start, 1.0, IntegratorControls())
+    burst = integrate(PhaseState(1.0, 0.0, 0.0, 3.0, 0.0), 1.0, IntegratorControls())
+    assert (ended.ended, burst.ended) == ("event", "blowup")
+    for run in (ended, burst):
+        with pytest.raises(DomainError, match="continues a run its horizon ended"):
+            continued_fate(run, 24.0)
 
 
 def test_extend_drops_what_the_clipped_step_found():
-    # horizons just past the Higgs crossing and the terminal gauge turn:
-    # the clipped last step finds each event, and a longer run finds it
-    # again on its own, unclipped step
+    # horizons just past the Higgs crossing and just short of the
+    # terminal gauge turn: the continuation starts at the clipped step's
+    # start, takes the unclipped step, and finds the gauge turn of the
+    # run at the default horizon
     start = _start(0.3, 0.87, 1.0)
     full = integrate(start, 1.0, IntegratorControls())
     t_rho, t_f = full.rho_events[0].t, full.f_events[0].t
-    for t_max, ended in ((t_rho + 1e-6, "t_max"), (t_f + 1e-6, "event")):
+    want = classify(full, ClassifyMode.F_FATE)
+    assert want == oracles.first_gauge_verdict(full) and want.detail == ""
+    for t_max in (t_rho + 1e-6, t_f - 1e-6):
         short = integrate(start, 1.0, IntegratorControls(t_max=t_max))
-        assert short.ended == ended
-        assert short.rho_events
-        _assert_same_run(extend(short, IntegratorControls()), full)
+        assert short.ended == "t_max" and short.rho_events
+        assert continued_fate(short, IntegratorControls().t_max) == want
 
 
 def test_extend_resumes_when_the_horizon_clipped_the_first_step():
     # the run records the clip of its first step too, with the unclipped
     # step a longer run takes
     start = _start(1 / 6, 1 / 3, 0.0, t0=1e-3)
-    c_short, c_long = IntegratorControls(t_max=1.1e-3), IntegratorControls(t_max=2.2e-3)
-    short = integrate(start, 0.0, c_short)
-    assert short.n_steps == 1 and short._resume[:3] == (0, 0, 0)
-    assert short._resume[3] is not None
-    _assert_same_run(extend(short, c_long), integrate(start, 0.0, c_long))
-
-
-def test_extend_twice_matches_a_fresh_run():
-    start = _start(1 / 6, 1 / 3, 0.0)
-    run = integrate(start, 0.0, IntegratorControls(t_max=12.0))
-    run = extend(extend(run, IntegratorControls(t_max=24.0)),
-                 IntegratorControls(t_max=48.0))
-    _assert_same_run(run, _to_first_gauge_event(
-        integrate(start, 0.0, IntegratorControls(t_max=48.0))))
+    short = integrate(start, 0.0, IntegratorControls(t_max=1.1e-3))
+    assert short.n_steps == 1 and short._resume[:2] == (0, 0)
+    assert short._resume[2] is not None
+    assert continued_fate(short, 2.2e-3) == oracles.first_gauge_verdict(
+        integrate(start, 0.0, IntegratorControls(t_max=2.2e-3)))
 
 
 def test_extend_to_the_first_gauge_event_cuts_a_restarted_run():
     # just above the lambda_hat = 0 separatrix f crosses zero inside the
     # tube at t ~ 10.9.  A horizon inside the series span restarts the
-    # longer run; continued to its first gauge event, it is the plain
-    # longer run cut back to the step that found that crossing, and
-    # classify reads the crossing as its verdict, as the plain run's tube
-    # exit promotes it
+    # longer run, whose verdict is that crossing, the first gauge event;
+    # the plain longer run reads the same crossing, as its tube exit
+    # promotes it
     series = expand_series(ShootPoint(1 / 6 + 1e-7, 1 / 3), 0.0)
     short = integrate_series(series, IntegratorControls(t_max=0.5))
-    assert short._resume[3] is None
-    far = IntegratorControls(t_max=48.0)
-    full = integrate_series(series, far)
-    cont = extend(short, far)
+    assert short._resume[2] is None
+    full = integrate_series(series, IntegratorControls(t_max=48.0))
     ev = full.f_events[0]
     assert ev.tag is OutcomeTag.F_ZERO and ev.in_tube
-    assert (cont.ended, cont.f_events, cont.controls) == ("event", [ev], far)
-    n = len(cont.ts)
-    assert (cont.ts, cont.ys) == (full.ts[:n], full.ys[:n])
-    assert cont.ts[-2] < ev.t <= cont.ts[-1]
-    assert cont.rho_events == [e for e in full.rho_events if e.t < ev.t]
-    out = classify(cont, ClassifyMode.F_FATE)
-    assert (out.tag, out.t_event, out.detail) == (ev.tag, ev.t, "first gauge event")
+    assert continued_fate(short, 48.0) == Outcome(
+        tag=ev.tag, t_event=ev.t, state=ev.state, detail="first gauge event")
     promoted = classify(full, ClassifyMode.F_FATE)
     assert (promoted.tag, promoted.t_event) == (ev.tag, ev.t)
-    # a run that an out-of-tube event ended is kept as it is
-    start = _start(0.3, 0.87, 1.0)
-    ended = integrate(start, 1.0, IntegratorControls())
-    _assert_same_run(extend(ended, far), integrate(start, 1.0, far))
 
 
 def test_extend_only_moves_the_horizon_outward():
     run = integrate(_start(1 / 6, 1 / 3, 0.0), 0.0, IntegratorControls(t_max=5.0))
-    with pytest.raises(DomainError):
-        extend(run, IntegratorControls(t_max=4.0))
-    with pytest.raises(DomainError):
-        extend(run, IntegratorControls(t_max=10.0, rel_tol=1e-8))
+    with pytest.raises(DomainError, match="to a later horizon"):
+        continued_fate(run, 4.0)
+    # at its own horizon the run repeats its clipped step
+    assert continued_fate(run, 5.0) == oracles.first_gauge_verdict(run)
+
+
+def test_step_size_underflow_raises_stiffness_error():
+    # at t = 1e-12 with f = 0.5 the (f^2 - 1)/t^2 term of f'' is ~1e24:
+    # no step the error norm accepts stays above 1e-13 t
+    with pytest.raises(StiffnessError, match=r"step size underflow at t = 1e-12"):
+        integrate(PhaseState(1e-12, 0.5, 0.0, 0.5, 0.0), 0.0, IntegratorControls())
 
 
 def _pinned(prefix, weights):
@@ -589,17 +567,14 @@ def test_event_inside_the_series_span_against_rk4_oracle():
 
 def test_extend_keeps_the_series_span():
     # a horizon inside the span starts the run afresh on the series; one
-    # just past the reach clips the first DOP853 step, where it resumes
+    # just past the reach clips the first DOP853 step, where it resumes,
+    # and so does one past the first steps
     series = expand_series(ShootPoint(1 / 6, 1 / 3), 0.0)
-    full = integrate_series(series, IntegratorControls())
-    for t_max, resumed in ((0.5, False), (series.reach + 1e-4, True)):
+    want = oracles.first_gauge_verdict(integrate_series(series, IntegratorControls()))
+    for t_max, resumed in ((0.5, False), (series.reach + 1e-4, True), (3.0, True)):
         short = integrate_series(series, IntegratorControls(t_max=t_max))
-        assert short.ended == "t_max" and (short._resume[3] is not None) == resumed
-        _assert_same_run(extend(short, IntegratorControls()), full)
-    # a horizon past the first steps resumes DOP853 where it was clipped
-    short = integrate_series(series, IntegratorControls(t_max=3.0))
-    assert short._resume[3] is not None
-    _assert_same_run(extend(short, IntegratorControls()), full)
+        assert short.ended == "t_max" and (short._resume[2] is not None) == resumed
+        assert continued_fate(short, IntegratorControls().t_max) == want
 
 
 def test_integrate_series_hands_over_at_a_reach_below_t0():

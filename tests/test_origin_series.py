@@ -16,7 +16,7 @@ from monopole import origin_series
 from monopole.errors import ContractionDomainError, DomainError, HandoffError
 from monopole.integrator import IntegratorControls, integrate
 from monopole.model import PhaseState, ps_exact
-from monopole.origin_series import (DEFAULT_T0, T0_MAX, ShootPoint,
+from monopole.origin_series import (DEFAULT_T0, T0_MAX, T0_MIN, ShootPoint,
                                     expand_series, initial_state,
                                     picard_verify, series_coefficients)
 
@@ -72,7 +72,10 @@ def test_initial_state_handoff_bounds():
         initial_state(pt, 0.0, -1e-3)
     with pytest.raises(HandoffError):
         initial_state(pt, 0.0, 1.5 * T0_MAX)
-    initial_state(pt, 0.0, T0_MAX)  # boundary is allowed
+    with pytest.raises(HandoffError):
+        initial_state(pt, 0.0, 0.5 * T0_MIN)
+    initial_state(pt, 0.0, T0_MAX)  # boundaries are allowed
+    initial_state(pt, 0.0, T0_MIN)
 
 
 def test_initial_state_satisfies_equations_to_truncation_order():
@@ -126,7 +129,7 @@ def test_picard_domain_errors():
 
 
 def test_default_handoff_radius():
-    assert 0.0 < DEFAULT_T0 <= T0_MAX
+    assert T0_MIN <= DEFAULT_T0 <= T0_MAX
 
 
 def test_initial_state_against_closed_form_at_max_handoff():

@@ -12,11 +12,13 @@ from monopole import analysis, integrator, origin_series, shooter
 from monopole.errors import (BracketingError, DomainError, FitDomainError, HandoffError,
                              IntegrityError)
 from monopole.integrator import (ClassifyMode, IntegratorControls, Outcome, OutcomeTag,
-                                 classify, extend)
+                                 classify, continued_fate)
 from monopole.origin_series import T0_MAX, ShootPoint, expand_batch, expand_series
 from monopole.shooter import (Bracket, Probe, _centred_bracket, _expand_bracket,
                               bisect_alpha, bisect_beta, bracket_alpha, shoot, sweep)
 from monopole.model import PhaseState, ps_exact
+
+import oracles
 
 
 CONTROLS = IntegratorControls()
@@ -785,12 +787,12 @@ def test_gauge_fate_continues_the_run_to_a_longer_horizon():
     # It is continued once, to 48, and ends at its first gauge event, in
     # the tube or not, which decides the probe as continuing the run to 24
     # and then to 48 and classifying it did.  A plain run that already
-    # holds an in-tube gauge event is cut back to it instead.  The run
+    # holds an in-tube gauge event reads it as the verdict.  The run
     # returned is the one over the plain horizon, which the continuation
     # left as it was
     undecided = {OutcomeTag.HORIZON, OutcomeTag.CONVERGED}
     far = replace(CONTROLS, t_max=48.0)
-    continued, cut = 0, 0
+    continued, prefix = 0, 0
     for lambda_hat, beta, alpha_star in _SEPARATRIX:
         for offset in (1e-7, -1e-7, 1e-9, -1e-9, 1e-11, -1e-11):
             point = ShootPoint(alpha_star + offset, beta)
@@ -811,20 +813,37 @@ def test_gauge_fate_continues_the_run_to_a_longer_horizon():
             assert (out.tag, out.t_event, out.state) == (want.tag, want.t_event, want.state)
             if decided:
                 continue  # decided at the plain horizon
-            cont = shooter.extend(run, far)
-            assert out == classify(cont, ClassifyMode.F_FATE)
-            assert cont.ended == "event" and len(cont.f_events) == 1
-            ev = cont.f_events[0]
-            assert cont.ts[-2] < ev.t <= cont.ts[-1]
-            # up to that event it is the run to 4x t_max without the stop
-            full = shoot(point, lambda_hat, far)
-            n = len(cont.ts)
-            assert (cont.ts, cont.ys) == (full.ts[:n], full.ys[:n])
-            assert ev == full.f_events[0]
-            assert cont.rho_events == [e for e in full.rho_events if e.t < ev.t]
+            # the verdict is the first gauge event of the run to 4x t_max
+            assert out == oracles.first_gauge_verdict(shoot(point, lambda_hat, far))
             continued += 1
-            cut += ev.t <= run.ts[-2]  # found before the plain run's clipped step
-    assert continued >= 15 and 0 < cut < continued
+            prefix += out.t_event <= run.ts[-2]  # found before the plain run's clipped step
+    assert continued >= 15 and 0 < prefix < continued
+
+
+def test_every_continued_probe_reads_as_a_fresh_longer_shot(monkeypatch):
+    # every continuation of two solves, each verdict the one a fresh shot
+    # at 4x t_max reads at its first gauge event, on all three paths: an
+    # in-tube gauge event found before the first horizon clip, a run
+    # resumed at that clip, and a run its horizon ended inside the series
+    # span, restarted on its series
+    calls = []
+
+    def recorded(run, t_max):
+        out = continued_fate(run, t_max)
+        calls.append((run, t_max, out))
+        return out
+    monkeypatch.setattr(shooter, "continued_fate", recorded)
+    bisect_beta(1.0)
+    bisect_beta(0.0, IntegratorControls(t_max=0.5))
+    paths = set()
+    for run, t_max, out in calls:
+        assert t_max == 4 * run.controls.t_max
+        fresh = shoot(ShootPoint(run.alpha, run.beta), run.lambda_hat,
+                      replace(run.controls, t_max=t_max))
+        assert out == oracles.first_gauge_verdict(fresh)
+        _, n_f, k1, _ = run._resume
+        paths.add("prefix" if n_f else "restart" if k1 is None else "resume")
+    assert paths == {"prefix", "resume", "restart"}
 
 
 def test_solve_report_bps(lam0, lam0_handoffs):
@@ -949,7 +968,7 @@ def test_sweep_rejects_bad_inputs(monkeypatch):
                 sweep([0.3, 0.4], [0.1, bad], 0.0, workers=workers)
     # a handoff radius past the series' validity, as check_t0 refuses it
     for workers in (1, 2):
-        with pytest.raises(HandoffError, match=r"t0 must lie in \(0, 0.01\], got 0.02"):
+        with pytest.raises(HandoffError, match=r"t0 must lie in \[1e-06, 0.01\], got 0.02"):
             sweep([0.3], [0.1], 0.0, controls=IntegratorControls(t0=2 * T0_MAX),
                   workers=workers)
 
@@ -1009,19 +1028,26 @@ def test_batch_runs_are_the_lone_series_runs(batch_lanes):
 
 def test_batch_rows_serve_only_their_run(batch_lanes):
     # the rows a batch read for (t0, t_max) do not start a run of other
-    # controls: extending an item's run to 4 t_max, or shooting an item at
-    # another t0 or t_max, gives the lone series' run
+    # controls: continuing an item's run to 4 t_max gives the lone series'
+    # verdict there, and shooting an item at another t0 or t_max the lone
+    # series' run
     alphas, betas = batch_lanes
     c = IntegratorControls(t_max=0.5)
+    continued = 0
     for lam in (0.0, 0.7):
         read = expand_batch(alphas, betas, lam, c.t0, c.t_max)
         for item, a, b in zip(read, alphas, betas):
             lone = expand_series(ShootPoint(a, b), lam)
             far = replace(c, t_max=4 * c.t_max)
-            assert _run(extend(shoot(item, lam, c), far)) == _run(
-                extend(shoot(lone, lam, c), far)) == _run(shoot(lone, lam, far))
+            run = shoot(item, lam, c)
+            if run.ended == "t_max":
+                assert continued_fate(run, far.t_max) == continued_fate(
+                    shoot(lone, lam, c), far.t_max) == oracles.first_gauge_verdict(
+                    shoot(lone, lam, far))
+                continued += 1
             for other in (replace(c, t0=5e-4), replace(c, t_max=0.3), far):
                 assert _run(shoot(item, lam, other)) == _run(shoot(lone, lam, other))
+    assert continued
 
 
 def test_a_start_that_is_not_finite_blows_up_at_t0():
@@ -1066,7 +1092,7 @@ def test_shoot_and_sweep_check_t0_through_check_t0(monkeypatch):
         origin_series.check_t0(t0)
     monkeypatch.setattr(shooter, "check_t0", check_t0)
     bad = IntegratorControls(t0=2 * T0_MAX)
-    message = r"t0 must lie in \(0, 0.01\], got 0.02"
+    message = r"t0 must lie in \[1e-06, 0.01\], got 0.02"
     with pytest.raises(HandoffError, match=message):
         shoot(ShootPoint(0.3, 0.1), 0.0, bad)
     with pytest.raises(HandoffError, match=message):
