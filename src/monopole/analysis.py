@@ -39,6 +39,9 @@ __all__ = [
 FIT_SPAN = 2.0
 # How far the reported profile runs past t_graft on its fitted far field.
 REPORT_TAIL = 8.0
+# Radii per block wherever a sample grid is walked (residual_norm, the
+# CLI's profile writer): memory holds a few blocks, not the whole grid.
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -271,41 +274,81 @@ def residual_norm(profile, lambda_hat: float | None = None) -> float:
     GraftedProfile at its run's lambda_hat (resampled at spacing 2.5e-4
     from t = 0.05, or from its first sample if later, to t_graft) or raw
     uniformly spaced arrays (ts, f, rho), which require lambda_hat.
+    Either grid is walked in blocks of BLOCK radii, a GraftedProfile's
+    resampled one block at a time, so memory does not grow with the
+    grid; the maximum is the one the whole grid gives, bit for bit.
     """
     if isinstance(profile, tuple):
         ts, fs, rhos = (np.asarray(c, dtype=float) for c in profile)
         if lambda_hat is None:
             raise DomainError("lambda_hat is required with raw samples")
-        lam = float(lambda_hat)
-        dt = np.diff(ts)
-        h = float(dt[0])
-        if h <= 0.0 or np.max(np.abs(dt - h)) > 1e-9 * h:
+        n = len(ts)
+        if n < 5:
+            raise DomainError("need at least 5 samples for second differences")
+        h = float(ts[1] - ts[0])
+        if h <= 0.0:
             raise DomainError("raw samples must be uniformly spaced")
-    else:
-        traj, hi = profile.base, profile.t_graft
-        # The sup sits at the left edge, dominated by the O(h^2) truncation
-        # of the 2 rho'/t term (rho''' ~ 6 b3 there), so the spacing sets
-        # the figure, not the solver.  A quarter millistep keeps it well
-        # under 1e-6 even at lambda_hat ~ 1 couplings while staying far
-        # above the dense-output noise floor.
-        lam, h = traj.lambda_hat, 2.5e-4
-        lo = max(0.05, traj.ts[0])
-        if not (lo < hi <= traj.t_end):
-            raise DomainError(f"residual window [{lo}, {hi}] outside trajectory")
-        n = int(math.floor((hi - lo) / h)) + 1
-        ts = lo + h * np.arange(n)
-        cols = traj.resample(ts)
-        fs, rhos = cols[:, 0], cols[:, 2]
-    if len(ts) < 5:
+        blocks = ((ts[i:j], fs[i:j], rhos[i:j]) for i, j in _spans(n))
+        return _residual_sup(blocks, h, float(lambda_hat))
+    traj, hi = profile.base, profile.t_graft
+    # The sup sits at the left edge, dominated by the O(h^2) truncation
+    # of the 2 rho'/t term (rho''' ~ 6 b3 there), so the spacing sets
+    # the figure, not the solver.  A quarter millistep keeps it well
+    # under 1e-6 even at lambda_hat ~ 1 couplings while staying far
+    # above the dense-output noise floor.
+    h = 2.5e-4
+    lo = max(0.05, traj.ts[0])
+    if not (lo < hi <= traj.t_end):
+        raise DomainError(f"residual window [{lo}, {hi}] outside trajectory")
+    n = int(math.floor((hi - lo) / h)) + 1
+    if n < 5:
         raise DomainError("need at least 5 samples for second differences")
-    t, f, r = ts[1:-1], fs[1:-1], rhos[1:-1]
+    blocks = ((ts, cols[:, 0], cols[:, 2]) for ts in _grid_blocks(lo, h, n)
+              for cols in (traj.resample(ts),))
+    return _residual_sup(blocks, h, traj.lambda_hat)
+
+
+def _spans(n: int):
+    """(start, stop) of the blocks of at most BLOCK indices that cover range(n)."""
+    for i in range(0, n, BLOCK):
+        yield i, min(i + BLOCK, n)
+
+
+def _grid_blocks(lo: float, h: float, n: int):
+    """The radii lo + h k, k < n, of a uniform grid, in blocks of at most BLOCK.
+
+    Each radius has the bits it has in lo + h * np.arange(n).
+    """
+    for i, j in _spans(n):
+        yield lo + h * np.arange(i, j)
+
+
+def _residual_sup(blocks, h: float, lam: float) -> float:
+    """residual_norm's sup over one uniform grid, given as (ts, f, rho) blocks.
+
+    The last two samples of each block are put in front of the next, so
+    every interior sample is differenced once, with the neighbours it has
+    in the whole grid.  Samples must lie h apart, to 1e-9 h.
+    """
+    sup_f, sup_r = [], []
+    carry = None
     h2 = h * h
-    fpp = (fs[2:] - 2.0 * fs[1:-1] + fs[:-2]) / h2
-    rpp = (rhos[2:] - 2.0 * rhos[1:-1] + rhos[:-2]) / h2
-    rp = (rhos[2:] - rhos[:-2]) / (2.0 * h)
-    res_f = fpp - f * (f * f - 1.0) / (t * t) - r * r * f
-    res_r = rpp + 2.0 * rp / t - 2.0 * f * f * r / (t * t) - lam * (r * r - 1.0) * r
-    return float(max(np.max(np.abs(res_f)), np.max(np.abs(res_r))))
+    for ts, fs, rhos in blocks:
+        if carry is not None:
+            ts, fs, rhos = (np.concatenate(pair) for pair in zip(carry, (ts, fs, rhos)))
+        if np.max(np.abs(np.diff(ts) - h)) > 1e-9 * h:
+            raise DomainError("raw samples must be uniformly spaced")
+        t, f, r = ts[1:-1], fs[1:-1], rhos[1:-1]
+        fpp = (fs[2:] - 2.0 * fs[1:-1] + fs[:-2]) / h2
+        rpp = (rhos[2:] - 2.0 * rhos[1:-1] + rhos[:-2]) / h2
+        rp = (rhos[2:] - rhos[:-2]) / (2.0 * h)
+        res_f = fpp - f * (f * f - 1.0) / (t * t) - r * r * f
+        res_r = rpp + 2.0 * rp / t - 2.0 * f * f * r / (t * t) - lam * (r * r - 1.0) * r
+        sup_f.append(np.max(np.abs(res_f)))
+        sup_r.append(np.max(np.abs(res_r)))
+        carry = ts[-2:], fs[-2:], rhos[-2:]
+    # np.max of the block maxima keeps a NaN, as np.max of the whole would
+    return float(max(np.max(sup_f), np.max(sup_r)))
 
 
 def _simpson(y, h: float) -> float:

@@ -381,9 +381,11 @@ def refine_event(value, t_lo: float, t_hi: float, level: float = 0.0) -> float:
 
 
 def _select_initial_step(y0, k1, controls: IntegratorControls) -> float:
-    # Hairer-style heuristic: try an Euler step sized from y and y',
-    # then correct with a second derivative estimate.  The horizon does
-    # not enter: _advance clips the step.
+    # The first half of Hairer's heuristic: an Euler-sized step, 1% of
+    # |y| / |y'| in tolerance-scaled RMS norms.  It takes no trial step
+    # and no second-derivative estimate, and its bits fix every shot's,
+    # so it stays as it is.  The horizon does not enter: _advance clips
+    # the step.
     scale = [controls.abs_tol + controls.rel_tol * abs(v) for v in y0]
     # v * v, not v ** 2: a square past the float range is inf, not an
     # OverflowError, and a state that large ends the run as a blowup

@@ -10,13 +10,17 @@ and the package is a genuine cross-check rather than a restatement.
 The exceptions are the last sections: the plain forms that the
 integrator's written-out arithmetic replaced, kept as the references that
 it must match bit for bit, which read the interpolant's tableau and
-model._rhs; and the gauge verdict a fresh run gives at its first gauge
-event, the reference for a continued probe, which reads classify.
+model._rhs; the gauge verdict a fresh run gives at its first gauge
+event, the reference for a continued probe, which reads classify; and
+the residual sup-norm of a whole grid in one batch, the reference for
+the block walk of analysis.residual_norm.
 """
 from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
+
+import numpy as np
 
 
 def deriv(t, y, lam):
@@ -210,3 +214,16 @@ def first_gauge_verdict(run):
     ev = run.f_events[0]
     return Outcome(tag=ev.tag, t_event=ev.t, state=ev.state,
                    detail="first gauge event" if ev.in_tube else "")
+
+
+def whole_grid_residual(ts, fs, rhos, h, lam):
+    """residual_norm's sup-norm of one uniform grid, differenced in one batch."""
+    ts, fs, rhos = (np.asarray(c, dtype=float) for c in (ts, fs, rhos))
+    t, f, r = ts[1:-1], fs[1:-1], rhos[1:-1]
+    h2 = h * h
+    fpp = (fs[2:] - 2.0 * fs[1:-1] + fs[:-2]) / h2
+    rpp = (rhos[2:] - 2.0 * rhos[1:-1] + rhos[:-2]) / h2
+    rp = (rhos[2:] - rhos[:-2]) / (2.0 * h)
+    res_f = fpp - f * (f * f - 1.0) / (t * t) - r * r * f
+    res_r = rpp + 2.0 * rp / t - 2.0 * f * f * r / (t * t) - lam * (r * r - 1.0) * r
+    return float(max(np.max(np.abs(res_f)), np.max(np.abs(res_r))))

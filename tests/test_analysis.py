@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,43 @@ def test_residual_zero_on_vacuum():
 def test_residual_trajectory_route(lam0):
     r = analysis.residual_norm(lam0.profile)
     assert r < 1e-5
+
+
+def test_residual_blocks_give_the_whole_grid_value(lam0):
+    # the profile's 2.5e-4 grid is resampled a block at a time, with the
+    # maximum the whole grid's, and never held whole in memory
+    traj, lo, h = lam0.profile.base, 0.05, 2.5e-4
+    n = int(math.floor((lam0.profile.t_graft - lo) / h)) + 1
+    assert n > 2 * analysis.BLOCK
+    ts = lo + h * np.arange(n)
+    cols = traj.resample(ts)
+    want = oracles.whole_grid_residual(ts, cols[:, 0], cols[:, 2], h, 0.0)
+    tracemalloc.start()
+    try:
+        got = analysis.residual_norm(lam0.profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2e6, peak
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2, analysis.BLOCK + 1])
+def test_residual_raw_blocks_give_the_whole_array_value(extra):
+    # grids of B - 1, B, B + 1, B + 2 and 2B + 1 samples, B the block
+    # size; a spike at each sample next to a block edge must be seen
+    m = analysis.BLOCK + extra
+    ts = 0.5 + 1e-3 * np.arange(m)
+    h = float(ts[1] - ts[0])
+    base_f, base_rho = np.exp(-ts), 1.0 - np.exp(-ts) / ts
+    edges = {1, m - 2} | {k for e in range(analysis.BLOCK, m, analysis.BLOCK)
+                          for k in range(e - 2, e + 2)}
+    for k in sorted(k for k in edges if 0 < k < m - 1):
+        for spiked in (0, 1):
+            fs, rhos = base_f.copy(), base_rho.copy()
+            (fs, rhos)[spiked][k] += 1.0
+            want = oracles.whole_grid_residual(ts, fs, rhos, h, 0.7)
+            assert analysis.residual_norm((ts, fs, rhos), lambda_hat=0.7) == want, k
 
 
 def test_residual_domain_errors():

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from monopole import analysis, cli, model
 from monopole.cli import main
 from monopole.errors import BracketingError, FitDomainError
@@ -54,7 +57,35 @@ def test_profile_csv_round_trip(solve_dir):
     cols = list(zip(*(tuple(float(v) for v in ln.split(",")) for ln in lines[1:])))
     ts, fs, rhos = cols[0], cols[1], cols[3]
     r = analysis.residual_norm((ts, fs, rhos), lambda_hat=report["lambda_hat"])
-    assert_allclose(r, report["profile_residual"], rtol=1e-14)
+    assert r == report["profile_residual"]
+
+
+def test_profile_csv_is_written_in_blocks(tmp_path, monkeypatch, capsys, lam0):
+    # the CSV and its residual are those of one whole table, written a
+    # block at a time: neither the table nor its text is ever held whole
+    monkeypatch.setattr(cli, "bisect_beta", lambda lambda_hat, controls=None: lam0)
+    g = lam0.profile
+    t_lo = g.base.ts[0]
+    n = int(round((g.t_report - t_lo) / 1e-3))
+    assert n > 2 * analysis.BLOCK
+    ts = t_lo + np.arange(n + 1) * ((g.t_report - t_lo) / n)
+    rows = g.table(ts)
+    want = "t,f,fp,rho,rhop\n" + "".join(
+        ",".join(cli._fmt(v) for v in (t, *row)) + "\n"
+        for t, row in zip(ts.tolist(), rows.tolist()))
+    tracemalloc.start()
+    try:
+        rc = main(["solve", "--lambda-hat", "0", "--grid-step", "1e-3",
+                   "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert (tmp_path / "profile.csv").read_text() == want
+    assert peak < 4e6, peak
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["profile_residual"] == oracles.whole_grid_residual(
+        ts, rows[:, 0], rows[:, 2], ts[1] - ts[0], 0.0)
 
 
 def test_solve_physical_frame(tmp_path, capsys):
