@@ -163,12 +163,11 @@ def _report_dict(rep: SolveReport, scaled: ScaledParams | None) -> dict:
         "alpha_resolved": rep.alpha_resolved,
         "converged": rep.converged,
         "n_beta_evaluations": rep.n_beta_evaluations,
+        "rel_tol": rep.controls.rel_tol,
+        "abs_tol": rep.controls.abs_tol,
+        "t_max": rep.controls.t_max,
+        "t0": rep.controls.t0,
     }
-    if rep.controls is not None:
-        d["rel_tol"] = rep.controls.rel_tol
-        d["abs_tol"] = rep.controls.abs_tol
-        d["t_max"] = rep.controls.t_max
-        d["t0"] = rep.controls.t0
     if rep.residual_norm is not None:
         d["residual_norm"] = rep.residual_norm
     if rep.energy is not None:

@@ -43,15 +43,15 @@ f still in the tube.
 integrate_series starts every shot, on the origin series: from
 min(t0, reach) to the series' reach the run is read off the series, on
 pieces that end on the multiples of origin_series._PIECE, so their ends
-do not depend on t0.  OriginSeries.span gives the piece ends and the
-states there: a lone series evaluates them in one OriginSeries.table
-call, and a series that origin_series.expand_batch gave a sweep reads
-them from the table of one lane-wise pass, with the same bits.  Each
-piece end gets the five sign tests and the blowup bounds of a step, and
-a crossing is bisected on the series itself.  DOP853 takes over at the
-reach, past the 1/t^2 layer at the origin, where it would otherwise hold
-every step near h ~ 0.1 t and leave its largest error.  state_at and
-resample read the span off the series; n_steps counts DOP853 steps only.
+do not depend on t0.  The series carries those ends and its states
+there (OriginSeries.span); the run applies t0 and t_max, starting from
+the state at min(t0, reach) and cutting the span at a horizon inside
+it.  Each piece end gets the five sign tests and the blowup bounds of a
+step, and a crossing is bisected on the series itself.  DOP853 takes
+over at the reach, past the 1/t^2 layer at the origin, where it would
+otherwise hold every step near h ~ 0.1 t and leave its largest error.
+state_at and resample read the span off the series; n_steps counts
+DOP853 steps only.
 
 continued_fate reads the gauge verdict of a probe still undecided at
 its horizon at a later one: its first gauge event, in the tube or not;
@@ -421,12 +421,11 @@ def integrate_series(series: OriginSeries, controls: IntegratorControls) -> Traj
     """The run of the series' (alpha, beta): the series up to its reach, then DOP853.
 
     Samples start at t_s = min(controls.t0, reach), so a series that does
-    not reach t0 starts the run at its reach, and follow the series span,
-    on pieces that end on the multiples of origin_series._PIECE below
-    min(reach, t_max) and at that radius (OriginSeries.span).  Each piece
-    end gets a step's five sign tests, with any crossing bisected on the
-    series, and every sample, the first too, the blowup bounds.  Past the
-    span DOP853 steps on as integrate does.
+    not reach t0 starts the run at its reach, and follow the series span
+    (OriginSeries.span): the ends below t_max, then t_max where the reach
+    lies beyond it.  Each piece end gets a step's five sign tests, with
+    any crossing bisected on the series, and every sample, the first too,
+    the blowup bounds.  Past the span DOP853 steps on as integrate does.
 
     When f' is already non-negative at t_s (alpha > 0 tiny next to beta^2
     t_s^2), f turned below t_s: the run holds only that turn, at the
@@ -443,8 +442,7 @@ def integrate_series(series: OriginSeries, controls: IntegratorControls) -> Traj
         return Trajectory(lambda_hat=lam, controls=controls, ended="blowup",
                           blowup_channel="nonfinite", alpha=alpha, beta=beta)
     t = min(t0, series.reach)
-    ends, rows = series.span(t, t_max)
-    y = rows[0]
+    y = series.state(t)
     if alpha > 0.0 and y[1] >= 0.0:
         t_c = math.sqrt(alpha / (2.0 * series.coefficients().a4))
         f, _, rho, rhop = series.state(t_c)
@@ -456,7 +454,12 @@ def integrate_series(series: OriginSeries, controls: IntegratorControls) -> Traj
                       alpha=alpha, beta=beta, series=series)
     if _ends_in_blowup(traj, y):
         return traj
-    for t_next, y_next in zip(ends, rows[1:]):
+    # a run that starts at the reach has no piece left to read
+    ends, rows = series.span() if t < series.reach else ((), ())
+    if series.reach > t_max:
+        n = _bisect.bisect_left(ends, t_max)
+        ends, rows = (*ends[:n], t_max), (*rows[:n], series.state(t_max))
+    for t_next, y_next in zip(ends, rows):
         terminal = (_sign_change(y, y_next)
                     and _scan_events(traj, _SeriesPiece(series, t, t_next), y, y_next))
         traj.ts.append(t_next)

@@ -37,13 +37,14 @@ lane the scalar coefficients to the bit, at a fraction of the cost per
 point once a batch holds ~100 points.  The bits agree because the
 recurrence adds its products left to right (_dot), as numpy adds lanes.
 
-A run reads its series span at the piece ends OriginSeries.span gives:
-its start, the multiples of _PIECE below min(reach, t_max), then that
-radius.  A lone series evaluates them with table; expand_batch
-evaluates every lane's in one lane-wise Horner pass, for the t0 and
-t_max of the sweep, and each series it gives carries its rows for those
-only.  Both run the one Horner loop (_horner), so a lane's rows are the
-lone series' to the bit.
+A series carries its span, the piece ends a run reads it at: the
+multiples of _PIECE strictly below its reach, then the reach, and its
+states there.  No end depends on a run's t0, which check_t0 holds below
+_PIECE, and a run's horizon only cuts the list, so integrate_series
+alone applies both.  expand_series evaluates a lone series' span in one
+Horner call and expand_batch every lane's in one lane-wise pass; both
+run the one Horner loop (_horner), so a lane's rows are the lone
+series' to the bit.
 
 picard_verify reruns the same local solution as a fixed-point iteration in
 the logarithmic variable s = log t, on the autonomous integral form of the
@@ -93,7 +94,8 @@ SERIES_ORDER = 24
 _REACH_EPS = 1e-17
 _REACH_TAIL = 4
 _REACH_MAX = 2.0
-# Width of the grid whose multiples end the pieces of a run's series span.
+# Width of the grid whose multiples end the pieces of a run's series span;
+# it exceeds T0_MAX, so no piece end lies below a run's start.
 _PIECE = 0.05
 
 
@@ -168,19 +170,22 @@ def series_coefficients(point: ShootPoint, lambda_hat: float) -> SeriesCoefficie
 
 
 class OriginSeries:
-    """The origin expansion of one shot to SERIES_ORDER, and its reach.
+    """The origin expansion of one shot to SERIES_ORDER, its reach and its span.
 
     The four phase components are polynomials in x = t^2, times t for f'
     and rho.  state evaluates them at one radius and table at an array of
     radii, with the same operations in the same order, so both give the
     same bits; component gives one of them as a function of t alone, for
-    event bisection.  alpha and beta are the shot's origin data.
+    event bisection.  span gives the piece ends of a run on the series and
+    table's rows there, evaluated when it was expanded.  alpha and beta
+    are the shot's origin data.
     """
 
-    __slots__ = ("lambda_hat", "alpha", "beta", "reach", "_rows", "_matrix", "_span")
+    __slots__ = ("lambda_hat", "alpha", "beta", "reach", "_rows", "_matrix", "_ends",
+                 "_table")
 
     def __init__(self, lambda_hat: float, alpha, beta, matrix: np.ndarray, reach: float,
-                 span: tuple | None = None):
+                 ends: list, table: np.ndarray):
         self.lambda_hat = lambda_hat
         self.alpha, self.beta = alpha, beta
         self.reach = reach
@@ -188,9 +193,10 @@ class OriginSeries:
         # and component
         self._matrix = matrix
         self._rows = matrix.tolist()
-        # (t0, t_max, radii, multiples, table) of this lane of expand_batch's
-        # span pass: see span
-        self._span = span
+        # the span's ends, and table's rows there; the rows stay an array
+        # until a run reads them, so that a batch of series holds no
+        # Python objects per row
+        self._ends, self._table = tuple(ends), table
 
     def state(self, t: float) -> tuple[float, float, float, float]:
         """(f, f', rho, rho') at radius t."""
@@ -207,25 +213,14 @@ class OriginSeries:
         """state at every radius of ts, as an (n, 4) array, in one batch."""
         return _horner(self._matrix[None], np.asarray(ts, dtype=float)[None])[0]
 
-    def span(self, t0: float, t_max: float) -> tuple[list, list]:
-        """The piece ends of a run's series span from t0, and its states there.
+    def span(self) -> tuple[tuple, list]:
+        """The piece ends of a run on this series, and table's rows there as tuples.
 
-        The ends are the multiples of _PIECE in (t0, min(reach, t_max)),
-        then that radius when it lies beyond t0, so a span with no room
-        has no end; the states, as tuples, are those at t0 and at each
-        end.  They are table's rows, read from the batch's table when
-        expand_batch gave this series for the same t0 and t_max and the
-        reach lies beyond t0, and computed here otherwise.
+        The ends are the multiples of _PIECE strictly below the reach, then
+        the reach.  A series whose coefficients overflow (reach 0) has the
+        one end 0, with a row of NaN.
         """
-        if self._span is not None and self._span[:2] == (t0, t_max) and self.reach > t0:
-            _, _, ts, n, table = self._span
-            return ts[1:n + 2].tolist(), list(map(tuple, table[:n + 2].tolist()))
-        t_end = min(self.reach, t_max)
-        ends = [s for s in (j * _PIECE for j in range(1, math.ceil(t_end / _PIECE) + 1))
-                if t0 < s < t_end]
-        if t_end > t0:
-            ends.append(t_end)
-        return ends, list(map(tuple, self.table([t0, *ends]).tolist()))
+        return self._ends, list(map(tuple, self._table.tolist()))
 
     def component(self, i: int):
         """Component i of state as a function of t alone."""
@@ -302,28 +297,27 @@ def _reach(a_tail: list, b_tail: list, b0: float, finite: bool) -> float:
 
 
 def expand_series(point: ShootPoint, lambda_hat: float) -> OriginSeries:
-    """The origin series of (alpha, beta) to SERIES_ORDER, with its reach (see _reach)."""
+    """The origin series of (alpha, beta) to SERIES_ORDER, its reach (_reach) and span."""
     check_lambda_hat(lambda_hat)
     a, b = _recurrence(float(point.alpha), float(point.beta), float(lambda_hat),
                        SERIES_ORDER)
     finite = all(map(math.isfinite, a)) and all(map(math.isfinite, b))
     rows = _horner_rows(np.array(a, dtype=float)[:, None], np.array(b)[:, None])[0]
-    return OriginSeries(float(lambda_hat), point.alpha, point.beta, rows,
-                        _reach(a[-_REACH_TAIL:], b[-_REACH_TAIL:], b[0], finite))
+    reach = _reach(a[-_REACH_TAIL:], b[-_REACH_TAIL:], b[0], finite)
+    ends = [s for s in (j * _PIECE for j in range(1, math.ceil(reach / _PIECE) + 1))
+            if s < reach] + [reach]
+    with np.errstate(all="ignore"):  # a series that overflows reads NaN
+        table = _horner(rows[None], np.array(ends)[None])[0]
+    return OriginSeries(float(lambda_hat), point.alpha, point.beta, rows, reach, ends, table)
 
 
-def expand_batch(alphas: list, betas: list, lambda_hat: float, t0: float,
-                 t_max: float) -> list[OriginSeries]:
-    """expand_series of each point (alphas[j], betas[j]), to the bit, with its span rows.
+def expand_batch(alphas: list, betas: list, lambda_hat: float) -> list[OriginSeries]:
+    """expand_series of each point (alphas[j], betas[j]), to the bit.
 
     The recurrence runs once, on numpy arrays of alpha and beta, and numpy
     rounds each lane's +, -, * and / as Python rounds a float's.  One
-    lane-wise Horner pass then evaluates each lane at t0, at the multiples
-    of _PIECE below min(reach, t_max) and at that radius, padded with that
-    radius to the longest lane; each series gives OriginSeries.span those
-    rows for this t0 and t_max only.  A lane whose reach does not lie
-    beyond t0 (reach 0 where its coefficients overflow) is evaluated too,
-    and never read.
+    lane-wise Horner pass then evaluates every lane's span, padded with
+    its reach to the longest lane.
     The values must be those a ShootPoint accepts.
     """
     check_lambda_hat(lambda_hat)
@@ -337,19 +331,16 @@ def expand_batch(alphas: list, betas: list, lambda_hat: float, t0: float,
         a[-_REACH_TAIL:].T.tolist(), b[-_REACH_TAIL:].T.tolist(), b[0].tolist(),
         finite.tolist())]
     rows = _horner_rows(a, b)
-    t_ends = np.minimum(reaches, t_max)
-    grid = np.arange(1, math.ceil(t_ends.max() / _PIECE) + 1) * _PIECE
-    grid = grid[grid > t0]
-    multiples = np.searchsorted(grid, t_ends)  # those below each lane's end
+    grid = np.arange(1, math.ceil(max(reaches) / _PIECE) + 1) * _PIECE
+    multiples = np.searchsorted(grid, reaches)  # those below each lane's reach
     n = multiples.max()
-    ts = np.empty((len(t_ends), n + 2))
-    ts[:, 0] = t0
-    np.minimum(np.append(grid[:n], np.inf), t_ends[:, None], out=ts[:, 1:])
-    with np.errstate(all="ignore"):  # the lanes with an empty span
+    ts = np.minimum(np.append(grid[:n], np.inf), np.array(reaches)[:, None])
+    with np.errstate(all="ignore"):  # the lanes that overflow read NaN
         table = _horner(rows, ts)
-    return [OriginSeries(float(lambda_hat), alpha, beta, lane, reach, (t0, t_max, *span))
-            for alpha, beta, lane, reach, *span in zip(
-                alphas, betas, rows, reaches, ts, multiples.tolist(), table)]
+    return [OriginSeries(float(lambda_hat), alpha, beta, lane, reach, ends[:m + 1],
+                         states[:m + 1])
+            for alpha, beta, lane, reach, ends, states, m in zip(
+                alphas, betas, rows, reaches, ts.tolist(), table, multiples.tolist())]
 
 
 def check_t0(t0: float) -> None:

@@ -574,9 +574,10 @@ class SolveReport:
     audit: "analysis.AuditReport | None"
     residual_norm: float | None
     energy: float | None
+    # the controls every run of the solve used (see bisect_beta)
+    controls: IntegratorControls
     outcome_log: list = field(default_factory=list)
     alpha_resolved: str = "bisection"
-    controls: IntegratorControls | None = None
 
     @property
     def n_beta_evaluations(self) -> int:
@@ -611,8 +612,8 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None) -
 
     One search narrows both parameters to _POLISH_TOL, near the
     deviation-noise floor, and every run of it is at profile-grade
-    tolerance (rel_tol <= 1e-12, abs_tol <= 1e-14); the report keeps the
-    caller's controls.  The reported profile is the last inner solve's
+    tolerance (rel_tol <= 1e-12, abs_tol <= 1e-14), and the report keeps
+    those controls.  The reported profile is the last inner solve's
     run; its seventh-order dense output keeps the interpolation noise that
     downstream finite differences see well below the residual target.
     """
@@ -677,7 +678,7 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None) -
         beta_star_hat=beta_star, alpha_bracket=ar_star.bracket,
         beta_bracket=beta_bracket, converged=converged, profile=profile,
         audit=audit, residual_norm=residual, energy=energy,
-        outcome_log=log, alpha_resolved=ar_star.resolved, controls=controls)
+        outcome_log=log, alpha_resolved=ar_star.resolved, controls=pcontrols)
 
 
 def sweep(alphas, betas, lambda_hat: float,
@@ -686,10 +687,10 @@ def sweep(alphas, betas, lambda_hat: float,
     """Classify every (alpha, beta) pair on the grid, gauge fate first.
 
     Every alpha and beta, and the handoff radius, is checked before
-    anything runs.  The origin series are expanded lane-wise
-    (expand_batch) in batches of whole rows (fixed alpha) holding at least
-    _SWEEP_BATCH points, or the whole grid, together with the states of
-    their runs' series spans, and each point is shot from its series.
+    anything runs.  The origin series, each with its span, are expanded
+    lane-wise (expand_batch) in batches of whole rows (fixed alpha)
+    holding at least _SWEEP_BATCH points, or the whole grid, and each
+    point is shot from its series.
     workers > 1 distributes each batch's rows over at most one process
     per row; a batch holds at least one row per process.  Output ordering
     is row-major by alpha then beta regardless of worker count.
@@ -721,7 +722,7 @@ def sweep(alphas, betas, lambda_hat: float,
         for lo in range(0, len(alphas), n_rows):
             block = alphas[lo:lo + n_rows]
             batch = expand_batch([a for a in block for _ in betas], betas * len(block),
-                                 lambda_hat, controls.t0, controls.t_max)
+                                 lambda_hat)
             rows += run(_sweep_row, [(batch[j:j + n], lambda_hat, controls)
                                      for j in range(0, len(batch), n)])
     tags = [[cell[0] for cell in row] for row in rows]

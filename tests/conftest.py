@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import oracles
 from monopole.integrator import IntegratorControls
 from monopole.shooter import bisect_beta
 
@@ -59,3 +60,10 @@ def batch_lanes():
               for beta in (0.0, 1e-300, 0.5, 1e4)]
     lanes += [(1e200, 0.5), (0.5, 1e200)]
     return [a for a, _ in lanes], [b for _, b in lanes]
+
+
+@pytest.fixture(scope="session")
+def oracle_curve():
+    # the collocation oracle's (alpha*, beta*, E), one continuation in
+    # lambda_hat over the couplings the suite solves (~1-1.5 s)
+    return oracles.collocation_curve((0.0, 0.2, 0.42489062049196824, 1.0, 1.5, 2.0))

@@ -3,9 +3,11 @@
 Everything here is deliberately written from scratch against the equations
 themselves: a fresh transcription of the right-hand side, a classic
 fixed-step RK4 with linear-interpolation event location, closed-form
-lambda_hat = 0 references straight from math.sinh, and a bisection root of
-tan u = u.  None of it imports solver internals, so agreement between these
-and the package is a genuine cross-check rather than a restatement.
+lambda_hat = 0 references straight from math.sinh, a bisection root of
+tan u = u, and a collocation solve of the whole boundary value problem
+(scipy.integrate.solve_bvp) for the reference alpha*, beta* and energy at
+any lambda_hat.  None of it imports solver internals, so agreement between
+these and the package is a genuine cross-check rather than a restatement.
 
 The exceptions are the last sections: the plain forms that the
 integrator's written-out arithmetic replaced, kept as the references that
@@ -21,6 +23,7 @@ import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+from scipy.integrate import quad, solve_bvp
 
 
 def deriv(t, y, lam):
@@ -139,6 +142,68 @@ def tan_root():
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# -- the boundary value problem by collocation --------------------------------
+
+# Inner end of the collocation interval.
+BVP_EPS = 1e-3
+
+
+def _bvp_density(t, y, lam):
+    f, fp, rho, rhop = y
+    return (fp * fp + (f * f - 1.0) ** 2 / (2.0 * t * t) + f * f * rho * rho
+            + (t * rhop) ** 2 / 2.0 + 0.25 * lam * (t * (rho * rho - 1.0)) ** 2)
+
+
+def _bps_columns(t):
+    # (f, f', rho, rho') of t / sinh t, in e^{-2t} so that no term overflows
+    q = np.exp(-2.0 * t)
+    csch = 2.0 * np.exp(-t) / (1.0 - q)
+    coth = (1.0 + q) / (1.0 - q)
+    return np.vstack((t * csch, (1.0 - t * coth) * csch, coth - 1.0 / t,
+                      1.0 / (t * t) - csch * csch))
+
+
+def collocation_curve(lams):
+    """{lambda_hat: (alpha*, beta*, E)} by solve_bvp on [BVP_EPS, R], in increasing order.
+
+    The origin conditions are the series' leading terms, t f' = 2 (f - 1)
+    and t rho' = rho; at R = max(30, 25 / min(k, 2)), k = sqrt(2 lambda_hat),
+    f' = -f and the Higgs gap delta = 1 - rho decays as
+    delta' = -(min(k, 2) + 1/R) delta, or, at lambda_hat = 0, rho + R rho' = 1.
+    Each solve starts from the last one's solution, the first from the
+    lambda_hat = 0 closed form.  E is the quadrature of the energy density
+    on [BVP_EPS, R], plus the series head below BVP_EPS and the Coulomb
+    tails past R: 1 / (2R) of the gauge field and, at lambda_hat = 0,
+    B^2 / (2R) of the Higgs field.  alpha* and beta* are read off the
+    solution at BVP_EPS, good to ~5e-7 with two-term origin conditions.
+    """
+    eps, out, guess = BVP_EPS, {}, None
+    for lam in sorted(lams):
+        m = min(math.sqrt(2.0 * lam), 2.0)
+        r = 30.0 if m == 0.0 else max(30.0, 25.0 / m)
+
+        def bc(ya, yb):
+            far = (yb[2] + r * yb[3] - 1.0 if m == 0.0
+                   else (m + 1.0 / r) * (1.0 - yb[2]) - yb[3])
+            return np.array([eps * ya[1] - 2.0 * (ya[0] - 1.0), eps * ya[3] - ya[2],
+                             yb[1] + yb[0], far])
+        t = np.concatenate((np.geomspace(eps, 1.0, 100)[:-1], np.linspace(1.0, r, 200)))
+        y = _bps_columns(t) if guess is None else guess(np.minimum(t, guess.x[-1]))
+        sol = solve_bvp(lambda t, y: np.vstack(deriv(t, y, lam)), bc, t, y, tol=1e-9,
+                        max_nodes=100000)
+        assert sol.status == 0, (lam, sol.message)
+        guess = sol.sol
+        f, _, rho, _ = sol.sol(eps)
+        alpha, beta = (1.0 - f) / eps ** 2, rho / eps
+        body = quad(lambda s: _bvp_density(s, sol.sol(s), lam), eps, r, limit=2000,
+                    epsabs=1e-13, epsrel=1e-13)[0]
+        head = (6.0 * alpha ** 2 + 1.5 * beta ** 2 + 0.25 * lam) * eps ** 3 / 3.0
+        b = r * (1.0 - sol.sol(r)[2])
+        tail = (1.0 + (b * b if m == 0.0 else 0.0)) / (2.0 * r)
+        out[lam] = (float(alpha), float(beta), float(body + head + tail))
+    return out
 
 
 # -- plain forms of the integrator's written-out arithmetic -------------------

@@ -17,7 +17,7 @@ from monopole.integrator import (ClassifyMode, IntegratorControls, OutcomeTag,
                                  classify)
 from monopole.model import ps_exact
 from monopole.origin_series import ShootPoint, picard_verify, series_coefficients
-from monopole.shooter import bisect_alpha, bracket_alpha, shoot
+from monopole.shooter import bisect_alpha, bisect_beta, bracket_alpha, shoot
 
 CONTROLS = IntegratorControls()
 
@@ -130,3 +130,21 @@ def test_criterion_9_energy_sanity(lam0, lam1):
     print(f"\n  mass(0)={lam0.energy:.6f} mass(1)={lam1.energy:.6f}")
     assert abs(lam0.energy - 1.0) < 1e-3
     assert lam1.energy > 1.0
+
+
+def test_criterion_10_coupled_solves_match_the_collocation_oracle(
+        oracle_curve, lam0p42, lam1, lam1p5):
+    # an independent reference for lambda_hat > 0: solve_bvp on the whole
+    # interval, whose own lambda_hat = 0 energy is the closed form's; its
+    # two-term origin conditions hold alpha* and beta* to ~5e-7 only
+    assert abs(oracle_curve[0.0][2] - 1.0) < 1e-9
+    solves = {0.2: bisect_beta(0.2), 0.42489062049196824: lam0p42, 1.0: lam1,
+              1.5: lam1p5, 2.0: bisect_beta(2.0)}
+    for lam, rep in solves.items():
+        alpha, beta, energy = oracle_curve[lam]
+        assert rep.converged, lam
+        print(f"\n  lambda_hat={lam:.6g} dE={rep.energy - energy:.2e} "
+              f"dalpha={rep.alpha_star_hat - alpha:.2e} dbeta={rep.beta_star_hat - beta:.2e}")
+        assert abs(rep.energy - energy) < 1e-6, lam
+        assert abs(rep.alpha_star_hat - alpha) < 2e-6, lam
+        assert abs(rep.beta_star_hat - beta) < 2e-6, lam

@@ -582,9 +582,10 @@ def test_removed_flags_exit_usage(monkeypatch, capsys):
 
 def test_tolerances_are_not_options(solve_dir, tmp_path, monkeypatch, capsys):
     # every solve runs at the library's tolerances: no command takes one,
-    # as a flag or as a config key, and the report records the defaults
+    # as a flag or as a config key, and the report records those its runs
+    # used, the profile-grade ones
     report = json.loads((solve_dir / "report.json").read_text())
-    assert (report["rel_tol"], report["abs_tol"]) == (1e-10, 1e-12)
+    assert (report["rel_tol"], report["abs_tol"]) == (1e-12, 1e-14)
     monkeypatch.setattr(cli, "bisect_beta", None)
     monkeypatch.setattr(cli, "sweep", None)
     cfg = tmp_path / "opts.cfg"

@@ -12,8 +12,8 @@ from monopole.errors import DomainError, SingularPointError
 from monopole.integrator import IntegratorControls, integrate
 from monopole.model import (ModelParams, PhaseState, ScaledParams, check_lambda_hat,
                             energy_density, nondimensionalize, ps_exact, rhs)
-from monopole.origin_series import (DEFAULT_T0, ShootPoint, expand_batch,
-                                    expand_series, picard_verify, series_coefficients)
+from monopole.origin_series import (ShootPoint, expand_batch, expand_series,
+                                    picard_verify, series_coefficients)
 from monopole.shooter import bisect_beta, sweep
 
 import oracles
@@ -58,7 +58,7 @@ def test_every_coupling_entry_point_refuses_a_bad_value(bad):
         "series_coefficients": lambda: series_coefficients(point, bad),
         "integrate": lambda: integrate(state, bad, IntegratorControls()),
         "expand_series": lambda: expand_series(point, bad),
-        "expand_batch": lambda: expand_batch([0.1], [0.1], bad, DEFAULT_T0, 12.0),
+        "expand_batch": lambda: expand_batch([0.1], [0.1], bad),
         "picard_verify": lambda: picard_verify(point, bad),
         "bisect_beta": lambda: bisect_beta(bad),
         "sweep": lambda: sweep([0.1], [0.1], bad),

@@ -246,7 +246,7 @@ def test_batch_expansion_is_expand_series_lane_by_lane():
             alphas.append(alpha)
             betas.append(beta)
     for lam in (0.0, 0.7, 100.0):
-        batch = origin_series.expand_batch(alphas, betas, lam, DEFAULT_T0, 12.0)
+        batch = origin_series.expand_batch(alphas, betas, lam)
         assert len(batch) == len(alphas)
         packed = [_packed(series) for series in batch]
         for p, alpha, beta in zip(packed, alphas, betas):
@@ -255,40 +255,42 @@ def test_batch_expansion_is_expand_series_lane_by_lane():
         part = pickle.loads(pickle.dumps(batch[140:170]))
         assert [_packed(series) for series in part] == packed[140:170]
     with pytest.raises(DomainError):
-        origin_series.expand_batch([0.1], [0.1], math.nan, DEFAULT_T0, 12.0)
+        origin_series.expand_batch([0.1], [0.1], math.nan)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_batch_spans_are_the_lone_series_spans(monkeypatch, batch_lanes):
     # one lane-wise Horner pass gives every lane the piece ends and rows
-    # that table computes for its lone series, on horizons inside most
-    # spans and past every one
+    # that its lone series evaluates, neither through table; a lane whose
+    # coefficients overflow (reach 0) holds NaN rows, so it is compared by
+    # its reach
     alphas, betas = batch_lanes
     for lam in (0.0, 0.7, 100.0):
-        lones = [expand_series(ShootPoint(a, b), lam) for a, b in zip(alphas, betas)]
-        for t0 in (5e-4, DEFAULT_T0, T0_MAX):
-            for t_max in (0.5, 12.0):
-                want = [lone.span(t0, t_max) if min(lone.reach, t_max) > t0 else None
-                        for lone in lones]
-                with monkeypatch.context() as m:
-                    # the batch's series read their rows, not table
-                    m.setattr(origin_series.OriginSeries, "table", None)
-                    got = [series.span(t0, t_max) if min(series.reach, t_max) > t0
-                           else None for series in origin_series.expand_batch(
-                               alphas, betas, lam, t0, t_max)]
-                assert got == want, (lam, t0, t_max)
-                assert sum(w is None for w in want) < 15
-    # the rows are table's at t0 and the ends: the multiples of 0.05, then the reach
+        with monkeypatch.context() as m:
+            m.setattr(origin_series.OriginSeries, "table", None)
+            lones = [expand_series(ShootPoint(a, b), lam) for a, b in zip(alphas, betas)]
+            batch = origin_series.expand_batch(alphas, betas, lam)
+        overflowed = 0
+        for lone, series in zip(lones, batch):
+            if lone.reach == 0.0:
+                assert series.reach == 0.0
+                overflowed += 1
+            else:
+                assert series.span() == lone.span(), (lone.alpha, lone.beta, lam)
+        assert 2 <= overflowed < 15
+        # the vacuum's reach, 2, is itself a multiple of 0.05: one end there
+        vacuum = batch[list(zip(alphas, betas)).index((0.0, 0.0))]
+        assert vacuum.span()[0] == (*(j * 0.05 for j in range(1, 40)), 2.0)
+    # the rows are table's at the ends: the multiples of 0.05, then the reach
     lone = expand_series(ShootPoint(1 / 6, 1 / 3), 0.0)
-    ends, rows = lone.span(DEFAULT_T0, 12.0)
-    assert ends == [j * 0.05 for j in range(1, len(ends))] + [lone.reach]
+    ends, rows = lone.span()
+    assert ends == (*(j * 0.05 for j in range(1, len(ends))), lone.reach)
     assert len(ends) > 20
-    assert rows == [tuple(r) for r in lone.table([DEFAULT_T0, *ends]).tolist()]
+    assert rows == list(map(tuple, lone.table(ends).tolist()))
     # a slice, also as a worker process unpickles it, keeps its lanes' rows
-    read = origin_series.expand_batch(alphas, betas, 0.7, DEFAULT_T0, 0.5)
+    read = origin_series.expand_batch(alphas, betas, 0.7)
     part = pickle.loads(pickle.dumps(read[10:30]))
-    assert [s.span(DEFAULT_T0, 0.5) for s in part] == [
-        s.span(DEFAULT_T0, 0.5) for s in read[10:30]]
+    assert [s.span() for s in part] == [s.span() for s in read[10:30]]
 
 
 def test_series_carries_the_two_term_coefficients():

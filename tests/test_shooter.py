@@ -1015,27 +1015,28 @@ def _run(traj):
 
 
 def test_batch_runs_are_the_lone_series_runs(batch_lanes):
-    # a batch item carries the span rows of the batch's lane-wise pass; its
-    # run is the one its lone series gives, sample, event and resume point
+    # a batch item carries the span of the batch's lane-wise pass; its run
+    # is the one its lone series gives, sample, event and resume point, at
+    # every t0 and t_max
     alphas, betas = batch_lanes
     for lam in (0.0, 0.7, 100.0):
+        batch = expand_batch(alphas, betas, lam)
         for t0, t_max in ((5e-4, 0.5), (1e-3, 0.5), (1e-2, 0.5), (1e-3, 12.0)):
             c = IntegratorControls(t0=t0, t_max=t_max)
-            for item, a, b in zip(expand_batch(alphas, betas, lam, t0, t_max), alphas, betas):
+            for item, a, b in zip(batch, alphas, betas):
                 assert _run(shoot(item, lam, c)) == _run(shoot(ShootPoint(a, b), lam, c)), (
                     a, b, lam, t0, t_max)
 
 
-def test_batch_rows_serve_only_their_run(batch_lanes):
-    # the rows a batch read for (t0, t_max) do not start a run of other
-    # controls: continuing an item's run to 4 t_max gives the lone series'
-    # verdict there, and shooting an item at another t0 or t_max the lone
-    # series' run
+def test_batch_rows_serve_every_run(batch_lanes):
+    # the rows a batch read serve a run of any controls: continuing an
+    # item's run to 4 t_max gives the lone series' verdict there, and
+    # shooting an item at another t0 or t_max the lone series' run
     alphas, betas = batch_lanes
     c = IntegratorControls(t_max=0.5)
     continued = 0
     for lam in (0.0, 0.7):
-        read = expand_batch(alphas, betas, lam, c.t0, c.t_max)
+        read = expand_batch(alphas, betas, lam)
         for item, a, b in zip(read, alphas, betas):
             lone = expand_series(ShootPoint(a, b), lam)
             far = replace(c, t_max=4 * c.t_max)
@@ -1048,6 +1049,24 @@ def test_batch_rows_serve_only_their_run(batch_lanes):
             for other in (replace(c, t0=5e-4), replace(c, t_max=0.3), far):
                 assert _run(shoot(item, lam, other)) == _run(shoot(lone, lam, other))
     assert continued
+
+
+def test_a_run_reads_its_span_without_table(monkeypatch, batch_lanes):
+    # a series carries its span from its expansion, so no run of a lone or
+    # a batch series evaluates table, at any t0 or t_max; each run is the
+    # one the point gives with table in place
+    alphas, betas = batch_lanes
+    lam = 0.7
+    controls = [IntegratorControls(t0=t0, t_max=t_max)
+                for t0 in (5e-4, 1e-2) for t_max in (0.5, 12.0)]
+
+    def runs(batch):
+        return [(_run(shoot(ShootPoint(a, b), lam, c)), _run(shoot(item, lam, c)))
+                for c in controls for item, a, b in zip(batch, alphas, betas)]
+    with monkeypatch.context() as m:
+        m.setattr(origin_series.OriginSeries, "table", None)
+        got = runs(expand_batch(alphas, betas, lam))
+    assert got == runs(expand_batch(alphas, betas, lam))
 
 
 def test_a_start_that_is_not_finite_blows_up_at_t0():
