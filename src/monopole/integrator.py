@@ -5,8 +5,9 @@ Solving ODEs I, II.10): an eighth-order step whose size is set by
 Hairer's error estimate, the fifth-order one damped where the
 third-order one is large.  Its seventh-order dense output
 (dense_output.DenseSegment) costs three more right-hand side calls per
-step, so a step builds it only when it is first read: to refine an event
-the step's end values bracket, or for state_at and resample.  The
+step, so a step builds it only when it is first read: to refine a gauge
+event the step's end values bracket, to refine a Higgs one when the
+run's rho_events are read, or for state_at and resample.  The
 stepper is written out over the four phase components rather than
 delegated to a library so that step acceptance, event refinement, and
 termination are bit-reproducible for a given control block, which the
@@ -19,8 +20,10 @@ interpolant's coefficients are written out over the tableau's nonzero
 weights in the same way.  The event scan runs only on a step where one
 of the five sign tests fires, and refine_event bisects each crossing on
 the one interpolant component that changes sign, against the event's
-level.  resample evaluates an array of radii in one batch, with the
-interpolant's arithmetic applied elementwise in the same order.
+level: a gauge crossing at once, a Higgs one on the first read of
+Trajectory.rho_events.  resample evaluates an array of radii in one
+batch, with the interpolant's arithmetic applied elementwise in the same
+order.
 
 Event taxonomy (y = (f, f', rho, rho')), held once in _EVENTS: each event's
 crossing, the window its state must lie in to count, and the side of the
@@ -33,7 +36,13 @@ separatrix it puts a run on (-1 below, +1 above; see Outcome.side):
   RhoZero      rho falls to 0   none         -1  (Higgs field collapses)
 
 f-channel events terminate the run; rho-channel events are recorded and
-integration continues so the gauge fate is still observable.  An event
+integration continues so the gauge fate is still observable.  They are
+recorded as crossings, each with its step and a cutoff, the time of a
+gauge event that ends the run in that step; only reading rho_events
+refines them, keeps those inside their windows and before the cutoff,
+and caches the events.  A sweep reads the Higgs fate only of a point
+whose gauge fate is Converged or Horizon, so most of its runs never
+bisect a Higgs crossing; a solve's searches read it of many.  An event
 whose state lies inside the convergence tube (half-width TUBE around the
 vacuum, see in_tube) is a sub-tolerance wiggle of a separatrix-hugging
 trajectory: it is logged and does not terminate; classify reads it only
@@ -244,6 +253,11 @@ class Trajectory:
     after ts[0] are the ends of the series pieces, and segments[j] is the
     DOP853 step from ts[_span + j] to the next sample.  A run whose series
     overflows holds no sample (see integrate_series).
+
+    f_events are refined as the run steps.  rho_events is read lazily:
+    the run records each step's Higgs crossings, and the first read
+    bisects them (see _scan_events), so a run whose Higgs fate is never
+    read never pays for them.  Equality and repr read it too.
     """
 
     lambda_hat: float
@@ -252,7 +266,7 @@ class Trajectory:
     ys: list[tuple] = field(default_factory=list)
     segments: list[DenseSegment] = field(default_factory=list)
     f_events: list[Event] = field(default_factory=list)
-    rho_events: list[Event] = field(default_factory=list)
+    rho_events: list[Event] = field(default_factory=list)  # a property, see below
     ended: str = ""            # "event" | "t_max" | "blowup" | "immediate"
     blowup_channel: str = ""   # "f" | "rho" | "slope" | "nonfinite"
     alpha: float | None = None
@@ -266,6 +280,9 @@ class Trajectory:
     _resume: tuple | None = field(default=None, repr=False)
     # Whether every f event ends the run, in the tube or not (continued_fate's).
     _to_gauge_event: bool = field(default=False, repr=False)
+    # The Higgs crossings not yet refined, one (step, rows, cutoff) per
+    # step that has any (see _scan_events).
+    _rho_pending: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def t_end(self) -> float:
@@ -331,6 +348,25 @@ class Trajectory:
         return out
 
 
+def _read_rho_events(traj: Trajectory) -> list[Event]:
+    # Each pending step's crossings, refined and windowed as _scan_events
+    # does a gauge row's, and kept below the step's cutoff.
+    if traj._rho_pending:
+        traj._rho_events += [ev for seg, rows, cutoff in traj._rho_pending
+                             for ev in _counted(_refined(seg, rows)) if ev.t < cutoff]
+        traj._rho_pending = []
+    return traj._rho_events
+
+
+def _write_rho_events(traj: Trajectory, events: list[Event]) -> None:
+    traj._rho_events = events
+
+
+# rho_events stays a field, so __init__, __eq__ and __repr__ take it by
+# name; reading it refines the pending Higgs crossings first.
+Trajectory.rho_events = property(_read_rho_events, _write_rho_events)
+
+
 def in_tube(state: PhaseState) -> bool:
     """Convergence-tube membership test, every bound at half-width TUBE.
 
@@ -388,9 +424,13 @@ def _select_initial_step(y0, k1, controls: IntegratorControls) -> float:
     # the step.
     scale = [controls.abs_tol + controls.rel_tol * abs(v) for v in y0]
     # v * v, not v ** 2: a square past the float range is inf, not an
-    # OverflowError, and a state that large ends the run as a blowup
-    d0 = math.sqrt(sum(v * v for v in (y / s for y, s in zip(y0, scale))) / 4)
-    d1 = math.sqrt(sum(v * v for v in (k / s for k, s in zip(k1, scale))) / 4)
+    # OverflowError, and a state that large ends the run as a blowup.
+    # Each norm adds its squares left to right: sum() compensates float
+    # sums from Python 3.12 on, which would move every shot's first step.
+    a, b, c, d = (y / s for y, s in zip(y0, scale))
+    d0 = math.sqrt((((a * a + b * b) + c * c) + d * d) / 4)
+    a, b, c, d = (k / s for k, s in zip(k1, scale))
+    d1 = math.sqrt((((a * a + b * b) + c * c) + d * d) / 4)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     return max(min(h0, controls.max_step), 1e-12)
 
@@ -402,7 +442,8 @@ def integrate(start: PhaseState, lambda_hat: float,
     A start that breaks a blowup bound is the run's one sample.  Accepted
     steps land in the trajectory's sample/segment lists; each accepted
     step is scanned for sign changes of the five event functions and
-    crossings are bisected on the dense interpolant to within EVENT_TOL.
+    crossings are bisected on the dense interpolant to within EVENT_TOL,
+    the Higgs ones when the trajectory's rho_events are first read.
     Simultaneous gauge events inside one EVENT_TOL violate the uniqueness
     of the (f, f') = (0, 0) contact point and raise IntegrityError.
     """
@@ -793,39 +834,57 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
 
 
 def _scan_events(traj: Trajectory, seg, ya: tuple, yb: tuple) -> bool:
-    """Refine sign changes over one accepted step or series piece.
+    """Refine the gauge crossings over one accepted step or series piece.
 
     Called only where _sign_change fired, so at least one row of _EVENTS
-    crosses.  True if a terminal event fired.  Each crossing is bisected
-    on the one component of seg (a DenseSegment or a _SeriesPiece) whose
-    sign changes, and the full state is read once at the refined time.
+    crosses.  True if a terminal event fired.  Each gauge crossing is
+    bisected on the one component of seg (a DenseSegment or a
+    _SeriesPiece) whose sign changes, and the full state is read once at
+    the refined time.  The Higgs rows that cross are only recorded, with
+    seg and a cutoff, the time of the step's terminal gauge event or inf;
+    reading traj.rho_events refines them the same way and keeps those
+    strictly before the cutoff, which is what a scan that refined and
+    time-sorted every row, gauge rows first, would have logged.
     """
-    found = []  # (t, tag, row, state)
+    gauge, higgs = [], []
     for tag, row in _EVENTS.items():
         if row.crosses(ya, yb):
-            t_e = refine_event(seg.component(row.i), seg.t, seg.t_end, row.level)
-            found.append((t_e, tag, row, seg.eval(t_e)))
+            (gauge if row.i < 2 else higgs).append((tag, row))
+    cutoff = math.inf
+    if gauge:
+        found = _refined(seg, gauge)
+        if len(found) == 2 and abs(found[0][0] - found[1][0]) <= EVENT_TOL:
+            raise IntegrityError(
+                f"simultaneous f = 0 and f' = 0 near t = {found[0][0]}: "
+                "the gauge channel cannot vanish to second order")
+        for ev in _counted(found):
+            traj.f_events.append(ev)
+            if not ev.in_tube or traj._to_gauge_event:
+                cutoff = ev.t
+                break
+    if higgs:
+        traj._rho_pending.append((seg, higgs, cutoff))
+    return cutoff < math.inf
 
-    f_times = [t for t, _, row, _ in found if row.i < 2]
-    if len(f_times) == 2 and abs(f_times[0] - f_times[1]) <= EVENT_TOL:
-        raise IntegrityError(
-            f"simultaneous f = 0 and f' = 0 near t = {f_times[0]}: "
-            "the gauge channel cannot vanish to second order")
 
+def _refined(seg, rows: list) -> list:
+    """(t, tag, row, state) of each (tag, row) crossing over seg, in time order."""
+    found = []
+    for tag, row in rows:
+        t_e = refine_event(seg.component(row.i), seg.t, seg.t_end, row.level)
+        found.append((t_e, tag, row, PhaseState(t_e, *seg.eval(t_e))))
     found.sort(key=lambda item: item[0])
-    for t_e, tag, row, y_e in found:
-        state = PhaseState(t_e, *y_e)
-        tube = in_tube(state)
+    return found
+
+
+def _counted(found: list):
+    """The events of _refined's crossings, each one inside its row's window."""
+    for t_e, tag, row, state in found:
         if row.window is not None:
             name, lo, hi = row.window
             if not lo < getattr(state, name) < hi:
                 continue  # only a crossing inside its physical window counts
-        gauge = row.i < 2
-        (traj.f_events if gauge else traj.rho_events).append(
-            Event(tag=tag, t=t_e, state=state, in_tube=tube))
-        if gauge and (not tube or traj._to_gauge_event):
-            return True
-    return False
+        yield Event(tag=tag, t=t_e, state=state, in_tube=in_tube(state))
 
 
 def classify(traj: Trajectory, mode: ClassifyMode) -> Outcome:

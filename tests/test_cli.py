@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from monopole.errors import BracketingError, FitDomainError
 from monopole.integrator import ClassifyMode, IntegratorControls, classify
 from monopole.origin_series import ShootPoint
 from monopole.shooter import shoot
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
 
 @pytest.fixture(scope="module")
 def solve_dir(tmp_path_factory):
@@ -375,6 +379,18 @@ def test_sweep_grid_flags(tmp_path, capsys):
     assert len(rows) == 4
     tags = [r.split(",")[2] for r in rows]
     assert tags == ["Horizon", "FPrimeZero", "FZero", "FZero"]
+
+
+def test_sweep_reproduces_the_golden_grid(tmp_path, capsys):
+    # the CI's 15 x 12 sweep at lambda_hat = 0.7, default t0 and t_max,
+    # byte for byte as tests/data holds it: every tag and event time of
+    # the grid, Higgs fates included, to the last bit
+    out = tmp_path / "grid.csv"
+    rc = main(["sweep", "--lambda-hat", "0.7", "--alpha-min", "0.02", "--alpha-max", "1.5",
+               "--alpha-count", "15", "--beta-min", "0.05", "--beta-max", "2",
+               "--beta-count", "12", "--workers", "1", "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / "sweep_lambda0.7_15x12.csv").read_bytes()
 
 
 def test_sweep_reports_a_beta_too_large_to_start(tmp_path, capsys):

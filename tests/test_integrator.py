@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import bisect
+import collections
 import math
 import random
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from monopole.integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
                                  integrate_series, refine_event)
 from monopole.model import PhaseState, _rhs, ps_exact
 from monopole.origin_series import ShootPoint, expand_series, initial_state
-from monopole.shooter import shoot
+from monopole.shooter import shoot, sweep
 
 import oracles
 
@@ -501,33 +503,122 @@ _CROSSING = {OutcomeTag.FPRIME_ZERO: (1, 0.0), OutcomeTag.F_ZERO: (0, 0.0),
              OutcomeTag.RHO_ZERO: (2, 0.0)}
 
 
+# The Higgs rows of the module docstring's table: component, level,
+# rising, and the window (field, lo, hi) the state must lie in
+_HIGGS = {OutcomeTag.RHO_PRIME_ZERO: (3, 0.0, False, ("rho", 0.0, 1.0)),
+          OutcomeTag.RHO_CROSS_VEV: (2, 1.0, True, None),
+          OutcomeTag.RHO_ZERO: (2, 0.0, False, None)}
+
+
+def _eager_rho_events(traj, seen):
+    """traj's Higgs events as a scan that refines every crossing as it steps logs them.
+
+    Each sample pair's crossings are bisected on its series piece or step,
+    kept inside their windows, and dropped at or after the gauge event that
+    ends the run in that step; seen counts each case.
+    """
+    events, last = [], len(traj.ts) - 1
+    for m in range(1, last + 1):
+        if m <= traj._span:
+            component, state_at = traj.series.component, traj.series.state
+        else:
+            seg = traj.segments[m - 1 - traj._span]
+            component, state_at = seg.component, seg.eval
+        cutoff = traj.f_events[-1].t if traj.ended == "event" and m == last else math.inf
+        step = []
+        for tag, (i, level, rising, window) in _HIGGS.items():
+            a, b = traj.ys[m - 1][i], traj.ys[m][i]
+            if not (a < level <= b if rising else a > level >= b):
+                continue
+            t, _ = oracles.bisect_predicate(component(i), traj.ts[m - 1], traj.ts[m],
+                                            lambda v: v - level, integrator.EVENT_TOL)
+            state = PhaseState(t, *state_at(t))
+            if window is not None and not window[1] < getattr(state, window[0]) < window[2]:
+                seen["window"] += 1
+                continue
+            seen["series" if m <= traj._span else "step"] += 1
+            seen["blowup"] += traj.ended == "blowup" and m == last
+            if cutoff < math.inf:
+                seen["before" if t < cutoff else "after"] += 1
+            if t < cutoff:
+                step.append(Event(tag, t, state, in_tube(state)))
+        events += sorted(step, key=lambda ev: ev.t)
+    return events
+
+
 def test_events_are_those_of_the_predicate_bisection():
     # refine_event bisects one component against a level; every event of
     # these runs is found again, at the same t, by bisecting the predicate
     # value - level of the interpolated state, on the step or series piece
-    # that found it
+    # that found it.  The Higgs events, refined only when rho_events is
+    # read, are those of a scan that refined them as the run stepped
     rng = random.Random("sweep:0")  # the benchmark's seed-0 sweep grid
     grid = (sorted(rng.uniform(0.02, 1.5) for _ in range(10)),
             sorted(rng.uniform(0.05, 2.0) for _ in range(10)), rng.uniform(0.0, 2.0))
     runs = [(np.linspace(0.02, 1.5, 6), np.linspace(0.05, 2.0, 6), lam)
             for lam in (0.0, 0.2, 1.0)] + [grid]
+    trajs = [shoot(ShootPoint(float(alpha), float(beta)), lam, IntegratorControls())
+             for alphas, betas, lam in runs for alpha in alphas for beta in betas]
+    # rho crosses 1 on the series piece where it blows up, and rho' falls
+    # through 0 with rho < 0, outside that event's window
+    trajs += [shoot(ShootPoint(2.0, 60.0), 0.0, IntegratorControls()),
+              integrate(PhaseState(1.0, 0.5, 0.0, -0.5, 0.2), 0.0, IntegratorControls())]
     n_series = n_steps = 0
-    for alphas, betas, lam in runs:
-        for alpha in alphas:
-            for beta in betas:
-                traj = shoot(ShootPoint(float(alpha), float(beta)), lam, IntegratorControls())
-                for ev in traj.f_events + traj.rho_events:
-                    i, level = _CROSSING[ev.tag]
-                    m = bisect.bisect_left(traj.ts, ev.t)
-                    if m <= traj._span:
-                        value, n_series = traj.series.component(i), n_series + 1
-                    else:
-                        seg, n_steps = traj.segments[m - 1 - traj._span], n_steps + 1
-                        value = seg.component(i)
-                    t, _ = oracles.bisect_predicate(value, traj.ts[m - 1], traj.ts[m],
-                                                    lambda v: v - level, integrator.EVENT_TOL)
-                    assert t == ev.t, (alpha, beta, lam, ev)
+    seen = collections.Counter()
+    for traj in trajs:
+        assert traj.rho_events == _eager_rho_events(traj, seen)
+        for ev in traj.f_events + traj.rho_events:
+            i, level = _CROSSING[ev.tag]
+            m = bisect.bisect_left(traj.ts, ev.t)
+            if m <= traj._span:
+                value, n_series = traj.series.component(i), n_series + 1
+            else:
+                seg, n_steps = traj.segments[m - 1 - traj._span], n_steps + 1
+                value = seg.component(i)
+            t, _ = oracles.bisect_predicate(value, traj.ts[m - 1], traj.ts[m],
+                                            lambda v: v - level, integrator.EVENT_TOL)
+            assert t == ev.t, (traj.alpha, traj.beta, traj.lambda_hat, ev)
     assert n_series > 20 and n_steps > 200
+    # Higgs crossings before and after the step's terminal gauge event, on
+    # a series piece, on a blowup's last step, and outside a window
+    assert min(seen[k] for k in ("before", "after", "series", "blowup", "window")) > 0
+
+
+def test_a_run_refines_its_higgs_crossings_only_when_they_are_read(monkeypatch):
+    # on the benchmark's seed-0 sweep grid, a run bisects each gauge row
+    # that crosses over a sample pair as it steps, and no Higgs row; the
+    # first read of rho_events bisects each Higgs crossing once, a second
+    # read none, and the sweep reads them only where the gauge fate is
+    # Converged or Horizon
+    rng = random.Random("sweep:0")
+    alphas = sorted(rng.uniform(0.02, 1.5) for _ in range(10))
+    betas = sorted(rng.uniform(0.05, 2.0) for _ in range(10))
+    lam = rng.uniform(0.0, 2.0)
+    calls = _refinements(monkeypatch)
+
+    def crossings(traj, gauge):
+        rows = [row for row in integrator._EVENTS.values() if (row.i < 2) == gauge]
+        return sum(row.crosses(ya, yb) for ya, yb in zip(traj.ys, traj.ys[1:])
+                   for row in rows)
+    n_gauge = n_higgs = n_read = 0
+    for alpha in alphas:
+        for beta in betas:
+            calls.clear()
+            traj = shoot(ShootPoint(alpha, beta), lam, IntegratorControls())
+            gauge, higgs = crossings(traj, True), crossings(traj, False)
+            assert len(calls) == gauge
+            n_gauge, n_higgs = n_gauge + gauge, n_higgs + higgs
+            if classify(traj, ClassifyMode.F_FATE).tag in (OutcomeTag.CONVERGED,
+                                                           OutcomeTag.HORIZON):
+                n_read += higgs
+            assert len(calls) == gauge  # the gauge fate reads no Higgs crossing
+            for _ in range(2):
+                traj.rho_events
+                assert len(calls) == gauge + higgs
+    assert n_gauge > 0 and n_higgs > 0
+    calls.clear()
+    sweep(alphas, betas, lam)
+    assert len(calls) == n_gauge + n_read
 
 
 def test_series_span_is_read_off_the_series():
@@ -632,6 +723,39 @@ def test_an_initial_step_estimate_past_the_float_range_is_a_one_sample_blowup():
             assert classify(traj, mode).tag is OutcomeTag.BLOWUP
 
 
+def _compensated_sum(xs):
+    # sum() of floats from Python 3.12 on: Neumaier's compensated sum,
+    # from the first float, with the compensation added at the end where
+    # it is finite and nonzero
+    total, c = xs[0], 0.0
+    for x in xs[1:]:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_the_first_step_adds_its_norms_left_to_right():
+    # At the reach of (0.3, 0.1) at lambda_hat = 0 a compensated sum of
+    # the squares, as sum() gives from Python 3.12 on, moves the first
+    # trial step by an ulp; _select_initial_step gives the plain
+    # left-to-right fold's step on every Python
+    c = IntegratorControls()
+    series = expand_series(ShootPoint(0.3, 0.1), 0.0)
+    y0 = series.state(series.reach)
+    k1 = _rhs(series.reach, *y0, 0.0)
+    scale = [c.abs_tol + c.rel_tol * abs(v) for v in y0]
+
+    def step(total):
+        d0 = math.sqrt(total([(y / s) * (y / s) for y, s in zip(y0, scale)]) / 4)
+        d1 = math.sqrt(total([(k / s) * (k / s) for k, s in zip(k1, scale)]) / 4)
+        assert min(d0, d1) >= 1e-5
+        return max(min(0.01 * d0 / d1, c.max_step), 1e-12)
+    fold = step(lambda xs: reduce(add, xs))
+    assert fold != step(_compensated_sum)
+    assert integrator._select_initial_step(y0, k1, c) == fold
+
+
 def test_integrate_and_classify_refuse_what_they_cannot_read():
     # a start at or past the horizon, and a run that has not finished
     for t in (12.0, 13.0):
@@ -659,17 +783,19 @@ def _refinements(monkeypatch):
 def test_a_crossing_outside_its_window_is_refined_and_dropped(monkeypatch):
     # f' rises through 0 with f > 1, and rho' falls through 0 with rho < 0:
     # each crossing is bisected, and its state, outside the event's window,
-    # is no event
+    # is no event.  The run bisects its gauge crossings as it steps, and
+    # the first read of rho_events its Higgs ones
     calls = _refinements(monkeypatch)
     traj = integrate(PhaseState(1.0, 1.2, -0.1, 0.1, 0.0), 0.0, IntegratorControls())
+    assert (traj.f_events, traj.rho_events, traj.blowup_channel) == ([], [], "f")
     (t_e, _), = calls
     assert traj.state_at(t_e).f > 1.0 and abs(traj.state_at(t_e).fp) < 1e-9
-    assert (traj.f_events, traj.rho_events, traj.blowup_channel) == ([], [], "f")
     calls.clear()
     traj = integrate(PhaseState(1.0, 0.5, 0.0, -0.5, 0.2), 0.0, IntegratorControls())
-    t_e = calls[0][0]
+    assert traj.rho_events == []
+    (t_f, _), (t_e, _) = calls
     assert traj.state_at(t_e).rho < 0.0 and abs(traj.state_at(t_e).rhop) < 1e-9
-    assert traj.rho_events == [] and [ev.t for ev in traj.f_events] == [calls[1][0]]
+    assert [ev.t for ev in traj.f_events] == [t_f]
 
 
 def test_fzero_window_on_a_synthetic_step(monkeypatch):
