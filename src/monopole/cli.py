@@ -224,6 +224,9 @@ def _cmd_solve(ns: argparse.Namespace, parser) -> int:
     if ns.out and (ns.report_out != "-" or ns.profile_out is not None):
         parser.error("--out names both output files, so it takes no "
                      "--report-out or --profile-out")
+    if ns.profile_out == "-" and ns.report_out == "-":
+        parser.error("--profile-out - writes the profile to stdout, so it "
+                     "needs a --report-out file")
     if not (math.isfinite(ns.grid_step) and ns.grid_step > 0.0):
         parser.error(f"--grid-step must be positive and finite, got {ns.grid_step}")
     if (ns.t_max + analysis.REPORT_TAIL) / ns.grid_step > _MAX_PROFILE_ROWS:
@@ -258,11 +261,12 @@ def _cmd_solve(ns: argparse.Namespace, parser) -> int:
     except OSError as exc:
         print(f"monopole solve: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    # a report on stdout is the whole of stdout, so that it parses as JSON
+    # a report or profile on stdout is the whole of stdout, so that it
+    # parses as JSON or CSV
     print(f"alpha_star_hat = {_fmt(report.alpha_star_hat)}  "
           f"beta_star_hat = {_fmt(report.beta_star_hat)}  "
           f"converged = {report.converged}",
-          file=sys.stderr if ns.report_out == "-" else sys.stdout)
+          file=sys.stderr if "-" in (ns.report_out, ns.profile_out) else sys.stdout)
     if not report.converged:
         return EXIT_SOLVE
     if report.audit is not None and not report.audit.passes:
@@ -301,8 +305,9 @@ def _cmd_sweep(ns: argparse.Namespace, parser) -> int:
     except OSError as exc:
         print(f"monopole sweep: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
+    # a CSV on stdout is the whole of stdout
     print(f"swept {len(alphas)}x{len(betas)} points at lambda_hat = "
-          f"{_fmt(ns.lambda_hat)}")
+          f"{_fmt(ns.lambda_hat)}", file=sys.stderr if ns.out == "-" else sys.stdout)
     return EXIT_OK
 
 
@@ -399,7 +404,8 @@ def build_parser() -> _Parser:
     _add_frame_options(p)
     _add_run_options(p)
     p.add_argument("--report-out", default="-", help="JSON report path ('-' stdout)")
-    p.add_argument("--profile-out", default=None, help="profile CSV path")
+    p.add_argument("--profile-out", default=None,
+                   help="profile CSV path ('-' stdout, with a --report-out file)")
     p.add_argument("--out", default=None,
                    help="directory shorthand: writes report.json and profile.csv")
     p.add_argument("--grid-step", type=float, default=1e-2)

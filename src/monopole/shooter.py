@@ -38,8 +38,6 @@ continues that run past its graft radius and the diagnostics read it there.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from . import analysis
@@ -692,8 +690,9 @@ def sweep(alphas, betas, lambda_hat: float,
     holding at least _SWEEP_BATCH points, or the whole grid, and each
     point is shot from its series.
     workers > 1 distributes each batch's rows over at most one process
-    per row; a batch holds at least one row per process.  Output ordering
-    is row-major by alpha then beta regardless of worker count.
+    per row; a batch holds at least one row per process.  Only then is
+    the process pool imported.  Output ordering is row-major by alpha
+    then beta regardless of worker count.
     """
     alphas = [float(a) for a in alphas]
     betas = [float(b) for b in betas]
@@ -716,15 +715,23 @@ def sweep(alphas, betas, lambda_hat: float,
     # process has a row in each batch
     workers = min(workers, len(alphas))
     n_rows, n = max(-(-_SWEEP_BATCH // len(betas)), workers), len(betas)
-    rows = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
+
+    def batches():
         for lo in range(0, len(alphas), n_rows):
             block = alphas[lo:lo + n_rows]
             batch = expand_batch([a for a in block for _ in betas], betas * len(block),
                                  lambda_hat)
-            rows += run(_sweep_row, [(batch[j:j + n], lambda_hat, controls)
-                                     for j in range(0, len(batch), n)])
+            yield [(batch[j:j + n], lambda_hat, controls) for j in range(0, len(batch), n)]
+
+    if workers == 1:
+        rows = [row for args in batches() for row in map(_sweep_row, args)]
+    else:
+        # imported here, past every refusal: concurrent.futures and the
+        # multiprocessing modules it loads raise a solve's or a sweep's
+        # peak RSS by ~1.4 MB, and only a pool needs them
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = [row for args in batches() for row in pool.map(_sweep_row, args)]
     tags = [[cell[0] for cell in row] for row in rows]
     t_events = [[cell[1] for cell in row] for row in rows]
     return OutcomeGrid(alphas=alphas, betas=betas, tags=tags, t_events=t_events,

@@ -291,7 +291,49 @@ def test_residual_domain_errors():
         analysis.residual_norm((ts[:4], fs[:4], rhos[:4]), lambda_hat=0.0)
 
 
+def test_residual_refuses_raw_samples_that_do_not_ascend():
+    # a spacing h <= 0 read off the first two radii is refused before any
+    # difference is formed
+    ts, fs, rhos = _ps_table(1e-2, lo=1.0, hi=2.0)
+    for bad in (ts[::-1], np.full_like(ts, 1.5)):
+        with pytest.raises(DomainError, match="uniformly spaced"):
+            analysis.residual_norm((bad, fs, rhos), lambda_hat=0.0)
+
+
+def test_residual_refuses_a_window_outside_the_run(lam0):
+    # the window [max(0.05, first radius), t_graft] must be non-empty and
+    # end inside the run
+    run = lam0.profile.base
+    for t_graft in (0.05, 0.04, run.t_end + 1.0):
+        with pytest.raises(DomainError, match="residual window"):
+            analysis.residual_norm(dataclasses.replace(lam0.profile, t_graft=t_graft))
+
+
+def test_residual_refuses_a_window_of_fewer_than_5_samples(lam0):
+    # a window 3.2 spacings (2.5e-4) wide holds 4 samples
+    short = dataclasses.replace(lam0.profile, t_graft=0.05 + 8e-4)
+    with pytest.raises(DomainError, match="at least 5 samples"):
+        analysis.residual_norm(short)
+
+
 # --------------------------------------------------------- mass_integral
+
+def test_simpson_refuses_an_even_sample_count():
+    with pytest.raises(DomainError, match="odd sample count"):
+        analysis._simpson(np.ones(4), 0.1)
+    assert analysis._simpson(np.ones(5), 0.1) == pytest.approx(0.4, rel=1e-15)
+
+
+def test_odd_grid_rounds_an_odd_interval_count_up():
+    # 1 / 0.4 rounds up to 3 intervals, and Simpson's rule needs an even
+    # count: the grid takes 4, so it is exact on a cubic
+    ts, h = analysis._odd_grid(0.0, 1.0, 0.4)
+    assert (len(ts), h) == (5, 0.25)
+    assert_allclose(ts, [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0, atol=0)
+    assert analysis._simpson(ts ** 3, h) == pytest.approx(0.25, rel=1e-15)
+    ts, h = analysis._odd_grid(0.0, 1.0, 0.25)
+    assert (len(ts), h) == (5, 0.25)
+
 
 def test_mass_matches_independent_quadrature(lam0):
     m = analysis.mass_integral(lam0.profile)

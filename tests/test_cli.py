@@ -1,8 +1,14 @@
 """Command-line contract: exit codes, artifacts, and reproducibility."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +18,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+import monopole
 from monopole import analysis, cli, model
 from monopole.cli import main
 from monopole.errors import BracketingError, FitDomainError
@@ -351,6 +358,41 @@ def test_solve_report_to_stdout(capsys):
     assert err.startswith("alpha_star_hat = ")
 
 
+def test_solve_profile_to_stdout_refuses_a_report_there(tmp_path, monkeypatch, capsys):
+    # the profile and the report cannot both be the whole of stdout: from a
+    # flag or a config key, --profile-out - with the report on stdout is
+    # refused before the solve
+    monkeypatch.setattr(cli, "bisect_beta", None)
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("profile_out = -\n")
+    for argv in (["--profile-out", "-"], ["--profile-out", "-", "--report-out", "-"],
+                 ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--lambda-hat", "0", *argv])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--profile-out - writes the profile to stdout" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_solve_profile_to_stdout(tmp_path, monkeypatch, capsys, lam0):
+    # with the report in a file, the profile CSV is the whole of stdout,
+    # the very bytes --profile-out FILE writes, and the summary line goes
+    # to stderr
+    monkeypatch.setattr(cli, "bisect_beta", lambda lambda_hat, controls=None: lam0)
+    report = ["--report-out", str(tmp_path / "r.json")]
+    assert main(["solve", "--lambda-hat", "0", *report, "--profile-out", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert err.startswith("alpha_star_hat = ")
+    piped = (tmp_path / "r.json").read_text()
+    assert main(["solve", "--lambda-hat", "0", *report,
+                 "--profile-out", str(tmp_path / "p.csv")]) == 0
+    assert capsys.readouterr().out.startswith("alpha_star_hat = ")
+    assert out == (tmp_path / "p.csv").read_text()
+    assert piped == (tmp_path / "r.json").read_text()
+
+
 def test_sweep_single_cell(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     rc = main(["sweep", "--lambda-hat", "0", "--alphas", "0.3",
@@ -379,6 +421,20 @@ def test_sweep_grid_flags(tmp_path, capsys):
     assert len(rows) == 4
     tags = [r.split(",")[2] for r in rows]
     assert tags == ["Horizon", "FPrimeZero", "FZero", "FZero"]
+
+
+def test_sweep_csv_to_stdout(capsys):
+    # with the default --out -, the CSV is the whole of stdout, header and
+    # one row per cell, and the summary line goes to stderr
+    rc = main(["sweep", "--lambda-hat", "0", "--alphas", "0.05,0.3",
+               "--betas", "0.1,0.5"])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["alpha", "beta", "outcome", "t_event"]
+    assert [(float(a), float(b)) for a, b, _, _ in rows[1:]] == [
+        (0.05, 0.1), (0.05, 0.5), (0.3, 0.1), (0.3, 0.5)]
+    assert err == "swept 2x2 points at lambda_hat = 0\n"
 
 
 def test_sweep_reproduces_the_golden_grid(tmp_path, capsys):
@@ -686,3 +742,29 @@ def test_series_picard_report(capsys):
     ratios = [float(v) for v in
               out.split("ratios = [")[1].split("]")[0].split(",")]
     assert all(r <= 1.0 / 3.0 + 0.05 for r in ratios[1:])
+
+
+def test_no_process_pool_is_loaded_without_a_pool(tmp_path):
+    # concurrent.futures and multiprocessing cost a run ~1.4 MB of peak
+    # RSS, so a fresh interpreter loads them only for sweep(workers > 1):
+    # not on importing the CLI or the shooter, nor for a one-process sweep
+    code = textwrap.dedent("""
+        import sys
+        from monopole import cli, shooter
+
+        def pool():
+            return sorted(m for m in sys.modules
+                          if m.split(".")[0] in ("concurrent", "multiprocessing"))
+        print(pool())
+        cli.main(["sweep", "--lambda-hat", "0", "--alphas", "0.05,0.3",
+                  "--betas", "0.1,0.5", "--out", sys.argv[1]])
+        print(pool())
+        shooter.sweep([0.05, 0.3], [0.1, 0.5], 0.0, workers=2)
+        print("multiprocessing" in pool(), "concurrent.futures" in pool())
+        """)
+    src = str(Path(monopole.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "grid.csv")],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path)
+    assert proc.stdout.splitlines() == [
+        "[]", "swept 2x2 points at lambda_hat = 0", "[]", "True True"]

@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from monopole import dense_output, integrator
-from monopole.errors import DomainError, NoEventError, StiffnessError
+from monopole.errors import DomainError, IntegrityError, NoEventError, StiffnessError
 from monopole.integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
                                  Outcome, OutcomeTag, Trajectory, classify,
                                  continued_fate, in_tube, integrate,
@@ -821,6 +821,27 @@ def test_fzero_window_on_a_synthetic_step(monkeypatch):
         assert integrator._scan_events(traj, step, step.eval(1.0), step.eval(2.0)) is found
         assert [ev.tag for ev in traj.f_events] == [OutcomeTag.F_ZERO] * found
     assert calls == [(1.5, 0.0)] * 2
+
+
+def test_simultaneous_gauge_crossings_are_an_integrity_error(monkeypatch):
+    # f falls through 0 and f' rises through 0 at the same radius on a
+    # stand-in step: the gauge channel would vanish to second order, which
+    # no solution does, so the scan raises instead of logging either event
+    class Step:
+        t, t_end = 1.0, 2.0
+
+        def eval(self, t):
+            return (1.5 - t, t - 1.5, 0.5, 0.0)
+
+        def component(self, i):
+            return lambda t: self.eval(t)[i]
+    calls = _refinements(monkeypatch)
+    traj = Trajectory(lambda_hat=0.0, controls=IntegratorControls())
+    step = Step()
+    with pytest.raises(IntegrityError, match="simultaneous f = 0 and f' = 0 near t = 1.5"):
+        integrator._scan_events(traj, step, step.eval(1.0), step.eval(2.0))
+    assert calls == [(1.5, 0.0)] * 2
+    assert (traj.f_events, traj.rho_events) == ([], [])
 
 
 _LEVELS = (0.0, -0.0, 1.0, 5e-324, -5e-324, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52)

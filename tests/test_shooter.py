@@ -1,7 +1,9 @@
 """Nested bisections and the parameter sweep."""
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import random
 from dataclasses import replace
 from statistics import median
 
@@ -13,7 +15,8 @@ from monopole.errors import (BracketingError, DomainError, FitDomainError, Hando
                              IntegrityError)
 from monopole.integrator import (ClassifyMode, IntegratorControls, Outcome, OutcomeTag,
                                  classify, continued_fate)
-from monopole.origin_series import T0_MAX, ShootPoint, expand_batch, expand_series
+from monopole.origin_series import (DEFAULT_T0, T0_MAX, T0_MIN, ShootPoint, expand_batch,
+                                    expand_series)
 from monopole.shooter import (Bracket, Probe, _centred_bracket, _expand_bracket,
                               bisect_alpha, bisect_beta, bracket_alpha, shoot, sweep)
 from monopole.model import PhaseState, ps_exact
@@ -952,7 +955,7 @@ def test_sweep_rejects_bad_inputs(monkeypatch):
     # refused before any expansion, shot or worker process
     monkeypatch.setattr(shooter, "shoot", None)
     monkeypatch.setattr(shooter, "expand_batch", None)
-    monkeypatch.setattr(shooter, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     for workers in (0, -3):
         with pytest.raises(DomainError, match="workers"):
             sweep([0.3], [0.1], 0.0, workers=workers)
@@ -1145,7 +1148,7 @@ def test_sweep_starts_at_most_one_process_per_row(monkeypatch):
     # the pool starts all max_workers processes on its first submit, so
     # the count is capped at the row count
     pools = []
-    monkeypatch.setattr(shooter, "ProcessPoolExecutor", _InProcessPool(pools, []))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool(pools, []))
     short = replace(CONTROLS, t_max=3.0)
     grid = sweep([0.05, 0.3], [0.1, 0.5], 0.0, controls=short, workers=5000)
     assert pools == [2]
@@ -1161,13 +1164,29 @@ def test_sweep_batches_give_every_process_a_row(monkeypatch):
     # one-row batches, one busy process at a time; a batch holds at least
     # one row per process instead, so a pool of 3 maps 3, 3 and 1 rows
     tasks = []
-    monkeypatch.setattr(shooter, "ProcessPoolExecutor", _InProcessPool([], tasks))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool([], tasks))
     monkeypatch.setattr(shooter, "_SWEEP_BATCH", 4)
     short = replace(CONTROLS, t_max=3.0)
     alphas, betas = [0.05, 0.2, 0.3, 0.6, 0.9, 1.2, 1.5], [0.1, 0.3, 0.5, 0.8, 1.0]
     grid = sweep(alphas, betas, 0.0, controls=short, workers=3)
     assert tasks == [3, 3, 1]
     assert list(grid.rows()) == list(sweep(alphas, betas, 0.0, controls=short).rows())
+
+
+def test_sweep_does_not_depend_on_t0():
+    # a run starts on its series at min(t0, reach) and hands over to
+    # DOP853 at the reach, so on grids from the benchmark's box (alpha in
+    # [0.02, 1.5], beta in [0.05, 2], lambda_hat in [0, 2]) every tag and
+    # event time is the same, bit for bit, across the handoff range
+    rng = random.Random(0)
+    for _ in range(6):
+        alphas = sorted(rng.uniform(0.02, 1.5) for _ in range(10))
+        betas = sorted(rng.uniform(0.05, 2.0) for _ in range(10))
+        lam = rng.uniform(0.0, 2.0)
+        grids = [sweep(alphas, betas, lam, controls=replace(CONTROLS, t0=t0))
+                 for t0 in (T0_MIN, 5e-4, DEFAULT_T0, T0_MAX)]
+        want = (grids[0].tags, grids[0].t_events)
+        assert all((g.tags, g.t_events) == want for g in grids[1:])
 
 
 def test_sweep_prefers_rho_fate_when_informative():
