@@ -388,10 +388,11 @@ def _cmd_series(ns: argparse.Namespace, parser) -> int:
     print(",".join(_fmt(v) for v in (state.t, state.f, state.fp,
                                      state.rho, state.rhop)))
     if hist is not None:
+        # the CSV is the whole of stdout, so the Picard lines go to stderr
         ratios = ", ".join(_fmt(r) for r in hist.ratios)
-        print(f"picard s_max = {_fmt(hist.s_max)}  ratios = [{ratios}]")
+        print(f"picard s_max = {_fmt(hist.s_max)}  ratios = [{ratios}]", file=sys.stderr)
         print(f"picard f({_fmt(hist.t_end)}) = {_fmt(hist.f_end)}  "
-              f"rho = {_fmt(hist.rho_end)}")
+              f"rho = {_fmt(hist.rho_end)}", file=sys.stderr)
     return EXIT_OK
 
 

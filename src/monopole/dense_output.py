@@ -3,12 +3,17 @@
 DenseSegment keeps an accepted step's thirteen stages and builds its
 interpolant (Hairer, Norsett & Wanner, Solving ODEs I, II.10) only when
 it is first read, at the cost of three more right-hand side calls.  The
-three extra stages and the four D rows of the interpolant's higher
-coefficients are written out over their rows' nonzero weights, in the
-rows' order, as integrator._advance writes out a step's stages; a test
-pins them to the sums over whole rows with ==.  The stages call
-model._rhs through the module, as the integrator does, so the field
-equations have one entry point to patch.
+arguments of the three extra stages and the four D rows of the
+interpolant's higher coefficients are written out over their rows'
+nonzero weights, in the rows' order, as integrator._advance writes out a
+step's stages; a test pins them to the sums over whole rows with ==.
+The extra stages call model._rhs through the module, unlike _advance,
+which writes the right-hand side out inline, so that patching model._rhs
+reaches every interpolant.
+
+crossing bisects a component's crossing of a level over the step: it is
+integrator.refine_event on component(i), with the component's Horner
+written into the bisection's loop, and gives its t_event to the bit.
 
 This is a module of its own, not part of integrator, only for memory:
 an interpreter that compiles the package from source (as under
@@ -19,7 +24,11 @@ and integrator with these written-out sums in it would be that module,
 from __future__ import annotations
 
 from . import model
+from .errors import DomainError, NoEventError
 
+# Width to which a crossing is bisected (integrator.refine_event and
+# DenseSegment.crossing).
+EVENT_TOL = 1e-10
 
 # The three extra stages of the seventh-order interpolant: their nodes,
 # their rows over stages 1-13 (and the extra stages before them), and
@@ -96,25 +105,59 @@ class DenseSegment:
         self._q = None
 
     def _coeffs(self):
-        # The extra stages and the D rows are written out over their rows'
-        # nonzero weights, in the rows' order; the first three coefficients
-        # match the end values and the end slopes (stages 1 and 13).
+        # The arguments of the extra stages and the D rows are written out
+        # over their rows' nonzero weights, in the rows' order; the first
+        # three coefficients match the end values and the end slopes
+        # (stages 1 and 13).
         if self._q is None:
             t, h, y0, k, lam = self.t, self.h, self.y0, self._k, self.lambda_hat
-            k14 = model._rhs(t + _C14 * h, *[
-                y + h * (_A14_1 * k1 + _A14_7 * k7 + _A14_8 * k8 + _A14_9 * k9
-                         + _A14_10 * k10 + _A14_11 * k11 + _A14_12 * k12 + _A14_13 * k13)
-                for y, (k1, _, _, _, _, _, k7, k8, k9, k10, k11, k12, k13) in zip(y0, k)], lam)
-            k15 = model._rhs(t + _C15 * h, *[
-                y + h * (_A15_1 * k1 + _A15_6 * k6 + _A15_7 * k7 + _A15_8 * k8
-                         + _A15_11 * k11 + _A15_12 * k12 + _A15_13 * k13 + _A15_14 * k14)
-                for y, (k1, _, _, _, _, k6, k7, k8, _, _, k11, k12, k13), k14
-                in zip(y0, k, k14)], lam)
-            k16 = model._rhs(t + _C16 * h, *[
-                y + h * (_A16_1 * k1 + _A16_6 * k6 + _A16_7 * k7 + _A16_8 * k8
-                         + _A16_9 * k9 + _A16_13 * k13 + _A16_14 * k14 + _A16_15 * k15)
-                for y, (k1, _, _, _, _, k6, k7, k8, k9, _, _, _, k13), k14, k15
-                in zip(y0, k, k14, k15)], lam)
+            f, fp, rho, rhop = y0
+            ((k1f, _, _, _, _, k6f, k7f, k8f, k9f, k10f, k11f, k12f, k13f),
+             (k1fp, _, _, _, _, k6fp, k7fp, k8fp, k9fp, k10fp, k11fp, k12fp, k13fp),
+             (k1r, _, _, _, _, k6r, k7r, k8r, k9r, k10r, k11r, k12r, k13r),
+             (k1rp, _, _, _, _, k6rp, k7rp, k8rp, k9rp, k10rp, k11rp, k12rp, k13rp)) = k
+            k14 = k14f, k14fp, k14r, k14rp = model._rhs(
+                t + _C14 * h,
+                f + h * (_A14_1 * k1f + _A14_7 * k7f + _A14_8 * k8f + _A14_9 * k9f
+                         + _A14_10 * k10f + _A14_11 * k11f + _A14_12 * k12f
+                         + _A14_13 * k13f),
+                fp + h * (_A14_1 * k1fp + _A14_7 * k7fp + _A14_8 * k8fp + _A14_9 * k9fp
+                          + _A14_10 * k10fp + _A14_11 * k11fp + _A14_12 * k12fp
+                          + _A14_13 * k13fp),
+                rho + h * (_A14_1 * k1r + _A14_7 * k7r + _A14_8 * k8r + _A14_9 * k9r
+                           + _A14_10 * k10r + _A14_11 * k11r + _A14_12 * k12r
+                           + _A14_13 * k13r),
+                rhop + h * (_A14_1 * k1rp + _A14_7 * k7rp + _A14_8 * k8rp + _A14_9 * k9rp
+                            + _A14_10 * k10rp + _A14_11 * k11rp + _A14_12 * k12rp
+                            + _A14_13 * k13rp), lam)
+            k15 = k15f, k15fp, k15r, k15rp = model._rhs(
+                t + _C15 * h,
+                f + h * (_A15_1 * k1f + _A15_6 * k6f + _A15_7 * k7f + _A15_8 * k8f
+                         + _A15_11 * k11f + _A15_12 * k12f + _A15_13 * k13f
+                         + _A15_14 * k14f),
+                fp + h * (_A15_1 * k1fp + _A15_6 * k6fp + _A15_7 * k7fp + _A15_8 * k8fp
+                          + _A15_11 * k11fp + _A15_12 * k12fp + _A15_13 * k13fp
+                          + _A15_14 * k14fp),
+                rho + h * (_A15_1 * k1r + _A15_6 * k6r + _A15_7 * k7r + _A15_8 * k8r
+                           + _A15_11 * k11r + _A15_12 * k12r + _A15_13 * k13r
+                           + _A15_14 * k14r),
+                rhop + h * (_A15_1 * k1rp + _A15_6 * k6rp + _A15_7 * k7rp + _A15_8 * k8rp
+                            + _A15_11 * k11rp + _A15_12 * k12rp + _A15_13 * k13rp
+                            + _A15_14 * k14rp), lam)
+            k16 = model._rhs(
+                t + _C16 * h,
+                f + h * (_A16_1 * k1f + _A16_6 * k6f + _A16_7 * k7f + _A16_8 * k8f
+                         + _A16_9 * k9f + _A16_13 * k13f + _A16_14 * k14f
+                         + _A16_15 * k15f),
+                fp + h * (_A16_1 * k1fp + _A16_6 * k6fp + _A16_7 * k7fp + _A16_8 * k8fp
+                          + _A16_9 * k9fp + _A16_13 * k13fp + _A16_14 * k14fp
+                          + _A16_15 * k15fp),
+                rho + h * (_A16_1 * k1r + _A16_6 * k6r + _A16_7 * k7r + _A16_8 * k8r
+                           + _A16_9 * k9r + _A16_13 * k13r + _A16_14 * k14r
+                           + _A16_15 * k15r),
+                rhop + h * (_A16_1 * k1rp + _A16_6 * k6rp + _A16_7 * k7rp + _A16_8 * k8rp
+                            + _A16_9 * k9rp + _A16_13 * k13rp + _A16_14 * k14rp
+                            + _A16_15 * k15rp), lam)
             q = []
             for ya, yb, (k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12, k13), k14, k15, k16 \
                     in zip(y0, self.y1, k, k14, k15, k16):
@@ -158,6 +201,46 @@ class DenseSegment:
             u = 1.0 - x
             return y + x * (c0 + u * (c1 + x * (c2 + u * (c3 + x * (c4 + u * (c5 + x * c6))))))
         return value
+
+    def crossing(self, i: int, level: float) -> float:
+        """integrator.refine_event of component(i) over the step, against level.
+
+        The same bisection, with the component's Horner written into its
+        loop, so it gives refine_event's t_event to the bit, and raises as
+        it does: NoEventError where component i - level keeps its sign.
+        """
+        c, y, t0, h = self._coeffs()[i], self.y0[i], self.t, self.h
+        c0, c1, c2, c3, c4, c5, c6 = c
+        t_lo, t_hi = t0, self.t_end
+        if not (t_hi > t_lo):
+            raise DomainError("refine_event needs t_hi > t_lo")
+        x = (t_lo - t0) / h
+        g_lo = _horner(y, c, x, 1.0 - x) - level
+        x = (t_hi - t0) / h
+        g_hi = _horner(y, c, x, 1.0 - x) - level
+        if g_lo == 0.0:
+            return t_lo
+        if g_hi == 0.0:
+            return t_hi
+        below = g_lo < 0.0
+        if below == (g_hi < 0.0):
+            raise NoEventError(
+                f"no sign change on [{t_lo}, {t_hi}]: endpoints {g_lo}, {g_hi}")
+        while t_hi - t_lo > EVENT_TOL:
+            t_mid = 0.5 * (t_lo + t_hi)
+            if t_mid <= t_lo or t_mid >= t_hi:
+                break  # spacing below float resolution
+            x = (t_mid - t0) / h
+            u = 1.0 - x
+            g_mid = y + x * (c0 + u * (c1 + x * (c2 + u * (c3 + x * (c4 + u * (
+                c5 + x * c6)))))) - level
+            if g_mid == 0.0:
+                return t_mid
+            if below != (g_mid < 0.0):
+                t_hi = t_mid
+            else:
+                t_lo = t_mid
+        return 0.5 * (t_lo + t_hi)
 
 
 def _horner(y, c, x, u):

@@ -18,10 +18,12 @@ operations in its order; model._rhs stays the one reference for the
 field equations, and a test pins every stored stage to it with ==.  The
 interpolant's coefficients are written out over the tableau's nonzero
 weights in the same way.  The event scan runs only on a step where one
-of the five sign tests fires, and refine_event bisects each crossing on
-the one interpolant component that changes sign, against the event's
-level: a gauge crossing at once, a Higgs one on the first read of
-Trajectory.rho_events.  resample evaluates an array of radii in one
+of the five sign tests fires, and bisects each crossing on the one
+interpolant component that changes sign, against the event's level,
+through the step's crossing: DenseSegment.crossing, refine_event with
+the component written into its loop, or refine_event itself on a series
+piece.  A gauge crossing is bisected at once, a Higgs one on the first
+read of Trajectory.rho_events.  resample evaluates an array of radii in one
 batch, with the interpolant's arithmetic applied elementwise in the same
 order.
 
@@ -81,7 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .dense_output import DenseSegment, _horner
+from .dense_output import EVENT_TOL, DenseSegment, _horner
 from .errors import DomainError, IntegrityError, NoEventError, StiffnessError
 from .model import PhaseState
 from .origin_series import OriginSeries
@@ -107,8 +109,6 @@ __all__ = [
 # Half-width of the convergence tube: the bound on |f|, |f'|, rho', the
 # extrapolated vev gap |rho + t rho' - 1| and the overshoot rho - 1.
 TUBE = 1e-2
-# Width to which refine_event bisects a crossing.
-EVENT_TOL = 1e-10
 # A run blows up once |f| or rho exceeds _BLOWUP_BOUND or |f'| or |rho'|
 # exceeds _BLOWUP_SLOPE.
 _BLOWUP_BOUND = 2.0
@@ -422,14 +422,17 @@ def _select_initial_step(y0, k1, controls: IntegratorControls) -> float:
     # and no second-derivative estimate, and its bits fix every shot's,
     # so it stays as it is.  The horizon does not enter: _advance clips
     # the step.
-    scale = [controls.abs_tol + controls.rel_tol * abs(v) for v in y0]
+    atol, rel = controls.abs_tol, controls.rel_tol
+    f, fp, rho, rhop = y0
+    sf, sfp, sr, srp = (atol + rel * abs(f), atol + rel * abs(fp), atol + rel * abs(rho),
+                        atol + rel * abs(rhop))
     # v * v, not v ** 2: a square past the float range is inf, not an
     # OverflowError, and a state that large ends the run as a blowup.
     # Each norm adds its squares left to right: sum() compensates float
     # sums from Python 3.12 on, which would move every shot's first step.
-    a, b, c, d = (y / s for y, s in zip(y0, scale))
+    a, b, c, d = f / sf, fp / sfp, rho / sr, rhop / srp
     d0 = math.sqrt((((a * a + b * b) + c * c) + d * d) / 4)
-    a, b, c, d = (k / s for k, s in zip(k1, scale))
+    a, b, c, d = k1[0] / sf, k1[1] / sfp, k1[2] / sr, k1[3] / srp
     d1 = math.sqrt((((a * a + b * b) + c * c) + d * d) / 4)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     return max(min(h0, controls.max_step), 1e-12)
@@ -531,6 +534,10 @@ class _SeriesPiece:
         self.t, self.t_end = t, t_end
         self.component, self.eval = series.component, series.state
 
+    def crossing(self, i: int, level: float) -> float:
+        """refine_event of component i over the piece, against level."""
+        return refine_event(self.component(i), self.t, self.t_end, level)
+
 
 def continued_fate(traj: Trajectory, t_max: float) -> Outcome:
     """FFate of traj continued to the later horizon t_max, read at its first gauge event.
@@ -593,8 +600,9 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
 
     The stages are written out inline.  A stage's f and rho derivatives
     are its own f' and rho' values, so only f'' and rho'' are computed,
-    with exactly model._rhs's operations in its order, which keeps every
-    step bit-identical to calling _rhs.
+    with exactly model._rhs's operations in its order (rho * rho, which
+    _rhs computes twice, once per stage), which keeps every step
+    bit-identical to calling _rhs.
     """
     t = traj.ts[-1]
     # The accepted state is one tuple shared by the sample list, the next
@@ -627,8 +635,9 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
         k2r = rhop + h * (_A2_1 * k1rp)
         s2 = s * s
         gg = g * g
-        k2fp = g * ((gg - 1.0) / s2 + r * r)
-        k2rp = -2.0 * k2r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+        rr = r * r
+        k2fp = g * ((gg - 1.0) / s2 + rr)
+        k2rp = -2.0 * k2r / s + 2.0 * gg * r / s2 + lam * (rr - 1.0) * r
 
         s = t + _C3 * h
         g = f + h * (_A3_1 * k1f + _A3_2 * k2f)
@@ -637,8 +646,9 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
         k3r = rhop + h * (_A3_1 * k1rp + _A3_2 * k2rp)
         s2 = s * s
         gg = g * g
-        k3fp = g * ((gg - 1.0) / s2 + r * r)
-        k3rp = -2.0 * k3r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+        rr = r * r
+        k3fp = g * ((gg - 1.0) / s2 + rr)
+        k3rp = -2.0 * k3r / s + 2.0 * gg * r / s2 + lam * (rr - 1.0) * r
 
         s = t + _C4 * h
         g = f + h * (_A4_1 * k1f + _A4_3 * k3f)
@@ -647,8 +657,9 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
         k4r = rhop + h * (_A4_1 * k1rp + _A4_3 * k3rp)
         s2 = s * s
         gg = g * g
-        k4fp = g * ((gg - 1.0) / s2 + r * r)
-        k4rp = -2.0 * k4r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+        rr = r * r
+        k4fp = g * ((gg - 1.0) / s2 + rr)
+        k4rp = -2.0 * k4r / s + 2.0 * gg * r / s2 + lam * (rr - 1.0) * r
 
         s = t + _C5 * h
         g = f + h * (_A5_1 * k1f + _A5_3 * k3f + _A5_4 * k4f)
@@ -657,8 +668,9 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
         k5r = rhop + h * (_A5_1 * k1rp + _A5_3 * k3rp + _A5_4 * k4rp)
         s2 = s * s
         gg = g * g
-        k5fp = g * ((gg - 1.0) / s2 + r * r)
-        k5rp = -2.0 * k5r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+        rr = r * r
+        k5fp = g * ((gg - 1.0) / s2 + rr)
+        k5rp = -2.0 * k5r / s + 2.0 * gg * r / s2 + lam * (rr - 1.0) * r
 
         s = t + _C6 * h
         g = f + h * (_A6_1 * k1f + _A6_4 * k4f + _A6_5 * k5f)
@@ -667,8 +679,9 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
         k6r = rhop + h * (_A6_1 * k1rp + _A6_4 * k4rp + _A6_5 * k5rp)
         s2 = s * s
         gg = g * g
-        k6fp = g * ((gg - 1.0) / s2 + r * r)
-        k6rp = -2.0 * k6r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+        rr = r * r
+        k6fp = g * ((gg - 1.0) / s2 + rr)
+        k6rp = -2.0 * k6r / s + 2.0 * gg * r / s2 + lam * (rr - 1.0) * r
 
         s = t + _C7 * h
         g = f + h * (_A7_1 * k1f + _A7_4 * k4f + _A7_5 * k5f + _A7_6 * k6f)
@@ -677,8 +690,9 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
         k7r = rhop + h * (_A7_1 * k1rp + _A7_4 * k4rp + _A7_5 * k5rp + _A7_6 * k6rp)
         s2 = s * s
         gg = g * g
-        k7fp = g * ((gg - 1.0) / s2 + r * r)
-        k7rp = -2.0 * k7r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+        rr = r * r
+        k7fp = g * ((gg - 1.0) / s2 + rr)
+        k7rp = -2.0 * k7r / s + 2.0 * gg * r / s2 + lam * (rr - 1.0) * r
 
         s = t + _C8 * h
         g = f + h * (_A8_1 * k1f + _A8_4 * k4f + _A8_5 * k5f + _A8_6 * k6f + _A8_7 * k7f)
@@ -689,8 +703,9 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
                           + _A8_7 * k7rp)
         s2 = s * s
         gg = g * g
-        k8fp = g * ((gg - 1.0) / s2 + r * r)
-        k8rp = -2.0 * k8r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+        rr = r * r
+        k8fp = g * ((gg - 1.0) / s2 + rr)
+        k8rp = -2.0 * k8r / s + 2.0 * gg * r / s2 + lam * (rr - 1.0) * r
 
         s = t + _C9 * h
         g = f + h * (_A9_1 * k1f + _A9_4 * k4f + _A9_5 * k5f + _A9_6 * k6f + _A9_7 * k7f
@@ -703,8 +718,9 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
                           + _A9_7 * k7rp + _A9_8 * k8rp)
         s2 = s * s
         gg = g * g
-        k9fp = g * ((gg - 1.0) / s2 + r * r)
-        k9rp = -2.0 * k9r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+        rr = r * r
+        k9fp = g * ((gg - 1.0) / s2 + rr)
+        k9rp = -2.0 * k9r / s + 2.0 * gg * r / s2 + lam * (rr - 1.0) * r
 
         s = t + _C10 * h
         g = f + h * (_A10_1 * k1f + _A10_4 * k4f + _A10_5 * k5f + _A10_6 * k6f
@@ -717,8 +733,9 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
                            + _A10_7 * k7rp + _A10_8 * k8rp + _A10_9 * k9rp)
         s2 = s * s
         gg = g * g
-        k10fp = g * ((gg - 1.0) / s2 + r * r)
-        k10rp = -2.0 * k10r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+        rr = r * r
+        k10fp = g * ((gg - 1.0) / s2 + rr)
+        k10rp = -2.0 * k10r / s + 2.0 * gg * r / s2 + lam * (rr - 1.0) * r
 
         s = t + _C11 * h
         g = f + h * (_A11_1 * k1f + _A11_4 * k4f + _A11_5 * k5f + _A11_6 * k6f
@@ -732,8 +749,9 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
                            + _A11_10 * k10rp)
         s2 = s * s
         gg = g * g
-        k11fp = g * ((gg - 1.0) / s2 + r * r)
-        k11rp = -2.0 * k11r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+        rr = r * r
+        k11fp = g * ((gg - 1.0) / s2 + rr)
+        k11rp = -2.0 * k11r / s + 2.0 * gg * r / s2 + lam * (rr - 1.0) * r
 
         s = t + h
         g = f + h * (_A12_1 * k1f + _A12_4 * k4f + _A12_5 * k5f + _A12_6 * k6f
@@ -750,8 +768,9 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
                            + _A12_11 * k11rp)
         s2 = s * s
         gg = g * g
-        k12fp = g * ((gg - 1.0) / s2 + r * r)
-        k12rp = -2.0 * k12r / s + 2.0 * gg * r / s2 + lam * (r * r - 1.0) * r
+        rr = r * r
+        k12fp = g * ((gg - 1.0) / s2 + rr)
+        k12rp = -2.0 * k12r / s + 2.0 * gg * r / s2 + lam * (rr - 1.0) * r
 
         fn = f + h * (_B1 * k1f + _B6 * k6f + _B7 * k7f + _B8 * k8f + _B9 * k9f
                       + _B10 * k10f + _B11 * k11f + _B12 * k12f)
@@ -770,11 +789,17 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
         # Hairer's error norm: the rms of the fifth-order estimate e5 times
         # |e5| / |(e5, e3 / 10)|, a factor near 1 unless the third-order
         # estimate e3 is more than ten times larger.  a and b are the
-        # scaled fifth- and third-order estimates of each component.
-        sf = atol + rel * max(abs(f), abs(fn))
-        sfp = atol + rel * max(abs(fp), abs(fpn))
-        sr = atol + rel * max(abs(rho), abs(rn))
-        srp = atol + rel * max(abs(rhop), abs(rpn))
+        # scaled fifth- and third-order estimates of each component, over
+        # the scales atol + rel * max(|y|, |y_new|), each max(u, v) written
+        # as the comparison that gives its value, v if v > u else u.
+        u, v = abs(f), abs(fn)
+        sf = atol + rel * (v if v > u else u)
+        u, v = abs(fp), abs(fpn)
+        sfp = atol + rel * (v if v > u else u)
+        u, v = abs(rho), abs(rn)
+        sr = atol + rel * (v if v > u else u)
+        u, v = abs(rhop), abs(rpn)
+        srp = atol + rel * (v if v > u else u)
         af = (_E5_1 * k1f + _E5_6 * k6f + _E5_7 * k7f + _E5_8 * k8f
               + _E5_9 * k9f + _E5_10 * k10f + _E5_11 * k11f + _E5_12 * k12f) / sf
         afp = (_E5_1 * k1fp + _E5_6 * k6fp + _E5_7 * k7fp + _E5_8 * k8fp
@@ -805,8 +830,9 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
         s = t + h
         s2 = s * s
         gg = fn * fn
-        k13fp = fn * ((gg - 1.0) / s2 + rn * rn)
-        k13rp = -2.0 * rpn / s + 2.0 * gg * rn / s2 + lam * (rn * rn - 1.0) * rn
+        rr = rn * rn
+        k13fp = fn * ((gg - 1.0) / s2 + rr)
+        k13rp = -2.0 * rpn / s + 2.0 * gg * rn / s2 + lam * (rr - 1.0) * rn
         y_new = (fn, fpn, rn, rpn)
         seg = DenseSegment(t, h, y_acc, y_new, (
             (k1f, k2f, k3f, k4f, k5f, k6f, k7f, k8f, k9f, k10f, k11f, k12f, fpn),
@@ -827,8 +853,17 @@ def _advance(traj: Trajectory, k1: tuple, h: float) -> None:
         if _ends_in_blowup(traj, y_acc):
             return
         k1f, k1fp, k1r, k1rp = fpn, k13fp, rpn, k13rp  # first-same-as-last
-        fac = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.125))
-        h = min(h * fac, max_step)
+        # h = min(h * fac, max_step) for fac = min(10.0, max(0.2, 0.9 * err
+        # ** -0.125)), or 10.0 at err = 0.0, by the comparisons that give
+        # each max's and min's value
+        if err == 0.0:
+            fac = 10.0
+        else:
+            fac = 0.9 * err ** -0.125
+            fac = fac if fac > 0.2 else 0.2
+            fac = fac if fac < 10.0 else 10.0
+        h *= fac
+        h = max_step if max_step < h else h
 
     traj.ended = "t_max"
 
@@ -871,7 +906,7 @@ def _refined(seg, rows: list) -> list:
     """(t, tag, row, state) of each (tag, row) crossing over seg, in time order."""
     found = []
     for tag, row in rows:
-        t_e = refine_event(seg.component(row.i), seg.t, seg.t_end, row.level)
+        t_e = seg.crossing(row.i, row.level)
         found.append((t_e, tag, row, PhaseState(t_e, *seg.eval(t_e))))
     found.sort(key=lambda item: item[0])
     return found

@@ -31,11 +31,15 @@ initial_state evaluates the two-term truncation at t0, the paper's
 exact handoff: series_coefficients gives its a4 and b3.  The series
 command prints it and the tests check it; no run starts from it.
 
-A sweep expands its points' series lane-wise (expand_batch): the same
-recurrence runs once on numpy arrays of alpha and beta, and gives every
-lane the scalar coefficients to the bit, at a fraction of the cost per
-point once a batch holds ~100 points.  The bits agree because the
-recurrence adds its products left to right (_dot), as numpy adds lanes.
+A sweep expands its points' series lane-wise (expand_batch): the one
+recurrence (_recurrence) runs once on numpy arrays of alpha and beta,
+into (order + 1, lanes) arrays, and gives every lane the scalar
+coefficients to the bit, at a fraction of the cost per point once a
+batch holds ~100 points.  The bits agree because each convolution adds
+its products left to right from 0: _dot for numbers, and for lanes
+np.add.reduce down the rows from 0.0, a whole row per numpy call.  numpy
+adds row by row only while a row holds two lanes or more, so a batch of
+one runs as two.
 
 A series carries its span, the piece ends a run reads it at: the
 multiples of _PIECE strictly below its reach, then the reach, and its
@@ -125,33 +129,50 @@ def _dot(x, y):
     return reduce(add, map(mul, x, y), 0)
 
 
-def _recurrence(alpha, beta, lambda_hat, order: int) -> tuple[list, list]:
+def _lane_dot(x, y):
+    # _dot of the rows of x and y, lane by lane: numpy adds along axis 0
+    # one row at a time, left to right from initial, while a row holds two
+    # lanes or more; along a lone lane it would add pairwise
+    return np.add.reduce(np.multiply(x, y), axis=0, initial=0.0)
+
+
+def _recurrence(alpha, beta, lambda_hat, order: int) -> tuple:
     """Coefficients a_0..a_order of f and b_0..b_order of rho/t, in x = t^2.
 
     With P = A^2 and Q = B^2 the two right-hand sides are A R - A and
     B S - lambda_hat x B for R = P + x^2 Q and S = 2 P + lambda_hat x^2 Q,
     so each new index takes four running convolutions: P, Q, A R and B S.
-    The arithmetic stays within the caller's number type.  Each
-    convolution adds its products left to right from 0 (_dot), which
-    rounds alike for floats and for numpy lanes on every Python; sum()
-    compensates float sums from Python 3.12 on, but not array sums.
+    For numbers alpha and beta the coefficients are lists, for numpy
+    arrays of lanes (order + 1, lanes) arrays; the arithmetic stays within
+    the caller's number type.  Each convolution adds its products left to
+    right from 0, _dot for numbers and _lane_dot for lanes (a lone lane
+    padded to two), which round alike on every Python; sum() compensates
+    float sums from Python 3.12 on, but not array sums.
     """
-    a, b = [1, -alpha], [beta]
-    p, q = [1, -2 * alpha], [beta * beta]
-    r, s = p[:], [2, -4 * alpha]
+    lanes = len(alpha) if isinstance(alpha, np.ndarray) else None
+    if lanes is not None:
+        alpha, beta = np.resize(alpha, max(lanes, 2)), np.resize(beta, max(lanes, 2))
+        a, b, p, q, r, s = np.zeros((6, order + 1, len(alpha)))
+        dot = _lane_dot
+    else:
+        a, b, p, q, r, s = ([0] * (order + 1) for _ in range(6))
+        dot = _dot
+    # p[0], r[0] and s[0] enter no convolution
+    a[0], a[1], b[0] = 1, -alpha, beta
+    p[1] = r[1] = -2 * alpha
+    q[0], s[1] = beta * beta, -4 * alpha
     for n in range(1, order + 1):
         if n >= 2:
-            p_n = _dot(a[1:n], a[n - 1:0:-1])
-            a_n = (p_n + q[n - 2] + _dot(a[1:n], r[n - 1:0:-1])) \
+            p_n = dot(a[1:n], a[n - 1:0:-1])
+            a[n] = a_n = (p_n + q[n - 2] + dot(a[1:n], r[n - 1:0:-1])) \
                 / (2 * n * (2 * n - 1) - 2)
-            a.append(a_n)
-            p.append(p_n + 2 * a_n)
-            r.append(p[n] + q[n - 2])
-            s.append(2 * p[n] + lambda_hat * q[n - 2])
-        b.append((_dot(b, s[n:0:-1]) - lambda_hat * b[n - 1])
-                 / ((2 * n + 1) * (2 * n + 2) - 2))
-        q.append(_dot(b, b[::-1]))
-    return a[:order + 1], b
+            p[n] = p_n + 2 * a_n
+            r[n] = p[n] + q[n - 2]
+            s[n] = 2 * p[n] + lambda_hat * q[n - 2]
+        b[n] = (dot(b[:n], s[n:0:-1]) - lambda_hat * b[n - 1]) \
+            / ((2 * n + 1) * (2 * n + 2) - 2)
+        q[n] = dot(b[:n + 1], b[n::-1])
+    return (a, b) if lanes is None else (a[:, :lanes], b[:, :lanes])
 
 
 def series_coefficients(point: ShootPoint, lambda_hat: float) -> SeriesCoefficients:
@@ -315,7 +336,8 @@ def expand_batch(alphas: list, betas: list, lambda_hat: float) -> list[OriginSer
     """expand_series of each point (alphas[j], betas[j]), to the bit.
 
     The recurrence runs once, on numpy arrays of alpha and beta, and numpy
-    rounds each lane's +, -, * and / as Python rounds a float's.  One
+    rounds each lane's +, -, * and / as Python rounds a float's, and adds
+    its convolutions' products in _dot's order.  One
     lane-wise Horner pass then evaluates every lane's span, padded with
     its reach to the longest lane.
     The values must be those a ShootPoint accepts.
@@ -324,8 +346,6 @@ def expand_batch(alphas: list, betas: list, lambda_hat: float) -> list[OriginSer
     with np.errstate(all="ignore"):  # a lane that overflows gets reach 0
         a, b = _recurrence(np.array(alphas, dtype=float), np.array(betas, dtype=float),
                            float(lambda_hat), SERIES_ORDER)
-    a[0] = np.ones(len(alphas))
-    a, b = np.array(a), np.array(b)
     finite = np.isfinite(a).all(axis=0) & np.isfinite(b).all(axis=0)
     reaches = [_reach(a_tail, b_tail, b0, ok) for a_tail, b_tail, b0, ok in zip(
         a[-_REACH_TAIL:].T.tolist(), b[-_REACH_TAIL:].T.tolist(), b[0].tolist(),

@@ -737,11 +737,27 @@ def test_series_refused_picard_prints_nothing(capsys):
 def test_series_picard_report(capsys):
     rc = main(["series", "--alpha", "0.16", "--beta", "0.33", "--picard"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "picard s_max" in out
+    err = capsys.readouterr().err
+    assert "picard s_max" in err
     ratios = [float(v) for v in
-              out.split("ratios = [")[1].split("]")[0].split(",")]
+              err.split("ratios = [")[1].split("]")[0].split(",")]
     assert all(r <= 1.0 / 3.0 + 0.05 for r in ratios[1:])
+
+
+def test_series_picard_lines_go_to_stderr(capsys):
+    # the CSV is the whole of stdout, so `monopole series ... --picard >
+    # state.csv` writes pure CSV, as sweep and solve keep theirs
+    rc = main(["series", "--alpha", "0.25", "--beta", "0.5", "--lambda-hat", "1",
+               "--picard"])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert main(["series", "--alpha", "0.25", "--beta", "0.5", "--lambda-hat", "1"]) == 0
+    assert out == capsys.readouterr().out
+    header, row = out.splitlines()
+    assert header == "t,f,fp,rho,rhop" and len(row.split(",")) == 5
+    s_max, f_end = err.splitlines()
+    assert s_max.startswith("picard s_max = ") and "ratios = [" in s_max
+    assert f_end.startswith("picard f(") and "rho = " in f_end
 
 
 def test_no_process_pool_is_loaded_without_a_pool(tmp_path):

@@ -22,8 +22,8 @@ from monopole.integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
                                  continued_fate, in_tube, integrate,
                                  integrate_series, refine_event)
 from monopole.model import PhaseState, _rhs, ps_exact
-from monopole.origin_series import ShootPoint, expand_series, initial_state
-from monopole.shooter import shoot, sweep
+from monopole.origin_series import ShootPoint, expand_batch, expand_series, initial_state
+from monopole.shooter import bisect_beta, shoot, sweep
 
 import oracles
 
@@ -769,14 +769,15 @@ def test_integrate_and_classify_refuse_what_they_cannot_read():
 
 
 def _refinements(monkeypatch):
-    """The (t_event, level) of every crossing refine_event bisects from now on."""
+    """The (t_event, level) of every crossing _refined bisects from now on."""
     calls = []
+    refined = integrator._refined
 
-    def recording(value, t_lo, t_hi, level=0.0):
-        t = refine_event(value, t_lo, t_hi, level)
-        calls.append((t, level))
-        return t
-    monkeypatch.setattr(integrator, "refine_event", recording)
+    def recording(seg, rows):
+        found = refined(seg, rows)
+        calls.extend((t, row.level) for t, _, row, _ in found)
+        return found
+    monkeypatch.setattr(integrator, "_refined", recording)
     return calls
 
 
@@ -814,6 +815,9 @@ def test_fzero_window_on_a_synthetic_step(monkeypatch):
 
         def component(self, i):
             return lambda t: self.eval(t)[i]
+
+        def crossing(self, i, level):
+            return refine_event(self.component(i), self.t, self.t_end, level)
     calls = _refinements(monkeypatch)
     for fp, found in ((0.0, False), (-0.1, True)):
         traj = Trajectory(lambda_hat=0.0, controls=IntegratorControls())
@@ -835,6 +839,9 @@ def test_simultaneous_gauge_crossings_are_an_integrity_error(monkeypatch):
 
         def component(self, i):
             return lambda t: self.eval(t)[i]
+
+        def crossing(self, i, level):
+            return refine_event(self.component(i), self.t, self.t_end, level)
     calls = _refinements(monkeypatch)
     traj = Trajectory(lambda_hat=0.0, controls=IntegratorControls())
     step = Step()
@@ -842,6 +849,78 @@ def test_simultaneous_gauge_crossings_are_an_integrity_error(monkeypatch):
         integrator._scan_events(traj, step, step.eval(1.0), step.eval(2.0))
     assert calls == [(1.5, 0.0)] * 2
     assert (traj.f_events, traj.rho_events) == ([], [])
+
+
+def test_a_step_crossing_is_refine_events_to_the_bit(monkeypatch):
+    # DenseSegment.crossing is refine_event's bisection with the
+    # component's Horner written into its loop: on every step that the 30
+    # grids of the benchmark's seed-0 sweep refine, gauge and Higgs rows
+    # alike, and on every step a lambda_hat = 1 solve refines, it gives
+    # refine_event's t on component(i), with ==
+    seen = []
+    crossing = dense_output.DenseSegment.crossing
+
+    def checked(seg, i, level):
+        t = crossing(seg, i, level)
+        seen.append(t == refine_event(seg.component(i), seg.t, seg.t_end, level))
+        return t
+    monkeypatch.setattr(dense_output.DenseSegment, "crossing", checked)
+    rng = random.Random("sweep:0")
+    for _ in range(30):
+        alphas = sorted(rng.uniform(0.02, 1.5) for _ in range(10))
+        betas = sorted(rng.uniform(0.05, 2.0) for _ in range(10))
+        lam = rng.uniform(0.0, 2.0)
+        points = [(alpha, beta) for alpha in alphas for beta in betas]
+        for series in expand_batch(*zip(*points), lam):
+            shoot(series, lam, IntegratorControls()).rho_events
+    n_sweep = len(seen)
+    assert bisect_beta(1.0).converged
+    assert all(seen) and n_sweep > 3000 and len(seen) > n_sweep + 200
+
+
+def test_a_step_crossing_keeps_an_endpoint_on_the_level_and_refuses_a_touch():
+    # a level at an end of the step returns that end, as refine_event
+    # does; f at its minimum, where f' rises through 0, touches a level
+    # just above that minimum twice inside the step: no sign change
+    # between the ends, which both report with NoEventError
+    traj = shoot(ShootPoint(0.3, 1.5), 0.0, IntegratorControls())
+    ev, = traj.f_events
+    assert ev.tag is OutcomeTag.FPRIME_ZERO
+    seg = traj.segments[bisect.bisect_left(traj.ts, ev.t) - 1 - traj._span]
+    for i in range(4):
+        value = seg.component(i)
+        assert seg.crossing(i, value(seg.t)) == seg.t
+        assert seg.crossing(i, value(seg.t_end)) == seg.t_end
+    level = ev.state.f + 1e-9
+    value = seg.component(0)
+    assert value(seg.t) > level and value(seg.t_end) > level > value(ev.t)
+    with pytest.raises(NoEventError, match="no sign change"):
+        seg.crossing(0, level)
+    with pytest.raises(NoEventError, match="no sign change"):
+        refine_event(value, seg.t, seg.t_end, level)
+
+
+def test_bisection_stops_at_float_resolution():
+    # at t = 2e6 the spacing of floats, 2.3e-10, exceeds EVENT_TOL: after
+    # 12 midpoints the bracket holds two neighbouring floats, whose
+    # midpoint rounds onto one of them, and the bisection stops there,
+    # within one spacing of the root
+    root = 2e6 + 3.3333e-7
+    assert math.ulp(2e6) > integrator.EVENT_TOL
+    calls = []
+
+    def line(t):
+        calls.append(t)
+        return (t - 2e6) - 3.3333e-7
+    t = refine_event(line, 2e6, 2e6 + 1e-6)
+    assert len(calls) == 2 + 12
+    assert t == 2000000.0000003334 and abs(t - root) <= math.ulp(2e6)
+    # a step over the same bracket whose f is that line: every stage of
+    # f's column is its slope 1, f' is 1 and the other columns are 0
+    f0 = -3.3333e-7
+    seg = dense_output.DenseSegment(2e6, 1e-6, (f0, 1.0, 0.0, 0.0), (f0 + 1e-6, 1.0, 0.0, 0.0),
+                                    ((1.0,) * 13, (0.0,) * 13, (0.0,) * 13, (0.0,) * 13), 0.0)
+    assert seg.crossing(0, 0.0) == refine_event(seg.component(0), seg.t, seg.t_end) == t
 
 
 _LEVELS = (0.0, -0.0, 1.0, 5e-324, -5e-324, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52)

@@ -258,6 +258,18 @@ def test_batch_expansion_is_expand_series_lane_by_lane():
         origin_series.expand_batch([0.1], [0.1], math.nan)
 
 
+def test_a_batch_of_one_lane_is_its_lone_series():
+    # numpy adds a lone lane's convolution pairwise, not row by row, so
+    # the recurrence pads a batch of one to two lanes: a one-point sweep
+    # expands the series a single shot would
+    rng = random.Random(23)
+    for _ in range(20):
+        alpha, beta = rng.uniform(0.0, 3.0), rng.uniform(0.0, 6.0)
+        series, = origin_series.expand_batch([alpha], [beta], 0.7)
+        lone = expand_series(ShootPoint(alpha, beta), 0.7)
+        assert _packed(series) == _packed(lone) and series.span() == lone.span()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_batch_spans_are_the_lone_series_spans(monkeypatch, batch_lanes):
     # one lane-wise Horner pass gives every lane the piece ends and rows
