@@ -281,13 +281,19 @@ def _cmd_sweep(ns: argparse.Namespace, parser) -> int:
         parser.error(f"--workers must be >= 1, got {ns.workers}")
 
     def grid(spec, lo, hi, count, name):
-        if spec:
+        if spec is not None:
+            # set by a flag or a config key, a range option the list would
+            # ignore is refused
+            for flag, value in (("min", lo), ("max", hi), ("count", count)):
+                if value is not None:
+                    parser.error(f"--{name}s takes no --{name}-{flag}")
             try:
                 return [float(v) for v in spec.split(",")]
             except ValueError:
                 parser.error(f"--{name}s must be a comma-separated float list")
         if lo is None or hi is None:
             parser.error(f"either --{name}s or --{name}-min/--{name}-max is required")
+        count = 5 if count is None else count
         if count < 2 or hi <= lo:
             parser.error(f"--{name}-count must be >= 2 with max > min")
         return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
@@ -417,11 +423,13 @@ def build_parser() -> _Parser:
     p.add_argument("--alphas", default=None, help="comma-separated alpha values")
     p.add_argument("--alpha-min", type=float, default=None)
     p.add_argument("--alpha-max", type=float, default=None)
-    p.add_argument("--alpha-count", type=int, default=5)
+    p.add_argument("--alpha-count", type=int, default=None,
+                   help="grid points from --alpha-min to --alpha-max (default 5)")
     p.add_argument("--betas", default=None, help="comma-separated beta values")
     p.add_argument("--beta-min", type=float, default=None)
     p.add_argument("--beta-max", type=float, default=None)
-    p.add_argument("--beta-count", type=int, default=5)
+    p.add_argument("--beta-count", type=int, default=None,
+                   help="grid points from --beta-min to --beta-max (default 5)")
     _add_run_options(p)
     p.add_argument("--workers", type=int, default=1,
                    help="process count, at most one per alpha row (default 1)")

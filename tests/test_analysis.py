@@ -29,11 +29,31 @@ def _vacuum_trajectory(lambda_hat=1.0):
 
 # ---------------------------------------------------------------- fit_decay
 
+def _assert_polyfit_line(traj, window):
+    """Both components' fits over window give the line np.polyfit gives.
+
+    np.polyfit, a LAPACK least-squares solve, is the reference only:
+    fit_decay fits the same line in closed form.
+    """
+    ts = np.linspace(*window, 201)
+    cols = traj.resample(ts)
+    gauge = cols[:, 0] / ts if traj.lambda_hat == 0.0 else cols[:, 0]
+    for component, vals in (("f", gauge), ("one_minus_rho", (1.0 - cols[:, 2]) * ts)):
+        fit = analysis.fit_decay(traj, window, component)
+        y = np.log(vals)
+        slope, intercept = np.polyfit(ts, y, 1)
+        assert_allclose(fit.rate, -slope, rtol=1e-12, atol=0.0)
+        assert_allclose(fit.amplitude, math.exp(intercept), rtol=1e-12, atol=0.0)
+        resid = np.max(np.abs(y - (slope * ts + intercept)))
+        assert abs(fit.max_log_residual - resid) <= 1e-12
+
+
 def test_fit_decay_gauge_rate_massless(lam0):
     fit = analysis.fit_decay(lam0.profile.base, (6.0, 10.0), "f")
     assert fit.prefactor == "t"
     assert abs(fit.rate - 1.0) < 0.02
     assert fit.window == (6.0, 10.0)
+    _assert_polyfit_line(lam0.profile.base, lam0.profile.f_fit.window)
 
 
 def test_fit_decay_higgs_rate_massive(lam1):
@@ -44,6 +64,7 @@ def test_fit_decay_higgs_rate_massive(lam1):
     ffit = analysis.fit_decay(lam1.profile.base, (tg - 2.0, tg), "f")
     assert ffit.prefactor == "1"
     assert abs(ffit.rate - 1.0) < 0.05
+    _assert_polyfit_line(lam1.profile.base, lam1.profile.f_fit.window)
 
 
 def test_fit_decay_rejects_zero_component():
@@ -155,6 +176,21 @@ def test_graft_tail_models(lam0, lam1):
     ratio = gap1b / gap1
     expect_ratio = math.exp(-g1.higgs_fit.rate) * t1 / (t1 + 1.0)
     assert_allclose(ratio, expect_ratio, rtol=1e-6)
+
+
+def test_graft_tail_calls_no_lapack(lam0, lam1, monkeypatch):
+    # the fits are closed-form lines: with numpy's least-squares entry
+    # points made to raise, the graft is the one the solve made
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graft called a LAPACK least-squares solve")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    for rep in (lam0, lam1):
+        got = analysis.graft_tail(rep.profile.base)
+        assert got.base is rep.profile.base
+        for field in dataclasses.fields(analysis.GraftedProfile)[1:]:
+            assert getattr(got, field.name) == getattr(rep.profile, field.name)
 
 
 def test_graft_tail_refuses_a_run_too_short_to_fit():

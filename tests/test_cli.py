@@ -421,6 +421,11 @@ def test_sweep_grid_flags(tmp_path, capsys):
     assert len(rows) == 4
     tags = [r.split(",")[2] for r in rows]
     assert tags == ["Horizon", "FPrimeZero", "FZero", "FZero"]
+    # a range takes 5 points unless --alpha-count says otherwise
+    assert main(["sweep", "--lambda-hat", "0", "--alpha-min", "0.05",
+                 "--alpha-max", "0.3", "--betas", "0.1", "--out", str(out)]) == 0
+    alphas = [float(r.split(",")[0]) for r in out.read_text().splitlines()[1:]]
+    assert alphas == [0.05 + 0.25 * i / 4 for i in range(5)]
 
 
 def test_sweep_csv_to_stdout(capsys):
@@ -470,14 +475,25 @@ def test_sweep_empty_grid_exit_usage(capsys):
 
 def test_sweep_grid_spec_errors_exit_usage(tmp_path, monkeypatch, capsys):
     # a value list that is not all floats, a count below 2 or max <= min
-    # is refused before the sweep
+    # is refused before the sweep; so is a value list next to a range
+    # option it would ignore, whether a flag or a config key gave it
     monkeypatch.setattr(cli, "sweep", None)
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("alpha_max = 0.9\n")
     betas = ["--betas", "0.1"]
     for spec, message in ((["--alphas", "0.1,x"], "--alphas must be a comma-separated"),
                           (["--alpha-min", "0.1", "--alpha-max", "0.3",
                             "--alpha-count", "1"], "--alpha-count must be >= 2"),
                           (["--alpha-min", "0.3", "--alpha-max", "0.3"],
-                           "--alpha-count must be >= 2 with max > min")):
+                           "--alpha-count must be >= 2 with max > min"),
+                          (["--alphas", "0.1", "--alpha-min", "0.5", "--alpha-max", "0.9",
+                            "--alpha-count", "7"], "--alphas takes no --alpha-min"),
+                          (["--alphas", "0.1", "--alpha-count", "7"],
+                           "--alphas takes no --alpha-count"),
+                          (["--alphas", "0.1", "--config", str(cfg)],
+                           "--alphas takes no --alpha-max"),
+                          (["--alphas", "0.1", "--beta-min", "0.5"],
+                           "--betas takes no --beta-min")):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--lambda-hat", "0", *spec, *betas])
         assert exc.value.code == 1
