@@ -45,10 +45,10 @@ A series carries its span, the piece ends a run reads it at: the
 multiples of _PIECE strictly below its reach, then the reach, and its
 states there.  No end depends on a run's t0, which check_t0 holds below
 _PIECE, and a run's horizon only cuts the list, so integrate_series
-alone applies both.  expand_series evaluates a lone series' span in one
-Horner call and expand_batch every lane's in one lane-wise pass; both
-run the one Horner loop (_horner), so a lane's rows are the lone
-series' to the bit.
+alone applies both.  A lone series evaluates its span with state, radius
+by radius, and expand_batch every lane's in one lane-wise Horner pass
+(_horner), which takes state's operations in state's order, so a lane's
+rows are the lone series' to the bit.
 
 picard_verify reruns the same local solution as a fixed-point iteration in
 the logarithmic variable s = log t, on the autonomous integral form of the
@@ -206,7 +206,7 @@ class OriginSeries:
                  "_table")
 
     def __init__(self, lambda_hat: float, alpha, beta, matrix: np.ndarray, reach: float,
-                 ends: list, table: np.ndarray):
+                 ends: list, table: np.ndarray | None = None):
         self.lambda_hat = lambda_hat
         self.alpha, self.beta = alpha, beta
         self.reach = reach
@@ -214,10 +214,13 @@ class OriginSeries:
         # and component
         self._matrix = matrix
         self._rows = matrix.tolist()
-        # the span's ends, and table's rows there; the rows stay an array
-        # until a run reads them, so that a batch of series holds no
-        # Python objects per row
-        self._ends, self._table = tuple(ends), table
+        # the span's ends, and table's rows there: a lone series (no table)
+        # reads them with state, which costs less than a numpy Horner call
+        # on so few radii; a batch lane's rows stay an array until a run
+        # reads them, so that a batch of series holds no Python objects
+        # per row
+        self._ends = tuple(ends)
+        self._table = [self.state(t) for t in self._ends] if table is None else table
 
     def state(self, t: float) -> tuple[float, float, float, float]:
         """(f, f', rho, rho') at radius t."""
@@ -241,7 +244,8 @@ class OriginSeries:
         the reach.  A series whose coefficients overflow (reach 0) has the
         one end 0, with a row of NaN.
         """
-        return self._ends, list(map(tuple, self._table.tolist()))
+        rows = self._table if isinstance(self._table, list) else self._table.tolist()
+        return self._ends, list(map(tuple, rows))
 
     def component(self, i: int):
         """Component i of state as a function of t alone."""
@@ -327,9 +331,7 @@ def expand_series(point: ShootPoint, lambda_hat: float) -> OriginSeries:
     reach = _reach(a[-_REACH_TAIL:], b[-_REACH_TAIL:], b[0], finite)
     ends = [s for s in (j * _PIECE for j in range(1, math.ceil(reach / _PIECE) + 1))
             if s < reach] + [reach]
-    with np.errstate(all="ignore"):  # a series that overflows reads NaN
-        table = _horner(rows[None], np.array(ends)[None])[0]
-    return OriginSeries(float(lambda_hat), point.alpha, point.beta, rows, reach, ends, table)
+    return OriginSeries(float(lambda_hat), point.alpha, point.beta, rows, reach, ends)
 
 
 def expand_batch(alphas: list, betas: list, lambda_hat: float) -> list[OriginSeries]:

@@ -228,6 +228,22 @@ def test_series_reads_agree_bit_for_bit():
         assert [value(t) for t in ts] == table[:, i].tolist()
 
 
+def test_lone_span_rows_are_the_horner_rows(lam0, lam1):
+    # a lone series reads its span with state, radius by radius: the rows
+    # are those of one _horner pass over its ends, to the bit, at the two
+    # solved answers and on seeded points of the sweep benchmark's box
+    rng = random.Random(36)
+    points = [(0.0, lam0.alpha_star_hat, lam0.beta_star_hat),
+              (1.0, lam1.alpha_star_hat, lam1.beta_star_hat),
+              *[(rng.uniform(0.0, 2.0), rng.uniform(0.02, 1.5), rng.uniform(0.05, 2.0))
+                for _ in range(40)]]
+    for lam, alpha, beta in points:
+        series = expand_series(ShootPoint(alpha, beta), lam)
+        ends, rows = series.span()
+        horner = origin_series._horner(series._matrix[None], np.array(ends)[None])[0]
+        assert rows == list(map(tuple, horner.tolist())), (lam, alpha, beta)
+
+
 def _packed(series):
     # every float of a series, with its sign of zero and NaN payload
     return struct.pack(f"{series._matrix.size + 2}d", *series._matrix.ravel().tolist(),

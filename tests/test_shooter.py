@@ -234,6 +234,28 @@ def test_itp_point_never_costs_more_than_one_extra_probe(lo, hi, tol):
             assert b - a <= tol
 
 
+@pytest.mark.parametrize("slopes, root, n_probes", [
+    ((1.0, 5.0), 0.25 + 2 * math.ulp(0.25), 5),
+    ((1.0, 5.0), 0.25 + 3e-13, 10),
+    ((5.0, 1.0), 0.75 - 6 * math.ulp(0.75), 5),
+    ((5.0, 1.0), 0.75 - 5e-13, 10)])
+def test_narrow_does_not_creep_along_one_end(slopes, root, n_probes):
+    # the gauge distance -/+exp(-2 t_event) has another slope on each
+    # side of alpha*, so with the root next to the gentler end every
+    # regula falsi point lands on that side and moves that end by ulps
+    # or 1e-13: 6, 37, 7 and 36 probes before a kept end's distance was
+    # halved from the third replacement of the other end in a row
+    probed = []
+
+    def distance(x):
+        probed.append(x)
+        return (x - root) * (slopes[0] if x < root else slopes[1])
+    n, a, b = _narrow(distance, 0.25, 0.75, 1e-11)
+    assert n == n_probes
+    assert len(probed) == n + 2 and len(set(probed)) == len(probed)
+    assert a < root <= b and b - a <= 1e-11
+
+
 def test_itp_point_falls_back_to_the_midpoint():
     for d_lo, d_hi in ((None, 1.0), (-1.0, None), (None, None)):
         assert shooter._itp_point(0.25, 0.75, d_lo, d_hi, 0.5, 1e-9, 1) == 0.5
@@ -515,10 +537,17 @@ def test_answers_are_those_of_the_two_step_gauge_continuation(lam0, lam0p42, lam
     # two-stage search (to 1e-8 at the controls' tolerances, then a polish
     # re-bracketed at profile grade) took 10, 19 and 27 evaluations; its
     # answers lie within 3.1e-12 in alpha*, 4.3e-12 in beta* and 2.9e-11
-    # in E of these
-    pinned = ((lam0, 0.16666666724539445, 0.33333333449025415, 7, 0.9999999857185123),
-              (lam0p42, 0.3308045114874192, 0.7047437821131101, 13, 1.225893455954182),
-              (lam1, 0.38983914081943255, 0.8727038705575701, 21, 1.2918207890179676))
+    # in E of the one search's first answers,
+    # (0.16666666724539445, 0.33333333449025415, 7, 0.9999999857185123),
+    # (0.3308045114874192, 0.7047437821131101, 13, 1.225893455954182) and
+    # (0.38983914081943255, 0.8727038705575701, 21, 1.2918207890179676).
+    # Halving a kept end's distance once one end has been replaced three
+    # times in a row (shooter._narrow) moved those by 7.5e-13, 2.1e-13 and
+    # -1.4e-12 in alpha*, 2.5e-12, 3.6e-13 and -2.3e-12 in beta*, and
+    # 9.5e-12, 3.1e-14 and -5.4e-13 in E, to these
+    pinned = ((lam0, 0.16666666724614684, 0.33333333449279223, 7, 0.9999999857280611),
+              (lam0p42, 0.33080451148763046, 0.7047437821134711, 13, 1.2258934559542132),
+              (lam1, 0.3898391408180478, 0.8727038705552651, 21, 1.2918207890174283))
     for rep, alpha, beta, n_beta, energy in pinned:
         assert rep.converged
         assert (rep.alpha_star_hat, rep.beta_star_hat, rep.n_beta_evaluations) == \
@@ -540,7 +569,7 @@ def _counting_steps(monkeypatch):
     return steps
 
 
-@pytest.mark.parametrize("lambda_hat, max_steps, max_shots", [(0.0, 5200, 79),
+@pytest.mark.parametrize("lambda_hat, max_steps, max_shots", [(0.0, 3800, 65),
                                                                (1.0, 5800, 127)])
 def test_solve_stays_within_its_step_budget(lambda_hat, max_steps, max_shots,
                                             monkeypatch):
@@ -549,7 +578,9 @@ def test_solve_stays_within_its_step_budget(lambda_hat, max_steps, max_shots,
     # on to 2x and 4x t_max, and 4,757 then; lambda_hat = 1 took 8,336
     # and then 7,435.  One search at profile-grade tolerance in place of
     # stage one and the polish takes 4,959 steps in 79 shots (84 before)
-    # and 5,779 in 127 (187 before)
+    # and 5,779 in 127 (187 before).  Halving a kept end's distance in
+    # _narrow takes lambda_hat = 0 to 3,778 steps in 65 shots and
+    # lambda_hat = 1 to 5,775 in 127
     steps = _counting_steps(monkeypatch)
     shots = _counting_shots(monkeypatch)
     assert bisect_beta(lambda_hat).converged
