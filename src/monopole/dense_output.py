@@ -11,10 +11,6 @@ The extra stages call model._rhs through the module, unlike _advance,
 which writes the right-hand side out inline, so that patching model._rhs
 reaches every interpolant.
 
-crossing bisects a component's crossing of a level over the step: it is
-integrator.refine_event on component(i), with the component's Horner
-written into the bisection's loop, and gives its t_event to the bit.
-
 This is a module of its own, not part of integrator, only for memory:
 an interpreter that compiles the package from source (as under
 PYTHONDONTWRITEBYTECODE=1) peaks at the compile of its largest module,
@@ -24,11 +20,6 @@ and integrator with these written-out sums in it would be that module,
 from __future__ import annotations
 
 from . import model
-from .errors import DomainError, NoEventError
-
-# Width to which a crossing is bisected (integrator.refine_event and
-# DenseSegment.crossing).
-EVENT_TOL = 1e-10
 
 # The three extra stages of the seventh-order interpolant: their nodes,
 # their rows over stages 1-13 (and the extra stages before them), and
@@ -201,46 +192,6 @@ class DenseSegment:
             u = 1.0 - x
             return y + x * (c0 + u * (c1 + x * (c2 + u * (c3 + x * (c4 + u * (c5 + x * c6))))))
         return value
-
-    def crossing(self, i: int, level: float) -> float:
-        """integrator.refine_event of component(i) over the step, against level.
-
-        The same bisection, with the component's Horner written into its
-        loop, so it gives refine_event's t_event to the bit, and raises as
-        it does: NoEventError where component i - level keeps its sign.
-        """
-        c, y, t0, h = self._coeffs()[i], self.y0[i], self.t, self.h
-        c0, c1, c2, c3, c4, c5, c6 = c
-        t_lo, t_hi = t0, self.t_end
-        if not (t_hi > t_lo):
-            raise DomainError("refine_event needs t_hi > t_lo")
-        x = (t_lo - t0) / h
-        g_lo = _horner(y, c, x, 1.0 - x) - level
-        x = (t_hi - t0) / h
-        g_hi = _horner(y, c, x, 1.0 - x) - level
-        if g_lo == 0.0:
-            return t_lo
-        if g_hi == 0.0:
-            return t_hi
-        below = g_lo < 0.0
-        if below == (g_hi < 0.0):
-            raise NoEventError(
-                f"no sign change on [{t_lo}, {t_hi}]: endpoints {g_lo}, {g_hi}")
-        while t_hi - t_lo > EVENT_TOL:
-            t_mid = 0.5 * (t_lo + t_hi)
-            if t_mid <= t_lo or t_mid >= t_hi:
-                break  # spacing below float resolution
-            x = (t_mid - t0) / h
-            u = 1.0 - x
-            g_mid = y + x * (c0 + u * (c1 + x * (c2 + u * (c3 + x * (c4 + u * (
-                c5 + x * c6)))))) - level
-            if g_mid == 0.0:
-                return t_mid
-            if below != (g_mid < 0.0):
-                t_hi = t_mid
-            else:
-                t_lo = t_mid
-        return 0.5 * (t_lo + t_hi)
 
 
 def _horner(y, c, x, u):

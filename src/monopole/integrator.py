@@ -18,14 +18,12 @@ operations in its order; model._rhs stays the one reference for the
 field equations, and a test pins every stored stage to it with ==.  The
 interpolant's coefficients are written out over the tableau's nonzero
 weights in the same way.  The event scan runs only on a step where one
-of the five sign tests fires, and bisects each crossing on the one
-interpolant component that changes sign, against the event's level,
-through the step's crossing: DenseSegment.crossing, refine_event with
-the component written into its loop, or refine_event itself on a series
-piece.  A gauge crossing is bisected at once, a Higgs one on the first
-read of Trajectory.rho_events.  resample evaluates an array of radii in one
-batch, with the interpolant's arithmetic applied elementwise in the same
-order.
+of the five sign tests fires, and refine_event bisects each crossing on
+the one component that changes sign, of the step's interpolant or of
+the series, against the event's level.  A gauge crossing is bisected at
+once, a Higgs one on the first read of Trajectory.rho_events.  resample
+evaluates an array of radii in one batch, with the interpolant's
+arithmetic applied elementwise in the same order.
 
 Event taxonomy (y = (f, f', rho, rho')), held once in _EVENTS: each event's
 crossing, the window its state must lie in to count, and the side of the
@@ -39,17 +37,17 @@ separatrix it puts a run on (-1 below, +1 above; see Outcome.side):
 
 f-channel events terminate the run; rho-channel events are recorded and
 integration continues so the gauge fate is still observable.  They are
-recorded as crossings, each with its step and a cutoff, the time of a
-gauge event that ends the run in that step; only reading rho_events
-refines them, keeps those inside their windows and before the cutoff,
-and caches the events.  A sweep reads the Higgs fate only of a point
-whose gauge fate is Converged or Horizon, so most of its runs never
-bisect a Higgs crossing; a solve's searches read it of many.  An event
-whose state lies inside the convergence tube (half-width TUBE around the
-vacuum, see in_tube) is a sub-tolerance wiggle of a separatrix-hugging
-trajectory: it is logged and does not terminate; classify reads it only
-when the run later leaves the tube on its side, or blows up in rho with
-f still in the tube.
+recorded as crossings, each with its step; only reading rho_events
+refines them, keeps those inside their windows and before the gauge
+event that ends the run, if one does, and caches the events.  A sweep
+reads the Higgs fate only of a point whose gauge fate is Converged or
+Horizon, so most of its runs never bisect a Higgs crossing; a solve's
+searches read it of many.  An event whose state lies inside the
+convergence tube (half-width TUBE around the vacuum, see in_tube) is a
+sub-tolerance wiggle of a separatrix-hugging trajectory: it is logged
+and does not terminate; classify reads it only when the run later
+leaves the tube on its side, or blows up in rho with f still in the
+tube.
 
 integrate_series starts every shot, on the origin series: from
 min(t0, reach) to the series' reach the run is read off the series, on
@@ -78,15 +76,16 @@ import bisect as _bisect
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import model
-from .dense_output import EVENT_TOL, DenseSegment, _horner
+from .dense_output import DenseSegment, _horner
 from .errors import DomainError, IntegrityError, NoEventError, StiffnessError
 from .model import PhaseState
-from .origin_series import OriginSeries
+from .origin_series import OriginSeries, check_t0
 
 __all__ = [
     "IntegratorControls",
@@ -117,7 +116,11 @@ _BLOWUP_SLOPE = 1e3
 
 @dataclass(frozen=True)
 class IntegratorControls:
-    """Tolerances, horizon, step cap and series handoff radius of one run."""
+    """Tolerances, horizon, step cap and series handoff radius of one run.
+
+    The handoff radius t0 must pass origin_series.check_t0, so no record
+    holds a t0 that a shot would refuse.
+    """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -134,6 +137,7 @@ class IntegratorControls:
         if not (0 < self.t0 < self.t_max):
             raise DomainError(f"need 0 < t0 < t_max, got the handoff t0 = {self.t0} "
                               f"and t_max = {self.t_max}")
+        check_t0(self.t0)
         if self.max_step <= 0:
             raise DomainError("max_step must be positive")
 
@@ -257,7 +261,7 @@ class Trajectory:
     f_events are refined as the run steps.  rho_events is read lazily:
     the run records each step's Higgs crossings, and the first read
     bisects them (see _scan_events), so a run whose Higgs fate is never
-    read never pays for them.  Equality and repr read it too.
+    read never pays for them.
     """
 
     lambda_hat: float
@@ -266,7 +270,6 @@ class Trajectory:
     ys: list[tuple] = field(default_factory=list)
     segments: list[DenseSegment] = field(default_factory=list)
     f_events: list[Event] = field(default_factory=list)
-    rho_events: list[Event] = field(default_factory=list)  # a property, see below
     ended: str = ""            # "event" | "t_max" | "blowup" | "immediate"
     blowup_channel: str = ""   # "f" | "rho" | "slope" | "nonfinite"
     alpha: float | None = None
@@ -280,9 +283,21 @@ class Trajectory:
     _resume: tuple | None = field(default=None, repr=False)
     # Whether every f event ends the run, in the tube or not (continued_fate's).
     _to_gauge_event: bool = field(default=False, repr=False)
-    # The Higgs crossings not yet refined, one (step, rows, cutoff) per
-    # step that has any (see _scan_events).
+    # The Higgs crossings to refine, one (step, rows) per step that has
+    # any (see _scan_events).
     _rho_pending: list = field(default_factory=list, repr=False, compare=False)
+
+    @cached_property
+    def rho_events(self) -> list[Event]:
+        """The Higgs events, refined on the first read of a finished run.
+
+        Each pending crossing is refined and windowed as _scan_events does
+        a gauge row's; those at or after the gauge event that ends the
+        run, which can lie only in its last step, are dropped.
+        """
+        cutoff = self.f_events[-1].t if self.ended == "event" else math.inf
+        return [ev for seg, rows in self._rho_pending
+                for ev in _counted(_refined(seg, rows)) if ev.t < cutoff]
 
     @property
     def t_end(self) -> float:
@@ -348,25 +363,6 @@ class Trajectory:
         return out
 
 
-def _read_rho_events(traj: Trajectory) -> list[Event]:
-    # Each pending step's crossings, refined and windowed as _scan_events
-    # does a gauge row's, and kept below the step's cutoff.
-    if traj._rho_pending:
-        traj._rho_events += [ev for seg, rows, cutoff in traj._rho_pending
-                             for ev in _counted(_refined(seg, rows)) if ev.t < cutoff]
-        traj._rho_pending = []
-    return traj._rho_events
-
-
-def _write_rho_events(traj: Trajectory, events: list[Event]) -> None:
-    traj._rho_events = events
-
-
-# rho_events stays a field, so __init__, __eq__ and __repr__ take it by
-# name; reading it refines the pending Higgs crossings first.
-Trajectory.rho_events = property(_read_rho_events, _write_rho_events)
-
-
 def in_tube(state: PhaseState) -> bool:
     """Convergence-tube membership test, every bound at half-width TUBE.
 
@@ -382,6 +378,10 @@ def in_tube(state: PhaseState) -> bool:
             and 0.0 <= state.rhop < TUBE
             and abs(b - 1.0) < TUBE
             and 0.0 < state.rho <= 1.0 + TUBE)
+
+
+# Width to which refine_event bisects a crossing.
+EVENT_TOL = 1e-10
 
 
 def refine_event(value, t_lo: float, t_hi: float, level: float = 0.0) -> float:
@@ -533,10 +533,6 @@ class _SeriesPiece:
     def __init__(self, series: OriginSeries, t: float, t_end: float):
         self.t, self.t_end = t, t_end
         self.component, self.eval = series.component, series.state
-
-    def crossing(self, i: int, level: float) -> float:
-        """refine_event of component i over the piece, against level."""
-        return refine_event(self.component(i), self.t, self.t_end, level)
 
 
 def continued_fate(traj: Trajectory, t_max: float) -> Outcome:
@@ -876,16 +872,15 @@ def _scan_events(traj: Trajectory, seg, ya: tuple, yb: tuple) -> bool:
     bisected on the one component of seg (a DenseSegment or a
     _SeriesPiece) whose sign changes, and the full state is read once at
     the refined time.  The Higgs rows that cross are only recorded, with
-    seg and a cutoff, the time of the step's terminal gauge event or inf;
-    reading traj.rho_events refines them the same way and keeps those
-    strictly before the cutoff, which is what a scan that refined and
-    time-sorted every row, gauge rows first, would have logged.
+    seg; reading traj.rho_events refines them the same way and keeps those
+    strictly before the terminal gauge event, which is what a scan that
+    refined and time-sorted every row, gauge rows first, would have logged.
     """
     gauge, higgs = [], []
     for tag, row in _EVENTS.items():
         if row.crosses(ya, yb):
             (gauge if row.i < 2 else higgs).append((tag, row))
-    cutoff = math.inf
+    terminal = False
     if gauge:
         found = _refined(seg, gauge)
         if len(found) == 2 and abs(found[0][0] - found[1][0]) <= EVENT_TOL:
@@ -895,18 +890,18 @@ def _scan_events(traj: Trajectory, seg, ya: tuple, yb: tuple) -> bool:
         for ev in _counted(found):
             traj.f_events.append(ev)
             if not ev.in_tube or traj._to_gauge_event:
-                cutoff = ev.t
+                terminal = True
                 break
     if higgs:
-        traj._rho_pending.append((seg, higgs, cutoff))
-    return cutoff < math.inf
+        traj._rho_pending.append((seg, higgs))
+    return terminal
 
 
 def _refined(seg, rows: list) -> list:
     """(t, tag, row, state) of each (tag, row) crossing over seg, in time order."""
     found = []
     for tag, row in rows:
-        t_e = seg.crossing(row.i, row.level)
+        t_e = refine_event(seg.component(row.i), seg.t, seg.t_end, row.level)
         found.append((t_e, tag, row, PhaseState(t_e, *seg.eval(t_e))))
     found.sort(key=lambda item: item[0])
     return found

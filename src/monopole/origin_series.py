@@ -25,7 +25,8 @@ through the 1/t^2 layer at the origin and the answer does not depend on
 the handoff radius t0, which is now only where the run's samples begin.
 A run starts at min(t0, reach): past its reach no truncation of the
 series holds, so a series that does not reach t0 hands over at its reach.
-check_t0 holds the handoff radius to [T0_MIN, T0_MAX].
+check_t0 holds the handoff radius to [T0_MIN, T0_MAX]; an
+integrator.IntegratorControls runs it as it is built.
 
 initial_state evaluates the two-term truncation at t0, the paper's
 exact handoff: series_coefficients gives its a4 and b3.  The series

@@ -47,8 +47,7 @@ from .errors import BracketingError, DomainError, IntegrityError, MonopoleError
 from .integrator import (ClassifyMode, IntegratorControls, Outcome, OutcomeTag,
                          Trajectory, classify, continued_fate, integrate_series)
 from .model import PhaseState, check_lambda_hat
-from .origin_series import (OriginSeries, ShootPoint, check_t0, expand_batch,
-                            expand_series)
+from .origin_series import OriginSeries, ShootPoint, expand_batch, expand_series
 
 __all__ = [
     "Probe",
@@ -97,13 +96,12 @@ def shoot(point: ShootPoint | OriginSeries, lambda_hat: float,
 
     point is the ShootPoint, or the series that expand_series or
     expand_batch gave for it at lambda_hat, which carries alpha and beta;
-    a series of another lambda_hat is a domain error, and so is a handoff
-    radius controls.t0 that check_t0 refuses.  integrator.integrate_series
-    runs it: it starts on the series at min(t0, reach) and hands over to
-    the adaptive integrator at the reach, so no run depends on t0 past
-    where its samples begin.  It also reads an immediate turn of f below
-    that start, and ends a series whose coefficients overflow as a
-    non-finite blowup at t0.
+    a series of another lambda_hat is a domain error.
+    integrator.integrate_series runs it: it starts on the series at
+    min(t0, reach) and hands over to the adaptive integrator at the reach,
+    so no run depends on t0 past where its samples begin.  It also reads
+    an immediate turn of f below that start, and ends a series whose
+    coefficients overflow as a non-finite blowup at t0.
     """
     if not isinstance(point, OriginSeries):
         series = expand_series(point, lambda_hat)
@@ -112,7 +110,6 @@ def shoot(point: ShootPoint | OriginSeries, lambda_hat: float,
                           f"start a run at lambda_hat = {lambda_hat}")
     else:
         series = point
-    check_t0(controls.t0)
     return integrate_series(series, controls)
 
 
@@ -708,8 +705,7 @@ def sweep(alphas, betas, lambda_hat: float,
           workers: int = 1) -> "OutcomeGrid":
     """Classify every (alpha, beta) pair on the grid, gauge fate first.
 
-    Every alpha and beta, and the handoff radius, is checked before
-    anything runs.  The origin series, each with its span, are expanded
+    Every alpha and beta is checked before anything runs.  The origin series, each with its span, are expanded
     lane-wise (expand_batch) in batches of whole rows (fixed alpha)
     holding at least _SWEEP_BATCH points, or the whole grid, and each
     point is shot from its series.
@@ -733,7 +729,6 @@ def sweep(alphas, betas, lambda_hat: float,
         ShootPoint(alpha=a, beta=0.0)
     for b in betas:
         ShootPoint(alpha=0.0, beta=b)
-    check_t0(controls.t0)
     # the pool starts all its processes at once, so at most one per row;
     # a batch is whole rows, at least one per process, so that every
     # process has a row in each batch

@@ -22,8 +22,8 @@ from monopole.integrator import (TUBE, ClassifyMode, Event, IntegratorControls,
                                  continued_fate, in_tube, integrate,
                                  integrate_series, refine_event)
 from monopole.model import PhaseState, _rhs, ps_exact
-from monopole.origin_series import ShootPoint, expand_batch, expand_series, initial_state
-from monopole.shooter import bisect_beta, shoot, sweep
+from monopole.origin_series import ShootPoint, expand_series, initial_state
+from monopole.shooter import shoot, sweep
 
 import oracles
 
@@ -815,9 +815,6 @@ def test_fzero_window_on_a_synthetic_step(monkeypatch):
 
         def component(self, i):
             return lambda t: self.eval(t)[i]
-
-        def crossing(self, i, level):
-            return refine_event(self.component(i), self.t, self.t_end, level)
     calls = _refinements(monkeypatch)
     for fp, found in ((0.0, False), (-0.1, True)):
         traj = Trajectory(lambda_hat=0.0, controls=IntegratorControls())
@@ -839,9 +836,6 @@ def test_simultaneous_gauge_crossings_are_an_integrity_error(monkeypatch):
 
         def component(self, i):
             return lambda t: self.eval(t)[i]
-
-        def crossing(self, i, level):
-            return refine_event(self.component(i), self.t, self.t_end, level)
     calls = _refinements(monkeypatch)
     traj = Trajectory(lambda_hat=0.0, controls=IntegratorControls())
     step = Step()
@@ -851,51 +845,22 @@ def test_simultaneous_gauge_crossings_are_an_integrity_error(monkeypatch):
     assert (traj.f_events, traj.rho_events) == ([], [])
 
 
-def test_a_step_crossing_is_refine_events_to_the_bit(monkeypatch):
-    # DenseSegment.crossing is refine_event's bisection with the
-    # component's Horner written into its loop: on every step that the 30
-    # grids of the benchmark's seed-0 sweep refine, gauge and Higgs rows
-    # alike, and on every step a lambda_hat = 1 solve refines, it gives
-    # refine_event's t on component(i), with ==
-    seen = []
-    crossing = dense_output.DenseSegment.crossing
-
-    def checked(seg, i, level):
-        t = crossing(seg, i, level)
-        seen.append(t == refine_event(seg.component(i), seg.t, seg.t_end, level))
-        return t
-    monkeypatch.setattr(dense_output.DenseSegment, "crossing", checked)
-    rng = random.Random("sweep:0")
-    for _ in range(30):
-        alphas = sorted(rng.uniform(0.02, 1.5) for _ in range(10))
-        betas = sorted(rng.uniform(0.05, 2.0) for _ in range(10))
-        lam = rng.uniform(0.0, 2.0)
-        points = [(alpha, beta) for alpha in alphas for beta in betas]
-        for series in expand_batch(*zip(*points), lam):
-            shoot(series, lam, IntegratorControls()).rho_events
-    n_sweep = len(seen)
-    assert bisect_beta(1.0).converged
-    assert all(seen) and n_sweep > 3000 and len(seen) > n_sweep + 200
-
-
 def test_a_step_crossing_keeps_an_endpoint_on_the_level_and_refuses_a_touch():
-    # a level at an end of the step returns that end, as refine_event
-    # does; f at its minimum, where f' rises through 0, touches a level
-    # just above that minimum twice inside the step: no sign change
-    # between the ends, which both report with NoEventError
+    # refine_event on a step's component: a level at an end of the step
+    # returns that end; f at its minimum, where f' rises through 0,
+    # touches a level just above that minimum twice inside the step: no
+    # sign change between the ends, which it reports with NoEventError
     traj = shoot(ShootPoint(0.3, 1.5), 0.0, IntegratorControls())
     ev, = traj.f_events
     assert ev.tag is OutcomeTag.FPRIME_ZERO
     seg = traj.segments[bisect.bisect_left(traj.ts, ev.t) - 1 - traj._span]
     for i in range(4):
         value = seg.component(i)
-        assert seg.crossing(i, value(seg.t)) == seg.t
-        assert seg.crossing(i, value(seg.t_end)) == seg.t_end
+        assert refine_event(value, seg.t, seg.t_end, value(seg.t)) == seg.t
+        assert refine_event(value, seg.t, seg.t_end, value(seg.t_end)) == seg.t_end
     level = ev.state.f + 1e-9
     value = seg.component(0)
     assert value(seg.t) > level and value(seg.t_end) > level > value(ev.t)
-    with pytest.raises(NoEventError, match="no sign change"):
-        seg.crossing(0, level)
     with pytest.raises(NoEventError, match="no sign change"):
         refine_event(value, seg.t, seg.t_end, level)
 
@@ -920,7 +885,7 @@ def test_bisection_stops_at_float_resolution():
     f0 = -3.3333e-7
     seg = dense_output.DenseSegment(2e6, 1e-6, (f0, 1.0, 0.0, 0.0), (f0 + 1e-6, 1.0, 0.0, 0.0),
                                     ((1.0,) * 13, (0.0,) * 13, (0.0,) * 13, (0.0,) * 13), 0.0)
-    assert seg.crossing(0, 0.0) == refine_event(seg.component(0), seg.t, seg.t_end) == t
+    assert refine_event(seg.component(0), seg.t, seg.t_end) == t
 
 
 _LEVELS = (0.0, -0.0, 1.0, 5e-324, -5e-324, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52)

@@ -346,7 +346,7 @@ def test_series_matches_dop853_from_half_its_reach():
         series = expand_series(ShootPoint(alpha, beta), lam)
         t = 0.5 * series.reach
         traj = integrate(PhaseState(t, *series.state(t)), lam, IntegratorControls(
-            rel_tol=1e-14, abs_tol=1e-16, t_max=series.reach, t0=0.5 * t))
+            rel_tol=1e-14, abs_tol=1e-16, t_max=series.reach))
         got, want = np.array(traj.ys), series.table(traj.ts)
         worst = max(worst, (np.abs(got - want) / np.maximum(1.0, np.abs(want))).max())
     assert worst < 1e-14

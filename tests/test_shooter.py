@@ -1137,20 +1137,25 @@ def test_a_huge_alpha_starts_at_the_reach_and_never_turns_up():
 
 
 def test_shoot_and_sweep_check_t0_through_check_t0(monkeypatch):
-    # one check holds t0 to the series' validity for a shot and a sweep
+    # one check holds t0 to the series' validity for a shot and a sweep:
+    # the controls' constructor, which replace runs too, so no controls
+    # hold a t0 that a shot would refuse, and no shot checks it again
     checked = []
 
     def check_t0(t0):
         checked.append(t0)
         origin_series.check_t0(t0)
-    monkeypatch.setattr(shooter, "check_t0", check_t0)
-    bad = IntegratorControls(t0=2 * T0_MAX)
+    monkeypatch.setattr(integrator, "check_t0", check_t0)
     message = r"t0 must lie in \[1e-06, 0.01\], got 0.02"
     with pytest.raises(HandoffError, match=message):
-        shoot(ShootPoint(0.3, 0.1), 0.0, bad)
+        IntegratorControls(t0=2 * T0_MAX)
+    good = IntegratorControls()
     with pytest.raises(HandoffError, match=message):
-        sweep([0.3], [0.1], 0.0, controls=bad)
-    assert checked == [2 * T0_MAX] * 2
+        replace(good, t0=2 * T0_MAX)
+    assert checked == [2 * T0_MAX, DEFAULT_T0, 2 * T0_MAX]
+    shoot(ShootPoint(0.3, 0.1), 0.0, good)
+    sweep([0.3], [0.1], 0.0, controls=good)
+    assert len(checked) == 3
 
 
 class _InProcessPool:
