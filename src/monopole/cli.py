@@ -5,7 +5,7 @@ Subcommands: solve, sweep, validate, probe, series.  Exit codes are
 failure, 3 validation or audit failure, 4 I/O failure.  A flat
 key=value config file can preload any option, each value read as its
 flag would read it; explicit flags win over the file.  The tolerances
-are the library's: no command takes one.
+and a run's start radius are the library's: no command takes one.
 """
 from __future__ import annotations
 
@@ -104,13 +104,12 @@ def _apply_config(ns: argparse.Namespace, argv: list[str],
 
 
 def _controls_from(ns: argparse.Namespace) -> IntegratorControls:
-    return IntegratorControls(t_max=ns.t_max, t0=ns.t0)
+    return IntegratorControls(t_max=ns.t_max)
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
-    # horizon, handoff radius and config file, shared by every command that shoots
+    # horizon and config file of every command that shoots; runs start at DEFAULT_T0
     p.add_argument("--t-max", type=float, default=12.0)
-    p.add_argument("--t0", type=float, default=DEFAULT_T0)
     p.add_argument("--config", default=None, help="key = value option file")
 
 
@@ -432,7 +431,7 @@ def build_parser() -> _Parser:
                    help="grid points from --beta-min to --beta-max (default 5)")
     _add_run_options(p)
     p.add_argument("--workers", type=int, default=1,
-                   help="process count, at most one per alpha row (default 1)")
+                   help="process count, capped at the alpha rows and CPUs (default 1)")
     p.add_argument("--out", default="-", help="CSV output path ('-' stdout)")
     p.set_defaults(func=_cmd_sweep)
 

@@ -85,7 +85,7 @@ from . import model
 from .dense_output import DenseSegment, _horner
 from .errors import DomainError, IntegrityError, NoEventError, StiffnessError
 from .model import PhaseState
-from .origin_series import OriginSeries, check_t0
+from .origin_series import DEFAULT_T0, OriginSeries, check_t0
 
 __all__ = [
     "IntegratorControls",
@@ -116,17 +116,17 @@ _BLOWUP_SLOPE = 1e3
 
 @dataclass(frozen=True)
 class IntegratorControls:
-    """Tolerances, horizon, step cap and series handoff radius of one run.
+    """Tolerances, horizon, step cap and start radius of one run.
 
-    The handoff radius t0 must pass origin_series.check_t0, so no record
-    holds a t0 that a shot would refuse.
+    t0, where the samples begin, is set by library callers only; it must
+    pass origin_series.check_t0, so no record holds a t0 a shot refuses.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     t_max: float = 12.0
     max_step: float = 0.25
-    t0: float = 1e-3
+    t0: float = DEFAULT_T0
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.rel_tol, self.abs_tol, self.t_max,

@@ -40,6 +40,7 @@ continues that run past its graft radius and the diagnostics read it there.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 from . import analysis
@@ -710,9 +711,9 @@ def sweep(alphas, betas, lambda_hat: float,
     holding at least _SWEEP_BATCH points, or the whole grid, and each
     point is shot from its series.
     workers > 1 distributes each batch's rows over at most one process
-    per row; a batch holds at least one row per process.  Only then is
-    the process pool imported.  Output ordering is row-major by alpha
-    then beta regardless of worker count.
+    per row and per CPU; a batch holds at least one row per process.
+    Only then is the process pool imported.  Output ordering is
+    row-major by alpha then beta regardless of worker count.
     """
     alphas = [float(a) for a in alphas]
     betas = [float(b) for b in betas]
@@ -729,10 +730,10 @@ def sweep(alphas, betas, lambda_hat: float,
         ShootPoint(alpha=a, beta=0.0)
     for b in betas:
         ShootPoint(alpha=0.0, beta=b)
-    # the pool starts all its processes at once, so at most one per row;
-    # a batch is whole rows, at least one per process, so that every
-    # process has a row in each batch
-    workers = min(workers, len(alphas))
+    # the pool starts all its processes at once, so at most one per row
+    # and one per CPU; a batch is whole rows, at least one per process, so
+    # that every process has a row in each batch
+    workers = min(workers, len(alphas), os.cpu_count() or 1)
     n_rows, n = max(-(-_SWEEP_BATCH // len(betas)), workers), len(betas)
 
     def batches():

@@ -187,16 +187,17 @@ def test_oversized_profile_table_exits_usage(tmp_path, monkeypatch, capsys):
 
 
 def test_solve_failure_exit_code(capsys):
-    # handoff beyond the series' validity: the solver refuses to start,
-    # a usage error (1) with the library's message
-    rc = main(["solve", "--lambda-hat", "0", "--t0", "0.02"])
+    # handoff beyond the series' validity: the library refuses it, a
+    # usage error (1) with the library's message
+    rc = main(["series", "--alpha", "0.1", "--beta", "0.2", "--t0", "0.02"])
     assert rc == 1
     assert capsys.readouterr().err == \
-        "monopole solve: t0 must lie in [1e-06, 0.01], got 0.02\n"
+        "monopole series: t0 must lie in [1e-06, 0.01], got 0.02\n"
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["solve", "--lambda-hat", "0", "--t0", "0.5"], "t0 must lie in [1e-06, 0.01]"),
+    (["series", "--alpha", "0.1", "--beta", "0.1", "--t0", "0.5"],
+     "t0 must lie in [1e-06, 0.01]"),
     (["solve", "--lambda-hat", "0", "--rel-tol", "-1"],
      "unrecognized arguments: --rel-tol -1"),
     (["solve", "--lambda-hat", "0", "--tol-alpha", "0"],
@@ -205,10 +206,11 @@ def test_solve_failure_exit_code(capsys):
     (["solve", "--lam", "-1", "--g0", "1", "--rho0", "1"],
      "lam must be finite and >= 0"),
     (["series", "--alpha", "-1", "--beta", "0.3"], "alpha must be finite and >= 0"),
-    (["sweep", "--lambda-hat", "0", "--alphas", "0.1", "--betas", "0.1",
-      "--t0", "0.5"], "t0 must lie in [1e-06, 0.01]"),
+    (["series", "--alpha", "0.1", "--beta", "0.1", "--lambda-hat", "1", "--t0", "0"],
+     "t0 must lie in [1e-06, 0.01]"),
     (["probe", "--flat", "--u-end", "0"], "need u_end > u0"),
-    (["validate", "--t0", "0.5"], "t0 must lie in [1e-06, 0.01]"),
+    (["series", "--alpha", "0.1", "--beta", "0.1", "--t0", "nan"],
+     "t0 must lie in [1e-06, 0.01]"),
     (["validate", "--tol-alpha", "0"], "unrecognized arguments: --tol-alpha 0"),
     (["probe", "--flat", "--u-end", "inf"], "u_end = inf needs more than 10^6 steps"),
     (["probe", "--flat", "--u-end", "2e3"],
@@ -217,7 +219,7 @@ def test_solve_failure_exit_code(capsys):
       "100000000"], "n_iters must be at most 1000, got 100000000"),
     # below T0_MIN the first sample's 1 - f rounds away, which once failed
     # the audit of a converged solve
-    (["solve", "--lambda-hat", "0", "--t0", "1e-8"],
+    (["series", "--alpha", "0.1", "--beta", "0.1", "--t0", "1e-8"],
      "t0 must lie in [1e-06, 0.01], got 1e-08"),
 ])
 def test_refused_value_exits_usage(argv, message, capsys):
@@ -655,23 +657,32 @@ def test_validate_detects_sign_mutation(monkeypatch, capsys):
 
 
 def test_removed_flags_exit_usage(monkeypatch, capsys):
-    # every solve polishes and validate has one set of thresholds
+    # every solve polishes, validate has one set of thresholds, and every
+    # run starts at the library's t0 (only series takes --t0, the radius
+    # of its two-term handoff)
     monkeypatch.setattr(cli, "bisect_beta", None)
+    monkeypatch.setattr(cli, "sweep", None)
     for argv in (["solve", "--lambda-hat", "0", "--no-polish"],
                  ["probe", "--lambda-hat", "0", "--no-polish"],
                  ["validate", "--no-polish"], ["validate", "--quick"],
                  ["validate", "--param-tol", "1"], ["validate", "--field-tol", "1"],
-                 ["validate", "--energy-tol", "1"]):
+                 ["validate", "--energy-tol", "1"],
+                 ["solve", "--lambda-hat", "0", "--t0", "1e-3"], ["validate", "--t0", "1e-3"],
+                 ["probe", "--lambda-hat", "0", "--t0", "1e-3"],
+                 ["sweep", "--lambda-hat", "0", "--alphas", "0.3", "--betas", "0.1",
+                  "--t0", "1e-3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
+        flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_tolerances_are_not_options(solve_dir, tmp_path, monkeypatch, capsys):
     # every solve runs at the library's tolerances: no command takes one,
     # as a flag or as a config key, and the report records those its runs
-    # used, the profile-grade ones
+    # used, the profile-grade ones; nor does a command that runs take a
+    # t0 key, the start radius being the library's too
     report = json.loads((solve_dir / "report.json").read_text())
     assert (report["rel_tol"], report["abs_tol"]) == (1e-12, 1e-14)
     monkeypatch.setattr(cli, "bisect_beta", None)
@@ -690,6 +701,10 @@ def test_tolerances_are_not_options(solve_dir, tmp_path, monkeypatch, capsys):
             cfg.write_text(f"{key} = 1e-9\n")
             assert main([*command, "--config", str(cfg)]) == 1
             assert f"unknown option {key!r}" in capsys.readouterr().err
+        if command[0] != "series":
+            cfg.write_text("t0 = 1e-3\n")
+            assert main([*command, "--config", str(cfg)]) == 1
+            assert "unknown option 't0'" in capsys.readouterr().err
 
 
 def test_probe_solved_profile(lam1, capsys):
@@ -712,12 +727,12 @@ def test_probe_flat(capsys):
 
 def test_probe_flat_refuses_the_options_it_would_ignore(tmp_path, capsys):
     # a flat probe solves nothing: a frame or run option, from a flag or
-    # a config key, is a usage error naming the option, as --t0 0.5 is
-    # for every command that uses it
+    # a config key, is a usage error naming the option, the first one in
+    # the probe's option order
     cfg = tmp_path / "opts.cfg"
     cfg.write_text("t_max = 20\n")
-    for extra, flag in ((["--t0", "0.5", "--lambda-hat", "7"], "--lambda-hat"),
-                        (["--t0", "0.5"], "--t0"),
+    for extra, flag in ((["--t-max", "20", "--lambda-hat", "7"], "--lambda-hat"),
+                        (["--t-max", "20"], "--t-max"),
                         (["--lam", "1", "--g0", "1", "--rho0", "1"], "--lam"),
                         (["--config", str(cfg)], "--t-max")):
         with pytest.raises(SystemExit) as exc:
@@ -779,10 +794,12 @@ def test_series_picard_lines_go_to_stderr(capsys):
 def test_no_process_pool_is_loaded_without_a_pool(tmp_path):
     # concurrent.futures and multiprocessing cost a run ~1.4 MB of peak
     # RSS, so a fresh interpreter loads them only for sweep(workers > 1):
-    # not on importing the CLI or the shooter, nor for a one-process sweep
+    # not on importing the CLI or the shooter, nor for a one-process sweep;
+    # two CPUs are posed so that a one-CPU machine still pools
     code = textwrap.dedent("""
-        import sys
+        import os, sys
         from monopole import cli, shooter
+        os.cpu_count = lambda: 2
 
         def pool():
             return sorted(m for m in sys.modules

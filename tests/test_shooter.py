@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
 import random
 from dataclasses import replace
 from statistics import median
@@ -1182,7 +1183,8 @@ class _InProcessPool:
 
 def test_sweep_starts_at_most_one_process_per_row(monkeypatch):
     # the pool starts all max_workers processes on its first submit, so
-    # the count is capped at the row count
+    # the count is capped at the row count (here below the CPU count)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     pools = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool(pools, []))
     short = replace(CONTROLS, t_max=3.0)
@@ -1195,10 +1197,29 @@ def test_sweep_starts_at_most_one_process_per_row(monkeypatch):
     assert pools == [2]
 
 
+def test_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
+    # and at the CPU count: 5000 workers over 6 rows on 3 CPUs is a pool
+    # of 3; no real process is started
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool(pools, []))
+    short = replace(CONTROLS, t_max=3.0)
+    alphas, betas = [0.05, 0.2, 0.3, 0.6, 0.9, 1.2], [0.1, 0.5]
+    serial = list(sweep(alphas, betas, 0.0, controls=short).rows())
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert list(sweep(alphas, betas, 0.0, controls=short, workers=5000).rows()) == serial
+    assert pools == [3]
+    # one CPU, or an unknown count, sweeps in this process
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert list(sweep(alphas, betas, 0.0, controls=short, workers=5000).rows()) == serial
+    assert pools == [3]
+
+
 def test_sweep_batches_give_every_process_a_row(monkeypatch):
     # rows as wide as a batch (5 betas, batches of 4 points) would make
     # one-row batches, one busy process at a time; a batch holds at least
     # one row per process instead, so a pool of 3 maps 3, 3 and 1 rows
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     tasks = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool([], tasks))
     monkeypatch.setattr(shooter, "_SWEEP_BATCH", 4)
