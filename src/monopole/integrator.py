@@ -29,7 +29,7 @@ Event taxonomy (y = (f, f', rho, rho')), held once in _EVENTS: each event's
 crossing, the window its state must lie in to count, and the side of the
 separatrix it puts a run on (-1 below, +1 above; see Outcome.side):
 
-  FPrimeZero   f' rises to 0    0 < f < 1    -1  (gauge field turns back up)
+  FPrimeZero   f' rises to 0    0 < f <= 1   -1  (gauge field turns back up)
   FZero        f falls to 0     f' < 0       +1  (gauge field overshoots)
   RhoPrimeZero rho' falls to 0  0 < rho < 1  -1  (Higgs field stalls)
   RhoCrossVev  rho rises to 1   none         +1  (Higgs field overshoots)
@@ -200,7 +200,8 @@ class _EventRow(NamedTuple):
 
 # The event table (see the module docstring), in _scan_events' order.
 _EVENTS = {
-    OutcomeTag.FPRIME_ZERO: _EventRow(1, 0.0, True, ("f", 0.0, 1.0), -1),
+    # f <= 1: a turn near the origin, where f rounds to 1.0, still counts
+    OutcomeTag.FPRIME_ZERO: _EventRow(1, 0.0, True, ("f", 0.0, math.nextafter(1.0, 2.0)), -1),
     OutcomeTag.F_ZERO: _EventRow(0, 0.0, False, ("fp", -math.inf, 0.0), 1),
     OutcomeTag.RHO_PRIME_ZERO: _EventRow(3, 0.0, False, ("rho", 0.0, 1.0), -1),
     OutcomeTag.RHO_CROSS_VEV: _EventRow(2, 1.0, True, None, 1),

@@ -21,10 +21,13 @@ times in a row (the inner distance kinks at alpha*, see _narrow):
 An outer probe's inner search starts from a pair centred on the secant
 prediction of alpha*(beta) through the last two inner answers, and it
 stops before tol_alpha once the Higgs side is settled: both end runs
-meet the same Higgs event well before their gauge events, and so does
-the midpoint run.  Only the side of an outer probe is read, so a wider
-alpha bracket costs nothing there; the final inner solve at beta* is
-narrowed to tol_alpha.
+meet the same Higgs event well before their gauge events, which fixes
+the side of every run between them, so nothing past the ends is shot.
+Only the side and distance of an outer probe are read, both off runs
+it holds, so a wider alpha bracket costs nothing there.  The answer is
+the last outer probe whose run is in the tube, whose inner solve was
+narrowed to tol_alpha; only when none is does a final inner solve run
+at the beta bracket's midpoint.
 
 Near the double separatrix every numerical trajectory eventually peels
 off, since the gauge deviation grows like e^t and, for lambda_hat > 0,
@@ -223,7 +226,9 @@ class AlphaResult:
 
     alpha_star: float
     bracket: Bracket
-    trajectory: Trajectory          # run at alpha_star over the plain horizon
+    # run at alpha_star over the plain horizon; when settled, the run of
+    # the bracket end nearer the separatrix
+    trajectory: Trajectory
     resolved: str = "bisection"     # | "settled" | "rho_blowup" | "tube" | "horizon"
 
 
@@ -444,30 +449,18 @@ def _bisect_alpha(bracket: Bracket, beta: float, lambda_hat: float,
     """bisect_alpha, which with settle may stop once the Higgs side is settled.
 
     With settle, _narrow stops as soon as _settled_side(lo, hi) names a
-    side.  The midpoint is then probed: when its run meets a decisive
-    Higgs event on that side, it is the answer ("settled"); otherwise it
-    narrows the bracket like any probe and the search goes on to
-    tol_alpha.
+    side, and that is the answer ("settled"): alpha* is the midpoint of
+    the bracket, still wider than tol_alpha, and the trajectory is the
+    run of the end with the smaller gauge distance, the nearer to the
+    separatrix.  Nothing is shot past the ends, whose runs fix the side.
     """
     probe = _gauge_probe(beta, lambda_hat, controls)
     lo, hi, stop = _narrow(probe, bracket.lo, bracket.hi, tol_alpha,
                            _settled_side if settle else None)
-    side = (_settled_side(lo, hi)
-            if settle and stop is None and hi.x - lo.x > tol_alpha else 0)
-    if side:
-        mid = probe(0.5 * (lo.x + hi.x))
-        out = classify(mid.run, ClassifyMode.RHO_FATE)
-        if mid.side and out.side == side:
-            return AlphaResult(alpha_star=mid.x, bracket=Bracket(lo, hi),
-                               trajectory=mid.run, resolved="settled")
-        if mid.side < 0:
-            lo = mid
-        elif mid.side > 0:
-            hi = mid
-        else:
-            stop = mid
-        if stop is None:
-            lo, hi, stop = _narrow(probe, lo, hi, tol_alpha)
+    if settle and stop is None and hi.x - lo.x > tol_alpha and _settled_side(lo, hi):
+        near = lo if abs(lo.distance) < abs(hi.distance) else hi
+        return AlphaResult(alpha_star=0.5 * (lo.x + hi.x), bracket=Bracket(lo, hi),
+                           trajectory=near.run, resolved="settled")
     if stop is None:
         alpha_star, resolved = 0.5 * (lo.x + hi.x), "bisection"
         final = shoot(ShootPoint(alpha=alpha_star, beta=beta), lambda_hat, controls)
@@ -549,12 +542,13 @@ def _outer_side(ar: AlphaResult, out: Outcome,
                 lambda_hat: float) -> tuple[int, float | None]:
     """Side and signed distance of the outer probe whose inner solve is ar.
 
-    out is the Higgs fate of ar.trajectory, the run of ar's answer over
-    the plain horizon.  A decisive Higgs event gives the side, and the
-    distance is _higgs_distance at the plain horizon, read _SETTLE_LEAD
-    before that event.  A settled inner solve's alpha is the midpoint of
-    a bracket wider than tol_alpha, so there the distance is read on both
-    end runs instead and interpolated linearly to the regula falsi alpha
+    out is the Higgs fate of ar.trajectory, the run over the plain
+    horizon of ar's answer or, for a settled solve, of its nearer end.  A
+    decisive Higgs event gives the side, and the distance is
+    _higgs_distance at the plain horizon, read _SETTLE_LEAD before that
+    event.  A settled inner solve's alpha is the midpoint of a bracket
+    wider than tol_alpha, so there the distance is read on both end runs
+    instead and interpolated linearly to the regula falsi alpha
     of their gauge distances.  An event distance is kept only where
     _modes_split and when its sign agrees with the side, else None.
     With no decisive event (the lambda_hat = 0 regime, a run in the tube
@@ -624,16 +618,21 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None) -
     Where the horizon cannot tell the Higgs tail's two modes apart
     (not _modes_split: 0 < lambda_hat < 0.0184 at t_max = 12) only
     probes with no Higgs event carry a distance and the expansion keeps
-    its 4x steps.  Tube-converged probes are recorded as candidates and
-    the search continues to its bracket width, so the answer carries a
-    genuine two-sided bracket.  Each probe's inner solve starts from the
-    alpha* predicted by the earlier ones and may stop once the Higgs side
-    is settled (see _alpha_at).
+    its 4x steps.  The search continues to its bracket width past
+    tube-converged probes, so the answer carries a genuine two-sided
+    bracket.  Each probe's inner solve starts from the alpha* predicted
+    by the earlier ones and may stop once the Higgs side is settled (see
+    _alpha_at).  The answer is the last probe whose run is in the tube
+    (F and Rho fates both Converged), whose inner solve was narrowed to
+    _POLISH_TOL, since a settled run is not in the tube; its beta is an
+    end of the final bracket unless a later probe replaced it.  Only when
+    no probe converged is alpha* solved afresh at the bracket's
+    midpoint, and the solve has converged when that run is in the tube.
 
     One search narrows both parameters to _POLISH_TOL, near the
     deviation-noise floor, and every run of it is at profile-grade
     tolerance (rel_tol <= 1e-12, abs_tol <= 1e-14), and the report keeps
-    those controls.  The reported profile is the last inner solve's
+    those controls.  The reported profile is the answer's inner solve's
     run; its seventh-order dense output keeps the interpolation noise that
     downstream finite differences see well below the residual target.
     """
@@ -648,6 +647,10 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None) -
     track = _Continuation()
     candidate = None
 
+    def in_tube(traj: Trajectory) -> bool:
+        return all(classify(traj, mode).tag is OutcomeTag.CONVERGED
+                   for mode in (ClassifyMode.F_FATE, ClassifyMode.RHO_FATE))
+
     def probe(beta: float) -> Probe:
         """Side -1 when alpha*(beta) stalls below the vacuum, +1 when it overshoots.
 
@@ -657,7 +660,7 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None) -
         ar = _alpha_at(beta, lambda_hat, pcontrols, _POLISH_TOL, track, settle=True)
         out = classify(ar.trajectory, ClassifyMode.RHO_FATE)
         side, distance = _outer_side(ar, out, lambda_hat)
-        if out.tag is OutcomeTag.CONVERGED:
+        if in_tube(ar.trajectory):
             candidate = (beta, ar)
         log.append((beta, ar.alpha_star, out.tag.value, "A" if side < 0 else "B"))
         return Probe(beta, side, distance, out)
@@ -667,18 +670,14 @@ def bisect_beta(lambda_hat: float, controls: IntegratorControls | None = None) -
     lo, hi, _ = _narrow(probe, lo, hi, _POLISH_TOL)
     beta_bracket = Bracket(lo, hi)
 
-    beta_star = 0.5 * (lo.x + hi.x)
-    ar_star = _alpha_at(beta_star, lambda_hat, pcontrols, _POLISH_TOL, track,
-                        settle=False)
-
-    def in_tube(traj: Trajectory) -> bool:
-        return (classify(traj, ClassifyMode.F_FATE).tag is OutcomeTag.CONVERGED
-                and classify(traj, ClassifyMode.RHO_FATE).tag is OutcomeTag.CONVERGED)
-
-    converged = in_tube(ar_star.trajectory)
-    if not converged and candidate is not None and in_tube(candidate[1].trajectory):
+    converged = candidate is not None
+    if converged:
         beta_star, ar_star = candidate
-        converged = True
+    else:
+        beta_star = 0.5 * (lo.x + hi.x)
+        ar_star = _alpha_at(beta_star, lambda_hat, pcontrols, _POLISH_TOL, track,
+                            settle=False)
+        converged = in_tube(ar_star.trajectory)
 
     # Diagnostics are only meaningful for a tube-bound profile; an
     # unconverged solve reports its parameter estimates and no numbers.

@@ -824,6 +824,19 @@ def test_fzero_window_on_a_synthetic_step(monkeypatch):
     assert calls == [(1.5, 0.0)] * 2
 
 
+def test_a_turn_where_f_rounds_to_one_is_counted():
+    # at lambda_hat = 0, beta = 1e-3, alpha = 3e-13 and 1e-12 turn f up
+    # past t0, near sqrt(alpha / (2 a4)), where f rounds to 1.0: the
+    # FPrimeZero window is closed at f = 1, so the turn is the verdict, as
+    # the turn below t0 is at alpha = 1e-13
+    for alpha in (1e-13, 3e-13, 1e-12):
+        point = ShootPoint(alpha, 1e-3)
+        a4 = expand_series(point, 0.0).coefficients().a4
+        out = classify(shoot(point, 0.0, IntegratorControls()), ClassifyMode.F_FATE)
+        assert out.tag is OutcomeTag.FPRIME_ZERO and out.state.f == 1.0
+        assert out.t_event == pytest.approx(math.sqrt(alpha / (2.0 * a4)), rel=1e-7)
+
+
 def test_simultaneous_gauge_crossings_are_an_integrity_error(monkeypatch):
     # f falls through 0 and f' rises through 0 at the same radius on a
     # stand-in step: the gauge channel would vanish to second order, which

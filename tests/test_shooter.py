@@ -359,9 +359,10 @@ def test_bisect_alpha_stops_on_a_probe_with_no_side(monkeypatch):
 
 
 def test_no_point_is_shot_twice_when_an_inner_solve_stops_early(monkeypatch):
-    # an inner solve that stops on a probe with no side, or once the
-    # Higgs side is settled, reports that probe's run over the plain
-    # horizon instead of shooting alpha* again; every shot of the solve
+    # an inner solve that stops once the Higgs side is settled reports the
+    # run of one of its ends over the plain horizon instead of shooting
+    # alpha* again; at lambda_hat = 1 none stops on a probe with no side
+    # since the settled ones shoot no midpoint.  Every shot of the solve
     # is at the profile-grade controls
     shots, stopped = [], []
     shoot_orig, bisect_orig = shooter.shoot, shooter._bisect_alpha
@@ -379,13 +380,13 @@ def test_no_point_is_shot_twice_when_an_inner_solve_stops_early(monkeypatch):
     monkeypatch.setattr(shooter, "shoot", counting)
     monkeypatch.setattr(shooter, "_bisect_alpha", recording)
     bisect_beta(1.0)
-    assert {res.resolved for res in stopped} == {"settled", "rho_blowup"}
+    assert {res.resolved for res in stopped} == {"settled"}
     assert {res.trajectory.controls for res in stopped} == {POLISH}
     assert {controls for *_, controls in shots} == {POLISH}
     assert len(shots) == len(set(shots))
     for res in stopped:
         run = res.trajectory
-        assert run.alpha == res.alpha_star
+        assert run.alpha in (res.bracket.lo.x, res.bracket.hi.x)
         assert (run.alpha, run.beta, run.controls) in shots
 
 
@@ -396,53 +397,37 @@ class _Run:
         self.alpha, self.higgs = alpha, higgs
 
 
-def test_settled_inner_solve_checks_the_midpoint(monkeypatch):
+def test_settled_inner_solve_probes_nothing_past_its_ends(monkeypatch):
     # end runs that meet a Higgs event at least 0.5 before their gauge
-    # events settle the side; the midpoint's run must agree, else the
-    # search goes on to tol_alpha
-    root, probes = 0.4, []
-    higgs = {}
+    # events settle the side, and that is the answer at once: alpha* is
+    # the bracket's midpoint, which is not shot, and the trajectory is the
+    # run of the end nearer the separatrix (the smaller gauge distance)
+    probes = []
 
-    def fate(point, lambda_hat, controls):
-        probes.append(point.alpha)
-        d = point.alpha - root
-        tag = OutcomeTag.FPRIME_ZERO if d < 0.0 else OutcomeTag.F_ZERO
-        return (Outcome(tag, t_event=2.0 - 0.5 * math.log(abs(d))),
-                _Run(point.alpha, higgs.get(point.alpha, higgs["ends"])))
+    def fate_at(root):
+        def fate(point, lambda_hat, controls):
+            probes.append(point.alpha)
+            d = point.alpha - root
+            tag = OutcomeTag.FPRIME_ZERO if d < 0.0 else OutcomeTag.F_ZERO
+            return (Outcome(tag, t_event=2.0 - 0.5 * math.log(abs(d))),
+                    _Run(point.alpha, Outcome(OutcomeTag.RHO_PRIME_ZERO, t_event=1.0)))
+        return fate
 
     def rho_fate(run, mode):
         assert mode is ClassifyMode.RHO_FATE
         return run.higgs
 
-    monkeypatch.setattr(shooter, "_gauge_fate", fate)
     monkeypatch.setattr(shooter, "classify", rho_fate)
     monkeypatch.setattr(shooter, "shoot", lambda point, lam, c: point)
-
-    def solve(ends, mid=None):
-        higgs.clear()
-        higgs["ends"] = ends
-        if mid is not None:
-            higgs[0.5] = mid
+    for root, near in ((0.4, 0.25), (0.6, 0.75)):
+        monkeypatch.setattr(shooter, "_gauge_fate", fate_at(root))
         probe = shooter._gauge_probe(0.87, 1.0, CONTROLS)
         br = Bracket(probe(0.25), probe(0.75))  # gauge events near t = 2.5
         probes.clear()
-        return shooter._bisect_alpha(br, 0.87, 1.0, CONTROLS, 1e-9, settle=True)
-
-    early = Outcome(OutcomeTag.RHO_PRIME_ZERO, t_event=1.0)
-    # the midpoint agrees: it is the answer, after one probe
-    res = solve(early)
-    assert (res.resolved, res.alpha_star, probes) == ("settled", 0.5, [0.5])
-    assert (res.bracket.lo.x, res.bracket.hi.x) == (0.25, 0.75)
-    assert res.trajectory.alpha == 0.5
-    # the midpoint crosses the vev, or meets no Higgs event: it narrows the
-    # bracket like any probe and the search goes on to tol_alpha
-    for mid in (Outcome(OutcomeTag.RHO_CROSS_VEV, t_event=1.0),
-                Outcome(OutcomeTag.HORIZON)):
-        res = solve(early, mid)
-        assert res.resolved == "bisection"
-        assert probes[0] == 0.5 and len(probes) == len(set(probes))
-        assert res.bracket.width <= 1e-9
-        assert res.bracket.lo.x < root <= res.bracket.hi.x
+        res = shooter._bisect_alpha(br, 0.87, 1.0, CONTROLS, 1e-9, settle=True)
+        assert (res.resolved, res.alpha_star, probes) == ("settled", 0.5, [])
+        assert (res.bracket.lo.x, res.bracket.hi.x) == (0.25, 0.75)
+        assert res.trajectory.alpha == near
     # a Higgs event less than 0.5 before its run's gauge event settles
     # nothing, nor do ends on opposite Higgs sides
     def end(x, side, t_higgs, tag=OutcomeTag.RHO_PRIME_ZERO):
@@ -459,9 +444,9 @@ def test_settled_inner_solve_checks_the_midpoint(monkeypatch):
 
 @pytest.mark.parametrize("lambda_hat", [0.05, 1.0])
 def test_settled_inner_solves_agree_with_their_ends(lambda_hat, monkeypatch):
-    # every inner solve that stopped early has its midpoint run on the
-    # Higgs side its ends settled; the reported alpha bracket is the final
-    # inner solve's, which never stops early
+    # every inner solve that stopped early reports an end's run on the
+    # Higgs side its ends settled; the reported alpha bracket is that of
+    # the answer's inner solve, which never stopped early
     settled = []
     orig = shooter._bisect_alpha
 
@@ -502,11 +487,13 @@ def test_lambda_1_solve_takes_few_shots_and_no_repeat(monkeypatch):
     # leave the origin on the series, 187 in 27 beta evaluations (45
     # before) once every outer probe carries a distance, and 127 in 21
     # once one search at profile-grade tolerance replaced stage one and
-    # the polish; no point is shot twice
+    # the polish, and 103 once settled inner solves shoot no midpoint and
+    # the last tube-converged outer probe is the answer; no point is shot
+    # twice
     shots = _counting_shots(monkeypatch)
     rep = bisect_beta(1.0)
     assert rep.converged
-    assert len(shots) <= 127
+    assert len(shots) <= 103
     assert rep.n_beta_evaluations <= 21
     assert len(shots) == len(set(shots))
 
@@ -515,9 +502,9 @@ def test_lambda_1p2_solve_converges_on_the_candidate_fallback(monkeypatch):
     # a rho blowup after an in-tube gauge event keeps its gauge side, so
     # the inner solves no longer stop on such a probe and the solve at
     # lambda_hat = 1.2 converges with the acceptance checks passing.  It
-    # ends on the candidate fallback (beta* is a probed beta, not the
-    # bracket's midpoint), whose run at the final controls is reused, not
-    # shot again
+    # answers from its last tube-converged outer probe (beta* is a probed
+    # beta, not the bracket's midpoint), whose run at the final controls
+    # is reused, not shot again
     shots = _counting_shots(monkeypatch)
     rep = bisect_beta(1.2)
     assert rep.converged
@@ -530,6 +517,29 @@ def test_lambda_1p2_solve_converges_on_the_candidate_fallback(monkeypatch):
     assert rep.beta_star_hat != 0.5 * (lo + hi)
     assert rep.beta_star_hat in (lo, hi) or rep.beta_star_hat in \
         [b for b, *_ in rep.outcome_log]
+
+
+@pytest.mark.parametrize("lambda_hat", [0.0, 0.05, 0.2, 0.4249, 1.0, 1.2])
+def test_solve_answers_from_its_last_tube_converged_probe(lambda_hat, monkeypatch):
+    # beta* is an end of the final beta bracket, the last outer probe whose
+    # run is in the tube, and no inner solve narrowed to the end (settle
+    # off) runs once an outer probe has converged
+    calls = []
+    orig = shooter._alpha_at
+
+    def recording(*args, settle):
+        ar = orig(*args, settle=settle)
+        tube = all(classify(ar.trajectory, mode).tag is OutcomeTag.CONVERGED
+                   for mode in (ClassifyMode.F_FATE, ClassifyMode.RHO_FATE))
+        calls.append((settle, tube))
+        return ar
+
+    monkeypatch.setattr(shooter, "_alpha_at", recording)
+    rep = bisect_beta(lambda_hat)
+    assert rep.converged
+    assert rep.beta_star_hat in (rep.beta_bracket.lo.x, rep.beta_bracket.hi.x)
+    first = next(i for i, (settle, tube) in enumerate(calls) if settle and tube)
+    assert all(settle for settle, _ in calls[first:])
 
 
 def test_answers_are_those_of_the_two_step_gauge_continuation(lam0, lam0p42, lam1):
@@ -545,9 +555,16 @@ def test_answers_are_those_of_the_two_step_gauge_continuation(lam0, lam0p42, lam
     # Halving a kept end's distance once one end has been replaced three
     # times in a row (shooter._narrow) moved those by 7.5e-13, 2.1e-13 and
     # -1.4e-12 in alpha*, 2.5e-12, 3.6e-13 and -2.3e-12 in beta*, and
-    # 9.5e-12, 3.1e-14 and -5.4e-13 in E, to these
-    pinned = ((lam0, 0.16666666724614684, 0.33333333449279223, 7, 0.9999999857280611),
-              (lam0p42, 0.33080451148763046, 0.7047437821134711, 13, 1.2258934559542132),
+    # 9.5e-12, 3.1e-14 and -5.4e-13 in E, to
+    # (0.16666666724614684, 0.33333333449279223, 7, 0.9999999857280611) and
+    # (0.33080451148763046, 0.7047437821134711, 13, 1.2258934559542132) at
+    # lambda_hat = 0 and 0.42489; lambda_hat = 1 is unchanged since.
+    # Answering from the last tube-converged outer probe, with settled
+    # inner solves that shoot no midpoint, moved those two by 7.4e-13 and
+    # 7.0e-13 in alpha*, 1.2e-12 and 8.2e-13 in beta*, and 1.7e-13 and
+    # 2.2e-13 in E, to these
+    pinned = ((lam0, 0.16666666724688792, 0.33333333449398334, 7, 0.9999999857282297),
+              (lam0p42, 0.3308045114883257, 0.7047437821142953, 13, 1.2258934559544337),
               (lam1, 0.3898391408180478, 0.8727038705552651, 21, 1.2918207890174283))
     for rep, alpha, beta, n_beta, energy in pinned:
         assert rep.converged
@@ -570,8 +587,8 @@ def _counting_steps(monkeypatch):
     return steps
 
 
-@pytest.mark.parametrize("lambda_hat, max_steps, max_shots", [(0.0, 3800, 65),
-                                                               (1.0, 5800, 127)])
+@pytest.mark.parametrize("lambda_hat, max_steps, max_shots", [(0.0, 3410, 59),
+                                                               (1.0, 4394, 103)])
 def test_solve_stays_within_its_step_budget(lambda_hat, max_steps, max_shots,
                                             monkeypatch):
     # an undecided gauge probe's continuation ends at its first gauge
@@ -581,7 +598,9 @@ def test_solve_stays_within_its_step_budget(lambda_hat, max_steps, max_shots,
     # stage one and the polish takes 4,959 steps in 79 shots (84 before)
     # and 5,779 in 127 (187 before).  Halving a kept end's distance in
     # _narrow takes lambda_hat = 0 to 3,778 steps in 65 shots and
-    # lambda_hat = 1 to 5,775 in 127
+    # lambda_hat = 1 to 5,775 in 127.  Settled inner solves that shoot no
+    # midpoint, and an answer taken from the last tube-converged outer
+    # probe, take them to 3,410 in 59 and 4,394 in 103
     steps = _counting_steps(monkeypatch)
     shots = _counting_shots(monkeypatch)
     assert bisect_beta(lambda_hat).converged
@@ -661,12 +680,15 @@ def test_settled_inner_solve_distance_matches_the_narrowed_run(lam1):
     # wider than tol_alpha; the distance read on its end runs, at the
     # regula falsi alpha of their gauge distances, agrees with that of
     # the alpha*(beta) run narrowed to 1e-12.  The midpoint run's own
-    # reading would not do: its alpha error swamps the beta signal
+    # reading, shot here since the solve does not shoot it, would not do:
+    # its alpha error swamps the beta signal
     misses = []
     for offset in (-1e-3, 1e-3, -1e-5, 1e-5, -1e-6, 1e-6):
         beta = lam1.beta_star_hat + offset
-        ar, mid_out, mid_run, (side, d) = _outer_probe(beta, 1.0, shooter._Continuation())
+        ar, _, _, (side, d) = _outer_probe(beta, 1.0, shooter._Continuation())
         assert ar.resolved == "settled" and ar.bracket.width > 1e-8
+        mid_run = shoot(ShootPoint(alpha=ar.alpha_star, beta=beta), 1.0, CONTROLS)
+        mid_out = classify(mid_run, ClassifyMode.RHO_FATE)
         ref = bisect_alpha(ar.bracket, beta, 1.0, CONTROLS, tol_alpha=1e-12)
         out = classify(ref.trajectory, ClassifyMode.RHO_FATE)
         ref_side, ref_d = shooter._outer_side(ref, out, 1.0)
