@@ -431,7 +431,7 @@ def build_parser() -> _Parser:
                    help="grid points from --beta-min to --beta-max (default 5)")
     _add_run_options(p)
     p.add_argument("--workers", type=int, default=1,
-                   help="process count, capped at the alpha rows and CPUs (default 1)")
+                   help="process count, capped at the 128-point tasks and CPUs (default 1)")
     p.add_argument("--out", default="-", help="CSV output path ('-' stdout)")
     p.set_defaults(func=_cmd_sweep)
 

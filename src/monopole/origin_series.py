@@ -32,11 +32,12 @@ initial_state evaluates the two-term truncation at t0, the paper's
 exact handoff: series_coefficients gives its a4 and b3.  The series
 command prints it and the tests check it; no run starts from it.
 
-A sweep expands its points' series lane-wise (expand_batch): the one
-recurrence (_recurrence) runs once on numpy arrays of alpha and beta,
-into (order + 1, lanes) arrays, and gives every lane the scalar
-coefficients to the bit, at a fraction of the cost per point once a
-batch holds ~100 points.  The bits agree because each convolution adds
+A sweep task expands its points' series lane-wise (expand_batch), a
+fixed chunk of at most shooter._SWEEP_BATCH consecutive grid points at
+a time: the one recurrence (_recurrence) runs once on numpy arrays of
+alpha and beta, into (order + 1, lanes) arrays, and gives every lane the
+scalar coefficients to the bit, at a fraction of the cost per point once
+a batch holds ~100 points.  The bits agree because each convolution adds
 its products left to right from 0: _dot for numbers, and for lanes
 np.add.reduce down the rows from 0.0, a whole row per numpy call.  numpy
 adds row by row only while a row holds two lanes or more, so a batch of
@@ -49,7 +50,8 @@ _PIECE, and a run's horizon only cuts the list, so integrate_series
 alone applies both.  A lone series evaluates its span with state, radius
 by radius, and expand_batch every lane's in one lane-wise Horner pass
 (_horner), which takes state's operations in state's order, so a lane's
-rows are the lone series' to the bit.
+rows are the lone series' to the bit.  Either series holds its rows as a
+tuple of tuples from the start, the form a run reads.
 
 picard_verify reruns the same local solution as a fixed-point iteration in
 the logarithmic variable s = log t, on the autonomous integral form of the
@@ -215,13 +217,13 @@ class OriginSeries:
         # and component
         self._matrix = matrix
         self._rows = matrix.tolist()
-        # the span's ends, and table's rows there: a lone series (no table)
-        # reads them with state, which costs less than a numpy Horner call
-        # on so few radii; a batch lane's rows stay an array until a run
-        # reads them, so that a batch of series holds no Python objects
-        # per row
+        # the span's ends, and table's rows there as tuples: a lone series
+        # (no table) reads them with state, which costs less than a numpy
+        # Horner call on so few radii, and a batch lane converts its rows
+        # of the batch's Horner pass
         self._ends = tuple(ends)
-        self._table = [self.state(t) for t in self._ends] if table is None else table
+        self._table = tuple(map(self.state, self._ends) if table is None
+                            else map(tuple, table.tolist()))
 
     def state(self, t: float) -> tuple[float, float, float, float]:
         """(f, f', rho, rho') at radius t."""
@@ -238,15 +240,14 @@ class OriginSeries:
         """state at every radius of ts, as an (n, 4) array, in one batch."""
         return _horner(self._matrix[None], np.asarray(ts, dtype=float)[None])[0]
 
-    def span(self) -> tuple[tuple, list]:
+    def span(self) -> tuple[tuple, tuple]:
         """The piece ends of a run on this series, and table's rows there as tuples.
 
         The ends are the multiples of _PIECE strictly below the reach, then
         the reach.  A series whose coefficients overflow (reach 0) has the
         one end 0, with a row of NaN.
         """
-        rows = self._table if isinstance(self._table, list) else self._table.tolist()
-        return self._ends, list(map(tuple, rows))
+        return self._ends, self._table
 
     def component(self, i: int):
         """Component i of state as a function of t alone."""

@@ -89,8 +89,9 @@ _SETTLE_LEAD = 0.5
 # one may keep at the horizon for the horizon to tell them apart (see
 # _modes_split); at t_max = 12 this needs lambda_hat > 0.0184.
 _MODE_SPLIT = 0.01
-# Fewest points a sweep expands lane-wise at once (expand_batch): fewer
-# lanes cost more per point than the scalar recurrence.
+# Most points of a sweep task, which expands them lane-wise at once
+# (expand_batch): fewer lanes cost more per point than the scalar
+# recurrence, and more hold more series at once.
 _SWEEP_BATCH = 128
 
 
@@ -705,14 +706,13 @@ def sweep(alphas, betas, lambda_hat: float,
           workers: int = 1) -> "OutcomeGrid":
     """Classify every (alpha, beta) pair on the grid, gauge fate first.
 
-    Every alpha and beta is checked before anything runs.  The origin series, each with its span, are expanded
-    lane-wise (expand_batch) in batches of whole rows (fixed alpha)
-    holding at least _SWEEP_BATCH points, or the whole grid, and each
-    point is shot from its series.
-    workers > 1 distributes each batch's rows over at most one process
-    per row and per CPU; a batch holds at least one row per process.
-    Only then is the process pool imported.  Output ordering is
-    row-major by alpha then beta regardless of worker count.
+    Every alpha and beta is checked before anything runs.  The grid's
+    points, row-major by alpha then beta, are cut into tasks of at most
+    _SWEEP_BATCH consecutive points; a task expands its points' origin
+    series, each with its span, lane-wise (expand_batch) and shoots each
+    point from its series (_sweep_task).  workers > 1 maps the tasks over
+    a process pool of at most one process per task and per CPU; only then
+    is the pool imported.  Output is the same for any worker count.
     """
     alphas = [float(a) for a in alphas]
     betas = [float(b) for b in betas]
@@ -729,46 +729,42 @@ def sweep(alphas, betas, lambda_hat: float,
         ShootPoint(alpha=a, beta=0.0)
     for b in betas:
         ShootPoint(alpha=0.0, beta=b)
-    # the pool starts all its processes at once, so at most one per row
-    # and one per CPU; a batch is whole rows, at least one per process, so
-    # that every process has a row in each batch
-    workers = min(workers, len(alphas), os.cpu_count() or 1)
-    n_rows, n = max(-(-_SWEEP_BATCH // len(betas)), workers), len(betas)
-
-    def batches():
-        for lo in range(0, len(alphas), n_rows):
-            block = alphas[lo:lo + n_rows]
-            batch = expand_batch([a for a in block for _ in betas], betas * len(block),
-                                 lambda_hat)
-            yield [(batch[j:j + n], lambda_hat, controls) for j in range(0, len(batch), n)]
-
+    points = [(a, b) for a in alphas for b in betas]
+    tasks = [(points[i:i + _SWEEP_BATCH], lambda_hat, controls)
+             for i in range(0, len(points), _SWEEP_BATCH)]
+    # the pool starts all its processes at once, so at most one per task
+    # and one per CPU
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers == 1:
-        rows = [row for args in batches() for row in map(_sweep_row, args)]
+        cells = [cell for done in map(_sweep_task, tasks) for cell in done]
     else:
         # imported here, past every refusal: concurrent.futures and the
         # multiprocessing modules it loads raise a solve's or a sweep's
         # peak RSS by ~1.4 MB, and only a pool needs them
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for args in batches() for row in pool.map(_sweep_row, args)]
+            cells = [cell for done in pool.map(_sweep_task, tasks) for cell in done]
+    n = len(betas)
+    rows = [cells[i:i + n] for i in range(0, len(cells), n)]
     tags = [[cell[0] for cell in row] for row in rows]
     t_events = [[cell[1] for cell in row] for row in rows]
     return OutcomeGrid(alphas=alphas, betas=betas, tags=tags, t_events=t_events,
                        lambda_hat=lambda_hat)
 
 
-def _sweep_row(arg):
-    row_series, lambda_hat, controls = arg
-    row = []
-    for series in row_series:
+def _sweep_task(task):
+    """(tag, t_event) of each (alpha, beta) of a task, shot from its lane's series."""
+    points, lambda_hat, controls = task
+    cells = []
+    for series in expand_batch([a for a, _ in points], [b for _, b in points], lambda_hat):
         traj = shoot(series, lambda_hat, controls)
         out = classify(traj, ClassifyMode.F_FATE)
         if out.tag in (OutcomeTag.CONVERGED, OutcomeTag.HORIZON):
             rho_out = classify(traj, ClassifyMode.RHO_FATE)
             if rho_out.tag is not OutcomeTag.HORIZON:
                 out = rho_out
-        row.append((out.tag.value, out.t_event))
-    return row
+        cells.append((out.tag.value, out.t_event))
+    return cells
 
 
 @dataclass

@@ -795,11 +795,13 @@ def test_no_process_pool_is_loaded_without_a_pool(tmp_path):
     # concurrent.futures and multiprocessing cost a run ~1.4 MB of peak
     # RSS, so a fresh interpreter loads them only for sweep(workers > 1):
     # not on importing the CLI or the shooter, nor for a one-process sweep;
-    # two CPUs are posed so that a one-CPU machine still pools
+    # two CPUs and tasks of two points are posed so that the 2 x 2 sweep
+    # is two tasks and still pools, also on a one-CPU machine
     code = textwrap.dedent("""
         import os, sys
         from monopole import cli, shooter
         os.cpu_count = lambda: 2
+        shooter._SWEEP_BATCH = 2
 
         def pool():
             return sorted(m for m in sys.modules

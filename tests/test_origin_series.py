@@ -244,7 +244,7 @@ def test_lone_span_rows_are_the_horner_rows(lam0, lam1):
         series = expand_series(ShootPoint(alpha, beta), lam)
         ends, rows = series.span()
         horner = origin_series._horner(series._matrix[None], np.array(ends)[None])[0]
-        assert rows == list(map(tuple, horner.tolist())), (lam, alpha, beta)
+        assert rows == tuple(map(tuple, horner.tolist())), (lam, alpha, beta)
 
 
 def _packed(series):
@@ -270,7 +270,7 @@ def test_batch_expansion_is_expand_series_lane_by_lane():
         packed = [_packed(series) for series in batch]
         for p, alpha, beta in zip(packed, alphas, betas):
             assert p == _packed(expand_series(ShootPoint(alpha, beta), lam))
-        # a slice, also as a worker process unpickles it, holds those lanes
+        # a slice, pickled and unpickled, holds those lanes
         part = pickle.loads(pickle.dumps(batch[140:170]))
         assert [_packed(series) for series in part] == packed[140:170]
     with pytest.raises(DomainError):
@@ -317,8 +317,8 @@ def test_batch_spans_are_the_lone_series_spans(monkeypatch, batch_lanes):
     ends, rows = lone.span()
     assert ends == (*(j * 0.05 for j in range(1, len(ends))), lone.reach)
     assert len(ends) > 20
-    assert rows == list(map(tuple, lone.table(ends).tolist()))
-    # a slice, also as a worker process unpickles it, keeps its lanes' rows
+    assert rows == tuple(map(tuple, lone.table(ends).tolist()))
+    # a slice, pickled and unpickled, keeps its lanes' rows
     read = origin_series.expand_batch(alphas, betas, 0.7)
     part = pickle.loads(pickle.dumps(read[10:30]))
     assert [s.span() for s in part] == [s.span() for s in read[10:30]]

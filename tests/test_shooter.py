@@ -1042,9 +1042,9 @@ def _cell(point, lambda_hat, controls):
 
 
 def test_sweep_batches_give_the_runs_of_the_points(monkeypatch):
-    # with batches of 2 rows (4 points over 3 betas), a 3-row grid is
-    # expanded in two batches, lane-wise; every cell is the one shooting
-    # its ShootPoint gives, for one worker or a pool of rows
+    # with tasks of 4 points, a 3 x 3 grid is expanded in three batches,
+    # lane-wise, two of them across a row's end; every cell is the one
+    # shooting its ShootPoint gives, for one worker or a pool
     monkeypatch.setattr(shooter, "_SWEEP_BATCH", 4)
     alphas, betas, lam = [0.05, 0.3, 1.2], [0.1, 0.5, 1.7], 0.7
     want = [(a, b, *_cell(ShootPoint(a, b), lam, CONTROLS)) for a in alphas for b in betas]
@@ -1203,10 +1203,12 @@ class _InProcessPool:
         return map(fn, args)
 
 
-def test_sweep_starts_at_most_one_process_per_row(monkeypatch):
+def test_sweep_starts_at_most_one_process_per_task(monkeypatch):
     # the pool starts all max_workers processes on its first submit, so
-    # the count is capped at the row count (here below the CPU count)
+    # the count is capped at the task count (here below the CPU count):
+    # 2 x 2 points in tasks of 2 points are 2 tasks
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(shooter, "_SWEEP_BATCH", 2)
     pools = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool(pools, []))
     short = replace(CONTROLS, t_max=3.0)
@@ -1214,14 +1216,15 @@ def test_sweep_starts_at_most_one_process_per_row(monkeypatch):
     assert pools == [2]
     assert list(grid.rows()) == list(sweep([0.05, 0.3], [0.1, 0.5], 0.0,
                                            controls=short).rows())
-    # a single row runs in this process
-    sweep([0.3], [0.1], 0.0, controls=short, workers=5000)
+    # a grid of one task runs in this process
+    sweep([0.05, 0.3], [0.1], 0.0, controls=short, workers=5000)
     assert pools == [2]
 
 
 def test_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
-    # and at the CPU count: 5000 workers over 6 rows on 3 CPUs is a pool
+    # and at the CPU count: 5000 workers over 6 tasks on 3 CPUs is a pool
     # of 3; no real process is started
+    monkeypatch.setattr(shooter, "_SWEEP_BATCH", 2)
     pools = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool(pools, []))
     short = replace(CONTROLS, t_max=3.0)
@@ -1237,19 +1240,56 @@ def test_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
     assert pools == [3]
 
 
-def test_sweep_batches_give_every_process_a_row(monkeypatch):
-    # rows as wide as a batch (5 betas, batches of 4 points) would make
-    # one-row batches, one busy process at a time; a batch holds at least
-    # one row per process instead, so a pool of 3 maps 3, 3 and 1 rows
+def _spy_expand_batch(monkeypatch):
+    # the lane count of every expand_batch call of the shooter
+    lanes = []
+
+    def spy(alphas, betas, lambda_hat):
+        lanes.append(len(alphas))
+        return expand_batch(alphas, betas, lambda_hat)
+    monkeypatch.setattr(shooter, "expand_batch", spy)
+    return lanes
+
+
+def test_sweep_tasks_are_fixed_chunks_of_points(monkeypatch):
+    # a task is at most _SWEEP_BATCH consecutive row-major points, rows
+    # or no rows: 7 x 5 points in tasks of 4 are 9 tasks of 4, ..., 4, 3
+    # points, all in one map; the pool is min(workers, tasks, CPUs)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    tasks = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool([], tasks))
+    pools, tasks = [], []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool(pools, tasks))
     monkeypatch.setattr(shooter, "_SWEEP_BATCH", 4)
     short = replace(CONTROLS, t_max=3.0)
     alphas, betas = [0.05, 0.2, 0.3, 0.6, 0.9, 1.2, 1.5], [0.1, 0.3, 0.5, 0.8, 1.0]
-    grid = sweep(alphas, betas, 0.0, controls=short, workers=3)
-    assert tasks == [3, 3, 1]
-    assert list(grid.rows()) == list(sweep(alphas, betas, 0.0, controls=short).rows())
+    serial = list(sweep(alphas, betas, 0.0, controls=short).rows())
+    lanes = _spy_expand_batch(monkeypatch)
+    for workers, pool in ((2, 2), (20, 3)):
+        grid = sweep(alphas, betas, 0.0, controls=short, workers=workers)
+        assert list(grid.rows()) == serial
+        assert lanes == [4] * 8 + [3]
+        lanes.clear()
+        assert pools[-1] == pool and tasks[-1] == 9
+    assert len(pools) == 2
+
+
+def test_a_long_row_is_expanded_in_bounded_chunks_and_pools(monkeypatch):
+    # a row wider than a task is cut into tasks too: a 1 x (2 B + 1) row
+    # at _SWEEP_BATCH = B is expanded B, B and 1 lanes at a time, and
+    # pools at workers = 2; every cell is the one shooting its ShootPoint
+    # gives
+    batch = 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool(pools, []))
+    monkeypatch.setattr(shooter, "_SWEEP_BATCH", batch)
+    lanes = _spy_expand_batch(monkeypatch)
+    alpha, lam = 0.3, 0.7
+    betas = [0.05 + 0.3 * j for j in range(2 * batch + 1)]
+    grid = sweep([alpha], betas, lam, workers=2)
+    assert lanes == [batch, batch, 1] and pools == [2]
+    assert list(grid.rows()) == [(alpha, b, *_cell(ShootPoint(alpha, b), lam, CONTROLS))
+                                 for b in betas]
 
 
 def test_sweep_does_not_depend_on_t0():
